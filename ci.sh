@@ -68,47 +68,30 @@ go test -run '^$' -bench 'BenchmarkGetHit|BenchmarkGetMiss|BenchmarkUpdateCommit
 echo "== sharded kernel race tests (shards=4 widths under the race detector) =="
 go test -race -run 'Cluster|Shard' ./internal/sim ./internal/engine ./internal/ssd ./internal/harness
 
-echo "== concurrency race tests (partitioned backend, striped pool, group commit, server) =="
-go test -race -run 'Concurrent|CommitSync' .
+echo "== concurrency race tests (facade: every backend, 2PC, reopen; striped pool, group commit, server) =="
+go test -race .
 go test -race -run 'Striped' ./internal/bufpool
 go test -race ./internal/policy
 go test -race -run 'GroupCommitter' ./internal/wal
 go test -race ./internal/netproto ./cmd/bpeserve
 go test -race -short ./internal/loadbench
 
-echo "== two-phase commit recovery tests (in-doubt resolution, multi-generation) =="
-go test -race -run 'TwoPhase|Reopen|CrossPartition' .
-
-echo "== golden determinism (full suite, serial vs 4 workers) =="
+echo "== golden determinism (each pair of runs must be byte-identical) =="
 go build -o /tmp/bpesim-ci ./cmd/bpesim
-/tmp/bpesim-ci -divisor 8192 -parallel 1 all > /tmp/bpesim-ci-serial.out 2>/dev/null
-/tmp/bpesim-ci -divisor 8192 -parallel 4 all > /tmp/bpesim-ci-parallel.out 2>/dev/null
-cmp /tmp/bpesim-ci-serial.out /tmp/bpesim-ci-parallel.out
-
-echo "== index experiment determinism (traversal-driven matrix, serial vs 4 workers) =="
-/tmp/bpesim-ci -divisor 8192 -parallel 1 index > /tmp/bpesim-ci-index-serial.out 2>/dev/null
-/tmp/bpesim-ci -divisor 8192 -parallel 4 index > /tmp/bpesim-ci-index-parallel.out 2>/dev/null
-cmp /tmp/bpesim-ci-index-serial.out /tmp/bpesim-ci-index-parallel.out
-
-echo "== policy sweep determinism (4 designs × 4 policies × 4 workloads, serial vs 4 workers) =="
-/tmp/bpesim-ci -divisor 8192 -parallel 1 policy > /tmp/bpesim-ci-policy-serial.out 2>/dev/null
-/tmp/bpesim-ci -divisor 8192 -parallel 4 policy > /tmp/bpesim-ci-policy-parallel.out 2>/dev/null
-cmp /tmp/bpesim-ci-policy-serial.out /tmp/bpesim-ci-policy-parallel.out
-
-echo "== sharded determinism (full suite, shards=4 vs single-kernel-width sharded run) =="
-/tmp/bpesim-ci -divisor 8192 -parallel 1 -shards 1 all > /tmp/bpesim-ci-shard1.out 2>/dev/null
-/tmp/bpesim-ci -divisor 8192 -parallel 1 -shards 4 all > /tmp/bpesim-ci-shard4.out 2>/dev/null
-cmp /tmp/bpesim-ci-shard1.out /tmp/bpesim-ci-shard4.out
-
-echo "== fault matrix (crash/recover, must pass and be byte-stable) =="
-/tmp/bpesim-ci -parallel 1 faults > /tmp/bpesim-ci-faults-serial.out 2>/dev/null
-/tmp/bpesim-ci -parallel 4 faults > /tmp/bpesim-ci-faults-parallel.out 2>/dev/null
-cmp /tmp/bpesim-ci-faults-serial.out /tmp/bpesim-ci-faults-parallel.out
-
-echo "== corruption matrix (silent-corruption defense, must pass and be byte-stable) =="
-/tmp/bpesim-ci -parallel 1 corrupt > /tmp/bpesim-ci-corrupt-serial.out 2>/dev/null
-/tmp/bpesim-ci -parallel 4 corrupt > /tmp/bpesim-ci-corrupt-parallel.out 2>/dev/null
-cmp /tmp/bpesim-ci-corrupt-serial.out /tmp/bpesim-ci-corrupt-parallel.out
+# id | flags of run A | flags of run B | experiments
+while IFS='|' read -r id a b exps; do
+  echo "-- $id: bpesim $a $exps  vs  bpesim $b $exps"
+  /tmp/bpesim-ci $a $exps > "/tmp/bpesim-ci-$id-a.out" 2>/dev/null
+  /tmp/bpesim-ci $b $exps > "/tmp/bpesim-ci-$id-b.out" 2>/dev/null
+  cmp "/tmp/bpesim-ci-$id-a.out" "/tmp/bpesim-ci-$id-b.out"
+done <<'TABLE'
+all|-divisor 8192 -parallel 1|-divisor 8192 -parallel 4|all
+index|-divisor 8192 -parallel 1|-divisor 8192 -parallel 4|index
+policy|-divisor 8192 -parallel 1|-divisor 8192 -parallel 4|policy
+shards|-divisor 8192 -parallel 1 -shards 1|-divisor 8192 -parallel 1 -shards 4|all
+faults|-parallel 1|-parallel 4|faults
+corrupt|-parallel 1|-parallel 4|corrupt
+TABLE
 
 echo "== benchmark regression guard (hot paths vs BENCH_harness.json, 25% margin) =="
 /tmp/bpesim-ci -benchguard BENCH_harness.json
@@ -142,12 +125,6 @@ timeout 45 /tmp/bpeload-ci -chaos 3 -server-bin /tmp/bpeserve-ci -dir "$chaosdir
 grep -E 'lost=0 stale=0 corrupt=0 torn-pairs=0 phantom=0 verify-fails=0' /tmp/bpechaos-ci.out | tail -1
 rm -rf "$chaosdir" /tmp/bpeserve-ci /tmp/bpeload-ci /tmp/bpechaos-ci.out
 
-rm -f /tmp/bpesim-ci /tmp/bpesim-ci-serial.out /tmp/bpesim-ci-parallel.out \
-      /tmp/bpesim-ci-index-serial.out /tmp/bpesim-ci-index-parallel.out \
-      /tmp/bpesim-ci-policy-serial.out /tmp/bpesim-ci-policy-parallel.out \
-      /tmp/bpesim-ci-shard1.out /tmp/bpesim-ci-shard4.out \
-      /tmp/bpesim-ci-faults-serial.out /tmp/bpesim-ci-faults-parallel.out \
-      /tmp/bpesim-ci-corrupt-serial.out /tmp/bpesim-ci-corrupt-parallel.out \
-      /tmp/bpesim-ci-scale.out
+rm -f /tmp/bpesim-ci /tmp/bpesim-ci-*.out
 
 echo "CI OK"

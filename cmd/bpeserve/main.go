@@ -62,7 +62,7 @@ func run() error {
 		pageSize     = flag.Int("page-size", 256, "payload bytes per page")
 		design       = flag.String("design", "lc", "SSD design: nossd, cw, dw, lc, tac")
 		cachePol     = flag.String("policy", "lru2", "cache policy: lru2, arc, cflru, tinylfu")
-		concurrency  = flag.Int("concurrency", runtime.GOMAXPROCS(0), "page-range partitions")
+		concurrency  = flag.Int("concurrency", runtime.GOMAXPROCS(0), "page-range partitions (0 or 1: one partition, same durability and transactions)")
 		commitSync   = flag.String("commit-sync", "group", "commit durability: none, each, group")
 		gcDelay      = flag.Duration("gc-delay", 500*time.Microsecond, "group-commit max delay")
 		gcBatch      = flag.Int("gc-batch", 64, "group-commit max batch")

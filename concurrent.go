@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"turbobp/internal/device"
@@ -16,26 +15,29 @@ import (
 	"turbobp/internal/wal"
 )
 
-// This file implements the partitioned concurrent file backend selected by
-// Options.Concurrency > 1. The database's page range is split into P
-// contiguous partitions; each partition is a complete single-threaded
-// engine — its own simulation environment, buffer pool (in striped-latch
-// mode), SSD-manager region and WAL slice — serialized by a per-partition
-// mutex. Operations on different partitions run genuinely in parallel:
-// LRU-2 victim selection, SSD admission/eviction (CW/DW/LC/TAC) and WAL
-// appends are all partition-local. Two layers cut across partitions:
+// This file implements DB's operations over its partitions. Every backend is
+// a slice of partitions: the database's page range is split into P
+// contiguous partitions (P = Options.Concurrency on the file backend, always
+// 1 on the simulated backend); each partition is a complete single-threaded
+// engine — its own simulation environment, buffer pool, SSD-manager region
+// and WAL slice — serialized by a per-partition mutex. Operations on
+// different partitions run genuinely in parallel: LRU-2 victim selection,
+// SSD admission/eviction (CW/DW/LC/TAC) and WAL appends are all
+// partition-local. On the file backend two layers cut across partitions:
 //
-//   - The latched read path: DB.Read first tries the pool's striped-latch
-//     copy-out (bufpool.ReadLatched), which serves resident pages WITHOUT
-//     the partition mutex — point reads of hot pages scale with stripes,
-//     not with partitions.
+//   - The latched read path: the pools run in striped-latch mode, and DB.Read
+//     first tries the pool's copy-out (bufpool.ReadLatched), which serves
+//     resident pages WITHOUT the partition mutex — point reads of hot pages
+//     scale with stripes, not with partitions. The simulated partition's
+//     pool is unstriped, so there every read takes the mutex and the
+//     hand-off, charging CPU and advancing the virtual clock.
 //   - Group commit: commit durability requests from all partitions feed one
 //     wal.GroupCommitter that coalesces them into single fsyncs of the
 //     shared log file (Options.CommitSync / GroupCommitMaxDelay / MaxBatch).
 //
 // Lock hierarchy (see DESIGN.md "Concurrency & group commit"): DB meta
 // mutex and partition mutexes are independent roots; partition mutexes are
-// only ever held several-at-once in ascending index order (Crash, Close);
+// only ever held several-at-once in ascending index order (Crash, Tx.Commit);
 // page-latch stripes are leaves acquired under at most one partition mutex
 // (or none, on the latched read path); the group committer's internal lock
 // is taken with no other lock held.
@@ -43,24 +45,25 @@ import (
 // Cross-partition transactions are crash-atomic: Tx buffers its mutations
 // and Tx.Commit runs presumed-abort two-phase commit over the partitions'
 // WALs, coordinated by an append-only decision log — see twophase.go. The
-// per-partition WALs persist real record bytes (wal.SetPersist) so a later
-// process can reopen the directory (Options.OpenExisting) and recover:
-// wal.LoadDurable reloads each partition's durable stream, and
-// engine.RecoverDurable redoes committed transactions and rolls back
-// uncommitted ones from their logged before-images, resolving in-doubt
-// prepared transactions against the coordinator log.
+// file backend's per-partition WALs persist real record bytes
+// (wal.SetPersist) so a later process can reopen the directory
+// (Options.OpenExisting) and recover: wal.LoadDurable reloads each
+// partition's durable stream, and engine.RecoverDurable redoes committed
+// transactions and rolls back uncommitted ones from their logged
+// before-images, resolving in-doubt prepared transactions against the
+// coordinator log.
 //
-// Fault injection composes with partitioning: each partition gets its own
-// deterministic injector seeded from Options.FaultSeed and the partition
-// index (fault.DeriveSeed), reachable via DB.PartitionFaults.
+// Each partition gets its own deterministic fault injector seeded from
+// Options.FaultSeed and the partition index (fault.DeriveSeed), reachable
+// via DB.PartitionFaults.
 
 // CommitSyncMode selects how the file backend makes commits durable on the
 // real device. The simulated backend ignores it.
 type CommitSyncMode int
 
 const (
-	// CommitSyncNone never fsyncs on commit (the pre-concurrency behavior,
-	// and the default): commit forces the WAL to the OS, not the platter.
+	// CommitSyncNone never fsyncs on commit (the default): commit forces the
+	// WAL to the OS, not the platter.
 	CommitSyncNone CommitSyncMode = iota
 	// CommitSyncEach issues one fsync per commit.
 	CommitSyncEach
@@ -77,8 +80,8 @@ const poolStripesPerPartition = 16
 // across partitions.
 const walPagesTotal = 1 << 20
 
-// partition is one page-range shard of the concurrent backend: a complete
-// single-threaded engine serialized by mu.
+// partition is one page-range shard of a DB: a complete single-threaded
+// engine serialized by mu.
 type partition struct {
 	mu   sync.Mutex
 	env  *sim.Env
@@ -102,79 +105,56 @@ func (pt *partition) do(name string, fn func(p *sim.Proc) error) error {
 	return err
 }
 
-// concurrent is the partitioned backend's shared state.
-type concurrent struct {
-	parts []*partition
-	quot  int64 // partition size floor; partitions [0,rem) hold quot+1
-	rem   int64
-
-	mode CommitSyncMode
-	gc   *wal.GroupCommitter // nil when mode == CommitSyncNone
-
-	coord   *coordLog     // two-phase-commit decision log (see twophase.go)
-	nextGtx atomic.Uint64 // global transaction id counter
-
-	// crash2PC, when set (tests only), is called at the two in-doubt
-	// stages of a cross-partition commit — "prepared" (prepares durable,
-	// no decision) and "decided" (decision durable, participants not yet
-	// committed). A non-nil return abandons the commit mid-protocol, as a
-	// kill would, so recovery tests can pin both resolutions.
-	crash2PC func(stage string) error
-
-	tick    atomic.Int64 // DB-wide LRU clock (see bufpool.NewStriped)
-	latched atomic.Int64 // reads served by the latched fast path
-	closed  atomic.Bool
-}
-
 // partOf maps a global page id to its partition and partition-local id.
 // Callers have validated the range.
-func (c *concurrent) partOf(pid int64) (*partition, int64) {
-	boundary := c.rem * (c.quot + 1)
+func (db *DB) partOf(pid int64) (*partition, int64) {
+	boundary := db.rem * (db.quot + 1)
 	var i int64
 	if pid < boundary {
-		i = pid / (c.quot + 1)
+		i = pid / (db.quot + 1)
 	} else {
-		i = c.rem + (pid-boundary)/c.quot
+		i = db.rem + (pid-boundary)/db.quot
 	}
-	pt := c.parts[i]
+	pt := db.parts[i]
 	return pt, pid - pt.base
 }
 
-func (c *concurrent) checkPage(pid int64, dbPages int64) error {
-	if pid < 0 || pid >= dbPages {
-		return fmt.Errorf("turbobp: page %d out of range [0,%d)", pid, dbPages)
+func (db *DB) checkPage(pid int64) error {
+	if pid < 0 || pid >= db.opts.DBPages {
+		return fmt.Errorf("turbobp: page %d out of range [0,%d)", pid, db.opts.DBPages)
 	}
 	return nil
 }
 
 // syncCommit runs the configured commit-durability step. Called with no
 // locks held, after the partition-local commit released the WAL to the OS.
-func (c *concurrent) syncCommit() error {
-	if c.gc == nil {
+func (db *DB) syncCommit() error {
+	if db.gc == nil {
 		return nil
 	}
-	return c.gc.Commit()
+	return db.gc.Commit()
 }
 
-// openConcurrent builds the partitioned backend inside db: the owner files
-// are already open in db.files (db.pages, optional ssd.pages, wal.log, in
-// that order). cfg is the engine config the legacy path would have used.
-// When opts.OpenExisting is set the files hold a previous incarnation's
-// state: formatting is skipped and each partition instead reloads its
-// persisted WAL and runs commit-aware restart recovery, resolving in-doubt
-// two-phase transactions against the reloaded coordinator log.
-func openConcurrent(db *DB, cfg engine.Config, dbFile, ssdFile, logFile *device.File) error {
+// openPartitions builds db.parts, one loop for every backend. On the file
+// backend the owner files are already open in db.files and each partition
+// gets a Slice of each (one partition takes the whole file at offset 0); on
+// the simulated backend the files are nil and the one partition builds its
+// own simulated devices. cfg carries everything but the per-partition
+// geometry. When opts.OpenExisting is set the files hold a previous
+// incarnation's state: formatting is skipped and each partition instead
+// reloads its persisted WAL and runs commit-aware restart recovery,
+// resolving in-doubt two-phase transactions against the reloaded
+// coordinator log.
+func (db *DB) openPartitions(cfg engine.Config, dbFile, ssdFile, logFile *device.File) error {
 	opts := db.opts
 	p := int64(opts.Concurrency)
+	if p < 1 {
+		p = 1
+	}
 	if p > opts.DBPages {
 		p = opts.DBPages
 	}
-	c := &concurrent{
-		quot: opts.DBPages / p,
-		rem:  opts.DBPages % p,
-		mode: opts.CommitSync,
-	}
-	clock := func() time.Duration { return time.Duration(c.tick.Add(1)) }
+	db.quot, db.rem = opts.DBPages/p, opts.DBPages%p
 
 	div := func(v, n int) int {
 		if v <= 0 {
@@ -192,45 +172,40 @@ func openConcurrent(db *DB, cfg engine.Config, dbFile, ssdFile, logFile *device.
 	var maxGtx uint64
 	var base, ssdBase int64
 	for i := int64(0); i < p; i++ {
-		n := c.quot
-		if i < c.rem {
+		n := db.quot
+		if i < db.rem {
 			n++
-		}
-		dbSlice, err := dbFile.Slice(device.PageNum(base), device.PageNum(n))
-		if err != nil {
-			return err
-		}
-		var ssdDev device.Device
-		if ssdFile != nil {
-			ssdSlice, err := ssdFile.Slice(device.PageNum(ssdBase), device.PageNum(ssdPer))
-			if err != nil {
-				return err
-			}
-			ssdDev = ssdSlice
-			ssdBase += int64(ssdPer)
-		}
-		walSlice, err := logFile.Slice(device.PageNum(i)*walPer, walPer)
-		if err != nil {
-			return err
 		}
 		pcfg := cfg
 		pcfg.DBPages = n
 		pcfg.PoolPages = poolPer
 		pcfg.SSDFrames = ssdPer
-		pcfg.PoolStripes = poolStripesPerPartition
-		pcfg.PoolClock = clock
-		pcfg.CommitRecords = true
-		pcfg.WALPersist = true
-		pcfg.WALCapacity = walPer
 		if opts.FaultSeed != 0 {
 			pcfg.Faults = fault.New(fault.DeriveSeed(opts.FaultSeed, uint64(i)))
 		}
-		env := sim.NewEnv()
-		pt := &partition{
-			env:  env,
-			eng:  engine.NewWithDevices(env, pcfg, dbSlice, ssdDev, walSlice),
-			base: base,
-			n:    n,
+		pt := &partition{env: sim.NewEnv(), base: base, n: n}
+		if dbFile == nil {
+			pt.eng = engine.New(pt.env, pcfg)
+		} else {
+			dbSlice, err := dbFile.Slice(device.PageNum(base), device.PageNum(n))
+			if err != nil {
+				return err
+			}
+			var ssdDev device.Device
+			if ssdFile != nil {
+				ssdSlice, err := ssdFile.Slice(device.PageNum(ssdBase), device.PageNum(ssdPer))
+				if err != nil {
+					return err
+				}
+				ssdDev = ssdSlice
+				ssdBase += int64(ssdPer)
+			}
+			walSlice, err := logFile.Slice(device.PageNum(i)*walPer, walPer)
+			if err != nil {
+				return err
+			}
+			pcfg.WALCapacity = walPer
+			pt.eng = engine.NewWithDevices(pt.env, pcfg, dbSlice, ssdDev, walSlice)
 		}
 		if opts.OpenExisting {
 			if err := pt.eng.Log().LoadDurable(); err != nil {
@@ -242,8 +217,11 @@ func openConcurrent(db *DB, cfg engine.Config, dbFile, ssdFile, logFile *device.
 		} else if err := pt.eng.FormatDB(); err != nil {
 			return fmt.Errorf("format partition %d: %w", i, err)
 		}
-		c.parts = append(c.parts, pt)
+		db.parts = append(db.parts, pt)
 		base += n
+	}
+	if logFile == nil {
+		return nil // simulated: no coordinator log, no group committer
 	}
 
 	coord, err := openCoordLog(filepath.Join(opts.Dir, "txn.log"),
@@ -251,14 +229,14 @@ func openConcurrent(db *DB, cfg engine.Config, dbFile, ssdFile, logFile *device.
 	if err != nil {
 		return err
 	}
-	c.coord = coord
+	db.coord = coord
 	if coord.maxGtx > maxGtx {
 		maxGtx = coord.maxGtx
 	}
-	c.nextGtx.Store(maxGtx)
+	db.nextGtx.Store(maxGtx)
 
 	if opts.OpenExisting {
-		for i, pt := range c.parts {
+		for i, pt := range db.parts {
 			err := pt.do("recover", func(p *sim.Proc) error {
 				return pt.eng.RecoverDurable(p, coord.isCommitted)
 			})
@@ -271,29 +249,28 @@ func openConcurrent(db *DB, cfg engine.Config, dbFile, ssdFile, logFile *device.
 
 	switch opts.CommitSync {
 	case CommitSyncEach:
-		c.gc = wal.NewGroupCommitter(logFile.Sync, 1, 0, true)
+		db.gc = wal.NewGroupCommitter(logFile.Sync, 1, 0, true)
 	case CommitSyncGroup:
-		c.gc = wal.NewGroupCommitter(logFile.Sync,
+		db.gc = wal.NewGroupCommitter(logFile.Sync,
 			opts.GroupCommitMaxBatch, opts.GroupCommitMaxDelay, false)
 	}
-	db.conc = c
 	return nil
 }
 
-// ---- DB method implementations for the concurrent backend. Each is called
-// from the corresponding public method after the db.conc != nil branch.
-
-func (c *concurrent) read(db *DB, pid int64, buf []byte) (int, error) {
-	if c.closed.Load() {
+// Read copies the payload of page pid into buf and returns the number of
+// bytes copied.
+func (db *DB) Read(pid int64, buf []byte) (int, error) {
+	if db.closed.Load() {
 		return 0, ErrClosed
 	}
-	if err := c.checkPage(pid, db.opts.DBPages); err != nil {
+	if err := db.checkPage(pid); err != nil {
 		return 0, err
 	}
-	pt, local := c.partOf(pid)
-	// Fast path: a resident page is copied out under its stripe latch alone.
+	pt, local := db.partOf(pid)
+	// Fast path: a resident page is copied out under its stripe latch alone
+	// (never taken on the simulated partition, whose pool is unstriped).
 	if n, ok := pt.eng.Pool().ReadLatched(page.ID(local), buf); ok {
-		c.latched.Add(1)
+		db.latched.Add(1)
 		return n, nil
 	}
 	pt.mu.Lock()
@@ -310,14 +287,16 @@ func (c *concurrent) read(db *DB, pid int64, buf []byte) (int, error) {
 	return n, err
 }
 
-func (c *concurrent) update(db *DB, pid int64, fn func(payload []byte)) error {
-	if c.closed.Load() {
+// Update applies fn to the payload of page pid inside its own committed
+// transaction.
+func (db *DB) Update(pid int64, fn func(payload []byte)) error {
+	if db.closed.Load() {
 		return ErrClosed
 	}
-	if err := c.checkPage(pid, db.opts.DBPages); err != nil {
+	if err := db.checkPage(pid); err != nil {
 		return err
 	}
-	pt, local := c.partOf(pid)
+	pt, local := db.partOf(pid)
 	pt.mu.Lock()
 	err := pt.do("update", func(p *sim.Proc) error {
 		tx := pt.eng.Begin()
@@ -330,45 +309,31 @@ func (c *concurrent) update(db *DB, pid int64, fn func(payload []byte)) error {
 	if err != nil {
 		return err
 	}
-	return c.syncCommit()
+	return db.syncCommit()
 }
 
-// txUpdate buffers a transactional mutation. Nothing touches the engines
-// until Tx.Commit: deferring the writes lets the commit apply, prepare and
-// decide the whole transaction under every participant's mutex at once —
-// the window two-phase commit needs (see twophase.go). Mutations chain per
-// page, so fn runs at commit time against the payload as the transaction's
-// earlier mutations left it.
-func (c *concurrent) txUpdate(db *DB, tx *Tx, pid int64, fn func(payload []byte)) error {
-	if c.closed.Load() {
-		return ErrClosed
-	}
-	if err := c.checkPage(pid, db.opts.DBPages); err != nil {
-		return err
-	}
-	tx.writes[pid] = append(tx.writes[pid], fn)
-	return nil
-}
-
-func (c *concurrent) scan(db *DB, start int64, n int, fn func(pid int64, payload []byte) error) error {
-	if c.closed.Load() {
+// Scan reads n consecutive pages starting at start through the engine's
+// read-ahead path (sequential classification, multi-page I/O with SSD
+// trimming) and calls fn with each page's payload.
+func (db *DB) Scan(start int64, n int, fn func(pid int64, payload []byte) error) error {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	if n < 0 {
 		return fmt.Errorf("turbobp: negative scan length %d", n)
 	}
-	if err := c.checkPage(start, db.opts.DBPages); err != nil {
+	if err := db.checkPage(start); err != nil {
 		return err
 	}
 	if n > 0 {
-		if err := c.checkPage(start+int64(n)-1, db.opts.DBPages); err != nil {
+		if err := db.checkPage(start + int64(n) - 1); err != nil {
 			return err
 		}
 	}
 	// Walk the covered partitions in page order; each sub-range runs under
 	// its partition's mutex through the engine's read-ahead path.
 	for pid := start; pid < start+int64(n); {
-		pt, local := c.partOf(pid)
+		pt, local := db.partOf(pid)
 		count := pt.base + pt.n - pid // pages of this scan inside pt
 		if rest := start + int64(n) - pid; rest < count {
 			count = rest
@@ -401,21 +366,33 @@ func (c *concurrent) scan(db *DB, start int64, n int, fn func(pid int64, payload
 	return nil
 }
 
-func (c *concurrent) checkpoint(db *DB) error {
-	if c.closed.Load() {
+// eachPartition runs fn as a process on every partition in index order, one
+// partition mutex at a time, and stops at the first error.
+func (db *DB) eachPartition(name string, fn func(pt *partition, p *sim.Proc) error) error {
+	if db.closed.Load() {
 		return ErrClosed
 	}
-	for _, pt := range c.parts {
+	for _, pt := range db.parts {
 		pt.mu.Lock()
-		err := pt.do("checkpoint", func(p *sim.Proc) error {
-			return pt.eng.Checkpoint(p)
-		})
+		err := pt.do(name, func(p *sim.Proc) error { return fn(pt, p) })
 		pt.mu.Unlock()
 		if err != nil {
 			return err
 		}
 	}
-	if c.mode != CommitSyncNone {
+	return nil
+}
+
+// Checkpoint performs a sharp checkpoint: all dirty pages in memory (and,
+// under LC, in the SSD) are flushed to the database storage.
+func (db *DB) Checkpoint() error {
+	err := db.eachPartition("checkpoint", func(pt *partition, p *sim.Proc) error {
+		return pt.eng.Checkpoint(p)
+	})
+	if err != nil {
+		return err
+	}
+	if db.opts.CommitSync != CommitSyncNone {
 		for _, f := range db.files {
 			if err := f.Sync(); err != nil {
 				return err
@@ -425,51 +402,80 @@ func (c *concurrent) checkpoint(db *DB) error {
 	return nil
 }
 
-func (c *concurrent) idle(d time.Duration) error {
-	if c.closed.Load() {
-		return ErrClosed
-	}
-	for _, pt := range c.parts {
-		pt.mu.Lock()
-		err := pt.do("idle", func(p *sim.Proc) error {
-			p.Sleep(d)
-			return nil
-		})
-		pt.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+// Idle advances the clock by d with no foreground work, giving background
+// processes — periodic checkpoints, the SSD scrubber — time to run.
+func (db *DB) Idle(d time.Duration) error {
+	return db.eachPartition("idle", func(_ *partition, p *sim.Proc) error {
+		p.Sleep(d)
+		return nil
+	})
 }
 
-func (c *concurrent) crash() error {
-	if c.closed.Load() {
+// Crash simulates a failure: memory and unforced log records are lost and
+// the SSD cache is discarded, exactly as a restart in the paper behaves.
+// Call Recover before using the DB again.
+func (db *DB) Crash() error {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	// All partitions stop at one cut: take every mutex (ascending), then
 	// drop volatile state everywhere.
-	for _, pt := range c.parts {
+	for _, pt := range db.parts {
 		pt.mu.Lock()
 	}
-	for _, pt := range c.parts {
+	for _, pt := range db.parts {
 		pt.eng.Crash()
 	}
-	for i := len(c.parts) - 1; i >= 0; i-- {
-		c.parts[i].mu.Unlock()
+	for i := len(db.parts) - 1; i >= 0; i-- {
+		db.parts[i].mu.Unlock()
 	}
 	return nil
 }
 
-// failSSD arms whole-SSD loss in every partition: each partition's injector
-// fails its "ssd" region on the next operation, and each engine detects and
-// recovers independently (cache rebuild plus WAL redo under LC).
-func (c *concurrent) failSSD(db *DB) error {
-	if c.closed.Load() {
+// Recover replays the durable log against the database storage, restoring
+// every committed update.
+func (db *DB) Recover() error {
+	return db.eachPartition("recover", func(pt *partition, p *sim.Proc) error {
+		return pt.eng.Recover(p)
+	})
+}
+
+// Faults returns the DB's fault injector when it has exactly one partition,
+// or nil when Options.FaultSeed was zero or there are several (each has its
+// own — use PartitionFaults). Use it to arm crash points and schedule device
+// faults; the device names are "db", "ssd" and "wal". See docs/FAILURES.md
+// for the failure model and each design's recovery semantics.
+func (db *DB) Faults() *fault.Injector {
+	if len(db.parts) != 1 {
+		return nil
+	}
+	return db.PartitionFaults(0)
+}
+
+// PartitionFaults returns partition i's fault injector (nil when fault
+// injection is off or i is out of range). Injectors are engine-private
+// state: arm schedules only while the DB is quiescent (no operations in
+// flight).
+func (db *DB) PartitionFaults(i int) *fault.Injector {
+	if i < 0 || i >= len(db.parts) {
+		return nil
+	}
+	return db.parts[i].eng.Config().Faults
+}
+
+// FailSSD makes the SSD device fail on its next operation, modeling a
+// whole-SSD loss during forward processing. The engine detects the loss,
+// replaces the device, rebuilds the cache and — under LC — redoes the
+// uniquely-dirty SSD pages from the WAL; no committed update is lost.
+// Stats.SSDLosses and Stats.SSDRedoRecords report what happened. Every
+// partition's SSD region fails at once, and each engine detects and recovers
+// independently.
+func (db *DB) FailSSD() error {
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	armed := 0
-	for _, pt := range c.parts {
+	for _, pt := range db.parts {
 		pt.mu.Lock()
 		inj := pt.eng.Config().Faults
 		if inj != nil && pt.eng.SSDDevice() != nil {
@@ -484,29 +490,13 @@ func (c *concurrent) failSSD(db *DB) error {
 	return nil
 }
 
-func (c *concurrent) recover() error {
-	if c.closed.Load() {
-		return ErrClosed
-	}
-	for _, pt := range c.parts {
-		pt.mu.Lock()
-		err := pt.do("recover", func(p *sim.Proc) error {
-			return pt.eng.Recover(p)
-		})
-		pt.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (c *concurrent) stats(db *DB) Stats {
+// Stats returns current counters, summed over the partitions.
+func (db *DB) Stats() Stats {
 	var es engine.Stats
 	var ms ssd.Stats
 	var s Stats
 	var vt time.Duration
-	for _, pt := range c.parts {
+	for _, pt := range db.parts {
 		pt.mu.Lock()
 		es = es.Add(pt.eng.Stats())
 		ms = ms.Add(pt.eng.SSD().Stats())
@@ -527,7 +517,7 @@ func (c *concurrent) stats(db *DB) Stats {
 		}
 		pt.mu.Unlock()
 	}
-	latched := c.latched.Load()
+	latched := db.latched.Load()
 	s.Design = db.opts.Design
 	s.Reads = es.Reads + latched
 	s.Updates = es.Updates
@@ -551,9 +541,9 @@ func (c *concurrent) stats(db *DB) Stats {
 	s.ScrubFrames = ms.ScrubFrames
 	s.ScrubRepairs = ms.ScrubRepairs
 	s.LatchedReads = latched
-	s.Partitions = len(c.parts)
-	if c.gc != nil {
-		gs := c.gc.Stats()
+	s.Partitions = len(db.parts)
+	if db.gc != nil {
+		gs := db.gc.Stats()
 		s.SyncedCommits = gs.Commits
 		s.WALSyncs = gs.Syncs
 		s.MaxCommitFlight = gs.MaxFlight
@@ -561,9 +551,12 @@ func (c *concurrent) stats(db *DB) Stats {
 	return s
 }
 
-func (c *concurrent) latencySummary() string {
+// LatencySummary reports per-tier read latency and commit latency as
+// human-readable lines (count, mean, p50, p99, max per tier), merged over
+// the partitions.
+func (db *DB) LatencySummary() string {
 	var l engine.Latencies
-	for _, pt := range c.parts {
+	for _, pt := range db.parts {
 		pt.mu.Lock()
 		pl := pt.eng.Latencies()
 		l.PoolHit.Merge(&pl.PoolHit)
@@ -576,18 +569,20 @@ func (c *concurrent) latencySummary() string {
 		l.PoolHit.Summary(), l.SSDHit.Summary(), l.DiskRead.Summary(), l.Commit.Summary())
 }
 
-func (c *concurrent) close(db *DB) error {
-	if c.closed.Swap(true) {
+// Close checkpoints, stops background work, and releases resources. The
+// DB cannot be used afterwards.
+func (db *DB) Close() error {
+	if db.closed.Swap(true) {
 		return nil
 	}
 	var err error
-	for _, pt := range c.parts {
+	for _, pt := range db.parts {
 		pt.mu.Lock()
 		cerr := pt.do("close-checkpoint", func(p *sim.Proc) error {
 			return pt.eng.Checkpoint(p)
 		})
 		pt.eng.StopBackground()
-		pt.env.Run(pt.env.Now() + time.Second)
+		pt.env.Run(pt.env.Now() + time.Second) // let background processes exit
 		pt.env.Shutdown()
 		pt.mu.Unlock()
 		if cerr != nil && err == nil {
@@ -602,8 +597,8 @@ func (c *concurrent) close(db *DB) error {
 			err = cerr
 		}
 	}
-	if c.coord != nil {
-		if cerr := c.coord.close(); cerr != nil && err == nil {
+	if db.coord != nil {
+		if cerr := db.coord.close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}

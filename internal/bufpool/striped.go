@@ -143,8 +143,13 @@ func (p *Pool) del(id page.ID) {
 // the latch orders the copy against Insert/PopVictim/Drop (which delete
 // under the exclusive latch before reusing a frame) and against
 // MutateFrame's in-place payload writes. The access is recorded in the
-// stripe's touch buffer for the next victim-selection drain.
+// stripe's touch buffer for the next victim-selection drain. A single-latch
+// pool has no latch to read under, so it reports every page not resident and
+// the caller falls back to its serialized path.
 func (p *Pool) ReadLatched(id page.ID, dst []byte) (int, bool) {
+	if p.stripes == nil {
+		return 0, false
+	}
 	s := p.stripeOf(id)
 	s.mu.RLock()
 	f, ok := s.table.Get(uint64(id))

@@ -76,6 +76,9 @@ func TestStripedReadLatched(t *testing.T) {
 	if _, ok := p.ReadLatched(page.ID(99), buf); ok {
 		t.Fatal("ReadLatched(99) hit")
 	}
+	if _, ok := New(4, 8).ReadLatched(page.ID(2), buf); ok {
+		t.Fatal("ReadLatched hit on an unstriped pool")
+	}
 	// Touch pages 1..3 again via the latched path; page 0's single history
 	// stays oldest, so after the drain inside PopVictim it must be the
 	// LRU-2 victim.

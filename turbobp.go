@@ -18,23 +18,23 @@
 //
 // # Concurrency
 //
-// A DB is safe for concurrent use. How much actually runs in parallel
-// depends on the backend and Options.Concurrency:
+// A DB is safe for concurrent use. Every backend is a set of page-range
+// partitions, each a complete engine (buffer pool, SSD region, WAL slice)
+// behind its own mutex; Options.Concurrency picks how many:
 //
-//   - Simulated backend, and file backend with Concurrency <= 1:
-//     operations are serialized internally (the simulation kernel is
-//     single-threaded by design — its determinism contract depends on it).
-//   - File backend with Concurrency = P > 1: the page range splits into P
-//     contiguous partitions, each a complete engine (buffer pool, SSD
-//     region, WAL slice) behind its own mutex. Operations on different
+//   - Simulated backend: always one partition (the simulation kernel is
+//     single-threaded by design — its determinism contract depends on it),
+//     so operations serialize on its mutex.
+//   - File backend with Concurrency = P: the page range splits into P
+//     contiguous partitions (0 and 1 both mean one). Operations on different
 //     partitions — including LRU-2 victim selection and CW/DW/LC/TAC
 //     admission/eviction — proceed in parallel, and Read serves resident
 //     pages through a striped page-latch fast path that takes no partition
-//     mutex at all.
+//     mutex at all, whatever P is.
 //
-// Commit durability on the file backend is governed by Options.CommitSync:
-// the default (CommitSyncNone) forces the WAL to the OS only, exactly as
-// before; CommitSyncEach fsyncs per commit; CommitSyncGroup batches
+// Commit durability on the file backend is governed by Options.CommitSync,
+// at every Concurrency: the default (CommitSyncNone) forces the WAL to the
+// OS only; CommitSyncEach fsyncs per commit; CommitSyncGroup batches
 // concurrent committers into shared fsync flights (group commit), so a
 // commit that has returned is durable — it rode some completed fsync —
 // while N concurrent commits cost ~1 fsync instead of N. A transaction
@@ -58,15 +58,15 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"turbobp/internal/device"
 	"turbobp/internal/engine"
-	"turbobp/internal/fault"
 	"turbobp/internal/page"
 	"turbobp/internal/policy"
-	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
+	"turbobp/internal/wal"
 )
 
 // Design selects how dirty pages evicted from the memory pool are handled
@@ -163,17 +163,18 @@ type Options struct {
 	// silent corruption and whole-SSD loss can be injected (see Faults and
 	// FailSSD), and the engine's crash points become armable. The same seed
 	// replays the same fault schedule. Zero disables injection at no cost.
-	// With Concurrency > 1 each partition gets its own injector, seeded
-	// deterministically from this seed and the partition index; reach them
-	// through PartitionFaults.
+	// Each partition gets its own injector, seeded deterministically from
+	// this seed and the partition index; reach them through PartitionFaults
+	// (or Faults when there is one partition).
 	FaultSeed uint64
 
 	// Concurrency partitions the file backend's page range into this many
-	// independently-locked engines (see the package doc). 0 and 1 keep the
-	// classic fully-serialized backend. Requires Dir to be set.
+	// independently-locked engines (see the package doc). 0 and 1 both mean
+	// one partition; values above 1 require Dir to be set.
 	Concurrency int
-	// CommitSync selects commit durability on the file backend: none
-	// (default, legacy), one fsync per commit, or group commit.
+	// CommitSync selects commit durability on the file backend, at every
+	// Concurrency: none (default), one fsync per commit, or group commit.
+	// The simulated backend ignores it.
 	CommitSync CommitSyncMode
 	// GroupCommitMaxDelay bounds how long a group-commit leader waits for
 	// followers before fsyncing (default 500µs); GroupCommitMaxBatch caps a
@@ -193,20 +194,38 @@ type Options struct {
 // ErrClosed is returned by operations on a closed DB.
 var ErrClosed = errors.New("turbobp: database closed")
 
-// DB is an open database.
+// DB is an open database: a set of page-range partitions (one on the
+// simulated backend) plus the state that cuts across them. See concurrent.go
+// for the partitions and the lock hierarchy.
 type DB struct {
-	mu        sync.Mutex
-	env       *sim.Env
-	eng       *engine.Engine
-	opts      Options
-	files     []*device.File
+	opts  Options
+	files []*device.File // db.pages, optional ssd.pages, wal.log (file backend)
+	parts []*partition
+	quot  int64 // partition size floor; partitions [0,rem) hold quot+1
+	rem   int64
+
+	gc      *wal.GroupCommitter // nil on the simulated backend and under CommitSyncNone
+	coord   *coordLog           // two-phase-commit decision log (twophase.go); nil on the simulated backend
+	nextGtx atomic.Uint64       // global transaction id counter
+
+	// crash2PC, when set (tests only), is called at the two in-doubt
+	// stages of a cross-partition commit — "prepared" (prepares durable,
+	// no decision) and "decided" (decision durable, participants not yet
+	// committed). A non-nil return abandons the commit mid-protocol, as a
+	// kill would, so recovery tests can pin both resolutions.
+	crash2PC func(stage string) error
+
+	tick    atomic.Int64 // DB-wide LRU clock of the striped pools (see bufpool.NewStriped)
+	latched atomic.Int64 // reads served by the latched fast path
+	closed  atomic.Bool
+
+	metaMu    sync.Mutex // guards allocated
 	allocated int64
-	closed    bool
-	conc      *concurrent // non-nil when Options.Concurrency > 1 (file backend)
 }
 
 // Open creates a database with the given options. The database starts
-// formatted and empty (every page zero-filled).
+// formatted and empty (every page zero-filled) unless Options.OpenExisting
+// reattaches to a directory's previous state.
 func Open(opts Options) (*DB, error) {
 	if opts.DBPages <= 0 {
 		return nil, errors.New("turbobp: Options.DBPages must be positive")
@@ -237,9 +256,6 @@ func Open(opts Options) (*DB, error) {
 	cfg := engine.Config{
 		Design:             opts.Design,
 		Policy:             opts.Policy,
-		DBPages:            opts.DBPages,
-		PoolPages:          opts.PoolPages,
-		SSDFrames:          opts.SSDFrames,
 		PayloadSize:        opts.PageSize,
 		FillThreshold:      opts.FillThreshold,
 		Throttle:           opts.Throttle,
@@ -251,14 +267,11 @@ func Open(opts Options) (*DB, error) {
 		WarmRestart:        opts.WarmRestart,
 		ScrubPeriod:        opts.ScrubInterval,
 	}
-	if opts.FaultSeed != 0 {
-		cfg.Faults = fault.New(opts.FaultSeed)
-	}
-	env := sim.NewEnv()
-	db := &DB{env: env, opts: opts}
-	if opts.Dir == "" {
-		db.eng = engine.New(env, cfg)
-	} else {
+	db := &DB{opts: opts}
+	// The simulated backend leaves the files nil: its one partition builds
+	// simulated devices, an unstriped pool and a virtual clock.
+	var dbFile, ssdFile, logFile *device.File
+	if opts.Dir != "" {
 		if opts.OpenExisting {
 			if err := verifyMeta(opts); err != nil {
 				return nil, err
@@ -273,62 +286,35 @@ func Open(opts Options) (*DB, error) {
 		cfg.CPUPerAccess = -1 // real CPUs charge themselves
 		cfg.CommitRecords = true
 		cfg.WALPersist = true
-		cfg.WALCapacity = walPagesTotal
+		cfg.PoolStripes = poolStripesPerPartition
+		cfg.PoolClock = func() time.Duration { return time.Duration(db.tick.Add(1)) }
 		filePage := page.HeaderSize + opts.PageSize
-		dbFile, err := openFile(filepath.Join(opts.Dir, "db.pages"), filePage, device.PageNum(opts.DBPages))
+		var err error
+		dbFile, err = openFile(filepath.Join(opts.Dir, "db.pages"), filePage, device.PageNum(opts.DBPages))
 		if err != nil {
 			return nil, fmt.Errorf("turbobp: %w", err)
 		}
 		db.files = append(db.files, dbFile)
-		var ssdDev device.Device
 		if opts.Design != NoSSD && opts.SSDFrames > 0 {
 			// The SSD cache never carries state across restarts (the paper's
 			// §6 cold-restart assumption), so even a reopen starts it fresh.
-			ssdFile, err := device.OpenFile(filepath.Join(opts.Dir, "ssd.pages"), filePage, device.PageNum(opts.SSDFrames))
+			ssdFile, err = device.OpenFile(filepath.Join(opts.Dir, "ssd.pages"), filePage, device.PageNum(opts.SSDFrames))
 			if err != nil {
 				db.closeFiles()
 				return nil, fmt.Errorf("turbobp: %w", err)
 			}
 			db.files = append(db.files, ssdFile)
-			ssdDev = ssdFile
 		}
-		logFile, err := openFile(filepath.Join(opts.Dir, "wal.log"), 8192, walPagesTotal)
+		logFile, err = openFile(filepath.Join(opts.Dir, "wal.log"), 8192, walPagesTotal)
 		if err != nil {
 			db.closeFiles()
 			return nil, fmt.Errorf("turbobp: %w", err)
 		}
 		db.files = append(db.files, logFile)
-		if opts.Concurrency > 1 {
-			var ssdFile *device.File
-			if ssdDev != nil {
-				ssdFile = ssdDev.(*device.File)
-			}
-			if err := openConcurrent(db, cfg, dbFile, ssdFile, logFile); err != nil {
-				db.closeFiles()
-				return nil, fmt.Errorf("turbobp: %w", err)
-			}
-			return db, nil // partitions are built and formatted (or recovered)
-		}
-		db.eng = engine.NewWithDevices(env, cfg, dbFile, ssdDev, logFile)
-		if opts.OpenExisting {
-			if err := db.eng.Log().LoadDurable(); err != nil {
-				db.closeFiles()
-				return nil, fmt.Errorf("turbobp: reload: %w", err)
-			}
-			db.eng.AdoptDurableTxIDs()
-			err := db.doLocked("recover", func(p *sim.Proc) error {
-				return db.eng.RecoverDurable(p, nil)
-			})
-			if err != nil {
-				db.closeFiles()
-				return nil, fmt.Errorf("turbobp: recover: %w", err)
-			}
-			return db, nil
-		}
 	}
-	if err := db.eng.FormatDB(); err != nil {
+	if err := db.openPartitions(cfg, dbFile, ssdFile, logFile); err != nil {
 		db.closeFiles()
-		return nil, fmt.Errorf("turbobp: format: %w", err)
+		return nil, fmt.Errorf("turbobp: %w", err)
 	}
 	return db, nil
 }
@@ -397,63 +383,6 @@ func (db *DB) closeFiles() {
 	}
 }
 
-// do runs fn as a simulation process under the DB lock and drives the
-// environment until it completes.
-func (db *DB) do(name string, fn func(p *sim.Proc) error) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.doLocked(name, fn)
-}
-
-func (db *DB) doLocked(name string, fn func(p *sim.Proc) error) error {
-	if db.closed {
-		return ErrClosed
-	}
-	var err error
-	done := false
-	db.env.Go(name, func(p *sim.Proc) {
-		err = fn(p)
-		done = true
-	})
-	for !done {
-		db.env.Run(db.env.Now() + time.Millisecond)
-	}
-	return err
-}
-
-// Read copies the payload of page pid into buf and returns the number of
-// bytes copied.
-func (db *DB) Read(pid int64, buf []byte) (int, error) {
-	if db.conc != nil {
-		return db.conc.read(db, pid, buf)
-	}
-	n := 0
-	err := db.do("read", func(p *sim.Proc) error {
-		f, err := db.eng.Get(p, page.ID(pid))
-		if err != nil {
-			return err
-		}
-		n = copy(buf, f.Pg.Payload)
-		return nil
-	})
-	return n, err
-}
-
-// Update applies fn to the payload of page pid inside its own committed
-// transaction.
-func (db *DB) Update(pid int64, fn func(payload []byte)) error {
-	if db.conc != nil {
-		return db.conc.update(db, pid, fn)
-	}
-	return db.do("update", func(p *sim.Proc) error {
-		tx := db.eng.Begin()
-		if err := db.eng.Update(p, tx, page.ID(pid), fn); err != nil {
-			return err
-		}
-		return db.eng.Commit(p, tx)
-	})
-}
-
 // Commit is a no-op that makes *DB satisfy storage.Store: every DB.Update
 // outside an explicit Tx is already its own committed transaction, so by
 // the time Commit is called there is nothing left to make durable. Use
@@ -462,182 +391,45 @@ func (db *DB) Commit() error { return nil }
 
 // Tx is a transaction: a sequence of reads and updates committed together.
 // A Tx must not be used concurrently with itself (different Txs may run
-// concurrently on the partitioned backend). On that backend the updates
-// buffer until Commit, which applies them under every touched partition's
-// lock and — when the transaction spans partitions — runs two-phase commit
-// so the whole transaction is crash-atomic (see twophase.go). Buffering
-// means Tx.Read does not observe the transaction's own uncommitted updates;
-// mutation closures run at Commit against the then-current payload.
+// concurrently). Its updates buffer until Commit, which applies them under
+// every touched partition's lock — logging each page's before-image first,
+// so an uncommitted change an eviction leaked to disk rolls back on reopen —
+// and, when the transaction spans partitions, runs two-phase commit so the
+// whole transaction is crash-atomic (see twophase.go). Buffering means no
+// reader, Tx.Read included, observes the transaction's updates before
+// Commit; mutation closures run at Commit against the then-current payload.
+// This holds on every backend.
 type Tx struct {
 	db     *DB
-	id     uint64
-	writes map[int64][]func([]byte) // partitioned backend: buffered mutations
+	writes map[int64][]func([]byte) // buffered mutations, per page in call order
 }
 
-// Begin starts a transaction.
-func (db *DB) Begin() *Tx {
-	if db.conc != nil {
-		return &Tx{db: db, writes: make(map[int64][]func([]byte))}
-	}
-	return &Tx{db: db, id: db.eng.Begin()}
-}
+// Begin starts a transaction. It touches no engine: local transaction ids
+// are drawn at Commit, under the participants' mutexes.
+func (db *DB) Begin() *Tx { return &Tx{db: db} }
 
 // Read copies page pid's payload into buf within the transaction.
 func (tx *Tx) Read(pid int64, buf []byte) (int, error) {
 	return tx.db.Read(pid, buf)
 }
 
-// Update applies fn to page pid's payload. The change becomes durable at
-// Commit.
+// Update buffers fn as a mutation of page pid's payload. Nothing touches the
+// engines until Commit: deferring the writes lets the commit apply, prepare
+// and decide the whole transaction under every participant's mutex at once —
+// the window two-phase commit needs (see twophase.go). Mutations chain per
+// page, so fn runs at commit time against the payload as the transaction's
+// earlier mutations left it.
 func (tx *Tx) Update(pid int64, fn func(payload []byte)) error {
-	if tx.db.conc != nil {
-		return tx.db.conc.txUpdate(tx.db, tx, pid, fn)
-	}
-	return tx.db.do("tx-update", func(p *sim.Proc) error {
-		return tx.db.eng.Update(p, tx.id, page.ID(pid), fn)
-	})
-}
-
-// Commit forces the transaction's log records to stable storage.
-func (tx *Tx) Commit() error {
-	if tx.db.conc != nil {
-		return tx.db.conc.txCommit(tx.db, tx)
-	}
-	return tx.db.do("tx-commit", func(p *sim.Proc) error {
-		return tx.db.eng.Commit(p, tx.id)
-	})
-}
-
-// Scan reads n consecutive pages starting at start through the engine's
-// read-ahead path (sequential classification, multi-page I/O with SSD
-// trimming) and calls fn with each page's payload.
-func (db *DB) Scan(start int64, n int, fn func(pid int64, payload []byte) error) error {
-	if db.conc != nil {
-		return db.conc.scan(db, start, n, fn)
-	}
-	return db.do("scan", func(p *sim.Proc) error {
-		if err := db.eng.Scan(p, page.ID(start), n); err != nil {
-			return err
-		}
-		if fn == nil {
-			return nil
-		}
-		for i := int64(0); i < int64(n); i++ {
-			f, err := db.eng.Get(p, page.ID(start+i))
-			if err != nil {
-				return err
-			}
-			if err := fn(start+i, f.Pg.Payload); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// Checkpoint performs a sharp checkpoint: all dirty pages in memory (and,
-// under LC, in the SSD) are flushed to the database storage.
-func (db *DB) Checkpoint() error {
-	if db.conc != nil {
-		return db.conc.checkpoint(db)
-	}
-	return db.do("checkpoint", func(p *sim.Proc) error {
-		return db.eng.Checkpoint(p)
-	})
-}
-
-// Idle advances the clock by d with no foreground work, giving background
-// processes — periodic checkpoints, the SSD scrubber — time to run.
-func (db *DB) Idle(d time.Duration) error {
-	if db.conc != nil {
-		return db.conc.idle(d)
-	}
-	return db.do("idle", func(p *sim.Proc) error {
-		p.Sleep(d)
-		return nil
-	})
-}
-
-// Crash simulates a failure: memory and unforced log records are lost and
-// the SSD cache is discarded, exactly as a restart in the paper behaves.
-// Call Recover before using the DB again.
-func (db *DB) Crash() error {
-	if db.conc != nil {
-		return db.conc.crash()
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
+	if tx.db.closed.Load() {
 		return ErrClosed
 	}
-	db.eng.Crash()
-	return nil
-}
-
-// Recover replays the durable log against the database storage, restoring
-// every committed update.
-func (db *DB) Recover() error {
-	if db.conc != nil {
-		return db.conc.recover()
+	if err := tx.db.checkPage(pid); err != nil {
+		return err
 	}
-	return db.do("recover", func(p *sim.Proc) error {
-		return db.eng.Recover(p)
-	})
-}
-
-// Faults returns the DB's fault injector, or nil when Options.FaultSeed was
-// zero. Use it to arm crash points and schedule device faults; the device
-// names are "db", "ssd" and "wal". See docs/FAILURES.md for the failure
-// model and each design's recovery semantics. On the partitioned backend
-// each partition has its own injector — use PartitionFaults.
-func (db *DB) Faults() *fault.Injector {
-	if db.conc != nil {
-		return nil // per-partition injectors; see PartitionFaults
+	if tx.writes == nil {
+		tx.writes = make(map[int64][]func([]byte))
 	}
-	return db.eng.Config().Faults
-}
-
-// PartitionFaults returns partition i's fault injector on the partitioned
-// backend (nil when fault injection is off or i is out of range); on the
-// serialized backends partition 0 is the whole DB, so PartitionFaults(0) is
-// Faults(). Injectors are engine-private state: arm schedules only while the
-// DB is quiescent (no operations in flight).
-func (db *DB) PartitionFaults(i int) *fault.Injector {
-	if db.conc == nil {
-		if i == 0 {
-			return db.Faults()
-		}
-		return nil
-	}
-	if i < 0 || i >= len(db.conc.parts) {
-		return nil
-	}
-	return db.conc.parts[i].eng.Config().Faults
-}
-
-// FailSSD makes the SSD device fail on its next operation, modeling a
-// whole-SSD loss during forward processing. The engine detects the loss,
-// replaces the device, rebuilds the cache and — under LC — redoes the
-// uniquely-dirty SSD pages from the WAL; no committed update is lost.
-// Stats.SSDLosses and Stats.SSDRedoRecords report what happened. On the
-// partitioned backend every partition's SSD region fails at once.
-func (db *DB) FailSSD() error {
-	if db.conc != nil {
-		return db.conc.failSSD(db)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return ErrClosed
-	}
-	inj := db.eng.Config().Faults
-	if inj == nil {
-		return errors.New("turbobp: fault injection disabled (set Options.FaultSeed)")
-	}
-	if db.eng.SSDDevice() == nil {
-		return errors.New("turbobp: no SSD to fail")
-	}
-	inj.FailDeviceNow("ssd")
+	tx.writes[pid] = append(tx.writes[pid], fn)
 	return nil
 }
 
@@ -645,9 +437,9 @@ func (db *DB) FailSSD() error {
 // when the database is full. Allocation is a metadata operation: the page
 // was formatted (zero-filled) at Open.
 func (db *DB) AllocPage() (int64, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
+	db.metaMu.Lock()
+	defer db.metaMu.Unlock()
+	if db.closed.Load() {
 		return 0, ErrClosed
 	}
 	if db.allocated >= db.opts.DBPages {
@@ -660,16 +452,16 @@ func (db *DB) AllocPage() (int64, error) {
 
 // Allocated returns the page-allocation watermark.
 func (db *DB) Allocated() int64 {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.metaMu.Lock()
+	defer db.metaMu.Unlock()
 	return db.allocated
 }
 
 // SetAllocated restores the allocation watermark (callers persist it in a
 // metadata page across restarts).
 func (db *DB) SetAllocated(n int64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.metaMu.Lock()
+	defer db.metaMu.Unlock()
 	if n > db.allocated {
 		db.allocated = n
 	}
@@ -700,10 +492,12 @@ type Stats struct {
 	Checkpoints int64
 	VirtualTime time.Duration // simulated backend only
 
-	// Partitioned-backend counters (zero unless Options.Concurrency > 1).
-	Partitions      int   // page-range partitions the backend runs
-	LatchedReads    int64 // reads served by the striped-latch fast path (no partition lock)
-	SyncedCommits   int64 // commits that requested durability (CommitSync != none)
+	Partitions   int   // page-range partitions the backend runs (1 on the simulated backend)
+	LatchedReads int64 // reads served by the striped-latch fast path (no partition lock); file backend only
+
+	// Commit durability (zero unless Options.CommitSync != CommitSyncNone on
+	// the file backend).
+	SyncedCommits   int64 // commits that requested durability
 	WALSyncs        int64 // fsyncs actually issued for them
 	MaxCommitFlight int   // largest group-commit flight observed
 
@@ -725,94 +519,4 @@ type Stats struct {
 	ScrubRepairs    int64 // frames the scrubber rewrote in place from the disk copy
 	RetiredSlots    int   // SSD slots permanently retired after repeated failures
 	Quarantined     bool  // SSD demoted to pass-through after excessive retirements
-}
-
-// Stats returns current counters.
-func (db *DB) Stats() Stats {
-	if db.conc != nil {
-		return db.conc.stats(db)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	es := db.eng.Stats()
-	ms := db.eng.SSD().Stats()
-	s := Stats{
-		Design:      db.eng.Config().Design,
-		Reads:       es.Reads,
-		Updates:     es.Updates,
-		Commits:     es.Commits,
-		PoolHits:    es.PoolHits,
-		PoolMisses:  es.PoolMisses,
-		SSDHits:     ms.Hits,
-		SSDMisses:   ms.Misses,
-		SSDOccupied: db.eng.SSD().Occupied(),
-		SSDDirty:    db.eng.SSD().DirtyCount(),
-		Checkpoints: es.Checkpoints,
-		VirtualTime: db.env.Now(),
-
-		SSDLosses:      es.SSDLosses,
-		SSDRedoRecords: es.SSDLossRedo,
-		SSDReadErrors:  ms.ReadErrors,
-
-		CorruptDetected: ms.CorruptDetected,
-		CorruptRepaired: ms.CorruptRepaired,
-		CorruptRedo:     es.CorruptRedo,
-		DiskCorruptions: es.DiskCorruptions,
-		DiskRepairsSSD:  es.DiskRepairsSSD,
-		DiskRepairsWAL:  es.DiskRepairsWAL,
-		ScrubSweeps:     ms.ScrubSweeps,
-		ScrubFrames:     ms.ScrubFrames,
-		ScrubRepairs:    ms.ScrubRepairs,
-		RetiredSlots:    db.eng.SSD().RetiredSlots(),
-		Quarantined:     db.eng.SSD().Quarantined(),
-	}
-	d := db.eng.DBDevice().Stats().Load()
-	s.DiskReads, s.DiskWrites = d.ReadOps, d.WriteOps
-	if dev := db.eng.SSDDevice(); dev != nil {
-		sd := dev.Stats().Load()
-		s.SSDReads, s.SSDWrites = sd.ReadOps, sd.WriteOps
-	}
-	return s
-}
-
-// LatencySummary reports per-tier read latency and commit latency as
-// human-readable lines (count, mean, p50, p99, max per tier).
-func (db *DB) LatencySummary() string {
-	if db.conc != nil {
-		return db.conc.latencySummary()
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	l := db.eng.Latencies()
-	return fmt.Sprintf("pool-hit:  %s\nssd-hit:   %s\ndisk-read: %s\ncommit:    %s",
-		l.PoolHit.Summary(), l.SSDHit.Summary(), l.DiskRead.Summary(), l.Commit.Summary())
-}
-
-// Close checkpoints, stops background work, and releases resources. The
-// DB cannot be used afterwards.
-func (db *DB) Close() error {
-	if db.conc != nil {
-		return db.conc.close(db)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil
-	}
-	err := db.doLocked("close-checkpoint", func(p *sim.Proc) error {
-		return db.eng.Checkpoint(p)
-	})
-	db.eng.StopBackground()
-	db.env.Run(db.env.Now() + time.Second) // let background processes exit
-	db.env.Shutdown()
-	db.closed = true
-	for _, f := range db.files {
-		if serr := f.Sync(); serr != nil && err == nil {
-			err = serr
-		}
-		if cerr := f.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return err
 }

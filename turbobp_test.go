@@ -13,7 +13,7 @@ import (
 )
 
 // dbLat reaches the engine's latency histograms for assertions.
-func dbLat(db *DB) *engine.Latencies { return db.eng.Latencies() }
+func dbLat(db *DB) *engine.Latencies { return db.parts[0].eng.Latencies() }
 
 func openTest(t *testing.T, opts Options) *DB {
 	t.Helper()
@@ -213,22 +213,6 @@ func TestSSDCachingVisibleInStats(t *testing.T) {
 	}
 	if s.SSDOccupied == 0 {
 		t.Error("SSD empty")
-	}
-}
-
-func TestUseAfterClose(t *testing.T) {
-	db := openTest(t, Options{Design: NoSSD})
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Read(0, make([]byte, 1)); !errors.Is(err, ErrClosed) {
-		t.Errorf("Read after close: %v", err)
-	}
-	if err := db.Update(0, func([]byte) {}); !errors.Is(err, ErrClosed) {
-		t.Errorf("Update after close: %v", err)
-	}
-	if err := db.Close(); err != nil {
-		t.Errorf("double close: %v", err)
 	}
 }
 

@@ -11,10 +11,11 @@ import (
 	"turbobp/internal/wal"
 )
 
-// This file makes cross-partition transactions crash-atomic on the
-// partitioned file backend: Tx.Commit runs presumed-abort two-phase commit
-// over the partitions' per-partition WALs, coordinated by a small append-only
-// decision log (txn.log).
+// This file is Tx.Commit. On every backend it applies the buffered mutations
+// under the participants' mutexes with before-images logged first; on the
+// file backend it also makes cross-partition transactions crash-atomic by
+// running presumed-abort two-phase commit over the partitions' per-partition
+// WALs, coordinated by a small append-only decision log (txn.log).
 //
 // Protocol, per Tx.Commit spanning several partitions:
 //
@@ -44,7 +45,8 @@ import (
 // recovery guards against replaying such a stale before-image over data a
 // later incarnation committed (see RecoverDurable).
 //
-// Single-partition transactions skip steps 2–3: their commit record alone
+// Single-partition transactions — every transaction of a one-partition DB,
+// the simulated backend included — skip steps 2–3: their commit record alone
 // decides them, exactly like an autocommit update.
 
 // coordLog is the two-phase-commit coordinator's decision log: an
@@ -151,11 +153,12 @@ type participant struct {
 	undos []undoImage
 }
 
-// txCommit commits a buffered transaction with presumed-abort two-phase
-// commit (see the file comment). Transactions confined to one partition
-// take the one-phase fast path.
-func (c *concurrent) txCommit(db *DB, tx *Tx) error {
-	if c.closed.Load() {
+// Commit applies the transaction's buffered updates and makes them durable:
+// presumed-abort two-phase commit when they span partitions (see the file
+// comment), the one-phase fast path when one partition holds them all.
+func (tx *Tx) Commit() error {
+	db := tx.db
+	if db.closed.Load() {
 		return ErrClosed
 	}
 	writes := tx.writes
@@ -163,16 +166,11 @@ func (c *concurrent) txCommit(db *DB, tx *Tx) error {
 	if len(writes) == 0 {
 		return nil
 	}
-	for pid := range writes {
-		if err := c.checkPage(pid, db.opts.DBPages); err != nil {
-			return err
-		}
-	}
 
 	// Group the buffered pages by partition; chain each page's mutations.
 	byPart := make(map[*partition]*participant)
 	for pid, fns := range writes {
-		pt, local := c.partOf(pid)
+		pt, local := db.partOf(pid)
 		pc := byPart[pt]
 		if pc == nil {
 			pc = &participant{pt: pt, fns: make(map[int64]func([]byte))}
@@ -193,15 +191,15 @@ func (c *concurrent) txCommit(db *DB, tx *Tx) error {
 	}
 	sort.Slice(parts, func(i, j int) bool { return parts[i].pt.base < parts[j].pt.base })
 
-	if err := c.txCommitLocked(parts); err != nil {
+	if err := db.txCommitLocked(parts); err != nil {
 		return err
 	}
-	return c.syncCommit()
+	return db.syncCommit()
 }
 
 // txCommitLocked runs the protocol with every participant mutex held
 // (taken ascending, released before return).
-func (c *concurrent) txCommitLocked(parts []*participant) error {
+func (db *DB) txCommitLocked(parts []*participant) error {
 	for _, pc := range parts {
 		pc.pt.mu.Lock()
 	}
@@ -232,7 +230,7 @@ func (c *concurrent) txCommitLocked(parts []*participant) error {
 			return nil
 		})
 		if err != nil {
-			c.compensate(parts[:i+1])
+			compensate(parts[:i+1])
 			return err
 		}
 	}
@@ -245,7 +243,7 @@ func (c *concurrent) txCommitLocked(parts []*participant) error {
 		})
 	}
 
-	gtx := c.nextGtx.Add(1)
+	gtx := db.nextGtx.Add(1)
 
 	// Prepare: force each participant's records with a prepare binding its
 	// local transaction to gtx; then make the prepares as durable as the
@@ -256,29 +254,29 @@ func (c *concurrent) txCommitLocked(parts []*participant) error {
 			return pc.pt.eng.Prepare(p, pc.id, gtx)
 		})
 		if err != nil {
-			c.compensate(parts)
+			compensate(parts)
 			return err
 		}
 	}
-	if c.gc != nil {
-		if err := c.gc.Commit(); err != nil {
-			c.compensate(parts)
+	if db.gc != nil {
+		if err := db.gc.Commit(); err != nil {
+			compensate(parts)
 			return err
 		}
 	}
-	if c.crash2PC != nil {
-		if err := c.crash2PC("prepared"); err != nil {
+	if db.crash2PC != nil {
+		if err := db.crash2PC("prepared"); err != nil {
 			return err
 		}
 	}
 
 	// Decide: the commit point.
-	if err := c.coord.logCommit(gtx); err != nil {
-		c.compensate(parts)
+	if err := db.coord.logCommit(gtx); err != nil {
+		compensate(parts)
 		return err
 	}
-	if c.crash2PC != nil {
-		if err := c.crash2PC("decided"); err != nil {
+	if db.crash2PC != nil {
+		if err := db.crash2PC("decided"); err != nil {
 			return err
 		}
 	}
@@ -302,7 +300,7 @@ func (c *concurrent) txCommitLocked(parts []*participant) error {
 // each gets a fresh committed transaction restoring the logged
 // before-images in reverse order. Called with the participant mutexes held;
 // best-effort (the caller returns the original error regardless).
-func (c *concurrent) compensate(parts []*participant) {
+func compensate(parts []*participant) {
 	for _, pc := range parts {
 		pc := pc
 		if len(pc.undos) == 0 {

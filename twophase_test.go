@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -14,14 +15,9 @@ import (
 // gone. The DB is unusable afterwards; reopen the directory with
 // Options.OpenExisting.
 func killForTest(db *DB) {
-	db.mu.Lock()
-	db.closed = true
-	db.mu.Unlock()
-	if db.conc != nil {
-		db.conc.closed.Store(true)
-		if db.conc.coord != nil {
-			db.conc.coord.close()
-		}
+	db.closed.Store(true)
+	if db.coord != nil {
+		db.coord.close()
 	}
 	for _, f := range db.files {
 		f.Close()
@@ -72,8 +68,8 @@ func wantFill(t *testing.T, db *DB, pid int64, val byte, what string) {
 	}
 }
 
-// TestReopenDurability pins the basic restart contract on the partitioned
-// backend: every acknowledged autocommit update survives an abrupt kill and
+// TestReopenDurability pins the basic restart contract at Concurrency 4:
+// every acknowledged autocommit update survives an abrupt kill and
 // an OpenExisting reopen, with no checkpoint and no clean Close in between.
 func TestReopenDurability(t *testing.T) {
 	dir := t.TempDir()
@@ -90,8 +86,8 @@ func TestReopenDurability(t *testing.T) {
 	}
 }
 
-// TestReopenDurabilitySerial is the same contract on the serialized file
-// backend (Concurrency 1), which reopens through the single-engine path.
+// TestReopenDurabilitySerial is the same contract at Concurrency 1: one
+// partition over the whole files, the layout a pre-partition directory has.
 func TestReopenDurabilitySerial(t *testing.T) {
 	dir := t.TempDir()
 	opts := reopenOpts(dir, false)
@@ -172,7 +168,7 @@ func crash2PCAt(t *testing.T, stage string) (*DB, int64, int64) {
 	writePage(t, db, p2, 0xAA)
 
 	errCrash := errors.New("crash2PC")
-	db.conc.crash2PC = func(s string) error {
+	db.crash2PC = func(s string) error {
 		if s == stage {
 			return errCrash
 		}
@@ -253,24 +249,91 @@ func TestOpenExistingGeometryGuard(t *testing.T) {
 }
 
 // TestTxReadDoesNotSeeBufferedWrites pins the documented buffering
-// semantics on the partitioned backend.
+// semantics on every backend: no reader sees a Tx's update before Commit.
 func TestTxReadDoesNotSeeBufferedWrites(t *testing.T) {
-	dir := t.TempDir()
-	db := mustOpen(t, reopenOpts(dir, false))
-	defer db.Close()
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			db := b.open(t, Options{DBPages: 64, PageSize: 64, PoolPages: 16, Design: NoSSD})
+			defer db.Close()
+			writePage(t, db, 7, 0x01)
+			tx := db.Begin()
+			if err := tx.Update(7, func(p []byte) { p[0] = 0xFF }); err != nil {
+				t.Fatalf("tx.Update: %v", err)
+			}
+			if got := readPage(t, db, 7); got[0] != 0x01 {
+				t.Fatalf("buffered write visible before commit: %#x", got[0])
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatalf("tx.Commit: %v", err)
+			}
+			if got := readPage(t, db, 7); got[0] != 0xFF {
+				t.Fatalf("committed write not visible: %#x", got[0])
+			}
+		})
+	}
+}
+
+// TestTxUncommittedWriteDoesNotReachDisk pins atomicity at Concurrency 1: a
+// transaction that never committed leaves nothing behind, even when its page
+// is evicted dirty before the process is killed. (An eager Tx.Update with no
+// before-image would put 0xFF in db.pages, and reopen would serve it.)
+func TestTxUncommittedWriteDoesNotReachDisk(t *testing.T) {
+	opts := Options{
+		DBPages: 64, PageSize: 64, PoolPages: 4, Design: NoSSD,
+		Dir: t.TempDir(), Concurrency: 1,
+	}
+	db := mustOpen(t, opts)
 	writePage(t, db, 7, 0x01)
 	tx := db.Begin()
 	if err := tx.Update(7, func(p []byte) { p[0] = 0xFF }); err != nil {
 		t.Fatalf("tx.Update: %v", err)
 	}
-	if got := readPage(t, db, 7); got[0] != 0x01 {
-		t.Fatalf("buffered write visible before commit: %#x", got[0])
+	// Push page 7 out of the 4-frame pool: LRU-2 needs every other resident
+	// page touched twice before it gives up the older one.
+	for round := 0; round < 4; round++ {
+		for pid := int64(20); pid < 40; pid++ {
+			readPage(t, db, pid)
+			readPage(t, db, pid)
+		}
 	}
-	if err := tx.Commit(); err != nil {
-		t.Fatalf("tx.Commit: %v", err)
+	killForTest(db)
+
+	opts.OpenExisting = true
+	db2 := mustOpen(t, opts)
+	defer db2.Close()
+	if got := readPage(t, db2, 7); got[0] != 0x01 {
+		t.Fatalf("page 7 = %#x after kill+reopen, want the committed 0x01", got[0])
 	}
-	if got := readPage(t, db, 7); got[0] != 0xFF {
-		t.Fatalf("committed write not visible: %#x", got[0])
+}
+
+// TestTxConcurrentBegin runs whole transactions from eight goroutines on the
+// simulated backend; under -race it pins that Begin shares no unlocked state.
+func TestTxConcurrentBegin(t *testing.T) {
+	db := mustOpen(t, Options{DBPages: 64, PageSize: 64, PoolPages: 16})
+	defer db.Close()
+	var wg sync.WaitGroup
+	for w := int64(0); w < 8; w++ {
+		wg.Add(1)
+		go func(pid int64) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				tx := db.Begin()
+				err := tx.Update(pid, func(p []byte) { p[0]++ })
+				if err == nil {
+					err = tx.Commit()
+				}
+				if err != nil {
+					t.Errorf("tx on page %d: %v", pid, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for pid := int64(0); pid < 8; pid++ {
+		if got := readPage(t, db, pid); got[0] != 20 {
+			t.Errorf("page %d = %d after 20 committed increments", pid, got[0])
+		}
 	}
 }
 
@@ -310,7 +373,7 @@ func TestTwoPhaseStaleInDoubtAcrossGenerations(t *testing.T) {
 		}
 	}
 	errCrash := errors.New("crash")
-	db.conc.crash2PC = func(s string) error {
+	db.crash2PC = func(s string) error {
 		if s == "prepared" {
 			return errCrash
 		}
