@@ -92,6 +92,8 @@ shards|-divisor 8192 -parallel 1 -shards 1|-divisor 8192 -parallel 1 -shards 4|a
 faults|-parallel 1|-parallel 4|faults
 corrupt|-parallel 1|-parallel 4|corrupt
 TABLE
+# ...and identical to the committed hashes (skipped by the -short race run above).
+go test -run TestGoldenHashes ./internal/harness
 
 echo "== benchmark regression guard (hot paths vs BENCH_harness.json, 25% margin) =="
 /tmp/bpesim-ci -benchguard BENCH_harness.json

@@ -71,63 +71,10 @@ func (a *Array) split(page PageNum, bufs [][]byte) []run {
 	return runs
 }
 
-func (a *Array) do(p *sim.Proc, page PageNum, bufs [][]byte, write bool) error {
-	if err := checkRange(page, len(bufs), a.capacity); err != nil {
-		return err
-	}
-	if len(bufs) == 0 {
-		return nil
-	}
-	if write {
-		a.stats.WriteOps.Add(1)
-		a.stats.WritePages.Add(int64(len(bufs)))
-	} else {
-		a.stats.ReadOps.Add(1)
-		a.stats.ReadPages.Add(int64(len(bufs)))
-	}
-	op := func(p *sim.Proc, r run) error {
-		d := a.disks[r.disk]
-		if write {
-			return d.Write(p, r.local, r.bufs)
-		}
-		return d.Read(p, r.local, r.bufs)
-	}
-	// Fast path: a request within one stripe unit hits a single disk and
-	// needs no run slice (this covers every single-page I/O).
-	if int(a.stripeUnit-page%a.stripeUnit) >= len(bufs) {
-		disk, local := a.locate(page)
-		return op(p, run{disk: disk, local: local, bufs: bufs})
-	}
-	runs := a.split(page, bufs)
-	if len(runs) == 1 {
-		return op(p, runs[0])
-	}
-	// Fan the runs out to their disks in parallel and join.
-	var firstErr error
-	remaining := len(runs)
-	done := sim.NewSignal(p.Env())
-	for _, r := range runs {
-		r := r
-		a.env.Go("array-io", func(child *sim.Proc) {
-			if err := op(child, r); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			remaining--
-			if remaining == 0 {
-				done.Broadcast()
-			}
-		})
-	}
-	if remaining > 0 {
-		done.Wait(p)
-	}
-	return firstErr
-}
-
-// doTask is the run-to-completion twin of do: the same request splitting,
-// stats accounting and multi-disk fan-out, delivered to k. Single-stripe
-// requests (every single-page I/O) forward straight to the member disk's
-// task path, inheriting its analytic fast path.
+// doTask serves one request: range check, stats accounting, splitting into
+// per-disk runs and a parallel fan-out joined before k. Single-stripe
+// requests (every single-page I/O) forward straight to the member disk,
+// inheriting its analytic fast path.
 func (a *Array) doTask(t *sim.Task, page PageNum, bufs [][]byte, write bool, k func(error)) {
 	if err := checkRange(page, len(bufs), a.capacity); err != nil {
 		k(err)
@@ -187,22 +134,22 @@ func (a *Array) doTask(t *sim.Task, page PageNum, bufs [][]byte, write bool, k f
 	k(firstErr)
 }
 
-// Read performs a (possibly multi-disk) page-run read.
+// Read is ReadTask for a blocking process.
 func (a *Array) Read(p *sim.Proc, page PageNum, bufs [][]byte) error {
-	return a.do(p, page, bufs, false)
+	return p.Await(func(t *sim.Task, done func(error)) { a.doTask(t, page, bufs, false, done) })
 }
 
-// Write performs a (possibly multi-disk) page-run write.
+// Write is WriteTask for a blocking process.
 func (a *Array) Write(p *sim.Proc, page PageNum, bufs [][]byte) error {
-	return a.do(p, page, bufs, true)
+	return p.Await(func(t *sim.Task, done func(error)) { a.doTask(t, page, bufs, true, done) })
 }
 
-// ReadTask performs a (possibly multi-disk) page-run read in task form.
+// ReadTask performs a (possibly multi-disk) page-run read.
 func (a *Array) ReadTask(t *sim.Task, page PageNum, bufs [][]byte, k func(error)) {
 	a.doTask(t, page, bufs, false, k)
 }
 
-// WriteTask performs a (possibly multi-disk) page-run write in task form.
+// WriteTask performs a (possibly multi-disk) page-run write.
 func (a *Array) WriteTask(t *sim.Task, page PageNum, bufs [][]byte, k func(error)) {
 	a.doTask(t, page, bufs, true, k)
 }

@@ -35,18 +35,19 @@ var ErrOutOfRange = errors.New("device: page out of range")
 // a replacement device and recovering uniquely-dirty pages from the WAL.
 var ErrLost = errors.New("device: device lost")
 
-// Device is a page-granular block device. Read and Write block the calling
-// simulation process for the modelled duration of the request; for the
-// real-file backend p may be nil and the call blocks the OS thread instead.
-// ReadTask and WriteTask are the run-to-completion twins: they perform the
-// identical request on behalf of a sim.Task and deliver the result to k
-// instead of returning it — inline when the device queue is empty and the
+// Device is a page-granular block device. ReadTask and WriteTask are the
+// implementation: they perform the request on behalf of a sim.Task and
+// deliver the result to k — inline when the device queue is empty and the
 // completion time can be computed analytically, otherwise via the
-// scheduler. Callers must treat them as tail calls (no code after).
+// scheduler. Callers must treat them as tail calls (no code after). Read
+// and Write run the same request for a blocking simulation process through
+// sim.Proc.Await, parking it for the modelled duration; for the real-file
+// backend, whose I/O is a blocking syscall that completes before the call
+// returns, p may be nil.
 //
 // bufs holds one page-sized buffer per page of a contiguous run starting at
-// page: Read fills them, Write persists copies of them. For the task forms
-// the bufs remain in the device's hands until k runs.
+// page: a read fills them, a write persists copies of them. They remain in
+// the device's hands until the request completes.
 type Device interface {
 	Read(p *sim.Proc, page PageNum, bufs [][]byte) error
 	Write(p *sim.Proc, page PageNum, bufs [][]byte) error

@@ -44,15 +44,14 @@ type simDevice struct {
 	store    *memstore
 	stats    Stats
 
-	// Free list of run-to-completion request states. Requests are taken per
-	// ioTask call and returned at completion, so steady-state task I/O
-	// allocates nothing; the pre-bound method continuations are created once
+	// Free list of request states. Requests are taken per ioTask call and
+	// returned at completion, so steady-state I/O allocates nothing; the pre-bound method continuations are created once
 	// per state. The simulation kernel serializes access.
 	reqFree []*ioReq
 }
 
-// ioReq carries one in-flight task-form request through acquire → service →
-// complete without per-call closures.
+// ioReq carries one in-flight request through acquire → service → complete
+// without per-call closures.
 type ioReq struct {
 	d     *simDevice
 	t     *sim.Task
@@ -125,8 +124,7 @@ func (d *simDevice) cost(page PageNum, n int, write bool) (time.Duration, bool) 
 
 // complete applies a request's effects at its completion time: payload
 // transfer, head movement and stats. It runs after the service time has
-// been charged, so queueing semantics and sampler bucket attribution are
-// identical for the blocking and task forms.
+// been charged, so a sampler attributes it to the bucket it finished in.
 func (d *simDevice) complete(page PageNum, bufs [][]byte, write bool, dur time.Duration, seq bool) {
 	switch {
 	case d.store == nil:
@@ -164,23 +162,7 @@ func (d *simDevice) complete(page PageNum, bufs [][]byte, write bool, dur time.D
 	}
 }
 
-// io serves one request on behalf of a blocking process.
-func (d *simDevice) io(p *sim.Proc, page PageNum, bufs [][]byte, write bool) error {
-	if err := checkRange(page, len(bufs), d.capacity); err != nil {
-		return err
-	}
-	if len(bufs) == 0 {
-		return nil
-	}
-	d.res.Acquire(p)
-	dur, seq := d.cost(page, len(bufs), write)
-	p.Sleep(dur)
-	d.complete(page, bufs, write, dur, seq)
-	d.res.Release()
-	return nil
-}
-
-// ioTask serves one request in run-to-completion form. When the device is
+// ioTask serves one request. When the device is
 // idle and the completion is provably the next dispatch, the whole request
 // — queue entry, service time, completion — resolves analytically with no
 // scheduler round-trip at all: AcquireFunc grants inline and Task.Sleep
@@ -200,11 +182,11 @@ func (d *simDevice) ioTask(t *sim.Task, page PageNum, bufs [][]byte, write bool,
 }
 
 func (d *simDevice) Read(p *sim.Proc, page PageNum, bufs [][]byte) error {
-	return d.io(p, page, bufs, false)
+	return p.Await(func(t *sim.Task, done func(error)) { d.ioTask(t, page, bufs, false, done) })
 }
 
 func (d *simDevice) Write(p *sim.Proc, page PageNum, bufs [][]byte) error {
-	return d.io(p, page, bufs, true)
+	return p.Await(func(t *sim.Task, done func(error)) { d.ioTask(t, page, bufs, true, done) })
 }
 
 func (d *simDevice) ReadTask(t *sim.Task, page PageNum, bufs [][]byte, k func(error)) {

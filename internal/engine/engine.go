@@ -305,19 +305,20 @@ type Engine struct {
 	// Free lists for encoded-page scratch buffers (bufSize bytes each) and
 	// the [][]byte vectors that carry them through device reads. Per-engine;
 	// the simulation kernel serializes all access, so no locking is needed.
-	// Buffers must be taken and returned (not shared in place) because a
-	// proc sleeps in virtual time mid-I/O while holding them.
+	// Buffers must be taken and returned (not shared in place) because their
+	// holder waits in virtual time mid-I/O.
 	bufFree [][]byte
 	vecFree [][][]byte
 
-	// Free list of run-to-completion access states (see task.go). One is
-	// taken per GetTask/UpdateTask/CommitTask call and returned when its
-	// continuation fires, so steady-state transaction traffic allocates no
-	// continuation closures.
+	// Free lists of access states (see task.go) and of the adapters that
+	// park a blocking caller on one. A txOp is taken per Get/Update/Commit
+	// and returned when its continuation fires, so steady-state transaction
+	// traffic allocates no continuation closures.
 	opFree []*txOp
+	fwFree []*frameWait
 
 	// Free list of retrying disk-transfer states (diskOp) and a one-element
-	// scratch vector for single-buffer blocking reads.
+	// scratch vector for repairDiskPage's single-buffer heal write.
 	diskOpFree  []*diskOp
 	scratchVec1 [][]byte
 }
@@ -429,74 +430,34 @@ func (r *walRepairer) RepairDirtyPage(p *sim.Proc, pid page.ID) error {
 // diskWriter adapts the engine's database array to the SSD manager's Disk
 // interface (logical page ids map one-to-one onto array pages). It also
 // implements ssd.DiskReader so the scrubber can fetch disk copies for
-// in-place frame repair. All forms route through the engine's retrying
-// disk helpers.
+// in-place frame repair. Both route through the engine's retrying disk
+// transfers.
 type diskWriter Engine
 
-// WriteEncoded writes a run of encoded pages to the database disks.
-func (d *diskWriter) WriteEncoded(p *sim.Proc, start page.ID, bufs [][]byte) error {
-	return (*Engine)(d).dbWrite(p, device.PageNum(start), bufs)
-}
-
-// WriteEncodedTask is the run-to-completion twin of WriteEncoded.
+// WriteEncodedTask writes a run of encoded pages to the database disks.
 func (d *diskWriter) WriteEncodedTask(t *sim.Task, start page.ID, bufs [][]byte, k func(error)) {
 	(*Engine)(d).dbWriteTask(t, device.PageNum(start), bufs, k)
 }
 
-// ReadEncoded reads one encoded page image from the database disks.
-func (d *diskWriter) ReadEncoded(p *sim.Proc, pid page.ID, buf []byte) error {
-	e := (*Engine)(d)
-	e.scratchVec1 = append(e.scratchVec1[:0], buf)
-	err := e.dbRead(p, device.PageNum(pid), e.scratchVec1)
-	e.scratchVec1[0] = nil
-	return err
-}
-
-// ReadEncodedTask is the run-to-completion twin of ReadEncoded.
+// ReadEncodedTask reads one encoded page image from the database disks.
 func (d *diskWriter) ReadEncodedTask(t *sim.Task, pid page.ID, buf []byte, k func(error)) {
 	e := (*Engine)(d)
-	vec := e.getVecShell(1)
-	vec = append(vec, buf)
-	o := e.getDiskOp()
-	o.t, o.start, o.bufs, o.k, o.write, o.attempt = t, device.PageNum(pid), vec, k, false, 1
-	o.ownsVec = true
-	e.db.ReadTask(t, o.start, vec, o.onDone)
+	e.dbTransfer(t, device.PageNum(pid), append(e.getVecShell(1), buf), false, true, k)
 }
 
-// dbRead reads a run of encoded pages from the database disks, retrying
-// transient failures under the configured policy.
+// dbRead is dbReadTask for a blocking process.
 func (e *Engine) dbRead(p *sim.Proc, start device.PageNum, bufs [][]byte) error {
-	for attempt := 1; ; attempt++ {
-		err := e.db.Read(p, start, bufs)
-		if err == nil {
-			return nil
-		}
-		if !e.cfg.Retry.Retryable(err, attempt) {
-			return err
-		}
-		e.stats.DiskReadRetries++
-		p.Sleep(e.cfg.Retry.Delay(attempt))
-	}
+	return p.Await(func(t *sim.Task, done func(error)) { e.dbReadTask(t, start, bufs, done) })
 }
 
-// dbWrite writes a run of encoded pages to the database disks, retrying
-// transient failures under the configured policy.
+// dbWrite is dbWriteTask for a blocking process.
 func (e *Engine) dbWrite(p *sim.Proc, start device.PageNum, bufs [][]byte) error {
-	for attempt := 1; ; attempt++ {
-		err := e.db.Write(p, start, bufs)
-		if err == nil {
-			return nil
-		}
-		if !e.cfg.Retry.Retryable(err, attempt) {
-			return err
-		}
-		e.stats.DiskWriteRetries++
-		p.Sleep(e.cfg.Retry.Delay(attempt))
-	}
+	return p.Await(func(t *sim.Task, done func(error)) { e.dbWriteTask(t, start, bufs, done) })
 }
 
-// diskOp carries one retrying task-form disk transfer (the twin of
-// dbRead/dbWrite); pooled so steady-state traffic allocates nothing.
+// diskOp carries one database-disk transfer, retrying transient failures
+// under the configured policy; pooled so steady-state traffic allocates
+// nothing.
 type diskOp struct {
 	e       *Engine
 	t       *sim.Task
@@ -559,12 +520,22 @@ func (o *diskOp) done(err error) {
 	k(err)
 }
 
-// dbWriteTask is the run-to-completion twin of dbWrite.
-func (e *Engine) dbWriteTask(t *sim.Task, start device.PageNum, bufs [][]byte, k func(error)) {
+// dbTransfer issues one retrying transfer; ownsVec hands it bufs' shell
+// (not the buffers) to return to the vec pool at completion.
+func (e *Engine) dbTransfer(t *sim.Task, start device.PageNum, bufs [][]byte, write, ownsVec bool, k func(error)) {
 	o := e.getDiskOp()
-	o.t, o.start, o.bufs, o.k, o.write, o.attempt = t, start, bufs, k, true, 1
-	o.ownsVec = false
-	e.db.WriteTask(t, start, bufs, o.onDone)
+	o.t, o.start, o.bufs, o.k, o.write, o.ownsVec, o.attempt = t, start, bufs, k, write, ownsVec, 1
+	o.reissue()
+}
+
+// dbReadTask reads a run of encoded pages from the database disks.
+func (e *Engine) dbReadTask(t *sim.Task, start device.PageNum, bufs [][]byte, k func(error)) {
+	e.dbTransfer(t, start, bufs, false, false, k)
+}
+
+// dbWriteTask writes a run of encoded pages to the database disks.
+func (e *Engine) dbWriteTask(t *sim.Task, start device.PageNum, bufs [][]byte, k func(error)) {
+	e.dbTransfer(t, start, bufs, true, false, k)
 }
 
 // Env returns the simulation environment.
@@ -723,26 +694,9 @@ func (e *Engine) Begin() uint64 {
 	return e.nextTx
 }
 
-// Commit forces the log for everything the transaction wrote (group
-// commit) and counts the commit. Two crash points bracket the log force:
-// pre-wal-flush crashes with the transaction's records possibly volatile
-// (the commit may be lost), post-wal-flush crashes with the records durable
-// but the caller never acknowledged (the classic commit ambiguity).
+// Commit is CommitTask for a blocking process.
 func (e *Engine) Commit(p *sim.Proc, tx uint64) error {
-	if e.cfg.Faults.At(fault.SitePreWALFlush) {
-		return fault.ErrCrashPoint
-	}
-	t0 := e.env.Now()
-	if e.cfg.CommitRecords {
-		e.log.Append(wal.Record{Type: wal.TypeCommit, TxID: tx})
-	}
-	e.log.Flush(p, e.log.NextLSN()-1)
-	if e.cfg.Faults.At(fault.SitePostWALFlush) {
-		return fault.ErrCrashPoint
-	}
-	e.lat.Commit.Observe(e.env.Now() - t0)
-	e.stats.Commits++
-	return nil
+	return p.Await(func(t *sim.Task, done func(error)) { e.CommitTask(t, tx, done) })
 }
 
 // LogUndo appends a presumed-abort undo record: page pid's before-image,
@@ -793,154 +747,70 @@ func (e *Engine) chargeCPU(p *sim.Proc, d time.Duration) {
 	e.cpu.Release()
 }
 
-// Get reads a page with a random (point) access and returns its frame. The
-// frame contents are only valid until the caller next yields to the
-// simulator.
-func (e *Engine) Get(p *sim.Proc, pid page.ID) (*bufpool.Frame, error) {
-	if err := e.checkPage(pid); err != nil {
-		return nil, err
-	}
-	t0 := e.env.Now()
-	e.chargeCPU(p, e.cfg.CPUPerAccess)
-	e.stats.Reads++
-	if f := e.pool.Lookup(pid, e.env.Now()); f != nil {
-		e.stats.PoolHits++
-		e.lat.PoolHit.Observe(e.env.Now() - t0)
-		return f, nil
-	}
-	ssdHitsBefore := e.mgr.Stats().Hits
-	f, err := e.fetch(p, pid, false, false)
-	if err == nil {
-		if e.mgr.Stats().Hits > ssdHitsBefore {
-			e.lat.SSDHit.Observe(e.env.Now() - t0)
-		} else {
-			e.lat.DiskRead.Observe(e.env.Now() - t0)
+// frameWait adapts a frame-returning completion to a process parked in
+// Await; pooled, with k bound once.
+type frameWait struct {
+	f    *bufpool.Frame
+	done func(error)
+	k    func(*bufpool.Frame, error)
+}
+
+// awaitFrame runs start — a task-form access completing with a frame — for
+// the blocking process p.
+func (e *Engine) awaitFrame(p *sim.Proc, start func(t *sim.Task, k func(*bufpool.Frame, error))) (*bufpool.Frame, error) {
+	var w *frameWait
+	if n := len(e.fwFree); n > 0 {
+		w = e.fwFree[n-1]
+		e.fwFree = e.fwFree[:n-1]
+	} else {
+		w = &frameWait{}
+		w.k = func(f *bufpool.Frame, err error) {
+			w.f = f
+			w.done(err)
 		}
 	}
+	err := p.Await(func(t *sim.Task, done func(error)) {
+		w.done = done
+		start(t, w.k)
+	})
+	f := w.f
+	w.f, w.done = nil, nil
+	e.fwFree = append(e.fwFree, w)
 	return f, err
 }
 
-// Update applies mutate to the page's payload under a transaction,
-// logging the after-image.
-func (e *Engine) Update(p *sim.Proc, tx uint64, pid page.ID, mutate func(payload []byte)) error {
-	f, err := e.Get(p, pid)
-	if err != nil {
-		return err
-	}
-	if !f.Dirty {
-		f.Dirty = true
-		f.RecLSN = e.log.NextLSN()
-		// A clean page in memory being modified invalidates its SSD copy
-		// (§2.2).
-		e.mgr.Invalidate(pid)
-	}
-	// Resident frames may be copied by latched readers when the pool is in
-	// striped mode; MutateFrame orders the write against them (a direct call
-	// in single-latch mode).
-	e.pool.MutateFrame(f, mutate)
-	// wal.Append copies the payload into log-owned storage, so the frame's
-	// buffer can be handed over directly.
-	lsn := e.log.Append(wal.Record{
-		Type:    wal.TypeUpdate,
-		Page:    pid,
-		TxID:    tx,
-		Payload: f.Pg.Payload,
-	})
-	f.Pg.LSN = lsn
-	e.stats.Updates++
-	return nil
+// Get is GetTask for a blocking process. The frame contents are only valid
+// until the caller next yields to the simulator.
+func (e *Engine) Get(p *sim.Proc, pid page.ID) (*bufpool.Frame, error) {
+	return e.awaitFrame(p, func(t *sim.Task, k func(*bufpool.Frame, error)) { e.GetTask(t, pid, k) })
 }
 
-// fetch brings pid into the pool on a miss: SSD first, then disk.
-// viaReadAhead records whether the read-ahead mechanism issued the read;
-// truthScan records whether the read actually belongs to a sequential scan
-// (the ground truth for classification accuracy — a scan's ramp-up pages
-// are truly sequential yet read individually, which is exactly why the
-// paper's read-ahead classifier is ~82% rather than 100% accurate).
+// Update is UpdateTask for a blocking process.
+func (e *Engine) Update(p *sim.Proc, tx uint64, pid page.ID, mutate func(payload []byte)) error {
+	return p.Await(func(t *sim.Task, done func(error)) { e.UpdateTask(t, tx, pid, mutate, done) })
+}
+
+// fetch brings pid into the pool on a miss, for a scan: the access path's
+// fetch (txOp.fetch) run for a blocking process, without the point-access
+// CPU charge or a miss-latency sample.
 func (e *Engine) fetch(p *sim.Proc, pid page.ID, viaReadAhead, truthScan bool) (*bufpool.Frame, error) {
-	if sig := e.evicting[pid]; sig != nil {
-		// The page's dirty eviction is mid-writeback: reading the device now
-		// would return a stale image. Wait for the writeback to settle, then
-		// serve from the pool if another process re-installed the page first.
-		for sig != nil {
-			sig.Wait(p)
-			sig = e.evicting[pid]
-		}
-		if g := e.pool.Lookup(pid, e.env.Now()); g != nil {
-			e.stats.PoolHits++
-			return g, nil
-		}
-	}
-	e.stats.PoolMisses++
-	seqLabel := e.classifier.label(pid, viaReadAhead)
-	e.mgr.TACNoteMiss(pid, !seqLabel)
+	return e.awaitFrame(p, func(t *sim.Task, k func(*bufpool.Frame, error)) {
+		o := e.getOp()
+		o.t, o.pid, o.gk, o.kind = t, pid, k, opFetch
+		o.viaReadAhead, o.truthScan = viaReadAhead, truthScan
+		o.fetch()
+	})
+}
 
-	f, err := e.claimFrame(p)
-	if err != nil {
-		return nil, err
-	}
-	f.Pg.ID = pid
-
-	hit, err := e.mgr.Read(p, pid, &f.Pg)
-	if err != nil {
-		e.pool.Release(f)
-		if errors.Is(err, device.ErrLost) {
-			// The SSD died. Rebuild the cache on a replacement device and
-			// redo uniquely-dirty pages from the WAL, then re-serve the
-			// request: recovery may have brought pid into the pool already.
-			if rerr := e.RecoverSSDLoss(p); rerr != nil {
-				return nil, rerr
-			}
-			if g := e.pool.Lookup(pid, e.env.Now()); g != nil {
-				return g, nil
-			}
-			e.stats.PoolMisses-- // the retry counts the same miss again
-			return e.fetch(p, pid, viaReadAhead, truthScan)
-		}
-		var dce *ssd.DirtyCorruptError
-		if errors.As(err, &dce) {
-			// The page's only up-to-date copy failed verification; its frame
-			// is condemned. Rebuild it from the WAL, then serve from the pool
-			// (repair leaves it resident and dirty).
-			if rerr := e.repairDirtySSD(p, dce.PID); rerr != nil {
-				return nil, rerr
-			}
-			if g := e.pool.Lookup(pid, e.env.Now()); g != nil {
-				return g, nil
-			}
-			e.stats.PoolMisses-- // the retry counts the same miss again
-			return e.fetch(p, pid, viaReadAhead, truthScan)
-		}
-		return nil, err
-	}
-	if hit {
-		f.Seq = false // SSD-cached pages were random by admission
-		got, _ := e.pool.Insert(f, e.env.Now())
-		return got, nil
-	}
-
-	if err := e.diskReadInto(p, pid, f, viaReadAhead); err != nil {
-		var ce *page.ChecksumError
-		if errors.As(err, &ce) {
-			// The disk image is corrupt: climb the repair ladder (SSD copy,
-			// then WAL) instead of surfacing wrong or no data.
-			err = e.repairDiskPage(p, pid, f, err)
-		}
-		if err != nil {
-			e.pool.Release(f)
-			return nil, err
-		}
-	}
-	f.Seq = seqLabel
-	e.noteClassification(truthScan, seqLabel)
-	e.classifier.noteDiskRead(pid)
-	got, inserted := e.pool.Insert(f, e.env.Now())
-	if inserted && e.cfg.Design == ssd.TAC {
-		// Gated on the design so the race-check closure (an allocation) is
-		// only built when TAC will actually consider the admission.
-		e.mgr.TACOnDiskRead(&got.Pg, !seqLabel, e.stillCleanFn(pid, got))
-	}
-	return got, nil
+// claimFrame obtains a frame — the free list, or by evicting the LRU-2
+// victim through the active SSD design — for a blocking process: the access
+// path's claim (txOp.claim) stopped once the frame is in hand.
+func (e *Engine) claimFrame(p *sim.Proc) (*bufpool.Frame, error) {
+	return e.awaitFrame(p, func(t *sim.Task, k func(*bufpool.Frame, error)) {
+		o := e.getOp()
+		o.t, o.gk, o.kind = t, k, opClaim
+		o.claim()
+	})
 }
 
 // stillCleanFn returns TAC's race check: the admission proceeds only if
@@ -953,23 +823,12 @@ func (e *Engine) stillCleanFn(pid page.ID, f *bufpool.Frame) func() bool {
 	}
 }
 
-// diskReadInto reads one page from the database disks into frame f.
-// During warm-up (the pool has never filled) single-page random reads are
-// widened to ReadExpansion contiguous pages — SQL Server 2008 R2's
-// start-up behaviour, visible as the initial read burst of the paper's
-// Figure 8. The extra pages land in free frames as sequential arrivals.
-func (e *Engine) diskReadInto(p *sim.Proc, pid page.ID, f *bufpool.Frame, viaReadAhead bool) error {
-	n := e.readSpan(pid, viaReadAhead)
-	bufs := e.getVec(n)
-	defer e.putVec(bufs) // decodeInto copies, so nothing aliases them after
-	if err := e.dbRead(p, device.PageNum(pid), bufs); err != nil {
-		return err
-	}
-	return e.installRead(pid, bufs, f)
-}
-
-// readSpan decides how many contiguous pages a read of pid fetches (the
-// warm-up ReadExpansion widening) and latches poolFilled.
+// readSpan decides how many contiguous pages a disk read of pid fetches and
+// latches poolFilled. During warm-up (the pool has never filled) single-page
+// random reads are widened to ReadExpansion contiguous pages — SQL Server
+// 2008 R2's start-up behaviour, visible as the initial read burst of the
+// paper's Figure 8. The extra pages land in free frames as sequential
+// arrivals (installRead).
 func (e *Engine) readSpan(pid page.ID, viaReadAhead bool) int {
 	n := 1
 	if !viaReadAhead && e.cfg.ReadExpansion > 1 && !e.poolFilled &&
@@ -986,7 +845,7 @@ func (e *Engine) readSpan(pid page.ID, viaReadAhead bool) int {
 }
 
 // installRead decodes the fetched images: the requested page into f, the
-// expansion tail into free frames. Shared by both process forms.
+// expansion tail into free frames.
 func (e *Engine) installRead(pid page.ID, bufs [][]byte, f *bufpool.Frame) error {
 	if err := e.decodeInto(pid, bufs[0], f); err != nil {
 		return err
@@ -1126,58 +985,6 @@ func (e *Engine) repairDirtySSD(p *sim.Proc, pid page.ID) error {
 		e.mgr.Invalidate(pid)
 	}
 	return nil
-}
-
-// claimFrame obtains a frame: the free list, or by evicting the LRU-2
-// victim through the active SSD design.
-func (e *Engine) claimFrame(p *sim.Proc) (*bufpool.Frame, error) {
-	if f := e.pool.TakeFree(); f != nil {
-		return f, nil
-	}
-	v := e.pool.PopVictim()
-	if v == nil {
-		return nil, ErrNoFrames
-	}
-	e.stats.Evictions++
-	dirty := v.Dirty
-	if dirty {
-		e.stats.DirtyEvicts++
-		// Until the writeback lands the page has no durable up-to-date copy
-		// anywhere; publish the eviction so concurrent fetches wait instead
-		// of reading a stale device image (see Engine.evicting).
-		sig := sim.NewSignal(e.env)
-		vpid := v.Pg.ID
-		e.evicting[vpid] = sig
-		defer func() {
-			delete(e.evicting, vpid)
-			sig.Broadcast()
-		}()
-		// WAL protocol: force the log before the page can be written to
-		// the SSD or the disk (§2.4).
-		e.log.Flush(p, v.Pg.LSN)
-	}
-	err := e.mgr.OnEvict(p, &v.Pg, dirty, !v.Seq)
-	if err != nil && errors.Is(err, device.ErrLost) {
-		// The SSD died under the eviction. Recover (replacing the manager),
-		// then route the victim through the new manager — for a dirty page
-		// this usually becomes a plain disk write, never a lost update (the
-		// log was already forced above).
-		if rerr := e.RecoverSSDLoss(p); rerr != nil {
-			e.pool.Release(v)
-			return nil, rerr
-		}
-		err = e.mgr.OnEvict(p, &v.Pg, dirty, !v.Seq)
-	}
-	if err != nil {
-		// The victim is already out of the table; without this it would
-		// leak — neither resident nor free — shrinking the pool.
-		e.pool.Release(v)
-		return nil, err
-	}
-	v.Dirty = false
-	v.Seq = false
-	v.RecLSN = 0
-	return v, nil
 }
 
 // DirtyPoolPages returns the dirty page ids, sorted (checkpoint order).

@@ -1,9 +1,10 @@
 // Engine-side implementations of storage.Store, so the access-method
 // packages (btree, heapfile) can run unmodified inside a discrete-event
-// experiment. ProcStore drives the goroutine-backed Proc form; TaskStore
-// drives the continuation-based Task form through a Signal bridge. Both
-// present the same synchronous copy-in/copy-out interface the access
-// methods expect, which is what lets traversal-driven page access
+// experiment. ProcStore runs each operation on the calling process, through
+// the engine's blocking entries (sim.Proc.Await over the task-form access
+// path); TaskStore spawns each operation as a task of its own and parks the
+// caller on a Signal until it completes. Both present the same synchronous
+// copy-in/copy-out interface the access methods expect, which is what lets traversal-driven page access
 // patterns emerge inside the simulated buffer pool.
 
 package engine
@@ -15,7 +16,7 @@ import (
 )
 
 // ProcStore adapts an Engine to storage.Store for code running inside a
-// simulated process (Proc form). Updates accumulate in one engine
+// simulated process. Updates accumulate in one engine
 // transaction that Commit seals; the next Update opens a fresh one.
 // A ProcStore must only be used from its own Proc, never concurrently.
 type ProcStore struct {
@@ -75,14 +76,16 @@ func (s *ProcStore) Commit() error {
 	return s.e.Commit(s.p, tx)
 }
 
-// TaskStore adapts an Engine to storage.Store for the run-to-completion
-// Task form. The calling Proc parks on a Signal while each operation runs
-// as a spawned task whose continuation records the result and broadcasts;
+// TaskStore adapts an Engine to storage.Store with each operation a spawned
+// task. The calling Proc parks on a Signal while the operation runs, and the
+// task's continuation records the result and broadcasts;
 // the single-threaded kernel makes the handoff race-free (Spawn schedules
 // the task event, Wait parks the proc before it dispatches). This keeps
 // the access-method code synchronous while the engine work — pool
 // lookups, SSD admission, WAL appends — executes through the same pooled
-// continuation chains as the Task-form OLTP workers.
+// continuation chains as the OLTP workers. The Spawn and the Signal wakeup
+// are two same-instant events per call that ProcStore's Await does not
+// schedule; the index and policy goldens are recorded with them.
 type TaskStore struct {
 	e     *Engine
 	p     *sim.Proc
@@ -91,7 +94,7 @@ type TaskStore struct {
 	alloc *int64
 }
 
-// NewTaskStore returns a Store over e whose operations run in Task form,
+// NewTaskStore returns a Store over e whose operations run as spawned tasks,
 // driven (and awaited) from process p. alloc is the shared allocation
 // watermark, as for NewProcStore.
 func NewTaskStore(e *Engine, p *sim.Proc, alloc *int64) *TaskStore {

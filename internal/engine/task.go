@@ -13,48 +13,59 @@ import (
 	"turbobp/internal/wal"
 )
 
-// This file holds the run-to-completion twins of the engine's transaction
-// path: GetTask/UpdateTask/CommitTask mirror Get/Update/Commit operation for
-// operation, expressing device waits as continuations instead of parking a
-// goroutine. The synchronous tails (decode, frame install, classification,
-// stats) are shared helpers called by both forms, so either form drives the
-// simulation through the identical event sequence.
+// This file holds the engine's access path — Get, Update, Commit, and the
+// fetch, frame claim, eviction, SSD probe and disk read underneath them —
+// written once, in task form: device waits are continuations instead of a
+// parked goroutine. OLTP workers call GetTask/UpdateTask/CommitTask
+// directly; blocking processes (the facade's operations, scans, recovery,
+// repair) reach the same code through the few-line sim.Proc.Await entries in
+// engine.go.
 //
 // Continuation state lives in a per-access txOp taken from a free list, with
 // method continuations bound once per struct, so the steady-state access
 // path allocates no closures.
 //
-// SSD-loss recovery is the one place a task path re-enters the blocking
-// world: RecoverSSDLoss replays the WAL with multi-step blocking I/O, so the
-// task spawns a recovery process and continues from it. The golden
-// experiments never lose an SSD; only fault runs take that bridge.
+// SSD-loss recovery and corruption repair are the places the path re-enters
+// the blocking world: they replay the WAL and walk the repair ladder with
+// multi-step straight-line I/O, so the access spawns a process for them and
+// continues from it, on that process's goroutine. The golden experiments
+// never lose or corrupt a device; only fault runs take those bridges.
+
+// opKind selects where a txOp's access path starts and stops.
+type opKind uint8
+
+const (
+	opGet    opKind = iota // CPU charge → pool lookup → fetch; completes with the frame
+	opUpdate               // as opGet, then mutates and logs; completes with an error
+	opFetch                // a scan's miss: fetch only, no CPU charge or latency sample
+	opClaim                // a scan's read-ahead run: claim a frame and stop
+)
 
 // txOp carries one Get/Update access (or one Commit) from CPU charge through
 // frame claim, eviction, SSD probe and disk read to the caller's
 // continuation.
 type txOp struct {
-	e   *Engine
-	t   *sim.Task
-	pid page.ID
-	t0  time.Duration
+	e    *Engine
+	t    *sim.Task
+	kind opKind
+	pid  page.ID
+	t0   time.Duration
 
 	ssdHitsBefore int64
 	viaReadAhead  bool
 	truthScan     bool
 	seqLabel      bool
 
-	isUpdate bool
-	tx       uint64
-	mutate   func(payload []byte)
-	gk       func(*bufpool.Frame, error) // Get completion
-	uk       func(error)                 // Update completion
-	ck       func(error)                 // Commit completion
+	tx     uint64
+	mutate func(payload []byte)
+	gk     func(*bufpool.Frame, error) // frame completion (opGet, opFetch, opClaim)
+	uk     func(error)                 // Update completion
+	ck     func(error)                 // Commit completion
 
-	v         *bufpool.Frame // eviction victim
-	dirty     bool           // victim was dirty
-	f         *bufpool.Frame // claimed frame
-	bufs      [][]byte       // in-flight disk read vector
-	dbAttempt int            // disk read attempt number (retry policy)
+	v     *bufpool.Frame // eviction victim
+	dirty bool           // victim was dirty
+	f     *bufpool.Frame // claimed frame
+	bufs  [][]byte       // in-flight disk read vector
 
 	evictSig *sim.Signal // in-flight dirty eviction published in e.evicting
 	evictPid page.ID     // the victim page the signal is registered under
@@ -65,7 +76,6 @@ type txOp struct {
 	onEvicted      func(error)       // bound: manager routed the victim
 	onSSDRead      func(bool, error) // bound: SSD probe finished
 	onDbRead       func(error)       // bound: disk read finished
-	onDbRetry      func()            // bound: backoff elapsed, re-issue the read
 	onCommitFlush  func()            // bound: commit's WAL flush finished
 	onEvictWaited  func()            // bound: another access's eviction settled
 }
@@ -84,7 +94,6 @@ func (e *Engine) getOp() *txOp {
 	o.onEvicted = o.evicted
 	o.onSSDRead = o.ssdRead
 	o.onDbRead = o.dbRead
-	o.onDbRetry = o.dbReissue
 	o.onCommitFlush = o.commitFlushed
 	o.onEvictWaited = o.evictWaited
 	return o
@@ -100,34 +109,39 @@ func (o *txOp) recycle() {
 	e.opFree = append(e.opFree, o)
 }
 
-// GetTask is the run-to-completion twin of Get.
+// GetTask reads a page with a random (point) access and continues with its
+// frame, whose contents are only valid until the caller next yields to the
+// simulator.
 func (e *Engine) GetTask(t *sim.Task, pid page.ID, k func(*bufpool.Frame, error)) {
 	if err := e.checkPage(pid); err != nil {
 		k(nil, err)
 		return
 	}
 	o := e.getOp()
-	o.t, o.pid, o.gk = t, pid, k
-	o.isUpdate = false
+	o.t, o.pid, o.gk, o.kind = t, pid, k, opGet
 	o.viaReadAhead, o.truthScan = false, false
 	o.start()
 }
 
-// UpdateTask is the run-to-completion twin of Update.
+// UpdateTask applies mutate to the page's payload under a transaction,
+// logging the after-image.
 func (e *Engine) UpdateTask(t *sim.Task, tx uint64, pid page.ID, mutate func(payload []byte), k func(error)) {
 	if err := e.checkPage(pid); err != nil {
 		k(err)
 		return
 	}
 	o := e.getOp()
-	o.t, o.pid, o.uk = t, pid, k
-	o.isUpdate = true
+	o.t, o.pid, o.uk, o.kind = t, pid, k, opUpdate
 	o.tx, o.mutate = tx, mutate
 	o.viaReadAhead, o.truthScan = false, false
 	o.start()
 }
 
-// CommitTask is the run-to-completion twin of Commit.
+// CommitTask forces the log for everything the transaction wrote (group
+// commit) and counts the commit. Two crash points bracket the log force:
+// pre-wal-flush crashes with the transaction's records possibly volatile
+// (the commit may be lost), post-wal-flush crashes with the records durable
+// but the caller never acknowledged (the classic commit ambiguity).
 func (e *Engine) CommitTask(t *sim.Task, tx uint64, k func(error)) {
 	if e.cfg.Faults.At(fault.SitePreWALFlush) {
 		k(fault.ErrCrashPoint)
@@ -182,11 +196,16 @@ func (o *txOp) cpuCharged() {
 		o.finish(f, nil)
 		return
 	}
-	o.ssdHitsBefore = e.mgr.Stats().Hits
+	o.ssdHitsBefore = e.mgr.Hits()
 	o.fetch()
 }
 
-// fetch is the run-to-completion twin of the blocking fetch.
+// fetch brings o.pid into the pool on a miss: SSD first, then disk.
+// viaReadAhead records whether the read-ahead mechanism issued the read;
+// truthScan records whether the read actually belongs to a sequential scan
+// (the ground truth for classification accuracy — a scan's ramp-up pages
+// are truly sequential yet read individually, which is exactly why the
+// paper's read-ahead classifier is ~82% rather than 100% accurate).
 func (o *txOp) fetch() {
 	if sig := o.e.evicting[o.pid]; sig != nil {
 		// The page's dirty eviction is mid-writeback: reading the device now
@@ -224,7 +243,8 @@ func (o *txOp) fetchMiss() {
 	o.claim()
 }
 
-// claim is the run-to-completion twin of claimFrame.
+// claim obtains a frame: the free list, or by evicting the LRU-2 victim
+// through the active SSD design.
 func (o *txOp) claim() {
 	e := o.e
 	if f := e.pool.TakeFree(); f != nil {
@@ -313,6 +333,12 @@ func (o *txOp) claimFinish(err error) {
 }
 
 func (o *txOp) claimed(f *bufpool.Frame, err error) {
+	if o.kind == opClaim {
+		gk := o.gk
+		o.recycle()
+		gk(f, err)
+		return
+	}
 	if err != nil {
 		o.finishFetch(nil, err)
 		return
@@ -375,26 +401,14 @@ func (o *txOp) ssdRead(hit bool, err error) {
 		o.finishFetch(got, nil)
 		return
 	}
-	// Miss: read from the database disk (the twin of diskReadInto).
+	// Miss: read from the database disk.
 	n := e.readSpan(o.pid, o.viaReadAhead)
 	o.bufs = e.getVec(n)
-	o.dbAttempt = 1
-	e.db.ReadTask(o.t, device.PageNum(o.pid), o.bufs, o.onDbRead)
+	e.dbReadTask(o.t, device.PageNum(o.pid), o.bufs, o.onDbRead)
 }
 
 func (o *txOp) dbRead(err error) {
 	e := o.e
-	if err != nil && e.cfg.Retry.Retryable(err, o.dbAttempt) {
-		e.stats.DiskReadRetries++
-		d := e.cfg.Retry.Delay(o.dbAttempt)
-		o.dbAttempt++
-		if d > 0 {
-			o.t.Sleep(d, o.onDbRetry)
-			return
-		}
-		o.dbReissue()
-		return
-	}
 	if err == nil {
 		err = e.installRead(o.pid, o.bufs, o.f)
 	}
@@ -425,11 +439,6 @@ func (o *txOp) dbRead(err error) {
 	o.installed()
 }
 
-// dbReissue re-issues the in-flight disk read after a retry backoff.
-func (o *txOp) dbReissue() {
-	o.e.db.ReadTask(o.t, device.PageNum(o.pid), o.bufs, o.onDbRead)
-}
-
 // installed finishes a disk-served fetch once frame o.f holds good bytes.
 func (o *txOp) installed() {
 	e := o.e
@@ -442,17 +451,17 @@ func (o *txOp) installed() {
 	if inserted && e.cfg.Design == ssd.TAC {
 		// Gated on the design so the race-check closure (an allocation) is
 		// only built when TAC will actually consider the admission.
-		e.mgr.TACOnDiskReadTask(&got.Pg, !o.seqLabel, e.stillCleanFn(o.pid, got))
+		e.mgr.TACOnDiskRead(&got.Pg, !o.seqLabel, e.stillCleanFn(o.pid, got))
 	}
 	o.finishFetch(got, nil)
 }
 
-// finishFetch attributes the miss latency (SSD hit vs disk read) and hands
-// the frame to the access completion.
+// finishFetch attributes a point access's miss latency (SSD hit vs disk
+// read) and hands the frame to the access completion.
 func (o *txOp) finishFetch(f *bufpool.Frame, err error) {
 	e := o.e
-	if err == nil {
-		if e.mgr.Stats().Hits > o.ssdHitsBefore {
+	if err == nil && o.kind != opFetch {
+		if e.mgr.Hits() > o.ssdHitsBefore {
 			e.lat.SSDHit.Observe(e.env.Now() - o.t0)
 		} else {
 			e.lat.DiskRead.Observe(e.env.Now() - o.t0)
@@ -461,11 +470,11 @@ func (o *txOp) finishFetch(f *bufpool.Frame, err error) {
 	o.finish(f, err)
 }
 
-// finish completes the access: Get hands the frame to the caller; Update
-// applies the mutation and logs it first.
+// finish completes the access: Update applies the mutation and logs it;
+// every other kind hands the frame to the caller.
 func (o *txOp) finish(f *bufpool.Frame, err error) {
 	e := o.e
-	if !o.isUpdate {
+	if o.kind != opUpdate {
 		gk := o.gk
 		o.recycle()
 		gk(f, err)
@@ -484,8 +493,9 @@ func (o *txOp) finish(f *bufpool.Frame, err error) {
 		// (§2.2).
 		e.mgr.Invalidate(o.pid)
 	}
-	// See Engine.Update: latched readers may copy resident frames in striped
-	// mode, so the write goes through the pool's frame latch.
+	// Resident frames may be copied by latched readers when the pool is in
+	// striped mode; MutateFrame orders the write against them (a direct call
+	// in single-latch mode).
 	e.pool.MutateFrame(f, o.mutate)
 	// wal.Append copies the payload into log-owned storage, so the frame's
 	// buffer can be handed over directly.

@@ -151,60 +151,19 @@ func (d *Device) redirect(idx int, page device.PageNum) device.PageNum {
 	return target
 }
 
-// Read serves the request from the inner device unless a fault applies.
-// Planted rot is applied to the returned buffers after the inner read.
+// Read is ReadTask for a blocking process (nil over a file device).
 func (d *Device) Read(p *sim.Proc, page device.PageNum, bufs [][]byte) error {
-	idx, _, _, err := d.checkOp(false)
-	if err != nil {
-		return err
-	}
-	d.maybePlantRot(idx, page, bufs)
-	if err := d.inner.Read(p, page, bufs); err != nil {
-		return err
-	}
-	d.applyRot(page, bufs)
-	return nil
+	return p.Await(func(t *sim.Task, done func(error)) { d.ReadTask(t, page, bufs, done) })
 }
 
-// Write persists the request to the inner device unless a fault applies. A
-// scheduled torn write persists only the first keepBytes bytes: whole pages
-// before the tear point are written normally, the torn page is written with
-// its unwritten remainder zero-filled, and later pages are dropped. The
-// torn write still returns nil — real torn writes are silent.
+// Write is WriteTask for a blocking process (nil over a file device).
 func (d *Device) Write(p *sim.Proc, page device.PageNum, bufs [][]byte) error {
-	idx, keep, torn, err := d.checkOp(true)
-	if err != nil {
-		return err
-	}
-	page = d.redirect(idx, page)
-	if !torn {
-		d.settleWrite(page, len(bufs))
-		return d.inner.Write(p, page, bufs)
-	}
-	out := make([][]byte, 0, len(bufs))
-	for _, b := range bufs {
-		if keep <= 0 {
-			break
-		}
-		if keep >= len(b) {
-			out = append(out, b)
-			keep -= len(b)
-			continue
-		}
-		part := make([]byte, len(b)) // zero tail: the tear zero-fills the page
-		copy(part, b[:keep])
-		out = append(out, part)
-		keep = 0
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	d.settleWrite(page, len(out))
-	return d.inner.Write(p, page, out)
+	return p.Await(func(t *sim.Task, done func(error)) { d.WriteTask(t, page, bufs, done) })
 }
 
-// ReadTask is the run-to-completion twin of Read: the fault check happens
-// at request time, rot is applied when the inner read completes.
+// ReadTask serves the request from the inner device unless a fault applies:
+// the fault check happens at request time, planted rot is applied to the
+// returned buffers when the inner read completes.
 func (d *Device) ReadTask(t *sim.Task, page device.PageNum, bufs [][]byte, k func(error)) {
 	idx, _, _, err := d.checkOp(false)
 	if err != nil {
@@ -226,9 +185,11 @@ func (d *Device) ReadTask(t *sim.Task, page device.PageNum, bufs [][]byte, k fun
 	})
 }
 
-// WriteTask is the run-to-completion twin of Write, with the same torn-write
-// semantics: only the prefix before the tear point persists (the torn page
-// zero-filled past it) and the write still completes successfully.
+// WriteTask persists the request to the inner device unless a fault applies.
+// A scheduled torn write persists only the first keepBytes bytes: whole pages
+// before the tear point are written normally, the torn page is written with
+// its unwritten remainder zero-filled, and later pages are dropped. The
+// torn write still completes successfully — real torn writes are silent.
 func (d *Device) WriteTask(t *sim.Task, page device.PageNum, bufs [][]byte, k func(error)) {
 	idx, keep, torn, err := d.checkOp(true)
 	if err != nil {

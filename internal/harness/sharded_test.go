@@ -13,6 +13,12 @@ import (
 	"turbobp/internal/workload"
 )
 
+// dispatch is one observed queue dispatch.
+type dispatch struct {
+	at  time.Duration
+	seq uint64
+}
+
 // runShardedTraced executes one sharded run at the given width with
 // per-kernel dispatch tracing. Each kernel's trace slice is written only
 // by whichever goroutine is executing that kernel's epoch, and the

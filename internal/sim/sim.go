@@ -12,10 +12,13 @@
 // the next scheduled event. Virtual time never advances while a process is
 // running: computation is free unless a process explicitly sleeps.
 //
-// A second, run-to-completion process form (Task, see task.go) expresses
-// the same blocking points as explicit continuations executed on the
-// scheduler's goroutine, eliminating the per-wakeup goroutine handoffs.
-// The two forms schedule events identically and may be mixed freely.
+// Code that must not pay a goroutine handoff per wakeup is written in the
+// run-to-completion form instead (Task, see task.go): the same blocking
+// points as explicit continuations, called directly by the scheduler. Every
+// engine, SSD-manager, WAL and device operation has exactly one body, in
+// task form; a blocking process runs it through Proc.Await, which adds no
+// event and no sequence number, so a simulation dispatches the same events
+// whichever kind of caller drives it.
 package sim
 
 import (
@@ -35,7 +38,9 @@ type Env struct {
 	seq     uint64
 	until   time.Duration // current Run's limit; only meaningful while running
 	events  calQueue      // see queue.go
-	yield   chan struct{} // handed back by the running process
+	yield   chan struct{} // handed back by a process the scheduler resumed
+	cur     *Proc         // the process whose goroutine is running; nil = the scheduler
+	awaits  []*awaiter    // free list of Await call states (see task.go)
 	live    map[*Proc]struct{}
 	stopped bool
 	running bool
@@ -73,9 +78,10 @@ func (e *Env) Dispatched() uint64 { return e.dispatched }
 func (e *Env) SetDispatchHook(fn func(at time.Duration, seq uint64)) { e.onDispatch = fn }
 
 // SetInlineLimit overrides the inline-continuation nesting cap. Test
-// instrumentation: raising it past any workload's event count makes the
-// task form consume sequence numbers exactly like the blocking form, so
-// dispatch traces compare equal. n <= 0 restores the default.
+// instrumentation: raising it past any workload's event count makes
+// Task.Sleep consume sequence numbers exactly as Proc.Sleep does, so
+// dispatch traces of blocking and task-form drivers compare equal. n <= 0
+// restores the default.
 func (e *Env) SetInlineLimit(n int) {
 	if n <= 0 {
 		n = defaultInlineLimit
@@ -93,6 +99,11 @@ type Proc struct {
 	resume chan struct{}
 	name   string
 	done   *Signal
+
+	// back is where the process hands control when it next parks or exits:
+	// nil means the scheduler (Env.yield); an Await completion that ran on
+	// another process's goroutine points it at that process instead.
+	back chan struct{}
 }
 
 // Env returns the environment the process belongs to.
@@ -127,6 +138,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	p.done = NewSignal(e)
 	e.live[p] = struct{}{}
 	go func() {
+		reserveStack()
 		<-p.resume
 		// The cleanup is deferred so the scheduler gets its handoff even if
 		// fn unwinds via runtime.Goexit (e.g. t.Fatal inside a process).
@@ -135,7 +147,7 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 			if !e.stopped {
 				p.done.Broadcast()
 			}
-			e.yield <- struct{}{}
+			p.handBack()
 		}()
 		if !e.stopped {
 			func() {
@@ -152,15 +164,49 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
+// procStackBytes is the stack a new process goroutine grows to before it
+// first runs.
+const procStackBytes = 6 << 10
+
+// reserveStack grows the calling goroutine's stack past procStackBytes while
+// it is still empty, when the runtime's grow-by-copying costs nothing.
+// Await runs continuation chains on the process's stack, and their depth is
+// the sum of every stage that completes inline (claim → evict → WAL force →
+// SSD write → disk read); a fresh goroutine's 2 KB would otherwise be
+// regrown, full of frames to relocate, in the middle of each operation —
+// once per facade operation, since partition.do spawns a process for each.
+//
+//go:noinline
+func reserveStack() {
+	var pad [procStackBytes]byte
+	keepFrame(&pad)
+}
+
+// keepFrame stops the compiler from eliding reserveStack's frame.
+//
+//go:noinline
+func keepFrame(*[procStackBytes]byte) {}
+
 // park blocks the calling process until the scheduler resumes it. The caller
 // must have already arranged for a wakeup (a scheduled event, or membership
 // in some wait list that another process will signal).
 func (p *Proc) park() {
-	p.env.yield <- struct{}{}
+	p.handBack()
 	<-p.resume
 	if p.env.stopped {
 		panic(ErrStopped)
 	}
+}
+
+// handBack returns control to whoever resumed p: the scheduler, or the
+// process on whose goroutine p's Await completion ran.
+func (p *Proc) handBack() {
+	back := p.back
+	p.back = nil
+	if back == nil {
+		back = p.env.yield
+	}
+	back <- struct{}{}
 }
 
 // Sleep blocks the process for d of virtual time. Negative durations sleep
@@ -220,8 +266,10 @@ func (e *Env) Run(until time.Duration) time.Duration {
 			ev.fn()
 			continue
 		}
+		e.cur = ev.proc
 		ev.proc.resume <- struct{}{}
 		<-e.yield
+		e.cur = nil
 	}
 	if until > e.now {
 		e.now = until

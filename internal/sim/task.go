@@ -2,22 +2,24 @@ package sim
 
 import "time"
 
-// This file adds the simulator's second process form: run-to-completion
-// tasks. A Task never blocks — where a Proc would park its goroutine, a
-// Task passes an explicit continuation that the scheduler later calls
+// This file holds the run-to-completion form, and the one bridge that lets
+// a blocking process run code written in it.
+//
+// A Task never blocks — where a Proc would park its goroutine, task-form
+// code passes an explicit continuation that the scheduler later calls
 // directly on its own goroutine. That removes the two channel handoffs a
 // Proc pays per wakeup, which dominate the cost of simulating an I/O-bound
-// workload.
+// workload. It is the form every engine, SSD-manager, WAL and device
+// operation is written in, once.
 //
-// The two forms are interchangeable event-for-event. Every task primitive
-// consumes scheduler sequence numbers exactly as its blocking twin does
-// (Spawn like Go, the Sleep slow path like Sleep's schedule+park, resource
-// and signal waits like their blocking counterparts), and the inline fast
-// paths of both forms fire under the identical "provably next" condition —
-// so a simulation produces the same dispatch order, and therefore the same
-// results, whichever form its processes use. The one asymmetry is the
-// inline nesting cap: past inlineLimit, Task.Sleep routes a wakeup through
-// the queue that Proc.Sleep would have taken inline. The wakeup is strictly
+// Task primitives consume scheduler sequence numbers exactly as the
+// blocking ones do (Spawn like Go, the Sleep slow path like Sleep's
+// schedule+park, resource and signal waits like their blocking
+// counterparts), and the inline fast paths of both fire under the identical
+// "provably next" condition — so the dispatch order of a simulation does
+// not depend on which form its callers use. The one asymmetry is the inline
+// nesting cap: past inlineLimit, Task.Sleep routes a wakeup through the
+// queue that Proc.Sleep would have taken inline. The wakeup is strictly
 // earlier than every pending event, so it still dispatches next and order
 // is preserved; only the sequence numbering shifts (uniformly, which FIFO
 // tie-breaking cannot observe).
@@ -124,4 +126,99 @@ func (s *Signal) WaitFiredFunc(k func()) {
 		return
 	}
 	s.WaitFunc(k)
+}
+
+// awaiter is the state of one Await call: the Task view handed to the
+// task-form code, the call's progress and result, and its completion, bound
+// once. Awaiters are pooled on the Env, so a call allocates nothing —
+// whether its process lives for one operation or for the whole run.
+type awaiter struct {
+	p      *Proc
+	task   Task
+	state  awaitState
+	err    error
+	doneFn func(error) // bound to (*awaiter).done once
+}
+
+type awaitState uint8
+
+const (
+	awaitCompleted awaitState = iota // the completion has run
+	awaitStarting                    // start is running on the process's goroutine
+	awaitParked                      // start returned without completing; the process is parked
+)
+
+// Await is the bridge from the blocking form to the task form: it runs
+// start — task-form code — on the calling process's goroutine and returns
+// the error start's completion was called with, once it has been. When done
+// runs before start returns (a pool hit, an idle device whose service time
+// elapses inline) the process never parks. Otherwise it parks, and done —
+// called later from some continuation — hands control straight to the
+// process, exactly as the scheduler does when it dispatches a process
+// wakeup, and takes it back when the process next parks or exits. Either
+// way Await itself schedules nothing: no event, no sequence number, so the
+// dispatch trace is the one start's own waits produce. done must be called
+// exactly once; start is only called, never retained.
+//
+// A nil process has no goroutine to park and no environment: start gets a
+// nil Task and must complete before returning (file devices, whose I/O is
+// a blocking syscall, do); Await panics if it does not.
+func (p *Proc) Await(start func(t *Task, done func(error))) error {
+	if p == nil {
+		completed := false
+		var result error
+		start(nil, func(err error) { completed, result = true, err })
+		if !completed {
+			panic("sim: Await on a nil Proc: the task did not complete synchronously")
+		}
+		return result
+	}
+	e := p.env
+	var a *awaiter
+	if n := len(e.awaits); n > 0 {
+		a = e.awaits[n-1]
+		e.awaits = e.awaits[:n-1]
+	} else {
+		a = &awaiter{}
+		a.doneFn = a.done
+	}
+	a.p, a.task, a.state = p, Task{env: e, name: p.name}, awaitStarting
+	start(&a.task, a.doneFn)
+	if a.state == awaitStarting {
+		a.state = awaitParked
+		p.park()
+	}
+	err := a.err
+	a.p, a.err = nil, nil
+	e.awaits = append(e.awaits, a)
+	return err
+}
+
+// done is the completion handed to start.
+func (a *awaiter) done(err error) {
+	parked := a.state == awaitParked
+	if !parked && a.state != awaitStarting {
+		panic("sim: Await completion called twice")
+	}
+	a.state, a.err = awaitCompleted, err
+	if !parked {
+		return // inside start: Await returns without parking
+	}
+	// Wake p the way Run dispatches a process event, except that the waker
+	// may itself be a process (a task chain continued on a recovery
+	// process's goroutine): then the scheduler is already waiting on
+	// Env.yield for that process, so p must hand back on the waker's own
+	// channel — a second receiver on Env.yield could steal the handoff.
+	p := a.p
+	e := p.env
+	waker := e.cur
+	back := e.yield
+	if waker != nil {
+		back = waker.resume
+		p.back = back
+	}
+	e.cur = p
+	p.resume <- struct{}{}
+	<-back
+	e.cur = waker
 }

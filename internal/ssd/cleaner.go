@@ -251,7 +251,8 @@ func (m *Manager) cleanOnce(p *sim.Proc) bool {
 		m.cleanerStop = true
 	}
 	if !readErr && !crashed && good > 0 {
-		if err := m.disk.WriteEncoded(p, start, bufs); err != nil {
+		err := p.Await(func(t *sim.Task, done func(error)) { m.disk.WriteEncodedTask(t, start, bufs, done) })
+		if err != nil {
 			readErr = true
 		}
 	}

@@ -5,116 +5,9 @@ import (
 	"turbobp/internal/sim"
 )
 
-// writeDisk pushes pg's encoded image to the database disk subsystem.
-func (m *Manager) writeDisk(p *sim.Proc, pg *page.Page) error {
-	buf := m.getBuf()
-	if err := page.Encode(pg, buf); err != nil {
-		m.putBuf(buf)
-		return err
-	}
-	vec := append(m.getVec(1), buf)
-	err := m.disk.WriteEncoded(p, pg.ID, vec)
-	m.putVec(vec)
-	m.putBuf(buf)
-	return err
-}
-
-// OnEvict routes a page evicted from the memory buffer pool according to
-// the active design (§2.3). random records how the page originally came
-// into memory (the admission policy's random/sequential classification).
-// The caller must already have forced the log up to pg.LSN (WAL protocol).
+// OnEvict is OnEvictTask for a blocking process.
 func (m *Manager) OnEvict(p *sim.Proc, pg *page.Page, dirty, random bool) error {
-	if !dirty {
-		return m.evictClean(p, pg, random)
-	}
-	switch m.cfg.Design {
-	case NoSSD, CW:
-		// Clean-write never sends dirty pages to the SSD (§2.3.1).
-		return m.writeDisk(p, pg)
-
-	case DW:
-		// Dual-write sends the page to the SSD and the disk
-		// "simultaneously" (§2.3.2): both writes are issued concurrently
-		// and the eviction completes when both have. The SSD copy equals
-		// the disk copy, so it is cached clean.
-		if !m.admits(pg.ID, random) {
-			return m.writeDisk(p, pg)
-		}
-		if m.throttled() {
-			m.stats.ThrottleWrites++
-			return m.writeDisk(p, pg)
-		}
-		// Snapshot the page for the concurrent SSD write. The copy lives in
-		// a pooled buffer; the write joins before OnEvict returns, so the
-		// buffer can go back to the free list on the way out.
-		snapBuf := m.getBuf()
-		snap := &page.Page{ID: pg.ID, LSN: pg.LSN, Payload: append(snapBuf[:0], pg.Payload...)}
-		done := sim.NewSignal(m.env)
-		var ssdErr error
-		m.env.Go("dw-ssd-write", func(child *sim.Proc) {
-			_, ssdErr = m.admit(child, snap, false)
-			done.Broadcast()
-		})
-		diskErr := m.writeDisk(p, pg)
-		done.WaitFired(p)
-		m.putBuf(snapBuf)
-		if diskErr != nil {
-			return diskErr
-		}
-		return ssdErr
-
-	case LC:
-		// Lazy-cleaning writes the dirty page only to the SSD (§2.3.3);
-		// the cleaner thread copies it to disk later. During a sharp
-		// checkpoint LC stops caching new dirty pages (§3.2), and when the
-		// SSD cannot take the page (throttled, unqualified, or no clean
-		// frame reclaimable) the eviction falls back to a disk write.
-		if m.checkpointing || !m.admits(pg.ID, random) {
-			return m.writeDisk(p, pg)
-		}
-		if m.throttled() {
-			m.stats.ThrottleWrites++
-			return m.writeDisk(p, pg)
-		}
-		ok, err := m.admit(p, pg, true)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return m.writeDisk(p, pg)
-		}
-		return nil
-
-	case TAC:
-		// TAC is write-through: the dirty page goes to disk, and if an
-		// invalidated version sits in the SSD it is refreshed too (§2.5).
-		if err := m.writeDisk(p, pg); err != nil {
-			return err
-		}
-		return m.tacRevalidate(p, pg)
-	}
-	return m.writeDisk(p, pg)
-}
-
-// evictClean handles a clean page leaving the memory pool: CW, DW and LC
-// consider caching it now (§2.5: "clean pages are written to the SSD only
-// after they have been evicted"); TAC already wrote it at read time and
-// does nothing; noSSD discards it.
-func (m *Manager) evictClean(p *sim.Proc, pg *page.Page, random bool) error {
-	switch m.cfg.Design {
-	case CW, DW, LC:
-		if !m.admits(pg.ID, random) {
-			return nil
-		}
-		if m.throttled() {
-			m.stats.ThrottleWrites++
-			return nil
-		}
-		_, err := m.admit(p, pg, false)
-		return err
-	default:
-		return nil
-	}
+	return p.Await(func(t *sim.Task, done func(error)) { m.OnEvictTask(t, pg, dirty, random, done) })
 }
 
 // OnCheckpointFlush lets a design piggyback on a sharp checkpoint's page

@@ -24,7 +24,6 @@ import (
 // uses it to fetch a page's disk copy when repairing a frame in place. A
 // Disk that does not implement it limits the scrubber to detect-and-drop.
 type DiskReader interface {
-	ReadEncoded(p *sim.Proc, pid page.ID, buf []byte) error
 	ReadEncodedTask(t *sim.Task, pid page.ID, buf []byte, k func(error))
 }
 

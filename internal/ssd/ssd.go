@@ -60,10 +60,9 @@ func (d Design) String() string {
 }
 
 // Disk is the view of the database disk subsystem the SSD manager needs:
-// the lazy cleaner and dual writes push encoded page runs to it.
-// WriteEncodedTask is the run-to-completion twin of WriteEncoded.
+// the lazy cleaner, dirty evictions and dual writes push encoded page runs
+// to it.
 type Disk interface {
-	WriteEncoded(p *sim.Proc, start page.ID, bufs [][]byte) error
 	WriteEncodedTask(t *sim.Task, start page.ID, bufs [][]byte, k func(error))
 }
 
@@ -320,14 +319,15 @@ type Manager struct {
 	vecFree     [][][]byte
 	scratchFree []*cleanScratch
 
-	// Free lists of run-to-completion operation states (see task.go). Taken
-	// per call and returned at completion, so steady-state task-form traffic
-	// allocates no continuation closures.
+	// Free lists of operation states (see task.go). Taken per call and
+	// returned at completion, so steady-state traffic allocates no
+	// continuation closures.
 	readFree  []*readOp
 	wfFree    []*wfOp
 	wdFree    []*wdOp
 	evictFree []*evictOp
 	taFree    []*tacAdmitOp
+	hwFree    []*hitWait
 }
 
 // getBuf takes an encoded-page buffer from the free list.
@@ -422,6 +422,9 @@ func (m *Manager) Stats() Stats {
 	}
 	return s
 }
+
+// Hits returns Stats().Hits without assembling the rest.
+func (m *Manager) Hits() int64 { return m.stats.Hits }
 
 // cleanKey is the clean-policy key for frame idx: the frame index under
 // LRU2 — preserving the legacy (prev, last, key) tie-break order exactly
@@ -702,75 +705,49 @@ func (m *Manager) Qualifies(random bool) bool {
 	return random
 }
 
-// Read attempts to serve pid from the SSD into pg (whose Payload must be a
-// PayloadSize buffer). It returns true on an SSD hit. When the cached copy
-// is dirty (newer than disk) the read bypasses throttle control, as
-// correctness requires (§3.3.2).
+// hitWait adapts a (bool, error) completion to a process parked in Await;
+// pooled, with k bound once.
+type hitWait struct {
+	ok   bool
+	done func(error)
+	k    func(bool, error)
+}
+
+// awaitHit runs start — a task-form operation completing with (bool, error)
+// — for the blocking process p.
+func (m *Manager) awaitHit(p *sim.Proc, start func(t *sim.Task, k func(bool, error))) (bool, error) {
+	var w *hitWait
+	if n := len(m.hwFree); n > 0 {
+		w = m.hwFree[n-1]
+		m.hwFree = m.hwFree[:n-1]
+	} else {
+		w = &hitWait{}
+		w.k = func(ok bool, err error) {
+			w.ok = ok
+			w.done(err)
+		}
+	}
+	err := p.Await(func(t *sim.Task, done func(error)) {
+		w.done = done
+		start(t, w.k)
+	})
+	ok := w.ok
+	w.done = nil
+	m.hwFree = append(m.hwFree, w)
+	return ok, err
+}
+
+// Read is ReadTask for a blocking process.
 func (m *Manager) Read(p *sim.Proc, pid page.ID, pg *page.Page) (bool, error) {
-	if !m.Enabled() {
-		return false, nil
-	}
-	if m.lost {
-		return false, device.ErrLost
-	}
-	s := m.shardOf(pid)
-	m.recordAccess(s, pid)
-	idx, ok := s.lookup(pid)
-	if !ok || !m.frames[idx].valid {
-		m.stats.Misses++
-		return false, nil
-	}
-	rec := &m.frames[idx]
-	if m.quarantined && !rec.dirty {
-		// Pass-through mode: the clean copy is no longer trusted capacity.
-		// Drop it and serve from disk; dirty frames must still be read
-		// (their SSD copy is the only up-to-date one) until drained.
-		m.dropFrame(idx)
-		m.stats.Misses++
-		return false, nil
-	}
-	if !rec.dirty && m.throttled() {
-		m.stats.ThrottleReads++
-		m.stats.Misses++
-		return false, nil
-	}
-	wantLSN := rec.lsn
-	restored := rec.restored
-	rec.io++
-	buf := m.getBuf()
-	var err error
-	for attempt := 1; ; attempt++ {
-		vec := append(m.getVec(1), buf)
-		err = m.dev.Read(p, device.PageNum(idx), vec)
-		m.putVec(vec)
-		if err == nil {
-			break
-		}
-		m.stats.ReadErrors++
-		m.noteDeviceErr(err)
-		// Bounded retries, the standard storage response — and necessary
-		// for dirty LC frames, whose copy is the only up-to-date one. The
-		// frame's in-flight count stays held across the backoff so it
-		// cannot be reclaimed mid-retry.
-		if !m.cfg.Retry.Retryable(err, attempt) {
-			break
-		}
-		m.stats.ReadRetries++
-		if d := m.cfg.Retry.Delay(attempt); d > 0 {
-			p.Sleep(d)
-		}
-	}
-	rec.io--
-	return m.readOutcome(pid, idx, wantLSN, restored, buf, pg, err)
+	return m.awaitHit(p, func(t *sim.Task, k func(bool, error)) { m.ReadTask(t, pid, pg, k) })
 }
 
 // readOutcome resolves a frame read once the device transfers (including
 // retries) are done: error triage, reclaimed-frame check, decode and
 // verification, hit accounting, and corruption routing. wantLSN and
 // restored are the frame's state when the read was issued — if the frame
-// was re-admitted mid-flight the stored bytes are stale, not corrupt.
-// Shared by the blocking and task forms; buf is consumed (returned to the
-// free list) on every path.
+// was re-admitted mid-flight the stored bytes are stale, not corrupt. buf is
+// consumed (returned to the free list) on every path.
 func (m *Manager) readOutcome(pid page.ID, idx int, wantLSN uint64, restored bool, buf []byte, pg *page.Page, err error) (bool, error) {
 	rec := &m.frames[idx]
 	if err != nil {
@@ -1014,87 +991,12 @@ func (m *Manager) popCleanVictim(s *shard) int {
 	return victim
 }
 
-// writeFrame encodes pg and writes it to frame idx, maintaining the
-// in-flight count and deferred reclamation. Failed attempts are counted
-// and retried under the shared retry policy; the in-flight count is held
-// across the backoff so the frame cannot be reclaimed mid-retry.
-func (m *Manager) writeFrame(p *sim.Proc, idx int, pg *page.Page) error {
-	rec := &m.frames[idx]
-	rec.io++
-	buf := m.getBuf()
-	if err := page.Encode(pg, buf); err != nil {
-		m.putBuf(buf)
-		rec.io--
-		return err
-	}
-	var err error
-	for attempt := 1; ; attempt++ {
-		vec := append(m.getVec(1), buf)
-		err = m.dev.Write(p, device.PageNum(idx), vec)
-		m.putVec(vec)
-		if err == nil {
-			break
-		}
-		m.stats.WriteErrors++
-		m.noteDeviceErr(err)
-		if !m.cfg.Retry.Retryable(err, attempt) {
-			break
-		}
-		m.stats.WriteRetries++
-		if d := m.cfg.Retry.Delay(attempt); d > 0 {
-			p.Sleep(d)
-		}
-	}
-	m.putBuf(buf)
-	rec.io--
-	m.frameIdle(idx)
-	return err
-}
-
-// admit caches pg in the SSD (already qualified and not throttled),
-// returning false if no frame could be claimed.
+// admit is admitTask for a blocking process.
 func (m *Manager) admit(p *sim.Proc, pg *page.Page, dirty bool) (bool, error) {
-	if m.lost {
-		return false, device.ErrLost
-	}
-	if m.quarantined {
-		return false, nil // pass-through: no new admissions
-	}
-	s := m.shardOf(pg.ID)
-	if idx, ok := s.lookup(pg.ID); ok {
-		rec := &m.frames[idx]
-		if rec.valid && !dirty {
-			return true, nil // identical clean copy already cached
-		}
-		// Overwrite in place (e.g. LC re-admitting a page whose frame is
-		// still around). Publish the new state before the device write.
-		if dirty && !rec.dirty {
-			m.dirtyCount++
-			s.clean.Remove(m.cleanKey(idx))
-		}
-		rec.valid = true
-		rec.dirty = rec.dirty || dirty
-		rec.lsn = pg.LSN
-		m.touch(idx)
-		m.stats.Admissions++
-		if dirty {
-			m.stats.DirtyAdmits++
-		}
-		return m.finishAdmit(idx, m.writeFrame(p, idx, pg))
-	}
-	idx := m.allocFrame(pg.ID, dirty)
-	if idx < 0 {
-		return false, nil
-	}
-	m.frames[idx].lsn = pg.LSN
-	m.stats.Admissions++
-	if dirty {
-		m.stats.DirtyAdmits++
-	}
-	return m.finishAdmit(idx, m.writeFrame(p, idx, pg))
+	return m.awaitHit(p, func(t *sim.Task, k func(bool, error)) { m.admitTask(t, pg, dirty, k) })
 }
 
-// finishAdmit resolves a writeFrame outcome: on failure the frame's contents
+// finishAdmit resolves a frame write's outcome: on failure the frame's contents
 // are unknown, so the entry is dropped and the admission reported as not
 // taken — callers fall back to the disk write path for dirty pages, which is
 // exactly the no-SSD behaviour. Only whole-device loss propagates as an

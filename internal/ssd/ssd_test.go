@@ -21,13 +21,9 @@ type diskWrite struct {
 	n     int
 }
 
-func (d *recordingDisk) WriteEncoded(_ *sim.Proc, start page.ID, bufs [][]byte) error {
-	d.writes = append(d.writes, diskWrite{start: start, n: len(bufs)})
-	return nil
-}
-
 func (d *recordingDisk) WriteEncodedTask(_ *sim.Task, start page.ID, bufs [][]byte, k func(error)) {
-	k(d.WriteEncoded(nil, start, bufs))
+	d.writes = append(d.writes, diskWrite{start: start, n: len(bufs)})
+	k(nil)
 }
 
 func (d *recordingDisk) pagesWritten() int {
@@ -187,11 +183,6 @@ func TestDWWritesAreConcurrent(t *testing.T) {
 }
 
 type slowDisk struct{ d time.Duration }
-
-func (s *slowDisk) WriteEncoded(p *sim.Proc, _ page.ID, _ [][]byte) error {
-	p.Sleep(s.d)
-	return nil
-}
 
 func (s *slowDisk) WriteEncodedTask(t *sim.Task, _ page.ID, _ [][]byte, k func(error)) {
 	t.Sleep(s.d, func() { k(nil) })

@@ -2,12 +2,9 @@ package ssd
 
 import (
 	"container/heap"
-	"errors"
 
-	"turbobp/internal/device"
 	"turbobp/internal/lru2"
 	"turbobp/internal/page"
-	"turbobp/internal/sim"
 )
 
 // This file implements Temperature-Aware Caching (TAC, Canim et al., VLDB
@@ -71,73 +68,6 @@ func (m *Manager) TACNoteMiss(pid page.ID, random bool) {
 	ext := uint64(m.extentOf(pid))
 	t, _ := m.temps.Get(ext)
 	m.temps.Put(ext, t+saved)
-}
-
-// TACOnDiskRead schedules TAC's asynchronous admission of a page that was
-// just read from disk into the memory pool. stillClean is consulted right
-// before the SSD write begins; if forward processing dirtied the page in
-// the meantime the write is abandoned (the latch race of §4.2), which is
-// precisely why TAC under-caches on update-intensive workloads.
-func (m *Manager) TACOnDiskRead(pg *page.Page, random bool, stillClean func() bool) {
-	if m.cfg.Design != TAC || !m.Enabled() {
-		return
-	}
-	snap := &page.Page{ID: pg.ID, LSN: pg.LSN, Payload: append([]byte(nil), pg.Payload...)}
-	m.env.Go("tac-admit", func(p *sim.Proc) {
-		p.Sleep(m.cfg.AsyncAdmitDelay)
-		if !stillClean() {
-			m.stats.TACAborts++
-			return
-		}
-		if m.throttled() {
-			m.stats.ThrottleWrites++
-			return
-		}
-		if err := m.tacAdmit(p, snap); err != nil {
-			if errors.Is(err, device.ErrLost) {
-				// The SSD died under the async admission. The write was
-				// optional traffic; the engine notices the loss on its next
-				// synchronous SSD operation.
-				return
-			}
-			panic("ssd: tac admit: " + err.Error())
-		}
-	})
-}
-
-// tacAdmit writes snap into the SSD if TAC's policy allows: always while
-// below the filling threshold, otherwise only when its extent is hotter
-// than the coldest cached page (which is then replaced).
-func (m *Manager) tacAdmit(p *sim.Proc, snap *page.Page) error {
-	if m.lost {
-		return device.ErrLost
-	}
-	if m.quarantined {
-		return nil // pass-through: no new admissions
-	}
-	s := m.shardOf(snap.ID)
-	if idx, ok := s.lookup(snap.ID); ok {
-		rec := &m.frames[idx]
-		if rec.valid {
-			return nil // already cached
-		}
-		rec.valid = true
-		rec.lsn = snap.LSN
-		m.stats.Admissions++
-		_, err := m.finishAdmit(idx, m.writeFrame(p, idx, snap))
-		return err
-	}
-	if !m.freqAdmit(s, snap.ID) {
-		return nil // frequency gate (TinyLFU) refused the extent-path admit
-	}
-	idx := m.tacAllocFrame(snap.ID)
-	if idx < 0 {
-		return nil
-	}
-	m.frames[idx].lsn = snap.LSN
-	m.stats.Admissions++
-	_, err := m.finishAdmit(idx, m.writeFrame(p, idx, snap))
-	return err
 }
 
 // tacAllocFrame claims a frame for pid: the free list first, then — when
@@ -207,37 +137,4 @@ func (m *Manager) popTacVictim(s *shard) int {
 		return e.idx
 	}
 	return -1
-}
-
-// tacRevalidate refreshes a logically-invalidated SSD copy at dirty
-// eviction time: TAC writes the page to the SSD alongside the disk write
-// only when an invalid version already occupies a frame (§2.5).
-func (m *Manager) tacRevalidate(p *sim.Proc, pg *page.Page) error {
-	if !m.Enabled() {
-		return nil
-	}
-	if m.lost {
-		return device.ErrLost
-	}
-	if m.quarantined {
-		return nil
-	}
-	s := m.shardOf(pg.ID)
-	idx, ok := s.lookup(pg.ID)
-	if !ok {
-		return nil
-	}
-	rec := &m.frames[idx]
-	if rec.valid {
-		return nil
-	}
-	if m.throttled() {
-		m.stats.ThrottleWrites++
-		return nil
-	}
-	rec.valid = true
-	rec.lsn = pg.LSN
-	m.stats.Revalidations++
-	_, err := m.finishAdmit(idx, m.writeFrame(p, idx, pg))
-	return err
 }

@@ -8,17 +8,18 @@ import (
 	"turbobp/internal/sim"
 )
 
-// This file holds the run-to-completion twins of the manager's blocking
-// entry points. Each twin mirrors its blocking counterpart operation for
-// operation — same policy checks in the same order, same stats, same
-// buffer-pool discipline — with device waits expressed as continuations, so
-// a simulation using either form dispatches the identical event sequence.
-// The shared synchronous tails (readOutcome, finishAdmit, allocFrame, the
-// policy predicates) live in ssd.go/tac.go and are called by both forms.
+// This file holds the bodies of the manager's device-touching operations —
+// read, frame write, disk write-back, admission, per-design eviction routing
+// and TAC's asynchronous admission — each written once, in task form, with
+// device waits expressed as continuations. Blocking processes (checkpointer,
+// lazy cleaner, scans, recovery) reach them through the few-line
+// sim.Proc.Await entries in ssd.go and designs.go. The synchronous tails
+// (readOutcome, finishAdmit, allocFrame, the policy predicates) live in
+// ssd.go/tac.go.
 //
 // Continuation state lives in per-operation structs taken from free lists
 // on the Manager, with method continuations bound once per struct, so the
-// steady-state task path allocates no closures.
+// steady-state path allocates no closures.
 
 // readOp carries one ReadTask through the device read and its bounded,
 // policy-driven retries.
@@ -67,8 +68,10 @@ func (o *readOp) read(err error) {
 		m.stats.ReadErrors++
 		m.noteDeviceErr(err)
 		if m.cfg.Retry.Retryable(err, o.attempt) {
-			// Bounded retry, as the blocking form does. The frame's
-			// in-flight count stays held across the backoff.
+			// Bounded retries, the standard storage response — and necessary
+			// for dirty LC frames, whose copy is the only up-to-date one. The
+			// frame's in-flight count stays held across the backoff so it
+			// cannot be reclaimed mid-retry.
 			m.stats.ReadRetries++
 			d := m.cfg.Retry.Delay(o.attempt)
 			o.attempt++
@@ -87,7 +90,10 @@ func (o *readOp) read(err error) {
 	k(m.readOutcome(pid, idx, wantLSN, restored, buf, pg, err))
 }
 
-// ReadTask is the run-to-completion twin of Read.
+// ReadTask attempts to serve pid from the SSD into pg (whose Payload must be
+// a PayloadSize buffer) and continues with whether it was an SSD hit. When
+// the cached copy is dirty (newer than disk) the read bypasses throttle
+// control, as correctness requires (§3.3.2).
 func (m *Manager) ReadTask(t *sim.Task, pid page.ID, pg *page.Page, k func(bool, error)) {
 	if !m.Enabled() {
 		k(false, nil)
@@ -107,7 +113,9 @@ func (m *Manager) ReadTask(t *sim.Task, pid page.ID, pg *page.Page, k func(bool,
 	}
 	rec := &m.frames[idx]
 	if m.quarantined && !rec.dirty {
-		// Pass-through mode, as in the blocking form.
+		// Pass-through mode: the clean copy is no longer trusted capacity.
+		// Drop it and serve from disk; dirty frames must still be read
+		// (their SSD copy is the only up-to-date one) until drained.
 		m.dropFrame(idx)
 		m.stats.Misses++
 		k(false, nil)
@@ -128,8 +136,9 @@ func (m *Manager) ReadTask(t *sim.Task, pid page.ID, pg *page.Page, k func(bool,
 	m.dev.ReadTask(t, device.PageNum(idx), o.vec, o.onRead)
 }
 
-// wfOp carries one frame write (writeFrameTask or the admit variants)
-// through the SSD device write and its bounded retries.
+// wfOp carries one frame write through the SSD device write and its bounded
+// retries; the in-flight count is held across a backoff so the frame cannot
+// be reclaimed mid-retry.
 type wfOp struct {
 	m       *Manager
 	t       *sim.Task
@@ -137,8 +146,7 @@ type wfOp struct {
 	attempt int
 	buf     []byte
 	vec     [][]byte
-	k       func(error)       // plain completion
-	ka      func(bool, error) // admit completion: k(finishAdmit(idx, err))
+	ka      func(bool, error) // admit completion: ka(finishAdmit(idx, err))
 	kae     func(error)       // admit completion dropping the bool (TAC paths)
 
 	onWritten func(error) // bound to (*wfOp).written once
@@ -186,50 +194,41 @@ func (o *wfOp) written(err error) {
 	m.putBuf(o.buf)
 	m.frames[o.idx].io--
 	m.frameIdle(o.idx)
-	idx, k, ka, kae := o.idx, o.k, o.ka, o.kae
-	o.t, o.buf, o.k, o.ka, o.kae = nil, nil, nil, nil, nil
+	idx, ka, kae := o.idx, o.ka, o.kae
+	o.t, o.buf, o.ka, o.kae = nil, nil, nil, nil
 	m.wfFree = append(m.wfFree, o)
-	switch {
-	case ka != nil:
-		ka(m.finishAdmit(idx, err))
-	case kae != nil:
-		_, err = m.finishAdmit(idx, err)
-		kae(err)
-	default:
-		k(err)
-	}
+	m.admitDone(idx, err, ka, kae)
 }
 
-// frameWrite starts the device write for one of the three completion modes;
-// exactly one of k, ka, kae is non-nil. The encode-error path takes the
-// same completion as the device-write path, as in the blocking forms.
-func (m *Manager) frameWrite(t *sim.Task, idx int, pg *page.Page, k func(error), ka func(bool, error), kae func(error)) {
+// admitDone delivers a frame write's outcome, through finishAdmit, to
+// whichever of the two completion forms the caller supplied.
+func (m *Manager) admitDone(idx int, err error, ka func(bool, error), kae func(error)) {
+	ok, err := m.finishAdmit(idx, err)
+	if ka != nil {
+		ka(ok, err)
+		return
+	}
+	kae(err)
+}
+
+// frameWrite encodes pg and writes it to frame idx on behalf of an
+// admission, maintaining the in-flight count and deferred reclamation;
+// exactly one of ka, kae is non-nil. The encode-error path takes the same
+// completion as the device-write path.
+func (m *Manager) frameWrite(t *sim.Task, idx int, pg *page.Page, ka func(bool, error), kae func(error)) {
 	rec := &m.frames[idx]
 	rec.io++
 	buf := m.getBuf()
 	if err := page.Encode(pg, buf); err != nil {
 		m.putBuf(buf)
 		rec.io--
-		switch {
-		case ka != nil:
-			ka(m.finishAdmit(idx, err))
-		case kae != nil:
-			_, err = m.finishAdmit(idx, err)
-			kae(err)
-		default:
-			k(err)
-		}
+		m.admitDone(idx, err, ka, kae)
 		return
 	}
 	o := m.getWfOp()
-	o.t, o.idx, o.buf, o.k, o.ka, o.kae, o.attempt = t, idx, buf, k, ka, kae, 1
+	o.t, o.idx, o.buf, o.ka, o.kae, o.attempt = t, idx, buf, ka, kae, 1
 	o.vec = append(m.getVec(1), buf)
 	m.dev.WriteTask(t, device.PageNum(idx), o.vec, o.onWritten)
-}
-
-// writeFrameTask is the run-to-completion twin of writeFrame.
-func (m *Manager) writeFrameTask(t *sim.Task, idx int, pg *page.Page, k func(error)) {
-	m.frameWrite(t, idx, pg, k, nil, nil)
 }
 
 // wdOp carries one writeDiskTask through the database-disk write.
@@ -264,7 +263,7 @@ func (o *wdOp) written(err error) {
 	k(err)
 }
 
-// writeDiskTask is the run-to-completion twin of writeDisk.
+// writeDiskTask pushes pg's encoded image to the database disk subsystem.
 func (m *Manager) writeDiskTask(t *sim.Task, pg *page.Page, k func(error)) {
 	buf := m.getBuf()
 	if err := page.Encode(pg, buf); err != nil {
@@ -278,7 +277,8 @@ func (m *Manager) writeDiskTask(t *sim.Task, pg *page.Page, k func(error)) {
 	m.disk.WriteEncodedTask(t, pg.ID, o.vec, o.onWritten)
 }
 
-// admitTask is the run-to-completion twin of admit.
+// admitTask caches pg in the SSD (already qualified and not throttled),
+// continuing with false if no frame could be claimed.
 func (m *Manager) admitTask(t *sim.Task, pg *page.Page, dirty bool, k func(bool, error)) {
 	if m.lost {
 		k(false, device.ErrLost)
@@ -295,7 +295,8 @@ func (m *Manager) admitTask(t *sim.Task, pg *page.Page, dirty bool, k func(bool,
 			k(true, nil) // identical clean copy already cached
 			return
 		}
-		// Overwrite in place; publish the new state before the device write.
+		// Overwrite in place (e.g. LC re-admitting a page whose frame is
+		// still around). Publish the new state before the device write.
 		if dirty && !rec.dirty {
 			m.dirtyCount++
 			s.clean.Remove(m.cleanKey(idx))
@@ -308,7 +309,7 @@ func (m *Manager) admitTask(t *sim.Task, pg *page.Page, dirty bool, k func(bool,
 		if dirty {
 			m.stats.DirtyAdmits++
 		}
-		m.frameWrite(t, idx, pg, nil, k, nil)
+		m.frameWrite(t, idx, pg, k, nil)
 		return
 	}
 	idx := m.allocFrame(pg.ID, dirty)
@@ -321,7 +322,7 @@ func (m *Manager) admitTask(t *sim.Task, pg *page.Page, dirty bool, k func(bool,
 	if dirty {
 		m.stats.DirtyAdmits++
 	}
-	m.frameWrite(t, idx, pg, nil, k, nil)
+	m.frameWrite(t, idx, pg, k, nil)
 }
 
 // evictOp carries one OnEvictTask through its per-design routing: the disk
@@ -414,14 +415,19 @@ func (o *evictOp) tacDisk(err error) {
 	o.m.tacRevalidateTask(o.t, o.pg, o.finishF)
 }
 
-// OnEvictTask is the run-to-completion twin of OnEvict: the same per-design
-// routing of a page evicted from the memory buffer pool.
+// OnEvictTask routes a page evicted from the memory buffer pool according to
+// the active design (§2.3). random records how the page originally came
+// into memory (the admission policy's random/sequential classification).
+// The caller must already have forced the log up to pg.LSN (WAL protocol).
 func (m *Manager) OnEvictTask(t *sim.Task, pg *page.Page, dirty, random bool, k func(error)) {
 	o := m.getEvictOp()
 	o.t, o.pg, o.k = t, pg, k
 
 	if !dirty {
-		// evictClean: admit qualifying clean evictions (CW/DW/LC).
+		// A clean page leaving the memory pool: CW, DW and LC consider
+		// caching it now (§2.5: "clean pages are written to the SSD only
+		// after they have been evicted"); TAC already wrote it at read time
+		// and does nothing; noSSD discards it.
 		switch m.cfg.Design {
 		case CW, DW, LC:
 			if !m.admits(pg.ID, random) {
@@ -441,12 +447,15 @@ func (m *Manager) OnEvictTask(t *sim.Task, pg *page.Page, dirty, random bool, k 
 	}
 	switch m.cfg.Design {
 	case NoSSD, CW:
+		// Clean-write never sends dirty pages to the SSD (§2.3.1).
 		m.writeDiskTask(t, pg, o.finishF)
 		return
 
 	case DW:
-		// Dual-write: SSD and disk writes issued concurrently, the eviction
-		// completes when both have (§2.3.2).
+		// Dual-write sends the page to the SSD and the disk
+		// "simultaneously" (§2.3.2): both writes are issued concurrently
+		// and the eviction completes when both have. The SSD copy equals
+		// the disk copy, so it is cached clean.
 		if !m.admits(pg.ID, random) {
 			m.writeDiskTask(t, pg, o.finishF)
 			return
@@ -456,6 +465,8 @@ func (m *Manager) OnEvictTask(t *sim.Task, pg *page.Page, dirty, random bool, k 
 			m.writeDiskTask(t, pg, o.finishF)
 			return
 		}
+		// Snapshot the page for the concurrent SSD write, in a pooled buffer
+		// that dwJoin returns once both legs are done.
 		o.snapBuf = m.getBuf()
 		o.snap = page.Page{ID: pg.ID, LSN: pg.LSN, Payload: append(o.snapBuf[:0], pg.Payload...)}
 		o.ssdErr, o.diskErr = nil, nil
@@ -465,6 +476,11 @@ func (m *Manager) OnEvictTask(t *sim.Task, pg *page.Page, dirty, random bool, k 
 		return
 
 	case LC:
+		// Lazy-cleaning writes the dirty page only to the SSD (§2.3.3);
+		// the cleaner thread copies it to disk later. During a sharp
+		// checkpoint LC stops caching new dirty pages (§3.2), and when the
+		// SSD cannot take the page (throttled, unqualified, or no clean
+		// frame reclaimable) the eviction falls back to a disk write.
 		if m.checkpointing || !m.admits(pg.ID, random) {
 			m.writeDiskTask(t, pg, o.finishF)
 			return
@@ -478,13 +494,17 @@ func (m *Manager) OnEvictTask(t *sim.Task, pg *page.Page, dirty, random bool, k 
 		return
 
 	case TAC:
+		// TAC is write-through: the dirty page goes to disk, and if an
+		// invalidated version sits in the SSD it is refreshed too (§2.5).
 		m.writeDiskTask(t, pg, o.onTACDisk)
 		return
 	}
 	m.writeDiskTask(t, pg, o.finishF)
 }
 
-// tacRevalidateTask is the run-to-completion twin of tacRevalidate.
+// tacRevalidateTask refreshes a logically-invalidated SSD copy at dirty
+// eviction time: TAC writes the page to the SSD alongside the disk write
+// only when an invalid version already occupies a frame (§2.5).
 func (m *Manager) tacRevalidateTask(t *sim.Task, pg *page.Page, k func(error)) {
 	if !m.Enabled() {
 		k(nil)
@@ -517,11 +537,11 @@ func (m *Manager) tacRevalidateTask(t *sim.Task, pg *page.Page, k func(error)) {
 	rec.valid = true
 	rec.lsn = pg.LSN
 	m.stats.Revalidations++
-	m.frameWrite(t, idx, pg, nil, nil, k)
+	m.frameWrite(t, idx, pg, nil, k)
 }
 
-// tacAdmitOp carries one asynchronous TAC admission (TACOnDiskReadTask)
-// through its delay, race check and SSD write.
+// tacAdmitOp carries one asynchronous TAC admission (TACOnDiskRead) through
+// its delay, race check and SSD write.
 type tacAdmitOp struct {
 	m          *Manager
 	child      *sim.Task
@@ -585,14 +605,15 @@ func (o *tacAdmitOp) admitted(err error) {
 	o.recycle()
 }
 
-// TACOnDiskReadTask is the run-to-completion twin of TACOnDiskRead: it
-// spawns the same asynchronous admission as a child task instead of a
-// goroutine-backed process.
-func (m *Manager) TACOnDiskReadTask(pg *page.Page, random bool, stillClean func() bool) {
+// TACOnDiskRead schedules TAC's asynchronous admission of a page that was
+// just read from disk into the memory pool, as a child task. stillClean is
+// consulted right before the SSD write begins; if forward processing dirtied
+// the page in the meantime the write is abandoned (the latch race of §4.2),
+// which is precisely why TAC under-caches on update-intensive workloads.
+func (m *Manager) TACOnDiskRead(pg *page.Page, _ bool, stillClean func() bool) {
 	if m.cfg.Design != TAC || !m.Enabled() {
 		return
 	}
-	_ = random
 	o := m.getTacAdmitOp()
 	o.snapBuf = m.getBuf()
 	o.snap = page.Page{ID: pg.ID, LSN: pg.LSN, Payload: append(o.snapBuf[:0], pg.Payload...)}
@@ -600,7 +621,9 @@ func (m *Manager) TACOnDiskReadTask(pg *page.Page, random bool, stillClean func(
 	m.env.Spawn("tac-admit", o.spawnF)
 }
 
-// tacAdmitTask is the run-to-completion twin of tacAdmit.
+// tacAdmitTask writes snap into the SSD if TAC's policy allows: always while
+// below the filling threshold, otherwise only when its extent is hotter
+// than the coldest cached page (which is then replaced).
 func (m *Manager) tacAdmitTask(t *sim.Task, snap *page.Page, k func(error)) {
 	if m.lost {
 		k(device.ErrLost)
@@ -620,7 +643,7 @@ func (m *Manager) tacAdmitTask(t *sim.Task, snap *page.Page, k func(error)) {
 		rec.valid = true
 		rec.lsn = snap.LSN
 		m.stats.Admissions++
-		m.frameWrite(t, idx, snap, nil, nil, k)
+		m.frameWrite(t, idx, snap, nil, k)
 		return
 	}
 	if !m.freqAdmit(s, snap.ID) {
@@ -634,5 +657,5 @@ func (m *Manager) tacAdmitTask(t *sim.Task, snap *page.Page, k func(error)) {
 	}
 	m.frames[idx].lsn = snap.LSN
 	m.stats.Admissions++
-	m.frameWrite(t, idx, snap, nil, nil, k)
+	m.frameWrite(t, idx, snap, nil, k)
 }

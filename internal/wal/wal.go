@@ -196,15 +196,14 @@ type Log struct {
 	fsignal  *sim.Signal
 
 	// Reused across flushes; safe because the flushing flag serializes the
-	// device-write section of Flush.
+	// device-write section of FlushTask.
 	spare     []Record // recycled pending-batch backing array
 	flushBuf  []byte
 	flushBufs [][]byte
 
-	// Run-to-completion flush state: fl is the single in-flight flush (the
-	// flushing flag serializes flushes, so one reusable struct suffices) and
-	// wFree pools the coalescing waiters, so steady-state task-form flushes
-	// allocate no continuation closures.
+	// Flush state: fl is the single in-flight flush (the flushing flag
+	// serializes flushes, so one reusable struct suffices) and wFree pools
+	// the waiters, so steady-state flushes allocate no continuation closures.
 	fl    *flight
 	wFree []*fwait
 
@@ -310,53 +309,19 @@ func (l *Log) advanceWritePos(nPages device.PageNum) device.PageNum {
 	return start
 }
 
-// Flush makes every record with LSN <= upTo durable, charging log-device
-// time. Concurrent flushes coalesce: a caller whose records are covered by
-// an in-flight flush waits for it instead of issuing another write.
+// Flush is FlushTask for a blocking process: it returns once every record
+// with LSN <= upTo is durable.
 func (l *Log) Flush(p *sim.Proc, upTo uint64) {
-	for l.flushedLSN < upTo {
-		if l.flushing {
-			l.fsignal.Wait(p)
-			continue
-		}
-		if len(l.pending) == 0 {
-			return // nothing buffered; upTo was never appended
-		}
-		batch := l.pending
-		batchBytes := l.pendingB
-		l.pending = nil
-		l.pendingB = 0
-		endLSN := batch[len(batch)-1].LSN
-		l.flushing = true
-
-		bufs, nPages := l.buildFlushBufs(batch, batchBytes)
-		start := l.advanceWritePos(nPages)
-		if err := l.dev.Write(p, start, bufs); err != nil {
-			// The simulated log device cannot fail in-range; surface loudly.
-			panic("wal: log device write failed: " + err.Error())
-		}
-		for _, r := range batch {
-			l.durable.push(r)
-		}
-		for i := range batch {
-			batch[i] = Record{} // drop payload refs before recycling
-		}
-		if l.spare == nil || cap(batch) > cap(l.spare) {
-			l.spare = batch[:0]
-		}
-		if endLSN > l.flushedLSN {
-			l.flushedLSN = endLSN
-		}
-		l.flushes++
-		l.flushedPages += int64(nPages)
-		l.flushing = false
-		l.fsignal.Broadcast()
-	}
+	_ = p.Await(func(t *sim.Task, done func(error)) { // FlushTask reports no error
+		w := l.getWait()
+		w.done = done
+		l.FlushTask(t, upTo, w.wakeFn)
+	})
 }
 
-// flight is the state of the one in-flight task-form flush. The flushing
-// flag serializes flushes, so a single reusable struct (with its completion
-// bound once) carries every device write.
+// flight is the state of the one in-flight flush. The flushing flag
+// serializes flushes, so a single reusable struct (with its completion bound
+// once) carries every device write.
 type flight struct {
 	l      *Log
 	t      *sim.Task
@@ -395,18 +360,34 @@ func (f *flight) written(err error) {
 	// flush that reuses this struct.
 	t, upTo, k := f.t, f.upTo, f.k
 	f.t, f.k, f.batch = nil, nil, nil
-	l.FlushTask(t, upTo, k) // re-check, as Flush's loop does
+	l.FlushTask(t, upTo, k) // re-check: upTo may lie beyond this batch
 }
 
-// fwait is one pooled coalescing waiter: a FlushTask call parked behind an
-// in-flight flush, re-entered when the flush signal fires.
+// fwait is one pooled waiter on a flush: a FlushTask call parked behind an
+// in-flight flush, re-entered when the flush signal fires, or a blocking
+// Flush call's process, woken when its FlushTask completes.
 type fwait struct {
 	l    *Log
 	t    *sim.Task
 	upTo uint64
 	k    func()
+	done func(error) // Flush: the parked process's Await completion
 
-	fn func() // bound to (*fwait).run once
+	fn     func() // bound to (*fwait).run once
+	wakeFn func() // bound to (*fwait).wake once
+}
+
+func (l *Log) getWait() *fwait {
+	if n := len(l.wFree); n > 0 {
+		w := l.wFree[n-1]
+		l.wFree[n-1] = nil
+		l.wFree = l.wFree[:n-1]
+		return w
+	}
+	w := &fwait{l: l}
+	w.fn = w.run
+	w.wakeFn = w.wake
+	return w
 }
 
 func (w *fwait) run() {
@@ -416,25 +397,24 @@ func (w *fwait) run() {
 	l.FlushTask(t, upTo, k)
 }
 
-// FlushTask is the run-to-completion twin of Flush: same coalescing, batch
-// construction and group-commit accounting, continuing with k once every
-// record with LSN <= upTo is durable. Each re-entry mirrors one iteration
-// of Flush's loop.
+func (w *fwait) wake() {
+	done := w.done
+	w.done = nil
+	w.l.wFree = append(w.l.wFree, w)
+	done(nil)
+}
+
+// FlushTask makes every record with LSN <= upTo durable, charging log-device
+// time, then continues with k. Concurrent flushes coalesce: a caller whose
+// records are covered by an in-flight flush waits for it instead of issuing
+// another write, and re-checks when it lands.
 func (l *Log) FlushTask(t *sim.Task, upTo uint64, k func()) {
 	if l.flushedLSN >= upTo {
 		k()
 		return
 	}
 	if l.flushing {
-		var w *fwait
-		if n := len(l.wFree); n > 0 {
-			w = l.wFree[n-1]
-			l.wFree[n-1] = nil
-			l.wFree = l.wFree[:n-1]
-		} else {
-			w = &fwait{l: l}
-			w.fn = w.run
-		}
+		w := l.getWait()
 		w.t, w.upTo, w.k = t, upTo, k
 		l.fsignal.WaitFunc(w.fn)
 		return

@@ -1,15 +1,13 @@
-package harness
+package workload
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
 	"turbobp/internal/engine"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
-	"turbobp/internal/workload"
 )
 
 // dispatch is one observed queue dispatch.
@@ -18,12 +16,51 @@ type dispatch struct {
 	seq uint64
 }
 
+// startProcs is OLTP.Start with blocking clients: one simulation process
+// per worker running the same transaction loop — same RNG seeds, same draw
+// order — through Engine.Get/Update/Commit, i.e. through sim.Proc.Await.
+func (o *OLTP) startProcs(env *sim.Env, e *engine.Engine) {
+	for w := 0; w < o.Workers; w++ {
+		rng := rand.New(rand.NewSource(o.Seed + int64(w)*7919))
+		env.Go(o.Name+"-worker", func(p *sim.Proc) {
+			for {
+				if err := o.runTx(p, e, rng); err != nil {
+					panic("workload: " + err.Error())
+				}
+			}
+		})
+	}
+}
+
+// runTx executes one transaction on a blocking process.
+func (o *OLTP) runTx(p *sim.Proc, e *engine.Engine, rng *rand.Rand) error {
+	tx := e.Begin()
+	for a := 0; a < o.AccessesPerTx; a++ {
+		if rng.Float64() < o.UpdateFrac {
+			pid := o.pick(rng, o.UpdateTier)
+			v := byte(rng.Intn(256))
+			if err := e.Update(p, tx, pid, func(pl []byte) {
+				pl[0] = v
+				pl[1]++
+			}); err != nil {
+				return err
+			}
+		} else {
+			pid := o.pick(rng, -1)
+			if _, err := e.Get(p, pid); err != nil {
+				return err
+			}
+		}
+	}
+	return e.Commit(p, tx)
+}
+
 // runTraced runs one small OLTP simulation and returns its dispatch trace
 // plus final engine and device statistics. With the inline nesting cap
-// raised past the run's event count, both process forms consume sequence
-// numbers identically, so their traces must compare equal element by
-// element.
-func runTraced(t *testing.T, wl workload.OLTP, cfg engine.Config, dur time.Duration) ([]dispatch, engine.Stats, ssd.Stats, int64, int64) {
+// raised past the run's event count, task-form sleeps consume sequence
+// numbers exactly as a process's do, so the traces of the two drivers must
+// compare equal element by element.
+func runTraced(t *testing.T, wl OLTP, blocking bool, cfg engine.Config, dur time.Duration) ([]dispatch, engine.Stats, ssd.Stats, int64, int64) {
 	t.Helper()
 	env := sim.NewEnv()
 	env.SetInlineLimit(1 << 30)
@@ -35,7 +72,11 @@ func runTraced(t *testing.T, wl workload.OLTP, cfg engine.Config, dur time.Durat
 	if err := e.FormatDB(); err != nil {
 		t.Fatal(err)
 	}
-	wl.Start(env, e, nil)
+	if blocking {
+		wl.startProcs(env, e)
+	} else {
+		wl.Start(env, e, nil)
+	}
 	env.Run(dur)
 	e.StopBackground()
 	es, ss := e.Stats(), e.SSD().Stats()
@@ -49,19 +90,20 @@ func runTraced(t *testing.T, wl workload.OLTP, cfg engine.Config, dur time.Durat
 	return trace, es, ss, disk.ReadPages + disk.WritePages, ssdPages
 }
 
-// TestProcTaskEquivalenceProperty is the simulator's core equivalence
-// property: across randomized workload and engine configurations, the
-// goroutine-backed (Proc) and run-to-completion (Task) worker forms drive
-// the identical (at, seq) dispatch sequence and land on identical engine
-// and device statistics.
+// TestProcTaskEquivalenceProperty pins that the bridge adds no events:
+// across randomized workload and engine configurations, blocking clients
+// (processes calling Engine.Get/Update/Commit, which run the task-form
+// access path through sim.Proc.Await) and run-to-completion clients
+// (OLTP.Start) drive the identical (at, seq) dispatch sequence and land on
+// identical engine, SSD-manager and device statistics.
 func TestProcTaskEquivalenceProperty(t *testing.T) {
 	designs := []ssd.Design{ssd.NoSSD, ssd.CW, ssd.DW, ssd.LC, ssd.TAC}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 8; trial++ {
 		dbPages := int64(400 + rng.Intn(1200))
-		wl := workload.TPCC(dbPages)
+		wl := TPCC(dbPages)
 		if rng.Intn(2) == 0 {
-			wl = workload.TPCE(dbPages)
+			wl = TPCE(dbPages)
 		}
 		wl.Workers = 1 + rng.Intn(8)
 		wl.AccessesPerTx = 1 + rng.Intn(8)
@@ -76,11 +118,8 @@ func TestProcTaskEquivalenceProperty(t *testing.T) {
 		}
 		dur := time.Duration(50+rng.Intn(200)) * time.Millisecond
 
-		procWL, taskWL := wl, wl
-		procWL.ProcWorkers = true
-		taskWL.ProcWorkers = false
-		procTrace, procES, procSS, procDisk, procSSD := runTraced(t, procWL, cfg, dur)
-		taskTrace, taskES, taskSS, taskDisk, taskSSD := runTraced(t, taskWL, cfg, dur)
+		procTrace, procES, procSS, procDisk, procSSD := runTraced(t, wl, true, cfg, dur)
+		taskTrace, taskES, taskSS, taskDisk, taskSSD := runTraced(t, wl, false, cfg, dur)
 
 		if len(procTrace) != len(taskTrace) {
 			t.Fatalf("trial %d (%s/%v): trace lengths differ: proc %d, task %d",
@@ -106,26 +145,4 @@ func TestProcTaskEquivalenceProperty(t *testing.T) {
 				trial, wl.Name, cfg.Design, procDisk, taskDisk, procSSD, taskSSD)
 		}
 	}
-}
-
-// TestExperimentLeavesNoGoroutines audits the simulator's goroutine
-// hygiene: after a full experiment run (engines, device queues, background
-// checkpointer/cleaner processes, Shutdown) the process must be back to
-// its baseline goroutine count — nothing parked forever on a channel.
-func TestExperimentLeavesNoGoroutines(t *testing.T) {
-	SetWorkers(1)
-	defer SetWorkers(0)
-	baseline := runtime.NumGoroutine()
-	RunTable1()
-	if _, err := Fig5TPCC(tiny); err != nil {
-		t.Fatal(err)
-	}
-	// Exited goroutines may take a beat to be reaped.
-	for i := 0; i < 100; i++ {
-		if runtime.NumGoroutine() <= baseline {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines: %d after experiments, baseline %d", runtime.NumGoroutine(), baseline)
 }

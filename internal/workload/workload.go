@@ -45,20 +45,11 @@ type OLTP struct {
 	UpdateTier int
 	Workers    int // concurrent clients
 	Seed       int64
-	// ProcWorkers runs each worker as a goroutine-backed process (the
-	// original form) instead of a run-to-completion task. The two forms
-	// drive the simulation through the identical event sequence; tasks are
-	// the default because they avoid the park/resume channel handoffs.
-	// Equivalence tests exercise both.
-	ProcWorkers bool
 
 	// RemoteFrac is the probability that a transaction is distributed:
 	// it performs one extra access, routed through Router, to a page
 	// owned by another shard of a sharded cluster. Zero (the default)
 	// leaves the driver — and its RNG stream — exactly as before.
-	// Distributed transactions require the task form (the remote hop is a
-	// continuation message); Start panics on RemoteFrac > 0 with
-	// ProcWorkers.
 	RemoteFrac float64
 	// Router issues the remote access of a distributed transaction. It
 	// must eventually run k (possibly epochs later, when the remote
@@ -171,7 +162,8 @@ func (o *OLTP) pick(rng *rand.Rand, tier int) page.ID {
 	return scatter(lo+rng.Int63n(n), o.DBPages)
 }
 
-// Start spawns the driver's worker processes against e. Workers run until
+// Start spawns the driver's workers against e, each a run-to-completion
+// task (no park/resume channel handoff per page access). Workers run until
 // the environment stops driving them (harnesses bound the run with
 // Env.Run(duration) and then Shutdown) or until the returned stop function
 // is called — workers then exit at their next transaction boundary, which
@@ -180,28 +172,12 @@ func (o *OLTP) pick(rng *rand.Rand, tier int) page.ID {
 // onCommit, if non-nil, is also called at each commit with the commit
 // time.
 func (o *OLTP) Start(env *sim.Env, e *engine.Engine, onCommit func(t time.Duration)) (stop func()) {
-	if o.RemoteFrac > 0 && o.ProcWorkers {
-		panic("workload: distributed transactions require task-form workers")
-	}
 	if o.RemoteFrac > 0 && o.Router == nil {
 		panic("workload: RemoteFrac > 0 without a Router")
 	}
 	stopped := false
 	for w := 0; w < o.Workers; w++ {
 		rng := rand.New(rand.NewSource(o.Seed + int64(w)*7919))
-		if o.ProcWorkers {
-			env.Go(o.Name+"-worker", func(p *sim.Proc) {
-				for !stopped {
-					if err := o.runTx(p, e, rng); err != nil {
-						panic("workload: " + err.Error())
-					}
-					if onCommit != nil {
-						onCommit(p.Now())
-					}
-				}
-			})
-			continue
-		}
 		w := &taskWorker{o: o, e: e, rng: rng, stopped: &stopped, onCommit: onCommit}
 		w.mutateF = w.mutatePayload
 		w.afterGetF = w.afterGet
@@ -216,12 +192,11 @@ func (o *OLTP) Start(env *sim.Env, e *engine.Engine, onCommit func(t time.Durati
 	return func() { stopped = true }
 }
 
-// taskWorker is one run-to-completion OLTP client: the state of runTx as a
-// struct, with its continuations bound once at Start, so the steady-state
-// transaction loop allocates nothing. It draws from the RNG in exactly the
-// order runTx does, and the continuation chain is stack-safe: every access
-// charges CPU time, and the kernel's inline-depth cap periodically
-// reschedules the continuation, unwinding the stack.
+// taskWorker is one run-to-completion OLTP client: the state of a
+// transaction loop as a struct, with its continuations bound once at Start,
+// so the steady-state loop allocates nothing. The continuation chain is
+// stack-safe: every access charges CPU time, and the kernel's inline-depth
+// cap periodically reschedules the continuation, unwinding the stack.
 type taskWorker struct {
 	o        *OLTP
 	e        *engine.Engine
@@ -305,29 +280,6 @@ func (w *taskWorker) afterCommit(err error) {
 		w.onCommit(w.t.Now())
 	}
 	w.loop()
-}
-
-// runTx executes one transaction.
-func (o *OLTP) runTx(p *sim.Proc, e *engine.Engine, rng *rand.Rand) error {
-	tx := e.Begin()
-	for a := 0; a < o.AccessesPerTx; a++ {
-		if rng.Float64() < o.UpdateFrac {
-			pid := o.pick(rng, o.UpdateTier)
-			v := byte(rng.Intn(256))
-			if err := e.Update(p, tx, pid, func(pl []byte) {
-				pl[0] = v
-				pl[1]++
-			}); err != nil {
-				return err
-			}
-		} else {
-			pid := o.pick(rng, -1)
-			if _, err := e.Get(p, pid); err != nil {
-				return err
-			}
-		}
-	}
-	return e.Commit(p, tx)
 }
 
 // GenerateTrace materializes txs transactions of this profile as a

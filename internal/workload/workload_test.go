@@ -294,18 +294,13 @@ func TestSplitPartitionsDriver(t *testing.T) {
 	}
 }
 
-func TestRemoteFracRequiresTaskFormAndRouter(t *testing.T) {
-	for _, tc := range []struct{ proc bool }{{true}, {false}} {
-		o := TPCC(100)
-		o.RemoteFrac = 0.5
-		o.ProcWorkers = tc.proc
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Start with RemoteFrac and proc=%v, no router: no panic", tc.proc)
-				}
-			}()
-			o.Start(sim.NewEnv(), nil, nil)
-		}()
-	}
+func TestRemoteFracRequiresRouter(t *testing.T) {
+	o := TPCC(100)
+	o.RemoteFrac = 0.5
+	defer func() {
+		if recover() == nil {
+			t.Error("Start with RemoteFrac and no router: no panic")
+		}
+	}()
+	o.Start(sim.NewEnv(), nil, nil)
 }

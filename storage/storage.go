@@ -2,8 +2,9 @@
 // the access-method layer (package btree, package heapfile) is written
 // against. Two families of implementations satisfy it: the public
 // turbobp.DB (file-backed or simulated devices behind the public API)
-// and the internal simulation adapters over internal/engine (both the
-// goroutine-backed Proc form and the continuation-based Task form), so
+// and the internal simulation adapters over internal/engine (one that
+// runs each operation on the calling process, one that spawns it as a
+// task), so
 // the same B+-tree traversal or heap-file scan can run against a real
 // database or inside a discrete-event experiment. This is what lets
 // page access patterns in the `bpesim index` experiment *emerge* from

@@ -106,6 +106,29 @@ func TestReopenDurabilitySerial(t *testing.T) {
 	}
 }
 
+// TestReopenWithFaultSeed is the restart contract with fault injection
+// armed: every device is wrapped in a fault.Device, so reopening reads the
+// persisted log (wal.LoadDurable, with no simulation process) through the
+// wrapper rather than straight off the file.
+func TestReopenWithFaultSeed(t *testing.T) {
+	for _, conc := range []int{1, 4} {
+		opts := reopenOpts(t.TempDir(), false)
+		opts.Concurrency, opts.FaultSeed, opts.CommitSync = conc, 7, CommitSyncEach
+		db := mustOpen(t, opts)
+		for pid := int64(0); pid < 64; pid++ {
+			writePage(t, db, pid, byte(pid+1))
+		}
+		killForTest(db)
+
+		opts.OpenExisting = true
+		db2 := mustOpen(t, opts)
+		for pid := int64(0); pid < 64; pid++ {
+			wantFill(t, db2, pid, byte(pid+1), "after kill+reopen under FaultSeed")
+		}
+		db2.Close()
+	}
+}
+
 // TestReopenAfterClose pins that a cleanly closed directory also reopens.
 func TestReopenAfterClose(t *testing.T) {
 	dir := t.TempDir()
