@@ -76,6 +76,11 @@ go test -race -run 'GroupCommitter' ./internal/wal
 go test -race ./internal/netproto ./cmd/bpeserve
 go test -race -short ./internal/loadbench
 
+echo "== the benchmark's own tests, under the driver's file size limit (generator, manifest, -quick smoke of the real command) =="
+# bench/ is its own module, so `go test ./...` above never runs it. A facade
+# change that breaks the benchmark, or a file that outgrows the limit, fails here.
+( ulimit -f 16384; cd bench && go test ./... )
+
 echo "== golden determinism (each pair of runs must be byte-identical) =="
 go build -o /tmp/bpesim-ci ./cmd/bpesim
 # id | flags of run A | flags of run B | experiments

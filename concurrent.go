@@ -20,7 +20,10 @@ import (
 // contiguous partitions (P = Options.Concurrency on the file backend, always
 // 1 on the simulated backend); each partition is a complete single-threaded
 // engine — its own simulation environment, buffer pool, SSD-manager region
-// and WAL slice — serialized by a per-partition mutex. Operations on
+// and WAL slice — serialized by a per-partition mutex. An operation's body
+// is a simulation process (it keeps its *sim.Proc signature) that the caller
+// runs on its own goroutine through partition.do: no goroutine is started
+// and nothing is handed between threads per operation. Operations on
 // different partitions run genuinely in parallel: LRU-2 victim selection,
 // SSD admission/eviction (CW/DW/LC/TAC) and WAL appends are all
 // partition-local. On the file backend two layers cut across partitions:
@@ -29,8 +32,8 @@ import (
 //     first tries the pool's copy-out (bufpool.ReadLatched), which serves
 //     resident pages WITHOUT the partition mutex — point reads of hot pages
 //     scale with stripes, not with partitions. The simulated partition's
-//     pool is unstriped, so there every read takes the mutex and the
-//     hand-off, charging CPU and advancing the virtual clock.
+//     pool is unstriped, so there every read takes the mutex, charging CPU
+//     and advancing the virtual clock.
 //   - Group commit: commit durability requests from all partitions feed one
 //     wal.GroupCommitter that coalesces them into single fsyncs of the
 //     shared log file (Options.CommitSync / GroupCommitMaxDelay / MaxBatch).
@@ -80,28 +83,45 @@ const poolStripesPerPartition = 16
 // across partitions.
 const walPagesTotal = 1 << 20
 
+// fileOpTick is the virtual time one facade operation costs a file-backed
+// partition. There the engine charges no CPU time and device.File completes
+// inside the syscall, so nothing else ever moves the partition's clock — and
+// the lazy cleaner's poll, the periodic checkpointer and the scrubber are
+// all paced by it: CheckpointInterval = 500 ms means every 500 operations.
+const fileOpTick = time.Millisecond
+
 // partition is one page-range shard of a DB: a complete single-threaded
 // engine serialized by mu.
 type partition struct {
 	mu   sync.Mutex
 	env  *sim.Env
 	eng  *engine.Engine
-	base int64 // first global page id
-	n    int64 // page count
+	base int64         // first global page id
+	n    int64         // page count
+	tick time.Duration // fileOpTick on the file backend; 0 on the simulated one, whose devices and CPU model move the clock
 }
 
-// do runs fn as a process on the partition's environment and drives it to
-// completion. Callers must hold pt.mu.
+// run is do under the partition mutex. The mutex is released by defer: the
+// body may call the caller's own code (an Update mutation, a Scan callback)
+// and runs on the caller's goroutine, so a panic there unwinds through here.
+func (pt *partition) run(name string, fn func(p *sim.Proc) error) error {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	return pt.do(name, fn)
+}
+
+// do runs fn as a process of the partition's environment on the calling
+// goroutine (sim.Env.Call): the caller executes the body and, where the body
+// waits, dispatches the partition's pending events — device completions,
+// the cleaner, the checkpointer — itself. Callers must hold pt.mu.
 func (pt *partition) do(name string, fn func(p *sim.Proc) error) error {
 	var err error
-	done := false
-	pt.env.Go(name, func(p *sim.Proc) {
+	pt.env.Call(name, func(p *sim.Proc) {
 		err = fn(p)
-		done = true
+		if pt.tick > 0 {
+			p.Sleep(pt.tick)
+		}
 	})
-	for !done {
-		pt.env.Run(pt.env.Now() + time.Millisecond)
-	}
 	return err
 }
 
@@ -187,6 +207,7 @@ func (db *DB) openPartitions(cfg engine.Config, dbFile, ssdFile, logFile *device
 		if dbFile == nil {
 			pt.eng = engine.New(pt.env, pcfg)
 		} else {
+			pt.tick = fileOpTick
 			dbSlice, err := dbFile.Slice(device.PageNum(base), device.PageNum(n))
 			if err != nil {
 				return err
@@ -273,10 +294,8 @@ func (db *DB) Read(pid int64, buf []byte) (int, error) {
 		db.latched.Add(1)
 		return n, nil
 	}
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
 	n := 0
-	err := pt.do("read", func(p *sim.Proc) error {
+	err := pt.run("read", func(p *sim.Proc) error {
 		f, err := pt.eng.Get(p, page.ID(local))
 		if err != nil {
 			return err
@@ -297,15 +316,13 @@ func (db *DB) Update(pid int64, fn func(payload []byte)) error {
 		return err
 	}
 	pt, local := db.partOf(pid)
-	pt.mu.Lock()
-	err := pt.do("update", func(p *sim.Proc) error {
+	err := pt.run("update", func(p *sim.Proc) error {
 		tx := pt.eng.Begin()
 		if err := pt.eng.Update(p, tx, page.ID(local), fn); err != nil {
 			return err
 		}
 		return pt.eng.Commit(p, tx)
 	})
-	pt.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -338,8 +355,7 @@ func (db *DB) Scan(start int64, n int, fn func(pid int64, payload []byte) error)
 		if rest := start + int64(n) - pid; rest < count {
 			count = rest
 		}
-		pt.mu.Lock()
-		err := pt.do("scan", func(p *sim.Proc) error {
+		err := pt.run("scan", func(p *sim.Proc) error {
 			if err := pt.eng.Scan(p, page.ID(local), int(count)); err != nil {
 				return err
 			}
@@ -357,7 +373,6 @@ func (db *DB) Scan(start int64, n int, fn func(pid int64, payload []byte) error)
 			}
 			return nil
 		})
-		pt.mu.Unlock()
 		if err != nil {
 			return err
 		}
@@ -373,9 +388,7 @@ func (db *DB) eachPartition(name string, fn func(pt *partition, p *sim.Proc) err
 		return ErrClosed
 	}
 	for _, pt := range db.parts {
-		pt.mu.Lock()
-		err := pt.do(name, func(p *sim.Proc) error { return fn(pt, p) })
-		pt.mu.Unlock()
+		err := pt.run(name, func(p *sim.Proc) error { return fn(pt, p) })
 		if err != nil {
 			return err
 		}

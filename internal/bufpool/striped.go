@@ -172,7 +172,9 @@ func (p *Pool) ReadLatched(id page.ID, dst []byte) (int, bool) {
 
 // MutateFrame applies fn to f's payload. In striped mode the write happens
 // under the frame's exclusive stripe latch, so latched readers never see a
-// torn payload; in single-latch mode it is a direct call.
+// torn payload; in single-latch mode it is a direct call. fn is the DB
+// caller's code, run on the caller's goroutine: the latch is released by
+// defer so that its panic does not wedge the stripe.
 func (p *Pool) MutateFrame(f *Frame, fn func(payload []byte)) {
 	if p.stripes == nil {
 		fn(f.Pg.Payload)
@@ -180,8 +182,8 @@ func (p *Pool) MutateFrame(f *Frame, fn func(payload []byte)) {
 	}
 	s := p.stripeOf(f.Pg.ID)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	fn(f.Pg.Payload)
-	s.mu.Unlock()
 }
 
 // drainTouches replays buffered latched-read accesses into the replacement

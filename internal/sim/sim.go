@@ -1,11 +1,18 @@
 // Package sim implements a small discrete-event simulation (DES) kernel.
 //
 // A simulation is driven by an Env, which owns a virtual clock and an event
-// queue. Simulated activities run as cooperative processes (Proc), each
-// backed by a goroutine. At any instant exactly one goroutine is runnable:
-// either the scheduler (inside Env.Run) or a single process. Control is
-// handed over explicitly, so simulations are fully deterministic for a fixed
-// sequence of process actions.
+// queue. Simulated activities run as cooperative processes (Proc). A process
+// started with Env.Go is backed by a goroutine of its own; at any instant
+// exactly one goroutine is runnable: either the scheduler (inside Env.Run) or
+// a single process. Control is handed over explicitly, so simulations are
+// fully deterministic for a fixed sequence of process actions.
+//
+// Env.Call is the other way to run a process: on the goroutine that calls
+// it, with no goroutine, channel or allocation of its own. That process is
+// the scheduler — where a Go process would park, it dispatches the pending
+// events itself until one of them wakes it — so one synchronous request can
+// be served as a process by the thread that brought it, with the background
+// processes of the environment driven from the same loop.
 //
 // Processes block by calling Proc.Sleep, by waiting on a Signal, or by
 // acquiring a Resource. While a process is blocked, virtual time advances to
@@ -24,6 +31,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -36,10 +44,11 @@ var ErrStopped = errors.New("sim: environment stopped")
 type Env struct {
 	now     time.Duration
 	seq     uint64
-	until   time.Duration // current Run's limit; only meaningful while running
+	until   time.Duration // how far a Sleep may advance the clock inline (< 0: no limit); only meaningful while running
 	events  calQueue      // see queue.go
 	yield   chan struct{} // handed back by a process the scheduler resumed
-	cur     *Proc         // the process whose goroutine is running; nil = the scheduler
+	cur     *Proc         // the goroutine-backed process that is running; nil = the scheduler
+	caller  Proc          // the process Call runs on its caller's goroutine (reused)
 	awaits  []*awaiter    // free list of Await call states (see task.go)
 	live    map[*Proc]struct{}
 	stopped bool
@@ -60,11 +69,13 @@ const defaultInlineLimit = 256
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	return &Env{
+	e := &Env{
 		yield:       make(chan struct{}),
 		live:        make(map[*Proc]struct{}),
 		inlineLimit: defaultInlineLimit,
 	}
+	e.caller.env = e
+	return e
 }
 
 // Dispatched returns the number of logical events processed so far: queue
@@ -96,9 +107,13 @@ func (e *Env) Now() time.Duration { return e.now }
 // process function; sharing a Proc across goroutines is a bug.
 type Proc struct {
 	env    *Env
-	resume chan struct{}
+	resume chan struct{} // nil for Env.caller, which has no goroutine to resume
 	name   string
 	done   *Signal
+
+	// woken is how Env.caller is resumed: the dispatch of its wakeup event,
+	// or an Await completion, sets it and the wait loop in park returns.
+	woken bool
 
 	// back is where the process hands control when it next parks or exits:
 	// nil means the scheduler (Env.yield); an Await completion that ran on
@@ -115,7 +130,12 @@ func (p *Proc) Name() string { return p.name }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.now }
 
+// isCaller reports whether p is the process Env.Call runs on its caller's
+// goroutine, which is resumed by its woken flag instead of a channel.
+func (p *Proc) isCaller() bool { return p == &p.env.caller }
+
 // Done returns a Signal that is broadcast when the process function returns.
+// A process run by Env.Call has none (nil): Call returning is its completion.
 func (p *Proc) Done() *Signal { return p.done }
 
 // schedule enqueues a wakeup for p at time at.
@@ -138,7 +158,6 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	p.done = NewSignal(e)
 	e.live[p] = struct{}{}
 	go func() {
-		reserveStack()
 		<-p.resume
 		// The cleanup is deferred so the scheduler gets its handoff even if
 		// fn unwinds via runtime.Goexit (e.g. t.Fatal inside a process).
@@ -164,33 +183,98 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// procStackBytes is the stack a new process goroutine grows to before it
-// first runs.
-const procStackBytes = 6 << 10
-
-// reserveStack grows the calling goroutine's stack past procStackBytes while
-// it is still empty, when the runtime's grow-by-copying costs nothing.
-// Await runs continuation chains on the process's stack, and their depth is
-// the sum of every stage that completes inline (claim → evict → WAL force →
-// SSD write → disk read); a fresh goroutine's 2 KB would otherwise be
-// regrown, full of frames to relocate, in the middle of each operation —
-// once per facade operation, since partition.do spawns a process for each.
-//
-//go:noinline
-func reserveStack() {
-	var pad [procStackBytes]byte
-	keepFrame(&pad)
+// Call runs fn as a process on the calling goroutine and returns when fn
+// has returned and every event due at that instant has been dispatched. The
+// process is the scheduler: it starts at once (no spawn event), and where a
+// Go process would park and hand control back, it dispatches the pending
+// events itself until one wakes it. The clock moves only as far as fn's own
+// waits take it, and everything else in the queue stays for the next Call or
+// Run. Call may not be nested in Run or in another Call.
+func (e *Env) Call(name string, fn func(p *Proc)) {
+	if e.stopped {
+		panic("sim: Call after environment stopped")
+	}
+	if e.running {
+		panic("sim: Call inside Run or another Call")
+	}
+	e.running = true
+	// Deferred so that a panic in fn (a caller's own closure, run on the
+	// caller's goroutine) leaves an environment that can be called again.
+	defer func() { e.running, e.inlineDepth = false, 0 }()
+	e.until = -1 // no limit while the calling process itself runs
+	p := &e.caller
+	p.name, p.woken = name, false
+	fn(p)
+	// A body that never waited, or whose last wakeup spawned work, leaves
+	// events due now (a woken cleaner, an eviction's write-behind): run them,
+	// as Run(now) would.
+	for e.step(e.now) {
+	}
 }
 
-// keepFrame stops the compiler from eliding reserveStack's frame.
-//
-//go:noinline
-func keepFrame(*[procStackBytes]byte) {}
+// dispatch pops ev, the head of the queue, and runs it: a continuation is
+// called, a goroutine-backed process is resumed and waited for, and the
+// calling process (Env.caller) is only marked woken — it is the one
+// dispatching.
+func (e *Env) dispatch(ev event) {
+	e.events.pop()
+	e.now = ev.at
+	e.dispatched++
+	if e.onDispatch != nil {
+		e.onDispatch(ev.at, ev.seq)
+	}
+	switch {
+	case ev.fn != nil:
+		// Run-to-completion continuation: a direct call on this
+		// goroutine, no handoff.
+		ev.fn()
+	case ev.proc.isCaller():
+		ev.proc.woken = true
+	default:
+		e.cur = ev.proc
+		ev.proc.resume <- struct{}{}
+		<-e.yield
+		e.cur = nil
+	}
+}
+
+// step dispatches the next event if it is due by limit and reports whether
+// it did. It is the calling process's scheduler step (its wait loop, and the
+// drain that ends Call), so until is bounded to the event's own time:
+// nothing the event runs may sleep inline past that instant. With no limit
+// and nothing else queued, a lone periodic poller would find its next wakeup
+// "provably next" every time and spin the clock forever while the calling
+// process waits.
+func (e *Env) step(limit time.Duration) bool {
+	ev, ok := e.events.peek()
+	if !ok || ev.at > limit {
+		return false
+	}
+	e.until = ev.at
+	e.dispatch(ev)
+	return true
+}
+
+// wait is park for the calling process: dispatch events until one wakes it,
+// then lift the limit again for as long as the process itself runs.
+func (e *Env) wait(p *Proc) {
+	for !p.woken {
+		if !e.step(math.MaxInt64) {
+			panic(fmt.Sprintf("sim: process %q waits with no event pending (deadlock)", p.name))
+		}
+	}
+	p.woken = false
+	e.until = -1
+}
 
 // park blocks the calling process until the scheduler resumes it. The caller
 // must have already arranged for a wakeup (a scheduled event, or membership
 // in some wait list that another process will signal).
 func (p *Proc) park() {
+	if p.isCaller() {
+		p.env.wait(p)
+		return
+	}
 	p.handBack()
 	<-p.resume
 	if p.env.stopped {
@@ -254,22 +338,7 @@ func (e *Env) Run(until time.Duration) time.Duration {
 			e.now = until
 			return e.now
 		}
-		e.events.pop()
-		e.now = ev.at
-		e.dispatched++
-		if e.onDispatch != nil {
-			e.onDispatch(ev.at, ev.seq)
-		}
-		if ev.fn != nil {
-			// Run-to-completion continuation: a direct call on this
-			// goroutine, no handoff.
-			ev.fn()
-			continue
-		}
-		e.cur = ev.proc
-		ev.proc.resume <- struct{}{}
-		<-e.yield
-		e.cur = nil
+		e.dispatch(ev)
 	}
 	if until > e.now {
 		e.now = until

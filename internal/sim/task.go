@@ -204,6 +204,13 @@ func (a *awaiter) done(err error) {
 	if !parked {
 		return // inside start: Await returns without parking
 	}
+	if a.p.isCaller() {
+		// The calling process is the scheduler, waiting in its dispatch loop
+		// below this continuation (or below the process this continuation
+		// runs on): it resumes when control unwinds to that loop.
+		a.p.woken = true
+		return
+	}
 	// Wake p the way Run dispatches a process event, except that the waker
 	// may itself be a process (a task chain continued on a recovery
 	// process's goroutine): then the scheduler is already waiting on

@@ -135,9 +135,11 @@ type Options struct {
 	GroupClean    int
 	DirtyFraction float64
 
-	// CheckpointInterval enables periodic sharp checkpoints (virtual time
-	// in the simulated backend). 0 disables them; Checkpoint may always be
-	// called explicitly.
+	// CheckpointInterval enables periodic sharp checkpoints, measured on
+	// the partition's virtual clock (see Stats.VirtualTime): simulated time
+	// on the simulated backend; on the file backend one millisecond per
+	// operation on the partition, so 500ms means every 500 operations. 0
+	// disables them; Checkpoint may always be called explicitly.
 	CheckpointInterval time.Duration
 	// FuzzyCheckpoints makes checkpoints record the redo horizon without
 	// flushing pages: nearly free, but recovery replays more of the log.
@@ -490,7 +492,14 @@ type Stats struct {
 	SSDReads    int64 // SSD device read I/Os
 	SSDWrites   int64
 	Checkpoints int64
-	VirtualTime time.Duration // simulated backend only
+	// VirtualTime is the furthest any partition's clock has advanced. On the
+	// simulated backend that is model time: the CPU charged per access plus
+	// the simulated devices' service and queueing times (a pool hit costs
+	// exactly the CPU charge, Idle(d) exactly d). On the file backend
+	// nothing is simulated, and the clock only paces background work — the
+	// lazy cleaner, periodic checkpoints, the scrubber: every operation on
+	// a partition advances it one millisecond, Idle(d) by d more.
+	VirtualTime time.Duration
 
 	Partitions   int   // page-range partitions the backend runs (1 on the simulated backend)
 	LatchedReads int64 // reads served by the striped-latch fast path (no partition lock); file backend only

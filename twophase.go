@@ -1,9 +1,10 @@
 package turbobp
 
 import (
+	"cmp"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 
 	"turbobp/internal/page"
@@ -186,10 +187,10 @@ func (tx *Tx) Commit() error {
 	}
 	parts := make([]*participant, 0, len(byPart))
 	for _, pc := range byPart {
-		sort.Slice(pc.local, func(i, j int) bool { return pc.local[i] < pc.local[j] })
+		slices.Sort(pc.local)
 		parts = append(parts, pc)
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].pt.base < parts[j].pt.base })
+	slices.SortFunc(parts, func(a, b *participant) int { return cmp.Compare(a.pt.base, b.pt.base) })
 
 	if err := db.txCommitLocked(parts); err != nil {
 		return err
