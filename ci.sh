@@ -64,6 +64,7 @@ go test -race $short ./...
 echo "== benchmark smoke (1 iteration each, allocs reported) =="
 go test -run '^$' -bench 'BenchmarkGetHit|BenchmarkGetMiss|BenchmarkUpdateCommit|BenchmarkGroupClean|BenchmarkTableChurn|BenchmarkMapChurn|BenchmarkSchedulerCalendar|BenchmarkSchedulerHeap|BenchmarkPolicy|BenchmarkSketch' \
   -benchtime=1x -benchmem .
+go test -run '^$' -bench ProcSwitch -benchtime=1x -benchmem ./internal/sim
 
 echo "== sharded kernel race tests (shards=4 widths under the race detector) =="
 go test -race -run 'Cluster|Shard' ./internal/sim ./internal/engine ./internal/ssd ./internal/harness
@@ -83,11 +84,14 @@ echo "== the benchmark's own tests, under the driver's file size limit (generato
 
 echo "== golden determinism (each pair of runs must be byte-identical) =="
 go build -o /tmp/bpesim-ci ./cmd/bpesim
+# Each run prints its wall seconds: the harness time budget (ROADMAP 8(e)),
+# visible per commit.
+TIMEFORMAT='   wall: %1R s'
 # id | flags of run A | flags of run B | experiments
 while IFS='|' read -r id a b exps; do
   echo "-- $id: bpesim $a $exps  vs  bpesim $b $exps"
-  /tmp/bpesim-ci $a $exps > "/tmp/bpesim-ci-$id-a.out" 2>/dev/null
-  /tmp/bpesim-ci $b $exps > "/tmp/bpesim-ci-$id-b.out" 2>/dev/null
+  time /tmp/bpesim-ci $a $exps > "/tmp/bpesim-ci-$id-a.out" 2>/dev/null
+  time /tmp/bpesim-ci $b $exps > "/tmp/bpesim-ci-$id-b.out" 2>/dev/null
   cmp "/tmp/bpesim-ci-$id-a.out" "/tmp/bpesim-ci-$id-b.out"
 done <<'TABLE'
 all|-divisor 8192 -parallel 1|-divisor 8192 -parallel 4|all

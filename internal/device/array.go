@@ -71,6 +71,16 @@ func (a *Array) split(page PageNum, bufs [][]byte) []run {
 	return runs
 }
 
+// runTask issues one run to its member disk.
+func (a *Array) runTask(t *sim.Task, r run, write bool, k func(error)) {
+	d := a.disks[r.disk]
+	if write {
+		d.WriteTask(t, r.local, r.bufs, k)
+		return
+	}
+	d.ReadTask(t, r.local, r.bufs, k)
+}
+
 // doTask serves one request: range check, stats accounting, splitting into
 // per-disk runs and a parallel fan-out joined before k. Single-stripe
 // requests (every single-page I/O) forward straight to the member disk,
@@ -91,22 +101,14 @@ func (a *Array) doTask(t *sim.Task, page PageNum, bufs [][]byte, write bool, k f
 		a.stats.ReadOps.Add(1)
 		a.stats.ReadPages.Add(int64(len(bufs)))
 	}
-	op := func(t *sim.Task, r run, k func(error)) {
-		d := a.disks[r.disk]
-		if write {
-			d.WriteTask(t, r.local, r.bufs, k)
-			return
-		}
-		d.ReadTask(t, r.local, r.bufs, k)
-	}
 	if int(a.stripeUnit-page%a.stripeUnit) >= len(bufs) {
 		disk, local := a.locate(page)
-		op(t, run{disk: disk, local: local, bufs: bufs}, k)
+		a.runTask(t, run{disk: disk, local: local, bufs: bufs}, write, k)
 		return
 	}
 	runs := a.split(page, bufs)
 	if len(runs) == 1 {
-		op(t, runs[0], k)
+		a.runTask(t, runs[0], write, k)
 		return
 	}
 	// Fan the runs out to their disks in parallel and join.
@@ -116,7 +118,7 @@ func (a *Array) doTask(t *sim.Task, page PageNum, bufs [][]byte, write bool, k f
 	for _, r := range runs {
 		r := r
 		a.env.Spawn("array-io", func(child *sim.Task) {
-			op(child, r, func(err error) {
+			a.runTask(child, r, write, func(err error) {
 				if err != nil && firstErr == nil {
 					firstErr = err
 				}

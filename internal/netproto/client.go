@@ -1,6 +1,7 @@
 package netproto
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -24,8 +25,10 @@ import (
 type Client struct {
 	cfg  ClientConfig
 	conn net.Conn
-	rng  uint64 // splitmix64 state for backoff jitter
+	br   *bufio.Reader // over conn, so a response is one read; reset on reconnect
+	rng  uint64        // splitmix64 state for backoff jitter
 
+	frame []byte   // request header + data, so a request is one write (one TCP segment); reused
 	resp  Response // scratch, reused across Do calls
 	stats ClientStats
 }
@@ -97,7 +100,7 @@ var ErrRetriesExhausted = errors.New("netproto: retries exhausted")
 // reconnect budget.
 func Dial(cfg ClientConfig) (*Client, error) {
 	cfg.defaults()
-	c := &Client{cfg: cfg, rng: cfg.Seed}
+	c := &Client{cfg: cfg, rng: cfg.Seed, br: bufio.NewReader(nil)}
 	if err := c.reconnect(); err != nil {
 		return nil, err
 	}
@@ -137,6 +140,7 @@ func (c *Client) reconnect() error {
 		conn, err := net.DialTimeout("tcp", c.cfg.Addr, c.cfg.DialTimeout)
 		if err == nil {
 			c.conn = conn
+			c.br.Reset(conn) // drops whatever the dead connection left unread
 			return nil
 		}
 		lastErr = err
@@ -204,10 +208,15 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 	} else {
 		c.conn.SetDeadline(time.Time{})
 	}
-	if err := WriteRequest(c.conn, req); err != nil {
+	hdr, err := req.header()
+	if err != nil {
 		return nil, err
 	}
-	if err := ReadResponse(c.conn, &c.resp); err != nil {
+	c.frame = append(append(c.frame[:0], hdr...), req.Data...)
+	if _, err := c.conn.Write(c.frame); err != nil {
+		return nil, err
+	}
+	if err := ReadResponse(c.br, &c.resp); err != nil {
 		return nil, err
 	}
 	return &c.resp, nil

@@ -83,6 +83,9 @@ const MaxScanPages = 1024
 // op(1) page(8) n(4) deadline_ms(4) dlen(4).
 const reqHeader = 21
 
+// respHeader is the fixed response header size: status(1) dlen(4).
+const respHeader = 5
+
 // Request is one client frame.
 // Wire: op(1) page(8) n(4) deadline_ms(4) dlen(4) data(dlen).
 type Request struct {
@@ -94,6 +97,10 @@ type Request struct {
 	// answers StatusDeadline when the budget runs out.
 	DeadlineMS uint32
 	Data       []byte
+
+	// hdr is encode/decode scratch: a local array would escape through the
+	// io interface, one allocation a frame.
+	hdr [reqHeader]byte
 }
 
 // Response is one server frame.
@@ -101,20 +108,32 @@ type Request struct {
 type Response struct {
 	Status byte
 	Data   []byte
+
+	hdr [respHeader]byte // encode/decode scratch, as in Request
 }
 
-// WriteRequest encodes r to w.
-func WriteRequest(w io.Writer, r *Request) error {
+// header checks r.Data against MaxData and encodes the fixed header into
+// r's scratch.
+func (r *Request) header() ([]byte, error) {
 	if len(r.Data) > MaxData {
-		return fmt.Errorf("netproto: request data %d exceeds %d", len(r.Data), MaxData)
+		return nil, fmt.Errorf("netproto: request data %d exceeds %d", len(r.Data), MaxData)
 	}
-	var hdr [reqHeader]byte
+	hdr := r.hdr[:]
 	hdr[0] = r.Op
 	binary.LittleEndian.PutUint64(hdr[1:9], uint64(r.Page))
 	binary.LittleEndian.PutUint32(hdr[9:13], uint32(r.N))
 	binary.LittleEndian.PutUint32(hdr[13:17], r.DeadlineMS)
 	binary.LittleEndian.PutUint32(hdr[17:21], uint32(len(r.Data)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	return hdr, nil
+}
+
+// WriteRequest encodes r to w.
+func WriteRequest(w io.Writer, r *Request) error {
+	hdr, err := r.header()
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if len(r.Data) > 0 {
@@ -129,7 +148,7 @@ func WriteRequest(w io.Writer, r *Request) error {
 // capacity. io.EOF comes back unchanged on a clean end of stream. The
 // claimed data length is validated against MaxData before any allocation.
 func ReadRequest(r io.Reader, req *Request) error {
-	var hdr [reqHeader]byte
+	hdr := req.hdr[:]
 	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return err // io.EOF = clean close between frames
 	}
@@ -158,10 +177,10 @@ func WriteResponse(w io.Writer, resp *Response) error {
 	if len(resp.Data) > MaxData {
 		return fmt.Errorf("netproto: response data %d exceeds %d", len(resp.Data), MaxData)
 	}
-	var hdr [5]byte
+	hdr := resp.hdr[:]
 	hdr[0] = resp.Status
 	binary.LittleEndian.PutUint32(hdr[1:5], uint32(len(resp.Data)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if len(resp.Data) > 0 {
@@ -176,8 +195,8 @@ func WriteResponse(w io.Writer, resp *Response) error {
 // capacity. The claimed data length is validated against MaxData before
 // any allocation.
 func ReadResponse(r io.Reader, resp *Response) error {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := resp.hdr[:]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return fmt.Errorf("netproto: short response header: %w", err)
 	}
 	resp.Status = hdr[0]

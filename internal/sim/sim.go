@@ -2,13 +2,17 @@
 //
 // A simulation is driven by an Env, which owns a virtual clock and an event
 // queue. Simulated activities run as cooperative processes (Proc). A process
-// started with Env.Go is backed by a goroutine of its own; at any instant
-// exactly one goroutine is runnable: either the scheduler (inside Env.Run) or
-// a single process. Control is handed over explicitly, so simulations are
-// fully deterministic for a fixed sequence of process actions.
+// started with Env.Go is a coroutine (coro.go): it has a goroutine of its
+// own, but whoever resumes it — the scheduler inside Env.Run or Env.Call,
+// or an Await completion — switches to it directly and is switched back to
+// when the process next parks or exits, with no run queue, channel or thread
+// wake-up in between. At any instant exactly one goroutine runs, so
+// simulations are fully deterministic for a fixed sequence of process
+// actions. A panic in a process, or a runtime.Goexit (t.Fatal), surfaces on
+// the goroutine that resumed it, out of Run or Call.
 //
 // Env.Call is the other way to run a process: on the goroutine that calls
-// it, with no goroutine, channel or allocation of its own. That process is
+// it, with no goroutine, coroutine or allocation of its own. That process is
 // the scheduler — where a Go process would park, it dispatches the pending
 // events itself until one of them wakes it — so one synchronous request can
 // be served as a process by the thread that brought it, with the background
@@ -19,7 +23,7 @@
 // the next scheduled event. Virtual time never advances while a process is
 // running: computation is free unless a process explicitly sleeps.
 //
-// Code that must not pay a goroutine handoff per wakeup is written in the
+// Code that must not pay a goroutine switch per wakeup is written in the
 // run-to-completion form instead (Task, see task.go): the same blocking
 // points as explicit continuations, called directly by the scheduler. Every
 // engine, SSD-manager, WAL and device operation has exactly one body, in
@@ -46,8 +50,6 @@ type Env struct {
 	seq     uint64
 	until   time.Duration // how far a Sleep may advance the clock inline (< 0: no limit); only meaningful while running
 	events  calQueue      // see queue.go
-	yield   chan struct{} // handed back by a process the scheduler resumed
-	cur     *Proc         // the goroutine-backed process that is running; nil = the scheduler
 	caller  Proc          // the process Call runs on its caller's goroutine (reused)
 	awaits  []*awaiter    // free list of Await call states (see task.go)
 	live    map[*Proc]struct{}
@@ -70,7 +72,6 @@ const defaultInlineLimit = 256
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
 	e := &Env{
-		yield:       make(chan struct{}),
 		live:        make(map[*Proc]struct{}),
 		inlineLimit: defaultInlineLimit,
 	}
@@ -106,19 +107,19 @@ func (e *Env) Now() time.Duration { return e.now }
 // Proc is a simulated process. A Proc may only be used from within its own
 // process function; sharing a Proc across goroutines is a bug.
 type Proc struct {
-	env    *Env
-	resume chan struct{} // nil for Env.caller, which has no goroutine to resume
-	name   string
-	done   *Signal
+	env  *Env
+	name string
+	done *Signal
+
+	// The coroutine behind a Go process (see coro.go): next switches to it
+	// and returns when it next parks or exits; yield, called by the process,
+	// is that park. Both are nil for Env.caller, which has no goroutine.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	// woken is how Env.caller is resumed: the dispatch of its wakeup event,
 	// or an Await completion, sets it and the wait loop in park returns.
 	woken bool
-
-	// back is where the process hands control when it next parks or exits:
-	// nil means the scheduler (Env.yield); an Await completion that ran on
-	// another process's goroutine points it at that process instead.
-	back chan struct{}
 }
 
 // Env returns the environment the process belongs to.
@@ -131,7 +132,7 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() time.Duration { return p.env.now }
 
 // isCaller reports whether p is the process Env.Call runs on its caller's
-// goroutine, which is resumed by its woken flag instead of a channel.
+// goroutine, which is resumed by its woken flag instead of a switch.
 func (p *Proc) isCaller() bool { return p == &p.env.caller }
 
 // Done returns a Signal that is broadcast when the process function returns.
@@ -154,31 +155,29 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	if e.stopped {
 		panic("sim: Go after environment stopped")
 	}
-	p := &Proc{env: e, resume: make(chan struct{}), name: name}
+	p := &Proc{env: e, name: name}
 	p.done = NewSignal(e)
 	e.live[p] = struct{}{}
-	go func() {
-		<-p.resume
-		// The cleanup is deferred so the scheduler gets its handoff even if
-		// fn unwinds via runtime.Goexit (e.g. t.Fatal inside a process).
+	p.start(func() {
+		// Deferred so the process is accounted for however fn unwinds: a
+		// return, ErrStopped, a panic, or runtime.Goexit (t.Fatal inside a
+		// process). The last two then surface in whoever resumed it.
 		defer func() {
 			delete(e.live, p)
 			if !e.stopped {
 				p.done.Broadcast()
 			}
-			p.handBack()
 		}()
-		if !e.stopped {
-			func() {
-				defer func() {
-					if r := recover(); r != nil && r != ErrStopped { //nolint:errorlint
-						panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
-					}
-				}()
-				fn(p)
-			}()
+		if e.stopped {
+			return // never dispatched: Shutdown is resuming it only to end it
 		}
-	}()
+		defer func() {
+			if r := recover(); r != nil && r != ErrStopped { //nolint:errorlint
+				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+			}
+		}()
+		fn(p)
+	})
 	e.schedule(e.now, p)
 	return p
 }
@@ -213,7 +212,7 @@ func (e *Env) Call(name string, fn func(p *Proc)) {
 }
 
 // dispatch pops ev, the head of the queue, and runs it: a continuation is
-// called, a goroutine-backed process is resumed and waited for, and the
+// called, a Go process is switched to until it next parks or exits, and the
 // calling process (Env.caller) is only marked woken — it is the one
 // dispatching.
 func (e *Env) dispatch(ev event) {
@@ -226,15 +225,12 @@ func (e *Env) dispatch(ev event) {
 	switch {
 	case ev.fn != nil:
 		// Run-to-completion continuation: a direct call on this
-		// goroutine, no handoff.
+		// goroutine, no switch.
 		ev.fn()
 	case ev.proc.isCaller():
 		ev.proc.woken = true
 	default:
-		e.cur = ev.proc
-		ev.proc.resume <- struct{}{}
-		<-e.yield
-		e.cur = nil
+		ev.proc.next()
 	}
 }
 
@@ -267,30 +263,20 @@ func (e *Env) wait(p *Proc) {
 	e.until = -1
 }
 
-// park blocks the calling process until the scheduler resumes it. The caller
-// must have already arranged for a wakeup (a scheduled event, or membership
-// in some wait list that another process will signal).
+// park blocks the calling process until it is resumed, switching back to
+// whoever resumed it last: the scheduler, or the process on whose goroutine
+// its Await completion ran. The caller must have already arranged for a
+// wakeup (a scheduled event, or membership in some wait list that another
+// process will signal).
 func (p *Proc) park() {
 	if p.isCaller() {
 		p.env.wait(p)
 		return
 	}
-	p.handBack()
-	<-p.resume
+	p.yield(struct{}{})
 	if p.env.stopped {
 		panic(ErrStopped)
 	}
-}
-
-// handBack returns control to whoever resumed p: the scheduler, or the
-// process on whose goroutine p's Await completion ran.
-func (p *Proc) handBack() {
-	back := p.back
-	p.back = nil
-	if back == nil {
-		back = p.env.yield
-	}
-	back <- struct{}{}
 }
 
 // Sleep blocks the process for d of virtual time. Negative durations sleep
@@ -304,7 +290,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	// Fast path: if this wakeup would be the very next dispatch — it strictly
 	// precedes every pending event (a tie loses, FIFO) and the Run limit does
 	// not cut it off — no other process can run in between, so advance the
-	// clock and keep going, skipping the park and its two scheduler handoffs.
+	// clock and keep going, skipping the park and its two goroutine switches.
 	// Dispatch order is identical either way.
 	if e.running && (e.until < 0 || at <= e.until) {
 		if ev, ok := e.events.peek(); !ok || at < ev.at {
@@ -331,7 +317,9 @@ func (e *Env) Run(until time.Duration) time.Duration {
 	}
 	e.running = true
 	e.until = until
-	defer func() { e.running = false }()
+	// Deferred, as in Call: a process's panic comes out of Run, and the
+	// environment must be runnable (or Shutdown) after it.
+	defer func() { e.running, e.inlineDepth = false, 0 }()
 	for e.events.size > 0 {
 		ev, _ := e.events.peek()
 		if until >= 0 && ev.at > until {
@@ -353,10 +341,11 @@ func (e *Env) Idle() bool { return e.events.size == 0 }
 // yet returned.
 func (e *Env) Live() int { return len(e.live) }
 
-// Shutdown terminates every live process by unwinding it with ErrStopped the
-// next time it would run, then drains the goroutines. After Shutdown the
-// environment cannot be reused. It is safe to call Shutdown on an
-// environment with no live processes.
+// Shutdown terminates every live process by resuming it once more: a parked
+// process unwinds with ErrStopped, one that never started returns without
+// running its function, and either way its goroutine has exited when the
+// resume returns. After Shutdown the environment cannot be reused. It is
+// safe to call Shutdown on an environment with no live processes.
 func (e *Env) Shutdown() {
 	if e.stopped {
 		return
@@ -364,8 +353,7 @@ func (e *Env) Shutdown() {
 	e.stopped = true
 	e.events.reset()
 	for p := range e.live {
-		p.resume <- struct{}{}
-		<-e.yield
+		p.next()
 	}
 	if len(e.live) != 0 {
 		panic("sim: processes survived shutdown")

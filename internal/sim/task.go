@@ -7,10 +7,10 @@ import "time"
 //
 // A Task never blocks — where a Proc would park its goroutine, task-form
 // code passes an explicit continuation that the scheduler later calls
-// directly on its own goroutine. That removes the two channel handoffs a
-// Proc pays per wakeup, which dominate the cost of simulating an I/O-bound
-// workload. It is the form every engine, SSD-manager, WAL and device
-// operation is written in, once.
+// directly on its own goroutine. That removes the two goroutine switches a
+// Proc pays per wakeup (a few hundred nanoseconds against a function call),
+// which add up in an I/O-bound workload. It is the form every engine,
+// SSD-manager, WAL and device operation is written in, once.
 //
 // Task primitives consume scheduler sequence numbers exactly as the
 // blocking ones do (Spawn like Go, the Sleep slow path like Sleep's
@@ -153,10 +153,10 @@ const (
 // the error start's completion was called with, once it has been. When done
 // runs before start returns (a pool hit, an idle device whose service time
 // elapses inline) the process never parks. Otherwise it parks, and done —
-// called later from some continuation — hands control straight to the
-// process, exactly as the scheduler does when it dispatches a process
-// wakeup, and takes it back when the process next parks or exits. Either
-// way Await itself schedules nothing: no event, no sequence number, so the
+// called later from some continuation — switches straight to the process,
+// exactly as the scheduler does when it dispatches a process wakeup, and
+// returns when the process next parks or exits. Either way Await itself
+// schedules nothing: no event, no sequence number, so the
 // dispatch trace is the one start's own waits produce. done must be called
 // exactly once; start is only called, never retained.
 //
@@ -211,21 +211,9 @@ func (a *awaiter) done(err error) {
 		a.p.woken = true
 		return
 	}
-	// Wake p the way Run dispatches a process event, except that the waker
-	// may itself be a process (a task chain continued on a recovery
-	// process's goroutine): then the scheduler is already waiting on
-	// Env.yield for that process, so p must hand back on the waker's own
-	// channel — a second receiver on Env.yield could steal the handoff.
-	p := a.p
-	e := p.env
-	waker := e.cur
-	back := e.yield
-	if waker != nil {
-		back = waker.resume
-		p.back = back
-	}
-	e.cur = p
-	p.resume <- struct{}{}
-	<-back
-	e.cur = waker
+	// Resume p the way dispatch resumes a process. When this completion runs
+	// on another process's goroutine (a task chain continued on a recovery
+	// process), the switch simply nests: p runs until it next parks or exits
+	// and control comes back here, on the waker's goroutine.
+	a.p.next()
 }
