@@ -1,31 +1,21 @@
-// Benchmarks regenerating every table and figure of the paper, one
-// testing.B benchmark per artifact, at the fast Bench scale (divisor 8192;
-// use cmd/bpesim for the higher-fidelity default scale). Custom metrics
-// report the paper-comparable quantities — speedups over noSSD, accuracies,
-// IOPS — so `go test -bench=. -benchmem` doubles as a reproduction report.
+// Hot-path microbenchmarks: one-line forwarders to internal/microbench, so
+// `go test -bench . ./` reports them. The paper's tables and figures are
+// printed by cmd/bpesim and pinned by internal/harness's TestGoldenHashes.
 package turbobp
 
 import (
-	"strings"
 	"testing"
 
-	"turbobp/internal/harness"
 	"turbobp/internal/microbench"
-	"turbobp/internal/ssd"
-	"turbobp/internal/workload"
 )
 
-// Hot-path microbenchmarks (see internal/microbench): allocs/op on the
-// steady-state read path must stay at ~0.
+// Engine and SSD-manager paths: allocs/op on the steady-state read path
+// must stay at ~0.
 
 func BenchmarkGetHit(b *testing.B)       { microbench.GetHit(b) }
 func BenchmarkGetMiss(b *testing.B)      { microbench.GetMiss(b) }
 func BenchmarkUpdateCommit(b *testing.B) { microbench.UpdateCommit(b) }
 func BenchmarkGroupClean(b *testing.B)   { microbench.GroupClean(b) }
-
-// Flat-structure pairs (see internal/microbench/flat.go): the pagetab
-// open-addressing table vs the Go map it replaced, and the calendar-queue
-// scheduler vs the reference binary heap.
 
 // Cache-policy hot paths (see internal/microbench/policybench.go): Touch
 // and the Pop+insert eviction cycle per policy, plus the TinyLFU sketch
@@ -42,330 +32,11 @@ func BenchmarkPolicyEvictTinyLFU(b *testing.B) { microbench.PolicyEvictTinyLFU(b
 func BenchmarkSketchIncrement(b *testing.B)    { microbench.SketchIncrement(b) }
 func BenchmarkSketchEstimate(b *testing.B)     { microbench.SketchEstimate(b) }
 
+// Flat-structure pairs (see internal/microbench/flat.go): the pagetab
+// open-addressing table vs the Go map it replaced, and the calendar-queue
+// scheduler vs the reference binary heap.
+
 func BenchmarkTableChurn(b *testing.B)        { microbench.TableChurn(b) }
 func BenchmarkMapChurn(b *testing.B)          { microbench.MapChurn(b) }
 func BenchmarkSchedulerCalendar(b *testing.B) { microbench.SchedulerCalendar(b) }
 func BenchmarkSchedulerHeap(b *testing.B)     { microbench.SchedulerHeap(b) }
-
-var benchScale = harness.Bench
-
-// metricName strips whitespace, which testing.B.ReportMetric rejects.
-func metricName(s string) string {
-	return strings.NewReplacer(" ", "", "(", "", ")", "").Replace(s)
-}
-
-// BenchmarkTable1DeviceIOPS regenerates Table 1: sustainable 8KB IOPS of
-// the calibrated device models.
-func BenchmarkTable1DeviceIOPS(b *testing.B) {
-	var r *harness.Table1Result
-	for i := 0; i < b.N; i++ {
-		r = harness.RunTable1()
-	}
-	b.ReportMetric(r.ArrayRandRead, "hdd-rand-read-iops")
-	b.ReportMetric(r.ArraySeqRead, "hdd-seq-read-iops")
-	b.ReportMetric(r.SSDRandRead, "ssd-rand-read-iops")
-	b.ReportMetric(r.SSDRandWrite, "ssd-rand-write-iops")
-}
-
-// speedupOf extracts one design's speedup for a database label.
-func speedupOf(r *harness.Fig5Result, label string, d ssd.Design) float64 {
-	for _, row := range r.Rows {
-		if row.Design == d && row.Label == label {
-			return row.Speedup
-		}
-	}
-	return 0
-}
-
-// BenchmarkFig5TPCC regenerates Figure 5(a–c): TPC-C speedups over noSSD.
-func BenchmarkFig5TPCC(b *testing.B) {
-	var r *harness.Fig5Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = harness.Fig5TPCC(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(speedupOf(r, "2K warehouse (200GB)", ssd.LC), "LC-2K-speedup")
-	b.ReportMetric(speedupOf(r, "2K warehouse (200GB)", ssd.DW), "DW-2K-speedup")
-	b.ReportMetric(speedupOf(r, "2K warehouse (200GB)", ssd.TAC), "TAC-2K-speedup")
-	b.ReportMetric(speedupOf(r, "4K warehouse (400GB)", ssd.LC), "LC-4K-speedup")
-}
-
-// BenchmarkFig5TPCE regenerates Figure 5(d–f): TPC-E speedups over noSSD.
-func BenchmarkFig5TPCE(b *testing.B) {
-	var r *harness.Fig5Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = harness.Fig5TPCE(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(speedupOf(r, "10K customer (115GB)", ssd.DW), "DW-10K-speedup")
-	b.ReportMetric(speedupOf(r, "20K customer (230GB)", ssd.DW), "DW-20K-speedup")
-	b.ReportMetric(speedupOf(r, "40K customer (415GB)", ssd.DW), "DW-40K-speedup")
-}
-
-// BenchmarkFig5TPCH regenerates Figure 5(g–h): TPC-H QphH speedups.
-func BenchmarkFig5TPCH(b *testing.B) {
-	var r *harness.Fig5Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = harness.Fig5TPCH(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(speedupOf(r, "30 SF (45GB)", ssd.DW), "DW-30SF-speedup")
-	b.ReportMetric(speedupOf(r, "100 SF (160GB)", ssd.DW), "DW-100SF-speedup")
-}
-
-// BenchmarkFig6Timelines regenerates Figure 6: the four 10-hour throughput
-// timelines. The reported metric is the LC:noSSD ratio of the final bucket
-// of the TPC-C 2K chart.
-func BenchmarkFig6Timelines(b *testing.B) {
-	var rs []*harness.TimelineResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rs, err = harness.Fig6(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	lc := rs[0].Curves["LC"]
-	no := rs[0].Curves["noSSD"]
-	if len(lc) > 0 && len(no) > 0 && no[len(no)-1] > 0 {
-		b.ReportMetric(lc[len(lc)-1]/no[len(no)-1], "LC/noSSD-final")
-	}
-	b.ReportMetric(float64(len(rs)), "charts")
-}
-
-// BenchmarkFig7LambdaSweep regenerates Figure 7: the LC dirty-fraction
-// sweep on TPC-C 4K. Reported: steady-state tx/s per λ.
-func BenchmarkFig7LambdaSweep(b *testing.B) {
-	var r *harness.TimelineResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = harness.Fig7(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, name := range r.Order {
-		c := r.Curves[name]
-		if len(c) > 0 {
-			b.ReportMetric(c[len(c)-1], metricName(name)+"-tx/s")
-		}
-	}
-}
-
-// BenchmarkFig8IOTraffic regenerates Figure 8: disk and SSD bandwidth over
-// a DW run on TPC-E 20K. Reported: final-bucket MB/s per series.
-func BenchmarkFig8IOTraffic(b *testing.B) {
-	var r *harness.IOTrafficResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = harness.Fig8(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	last := func(s []float64) float64 {
-		if len(s) == 0 {
-			return 0
-		}
-		return s[len(s)-1]
-	}
-	b.ReportMetric(last(r.DiskReadMB), "disk-read-MBps")
-	b.ReportMetric(last(r.SSDReadMB), "ssd-read-MBps")
-	b.ReportMetric(last(r.SSDWriteMB), "ssd-write-MBps")
-}
-
-// BenchmarkFig9Checkpoint regenerates Figure 9: the checkpoint-interval
-// comparison for DW and LC on TPC-E 20K.
-func BenchmarkFig9Checkpoint(b *testing.B) {
-	var rs []*harness.TimelineResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		rs, err = harness.Fig9(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rs {
-		for _, name := range r.Order {
-			c := r.Curves[name]
-			if len(c) > 0 {
-				b.ReportMetric(c[len(c)-1], metricName(r.Title+"/"+name))
-			}
-		}
-	}
-}
-
-// BenchmarkTable3TPCH regenerates Table 3: TPC-H power, throughput and
-// QphH for every design at both scale factors.
-func BenchmarkTable3TPCH(b *testing.B) {
-	var r *harness.Table3Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = harness.RunTable3(benchScale, []int{30, 100})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range r.Rows {
-		if row.Design == ssd.LC || row.Design == ssd.NoSSD {
-			b.ReportMetric(row.QphH, row.Design.String()+"-QphH")
-		}
-	}
-}
-
-// BenchmarkCWComparison regenerates §4.1.1: CW vs DW and LC on TPC-E 20K.
-func BenchmarkCWComparison(b *testing.B) {
-	var r *harness.CWResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = harness.RunCW(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.SlowerThanDW*100, "CW-slower-than-DW-%")
-	b.ReportMetric(r.SlowerThanLC*100, "CW-slower-than-LC-%")
-}
-
-// BenchmarkTACWaste regenerates §2.5: SSD space TAC wastes on invalid
-// pages across the TPC-C databases.
-func BenchmarkTACWaste(b *testing.B) {
-	var rows []harness.TACWasteRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = harness.RunTACWaste(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, row := range rows {
-		b.ReportMetric(row.WastedGB, metricName(row.Label)+"-wasted-GB")
-	}
-}
-
-// BenchmarkClassifierAccuracy regenerates §2.2's comparison of the
-// read-ahead classifier against the 64-page distance heuristic.
-func BenchmarkClassifierAccuracy(b *testing.B) {
-	var r *harness.ClassifyResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = harness.RunClassify(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.ReadAheadAccuracy*100, "readahead-accuracy-%")
-	b.ReportMetric(r.DistanceAccuracy*100, "distance-accuracy-%")
-}
-
-// BenchmarkEngineOps measures raw public-API operation cost over the
-// simulated backend (not a paper artifact; a regression canary).
-func BenchmarkEngineOps(b *testing.B) {
-	db, err := Open(Options{Design: LC, DBPages: 4096, PoolPages: 256, SSDFrames: 1024, PageSize: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	buf := make([]byte, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pid := int64(i) % 4096
-		if i%3 == 0 {
-			if err := db.Update(pid, func(pl []byte) { pl[0]++ }); err != nil {
-				b.Fatal(err)
-			}
-		} else if _, err := db.Read(pid, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWarmRestart measures the §6 warm-restart extension: first-hour
-// throughput after a crash, cold vs warm.
-func BenchmarkWarmRestart(b *testing.B) {
-	var r *harness.WarmRestartResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = harness.RunWarmRestart(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.ColdTPS, "cold-tx/s")
-	b.ReportMetric(r.WarmTPS, "warm-tx/s")
-}
-
-// BenchmarkMidrangeSSD sweeps SSD grades (§6: "mid-range SSDs may provide
-// similar performance benefits").
-func BenchmarkMidrangeSSD(b *testing.B) {
-	var rows []harness.MidrangeRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = harness.RunMidrange(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.Speedup, metricName(r.Grade)+"-speedup")
-	}
-}
-
-// BenchmarkAblations sweeps the §3.3 design-choice knobs.
-func BenchmarkAblations(b *testing.B) {
-	var rows []harness.AblationRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = harness.RunAblations(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.TPS, metricName(r.Name)+"-tx/s")
-	}
-}
-
-// BenchmarkIndexMatrix regenerates the traversal-driven index workload
-// grid (4 designs × 5 mixes of real B+-tree/heapfile operations) and
-// reports the mixed-OLTP buffer-pool hit rate per design — the headline
-// number that emerges from structure traversal rather than a synthetic
-// access distribution.
-func BenchmarkIndexMatrix(b *testing.B) {
-	var r *harness.IndexMatrixResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = harness.RunIndex(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, c := range r.Cells {
-		if c.Kind == workload.IndexMixed {
-			b.ReportMetric(c.PoolHitPct, metricName(c.Design.String())+"-mixed-pool-hit%")
-		}
-	}
-}
-
-// BenchmarkTrimming measures the §3.3.3 multi-page I/O optimization.
-func BenchmarkTrimming(b *testing.B) {
-	var r *harness.TrimmingResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = harness.RunTrimming(benchScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(r.DiskOpsTrimmed), "trimmed-disk-reads")
-	b.ReportMetric(float64(r.DiskOpsNaive), "naive-disk-reads")
-}

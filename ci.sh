@@ -66,9 +66,6 @@ go test -run '^$' -bench 'BenchmarkGetHit|BenchmarkGetMiss|BenchmarkUpdateCommit
   -benchtime=1x -benchmem .
 go test -run '^$' -bench ProcSwitch -benchtime=1x -benchmem ./internal/sim
 
-echo "== sharded kernel race tests (shards=4 widths under the race detector) =="
-go test -race -run 'Cluster|Shard' ./internal/sim ./internal/engine ./internal/ssd ./internal/harness
-
 echo "== concurrency race tests (facade: every backend, 2PC, reopen; striped pool, group commit, server) =="
 go test -race .
 go test -race -run 'Striped' ./internal/bufpool
@@ -97,15 +94,15 @@ done <<'TABLE'
 all|-divisor 8192 -parallel 1|-divisor 8192 -parallel 4|all
 index|-divisor 8192 -parallel 1|-divisor 8192 -parallel 4|index
 policy|-divisor 8192 -parallel 1|-divisor 8192 -parallel 4|policy
-shards|-divisor 8192 -parallel 1 -shards 1|-divisor 8192 -parallel 1 -shards 4|all
 faults|-parallel 1|-parallel 4|faults
 corrupt|-parallel 1|-parallel 4|corrupt
 TABLE
 # ...and identical to the committed hashes (skipped by the -short race run above).
 go test -run TestGoldenHashes ./internal/harness
-
-echo "== benchmark regression guard (hot paths vs BENCH_harness.json, 25% margin) =="
-/tmp/bpesim-ci -benchguard BENCH_harness.json
+if [[ -z "$short" ]]; then
+  echo "-- results_1024.txt: bpesim -parallel 1 all at the default divisor vs the committed text"
+  time /tmp/bpesim-ci -parallel 1 all 2>/dev/null | cmp - results_1024.txt
+fi
 
 echo "== scale smoke (fig5-tpcc at divisor 256, 120s budget) =="
 timeout 120 /tmp/bpesim-ci -divisor 256 -parallel 1 fig5-tpcc > /tmp/bpesim-ci-scale.out 2>/dev/null

@@ -6,14 +6,7 @@
 //	bpesim -list
 //	bpesim [-divisor N] [-parallel W] <experiment-id> [<experiment-id>...]
 //	bpesim all
-//	bpesim scale
-//	bpesim -benchjson BENCH_harness.json
-//	bpesim -benchguard BENCH_harness.json
 //	bpesim -cpuprofile cpu.prof -memprofile mem.prof <experiment-id>
-//
-// "scale" is a standalone scale sweep: the Figure 5 TPC-C grid at
-// successively smaller divisors with events/sec and wall-clock readings
-// (nondeterministic output, so it is not part of "all").
 //
 // The divisor scales the paper's sizes and clock down together (default
 // 1024); smaller divisors are slower but closer to paper scale. -parallel
@@ -21,16 +14,6 @@
 // GOMAXPROCS; 1 forces serial). Rendered output on stdout is
 // byte-identical at any worker count: per-experiment wall-clock timings
 // go to stderr.
-//
-// -shards N >= 1 runs every OLTP experiment on the sharded multi-core
-// kernel: a fixed 8-way page-range partition of engine, SSD manager, WAL
-// and clients, synchronized by conservative epoch barriers, with N OS
-// threads driving the partitions inside each run. N selects execution
-// width only — the partitioned model is identical at every N, so stdout
-// is byte-identical at -shards 1, 2, 4, 8 while wall-clock drops with
-// real cores. Without the flag, runs use the original single-kernel
-// path. Workers × shards is capped at GOMAXPROCS (the cap, again, only
-// affects wall-clock).
 //
 // The faults experiment (crash/recover matrix) and the corrupt experiment
 // (silent-corruption detect/repair matrix) ignore the divisor (their
@@ -55,10 +38,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	csvOut := flag.Bool("csv", false, "emit figure data as CSV instead of rendered text (figure experiments only)")
 	parallel := flag.Int("parallel", 0, "worker count for experiment cells (0 = GOMAXPROCS, 1 = serial)")
-	shards := flag.Int("shards", 0, "run OLTP experiments on the 8-way sharded kernel with this many threads per run (0 = single-kernel path; results are identical at any value >= 1)")
 	cachePol := flag.String("policy", "", "cache policy for every engine the experiments build: lru2 (default), arc, cflru, tinylfu; the policy experiment sweeps all four regardless")
-	benchJSON := flag.String("benchjson", "", "write a machine-readable benchmark report (wall-clock serial vs parallel, allocs/op) to this file and exit")
-	benchGuard := flag.String("benchguard", "", "re-run the hot-path microbenchmarks and fail if any regresses more than 25% against this benchjson report")
 	faultSeed := flag.Uint64("faultseed", harness.FaultSeed(), "seed for the faults experiment's injected fault schedules")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile taken at exit to this file")
@@ -100,40 +80,17 @@ func main() {
 		}()
 	}
 	harness.SetWorkers(*parallel)
-	harness.SetShards(*shards)
 	harness.SetFaultSeed(*faultSeed)
 	pol, err := policy.ParseKind(*cachePol)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bpesim: %v\n", err)
 		os.Exit(2)
 	}
-	harness.SetPolicy(pol)
-	scale := harness.Scale{Divisor: *divisor}
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, scale); err != nil {
-			fmt.Fprintf(os.Stderr, "bpesim: benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchGuard != "" {
-		if err := runBenchGuard(*benchGuard); err != nil {
-			fmt.Fprintf(os.Stderr, "bpesim: benchguard: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
+	scale := harness.Scale{Divisor: *divisor, Policy: pol}
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()
 		os.Exit(2)
-	}
-	if len(args) == 1 && args[0] == "scale" {
-		if err := harness.RunScaleSweep(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "bpesim: scale: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 	if len(args) == 1 && args[0] == "all" {
 		args = nil
@@ -175,6 +132,6 @@ func printList() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: bpesim [-divisor N] [-parallel W] [-shards N] [-cpuprofile FILE] [-memprofile FILE] <experiment-id>... | all | scale | -list | -benchjson FILE | -benchguard FILE")
+	fmt.Fprintln(os.Stderr, "usage: bpesim [-divisor N] [-parallel W] [-cpuprofile FILE] [-memprofile FILE] <experiment-id>... | all | -list")
 	printList()
 }

@@ -495,3 +495,55 @@ func TestCommitSyncEach(t *testing.T) {
 		})
 	}
 }
+
+// TestGroupCommitAmortizesFsyncs is the overlapped case of the table above:
+// with committers running concurrently a group flight must carry more than
+// one commit, so fsyncs per synced commit fall well below one, while
+// CommitSyncEach stays at exactly one whatever the overlap.
+func TestGroupCommitAmortizesFsyncs(t *testing.T) {
+	const (
+		workers = 8
+		ops     = 200
+		maxSync = 0.9 // fsyncs per commit; ~0.13 measured on a 2-core box
+	)
+	for _, tc := range []struct {
+		name string
+		mode CommitSyncMode
+	}{
+		{"each", CommitSyncEach},
+		{"group", CommitSyncGroup},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db := openConcurrentDB(t, 64, 4, tc.mode)
+			defer db.Close()
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(w)))
+					for i := 0; i < ops; i++ {
+						if err := db.Update(rng.Int63n(64), func(p []byte) { p[0]++ }); err != nil {
+							t.Errorf("Update: %v", err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			s := db.Stats()
+			if s.SyncedCommits != workers*ops {
+				t.Fatalf("%d synced commits, want %d", s.SyncedCommits, workers*ops)
+			}
+			ratio := float64(s.WALSyncs) / float64(s.SyncedCommits)
+			t.Logf("%d fsyncs for %d commits (%.3f)", s.WALSyncs, s.SyncedCommits, ratio)
+			if tc.mode == CommitSyncEach && s.WALSyncs != s.SyncedCommits {
+				t.Fatalf("each-mode: %.3f fsyncs/commit, want exactly 1", ratio)
+			}
+			if tc.mode == CommitSyncGroup && (s.WALSyncs < 1 || ratio > maxSync) {
+				t.Fatalf("group commit does not amortize: %d fsyncs for %d commits (%.3f, need <= %.2f)",
+					s.WALSyncs, s.SyncedCommits, ratio, maxSync)
+			}
+		})
+	}
+}

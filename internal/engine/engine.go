@@ -223,16 +223,46 @@ type Stats struct {
 	TruthRandLabelSeq  int64
 	TruthRandLabelRand int64
 
-	// Cross-shard service counts (sharded kernel; see remote.go).
-	RemoteReads  int64 // page reads served for other shards
-	RemoteWrites int64 // page writes served for other shards
-
 	// Pool replacement-policy decision counters (policy.Stats mirrored
 	// into the engine totals at read time; all zero under default LRU-2).
 	PoolGhostHits  int64 // ARC ghost-list hits in the memory pool
 	PoolSplitPos   int64 // ARC adaptive T1 target (gauge, not a count)
 	PoolCleanFirst int64 // CFLRU evictions that skipped an older dirty page
 	PoolAdmitRej   int64 // TinyLFU admissions rejected by the frequency gate
+}
+
+// Add returns the fieldwise sum of s and o; DB.Stats uses it to fold its
+// partitions' engines into one total. A reflection test keeps it in sync
+// with the struct.
+func (s Stats) Add(o Stats) Stats {
+	s.Reads += o.Reads
+	s.Updates += o.Updates
+	s.PoolHits += o.PoolHits
+	s.PoolMisses += o.PoolMisses
+	s.Commits += o.Commits
+	s.Evictions += o.Evictions
+	s.DirtyEvicts += o.DirtyEvicts
+	s.Checkpoints += o.Checkpoints
+	s.ScanPages += o.ScanPages
+	s.RedoApplied += o.RedoApplied
+	s.RedoSkipped += o.RedoSkipped
+	s.SSDLosses += o.SSDLosses
+	s.SSDLossRedo += o.SSDLossRedo
+	s.DiskCorruptions += o.DiskCorruptions
+	s.DiskRepairsSSD += o.DiskRepairsSSD
+	s.DiskRepairsWAL += o.DiskRepairsWAL
+	s.CorruptRedo += o.CorruptRedo
+	s.DiskReadRetries += o.DiskReadRetries
+	s.DiskWriteRetries += o.DiskWriteRetries
+	s.TruthSeqLabelSeq += o.TruthSeqLabelSeq
+	s.TruthSeqLabelRand += o.TruthSeqLabelRand
+	s.TruthRandLabelSeq += o.TruthRandLabelSeq
+	s.TruthRandLabelRand += o.TruthRandLabelRand
+	s.PoolGhostHits += o.PoolGhostHits
+	s.PoolSplitPos += o.PoolSplitPos
+	s.PoolCleanFirst += o.PoolCleanFirst
+	s.PoolAdmitRej += o.PoolAdmitRej
+	return s
 }
 
 // Latencies holds per-tier operation latency histograms: reads broken down

@@ -8,7 +8,7 @@ import (
 // TestStatsAddCoversAllFields fills every field with a distinct value via
 // reflection and checks Add sums each one, so a counter added to Stats
 // without a matching line in Add fails here instead of silently vanishing
-// from sharded aggregates.
+// from DB.Stats' fold over partitions.
 func TestStatsAddCoversAllFields(t *testing.T) {
 	var a, b Stats
 	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()

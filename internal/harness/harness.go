@@ -14,6 +14,7 @@ import (
 	"turbobp/internal/device"
 	"turbobp/internal/engine"
 	"turbobp/internal/metrics"
+	"turbobp/internal/policy"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
 	"turbobp/internal/workload"
@@ -28,6 +29,9 @@ type Scale struct {
 	// full sizes (hours of virtual time, tens of millions of pages), 1024
 	// is the default for the command-line harness, 8192 for benchmarks.
 	Divisor int64
+	// Policy is the cache policy of every engine built from this scale
+	// (both tiers). The zero value is LRU-2, the paper's policy.
+	Policy policy.Kind
 }
 
 // Common scales.
@@ -59,7 +63,7 @@ func (s Scale) Minutes(m float64) time.Duration { return s.Hours(m / 60) }
 func (s Scale) Config(design ssd.Design, dbGB float64) engine.Config {
 	return engine.Config{
 		Design:      design,
-		Policy:      PolicyKind(),
+		Policy:      s.Policy,
 		DBPages:     s.Pages(dbGB),
 		PoolPages:   int(s.Pages(20)),
 		SSDFrames:   int(s.Pages(140)),
@@ -107,15 +111,8 @@ type OLTPResult struct {
 }
 
 // RunOLTP executes one measurement: build the engine, format the database,
-// run the workload for Duration, and collect series and counters. With a
-// shard width set (SetShards > 0) the run executes on the sharded
-// multi-core kernel instead — same measurement, page-partitioned model —
-// except for fault-injected configurations, whose device fault plans are
-// defined against the single-world device set.
+// run the workload for Duration, and collect series and counters.
 func RunOLTP(run OLTPRun) (*OLTPResult, error) {
-	if ShardWidth() > 0 && run.Config.Faults == nil {
-		return shardedOLTP(run)
-	}
 	env := sim.NewEnv()
 	e := engine.New(env, run.Config)
 	if err := e.FormatDB(); err != nil {

@@ -6,10 +6,12 @@ import (
 	"io"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"turbobp/internal/engine"
+	"turbobp/internal/policy"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
 )
@@ -56,6 +58,36 @@ func TestConfigGeometryRatios(t *testing.T) {
 	}
 	if cfg.SSDFrames != 7*cfg.PoolPages {
 		t.Errorf("140GB SSD / 20GB pool ratio broken: %d vs %d", cfg.SSDFrames, cfg.PoolPages)
+	}
+}
+
+// TestScalePolicyIsPerRun runs the same fig5-tpcc cell (LC, 1K warehouses)
+// under ARC and under the zero-value policy at the same time: the policy
+// travels in the Scale each run holds, so neither sees the other's.
+func TestScalePolicyIsPerRun(t *testing.T) {
+	scales := []Scale{{Divisor: 8192, Policy: policy.ARC}, {Divisor: 8192}}
+	res := make([]*OLTPResult, len(scales))
+	errs := make([]error, len(scales))
+	var wg sync.WaitGroup
+	for i, s := range scales {
+		wg.Add(1)
+		go func(i int, s Scale) {
+			defer wg.Done()
+			res[i], errs[i] = RunOLTP(buildOLTP(s, ssd.LC, "tpcc", TPCCSizesGB[1], nil))
+		}(i, s)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+	}
+	ghosts := func(r *OLTPResult) int64 { return r.Engine.PoolGhostHits + r.SSD.PolicyGhostHits }
+	if g := ghosts(res[0]); g == 0 {
+		t.Error("Scale{Policy: ARC}: no ARC ghost hits, the run did not get its policy")
+	}
+	if g := ghosts(res[1]); g != 0 {
+		t.Errorf("default Scale: %d ARC ghost hits, the run saw another run's policy", g)
 	}
 }
 

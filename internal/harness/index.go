@@ -89,11 +89,11 @@ func indexConfig(design ssd.Design, m workload.IndexMix, pol policy.Kind) engine
 
 // runIndexCell executes one cell: build the engine, run the mix through
 // Task-form Store adapters, and compute measured-phase rates.
-func runIndexCell(s Scale, design ssd.Design, kind workload.IndexKind, pol policy.Kind) (IndexCell, error) {
+func runIndexCell(s Scale, design ssd.Design, kind workload.IndexKind) (IndexCell, error) {
 	mix := indexMix(s, kind)
 	cell := IndexCell{Design: design, Kind: kind, Mix: mix}
 	env := sim.NewEnv()
-	e := engine.New(env, indexConfig(design, mix, pol))
+	e := engine.New(env, indexConfig(design, mix, s.Policy))
 	if err := e.FormatDB(); err != nil {
 		return cell, err
 	}
@@ -141,11 +141,10 @@ func runIndexCell(s Scale, design ssd.Design, kind workload.IndexKind, pol polic
 // RunIndex executes the full design × mix grid on the worker pool.
 func RunIndex(s Scale) (*IndexMatrixResult, error) {
 	n := len(indexKinds) * len(indexDesigns)
-	pol := PolicyKind()
 	cells, err := RunGrid(n, func(i int) (IndexCell, error) {
 		kind := indexKinds[i/len(indexDesigns)]
 		design := indexDesigns[i%len(indexDesigns)]
-		return runIndexCell(s, design, kind, pol)
+		return runIndexCell(s, design, kind)
 	})
 	if err != nil {
 		return nil, err

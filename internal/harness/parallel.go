@@ -57,7 +57,7 @@ func SetWorkers(n int) int {
 // neither caps nor warns — network load drivers legitimately oversubscribe
 // (their workers spend most of their time blocked on I/O) — it exists so
 // reports can print the honest parallelism next to the requested worker
-// count, the same discipline EffectiveShardWidth applies to shard widths.
+// count.
 func EffectiveWorkers(n int) int {
 	if maxp := runtime.GOMAXPROCS(0); n > maxp {
 		return maxp

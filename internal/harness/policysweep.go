@@ -21,7 +21,7 @@ import (
 // TinyLFU's admission gate pay), and the two traversal mixes exercise
 // structured access: the B+-tree/heapfile mixed mix and the scan-dominated
 // heap-scan mix (scan resistance). Every cell builds its engine directly,
-// so results are identical at any -parallel or -shards width; wall-clock
+// so results are identical at any -parallel width; wall-clock
 // timing goes to stderr via the standard experiment runner.
 
 // policyWorkloads are the sweep's workload rows.

@@ -294,14 +294,6 @@ func Experiments() []Experiment {
 			r.Print(w)
 			return r.Err()
 		}},
-		{"sharded", "sharded kernel: distributed-transaction sweep", func(s Scale, w io.Writer) error {
-			r, err := RunShardedSweep(s)
-			if err != nil {
-				return err
-			}
-			r.Print(w)
-			return nil
-		}},
 		{"index", "index & heapfile traversal workloads: 4 designs × 5 mixes", func(s Scale, w io.Writer) error {
 			r, err := RunIndex(s)
 			if err != nil {

@@ -4,9 +4,8 @@
 // measurement. Unlike internal/microbench (virtual-time, single-threaded)
 // these run real goroutines against a real-file turbobp.DB, so ns/op moves
 // with the machine's core count; every report should sit next to the
-// effective-parallelism numbers (harness.EffectiveWorkers). The same
-// functions back the root-package Benchmark wrappers and the `server`
-// section of bpesim -benchjson.
+// effective-parallelism numbers (harness.EffectiveWorkers). The
+// root-package Benchmark wrappers (bench_concurrent_test.go) run them.
 package loadbench
 
 import (

@@ -41,20 +41,6 @@ func (s *Series) Len() int { return len(s.vals) }
 // Values returns the bucket totals (shared slice; do not modify).
 func (s *Series) Values() []float64 { return s.vals }
 
-// Merge accumulates o's buckets into s. The widths must match; the
-// sharded harness uses it to fold per-shard series into cluster totals.
-func (s *Series) Merge(o *Series) {
-	if o.width != s.width {
-		panic("metrics: merging series of different widths")
-	}
-	for len(s.vals) < len(o.vals) {
-		s.vals = append(s.vals, 0)
-	}
-	for i, v := range o.vals {
-		s.vals[i] += v
-	}
-}
-
 // Rate returns per-second rates: each bucket total divided by the width.
 func (s *Series) Rate() []float64 {
 	out := make([]float64, len(s.vals))

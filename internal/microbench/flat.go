@@ -12,7 +12,7 @@ import (
 // simulator hot paths were migrated onto: the pagetab open-addressing table
 // (vs the plain Go map it replaced) and the calendar-queue event scheduler
 // (vs the reference binary heap). Each pair runs the identical workload so
-// the committed BENCH_harness.json documents the ratio directly.
+// the two ns/op readings give the ratio directly.
 
 // tableKeys is sized like a busy shard directory: large enough to defeat
 // L1 but small enough that both implementations stay cache-resident.

@@ -5,7 +5,8 @@
 // with all setup (engine construction, pool warm-up) done before the timer
 // starts, so ns/op and allocs/op measure only the repeated operation. The
 // same functions back the root-package Benchmark wrappers (`go test
-// -bench`) and bpesim's -benchjson report, via testing.Benchmark.
+// -bench`) and the benchmark's per-layer metrics (bench/), via
+// testing.Benchmark.
 //
 // The read path (GetHit, GetMiss) is expected to run at ~0 allocs/op:
 // page buffers, LRU-2 entries, WAL records and scheduler events all come

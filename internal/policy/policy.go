@@ -11,7 +11,7 @@
 // the call sequence alone — no map-iteration order, no time sources, no
 // randomness. Two policies fed the same Touch/Remove/Pop stream must
 // produce the same victim sequence on every run, which is what keeps the
-// simulation's stdout byte-identical across -parallel and -shards widths.
+// simulation's stdout byte-identical across -parallel widths.
 package policy
 
 import (

@@ -246,9 +246,9 @@ type Stats struct {
 	PolicyAdmitRej   int64 // TinyLFU: admissions refused by the frequency filter
 }
 
-// Add returns the fieldwise sum of s and o; the sharded harness uses it
-// to aggregate per-shard SSD managers into cluster totals. A reflection
-// test keeps it in sync with the struct.
+// Add returns the fieldwise sum of s and o; DB.Stats uses it to fold its
+// partitions' SSD managers into one total. A reflection test keeps it in
+// sync with the struct.
 func (s Stats) Add(o Stats) Stats {
 	s.Hits += o.Hits
 	s.Misses += o.Misses

@@ -52,9 +52,8 @@ type Record struct {
 	TxID     uint64
 	StartLSN uint64
 	Payload  []byte
-	// At is the virtual time of the Append, stamped by the log. It keys
-	// the sharded kernel's deterministic cross-shard merge order (see
-	// MergeDurable); within one log, At order coincides with LSN order.
+	// At is the virtual time of the Append, stamped by the log; within one
+	// log, At order coincides with LSN order.
 	At time.Duration
 }
 

@@ -219,3 +219,16 @@ func TestStats(t *testing.T) {
 		t.Errorf("stats = %d/%d/%d, want 3/3/3", appends, flushes, pages)
 	}
 }
+
+func TestAppendStampsVirtualTime(t *testing.T) {
+	env := sim.NewEnv()
+	l, _ := newTestLog(env)
+	env.Run(7 * time.Millisecond)
+	l.Append(Record{Type: TypeUpdate, Page: 1})
+	env.Go("flusher", func(p *sim.Proc) { l.Flush(p, 1) })
+	env.Run(-1)
+	d := l.Durable()
+	if len(d) != 1 || d[0].At != 7*time.Millisecond {
+		t.Fatalf("durable = %+v, want one record stamped at 7ms", d)
+	}
+}

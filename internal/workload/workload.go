@@ -45,51 +45,6 @@ type OLTP struct {
 	UpdateTier int
 	Workers    int // concurrent clients
 	Seed       int64
-
-	// RemoteFrac is the probability that a transaction is distributed:
-	// it performs one extra access, routed through Router, to a page
-	// owned by another shard of a sharded cluster. Zero (the default)
-	// leaves the driver — and its RNG stream — exactly as before.
-	RemoteFrac float64
-	// Router issues the remote access of a distributed transaction. It
-	// must eventually run k (possibly epochs later, when the remote
-	// shard's reply message arrives). Required when RemoteFrac > 0.
-	Router RemoteRouter
-}
-
-// RemoteRouter sends one cross-shard page access on behalf of a worker.
-// Implementations draw everything they need (destination shard, page,
-// read/write) from rng — on the calling worker's kernel, before any
-// message is sent — so the decision stream stays deterministic.
-type RemoteRouter interface {
-	RemoteOp(t *sim.Task, rng *rand.Rand, k func())
-}
-
-// Split partitions the driver over n shard kernels: each part owns
-// DBPages/n pages (its shard engine's local page space), runs its share
-// of the workers (the remainder spread over the first shards), and draws
-// from a distinct seed. The parts together model the same client
-// population against a page-range-partitioned database.
-func (o OLTP) Split(n int) []OLTP {
-	parts := make([]OLTP, n)
-	pages := o.DBPages / int64(n)
-	if pages < 1 {
-		pages = 1
-	}
-	base, extra := o.Workers/n, o.Workers%n
-	for i := range parts {
-		p := o
-		p.DBPages = pages
-		p.Workers = base
-		if i < extra {
-			p.Workers++
-		}
-		// A large odd stride keeps shard seed sequences disjoint from the
-		// per-worker 7919 stride used inside Start.
-		p.Seed = o.Seed + int64(i)*1000003
-		parts[i] = p
-	}
-	return parts
 }
 
 // TPCC returns the paper's TPC-C-like profile for a database of dbPages:
@@ -172,9 +127,6 @@ func (o *OLTP) pick(rng *rand.Rand, tier int) page.ID {
 // onCommit, if non-nil, is also called at each commit with the commit
 // time.
 func (o *OLTP) Start(env *sim.Env, e *engine.Engine, onCommit func(t time.Duration)) (stop func()) {
-	if o.RemoteFrac > 0 && o.Router == nil {
-		panic("workload: RemoteFrac > 0 without a Router")
-	}
 	stopped := false
 	for w := 0; w < o.Workers; w++ {
 		rng := rand.New(rand.NewSource(o.Seed + int64(w)*7919))
@@ -183,7 +135,6 @@ func (o *OLTP) Start(env *sim.Env, e *engine.Engine, onCommit func(t time.Durati
 		w.afterGetF = w.afterGet
 		w.afterUpF = w.afterUpdate
 		w.afterCommitF = w.afterCommit
-		w.afterRemoteF = w.step
 		env.Spawn(o.Name+"-worker", func(t *sim.Task) {
 			w.t = t
 			w.loop()
@@ -205,16 +156,14 @@ type taskWorker struct {
 	stopped  *bool
 	onCommit func(t time.Duration)
 
-	tx     uint64
-	a      int  // accesses issued in the current transaction
-	v      byte // update value for the in-flight access
-	remote bool // current transaction still owes its cross-shard access
+	tx uint64
+	a  int  // accesses issued in the current transaction
+	v  byte // update value for the in-flight access
 
 	mutateF      func([]byte)
 	afterGetF    func(*bufpool.Frame, error)
 	afterUpF     func(error)
 	afterCommitF func(error)
-	afterRemoteF func()
 }
 
 func (w *taskWorker) loop() {
@@ -223,7 +172,6 @@ func (w *taskWorker) loop() {
 	}
 	w.tx = w.e.Begin()
 	w.a = 0
-	w.remote = w.o.RemoteFrac > 0 && w.rng.Float64() < w.o.RemoteFrac
 	w.step()
 }
 
@@ -231,14 +179,6 @@ func (w *taskWorker) loop() {
 func (w *taskWorker) step() {
 	o := w.o
 	if w.a >= o.AccessesPerTx {
-		if w.remote {
-			// The distributed transaction's cross-shard access: the worker
-			// stalls until the remote shard's reply message runs w.step
-			// again, which then commits.
-			w.remote = false
-			o.Router.RemoteOp(w.t, w.rng, w.afterRemoteF)
-			return
-		}
 		w.e.CommitTask(w.t, w.tx, w.afterCommitF)
 		return
 	}

@@ -262,45 +262,3 @@ func TestClampSecs(t *testing.T) {
 		t.Error("clampSecs misbehaves")
 	}
 }
-
-func TestSplitPartitionsDriver(t *testing.T) {
-	o := TPCC(8000)
-	o.Workers = 10
-	parts := o.Split(4)
-	if len(parts) != 4 {
-		t.Fatalf("Split(4) returned %d parts", len(parts))
-	}
-	workers := 0
-	seeds := map[int64]bool{}
-	for i, p := range parts {
-		if p.DBPages != 2000 {
-			t.Errorf("part %d: DBPages = %d, want 2000", i, p.DBPages)
-		}
-		workers += p.Workers
-		if seeds[p.Seed] {
-			t.Errorf("part %d: duplicate seed %d", i, p.Seed)
-		}
-		seeds[p.Seed] = true
-		if p.AccessesPerTx != o.AccessesPerTx || p.UpdateFrac != o.UpdateFrac {
-			t.Errorf("part %d: profile fields not preserved", i)
-		}
-	}
-	if workers != 10 {
-		t.Errorf("split workers sum to %d, want 10", workers)
-	}
-	if parts[0].Workers != 3 || parts[3].Workers != 2 {
-		t.Errorf("worker remainder not spread over first shards: %d/%d",
-			parts[0].Workers, parts[3].Workers)
-	}
-}
-
-func TestRemoteFracRequiresRouter(t *testing.T) {
-	o := TPCC(100)
-	o.RemoteFrac = 0.5
-	defer func() {
-		if recover() == nil {
-			t.Error("Start with RemoteFrac and no router: no panic")
-		}
-	}()
-	o.Start(sim.NewEnv(), nil, nil)
-}
