@@ -96,6 +96,7 @@ index|-divisor 8192 -parallel 1|-divisor 8192 -parallel 4|index
 policy|-divisor 8192 -parallel 1|-divisor 8192 -parallel 4|policy
 faults|-parallel 1|-parallel 4|faults
 corrupt|-parallel 1|-parallel 4|corrupt
+csv|-divisor 8192 -parallel 1 -csv|-divisor 8192 -parallel 4 -csv|fig5-tpcc fig5-tpce fig5-tpch fig6 fig7 fig8 fig9 table3
 TABLE
 # ...and identical to the committed hashes (skipped by the -short race run above).
 go test -run TestGoldenHashes ./internal/harness

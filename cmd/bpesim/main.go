@@ -39,7 +39,7 @@ func main() {
 	csvOut := flag.Bool("csv", false, "emit figure data as CSV instead of rendered text (figure experiments only)")
 	parallel := flag.Int("parallel", 0, "worker count for experiment cells (0 = GOMAXPROCS, 1 = serial)")
 	cachePol := flag.String("policy", "", "cache policy for every engine the experiments build: lru2 (default), arc, cflru, tinylfu; the policy experiment sweeps all four regardless")
-	faultSeed := flag.Uint64("faultseed", harness.FaultSeed(), "seed for the faults experiment's injected fault schedules")
+	faultSeed := flag.Uint64("faultseed", 0, "seed for the injected fault schedules of the faults and corrupt experiments (0 = the default, 0x5EEDFA17)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile taken at exit to this file")
 	flag.Usage = usage
@@ -80,13 +80,12 @@ func main() {
 		}()
 	}
 	harness.SetWorkers(*parallel)
-	harness.SetFaultSeed(*faultSeed)
 	pol, err := policy.ParseKind(*cachePol)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bpesim: %v\n", err)
 		os.Exit(2)
 	}
-	scale := harness.Scale{Divisor: *divisor, Policy: pol}
+	scale := harness.Scale{Divisor: *divisor, Policy: pol, FaultSeed: *faultSeed}
 	args := flag.Args()
 	if len(args) == 0 {
 		usage()
@@ -98,22 +97,27 @@ func main() {
 			args = append(args, e.ID)
 		}
 	}
-	for _, id := range args {
-		if _, ok := harness.FindExperiment(id); !ok {
+	exps := make([]harness.Experiment, len(args))
+	for i, id := range args {
+		e, ok := harness.FindExperiment(id)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "bpesim: unknown experiment %q (try -list)\n", id)
 			os.Exit(2)
 		}
+		if *csvOut && !e.CSV {
+			fmt.Fprintf(os.Stderr, "bpesim: experiment %q has no CSV form\n", id)
+			os.Exit(2)
+		}
+		exps[i] = e
 	}
 	if *csvOut {
-		csvRunners := harness.CSVExperiments()
-		for _, id := range args {
-			run, ok := csvRunners[id]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "bpesim: experiment %q has no CSV form\n", id)
-				os.Exit(2)
+		for _, e := range exps {
+			res, err := e.Run(scale)
+			if err == nil {
+				err = res.(harness.CSVWriter).WriteCSV(os.Stdout)
 			}
-			if err := run(scale, os.Stdout); err != nil {
-				fmt.Fprintf(os.Stderr, "bpesim: %s: %v\n", id, err)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "bpesim: %s: %v\n", e.ID, err)
 				os.Exit(1)
 			}
 		}

@@ -3,11 +3,9 @@ package harness
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"turbobp/internal/engine"
-	"turbobp/internal/fault"
 	"turbobp/internal/page"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
@@ -37,122 +35,24 @@ var corruptScenarios = []string{
 	"quarantine",
 }
 
-// CorruptRow is one cell's verdict.
-type CorruptRow struct {
-	Design   ssd.Design
-	Scenario string
-	Outcome  string // "pass", optionally annotated, or "FAIL: ..."
-	Pass     bool
-}
-
-// CorruptMatrixResult is the rendered pass/fail table.
-type CorruptMatrixResult struct {
-	Seed uint64
-	Rows []CorruptRow
-}
-
-// Print renders the matrix.
-func (r *CorruptMatrixResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "Silent-corruption matrix — detect/repair scenarios per design (seed %#x)\n", r.Seed)
-	fmt.Fprintf(w, "%-6s %-18s %s\n", "design", "scenario", "outcome")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-6s %-18s %s\n", row.Design, row.Scenario, row.Outcome)
-	}
-}
-
-// Err returns an error naming the failed cells, or nil if all passed —
-// `bpesim corrupt` exits nonzero through it.
-func (r *CorruptMatrixResult) Err() error {
-	var bad []string
-	for _, row := range r.Rows {
-		if !row.Pass {
-			bad = append(bad, fmt.Sprintf("%s/%s", row.Design, row.Scenario))
+// RunCorruptMatrix executes the silent-corruption matrix.
+func RunCorruptMatrix(s Scale) (*MatrixResult, error) {
+	r := &MatrixResult{Name: "corruption", Title: "Silent-corruption matrix — detect/repair scenarios per design"}
+	return runMatrix(r, s, 0xC0, corruptScenarios, func(scenario string, cfg *engine.Config) {
+		cfg.DirtyFraction = 0.5
+		switch scenario {
+		case "ssd-rot-dirty":
+			cfg.DirtyFraction = 0.9 // keep LC's SSD dirty set large
+		case "hdd-rot-ssd-copy":
+			cfg.ReadAheadRamp = -1 // scans batch immediately: the repair site is mid-run
+		case "scrub-repair":
+			cfg.ScrubPeriod = 10 * time.Millisecond
+			cfg.ScrubBatch = 16
+		case "quarantine":
+			cfg.RetireAfter = 1
+			cfg.QuarantineAfter = 2
 		}
-	}
-	if len(bad) == 0 {
-		return nil
-	}
-	return fmt.Errorf("harness: corruption matrix failed: %v", bad)
-}
-
-// RunCorruptMatrix executes every design × scenario cell on the worker pool.
-func RunCorruptMatrix() (*CorruptMatrixResult, error) {
-	seed := FaultSeed()
-	n := len(faultDesigns) * len(corruptScenarios)
-	rows, err := RunGrid(n, func(i int) (CorruptRow, error) {
-		design := faultDesigns[i/len(corruptScenarios)]
-		scenario := corruptScenarios[i%len(corruptScenarios)]
-		return runCorruptCell(design, scenario, faultMix(seed, 0xC0+uint64(i))), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &CorruptMatrixResult{Seed: seed, Rows: rows}, nil
-}
-
-// runCorruptCell builds one engine with one corruption schedule and runs one
-// scenario to a verdict.
-func runCorruptCell(design ssd.Design, scenario string, seed uint64) CorruptRow {
-	row := CorruptRow{Design: design, Scenario: scenario}
-	inj := fault.New(seed)
-	cfg := engine.Config{
-		Design:        design,
-		DBPages:       512,
-		PoolPages:     48,
-		SSDFrames:     128,
-		PayloadSize:   64,
-		DirtyFraction: 0.5,
-		Faults:        inj,
-	}
-	switch scenario {
-	case "ssd-rot-dirty":
-		cfg.DirtyFraction = 0.9 // keep LC's SSD dirty set large
-	case "hdd-rot-ssd-copy":
-		cfg.ReadAheadRamp = -1 // scans batch immediately: the repair site is mid-run
-	case "scrub-repair":
-		cfg.ScrubPeriod = 10 * time.Millisecond
-		cfg.ScrubBatch = 16
-	case "quarantine":
-		cfg.RetireAfter = 1
-		cfg.QuarantineAfter = 2
-	}
-	env := sim.NewEnv()
-	e := engine.New(env, cfg)
-	if err := e.FormatDB(); err != nil {
-		row.Outcome = "FAIL: format: " + err.Error()
-		return row
-	}
-	d := &faultDriver{
-		e:         e,
-		inj:       inj,
-		rng:       seed ^ 0xA5A5A5A5A5A5A5A5,
-		applied:   make([]uint64, faultHotPages),
-		committed: make([]uint64, faultHotPages),
-	}
-	var note string
-	var scriptErr error
-	env.Go("corrupt-driver", func(p *sim.Proc) {
-		note, scriptErr = runCorruptScenario(p, d, design, scenario)
-		e.StopBackground()
-	})
-	env.Run(-1)
-	env.Shutdown()
-	switch {
-	case scriptErr != nil:
-		row.Outcome = "FAIL: " + scriptErr.Error()
-	case len(d.fails) > 0:
-		row.Outcome = "FAIL: " + d.fails[0]
-		for _, f := range d.fails[1:] {
-			row.Outcome += "; " + f
-		}
-	default:
-		row.Outcome = "pass"
-		if note != "" {
-			row.Outcome += " (" + note + ")"
-		}
-		row.Pass = true
-	}
-	return row
+	}, runCorruptScenario)
 }
 
 // pickCleanSSD returns a page with a valid clean SSD copy that is not

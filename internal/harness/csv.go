@@ -7,195 +7,83 @@ import (
 	"strconv"
 )
 
-// CSV export: each figure-like result can emit machine-readable series so
-// the paper's charts can be re-plotted directly from harness output.
+// CSV export: the figure-like results implement CSVWriter so the paper's
+// charts can be re-plotted directly from harness output. Results without a
+// WriteCSV method have no CSV form (their text output is already tabular).
+
+func ftoa(v float64, prec int) string { return strconv.FormatFloat(v, 'f', prec, 64) }
 
 // WriteCSV emits one row per (database, design) bar.
 func (r *Fig5Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"database", "design", "throughput", "speedup"}); err != nil {
-		return err
-	}
+	rows := [][]string{{"database", "design", "throughput", "speedup"}}
 	for _, row := range r.Rows {
-		if err := cw.Write([]string{
-			row.Label, row.Design.String(),
-			strconv.FormatFloat(row.TPS, 'f', 2, 64),
-			strconv.FormatFloat(row.Speedup, 'f', 3, 64),
-		}); err != nil {
-			return err
-		}
+		rows = append(rows, []string{row.Label, row.Design.String(), ftoa(row.TPS, 2), ftoa(row.Speedup, 3)})
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(rows)
 }
 
 // WriteCSV emits one row per bucket with a column per curve.
 func (t *TimelineResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	header := append([]string{"bucket", "seconds"}, t.Order...)
-	if err := cw.Write(header); err != nil {
-		return err
-	}
+	rows := [][]string{append([]string{"bucket", "seconds"}, t.Order...)}
 	n := 0
 	for _, c := range t.Curves {
-		if len(c) > n {
-			n = len(c)
-		}
+		n = max(n, len(c))
 	}
 	for i := 0; i < n; i++ {
-		row := []string{
-			strconv.Itoa(i),
-			strconv.FormatFloat(float64(i)*t.Bucket.Seconds(), 'f', 4, 64),
-		}
+		row := []string{strconv.Itoa(i), ftoa(float64(i)*t.Bucket.Seconds(), 4)}
 		for _, name := range t.Order {
-			c := t.Curves[name]
-			if i < len(c) {
-				row = append(row, strconv.FormatFloat(c[i], 'f', 2, 64))
+			if c := t.Curves[name]; i < len(c) {
+				row = append(row, ftoa(c[i], 2))
 			} else {
 				row = append(row, "")
 			}
 		}
-		if err := cw.Write(row); err != nil {
+		rows = append(rows, row)
+	}
+	return csv.NewWriter(w).WriteAll(rows)
+}
+
+// WriteCSV emits each chart's CSV under a "# title" line, blank lines
+// between charts.
+func (ts Timelines) WriteCSV(w io.Writer) error {
+	for i, t := range ts {
+		sep := ""
+		if i > 0 {
+			sep = "\n"
+		}
+		if _, err := fmt.Fprintf(w, "%s# %s\n", sep, t.Title); err != nil {
+			return err
+		}
+		if err := t.WriteCSV(w); err != nil {
 			return err
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return nil
 }
 
 // WriteCSV emits the four bandwidth series of Figure 8.
 func (r *IOTrafficResult) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"bucket", "seconds", "disk_read_MBps", "disk_write_MBps", "ssd_read_MBps", "ssd_write_MBps"}); err != nil {
-		return err
-	}
-	get := func(s []float64, i int) string {
-		if i < len(s) {
-			return strconv.FormatFloat(s[i], 'f', 3, 64)
+	rows := [][]string{{"bucket", "seconds", "disk_read_MBps", "disk_write_MBps", "ssd_read_MBps", "ssd_write_MBps"}}
+	for i := range r.DiskReadMB {
+		row := []string{strconv.Itoa(i), ftoa(float64(i)*r.Bucket.Seconds(), 4)}
+		for _, s := range [][]float64{r.DiskReadMB, r.DiskWriteMB, r.SSDReadMB, r.SSDWriteMB} {
+			if i < len(s) {
+				row = append(row, ftoa(s[i], 3))
+			} else {
+				row = append(row, "")
+			}
 		}
-		return ""
+		rows = append(rows, row)
 	}
-	for i := 0; i < len(r.DiskReadMB); i++ {
-		row := []string{
-			strconv.Itoa(i),
-			strconv.FormatFloat(float64(i)*r.Bucket.Seconds(), 'f', 4, 64),
-			get(r.DiskReadMB, i), get(r.DiskWriteMB, i),
-			get(r.SSDReadMB, i), get(r.SSDWriteMB, i),
-		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(rows)
 }
 
 // WriteCSV emits the Table 3 grid.
 func (r *Table3Result) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"sf", "design", "power", "throughput", "qphh"}); err != nil {
-		return err
-	}
+	rows := [][]string{{"sf", "design", "power", "throughput", "qphh"}}
 	for _, row := range r.Rows {
-		if err := cw.Write([]string{
-			strconv.Itoa(row.SF), row.Design.String(),
-			strconv.FormatFloat(row.Power, 'f', 1, 64),
-			strconv.FormatFloat(row.Throughput, 'f', 1, 64),
-			strconv.FormatFloat(row.QphH, 'f', 1, 64),
-		}); err != nil {
-			return err
-		}
+		rows = append(rows, []string{strconv.Itoa(row.SF), row.Design.String(),
+			ftoa(row.Power, 1), ftoa(row.Throughput, 1), ftoa(row.QphH, 1)})
 	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// CSVExperiments maps experiment ids to CSV-producing runners, for the
-// experiments whose output is figure data. Ids not listed here have no
-// CSV form (their text output is already tabular).
-func CSVExperiments() map[string]func(Scale, io.Writer) error {
-	return map[string]func(Scale, io.Writer) error{
-		"fig5-tpcc": func(s Scale, w io.Writer) error {
-			r, err := Fig5TPCC(s)
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		},
-		"fig5-tpce": func(s Scale, w io.Writer) error {
-			r, err := Fig5TPCE(s)
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		},
-		"fig5-tpch": func(s Scale, w io.Writer) error {
-			r, err := Fig5TPCH(s)
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		},
-		"fig6": func(s Scale, w io.Writer) error {
-			rs, err := Fig6(s)
-			if err != nil {
-				return err
-			}
-			for i, r := range rs {
-				if i > 0 {
-					if _, err := fmt.Fprintln(w); err != nil {
-						return err
-					}
-				}
-				if _, err := fmt.Fprintf(w, "# %s\n", r.Title); err != nil {
-					return err
-				}
-				if err := r.WriteCSV(w); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		"fig7": func(s Scale, w io.Writer) error {
-			r, err := Fig7(s)
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		},
-		"fig8": func(s Scale, w io.Writer) error {
-			r, err := Fig8(s)
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		},
-		"fig9": func(s Scale, w io.Writer) error {
-			rs, err := Fig9(s)
-			if err != nil {
-				return err
-			}
-			for i, r := range rs {
-				if i > 0 {
-					if _, err := fmt.Fprintln(w); err != nil {
-						return err
-					}
-				}
-				if _, err := fmt.Fprintf(w, "# %s\n", r.Title); err != nil {
-					return err
-				}
-				if err := r.WriteCSV(w); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		"table3": func(s Scale, w io.Writer) error {
-			r, err := RunTable3(s, []int{30, 100})
-			if err != nil {
-				return err
-			}
-			return r.WriteCSV(w)
-		},
-	}
+	return csv.NewWriter(w).WriteAll(rows)
 }

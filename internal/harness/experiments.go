@@ -86,7 +86,7 @@ type TimelineResult struct {
 // Fig6 reproduces Figure 6: 10-hour throughput timelines for TPC-C 2K/4K
 // and TPC-E 20K/40K under LC, DW, TAC and noSSD (six-minute buckets,
 // three-point moving average).
-func Fig6(scale Scale) ([]*TimelineResult, error) {
+func Fig6(scale Scale) (Timelines, error) {
 	specs := []struct {
 		kind  string
 		size  int
@@ -106,7 +106,7 @@ func Fig6(scale Scale) ([]*TimelineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []*TimelineResult
+	var out Timelines
 	for si, sp := range specs {
 		tr := &TimelineResult{Title: sp.title, Curves: map[string][]float64{}}
 		for di, design := range designs {
@@ -170,7 +170,7 @@ func Fig8(scale Scale) (*IOTrafficResult, error) {
 // minutes vs 5 hours) on DW and LC over the TPC-E 20K-customer database,
 // run for 13 hours. For the 5-hour interval LC's λ is raised from 1% to
 // 50%, as in the paper.
-func Fig9(scale Scale) ([]*TimelineResult, error) {
+func Fig9(scale Scale) (Timelines, error) {
 	designs := []ssd.Design{ssd.DW, ssd.LC}
 	intervals := []struct {
 		name   string
@@ -192,7 +192,7 @@ func Fig9(scale Scale) ([]*TimelineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []*TimelineResult
+	var out Timelines
 	for di, design := range designs {
 		tr := &TimelineResult{Title: fmt.Sprintf("(%s) checkpoint interval", design), Curves: map[string][]float64{}}
 		for ii, iv := range intervals {
@@ -244,7 +244,7 @@ type TACWasteRow struct {
 
 // RunTACWaste measures the SSD space TAC wastes on logically-invalidated
 // pages for the three TPC-C databases (paper: ~7.4/10.4/8.9 GB of 140 GB).
-func RunTACWaste(scale Scale) ([]TACWasteRow, error) {
+func RunTACWaste(scale Scale) (TACWasteRows, error) {
 	warehouses := []int{1, 2, 4}
 	rs, err := RunGrid(len(warehouses), func(i int) (*OLTPResult, error) {
 		return RunOLTP(buildOLTP(scale, ssd.TAC, "tpcc", TPCCSizesGB[warehouses[i]], nil))
@@ -252,7 +252,7 @@ func RunTACWaste(scale Scale) ([]TACWasteRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []TACWasteRow
+	var rows TACWasteRows
 	for i, wh := range warehouses {
 		rows = append(rows, TACWasteRow{
 			Label:        fmt.Sprintf("%dK warehouses", wh),

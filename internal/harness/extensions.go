@@ -28,8 +28,8 @@ type MidrangeRow struct {
 }
 
 // RunMidrange runs TPC-E 20K under DW with progressively slower SSDs.
-func RunMidrange(scale Scale) ([]MidrangeRow, error) {
-	grades := []MidrangeRow{
+func RunMidrange(scale Scale) (MidrangeRows, error) {
+	grades := MidrangeRows{
 		{Grade: "enterprise (ioDrive)", IOPSFrac: 1.0},
 		{Grade: "mid-range", IOPSFrac: 0.5},
 		{Grade: "entry", IOPSFrac: 0.25},
@@ -63,8 +63,11 @@ func RunMidrange(scale Scale) ([]MidrangeRow, error) {
 	return grades, nil
 }
 
-// PrintMidrange renders the SSD-grade sweep.
-func PrintMidrange(w io.Writer, rows []MidrangeRow) {
+// MidrangeRows is the SSD-grade sweep, best grade first.
+type MidrangeRows []MidrangeRow
+
+// Print renders the SSD-grade sweep.
+func (rows MidrangeRows) Print(w io.Writer) {
 	fmt.Fprintln(w, "Mid-range SSD sweep (§6): DW on TPC-E 20K, SSD IOPS scaled down")
 	fmt.Fprintf(w, "%-22s %10s %12s %9s\n", "SSD grade", "IOPS", "tx/s", "speedup")
 	for _, r := range rows {
@@ -168,7 +171,7 @@ type AblationRow struct {
 // RunAblations sweeps the §3.3 optimization knobs one at a time on TPC-C
 // 2K under LC (the configuration most sensitive to them) and reports
 // final-hour throughput against the paper-default configuration.
-func RunAblations(scale Scale) ([]AblationRow, error) {
+func RunAblations(scale Scale) (AblationRows, error) {
 	type variant struct {
 		name   string
 		detail string
@@ -201,15 +204,18 @@ func RunAblations(scale Scale) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]AblationRow, len(variants))
+	rows := make(AblationRows, len(variants))
 	for i, v := range variants {
 		rows[i] = AblationRow{Name: v.name, TPS: rs[i].FinalTPS, Detail: v.detail}
 	}
 	return rows, nil
 }
 
-// PrintAblations renders the ablation sweep.
-func PrintAblations(w io.Writer, rows []AblationRow) {
+// AblationRows is the ablation sweep; row 0 is the paper-default baseline.
+type AblationRows []AblationRow
+
+// Print renders the ablation sweep.
+func (rows AblationRows) Print(w io.Writer) {
 	fmt.Fprintln(w, "Design-choice ablations: LC on TPC-C 2K, one knob changed at a time")
 	base := 0.0
 	if len(rows) > 0 {
@@ -320,7 +326,7 @@ type RestartRow struct {
 // restart time: sharp checkpoints are expensive but make recovery fast;
 // fuzzy checkpoints are nearly free but leave a redo tail that grows with
 // λ (the dirty pages parked on the SSD).
-func RunRestart(scale Scale) ([]RestartRow, error) {
+func RunRestart(scale Scale) (RestartRows, error) {
 	measure := func(fuzzy bool, lambda float64) (RestartRow, error) {
 		run := buildOLTP(scale, ssd.LC, "tpcc", TPCCSizesGB[2], func(c *engine.Config) {
 			c.DirtyFraction = lambda
@@ -362,13 +368,17 @@ func RunRestart(scale Scale) ([]RestartRow, error) {
 		return row, nil
 	}
 	lambdas := []float64{0.1, 0.9}
-	return RunGrid(2*len(lambdas), func(i int) (RestartRow, error) {
+	rows, err := RunGrid(2*len(lambdas), func(i int) (RestartRow, error) {
 		return measure(i/len(lambdas) == 1, lambdas[i%len(lambdas)])
 	})
+	return rows, err
 }
 
-// PrintRestart renders the checkpoint/recovery tradeoff.
-func PrintRestart(w io.Writer, rows []RestartRow) {
+// RestartRows is the checkpoint-policy × λ sweep.
+type RestartRows []RestartRow
+
+// Print renders the checkpoint/recovery tradeoff.
+func (rows RestartRows) Print(w io.Writer) {
 	fmt.Fprintln(w, "Checkpoint policy vs restart time (§2.3.3): LC on TPC-C 2K")
 	fmt.Fprintf(w, "%-8s %6s %14s %12s %12s\n", "policy", "λ", "checkpoint", "recovery", "redo recs")
 	for _, r := range rows {

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
+	"strings"
 	"time"
 
 	"turbobp/internal/engine"
@@ -27,26 +27,6 @@ import (
 // rendered table is byte-identical across runs and across -parallel worker
 // counts; docs/FAILURES.md describes each scenario's expected semantics.
 
-var (
-	faultSeedMu sync.Mutex
-	faultSeed   uint64 = 0x5EEDFA17
-)
-
-// SetFaultSeed sets the seed the fault matrix derives every cell's fault
-// schedule from (the -faultseed flag).
-func SetFaultSeed(s uint64) {
-	faultSeedMu.Lock()
-	faultSeed = s
-	faultSeedMu.Unlock()
-}
-
-// FaultSeed returns the current fault-matrix seed.
-func FaultSeed() uint64 {
-	faultSeedMu.Lock()
-	defer faultSeedMu.Unlock()
-	return faultSeed
-}
-
 // faultDesigns are the columns of the matrix: every SSD design with a cache.
 var faultDesigns = []ssd.Design{ssd.CW, ssd.DW, ssd.LC, ssd.TAC}
 
@@ -63,32 +43,39 @@ var faultScenarios = []string{
 	"torn-log",
 }
 
-// FaultRow is one cell's verdict.
-type FaultRow struct {
+// MatrixRow is one cell's verdict.
+type MatrixRow struct {
 	Design   ssd.Design
 	Scenario string
 	Outcome  string // "pass", optionally annotated, or "FAIL: ..."
 	Pass     bool
 }
 
-// FaultMatrixResult is the rendered pass/fail table.
-type FaultMatrixResult struct {
-	Seed uint64
-	Rows []FaultRow
+// MatrixResult is a rendered design × scenario pass/fail table: the fault
+// matrix and the silent-corruption matrix.
+type MatrixResult struct {
+	Name  string // "fault" or "corruption": names the matrix in Err
+	Title string // first rendered line, before the seed
+	Seed  uint64
+	Rows  []MatrixRow
 }
 
-// Print renders the matrix.
-func (r *FaultMatrixResult) Print(w io.Writer) {
-	fmt.Fprintf(w, "Fault matrix — crash/recover scenarios per design (seed %#x)\n", r.Seed)
-	fmt.Fprintf(w, "%-6s %-16s %s\n", "design", "scenario", "outcome")
+// Print renders the matrix, the scenario column as wide as its longest name.
+func (r *MatrixResult) Print(w io.Writer) {
+	width := 0
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-6s %-16s %s\n", row.Design, row.Scenario, row.Outcome)
+		width = max(width, len(row.Scenario)+1)
+	}
+	fmt.Fprintf(w, "%s (seed %#x)\n", r.Title, r.Seed)
+	fmt.Fprintf(w, "%-6s %-*s %s\n", "design", width, "scenario", "outcome")
+	for _, row := range r.Rows {
+		fmt.Fprintf(w, "%-6s %-*s %s\n", row.Design, width, row.Scenario, row.Outcome)
 	}
 }
 
 // Err returns an error naming the failed cells, or nil if all passed —
-// `bpesim faults` exits nonzero through it.
-func (r *FaultMatrixResult) Err() error {
+// `bpesim faults` and `bpesim corrupt` exit nonzero through it.
+func (r *MatrixResult) Err() error {
 	var bad []string
 	for _, row := range r.Rows {
 		if !row.Pass {
@@ -98,22 +85,80 @@ func (r *FaultMatrixResult) Err() error {
 	if len(bad) == 0 {
 		return nil
 	}
-	return fmt.Errorf("harness: fault matrix failed: %v", bad)
+	return fmt.Errorf("harness: %s matrix failed: %v", r.Name, bad)
 }
 
-// RunFaultMatrix executes every design × scenario cell on the worker pool.
-func RunFaultMatrix() (*FaultMatrixResult, error) {
-	seed := FaultSeed()
-	n := len(faultDesigns) * len(faultScenarios)
-	rows, err := RunGrid(n, func(i int) (FaultRow, error) {
-		design := faultDesigns[i/len(faultScenarios)]
-		scenario := faultScenarios[i%len(faultScenarios)]
-		return runFaultCell(design, scenario, faultMix(seed, uint64(i)+1)), nil
+// matrixScript is one matrix's per-scenario script. The returned note
+// annotates a passing row (deterministic counters only).
+type matrixScript func(p *sim.Proc, d *faultDriver, design ssd.Design, scenario string) (string, error)
+
+// runMatrix executes every design × scenario cell on the worker pool. Cell
+// i's fault schedule is seeded from the scale's fault seed and salt+i, and
+// its engine is the fixed small geometry below as adjusted by tune.
+func runMatrix(r *MatrixResult, s Scale, salt uint64, scenarios []string,
+	tune func(scenario string, cfg *engine.Config), script matrixScript) (*MatrixResult, error) {
+	r.Seed = s.faultSeed()
+	var err error
+	r.Rows, err = RunGrid(len(faultDesigns)*len(scenarios), func(i int) (MatrixRow, error) {
+		row := MatrixRow{Design: faultDesigns[i/len(scenarios)], Scenario: scenarios[i%len(scenarios)]}
+		seed := faultMix(r.Seed, salt+uint64(i))
+		inj := fault.New(seed)
+		cfg := engine.Config{
+			Design:      row.Design,
+			DBPages:     512,
+			PoolPages:   48,
+			SSDFrames:   128,
+			PayloadSize: 64,
+			Faults:      inj,
+		}
+		tune(row.Scenario, &cfg)
+		env := sim.NewEnv()
+		e := engine.New(env, cfg)
+		if err := e.FormatDB(); err != nil {
+			row.Outcome = "FAIL: format: " + err.Error()
+			return row, nil
+		}
+		d := &faultDriver{
+			e:         e,
+			inj:       inj,
+			rng:       seed ^ 0xA5A5A5A5A5A5A5A5,
+			applied:   make([]uint64, faultHotPages),
+			committed: make([]uint64, faultHotPages),
+		}
+		var note string
+		var scriptErr error
+		env.Go(r.Name+"-driver", func(p *sim.Proc) {
+			note, scriptErr = script(p, d, row.Design, row.Scenario)
+			e.StopBackground()
+		})
+		env.Run(-1)
+		env.Shutdown()
+		switch {
+		case scriptErr != nil:
+			row.Outcome = "FAIL: " + scriptErr.Error()
+		case len(d.fails) > 0:
+			row.Outcome = "FAIL: " + strings.Join(d.fails, "; ")
+		default:
+			row.Outcome = "pass"
+			if note != "" {
+				row.Outcome += " (" + note + ")"
+			}
+			row.Pass = true
+		}
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &FaultMatrixResult{Seed: seed, Rows: rows}, nil
+	return r, err
+}
+
+// RunFaultMatrix executes the crash/recover matrix.
+func RunFaultMatrix(s Scale) (*MatrixResult, error) {
+	r := &MatrixResult{Name: "fault", Title: "Fault matrix — crash/recover scenarios per design"}
+	return runMatrix(r, s, 1, faultScenarios, func(scenario string, cfg *engine.Config) {
+		cfg.DirtyFraction = 0.9 // keep LC's SSD dirty set large: the interesting loss case
+		if scenario == "mid-lazy-clean" {
+			cfg.DirtyFraction = 0.05 // wake the cleaner early so the crash site is reached
+		}
+	}, runFaultScenario)
 }
 
 // faultMix is a splitmix64-style hash used both to derive per-cell seeds and
@@ -246,63 +291,6 @@ func (d *faultDriver) verifyExact(p *sim.Proc) error {
 func (d *faultDriver) crashRecover(p *sim.Proc) error {
 	d.e.Crash()
 	return d.e.Recover(p)
-}
-
-// runFaultCell builds one engine with one fault schedule and runs one
-// scenario to a verdict.
-func runFaultCell(design ssd.Design, scenario string, seed uint64) FaultRow {
-	row := FaultRow{Design: design, Scenario: scenario}
-	inj := fault.New(seed)
-	lambda := 0.9 // keep LC's SSD dirty set large: the interesting loss case
-	if scenario == "mid-lazy-clean" {
-		lambda = 0.05 // wake the cleaner early so the crash site is reached
-	}
-	cfg := engine.Config{
-		Design:        design,
-		DBPages:       512,
-		PoolPages:     48,
-		SSDFrames:     128,
-		PayloadSize:   64,
-		DirtyFraction: lambda,
-		Faults:        inj,
-	}
-	env := sim.NewEnv()
-	e := engine.New(env, cfg)
-	if err := e.FormatDB(); err != nil {
-		row.Outcome = "FAIL: format: " + err.Error()
-		return row
-	}
-	d := &faultDriver{
-		e:         e,
-		inj:       inj,
-		rng:       seed ^ 0xA5A5A5A5A5A5A5A5,
-		applied:   make([]uint64, faultHotPages),
-		committed: make([]uint64, faultHotPages),
-	}
-	var note string
-	var scriptErr error
-	env.Go("fault-driver", func(p *sim.Proc) {
-		note, scriptErr = runFaultScenario(p, d, design, scenario)
-		e.StopBackground()
-	})
-	env.Run(-1)
-	env.Shutdown()
-	switch {
-	case scriptErr != nil:
-		row.Outcome = "FAIL: " + scriptErr.Error()
-	case len(d.fails) > 0:
-		row.Outcome = "FAIL: " + d.fails[0]
-		for _, f := range d.fails[1:] {
-			row.Outcome += "; " + f
-		}
-	default:
-		row.Outcome = "pass"
-		if note != "" {
-			row.Outcome += " (" + note + ")"
-		}
-		row.Pass = true
-	}
-	return row
 }
 
 // runFaultScenario is the per-scenario script. The returned note annotates a

@@ -25,20 +25,23 @@ func TestGoldenHashes(t *testing.T) {
 		all = append(all, e.ID)
 	}
 	small := Scale{Divisor: 8192}
+	figures := []string{"fig5-tpcc", "fig5-tpce", "fig5-tpch", "fig6", "fig7", "fig8", "fig9", "table3"}
 	for _, tc := range []struct {
 		name  string
 		ids   []string
 		scale Scale
+		run   func(ids []string, scale Scale, out io.Writer) error
 	}{
-		{"all", all, small},
-		{"index", []string{"index"}, small},
-		{"policy", []string{"policy"}, small},
-		{"faults", []string{"faults"}, Default},
-		{"corrupt", []string{"corrupt"}, Default},
+		{"all", all, small, runText},
+		{"index", []string{"index"}, small, runText},
+		{"policy", []string{"policy"}, small, runText},
+		{"faults", []string{"faults"}, Default, runText},
+		{"corrupt", []string{"corrupt"}, Default, runText},
+		{"csv", figures, small, runCSV},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := sha256.New()
-			if err := RunAll(tc.ids, tc.scale, h, io.Discard); err != nil {
+			if err := tc.run(tc.ids, tc.scale, h); err != nil {
 				t.Fatal(err)
 			}
 			if got := hex.EncodeToString(h.Sum(nil)); got != want[tc.name] {
@@ -46,6 +49,25 @@ func TestGoldenHashes(t *testing.T) {
 			}
 		})
 	}
+}
+
+func runText(ids []string, scale Scale, out io.Writer) error {
+	return RunAll(ids, scale, out, io.Discard)
+}
+
+// runCSV is what `bpesim -csv <ids>` writes.
+func runCSV(ids []string, scale Scale, out io.Writer) error {
+	for _, id := range ids {
+		e, _ := FindExperiment(id)
+		res, err := e.Run(scale)
+		if err != nil {
+			return err
+		}
+		if err := res.(CSVWriter).WriteCSV(out); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // readGoldenHashes parses "<hex>  <name>" lines; '#' lines are comments.

@@ -32,6 +32,17 @@ type Scale struct {
 	// Policy is the cache policy of every engine built from this scale
 	// (both tiers). The zero value is LRU-2, the paper's policy.
 	Policy policy.Kind
+	// FaultSeed is the seed the faults and corrupt matrices derive every
+	// cell's fault schedule from (the -faultseed flag). Zero selects
+	// 0x5EEDFA17.
+	FaultSeed uint64
+}
+
+func (s Scale) faultSeed() uint64 {
+	if s.FaultSeed == 0 {
+		return 0x5EEDFA17
+	}
+	return s.FaultSeed
 }
 
 // Common scales.

@@ -272,7 +272,7 @@ func TestRenderersProduceOutput(t *testing.T) {
 		t.Errorf("classify render: %q", buf.String())
 	}
 	buf.Reset()
-	PrintTACWaste(&buf, []TACWasteRow{{Label: "1K", InvalidPages: 10, WastedGB: 1}})
+	TACWasteRows{{Label: "1K", InvalidPages: 10, WastedGB: 1}}.Print(&buf)
 	if !strings.Contains(buf.String(), "1K") {
 		t.Error("tacwaste render empty")
 	}
@@ -360,11 +360,12 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 	for _, exp := range Experiments() {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := exp.Run(scale, &buf); err != nil {
+			res, err := exp.Run(scale)
+			if err != nil {
 				t.Fatalf("%s: %v", exp.ID, err)
 			}
-			if buf.Len() == 0 {
+			var buf bytes.Buffer
+			if res.Print(&buf); buf.Len() == 0 {
 				t.Errorf("%s produced no output", exp.ID)
 			}
 		})
@@ -464,11 +465,34 @@ func TestCSVExportWellFormed(t *testing.T) {
 	check("table3", t3.WriteCSV, 2, 5)
 }
 
-// TestCSVExperimentsSubset ensures every CSV id is a registered experiment.
-func TestCSVExperimentsSubset(t *testing.T) {
-	for id := range CSVExperiments() {
-		if _, ok := FindExperiment(id); !ok {
-			t.Errorf("CSV id %q is not a registered experiment", id)
+// TestResultForms pins the optional forms the registry discovers on each
+// result type: exactly the eight figure ids have a CSV form (known before
+// anything runs), and a failed matrix verdict comes out of RunAll as the
+// experiment's error.
+func TestResultForms(t *testing.T) {
+	csvIDs := map[string]bool{"fig5-tpcc": true, "fig5-tpce": true, "fig5-tpch": true,
+		"fig6": true, "fig7": true, "fig8": true, "fig9": true, "table3": true}
+	for _, e := range Experiments() {
+		if e.CSV != csvIDs[e.ID] {
+			t.Errorf("%s: CSV form = %v, want %v", e.ID, e.CSV, csvIDs[e.ID])
+		}
+	}
+	for _, id := range []string{"faults", "corrupt"} {
+		e, _ := FindExperiment(id)
+		var failed string
+		run := e.Run
+		e.Run = func(s Scale) (Result, error) {
+			res, err := run(s)
+			if err == nil {
+				row := &res.(*MatrixResult).Rows[3]
+				row.Pass, failed = false, row.Scenario
+			}
+			return res, err
+		}
+		var out bytes.Buffer
+		err := runExperiments([]Experiment{e}, Scale{}, &out, nil)
+		if err == nil || !strings.Contains(err.Error(), failed) || !strings.HasPrefix(err.Error(), id+": ") {
+			t.Errorf("%s with one failed cell: RunAll error = %v, want one naming %s/%s", id, err, id, failed)
 		}
 	}
 }

@@ -129,7 +129,8 @@ func RunGrid[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 // written to out in the order given, so stdout is byte-identical to a
 // serial run no matter how many workers are active. Per-experiment
 // wall-clock timings go to logw (typically stderr; nil discards them).
-// An unknown id fails before anything runs.
+// An unknown id fails before anything runs; a result whose Verdict is an
+// error fails its experiment with that error.
 func RunAll(ids []string, scale Scale, out, logw io.Writer) error {
 	exps := make([]Experiment, len(ids))
 	for i, id := range ids {
@@ -139,6 +140,10 @@ func RunAll(ids []string, scale Scale, out, logw io.Writer) error {
 		}
 		exps[i] = e
 	}
+	return runExperiments(exps, scale, out, logw)
+}
+
+func runExperiments(exps []Experiment, scale Scale, out, logw io.Writer) error {
 	type cell struct {
 		buf bytes.Buffer
 		dur time.Duration
@@ -153,10 +158,15 @@ func RunAll(ids []string, scale Scale, out, logw io.Writer) error {
 		fmt.Fprintf(&c.buf, "== %s — %s (divisor %d) ==\n",
 			exps[i].ID, exps[i].Description, scale.Divisor)
 		start := time.Now()
-		c.err = exps[i].Run(scale, &c.buf)
+		var res Result
+		res, c.err = exps[i].Run(scale)
 		c.dur = time.Since(start)
 		if c.err == nil {
+			res.Print(&c.buf)
 			c.buf.WriteByte('\n')
+			if v, ok := res.(Verdict); ok {
+				c.err = v.Err()
+			}
 		}
 		return struct{}{}, nil
 	}); err != nil {

@@ -43,6 +43,17 @@ func (t *TimelineResult) Print(w io.Writer) {
 	}
 }
 
+// Timelines is a figure made of several charts (Figures 6 and 9).
+type Timelines []*TimelineResult
+
+// Print renders each chart followed by a blank line.
+func (ts Timelines) Print(w io.Writer) {
+	for _, t := range ts {
+		t.Print(w)
+		fmt.Fprintln(w)
+	}
+}
+
 // Print renders the Figure 8 bandwidth series.
 func (r *IOTrafficResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Figure 8 — I/O traffic (MB/s, bucket = %v)\n", r.Bucket)
@@ -104,8 +115,11 @@ func (r *CWResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "LC  %10.2f tx/s  (CW %5.1f%% slower)\n", r.LCTPS, r.SlowerThanLC*100)
 }
 
-// PrintTACWaste renders the §2.5 wasted-space rows.
-func PrintTACWaste(w io.Writer, rows []TACWasteRow) {
+// TACWasteRows is the §2.5 wasted-space measurement, one row per database.
+type TACWasteRows []TACWasteRow
+
+// Print renders the §2.5 wasted-space rows.
+func (rows TACWasteRows) Print(w io.Writer) {
 	fmt.Fprintln(w, "TAC wasted SSD space on invalid pages (paper: 7.4/10.4/8.9 GB of 140GB)")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-16s %8d invalid pages = %6.2f GB (paper scale)\n", r.Label, r.InvalidPages, r.WastedGB)
@@ -129,187 +143,68 @@ func (r *Table1Result) Print(w io.Writer) {
 		"SSD", r.SSDRandRead, r.SSDSeqRead, r.SSDRandWrite, r.SSDSeqWrite)
 }
 
+// Result is what an experiment returns: a typed value that renders itself.
+// Two optional forms are discovered on the result's type: CSVWriter
+// (figure data) and Verdict (pass/fail matrices).
+type Result interface{ Print(w io.Writer) }
+
+// CSVWriter is implemented by results that are figure data: WriteCSV emits
+// machine-readable series so the paper's charts can be re-plotted directly.
+type CSVWriter interface{ WriteCSV(w io.Writer) error }
+
+// Verdict is implemented by pass/fail results: Err names the failed cells.
+type Verdict interface{ Err() error }
+
 // Experiment is a runnable reproduction unit addressable by id.
 type Experiment struct {
 	ID          string
 	Description string
-	Run         func(scale Scale, w io.Writer) error
+	Run         func(Scale) (Result, error)
+	// CSV reports whether the result type implements CSVWriter, known
+	// from the type alone so a caller can refuse before anything runs.
+	CSV bool
+}
+
+// experiment adapts a typed runner to the registry's shape.
+func experiment[T Result](id, description string, run func(Scale) (T, error)) Experiment {
+	var zero T
+	_, csv := Result(zero).(CSVWriter)
+	return Experiment{id, description, func(s Scale) (Result, error) {
+		r, err := run(s)
+		if err != nil {
+			return nil, err
+		}
+		return r, nil
+	}, csv}
 }
 
 // Experiments lists every reproduction in the per-experiment index order
 // of DESIGN.md.
 func Experiments() []Experiment {
 	return []Experiment{
-		{"table1", "Table 1: device IOPS", func(_ Scale, w io.Writer) error {
-			RunTable1().Print(w)
-			return nil
-		}},
-		{"fig5-tpcc", "Figure 5(a-c): TPC-C speedups", func(s Scale, w io.Writer) error {
-			r, err := Fig5TPCC(s)
-			if err != nil {
-				return err
-			}
-			r.Print(w)
-			return nil
-		}},
-		{"fig5-tpce", "Figure 5(d-f): TPC-E speedups", func(s Scale, w io.Writer) error {
-			r, err := Fig5TPCE(s)
-			if err != nil {
-				return err
-			}
-			r.Print(w)
-			return nil
-		}},
-		{"fig5-tpch", "Figure 5(g-h): TPC-H speedups", func(s Scale, w io.Writer) error {
-			r, err := Fig5TPCH(s)
-			if err != nil {
-				return err
-			}
-			r.Print(w)
-			return nil
-		}},
-		{"fig6", "Figure 6: 10-hour throughput timelines", func(s Scale, w io.Writer) error {
-			rs, err := Fig6(s)
-			if err != nil {
-				return err
-			}
-			for _, r := range rs {
-				r.Print(w)
-				fmt.Fprintln(w)
-			}
-			return nil
-		}},
-		{"fig7", "Figure 7: LC λ sweep on TPC-C 4K", func(s Scale, w io.Writer) error {
-			r, err := Fig7(s)
-			if err != nil {
-				return err
-			}
-			r.Print(w)
-			return nil
-		}},
-		{"fig8", "Figure 8: I/O traffic, TPC-E 20K DW", func(s Scale, w io.Writer) error {
-			r, err := Fig8(s)
-			if err != nil {
-				return err
-			}
-			r.Print(w)
-			return nil
-		}},
-		{"fig9", "Figure 9: checkpoint-interval effect", func(s Scale, w io.Writer) error {
-			rs, err := Fig9(s)
-			if err != nil {
-				return err
-			}
-			for _, r := range rs {
-				r.Print(w)
-				fmt.Fprintln(w)
-			}
-			return nil
-		}},
-		{"table3", "Table 3: TPC-H power/throughput/QphH", func(s Scale, w io.Writer) error {
-			r, err := RunTable3(s, []int{30, 100})
-			if err != nil {
-				return err
-			}
-			r.Print(w)
-			return nil
-		}},
-		{"cw", "§4.1.1: CW vs DW/LC on TPC-E 20K", func(s Scale, w io.Writer) error {
-			r, err := RunCW(s)
-			if err != nil {
-				return err
-			}
-			r.Print(w)
-			return nil
-		}},
-		{"tacwaste", "§2.5: TAC wasted SSD space", func(s Scale, w io.Writer) error {
-			rows, err := RunTACWaste(s)
-			if err != nil {
-				return err
-			}
-			PrintTACWaste(w, rows)
-			return nil
-		}},
-		{"classify", "§2.2: classifier accuracy", func(s Scale, w io.Writer) error {
-			r, err := RunClassify(s)
-			if err != nil {
-				return err
-			}
-			r.Print(w)
-			return nil
-		}},
-		{"warmrestart", "§6 extension: warm restart vs cold restart", func(s Scale, w io.Writer) error {
-			r, err := RunWarmRestart(s)
-			if err != nil {
-				return err
-			}
-			r.Print(w)
-			return nil
-		}},
-		{"midrange", "§6: mid-range SSD sweep", func(s Scale, w io.Writer) error {
-			rows, err := RunMidrange(s)
-			if err != nil {
-				return err
-			}
-			PrintMidrange(w, rows)
-			return nil
-		}},
-		{"ablation", "§3.3 design-choice ablations", func(s Scale, w io.Writer) error {
-			rows, err := RunAblations(s)
-			if err != nil {
-				return err
-			}
-			PrintAblations(w, rows)
-			return nil
-		}},
-		{"trimming", "§3.3.3: multi-page I/O trimming", func(s Scale, w io.Writer) error {
-			r, err := RunTrimming(s)
-			if err != nil {
-				return err
-			}
-			r.Print(w)
-			return nil
-		}},
-		{"restart", "§2.3.3: checkpoint policy vs restart time", func(s Scale, w io.Writer) error {
-			rows, err := RunRestart(s)
-			if err != nil {
-				return err
-			}
-			PrintRestart(w, rows)
-			return nil
-		}},
-		{"faults", "fault-injection crash/recover matrix", func(_ Scale, w io.Writer) error {
-			r, err := RunFaultMatrix()
-			if err != nil {
-				return err
-			}
-			r.Print(w)
-			return r.Err()
-		}},
-		{"corrupt", "silent-corruption detect/repair matrix", func(_ Scale, w io.Writer) error {
-			r, err := RunCorruptMatrix()
-			if err != nil {
-				return err
-			}
-			r.Print(w)
-			return r.Err()
-		}},
-		{"index", "index & heapfile traversal workloads: 4 designs × 5 mixes", func(s Scale, w io.Writer) error {
-			r, err := RunIndex(s)
-			if err != nil {
-				return err
-			}
-			r.Print(w)
-			return nil
-		}},
-		{"policy", "cache-policy sweep: 4 designs × 4 policies × 4 workloads", func(s Scale, w io.Writer) error {
-			r, err := RunPolicySweep(s)
-			if err != nil {
-				return err
-			}
-			r.Print(w)
-			return nil
-		}},
+		experiment("table1", "Table 1: device IOPS", func(Scale) (*Table1Result, error) { return RunTable1(), nil }),
+		experiment("fig5-tpcc", "Figure 5(a-c): TPC-C speedups", Fig5TPCC),
+		experiment("fig5-tpce", "Figure 5(d-f): TPC-E speedups", Fig5TPCE),
+		experiment("fig5-tpch", "Figure 5(g-h): TPC-H speedups", Fig5TPCH),
+		experiment("fig6", "Figure 6: 10-hour throughput timelines", Fig6),
+		experiment("fig7", "Figure 7: LC λ sweep on TPC-C 4K", Fig7),
+		experiment("fig8", "Figure 8: I/O traffic, TPC-E 20K DW", Fig8),
+		experiment("fig9", "Figure 9: checkpoint-interval effect", Fig9),
+		experiment("table3", "Table 3: TPC-H power/throughput/QphH", func(s Scale) (*Table3Result, error) {
+			return RunTable3(s, []int{30, 100})
+		}),
+		experiment("cw", "§4.1.1: CW vs DW/LC on TPC-E 20K", RunCW),
+		experiment("tacwaste", "§2.5: TAC wasted SSD space", RunTACWaste),
+		experiment("classify", "§2.2: classifier accuracy", RunClassify),
+		experiment("warmrestart", "§6 extension: warm restart vs cold restart", RunWarmRestart),
+		experiment("midrange", "§6: mid-range SSD sweep", RunMidrange),
+		experiment("ablation", "§3.3 design-choice ablations", RunAblations),
+		experiment("trimming", "§3.3.3: multi-page I/O trimming", RunTrimming),
+		experiment("restart", "§2.3.3: checkpoint policy vs restart time", RunRestart),
+		experiment("faults", "fault-injection crash/recover matrix", RunFaultMatrix),
+		experiment("corrupt", "silent-corruption detect/repair matrix", RunCorruptMatrix),
+		experiment("index", "index & heapfile traversal workloads: 4 designs × 5 mixes", RunIndex),
+		experiment("policy", "cache-policy sweep: 4 designs × 4 policies × 4 workloads", RunPolicySweep),
 	}
 }
 
