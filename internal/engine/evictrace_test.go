@@ -9,7 +9,6 @@ import (
 	"turbobp/heapfile"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
-	"turbobp/storage"
 )
 
 // These tests pin down the in-flight dirty-eviction race: claimFrame pops
@@ -22,25 +21,19 @@ import (
 // pages (the original symptom was a slice-bounds panic in heapfile.Insert
 // on a zero page). The big-pool variant pins the no-eviction baseline.
 
-func runEvictRace(t *testing.T, task bool, workers, pool int) {
+func runEvictRace(t *testing.T, workers, pool int) {
 	env := sim.NewEnv()
 	e := New(env, Config{Design: ssd.DW, DBPages: 8192, PoolPages: pool, SSDFrames: 256, PayloadSize: 256})
 	if err := e.FormatDB(); err != nil {
 		t.Fatal(err)
 	}
 	var alloc int64
-	mk := func(p *sim.Proc) storage.Store {
-		if task {
-			return NewTaskStore(e, p, &alloc)
-		}
-		return NewProcStore(e, p, &alloc)
-	}
 	const perWorker = 300
 	heapMeta := make([]int64, workers)
 	treeMeta := make([]int64, workers)
 	ready := sim.NewSignal(env)
 	env.Go("load", func(p *sim.Proc) {
-		st := mk(p)
+		st := NewProcStore(e, p, &alloc)
 		for w := 0; w < workers; w++ {
 			f, err := heapfile.Create(st)
 			if err != nil {
@@ -64,7 +57,7 @@ func runEvictRace(t *testing.T, task bool, workers, pool int) {
 	for w := 0; w < workers; w++ {
 		w := w
 		procs[w] = env.Go("worker", func(p *sim.Proc) {
-			st := mk(p)
+			st := NewProcStore(e, p, &alloc)
 			ready.WaitFired(p)
 			f, err := heapfile.Open(st, heapMeta[w])
 			if err != nil {
@@ -140,9 +133,8 @@ func runEvictRace(t *testing.T, task bool, workers, pool int) {
 	}
 }
 
-func TestEvictRaceProc(t *testing.T)       { runEvictRace(t, false, 8, 32) }
-func TestEvictRaceTask(t *testing.T)       { runEvictRace(t, true, 8, 32) }
-func TestEvictRaceNoPressure(t *testing.T) { runEvictRace(t, false, 8, 2048) }
+func TestEvictRaceProc(t *testing.T)       { runEvictRace(t, 8, 32) }
+func TestEvictRaceNoPressure(t *testing.T) { runEvictRace(t, 8, 2048) }
 
 // TestEvictRaceDesigns runs the concurrent-eviction scenario under every
 // SSD design: the writeback window differs per design (LC lands only on

@@ -17,8 +17,8 @@ import (
 // code driven through the SSD tier, so the page access pattern emerges
 // from structure traversal instead of a synthetic distribution (ROADMAP
 // item 3; docs/WORKLOADS.md describes each mix). Every cell runs one
-// design × one traversal mix through the engine's Task form via the
-// storage.Store adapters and reports hit rates, SSD traffic, and the
+// design × one traversal mix through the engine's storage.Store adapter
+// (engine.ProcStore) and reports hit rates, SSD traffic, and the
 // per-structure stats (height, splits, pages touched per op) the
 // structures themselves produce.
 
@@ -88,7 +88,7 @@ func indexConfig(design ssd.Design, m workload.IndexMix, pol policy.Kind) engine
 }
 
 // runIndexCell executes one cell: build the engine, run the mix through
-// Task-form Store adapters, and compute measured-phase rates.
+// the Store adapter, and compute measured-phase rates.
 func runIndexCell(s Scale, design ssd.Design, kind workload.IndexKind) (IndexCell, error) {
 	mix := indexMix(s, kind)
 	cell := IndexCell{Design: design, Kind: kind, Mix: mix}
@@ -98,7 +98,7 @@ func runIndexCell(s Scale, design ssd.Design, kind workload.IndexKind) (IndexCel
 		return cell, err
 	}
 	var alloc int64
-	newStore := func(p *sim.Proc) storage.Store { return engine.NewTaskStore(e, p, &alloc) }
+	newStore := func(p *sim.Proc) storage.Store { return engine.NewProcStore(e, p, &alloc) }
 
 	var loadEng engine.Stats
 	var loadSSD ssd.Stats

@@ -92,7 +92,7 @@ func policyIndexCell(s Scale, design ssd.Design, pol policy.Kind, kind workload.
 		return cell, err
 	}
 	var alloc int64
-	newStore := func(p *sim.Proc) storage.Store { return engine.NewTaskStore(e, p, &alloc) }
+	newStore := func(p *sim.Proc) storage.Store { return engine.NewProcStore(e, p, &alloc) }
 	res := mix.Start(env, newStore, nil, func() { e.StopBackground() })
 	env.Run(-1)
 	env.Shutdown()

@@ -14,7 +14,6 @@ import (
 	"turbobp/internal/fault"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
-	"turbobp/storage"
 )
 
 // Shadow-model property tests: a B+-tree and a heapfile run through the
@@ -22,9 +21,7 @@ import (
 // committed batch — and after a crash/recover cycle armed at a WAL-flush
 // crash point mid-run — the structures must agree with the maps exactly:
 // every key resolves, Range enumerates the sorted model, every record
-// round-trips, and Scan sees precisely the live set. Both Store forms run
-// the same script, so the Proc and Task access paths are held to the same
-// contract. The crash fires at fault.SitePostWALFlush during a batch's
+// round-trips, and Scan sees precisely the live set. The crash fires at fault.SitePostWALFlush during a batch's
 // commit: the log force completed, so the batch is durable even though the
 // commit was never acknowledged — the atomic-batch contract the btree and
 // heapfile package docs promise.
@@ -235,11 +232,11 @@ func (m *shadowModel) fold(d *batchDelta) {
 	}
 }
 
-// runShadow drives the property test in one Store form. With crash set, a
+// runShadow drives the property test. With crash set, a
 // SitePostWALFlush crash point is armed mid-run: the commit that trips it
 // has already forced the log, so after Crash+Recover the batch must be
 // durably present in full.
-func runShadow(t *testing.T, task bool, crash bool) {
+func runShadow(t *testing.T, crash bool) {
 	inj := fault.New(7)
 	env := sim.NewEnv()
 	e := engine.New(env, engine.Config{
@@ -252,12 +249,7 @@ func runShadow(t *testing.T, task bool, crash bool) {
 	var alloc int64
 	env.Go("shadow-driver", func(p *sim.Proc) {
 		defer e.StopBackground()
-		var st storage.Store
-		if task {
-			st = engine.NewTaskStore(e, p, &alloc)
-		} else {
-			st = engine.NewProcStore(e, p, &alloc)
-		}
+		st := engine.NewProcStore(e, p, &alloc)
 		tr, err := btree.Create(st)
 		if err != nil {
 			t.Error(err)
@@ -338,7 +330,5 @@ func runShadow(t *testing.T, task bool, crash bool) {
 	env.Shutdown()
 }
 
-func TestShadowProc(t *testing.T)      { runShadow(t, false, false) }
-func TestShadowTask(t *testing.T)      { runShadow(t, true, false) }
-func TestShadowProcCrash(t *testing.T) { runShadow(t, false, true) }
-func TestShadowTaskCrash(t *testing.T) { runShadow(t, true, true) }
+func TestShadowProc(t *testing.T)      { runShadow(t, false) }
+func TestShadowProcCrash(t *testing.T) { runShadow(t, true) }

@@ -1,11 +1,10 @@
 // Package storage defines the page-level storage-access interface that
 // the access-method layer (package btree, package heapfile) is written
-// against. Two families of implementations satisfy it: the public
-// turbobp.DB (file-backed or simulated devices behind the public API)
-// and the internal simulation adapters over internal/engine (one that
-// runs each operation on the calling process, one that spawns it as a
-// task), so
-// the same B+-tree traversal or heap-file scan can run against a real
+// against. Two implementations satisfy it: the public turbobp.DB
+// (file-backed or simulated devices behind the public API) and the
+// internal simulation adapter over internal/engine (engine.ProcStore,
+// which runs each operation on the calling simulated process), so the
+// same B+-tree traversal or heap-file scan can run against a real
 // database or inside a discrete-event experiment. This is what lets
 // page access patterns in the `bpesim index` experiment *emerge* from
 // structure traversal instead of being sampled from a distribution.
