@@ -1,6 +1,7 @@
 package turbobp
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -51,7 +52,8 @@ import (
 // file backend's per-partition WALs persist real record bytes
 // (wal.SetPersist) so a later process can reopen the directory
 // (Options.OpenExisting) and recover: wal.LoadDurable reloads each
-// partition's durable stream, and engine.RecoverDurable redoes committed
+// partition's durable stream, and engine.RecoverDurable (the same replay an
+// in-process Crash + Recover runs) redoes committed
 // transactions and rolls back uncommitted ones from their logged
 // before-images, resolving in-doubt prepared transactions against the
 // coordinator log.
@@ -80,8 +82,8 @@ const (
 const poolStripesPerPartition = 16
 
 // walPagesTotal is the log-file capacity in 8 KB pages, split evenly
-// across partitions.
-const walPagesTotal = 1 << 20
+// across partitions. A variable only so a test can shrink it.
+var walPagesTotal device.PageNum = 1 << 20
 
 // fileOpTick is the virtual time one facade operation costs a file-backed
 // partition. There the engine charges no CPU time and device.File completes
@@ -187,7 +189,7 @@ func (db *DB) openPartitions(cfg engine.Config, dbFile, ssdFile, logFile *device
 	}
 	poolPer := div(opts.PoolPages, int(p))
 	ssdPer := div(opts.SSDFrames, int(p))
-	walPer := device.PageNum(walPagesTotal / p)
+	walPer := walPagesTotal / device.PageNum(p)
 
 	var maxGtx uint64
 	var base, ssdBase int64
@@ -256,15 +258,14 @@ func (db *DB) openPartitions(cfg engine.Config, dbFile, ssdFile, logFile *device
 	}
 	db.nextGtx.Store(maxGtx)
 
-	if opts.OpenExisting {
-		for i, pt := range db.parts {
-			err := pt.do("recover", func(p *sim.Proc) error {
-				return pt.eng.RecoverDurable(p, coord.isCommitted)
-			})
-			if err != nil {
-				coord.close()
-				return fmt.Errorf("recover partition %d: %w", i, err)
-			}
+	for i, pt := range db.parts {
+		pt.eng.SetTxResolver(coord.isCommitted)
+		if !opts.OpenExisting {
+			continue
+		}
+		if err := pt.do("recover", pt.eng.RecoverDurable); err != nil {
+			coord.close()
+			return fmt.Errorf("recover partition %d: %w", i, err)
 		}
 	}
 
@@ -317,6 +318,10 @@ func (db *DB) Update(pid int64, fn func(payload []byte)) error {
 	}
 	pt, local := db.partOf(pid)
 	err := pt.run("update", func(p *sim.Proc) error {
+		if err := pt.eng.ReserveLog(1); err != nil {
+			return err
+		}
+		defer pt.eng.ReleaseLog(1)
 		tx := pt.eng.Begin()
 		if err := pt.eng.Update(p, tx, page.ID(local), fn); err != nil {
 			return err
@@ -591,9 +596,13 @@ func (db *DB) Close() error {
 	var err error
 	for _, pt := range db.parts {
 		pt.mu.Lock()
-		cerr := pt.do("close-checkpoint", func(p *sim.Proc) error {
-			return pt.eng.Checkpoint(p)
-		})
+		cerr := pt.do("close-checkpoint", pt.eng.CloseCheckpoint)
+		if errors.Is(cerr, ErrLogFull) {
+			// No room even for this record (earlier generations' Closes used
+			// it): every acknowledged commit is durable in the log already,
+			// and a reopen replays it as after a kill.
+			cerr = nil
+		}
 		pt.eng.StopBackground()
 		pt.env.Run(pt.env.Now() + time.Second) // let background processes exit
 		pt.env.Shutdown()

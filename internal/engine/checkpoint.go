@@ -23,7 +23,66 @@ const checkpointBatch = 32
 // after the flushes but before the record is durable (recovery falls back
 // to the previous checkpoint — correct, merely slower), post-checkpoint
 // crashes right after the record is durable and the log truncated.
-func (e *Engine) Checkpoint(p *sim.Proc) error {
+//
+// On a persisted log (the file backend) a checkpoint that would not leave
+// room for one more — the one Close writes — is refused with ErrLogFull.
+func (e *Engine) Checkpoint(p *sim.Proc) error { return e.checkpoint(p, 2) }
+
+// CloseCheckpoint is the last checkpoint before shutdown: it alone may use
+// the log space every other log writer leaves for it.
+func (e *Engine) CloseCheckpoint(p *sim.Proc) error { return e.checkpoint(p, 1) }
+
+// ErrLogFull reports that a persisted log has too little space left for the
+// operation. A persisted log slice never reclaims space (wal.Log.Remaining),
+// so the condition is permanent: reads, Close and a reopen keep working,
+// updates and checkpoints are refused.
+var ErrLogFull = errors.New("engine: write-ahead log full")
+
+// logRoom reports whether the log can take need more pages beyond what
+// admitted transactions have reserved.
+func (e *Engine) logRoom(need device.PageNum) bool {
+	return e.log.Remaining()-e.logReserved >= need
+}
+
+// checkpointPages bounds the log pages n checkpoints take: one record each,
+// which under WarmRestart carries the SSD buffer table.
+func (e *Engine) checkpointPages(n int) device.PageNum {
+	table := 0
+	if e.cfg.WarmRestart {
+		table = e.cfg.SSDFrames * ssd.TableEntrySize
+	}
+	return e.log.FlushPages(n, n*table)
+}
+
+// txLogPages bounds the log pages of a transaction that logs up to images
+// page images: the images, its prepare and commit records, and the commit of
+// the transaction that compensates it should it fail.
+func (e *Engine) txLogPages(images int) device.PageNum {
+	return e.log.FlushPages(images+3, images*e.cfg.PayloadSize)
+}
+
+// ReserveLog admits a transaction that will log up to images page images
+// (before- and after-images alike): it fails with ErrLogFull unless the log
+// can hold them and still take Close's checkpoint, and otherwise keeps the
+// space from checkpoints that run meanwhile until ReleaseLog(images).
+func (e *Engine) ReserveLog(images int) error {
+	need := e.txLogPages(images)
+	if !e.logRoom(need + e.checkpointPages(1)) {
+		return ErrLogFull
+	}
+	e.logReserved += need
+	return nil
+}
+
+// ReleaseLog returns the reservation ReserveLog(images) made.
+func (e *Engine) ReleaseLog(images int) { e.logReserved -= e.txLogPages(images) }
+
+// checkpoint is Checkpoint's body; it runs only while the log has room for
+// room checkpoints.
+func (e *Engine) checkpoint(p *sim.Proc, room int) error {
+	if !e.logRoom(e.checkpointPages(room)) {
+		return ErrLogFull
+	}
 	if e.cfg.FuzzyCheckpoints {
 		return e.fuzzyCheckpoint(p)
 	}
@@ -208,7 +267,9 @@ func (e *Engine) startCheckpointer() {
 			if e.checkpointStop || e.crashed || e.cpGen != gen {
 				return
 			}
-			if err := e.Checkpoint(p); err != nil {
+			// A full log skips its periodic checkpoints for good: they would
+			// only eat the space kept for Close's.
+			if err := e.Checkpoint(p); err != nil && !errors.Is(err, ErrLogFull) {
 				if errors.Is(err, fault.ErrCrashPoint) {
 					// An armed crash site fired inside a periodic
 					// checkpoint: stop here and let the fault driver

@@ -100,10 +100,10 @@ type Config struct {
 	WALPersist  bool
 	WALCapacity device.PageNum
 	// CommitRecords makes Commit append a wal.TypeCommit record before
-	// forcing the log, so restart recovery (RecoverDurable) can tell
-	// committed transactions from uncommitted ones. File backend only: the
-	// in-process Recover path ignores commit records, keeping the simulated
-	// backend's redo behaviour (and goldens) unchanged.
+	// forcing the log, and recovery's replay commit-aware: it tells
+	// committed transactions from uncommitted ones and rolls the latter
+	// back. File backend only: without it replay treats every transaction
+	// as committed, the simulated backend's redo behaviour (and goldens).
 	CommitRecords bool
 
 	// PoolStripes > 0 builds the buffer pool in striped-latch mode with
@@ -319,7 +319,9 @@ type Engine struct {
 	checkpointStop bool
 	cpGen          uint64
 	crashed        bool
-	poolFilled     bool // the buffer pool has filled at least once
+	poolFilled     bool           // the buffer pool has filled at least once
+	resolve        TxResolver     // in-doubt 2PC resolver (SetTxResolver); nil = presumed abort
+	logReserved    device.PageNum // log pages held for admitted transactions (ReserveLog)
 
 	// evicting tracks dirty pages whose eviction writeback is in flight:
 	// PopVictim has removed the page from the pool table but the WAL force

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"turbobp/internal/bufpool"
 	"turbobp/internal/fault"
 	"turbobp/internal/page"
 	"turbobp/internal/sim"
@@ -101,15 +102,30 @@ func (e *Engine) RecoverSSDLoss(p *sim.Proc) error {
 // aborts every in-doubt transaction (presumed abort with no coordinator).
 type TxResolver func(gtx uint64) bool
 
+// SetTxResolver installs the resolver Recover and RecoverDurable consult for
+// in-doubt transactions (the file backend's coordinator log).
+func (e *Engine) SetTxResolver(resolve TxResolver) { e.resolve = resolve }
+
 // RecoverDurable is the restart-recovery pass of the file backend: called
 // on a freshly-built engine whose log was reloaded from the persisted
-// device (wal.LoadDurable), it replays the durable stream commit-aware.
+// device (wal.LoadDurable), it replays the durable stream (see replay).
+func (e *Engine) RecoverDurable(p *sim.Proc) error {
+	from := uint64(0)
+	if cp, ok := e.log.LastCheckpoint(); ok {
+		from = cp.StartLSN
+	}
+	return e.replay(p, from)
+}
+
+// replay is the one redo/undo pass over the durable log records newer than
+// LSN from, behind Recover and RecoverDurable alike.
 //
-// Unlike the in-process Recover — which redoes every update record, exactly
-// the right semantics for a log whose commits are implied by the force
-// discipline — RecoverDurable must separate transactions a killed process
-// had committed from ones it had not, because dirty evictions force the log
-// and write pages back regardless of commit status:
+// Without Config.CommitRecords (the simulated backend) commits are implied
+// by the force discipline and every transaction counts as committed: replay
+// redoes every update record. With it (the file backend) replay must
+// separate transactions a killed process had committed from ones it had
+// not, because dirty evictions force the log and write pages back
+// regardless of commit status:
 //
 //   - Update records redo only when their transaction committed: a commit
 //     record follows it in the stream, or its prepare record's global id
@@ -125,45 +141,42 @@ type TxResolver func(gtx uint64) bool
 //
 // Pages touched by redo or undo are left dirty in the pool, as a redo pass
 // leaves them; the next checkpoint (or Close) writes them back.
-func (e *Engine) RecoverDurable(p *sim.Proc, resolve TxResolver) error {
+func (e *Engine) replay(p *sim.Proc, from uint64) error {
 	recs := e.log.Durable()
-	committed := make(map[uint64]bool)
-	prepared := make(map[uint64]uint64) // local tx id -> global tx id
-	for _, rec := range recs {
-		switch rec.Type {
-		case wal.TypeCommit:
-			committed[rec.TxID] = true
-		case wal.TypePrepare:
-			prepared[rec.TxID] = rec.StartLSN
+	txCommitted := func(uint64) bool { return true }
+	if e.cfg.CommitRecords {
+		committed := make(map[uint64]bool)
+		prepared := make(map[uint64]uint64) // local tx id -> global tx id
+		for _, rec := range recs {
+			switch rec.Type {
+			case wal.TypeCommit:
+				committed[rec.TxID] = true
+			case wal.TypePrepare:
+				prepared[rec.TxID] = rec.StartLSN
+			}
+		}
+		txCommitted = func(tx uint64) bool {
+			if committed[tx] {
+				return true
+			}
+			if gtx, ok := prepared[tx]; ok {
+				return e.resolve != nil && e.resolve(gtx)
+			}
+			return false
 		}
 	}
-	txCommitted := func(tx uint64) bool {
-		if committed[tx] {
-			return true
-		}
-		if gtx, ok := prepared[tx]; ok {
-			return resolve != nil && resolve(gtx)
-		}
-		return false
-	}
-	from := uint64(0)
-	if cp, ok := e.log.LastCheckpoint(); ok {
-		from = cp.StartLSN
-	}
-	apply := func(rec wal.Record) error {
-		f, err := e.Get(p, rec.Page)
-		if err != nil {
-			return err
-		}
+	apply := func(f *bufpool.Frame, rec wal.Record) {
 		if !f.Dirty {
 			f.Dirty = true
 			f.RecLSN = rec.LSN
+			// Dirtying a page invalidates its SSD copy, during replay as in
+			// forward processing — a stale clean copy admitted earlier in
+			// this same pass must not survive.
 			e.mgr.Invalidate(rec.Page)
 		}
 		e.pool.MutateFrame(f, func(payload []byte) { copy(payload, rec.Payload) })
 		f.Pg.LSN = rec.LSN
 		e.stats.RedoApplied++
-		return nil
 	}
 	// Redo pass, forward: committed transactions' after-images. Track the
 	// highest committed-update LSN seen per page — whether or not the
@@ -187,9 +200,7 @@ func (e *Engine) RecoverDurable(p *sim.Proc, resolve TxResolver) error {
 			e.stats.RedoSkipped++
 			continue // the disk already has this update or a newer one
 		}
-		if err := apply(rec); err != nil {
-			return err
-		}
+		apply(f, rec)
 	}
 	// Undo pass, backward: uncommitted transactions' before-images,
 	// newest-first (see the doc comment for why order matters).
@@ -213,18 +224,19 @@ func (e *Engine) RecoverDurable(p *sim.Proc, resolve TxResolver) error {
 			e.stats.RedoSkipped++
 			continue // stale abort, superseded by a later committed write
 		}
-		if err := apply(rec); err != nil {
+		f, err := e.Get(p, rec.Page)
+		if err != nil {
 			return err
 		}
+		apply(f, rec)
 	}
 	return nil
 }
 
-// Recover restarts the engine after a Crash: redo every durable update
-// record newer than the last checkpoint's start LSN against the disk
-// image. Pages touched by redo are left dirty in the pool, exactly as a
-// redo pass leaves them. The time Recover charges is the paper's "restart
-// time".
+// Recover restarts the engine after a Crash: replay the durable records
+// newer than the last checkpoint's start LSN against the disk image (see
+// replay), then restart the background processes. The time Recover charges
+// is the paper's "restart time".
 func (e *Engine) Recover(p *sim.Proc) error {
 	from := uint64(0)
 	if cp, ok := e.log.LastCheckpoint(); ok {
@@ -240,30 +252,8 @@ func (e *Engine) Recover(p *sim.Proc) error {
 			}
 		}
 	}
-	for _, rec := range e.log.Durable() {
-		if rec.Type != wal.TypeUpdate || rec.LSN <= from {
-			continue
-		}
-		f, err := e.Get(p, rec.Page)
-		if err != nil {
-			return err
-		}
-		if f.Pg.LSN >= rec.LSN {
-			e.stats.RedoSkipped++
-			continue // the disk already has this update or a newer one
-		}
-		if !f.Dirty {
-			f.Dirty = true
-			f.RecLSN = rec.LSN
-			// Dirtying a page invalidates its SSD copy, during redo as in
-			// forward processing — a stale clean copy admitted earlier in
-			// this same redo pass must not survive.
-			e.mgr.Invalidate(rec.Page)
-		}
-		r := rec
-		e.pool.MutateFrame(f, func(payload []byte) { copy(payload, r.Payload) })
-		f.Pg.LSN = rec.LSN
-		e.stats.RedoApplied++
+	if err := e.replay(p, from); err != nil {
+		return err
 	}
 	e.crashed = false
 	e.mgr.StartCleaner()

@@ -29,8 +29,8 @@ type TableEntry struct {
 	Pid   page.ID
 }
 
-// entrySize is the serialized size of a TableEntry.
-const entrySize = 12
+// TableEntrySize is the serialized size of a TableEntry.
+const TableEntrySize = 12
 
 // SnapshotTable returns the serialized buffer table: every valid, clean,
 // occupied frame. Call it after FlushDirty during a checkpoint.
@@ -39,7 +39,7 @@ func (m *Manager) SnapshotTable() []byte {
 		return nil
 	}
 	var out []byte
-	var buf [entrySize]byte
+	var buf [TableEntrySize]byte
 	for i := range m.frames {
 		rec := &m.frames[i]
 		if !rec.occupied || !rec.valid || rec.dirty {
@@ -60,14 +60,14 @@ func (m *Manager) RestoreTable(blob []byte) error {
 	if !m.Enabled() || len(blob) == 0 {
 		return nil
 	}
-	if len(blob)%entrySize != 0 {
+	if len(blob)%TableEntrySize != 0 {
 		return fmt.Errorf("ssd: snapshot blob of %d bytes is not a whole number of entries", len(blob))
 	}
 	if m.occupied != 0 {
 		return fmt.Errorf("ssd: RestoreTable on a non-empty manager (%d occupied)", m.occupied)
 	}
 	now := m.env.Now()
-	for off := 0; off < len(blob); off += entrySize {
+	for off := 0; off < len(blob); off += TableEntrySize {
 		idx := int(binary.LittleEndian.Uint32(blob[off : off+4]))
 		pid := page.ID(binary.LittleEndian.Uint64(blob[off+4 : off+12]))
 		if idx < 0 || idx >= len(m.frames) {

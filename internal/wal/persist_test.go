@@ -219,3 +219,32 @@ func TestPersistCapacityPanics(t *testing.T) {
 		t.Fatal("no panic when the persisted log wrapped")
 	}
 }
+
+// TestPersistedLogExhaustion pins the end of a persisted log: Remaining
+// counts down by at most FlushPages per flush, and running off the end — a
+// caller bug, the engine refuses with ErrLogFull first — panics before the
+// batch is detached or the flushing flag set, so nothing later parks behind
+// a flight that never lands.
+func TestPersistedLogExhaustion(t *testing.T) {
+	l, _ := newPersistLog(t, filepath.Join(t.TempDir(), "wal.log"), false)
+	rec := Record{Type: TypeUpdate, Page: 1, TxID: 1, Payload: []byte("x")}
+	for l.Remaining() > 0 {
+		before := l.Remaining()
+		flushOne(t, l, rec)
+		if used := before - l.Remaining(); used < 1 || used > l.FlushPages(1, len(rec.Payload)) {
+			t.Fatalf("one flush used %d pages, bound %d", used, l.FlushPages(1, len(rec.Payload)))
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("flush past the end of a persisted log did not panic")
+			}
+		}()
+		flushOne(t, l, rec)
+	}()
+	if l.flushing || len(l.pending) != 1 || l.Remaining() != 0 {
+		t.Fatalf("after the panic: flushing=%v pending=%d remaining=%d, want false 1 0",
+			l.flushing, len(l.pending), l.Remaining())
+	}
+}

@@ -13,6 +13,7 @@
 package wal
 
 import (
+	"math"
 	"time"
 
 	"turbobp/internal/device"
@@ -294,8 +295,9 @@ func (l *Log) buildFlushBufs(batch []Record, batchBytes int) ([][]byte, device.P
 // advanceWritePos claims nPages of log-device space for a flush. The
 // placeholder (simulated) log wraps like a recycled physical log; a
 // persisted log must not — wrapping would overwrite records replay still
-// reads linearly — so exhausting its multi-gigabyte capacity is surfaced
-// loudly instead of silently corrupting the log.
+// reads linearly. Its callers keep clear of the end (Remaining, FlushPages;
+// the engine refuses work with ErrLogFull first), so running off it is a
+// bug, surfaced loudly instead of silently corrupting the log.
 func (l *Log) advanceWritePos(nPages device.PageNum) device.PageNum {
 	start := l.writePos
 	if start+nPages > l.capacity {
@@ -306,6 +308,24 @@ func (l *Log) advanceWritePos(nPages device.PageNum) device.PageNum {
 	}
 	l.writePos = start + nPages
 	return start
+}
+
+// Remaining reports how many pages a persisted log can still write. Flushes
+// only ever append and nothing reclaims device space — a checkpoint
+// truncates the in-memory copy alone — so a log that runs out is full for
+// good. A placeholder log wraps and never runs out.
+func (l *Log) Remaining() device.PageNum {
+	if !l.persist {
+		return math.MaxInt64
+	}
+	return l.capacity - l.writePos
+}
+
+// FlushPages bounds the pages the log device spends on records more
+// records carrying payloadBytes of payload between them, each flushed on
+// its own in the worst case (every flush rounds up to a whole page).
+func (l *Log) FlushPages(records, payloadBytes int) device.PageNum {
+	return device.PageNum(records + (payloadBytes+records*frameHeader)/l.pageSize)
 }
 
 // Flush is FlushTask for a blocking process: it returns once every record
@@ -422,15 +442,17 @@ func (l *Log) FlushTask(t *sim.Task, upTo uint64, k func()) {
 		k() // nothing buffered; upTo was never appended
 		return
 	}
+	// Claim the device space first: advanceWritePos panics on an exhausted
+	// persisted log, and must do so before the batch is detached or the
+	// flushing flag set — a flight that never lands would park every later
+	// flush (Close's checkpoint included) forever.
 	batch := l.pending
-	batchBytes := l.pendingB
+	bufs, nPages := l.buildFlushBufs(batch, l.pendingB)
+	start := l.advanceWritePos(nPages)
 	l.pending = nil
 	l.pendingB = 0
 	endLSN := batch[len(batch)-1].LSN
 	l.flushing = true
-
-	bufs, nPages := l.buildFlushBufs(batch, batchBytes)
-	start := l.advanceWritePos(nPages)
 	if l.fl == nil {
 		l.fl = &flight{l: l}
 		l.fl.onWritten = l.fl.written

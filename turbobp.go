@@ -196,6 +196,13 @@ type Options struct {
 // ErrClosed is returned by operations on a closed DB.
 var ErrClosed = errors.New("turbobp: database closed")
 
+// ErrLogFull is returned by Update, Tx.Commit and Checkpoint on the file
+// backend once the page's partition has (nearly) used up its slice of the
+// write-ahead log: a persisted log never reclaims space, so the condition is
+// permanent for that partition. Reads, Close and a reopen keep working and
+// every acknowledged update stays durable. See docs/FAILURES.md.
+var ErrLogFull = engine.ErrLogFull
+
 // DB is an open database: a set of page-range partitions (one on the
 // simulated backend) plus the state that cuts across them. See concurrent.go
 // for the partitions and the lock hierarchy.

@@ -44,7 +44,7 @@ import (
 // restore committed state. The abort itself is never logged, though, so the
 // same in-doubt records resolve to abort again on every later restart;
 // recovery guards against replaying such a stale before-image over data a
-// later incarnation committed (see RecoverDurable).
+// later incarnation committed (see the engine's replay).
 //
 // Single-partition transactions — every transaction of a one-partition DB,
 // the simulated backend included — skip steps 2–3: their commit record alone
@@ -154,6 +154,10 @@ type participant struct {
 	undos []undoImage
 }
 
+// logImages is the most page images the participant can log: a before- and
+// an after-image per page, and one more if the transaction is compensated.
+func (pc *participant) logImages() int { return 3 * len(pc.local) }
+
 // Commit applies the transaction's buffered updates and makes them durable:
 // presumed-abort two-phase commit when they span partitions (see the file
 // comment), the one-phase fast path when one partition holds them all.
@@ -204,11 +208,23 @@ func (db *DB) txCommitLocked(parts []*participant) error {
 	for _, pc := range parts {
 		pc.pt.mu.Lock()
 	}
+	reserved := 0 // participants holding a log reservation
 	defer func() {
+		for _, pc := range parts[:reserved] {
+			pc.pt.eng.ReleaseLog(pc.logImages())
+		}
 		for i := len(parts) - 1; i >= 0; i-- {
 			parts[i].pt.mu.Unlock()
 		}
 	}()
+	// Refuse before anything applies if a participant's log cannot hold its
+	// share (ErrLogFull).
+	for _, pc := range parts {
+		if err := pc.pt.eng.ReserveLog(pc.logImages()); err != nil {
+			return err
+		}
+		reserved++
+	}
 
 	// Apply: begin a local transaction per participant, log before-images,
 	// run the buffered mutations.

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"turbobp/internal/device"
 )
 
 // killForTest abandons a DB the way SIGKILL would: file descriptors close
@@ -181,8 +183,10 @@ func TestCrossPartitionCommitAtomic(t *testing.T) {
 // partitions with 0xAA, then runs a cross-partition transaction whose
 // commit is abandoned mid-protocol at the given stage ("prepared": prepares
 // durable, no decision; "decided": decision durable, participants not
-// committed) and kills the process image. Returns the reopened DB.
-func crash2PCAt(t *testing.T, stage string) (*DB, int64, int64) {
+// committed) and either kills the process image and returns the reopened DB,
+// or — inProcess — crashes and recovers the same DB: both must resolve the
+// transaction by the same rule.
+func crash2PCAt(t *testing.T, stage string, inProcess bool) (*DB, int64, int64) {
 	t.Helper()
 	dir := t.TempDir()
 	db := mustOpen(t, reopenOpts(dir, false))
@@ -212,6 +216,17 @@ func crash2PCAt(t *testing.T, stage string) (*DB, int64, int64) {
 	if err := tx.Commit(); !errors.Is(err, errCrash) {
 		t.Fatalf("tx.Commit = %v, want the injected crash", err)
 	}
+	if inProcess {
+		db.crash2PC = nil
+		t.Cleanup(func() { db.Close() })
+		if err := db.Crash(); err != nil {
+			t.Fatalf("Crash: %v", err)
+		}
+		if err := db.Recover(); err != nil {
+			t.Fatalf("Recover: %v", err)
+		}
+		return db, p1, p2
+	}
 	killForTest(db)
 
 	db2 := mustOpen(t, reopenOpts(dir, true))
@@ -224,25 +239,29 @@ func crash2PCAt(t *testing.T, stage string) (*DB, int64, int64) {
 // rolls back completely on reopen — both pages keep their old value, even
 // though the new values' redo records are durable in the WALs.
 func TestTwoPhaseInDoubtAborts(t *testing.T) {
-	db, p1, p2 := crash2PCAt(t, "prepared")
-	wantFill(t, db, p1, 0xAA, "in-doubt abort")
-	wantFill(t, db, p2, 0xAA, "in-doubt abort")
+	for _, inProcess := range []bool{false, true} {
+		db, p1, p2 := crash2PCAt(t, "prepared", inProcess)
+		wantFill(t, db, p1, 0xAA, "in-doubt abort")
+		wantFill(t, db, p2, 0xAA, "in-doubt abort")
+	}
 }
 
 // TestTwoPhaseDecidedCommits pins the other resolution: once the decision
 // record is durable the transaction commits on reopen even though no
 // participant had written its commit record — recovery finishes the job.
 func TestTwoPhaseDecidedCommits(t *testing.T) {
-	db, p1, p2 := crash2PCAt(t, "decided")
-	wantFill(t, db, p1, 0xBB, "decided commit")
-	wantFill(t, db, p2, 0xBB, "decided commit")
+	for _, inProcess := range []bool{false, true} {
+		db, p1, p2 := crash2PCAt(t, "decided", inProcess)
+		wantFill(t, db, p1, 0xBB, "decided commit")
+		wantFill(t, db, p2, 0xBB, "decided commit")
+	}
 }
 
 // TestTwoPhaseRecoveredStateSurvivesNextReopen pins idempotence: resolving
 // in-doubt transactions and then killing again without new writes must
 // resolve the same way on the next reopen.
 func TestTwoPhaseRecoveredStateSurvivesNextReopen(t *testing.T) {
-	db, p1, p2 := crash2PCAt(t, "prepared")
+	db, p1, p2 := crash2PCAt(t, "prepared", false)
 	dir := db.opts.Dir
 	killForTest(db)
 	db2 := mustOpen(t, reopenOpts(dir, true))
@@ -425,4 +444,91 @@ func TestTwoPhaseStaleInDoubtAcrossGenerations(t *testing.T) {
 	defer db.Close()
 	wantFill(t, db, p1, 10, "gen3")
 	wantFill(t, db, p2, 10, "gen3")
+}
+
+// TestLogFullIsAnError fills every partition's slice of a deliberately tiny
+// write-ahead log. A persisted log never reclaims space, so each partition
+// must end in ErrLogFull — not in a panic that wedges the log mid-flush and
+// hangs Close — and stay a readable, closable, reopenable database holding
+// every acknowledged update. WarmRestart makes the checkpoint record carry
+// the SSD buffer table, the largest thing Close has to fit. The whole test
+// stays under the benchmark driver's `ulimit -f 16384`.
+func TestLogFullIsAnError(t *testing.T) {
+	defer func(n device.PageNum) { walPagesTotal = n }(walPagesTotal)
+	walPagesTotal = 4 * 48 // 48 log pages per partition
+	opts := reopenOpts(t.TempDir(), false)
+	opts.Design, opts.SSDFrames, opts.WarmRestart = LC, 64, true
+	db := mustOpen(t, opts)
+
+	acked := make([]byte, opts.DBPages) // last acknowledged fill per page
+	full := map[int64]bool{}            // partitions (pid / 16) that reported ErrLogFull
+	for round := 1; len(full) < 4; round++ {
+		if round > 250 {
+			t.Fatalf("log never filled: %d of 4 partitions full after %d rounds", len(full), round)
+		}
+		for pid := int64(0); pid < opts.DBPages; pid += 5 {
+			err := db.Update(pid, func(p []byte) {
+				for i := range p {
+					p[i] = byte(round)
+				}
+			})
+			switch {
+			case err == nil:
+				if full[pid/16] {
+					t.Fatalf("Update(%d) succeeded after its partition reported ErrLogFull", pid)
+				}
+				acked[pid] = byte(round)
+			case errors.Is(err, ErrLogFull):
+				full[pid/16] = true
+			default:
+				t.Fatalf("Update(%d): %v", pid, err)
+			}
+		}
+	}
+	// Every write path refuses; nothing half-applies.
+	tx := db.Begin()
+	for _, pid := range []int64{0, 20} {
+		if err := tx.Update(pid, func(p []byte) { p[0] = 0xEE }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); !errors.Is(err, ErrLogFull) {
+		t.Fatalf("Tx.Commit on a full log: %v, want ErrLogFull", err)
+	}
+	// Checkpoints are admitted while the log can take theirs and Close's;
+	// a few more use that up.
+	var err error
+	for i := 0; i < 48 && err == nil; i++ {
+		err = db.Checkpoint()
+	}
+	if !errors.Is(err, ErrLogFull) {
+		t.Fatalf("Checkpoint on a full log: %v, want ErrLogFull", err)
+	}
+	check := func(db *DB, what string) {
+		t.Helper()
+		for pid := int64(0); pid < opts.DBPages; pid++ {
+			wantFill(t, db, pid, acked[pid], what)
+		}
+	}
+	check(db, "full log")
+	if err := db.Close(); err != nil {
+		t.Fatalf("Close with a full log: %v", err)
+	}
+
+	opts.OpenExisting = true
+	db2 := mustOpen(t, opts)
+	check(db2, "full log, reopened")
+	if err := db2.Update(0, func(p []byte) { p[0] = 1 }); !errors.Is(err, ErrLogFull) {
+		t.Fatalf("Update after reopening a full log: %v, want ErrLogFull", err)
+	}
+	// The first Close used the space kept for its checkpoint record; later
+	// generations find none and still lose nothing.
+	if err := db2.Close(); err != nil {
+		t.Fatalf("second Close with a full log: %v", err)
+	}
+	db3 := mustOpen(t, opts)
+	check(db3, "full log, reopened twice")
+	if err := db3.Close(); err != nil {
+		t.Fatalf("third Close with a full log: %v", err)
+	}
 }
