@@ -32,6 +32,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
@@ -45,34 +46,36 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "bpeload:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses args, drives the load and writes the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("bpeload", flag.ExitOnError)
 	var (
-		addr      = flag.String("addr", "127.0.0.1:7070", "server address")
-		readers   = flag.Int("readers", 4, "reader workers (one connection each)")
-		writers   = flag.Int("writers", 4, "writer workers (one connection each)")
-		valueSize = flag.Int("value-size", 64, "bytes written per update (>= 16 for the stamp)")
-		duration  = flag.Duration("duration", 10*time.Second, "run length")
-		pages     = flag.Int64("pages", 65536, "page id space to draw from")
-		scanEvery = flag.Int("scan-every", 0, "every Nth read op is a 16-page scan (0 disables)")
-		seed      = flag.Int64("seed", 1, "workload RNG seed")
-		deadline  = flag.Duration("deadline", 2*time.Second, "per-request deadline (0 disables)")
-		cachePol  = flag.String("policy", "", "server cache policy label for the summary (informational)")
+		addr      = fs.String("addr", "127.0.0.1:7070", "server address")
+		readers   = fs.Int("readers", 4, "reader workers (one connection each)")
+		writers   = fs.Int("writers", 4, "writer workers (one connection each)")
+		valueSize = fs.Int("value-size", 64, "bytes written per update (>= 16 for the stamp)")
+		duration  = fs.Duration("duration", 10*time.Second, "run length")
+		pages     = fs.Int64("pages", 65536, "page id space to draw from")
+		scanEvery = fs.Int("scan-every", 0, "every Nth read op is a 16-page scan (0 disables)")
+		seed      = fs.Int64("seed", 1, "workload RNG seed")
+		deadline  = fs.Duration("deadline", 2*time.Second, "per-request deadline (0 disables)")
+		cachePol  = fs.String("policy", "", "server cache policy label for the summary (informational)")
 
-		chaos     = flag.Int("chaos", 0, "run N kill-9/restart chaos cycles instead of a plain benchmark")
-		serverBin = flag.String("server-bin", "", "bpeserve binary for -chaos mode")
-		chaosDir  = flag.String("dir", "", "data directory for -chaos mode (shared across restarts)")
-		cycleLen  = flag.Duration("cycle", time.Second, "load duration per -chaos cycle")
+		chaos     = fs.Int("chaos", 0, "run N kill-9/restart chaos cycles instead of a plain benchmark")
+		serverBin = fs.String("server-bin", "", "bpeserve binary for -chaos mode")
+		chaosDir  = fs.String("dir", "", "data directory for -chaos mode (shared across restarts)")
+		cycleLen  = fs.Duration("cycle", time.Second, "load duration per -chaos cycle")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag exits 2
 
 	if *chaos > 0 {
-		return runChaos(*chaos, *serverBin, *chaosDir, *cycleLen, *seed)
+		return runChaos(stdout, *chaos, *serverBin, *chaosDir, *cycleLen, *seed)
 	}
 	if *readers < 0 || *writers < 0 || *readers+*writers == 0 {
 		return fmt.Errorf("need at least one worker (readers=%d writers=%d)", *readers, *writers)
@@ -155,29 +158,29 @@ func run() error {
 		return fmt.Errorf("every worker failed")
 	}
 
-	fmt.Printf("bpeload: %d readers + %d writers for %v against %s\n", *readers, *writers, elapsed.Round(time.Millisecond), *addr)
+	fmt.Fprintf(stdout, "bpeload: %d readers + %d writers for %v against %s\n", *readers, *writers, elapsed.Round(time.Millisecond), *addr)
 	if *cachePol != "" {
-		fmt.Printf("bpeload: server cache policy %s (as labelled by -policy)\n", *cachePol)
+		fmt.Fprintf(stdout, "bpeload: server cache policy %s (as labelled by -policy)\n", *cachePol)
 	}
-	fmt.Printf("bpeload: effective parallelism %d of %d workers (GOMAXPROCS=%d)\n",
+	fmt.Fprintf(stdout, "bpeload: effective parallelism %d of %d workers (GOMAXPROCS=%d)\n",
 		harness.EffectiveWorkers(total), total, runtime.GOMAXPROCS(0))
 	secs := elapsed.Seconds()
-	fmt.Printf("total: %d ops, %.0f ops/s\n", ops, float64(ops)/secs)
+	fmt.Fprintf(stdout, "total: %d ops, %.0f ops/s\n", ops, float64(ops)/secs)
 	if reads > 0 {
-		fmt.Printf("reads: %d (%.0f ops/s, %d scans) p50=%v p95=%v p99=%v\n",
+		fmt.Fprintf(stdout, "reads: %d (%.0f ops/s, %d scans) p50=%v p95=%v p99=%v\n",
 			reads, float64(reads)/secs, scans,
 			readHist.Quantile(0.50).Round(time.Microsecond),
 			readHist.Quantile(0.95).Round(time.Microsecond),
 			readHist.Quantile(0.99).Round(time.Microsecond))
 	}
 	if writes > 0 {
-		fmt.Printf("writes: %d (%.0f ops/s) p50=%v p95=%v p99=%v\n",
+		fmt.Fprintf(stdout, "writes: %d (%.0f ops/s) p50=%v p95=%v p99=%v\n",
 			writes, float64(writes)/secs,
 			writeHist.Quantile(0.50).Round(time.Microsecond),
 			writeHist.Quantile(0.95).Round(time.Microsecond),
 			writeHist.Quantile(0.99).Round(time.Microsecond))
 	}
-	fmt.Printf("faults: %d retries, %d sheds, %d deadline misses, %d busy, %d reconnects\n",
+	fmt.Fprintf(stdout, "faults: %d retries, %d sheds, %d deadline misses, %d busy, %d reconnects\n",
 		cs.Retries, cs.Sheds, cs.Deadlines, cs.Busy, cs.Reconnects)
 
 	// Final verification pass: every page an acked commit touched must read
@@ -219,7 +222,7 @@ func run() error {
 				}
 			}
 		}
-		fmt.Printf("verify: %d pages checked, %d lost, %d corrupt, %d phantom, %d inline failures\n",
+		fmt.Fprintf(stdout, "verify: %d pages checked, %d lost, %d corrupt, %d phantom, %d inline failures\n",
 			len(tracks), lost, corrupt, phantom, verifyFails)
 	}
 	if bad := lost + corrupt + phantom + verifyFails; bad > 0 {
@@ -231,7 +234,7 @@ func run() error {
 // runChaos is -chaos mode: hand everything to the loadbench harness, which
 // owns the server process lifecycle, and mirror its verdict in the exit
 // status.
-func runChaos(cycles int, serverBin, dir string, cycleLen time.Duration, seed int64) error {
+func runChaos(stdout io.Writer, cycles int, serverBin, dir string, cycleLen time.Duration, seed int64) error {
 	if serverBin == "" || dir == "" {
 		return fmt.Errorf("-chaos needs -server-bin and -dir")
 	}
@@ -241,12 +244,12 @@ func runChaos(cycles int, serverBin, dir string, cycleLen time.Duration, seed in
 		Cycles:    cycles,
 		CycleLen:  cycleLen,
 		Seed:      seed,
-		Log:       os.Stdout,
+		Log:       stdout,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Println(rep)
+	fmt.Fprintln(stdout, rep)
 	if rep.Failed() {
 		return fmt.Errorf("chaos verification failed")
 	}

@@ -324,6 +324,7 @@ func (db *DB) Update(pid int64, fn func(payload []byte)) error {
 		defer pt.eng.ReleaseLog(1)
 		tx := pt.eng.Begin()
 		if err := pt.eng.Update(p, tx, page.ID(local), fn); err != nil {
+			pt.eng.Forget(tx) // a failed Update logs nothing
 			return err
 		}
 		return pt.eng.Commit(p, tx)

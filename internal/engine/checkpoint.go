@@ -87,7 +87,7 @@ func (e *Engine) checkpoint(p *sim.Proc, room int) error {
 		return e.fuzzyCheckpoint(p)
 	}
 	e.stats.Checkpoints++
-	startLSN := e.log.NextLSN() - 1
+	startLSN := e.redoPoint(e.log.NextLSN() - 1)
 	e.mgr.SetCheckpointing(true)
 	// Resolve e.mgr at defer time: SSD-loss recovery replaces it mid-flush.
 	defer func() { e.mgr.SetCheckpointing(false) }()
@@ -158,7 +158,7 @@ func (e *Engine) checkpointFlush(p *sim.Proc) error {
 // which is exactly the λ tradeoff §2.3.3 describes.
 func (e *Engine) fuzzyCheckpoint(p *sim.Proc) error {
 	e.stats.Checkpoints++
-	horizon := e.log.NextLSN() - 1
+	horizon := e.redoPoint(e.log.NextLSN() - 1)
 	for _, id := range e.pool.DirtyPages() {
 		if f := e.pool.Peek(id); f != nil && f.Dirty && f.RecLSN > 0 && f.RecLSN-1 < horizon {
 			horizon = f.RecLSN - 1
@@ -175,6 +175,21 @@ func (e *Engine) fuzzyCheckpoint(p *sim.Proc) error {
 	e.log.Flush(p, lsn)
 	e.log.TruncateThrough(horizon)
 	return nil
+}
+
+// redoPoint lowers a checkpoint's redo point lsn below the first record of
+// every live transaction (Engine.live). A checkpoint inside a transaction —
+// the periodic checkpointer can run between a Tx.Commit's apply and its
+// commit record — flushes the uncommitted after-images with everything
+// else; recovery rolls them back only if its replay still starts before the
+// transaction's undo records, and the log still holds them.
+func (e *Engine) redoPoint(lsn uint64) uint64 {
+	for _, first := range e.live {
+		if first-1 < lsn {
+			lsn = first - 1
+		}
+	}
+	return lsn
 }
 
 // checkpointRun flushes one contiguous group of dirty pool pages.

@@ -323,6 +323,13 @@ type Engine struct {
 	resolve        TxResolver     // in-doubt 2PC resolver (SetTxResolver); nil = presumed abort
 	logReserved    device.PageNum // log pages held for admitted transactions (ReserveLog)
 
+	// live maps each transaction that has begun and has not committed or
+	// been forgotten to the log's next LSN at its Begin, a bound below its
+	// first record. A checkpoint's redo point never passes it (redoPoint).
+	// Only Config.CommitRecords fills it: without commit records replay
+	// counts every transaction as committed and never rolls one back.
+	live map[uint64]uint64
+
 	// evicting tracks dirty pages whose eviction writeback is in flight:
 	// PopVictim has removed the page from the pool table but the WAL force
 	// and SSD/disk write have not finished, so the page is in neither the
@@ -383,7 +390,7 @@ func NewWithDevices(env *sim.Env, cfg Config, dbDev, ssdDev, logDev device.Devic
 		logDev = cfg.Faults.Wrap("wal", logDev)
 	}
 	e := &Engine{env: env, cfg: cfg, db: dbDev, ssdDev: ssdDev, logDev: logDev,
-		evicting: make(map[page.ID]*sim.Signal)}
+		evicting: make(map[page.ID]*sim.Signal), live: make(map[uint64]uint64)}
 	// The log packs records into full 8 KB pages; the device charges one
 	// page-write per log page, so the page size here is the accounted 8 KB
 	// regardless of the (small) simulated payloads.
@@ -720,11 +727,22 @@ func (e *Engine) checkPage(pid page.ID) error {
 	return nil
 }
 
-// Begin starts a transaction and returns its id.
+// Begin starts a transaction and returns its id. With Config.CommitRecords
+// the transaction stays live — holding back every checkpoint's redo point —
+// until Commit makes it durable or Forget releases it.
 func (e *Engine) Begin() uint64 {
 	e.nextTx++
+	if e.cfg.CommitRecords {
+		e.live[e.nextTx] = e.log.NextLSN()
+	}
 	return e.nextTx
 }
+
+// Forget releases a transaction that will never commit and has nothing left
+// for recovery to undo: it logged no page image, or a committed compensating
+// transaction has restored its before-images. Checkpoints may then move past
+// its records.
+func (e *Engine) Forget(tx uint64) { delete(e.live, tx) }
 
 // Commit is CommitTask for a blocking process.
 func (e *Engine) Commit(p *sim.Proc, tx uint64) error {

@@ -428,6 +428,47 @@ func TestPeriodicCheckpointer(t *testing.T) {
 	}
 }
 
+// TestCheckpointRedoPointStaysBehindLiveTx pins the live-transaction rule
+// for both checkpoint kinds: with CommitRecords, a checkpoint taken while a
+// transaction is open records a redo point below that transaction's first
+// record, and the point moves on once Commit or Forget ends it.
+func TestCheckpointRedoPointStaysBehindLiveTx(t *testing.T) {
+	for _, fuzzy := range []bool{false, true} {
+		cfg := testConfig(ssd.NoSSD)
+		cfg.CommitRecords, cfg.FuzzyCheckpoints = true, fuzzy
+		env, e := start(t, cfg)
+		redoPoint := func(p *sim.Proc) uint64 {
+			t.Helper()
+			if err := e.Checkpoint(p); err != nil {
+				t.Fatal(err)
+			}
+			cp, _ := e.Log().LastCheckpoint()
+			return cp.StartLSN
+		}
+		drive(t, env, e, func(p *sim.Proc) {
+			tx := e.Begin()
+			first := e.Log().NextLSN()
+			e.LogUndo(4, tx, make([]byte, cfg.PayloadSize))
+			e.Update(p, tx, 4, func(pl []byte) { pl[0] = 0xBB })
+			if got := redoPoint(p); got >= first {
+				t.Errorf("fuzzy=%v: redo point %d inside an open transaction, want < its first record %d", fuzzy, got, first)
+			}
+			if err := e.Commit(p, tx); err != nil {
+				t.Fatal(err)
+			}
+			if got := redoPoint(p); got < first {
+				t.Errorf("fuzzy=%v: redo point %d still held after Commit", fuzzy, got)
+			}
+			tx2 := e.Begin()
+			e.Forget(tx2)
+			if got, want := redoPoint(p), e.Log().NextLSN()-2; !fuzzy && got != want {
+				t.Errorf("redo point %d after Forget, want %d", got, want)
+			}
+		})
+		finish(env, e)
+	}
+}
+
 func TestCrashLosesUncommitted(t *testing.T) {
 	env, e := start(t, testConfig(ssd.NoSSD))
 	defer finish(env, e)

@@ -15,7 +15,8 @@ import (
 // is rebuilt empty. Only the disks and the durable log carry state across.
 func (e *Engine) Crash() {
 	e.crashed = true
-	e.cpGen++ // retire any running checkpointer
+	e.cpGen++     // retire any running checkpointer
+	clear(e.live) // recovery resolves every transaction the crash interrupted
 	// In-flight eviction writebacks die with the crash; drop their entries
 	// so post-recovery fetches don't wait on a broadcast that never comes.
 	clear(e.evicting)

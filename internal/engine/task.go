@@ -151,7 +151,7 @@ func (e *Engine) CommitTask(t *sim.Task, tx uint64, k func(error)) {
 		e.log.Append(wal.Record{Type: wal.TypeCommit, TxID: tx})
 	}
 	o := e.getOp()
-	o.t, o.ck = t, k
+	o.t, o.ck, o.tx = t, k, tx
 	o.t0 = e.env.Now()
 	e.log.FlushTask(t, e.log.NextLSN()-1, o.onCommitFlush)
 }
@@ -159,6 +159,9 @@ func (e *Engine) CommitTask(t *sim.Task, tx uint64, k func(error)) {
 func (o *txOp) commitFlushed() {
 	e := o.e
 	ck, t0 := o.ck, o.t0
+	if e.cfg.CommitRecords {
+		delete(e.live, o.tx) // the commit record is durable
+	}
 	o.recycle()
 	if e.cfg.Faults.At(fault.SitePostWALFlush) {
 		ck(fault.ErrCrashPoint)

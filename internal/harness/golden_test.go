@@ -2,72 +2,100 @@ package harness
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"io"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
 
-// TestGoldenHashes reruns the experiment sets whose stdout must stay
-// byte-identical across refactors and compares each SHA-256 with the
-// committed testdata/golden_8192.sha256 (the file's header names the
-// commit and command that produced it). A PR that legitimately moves a
-// number regenerates the file with that command and says so.
+// TestGoldenHashes pins every experiment's output byte for byte: it runs
+// each registry experiment once at divisor 8192 and compares SHA-256s with
+// the committed testdata/golden_8192.sha256, one line per experiment id —
+// what `bpesim -divisor 8192 <id>` prints — plus, rendered from the same
+// Result, one `<id>.csv` line per figure (`bpesim -divisor 8192 -csv <id>`).
+// faults and corrupt also run at the default scale (`<id>@1024`). The
+// committed hashes come from serial runs and this test runs the suite on at
+// least two workers, so a match also pins that the output does not depend
+// on the worker count. A change that moves a number regenerates the lines it
+// moved with the commands in the file's header and says why.
 func TestGoldenHashes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("reruns the full experiment suite (~20 s)")
+		t.Skip("runs every experiment at divisor 8192 (~5 s)")
 	}
 	want := readGoldenHashes(t, "testdata/golden_8192.sha256")
-	all := make([]string, 0, len(Experiments()))
-	for _, e := range Experiments() {
-		all = append(all, e.ID)
+	defer SetWorkers(0) // runs after GOMAXPROCS is restored
+	if runtime.GOMAXPROCS(0) < 2 {
+		// One CPU: raise GOMAXPROCS for this run (the deferred call puts the
+		// old value back) so the suite still runs on two workers.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}
-	small := Scale{Divisor: 8192}
-	figures := []string{"fig5-tpcc", "fig5-tpce", "fig5-tpch", "fig6", "fig7", "fig8", "fig9", "table3"}
-	for _, tc := range []struct {
+	SetWorkers(0)
+
+	type job struct {
 		name  string
-		ids   []string
+		exp   Experiment
 		scale Scale
-		run   func(ids []string, scale Scale, out io.Writer) error
-	}{
-		{"all", all, small, runText},
-		{"index", []string{"index"}, small, runText},
-		{"policy", []string{"policy"}, small, runText},
-		{"faults", []string{"faults"}, Default, runText},
-		{"corrupt", []string{"corrupt"}, Default, runText},
-		{"csv", figures, small, runCSV},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			h := sha256.New()
-			if err := tc.run(tc.ids, tc.scale, h); err != nil {
-				t.Fatal(err)
+	}
+	var jobs []job
+	for _, e := range Experiments() {
+		jobs = append(jobs, job{e.ID, e, Bench})
+	}
+	for _, id := range []string{"faults", "corrupt"} {
+		e, _ := FindExperiment(id)
+		jobs = append(jobs, job{id + "@1024", e, Default})
+	}
+	type output struct{ text, csv []byte }
+	outs, err := RunGrid(len(jobs), func(i int) (output, error) {
+		// runExperiments is what RunAll (and so bpesim) runs per id; the
+		// wrapped Run keeps the Result for the CSV form.
+		j, e := jobs[i], jobs[i].exp
+		var res Result
+		e.Run = func(s Scale) (r Result, err error) {
+			r, err = j.exp.Run(s)
+			res = r
+			return r, err
+		}
+		var text, csv bytes.Buffer
+		if err := runExperiments([]Experiment{e}, j.scale, &text, nil); err != nil {
+			return output{}, err
+		}
+		if e.CSV {
+			if err := res.(CSVWriter).WriteCSV(&csv); err != nil {
+				return output{}, err
 			}
-			if got := hex.EncodeToString(h.Sum(nil)); got != want[tc.name] {
-				t.Errorf("stdout of %q changed: sha256 %s, committed %s", tc.name, got, want[tc.name])
+		}
+		return output{text.Bytes(), csv.Bytes()}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got := map[string][]byte{}
+	var order []string
+	for i, j := range jobs {
+		got[j.name] = outs[i].text
+		order = append(order, j.name)
+		if j.exp.CSV {
+			got[j.name+".csv"] = outs[i].csv
+			order = append(order, j.name+".csv")
+		}
+	}
+	for _, name := range order {
+		t.Run(name, func(t *testing.T) {
+			sum := sha256.Sum256(got[name])
+			if h := hex.EncodeToString(sum[:]); h != want[name] {
+				t.Errorf("output of %s changed: sha256 %s, committed %q", name, h, want[name])
 			}
 		})
 	}
-}
-
-func runText(ids []string, scale Scale, out io.Writer) error {
-	return RunAll(ids, scale, out, io.Discard)
-}
-
-// runCSV is what `bpesim -csv <ids>` writes.
-func runCSV(ids []string, scale Scale, out io.Writer) error {
-	for _, id := range ids {
-		e, _ := FindExperiment(id)
-		res, err := e.Run(scale)
-		if err != nil {
-			return err
-		}
-		if err := res.(CSVWriter).WriteCSV(out); err != nil {
-			return err
+	for name := range want {
+		if got[name] == nil {
+			t.Errorf("committed hash %s names no experiment output", name)
 		}
 	}
-	return nil
 }
 
 // readGoldenHashes parses "<hex>  <name>" lines; '#' lines are comments.

@@ -350,13 +350,15 @@ func TestTable2Defaults(t *testing.T) {
 }
 
 // TestAllExperimentsRunAtTinyScale executes every registered experiment
-// end-to-end at an aggressive divisor, covering the full harness surface
-// (runners plus renderers) and guarding against bit-rot in any experiment.
+// end-to-end at divisor 16384, half the goldens' scale (TestGoldenHashes
+// already runs each one at 8192): every runner and renderer must still
+// complete and print at a geometry below the committed one. (At 32768 the
+// TPC-H scans no longer fit the buffer pool.)
 func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment; skipped in -short mode")
 	}
-	scale := Bench // divisor 8192: every experiment completes in < 1s
+	scale := Scale{Divisor: 16384}
 	for _, exp := range Experiments() {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
@@ -424,6 +426,36 @@ func TestPaperShapeTPCEPeak(t *testing.T) {
 	}
 	if speedup[20] < 2 {
 		t.Errorf("20K speedup %.1fX implausibly low", speedup[20])
+	}
+}
+
+// TestFig5OrderingAtDivisor256 checks the headline ordering at a scale 32×
+// larger than the goldens': in every Figure 5(a–c) group (1K, 2K and 4K
+// warehouses) TPC-C throughput orders LC > DW > TAC > noSSD at divisor 256,
+// as it does at 8192 and in the paper.
+func TestFig5OrderingAtDivisor256(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs Figure 5(a-c) at divisor 256 (~8 s)")
+	}
+	r, err := Fig5TPCC(Scale{Divisor: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := map[string]map[ssd.Design]float64{}
+	for _, row := range r.Rows {
+		if groups[row.Label] == nil {
+			groups[row.Label] = map[ssd.Design]float64{}
+		}
+		groups[row.Label][row.Design] = row.TPS
+	}
+	if len(groups) != 3 {
+		t.Fatalf("%d Figure 5(a-c) groups, want 3", len(groups))
+	}
+	for label, tps := range groups {
+		if !(tps[ssd.LC] > tps[ssd.DW] && tps[ssd.DW] > tps[ssd.TAC] && tps[ssd.TAC] > tps[ssd.NoSSD]) {
+			t.Errorf("%s: ordering broken at divisor 256: LC=%.0f DW=%.0f TAC=%.0f noSSD=%.0f",
+				label, tps[ssd.LC], tps[ssd.DW], tps[ssd.TAC], tps[ssd.NoSSD])
+		}
 	}
 }
 

@@ -202,3 +202,26 @@ func TestReset(t *testing.T) {
 		t.Fatalf("Get(3) after Reset = %d, %v", v, ok)
 	}
 }
+
+// TestChurnAllocationFree pins the steady state BenchmarkTableChurn
+// measures: a lookup, an update and a delete/reinsert pair over a resident
+// key set allocate nothing.
+func TestChurnAllocationFree(t *testing.T) {
+	const keys = 4096
+	tab := New[int64](keys)
+	for i := uint64(0); i < keys; i++ {
+		tab.Put(i*64, int64(i))
+	}
+	i := uint64(0)
+	churn := func() {
+		k := i % keys * 64
+		i++
+		v, _ := tab.Get(k)
+		tab.Put(k, v+1)
+		tab.Delete(k)
+		tab.Put(k, v)
+	}
+	if n := testing.AllocsPerRun(1000, churn); n != 0 {
+		t.Errorf("table churn allocates %v per iteration", n)
+	}
+}

@@ -308,3 +308,44 @@ func TestHistoryRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestHotPathsAllocationFree pins the steady state the policy benchmarks
+// measure: a Touch of a resident key, the Pop + insert cycle of a miss at
+// capacity (once ARC's ghost lists are full), and the count-min sketch's
+// Increment and Estimate allocate nothing, under every policy kind.
+func TestHotPathsAllocationFree(t *testing.T) {
+	const capacity = 1024
+	for _, kind := range []Kind{LRU2, ARC, CFLRU, TinyLFU} {
+		p := New(kind, capacity)
+		for i := int64(0); i < capacity; i++ {
+			p.Touch(i, time.Duration(i))
+		}
+		now, key := time.Duration(capacity), int64(capacity)
+		touch := func() {
+			now++
+			p.Touch(int64(now)%capacity, now)
+		}
+		evict := func() {
+			now, key = now+1, key+1
+			p.Pop()
+			p.Touch(key, now)
+		}
+		if n := testing.AllocsPerRun(1000, touch); n != 0 {
+			t.Errorf("%v: Touch of a resident key allocates %v per call", kind, n)
+		}
+		for j := 0; j < 2*capacity; j++ {
+			evict() // ARC's ghost lists fill over the first capacity evictions
+		}
+		if n := testing.AllocsPerRun(1000, evict); n != 0 {
+			t.Errorf("%v: Pop + insert at capacity allocates %v per cycle", kind, n)
+		}
+	}
+	s := NewSketch(capacity)
+	var key int64
+	if n := testing.AllocsPerRun(1000, func() { key++; s.Increment(key % capacity) }); n != 0 {
+		t.Errorf("Sketch.Increment allocates %v per call", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { key++; s.Estimate(key % capacity) }); n != 0 {
+		t.Errorf("Sketch.Estimate allocates %v per call", n)
+	}
+}

@@ -183,3 +183,22 @@ func BenchmarkProcSwitch(b *testing.B) {
 	b.ResetTimer()
 	env.Run(-1)
 }
+
+// TestProcSwitchAllocationFree pins the steady state BenchmarkProcSwitch
+// measures: resuming a parked process and parking it again allocates
+// nothing.
+func TestProcSwitchAllocationFree(t *testing.T) {
+	env := NewEnv()
+	defer env.Shutdown()
+	for _, name := range []string{"a", "b"} {
+		env.Go(name, func(p *Proc) {
+			for {
+				p.Sleep(time.Microsecond)
+			}
+		})
+	}
+	step := func() { env.Run(env.Now() + time.Microsecond) } // resumes both
+	if n := testing.AllocsPerRun(1000, step); n != 0 {
+		t.Errorf("a process switch allocates %v per pair of resumes", n)
+	}
+}

@@ -154,3 +154,35 @@ func TestCalendarSparseJumps(t *testing.T) {
 	}
 	drainBoth(t, "sparse", cal, heap)
 }
+
+// TestQueueSteadyStateAllocationFree pins the steady state the scheduler
+// benchmarks measure: with a standing population of pending events mixing
+// same-instant, sub-bucket and device-scale delays, a Pop plus a Push
+// allocates nothing, in the calendar queue and the reference heap alike.
+func TestQueueSteadyStateAllocationFree(t *testing.T) {
+	delay := func(i int) time.Duration {
+		switch i & 3 {
+		case 0:
+			return 0
+		case 1:
+			return time.Duration(i%97) * time.Microsecond
+		default:
+			return time.Duration(i%11) * time.Millisecond
+		}
+	}
+	for _, calendar := range []bool{true, false} {
+		q := NewEventQueue(calendar)
+		i := 0
+		for ; i < 2048; i++ {
+			q.Push(q.Now() + delay(i))
+		}
+		cycle := func() {
+			q.Pop()
+			q.Push(q.Now() + delay(i))
+			i++
+		}
+		if n := testing.AllocsPerRun(2000, cycle); n != 0 {
+			t.Errorf("calendar=%v: Pop + Push allocates %v per cycle", calendar, n)
+		}
+	}
+}

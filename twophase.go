@@ -315,15 +315,20 @@ func (db *DB) txCommitLocked(parts []*participant) error {
 
 // compensate rolls back participants whose mutations may have applied:
 // each gets a fresh committed transaction restoring the logged
-// before-images in reverse order. Called with the participant mutexes held;
-// best-effort (the caller returns the original error regardless).
+// before-images in reverse order, and its local transaction is then
+// forgotten (engine.Forget). Called with the participant mutexes held;
+// best-effort (the caller returns the original error regardless). A
+// participant whose compensation fails stays live: its uncommitted state is
+// still in the pool, and its undo records are what the next restart rolls it
+// back with.
 func compensate(parts []*participant) {
 	for _, pc := range parts {
 		pc := pc
 		if len(pc.undos) == 0 {
+			pc.pt.eng.Forget(pc.id) // nothing applied, nothing to undo
 			continue
 		}
-		pc.pt.do("tx-rollback", func(p *sim.Proc) error {
+		err := pc.pt.do("tx-rollback", func(p *sim.Proc) error {
 			id := pc.pt.eng.Begin()
 			for i := len(pc.undos) - 1; i >= 0; i-- {
 				u := pc.undos[i]
@@ -336,5 +341,8 @@ func compensate(parts []*participant) {
 			}
 			return pc.pt.eng.Commit(p, id)
 		})
+		if err == nil {
+			pc.pt.eng.Forget(pc.id)
+		}
 	}
 }

@@ -3,11 +3,16 @@ package turbobp
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"turbobp/internal/device"
+	"turbobp/internal/fault"
 )
 
 // killForTest abandons a DB the way SIGKILL would: file descriptors close
@@ -31,6 +36,41 @@ func reopenOpts(dir string, existing bool) Options {
 		DBPages: 64, PageSize: 64, PoolPages: 16, Design: NoSSD,
 		Dir: dir, Concurrency: 4, OpenExisting: existing,
 	}
+}
+
+// benchFileLimit is the largest file a process may write under the
+// `ulimit -f 16384` (16384 blocks of 1 KiB) the benchmark runs under.
+const benchFileLimit = 16 << 20
+
+// limitedDir returns a fresh directory for a file-backed DB and, when the
+// test ends, fails the test if any file under it has an apparent size —
+// sparse holes included — above benchFileLimit: a file that a process
+// running under the benchmark's limit could not have created.
+func limitedDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	// Cleanups run last-in first-out, so this check sees the files before
+	// TempDir's cleanup removes them.
+	t.Cleanup(func() {
+		err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			info, err := d.Info()
+			if err != nil {
+				return err
+			}
+			if info.Mode().IsRegular() && info.Size() > benchFileLimit {
+				t.Errorf("%s has an apparent size of %d bytes, above the %d-byte file size limit",
+					d.Name(), info.Size(), benchFileLimit)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	return dir
 }
 
 func mustOpen(t *testing.T, opts Options) *DB {
@@ -185,11 +225,14 @@ func TestCrossPartitionCommitAtomic(t *testing.T) {
 // durable, no decision; "decided": decision durable, participants not
 // committed) and either kills the process image and returns the reopened DB,
 // or — inProcess — crashes and recovers the same DB: both must resolve the
-// transaction by the same rule.
-func crash2PCAt(t *testing.T, stage string, inProcess bool) (*DB, int64, int64) {
+// transaction by the same rule. A nonzero interval runs periodic checkpoints
+// that fire between the commit's steps.
+func crash2PCAt(t *testing.T, stage string, inProcess bool, interval time.Duration) (*DB, int64, int64) {
 	t.Helper()
 	dir := t.TempDir()
-	db := mustOpen(t, reopenOpts(dir, false))
+	opts := reopenOpts(dir, false)
+	opts.CheckpointInterval = interval
+	db := mustOpen(t, opts)
 	p1, p2 := int64(5), int64(50)
 	writePage(t, db, p1, 0xAA)
 	writePage(t, db, p2, 0xAA)
@@ -229,7 +272,8 @@ func crash2PCAt(t *testing.T, stage string, inProcess bool) (*DB, int64, int64) 
 	}
 	killForTest(db)
 
-	db2 := mustOpen(t, reopenOpts(dir, true))
+	opts.OpenExisting = true
+	db2 := mustOpen(t, opts)
 	t.Cleanup(func() { db2.Close() })
 	return db2, p1, p2
 }
@@ -237,12 +281,18 @@ func crash2PCAt(t *testing.T, stage string, inProcess bool) (*DB, int64, int64) 
 // TestTwoPhaseInDoubtAborts pins presumed abort: a transaction killed after
 // its prepares were forced but before the coordinator logged a decision
 // rolls back completely on reopen — both pages keep their old value, even
-// though the new values' redo records are durable in the WALs.
+// though the new values' redo records are durable in the WALs. With a 1 ms
+// checkpoint interval a sharp checkpoint runs inside the commit and writes
+// the uncommitted after-images to db.pages; its redo point must stay behind
+// the transaction's undo records so recovery can still roll it back.
 func TestTwoPhaseInDoubtAborts(t *testing.T) {
-	for _, inProcess := range []bool{false, true} {
-		db, p1, p2 := crash2PCAt(t, "prepared", inProcess)
-		wantFill(t, db, p1, 0xAA, "in-doubt abort")
-		wantFill(t, db, p2, 0xAA, "in-doubt abort")
+	for _, interval := range []time.Duration{0, time.Millisecond} {
+		for _, inProcess := range []bool{false, true} {
+			db, p1, p2 := crash2PCAt(t, "prepared", inProcess, interval)
+			what := fmt.Sprintf("in-doubt abort (checkpoint interval %v, in-process %v)", interval, inProcess)
+			wantFill(t, db, p1, 0xAA, what)
+			wantFill(t, db, p2, 0xAA, what)
+		}
 	}
 }
 
@@ -251,7 +301,7 @@ func TestTwoPhaseInDoubtAborts(t *testing.T) {
 // participant had written its commit record — recovery finishes the job.
 func TestTwoPhaseDecidedCommits(t *testing.T) {
 	for _, inProcess := range []bool{false, true} {
-		db, p1, p2 := crash2PCAt(t, "decided", inProcess)
+		db, p1, p2 := crash2PCAt(t, "decided", inProcess, 0)
 		wantFill(t, db, p1, 0xBB, "decided commit")
 		wantFill(t, db, p2, 0xBB, "decided commit")
 	}
@@ -261,7 +311,7 @@ func TestTwoPhaseDecidedCommits(t *testing.T) {
 // in-doubt transactions and then killing again without new writes must
 // resolve the same way on the next reopen.
 func TestTwoPhaseRecoveredStateSurvivesNextReopen(t *testing.T) {
-	db, p1, p2 := crash2PCAt(t, "prepared", false)
+	db, p1, p2 := crash2PCAt(t, "prepared", false, 0)
 	dir := db.opts.Dir
 	killForTest(db)
 	db2 := mustOpen(t, reopenOpts(dir, true))
@@ -345,6 +395,35 @@ func TestTxUncommittedWriteDoesNotReachDisk(t *testing.T) {
 	defer db2.Close()
 	if got := readPage(t, db2, 7); got[0] != 0x01 {
 		t.Fatalf("page 7 = %#x after kill+reopen, want the committed 0x01", got[0])
+	}
+
+	// A periodic checkpoint inside Tx.Commit: with a 1 ms interval it runs
+	// between the apply and the commit record and writes the uncommitted
+	// after-image to db.pages. The commit then dies before its log force.
+	for _, conc := range []int{1, 4} {
+		opts := Options{
+			DBPages: 64, PageSize: 64, PoolPages: 16, Design: NoSSD,
+			Dir: t.TempDir(), Concurrency: conc, FaultSeed: 1,
+			CheckpointInterval: time.Millisecond,
+		}
+		db := mustOpen(t, opts)
+		writePage(t, db, 7, 0x01)
+		tx := db.Begin()
+		if err := tx.Update(7, func(p []byte) { p[0] = 0xBB }); err != nil {
+			t.Fatalf("tx.Update: %v", err)
+		}
+		db.PartitionFaults(0).ArmCrash(fault.SitePreWALFlush, 1)
+		if err := tx.Commit(); !errors.Is(err, fault.ErrCrashPoint) {
+			t.Fatalf("P=%d: tx.Commit = %v, want the armed crash point", conc, err)
+		}
+		killForTest(db)
+
+		opts.OpenExisting = true
+		db2 := mustOpen(t, opts)
+		if got := readPage(t, db2, 7); got[0] != 0x01 {
+			t.Errorf("P=%d: page 7 = %#x after a checkpoint inside the commit and a kill, want the committed 0x01", conc, got[0])
+		}
+		db2.Close()
 	}
 }
 
@@ -451,12 +530,12 @@ func TestTwoPhaseStaleInDoubtAcrossGenerations(t *testing.T) {
 // must end in ErrLogFull — not in a panic that wedges the log mid-flush and
 // hangs Close — and stay a readable, closable, reopenable database holding
 // every acknowledged update. WarmRestart makes the checkpoint record carry
-// the SSD buffer table, the largest thing Close has to fit. The whole test
-// stays under the benchmark driver's `ulimit -f 16384`.
+// the SSD buffer table, the largest thing Close has to fit. Every file the
+// test creates fits the benchmark's file size limit (limitedDir).
 func TestLogFullIsAnError(t *testing.T) {
 	defer func(n device.PageNum) { walPagesTotal = n }(walPagesTotal)
 	walPagesTotal = 4 * 48 // 48 log pages per partition
-	opts := reopenOpts(t.TempDir(), false)
+	opts := reopenOpts(limitedDir(t), false)
 	opts.Design, opts.SSDFrames, opts.WarmRestart = LC, 64, true
 	db := mustOpen(t, opts)
 
