@@ -156,13 +156,19 @@ func (a *Array) WriteTask(t *sim.Task, page PageNum, bufs [][]byte, k func(error
 	a.doTask(t, page, bufs, true, k)
 }
 
-// Preload stores data on the owning disk without charging time.
-func (a *Array) Preload(page PageNum, data []byte) error {
-	if err := checkRange(page, 1, a.capacity); err != nil {
-		return err
+// Format formats every member disk with fill, translating each disk's local
+// page back to its global page (the inverse of locate).
+func (a *Array) Format(fill func(page PageNum, buf []byte)) error {
+	n, unit := PageNum(len(a.disks)), a.stripeUnit
+	for i, d := range a.disks {
+		err := d.Format(func(local PageNum, buf []byte) {
+			fill((local/unit*n+PageNum(i))*unit+local%unit, buf)
+		})
+		if err != nil {
+			return err
+		}
 	}
-	disk, local := a.locate(page)
-	return a.disks[disk].Preload(local, data)
+	return nil
 }
 
 // Pending sums the pending requests of the member disks.

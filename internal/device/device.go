@@ -60,10 +60,10 @@ type Device interface {
 	Stats() *Stats
 }
 
-// Preloader is implemented by devices that can be populated instantly
-// (outside of simulated time) when a database is being created.
-type Preloader interface {
-	Preload(page PageNum, data []byte) error
+// Formatter is implemented by devices that can take their initial content,
+// fill(page, buf) for every page, outside of simulated time.
+type Formatter interface {
+	Format(fill func(page PageNum, buf []byte)) error
 }
 
 // Counter is a cumulative I/O counter. It is deliberately not atomic: every

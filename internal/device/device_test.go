@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"turbobp/internal/page"
 	"turbobp/internal/sim"
 )
 
@@ -406,20 +407,92 @@ func TestArrayParallelismBeatsSingleDisk(t *testing.T) {
 	}
 }
 
-func TestPreload(t *testing.T) {
-	env := sim.NewEnv()
-	a := NewArray(env, PaperHDDProfile(), 2, 4, 64)
-	if err := a.Preload(9, []byte{1, 2, 3}); err != nil {
-		t.Fatalf("preload: %v", err)
+// TestArrayFormat: a formatted array serves every never-written page as the
+// fill's bytes for its global page — through single-page reads and a
+// multi-stripe run alike, so the per-disk local-to-global inverse of locate
+// is right — while written pages read back the write. The fill is the one
+// Engine.FormatDB installs; formatting counts no I/O.
+func TestArrayFormat(t *testing.T) {
+	const payload = 32
+	zeros := make([]byte, payload)
+	encode := func(pid PageNum, buf []byte) {
+		if err := page.Encode(&page.Page{ID: page.ID(pid), Payload: zeros}, buf); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := a.Stats().Load().WriteOps; got != 0 {
-		t.Errorf("preload counted as write op (%d)", got)
+	want := func(pid PageNum) []byte {
+		buf := make([]byte, page.HeaderSize+payload)
+		encode(pid, buf)
+		return buf
+	}
+	newBufs := func(n int) [][]byte {
+		bufs := make([][]byte, n)
+		for i := range bufs {
+			bufs[i] = make([]byte, page.HeaderSize+payload)
+		}
+		return bufs
+	}
+
+	env := sim.NewEnv()
+	const capacity = 2*8*64 + 77 // not a multiple of disks × unit
+	a := NewArray(env, PaperHDDProfile(), 8, 64, capacity)
+	if err := a.Format(encode); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.Stats().Load(); got != (Snapshot{}) {
+		t.Errorf("Format counted I/O: %+v", got)
+	}
+	if got := a.BusySnapshot(); got != (Snapshot{}) {
+		t.Errorf("Format counted member-disk I/O: %+v", got)
+	}
+	written := want(0)
+	written[page.HeaderSize] = 0xAB
+	env.Go("t", func(p *sim.Proc) {
+		for pid := PageNum(0); pid < capacity; pid++ {
+			bufs := newBufs(1)
+			if err := a.Read(p, pid, bufs); err != nil {
+				t.Fatalf("read %d: %v", pid, err)
+			}
+			if !bytes.Equal(bufs[0], want(pid)) {
+				t.Fatalf("page %d does not match its eager encoding", pid)
+			}
+		}
+		const start, n = 40, 200 // spans units 0..3 on disks 0..3
+		bufs := newBufs(n)
+		if err := a.Read(p, start, bufs); err != nil {
+			t.Fatalf("run read: %v", err)
+		}
+		for i, b := range bufs {
+			if !bytes.Equal(b, want(PageNum(start+i))) {
+				t.Fatalf("run page %d does not match its eager encoding", start+i)
+			}
+		}
+		if err := a.Write(p, 1000, [][]byte{written}); err != nil {
+			t.Fatal(err)
+		}
+		bufs = newBufs(1)
+		if err := a.Read(p, 1000, bufs); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bufs[0], written) {
+			t.Error("written page read back the fill, not the write")
+		}
+	})
+	env.Run(-1)
+
+	// A DiscardContent device stores nothing, so it has nothing to format.
+	d := NewHDD(env, PaperHDDProfile(), 100)
+	d.DiscardContent()
+	if err := d.Format(encode); err != nil {
+		t.Fatal(err)
 	}
 	env.Go("t", func(p *sim.Proc) {
-		buf := [][]byte{make([]byte, 3)}
-		a.Read(p, 9, buf)
-		if !bytes.Equal(buf[0], []byte{1, 2, 3}) {
-			t.Errorf("read back %v", buf[0])
+		bufs := newBufs(1)
+		if err := d.Read(p, 7, bufs); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bufs[0], make([]byte, len(bufs[0]))) {
+			t.Errorf("DiscardContent device read %x, want zeros", bufs[0])
 		}
 	})
 	env.Run(-1)

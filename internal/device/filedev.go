@@ -155,6 +155,18 @@ func (d *File) Preload(page PageNum, data []byte) error {
 	return err
 }
 
+// Format writes fill's bytes to every page now, uncounted: a hole reads as zeros.
+func (d *File) Format(fill func(page PageNum, buf []byte)) error {
+	buf := make([]byte, d.pageSize)
+	for page := PageNum(0); page < d.capacity; page++ {
+		fill(page, buf)
+		if err := d.Preload(page, buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Sync flushes the backing file to stable storage (the whole file, even
 // when called on a slice).
 func (d *File) Sync() error { return d.f.Sync() }

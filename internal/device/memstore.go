@@ -1,26 +1,25 @@
 package device
 
 // memstore is the persistent content of a simulated device: one payload-copy
-// slot per page, directly indexed. The slot array grows geometrically to the
-// highest page ever written — FormatDB densifies the database disks anyway,
-// so a flat array is both smaller and faster than a sparse table (page
-// lookup is an index, not a hash probe), while nominally huge devices that
-// are never written (the discarded-content log device) cost nothing. Pages
-// never written read back as zero-filled.
+// slot per page, directly indexed (an index, not a hash probe). The slot
+// array grows geometrically to the highest page ever written, so a device
+// costs memory only for what was written. A page never written reads back as
+// fill's bytes when fill is set, as zeros otherwise.
 type memstore struct {
 	pages [][]byte
+	fill  func(page PageNum, buf []byte)
 }
 
-func newMemstore() *memstore {
-	return &memstore{}
-}
-
-// read copies the stored payload for page into buf (zero-fills if the page
-// was never written). Short or long buffers copy min(len).
+// read copies the stored payload for page into buf. Short or long buffers
+// copy min(len).
 func (m *memstore) read(page PageNum, buf []byte) {
 	var src []byte
 	if int64(page) < int64(len(m.pages)) {
 		src = m.pages[page]
+	}
+	if src == nil && m.fill != nil {
+		m.fill(page, buf)
+		return
 	}
 	n := copy(buf, src)
 	for i := n; i < len(buf); i++ {

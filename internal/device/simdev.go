@@ -104,7 +104,7 @@ func newSimDevice(env *sim.Env, profile Profile, capacity PageNum) *simDevice {
 		profile:  profile,
 		capacity: capacity,
 		head:     -1,
-		store:    newMemstore(),
+		store:    &memstore{},
 	}
 }
 
@@ -197,12 +197,10 @@ func (d *simDevice) WriteTask(t *sim.Task, page PageNum, bufs [][]byte, k func(e
 	d.ioTask(t, page, bufs, true, k)
 }
 
-func (d *simDevice) Preload(page PageNum, data []byte) error {
-	if err := checkRange(page, 1, d.capacity); err != nil {
-		return err
-	}
+// Format makes never-written pages read back as fill's bytes, storing nothing.
+func (d *simDevice) Format(fill func(page PageNum, buf []byte)) error {
 	if d.store != nil {
-		d.store.write(page, data)
+		d.store.fill = fill
 	}
 	return nil
 }

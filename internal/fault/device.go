@@ -8,7 +8,7 @@ import (
 )
 
 // Device wraps a device.Device with the injector's fault plan for one
-// device name. It implements device.Device (and forwards device.Preloader
+// device name. It implements device.Device (and forwards device.Formatter
 // when the inner device supports it), consulting the plan before every
 // operation:
 //
@@ -31,7 +31,7 @@ type Device struct {
 }
 
 var _ device.Device = (*Device)(nil)
-var _ device.Preloader = (*Device)(nil)
+var _ device.Formatter = (*Device)(nil)
 
 // Inner returns the wrapped device.
 func (d *Device) Inner() device.Device { return d.inner }
@@ -225,14 +225,14 @@ func (d *Device) WriteTask(t *sim.Task, page device.PageNum, bufs [][]byte, k fu
 	d.inner.WriteTask(t, page, out, k)
 }
 
-// Preload forwards to the inner device's Preloader. Preloads model loading
+// Format forwards to the inner device's Formatter. Formatting models loading
 // the database before the measured (and faulted) run, so no faults apply.
-func (d *Device) Preload(page device.PageNum, data []byte) error {
-	pre, ok := d.inner.(device.Preloader)
+func (d *Device) Format(fill func(page device.PageNum, buf []byte)) error {
+	f, ok := d.inner.(device.Formatter)
 	if !ok {
-		return fmt.Errorf("fault: device %s does not support preloading", d.name)
+		return fmt.Errorf("fault: device %s does not support formatting", d.name)
 	}
-	return pre.Preload(page, data)
+	return f.Format(fill)
 }
 
 // Pending reports the inner device's in-flight requests.

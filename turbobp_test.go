@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +38,30 @@ func openTest(t *testing.T, opts Options) *DB {
 func TestOpenRequiresDBPages(t *testing.T) {
 	if _, err := Open(Options{}); err == nil {
 		t.Fatal("Open with no DBPages succeeded")
+	}
+}
+
+// TestSimulatedOpenIsPoolSized: at the benchmark's geometry the simulated
+// backend's memory after Open is the pool and the SSD tier's bookkeeping,
+// not the database — a formatted page costs memory only once written. An
+// eagerly materialised image of 65 536 encoded pages alone is ~23 MB.
+func TestSimulatedOpenIsPoolSized(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	db, err := Open(Options{Design: LC, Policy: PolicyLRU2,
+		DBPages: 65536, PoolPages: 4096, SSDFrames: 16384, PageSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(db)
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("Open grew the heap by %.1f MB", float64(grown)/(1<<20))
+	if grown >= 8<<20 {
+		t.Errorf("Open grew the heap by %.1f MB, want < 8 MB", float64(grown)/(1<<20))
 	}
 }
 
