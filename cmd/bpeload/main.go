@@ -5,12 +5,15 @@
 // deadlines, bounded reconnect, jittered backoff — so the benchmark
 // survives shedding and restarts instead of dying on the first hiccup.
 //
-// Correctness is checked, not assumed. Writers own disjoint page ranges
-// and stamp every page with a self-describing header (seq, writer id, crc;
-// see internal/loadbench); readers classify every page they fetch, and a
-// final verification pass re-reads every written page and fails the run —
-// nonzero exit — if an acknowledged commit is lost, a page reads back
-// corrupt, or a never-sent sequence appears.
+// Correctness is checked, not assumed. The writers are internal/loadbench's
+// one Writer: each owns a disjoint page range and stamps every page with a
+// self-describing header (seq, writer id, crc), reading every 8th
+// acknowledged commit straight back. Readers classify every page they
+// fetch, and once all workers stop, loadbench.Verify — the verifier chaos
+// mode runs after every restart — re-reads every written page. The run
+// fails, with a nonzero exit, if an acknowledged commit is lost, a page
+// reads back corrupt, a never-sent sequence appears, or any worker ended
+// with an error; each reason is printed to the report.
 //
 // Usage:
 //
@@ -52,7 +55,8 @@ func main() {
 	}
 }
 
-// run parses args, drives the load and writes the report to stdout.
+// run parses args, drives the load and writes the report, and every
+// diagnostic behind a failure, to stdout.
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("bpeload", flag.ExitOnError)
 	var (
@@ -65,7 +69,6 @@ func run(args []string, stdout io.Writer) error {
 		scanEvery = fs.Int("scan-every", 0, "every Nth read op is a 16-page scan (0 disables)")
 		seed      = fs.Int64("seed", 1, "workload RNG seed")
 		deadline  = fs.Duration("deadline", 2*time.Second, "per-request deadline (0 disables)")
-		cachePol  = fs.String("policy", "", "server cache policy label for the summary (informational)")
 
 		chaos     = fs.Int("chaos", 0, "run N kill-9/restart chaos cycles instead of a plain benchmark")
 		serverBin = fs.String("server-bin", "", "bpeserve binary for -chaos mode")
@@ -87,81 +90,81 @@ func run(args []string, stdout io.Writer) error {
 	// Writers own disjoint page ranges so every page has exactly one legal
 	// stamp owner; readers draw from the writer-owned space when there are
 	// writers, the whole space otherwise.
-	perWriter := int64(0)
+	perWriter, space := int64(0), *pages
 	if *writers > 0 {
 		perWriter = *pages / int64(*writers)
 		if perWriter == 0 {
 			return fmt.Errorf("pages %d below writer count %d", *pages, *writers)
 		}
+		space = perWriter * int64(*writers)
+	}
+	ws := make([]*loadbench.Writer, *writers)
+	for w := range ws {
+		ws[w] = loadbench.NewWriter(uint32(w), int64(w)*perWriter, int(perWriter), 0, *valueSize, *seed+int64(*readers+w))
+	}
+	rs := make([]reader, *readers)
+	for r := range rs {
+		rs[r] = reader{space: space, perWriter: perWriter, scanEvery: *scanEvery, rng: rand.New(rand.NewSource(*seed + int64(r)))}
 	}
 
+	var mu sync.Mutex // serializes note and faults across workers
+	note := func(s string) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintln(stdout, "bpeload:", s)
+	}
+	var faults netproto.ClientStats
 	total := *readers + *writers
-	results := make([]workerResult, total)
+	errs := make([]error, total)
 	start := time.Now()
 	end := start.Add(*duration)
+	done := func() bool { return !time.Now().Before(end) }
 	var wg sync.WaitGroup
 	for i := 0; i < total; i++ {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			w := worker{
-				cfg: netproto.ClientConfig{
-					Addr:     *addr,
-					Deadline: *deadline,
-					Seed:     uint64(*seed) + uint64(i)*0x9E37,
-				},
-				valueSize: *valueSize,
-				pages:     *pages,
-				perWriter: perWriter,
-				writers:   *writers,
-				scanEvery: *scanEvery,
-				end:       end,
-				rng:       rand.New(rand.NewSource(*seed + int64(i))),
+			cl, err := netproto.Dial(netproto.ClientConfig{Addr: *addr, Deadline: *deadline, Seed: uint64(*seed) + uint64(i)*0x9E37})
+			if err != nil {
+				errs[i] = err
+				return
 			}
-			if i >= *readers {
-				w.writer = i - *readers // writer id 0..writers-1
+			if i < *readers {
+				errs[i] = rs[i].run(cl, done, note)
 			} else {
-				w.writer = -1
+				errs[i] = ws[i-*readers].Run(cl, done, note)
 			}
-			results[i] = w.run()
-		}(i)
+			mu.Lock()
+			faults.Add(cl.Stats())
+			mu.Unlock()
+			cl.Close()
+		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 
 	var readHist, writeHist metrics.Histogram
-	var reads, writes, scans, errs, verifyFails int64
-	var cs netproto.ClientStats
-	tracks := make(map[int64]*pageSeq)
-	for i, r := range results {
-		if r.err != nil {
-			errs++
-			fmt.Fprintf(os.Stderr, "bpeload: worker %d: %v\n", i, r.err)
-		}
-		readHist.Merge(&r.read)
-		writeHist.Merge(&r.write)
-		reads += r.read.Count()
-		writes += r.write.Count()
-		scans += r.scans
-		verifyFails += r.verifyFails
-		cs.Retries += r.stats.Retries
-		cs.Sheds += r.stats.Sheds
-		cs.Deadlines += r.stats.Deadlines
-		cs.Busy += r.stats.Busy
-		cs.Reconnects += r.stats.Reconnects
-		for pid, s := range r.tracks {
-			tracks[pid] = s
+	var scans, inline int64
+	for i := range rs {
+		readHist.Merge(&rs[i].hist)
+		scans += rs[i].scans
+		inline += rs[i].fails
+	}
+	for _, w := range ws {
+		writeHist.Merge(&w.Latency)
+		inline += w.RYWFails
+	}
+	failed := 0
+	for i, err := range errs {
+		if err != nil {
+			failed++
+			note(fmt.Sprintf("worker %d: %v", i, err))
 		}
 	}
+	reads, writes := readHist.Count(), writeHist.Count()
 	ops := reads + writes
-	if errs == int64(total) {
-		return fmt.Errorf("every worker failed")
-	}
 
 	fmt.Fprintf(stdout, "bpeload: %d readers + %d writers for %v against %s\n", *readers, *writers, elapsed.Round(time.Millisecond), *addr)
-	if *cachePol != "" {
-		fmt.Fprintf(stdout, "bpeload: server cache policy %s (as labelled by -policy)\n", *cachePol)
-	}
 	fmt.Fprintf(stdout, "bpeload: effective parallelism %d of %d workers (GOMAXPROCS=%d)\n",
 		harness.EffectiveWorkers(total), total, runtime.GOMAXPROCS(0))
 	secs := elapsed.Seconds()
@@ -181,52 +184,25 @@ func run(args []string, stdout io.Writer) error {
 			writeHist.Quantile(0.99).Round(time.Microsecond))
 	}
 	fmt.Fprintf(stdout, "faults: %d retries, %d sheds, %d deadline misses, %d busy, %d reconnects\n",
-		cs.Retries, cs.Sheds, cs.Deadlines, cs.Busy, cs.Reconnects)
+		faults.Retries, faults.Sheds, faults.Deadlines, faults.Busy, faults.Reconnects)
+	fmt.Fprintf(stdout, "workers: %d of %d ended with an error\n", failed, total)
 
-	// Final verification pass: every page an acked commit touched must read
-	// back intact at or above its acked seq, and never above what was sent.
-	lost, corrupt, phantom := int64(0), int64(0), int64(0)
-	if len(tracks) > 0 {
-		cl, err := netproto.Dial(netproto.ClientConfig{Addr: *addr, Deadline: 5 * time.Second, Seed: uint64(*seed) + 77})
-		if err != nil {
-			return fmt.Errorf("verification dial: %w", err)
-		}
-		defer cl.Close()
-		for pid, s := range tracks {
-			data, err := cl.Get(pid)
-			if err != nil {
-				return fmt.Errorf("verification read page %d: %w", pid, err)
-			}
-			seq, wr, st := loadbench.CheckPage(data, pid)
-			switch st {
-			case loadbench.PageCorrupt:
-				corrupt++
-				fmt.Fprintf(os.Stderr, "bpeload: page %d corrupt\n", pid)
-			case loadbench.PageUnwritten:
-				if s.acked > 0 {
-					lost++
-					fmt.Fprintf(os.Stderr, "bpeload: page %d lost acked seq %d (unwritten)\n", pid, s.acked)
-				}
-			case loadbench.PageOK:
-				if wr != s.owner {
-					corrupt++
-					fmt.Fprintf(os.Stderr, "bpeload: page %d stamped by writer %d, owned by %d\n", pid, wr, s.owner)
-				}
-				if seq < s.acked {
-					lost++
-					fmt.Fprintf(os.Stderr, "bpeload: page %d at seq %d below acked %d\n", pid, seq, s.acked)
-				}
-				if seq > s.maxSent {
-					phantom++
-					fmt.Fprintf(os.Stderr, "bpeload: page %d at seq %d beyond anything sent (%d)\n", pid, seq, s.maxSent)
-				}
-			}
+	// Every page an acked commit touched must read back intact at or above
+	// its acked seq, and never above what was sent.
+	var rep loadbench.Report
+	if *writers > 0 {
+		var err error
+		if rep, err = loadbench.Verify(*addr, ws, note); err != nil {
+			return fmt.Errorf("verification: %w", err)
 		}
 		fmt.Fprintf(stdout, "verify: %d pages checked, %d lost, %d corrupt, %d phantom, %d inline failures\n",
-			len(tracks), lost, corrupt, phantom, verifyFails)
+			rep.Pages, rep.Lost, rep.Corrupt, rep.Phantom, inline)
 	}
-	if bad := lost + corrupt + phantom + verifyFails; bad > 0 {
+	if bad := rep.Violations() + inline; bad > 0 {
 		return fmt.Errorf("verification failed: %d violations", bad)
+	}
+	if failed > 0 {
+		return fmt.Errorf("%d of %d workers failed", failed, total)
 	}
 	return nil
 }
@@ -256,148 +232,56 @@ func runChaos(stdout io.Writer, cycles int, serverBin, dir string, cycleLen time
 	return nil
 }
 
-// pageSeq is one page's durability floor and ceiling as its owning writer
-// saw them.
-type pageSeq struct {
-	owner   uint32
-	acked   uint64 // last seq whose commit the server acknowledged
-	maxSent uint64 // last seq ever sent
-}
-
-// workerResult carries one worker's measurements back to the aggregator.
-type workerResult struct {
-	read        metrics.Histogram // point gets and scans
-	write       metrics.Histogram // stamped tx round trips
-	scans       int64
-	verifyFails int64 // inline check failures (corrupt reads, RYW misses)
-	stats       netproto.ClientStats
-	tracks      map[int64]*pageSeq // writer only: owned-page seq state
-	err         error
-}
-
-// worker is one load-generating client.
-type worker struct {
-	cfg       netproto.ClientConfig
-	writer    int // writer id, or -1 for a reader
-	valueSize int
-	pages     int64
-	perWriter int64
-	writers   int
+// reader issues point gets (and optional scans) over page ids
+// [0, space), classifying every page it sees: a corrupt page, or one
+// stamped by a writer that does not own it, is a failure even mid-load.
+type reader struct {
+	space     int64
+	perWriter int64 // pid's owner is pid/perWriter; 0 when there are no writers
 	scanEvery int
-	end       time.Time
 	rng       *rand.Rand
+
+	hist         metrics.Histogram // point gets and scans
+	scans, fails int64
 }
 
-func (w *worker) run() workerResult {
-	res := workerResult{tracks: map[int64]*pageSeq{}}
-	cl, err := netproto.Dial(w.cfg)
-	if err != nil {
-		res.err = err
-		return res
+func (r *reader) check(data []byte, pid int64, note func(string)) {
+	_, wr, st := loadbench.CheckPage(data, pid)
+	if st == loadbench.PageCorrupt || st == loadbench.PageOK && r.perWriter > 0 && int64(wr) != pid/r.perWriter {
+		r.fails++
+		note(fmt.Sprintf("reader: page %d corrupt or stamped by non-owner %d", pid, wr))
 	}
-	defer func() { res.stats = cl.Stats(); cl.Close() }()
-
-	if w.writer >= 0 {
-		w.runWriter(cl, &res)
-	} else {
-		w.runReader(cl, &res)
-	}
-	return res
 }
 
-// runWriter drives stamped single-update transactions over the worker's
-// owned page range via loadbench.SendTx, which re-sends the whole sequence
-// on a mid-transaction reconnect so an ack always means a complete commit.
-func (w *worker) runWriter(cl *netproto.Client, res *workerResult) {
-	base := int64(w.writer) * w.perWriter
-	value := make([]byte, w.valueSize)
-	for i := 0; time.Now().Before(w.end); i++ {
-		pid := base + w.rng.Int63n(w.perWriter)
-		s := res.tracks[pid]
-		if s == nil {
-			s = &pageSeq{owner: uint32(w.writer)}
-			res.tracks[pid] = s
-		}
-		seq := s.maxSent + 1
-		w.rng.Read(value)
-		loadbench.StampPage(value, pid, seq, uint32(w.writer))
+// run reads until done reports true and returns the first error.
+func (r *reader) run(cl *netproto.Client, done func() bool, note func(string)) error {
+	for i := 0; !done(); i++ {
+		pid := r.rng.Int63n(r.space)
 		t0 := time.Now()
-		s.maxSent = seq
-		if err := loadbench.SendTx(cl, []loadbench.Update{{Page: pid, Data: value}}); err != nil {
-			res.err = err
-			return
-		}
-		s.acked = seq
-		res.write.Observe(time.Since(t0))
-		if i%16 == 15 { // read-your-writes spot check
-			data, err := cl.Get(pid)
-			if err != nil {
-				res.err = err
-				return
-			}
-			if got, wr, st := loadbench.CheckPage(data, pid); st != loadbench.PageOK || got != seq || wr != uint32(w.writer) {
-				res.verifyFails++
-				fmt.Fprintf(os.Stderr, "bpeload: writer %d page %d: read-your-writes got seq=%d st=%d want %d\n",
-					w.writer, pid, got, st, seq)
-			}
-		}
-	}
-}
-
-// runReader issues point gets (and optional scans) over the writer-owned
-// space, classifying every page it sees: corrupt or foreign-stamped pages
-// are verification failures even mid-load.
-func (w *worker) runReader(cl *netproto.Client, res *workerResult) {
-	space := w.pages
-	if w.writers > 0 {
-		space = w.perWriter * int64(w.writers)
-	}
-	check := func(data []byte, pid int64) {
-		_, wr, st := loadbench.CheckPage(data, pid)
-		if st == loadbench.PageCorrupt {
-			res.verifyFails++
-			fmt.Fprintf(os.Stderr, "bpeload: reader saw page %d corrupt\n", pid)
-			return
-		}
-		if st == loadbench.PageOK && w.writers > 0 && int64(wr) != pid/w.perWriter {
-			res.verifyFails++
-			fmt.Fprintf(os.Stderr, "bpeload: page %d stamped by non-owner %d\n", pid, wr)
-		}
-	}
-	for i := 0; time.Now().Before(w.end); i++ {
-		pid := w.rng.Int63n(space)
-		t0 := time.Now()
-		if w.scanEvery > 0 && i%w.scanEvery == w.scanEvery-1 {
-			n := int64(16)
-			if pid+n > space {
-				pid = space - n
-			}
-			if pid < 0 {
-				pid, n = 0, space
-			}
+		if r.scanEvery > 0 && i%r.scanEvery == r.scanEvery-1 {
+			n := min(16, r.space)
+			pid = min(pid, r.space-n)
 			resp, err := cl.Do(&netproto.Request{Op: netproto.OpScan, Page: pid, N: int32(n)})
 			if err != nil {
-				res.err = err
-				return
+				return err
 			}
 			if resp.Status != netproto.StatusOK {
-				res.err = fmt.Errorf("scan: %s", resp.Data)
-				return
+				return fmt.Errorf("scan: %s", resp.Data)
 			}
 			if ps := len(resp.Data) / int(n); ps > 0 {
 				for k := int64(0); k < n; k++ {
-					check(resp.Data[k*int64(ps):(k+1)*int64(ps)], pid+k)
+					r.check(resp.Data[k*int64(ps):(k+1)*int64(ps)], pid+k, note)
 				}
 			}
-			res.scans++
+			r.scans++
 		} else {
 			data, err := cl.Get(pid)
 			if err != nil {
-				res.err = err
-				return
+				return err
 			}
-			check(data, pid)
+			r.check(data, pid, note)
 		}
-		res.read.Observe(time.Since(t0))
+		r.hist.Observe(time.Since(t0))
 	}
+	return nil
 }

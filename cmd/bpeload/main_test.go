@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"turbobp/internal/netproto"
+	"turbobp/internal/loadbench"
 )
 
 // TestLoadAgainstFileBackedServer runs bpeload's plain (non-chaos) mode for
@@ -42,7 +42,9 @@ func TestLoadAgainstFileBackedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Process.Kill() // no-op once the drain below has reaped it
-	waitHealthy(t, addr)
+	if err := loadbench.WaitHealthy(addr, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
 
 	var out bytes.Buffer
 	err = run([]string{"-addr", addr, "-readers", "2", "-writers", "2",
@@ -68,21 +70,4 @@ func TestLoadAgainstFileBackedServer(t *testing.T) {
 	if !regexp.MustCompile(`bpeserve: served [1-9]\d* ops`).Match(srvOut.Bytes()) {
 		t.Errorf("no served-ops summary from the drained server:\n%s", srvOut.Bytes())
 	}
-}
-
-// waitHealthy polls the server's health op until it answers.
-func waitHealthy(t *testing.T, addr string) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
-		cl, err := netproto.Dial(netproto.ClientConfig{Addr: addr, DialTimeout: 200 * time.Millisecond, MaxReconnects: 1})
-		if err != nil {
-			continue
-		}
-		ok, err := cl.Health()
-		cl.Close()
-		if ok && err == nil {
-			return
-		}
-	}
-	t.Fatalf("bpeserve at %s not healthy within 10s", addr)
 }

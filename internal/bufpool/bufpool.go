@@ -271,8 +271,3 @@ func (p *Pool) Reset() {
 		p.free = append(p.free, f)
 	}
 }
-
-// ReplHistory exposes the replacement history of a resident page (test hook).
-func (p *Pool) ReplHistory(id page.ID) (last, prev time.Duration, seen bool) {
-	return p.repl.History(int64(id))
-}

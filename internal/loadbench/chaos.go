@@ -3,25 +3,19 @@
 // acknowledged commit is durable, no page ever reads back torn or stale,
 // and cross-partition pair transactions stay atomic across the crashes.
 //
-// The verification model is self-describing pages. Every tracked page is
-// written only by its owning writer, with a stamped header
-// (seq, writer, crc over header+pid), so any read can be classified as
-// unwritten, intact-at-some-seq, or corrupt without consulting the server.
-// Writers keep, per page, the last acknowledged seq (a durability floor)
-// and the last sent seq (a ceiling); after each restart the harness rereads
-// every tracked page and checks floor <= observed <= ceiling plus
+// The load is the package's one Writer and the check its one Verify, the
+// same pair bpeload's plain mode runs: after each restart every tracked
+// page is reread and held to floor <= observed <= ceiling plus
 // cross-restart monotonicity. Pair writers stamp two pages in different
 // partitions with the same seq inside one transaction, so unequal seqs
 // after recovery expose a broken cross-partition commit.
+
 package loadbench
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math/rand"
 	"net"
 	"os/exec"
 	"sync"
@@ -32,103 +26,20 @@ import (
 	"turbobp/internal/netproto"
 )
 
-// StampLen is the self-describing page header: seq(8) writer(4) crc(4).
-const StampLen = 16
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-func stampCRC(buf []byte, pid int64) uint32 {
-	var key [20]byte
-	copy(key[:12], buf[:12])
-	binary.LittleEndian.PutUint64(key[12:20], uint64(pid))
-	return crc32.Checksum(key[:], castagnoli)
-}
-
-// StampPage writes the verification header into buf (len >= StampLen).
-func StampPage(buf []byte, pid int64, seq uint64, writer uint32) {
-	binary.LittleEndian.PutUint64(buf[0:8], seq)
-	binary.LittleEndian.PutUint32(buf[8:12], writer)
-	binary.LittleEndian.PutUint32(buf[12:16], stampCRC(buf, pid))
-}
-
-// PageState classifies a read-back page header.
-type PageState int
-
+// The chaos server's shape and its tracked load. Single-page writers own
+// pages [w*16, w*16+16) in the first half of the id space; pair writers
+// own the pairs (p, p+chaosPages/4) for p from chaosPages/2 + w*4, which
+// lands the two pages of a pair in different partitions.
 const (
-	// PageUnwritten: the header is all zeroes — the page was never stamped.
-	PageUnwritten PageState = iota
-	// PageOK: the header checksum matches.
-	PageOK
-	// PageCorrupt: a nonzero header whose checksum does not match — a torn
-	// or foreign write.
-	PageCorrupt
+	chaosPages       = 1024
+	chaosPageSize    = 64
+	chaosConcurrency = 4
+	chaosMaxInflight = 64 // server -max-inflight
+	chaosWriters     = 4  // single-page writers
+	chaosPagesEach   = 16 // tracked pages per single-page writer
+	chaosPairWriters = 2  // cross-partition pair writers
+	chaosPairsEach   = 4  // tracked pairs per pair writer
 )
-
-// CheckPage decodes and classifies a page header read back from pid.
-func CheckPage(buf []byte, pid int64) (seq uint64, writer uint32, st PageState) {
-	if len(buf) < StampLen {
-		return 0, 0, PageCorrupt
-	}
-	zero := true
-	for _, b := range buf[:StampLen] {
-		if b != 0 {
-			zero = false
-			break
-		}
-	}
-	if zero {
-		return 0, 0, PageUnwritten
-	}
-	seq = binary.LittleEndian.Uint64(buf[0:8])
-	writer = binary.LittleEndian.Uint32(buf[8:12])
-	if binary.LittleEndian.Uint32(buf[12:16]) != stampCRC(buf, pid) {
-		return seq, writer, PageCorrupt
-	}
-	return seq, writer, PageOK
-}
-
-// Update is one page write inside a SendTx transaction.
-type Update struct {
-	Page int64
-	Data []byte
-}
-
-// SendTx sends the updates and a commit over cl as one transaction, honoring
-// the reconnect contract: the server's per-connection transaction dies with
-// the connection, so if the client reconnected at any point during the
-// sequence the whole thing is re-sent rather than committing a partial
-// transaction or trusting a commit ack from a fresh, empty session. The
-// redo is idempotent (same pages, same data), so an ambiguous commit — the
-// server applied it but the ack was lost — resolves to the same state.
-func SendTx(cl *netproto.Client, updates []Update) error {
-	for attempt := 0; attempt < 6; attempt++ {
-		r0 := cl.Stats().Reconnects
-		for i := range updates {
-			resp, err := cl.Do(&netproto.Request{Op: netproto.OpUpdate, Page: updates[i].Page, Data: updates[i].Data})
-			if err != nil {
-				return err
-			}
-			if resp.Status != netproto.StatusOK {
-				return fmt.Errorf("update page %d: %s", updates[i].Page, resp.Data)
-			}
-		}
-		if cl.Stats().Reconnects != r0 {
-			continue // tx state lost mid-sequence; redo before committing a partial tx
-		}
-		resp, err := cl.Do(&netproto.Request{Op: netproto.OpCommit})
-		if err != nil {
-			return err
-		}
-		if resp.Status != netproto.StatusOK {
-			return fmt.Errorf("commit: %s", resp.Data)
-		}
-		if cl.Stats().Reconnects != r0 {
-			continue // the ack may be from a fresh, empty session; redo
-		}
-		return nil
-	}
-	return errors.New("transaction kept losing its connection")
-}
 
 // ChaosConfig configures RunChaos. Zero values take defaults.
 type ChaosConfig struct {
@@ -136,21 +47,9 @@ type ChaosConfig struct {
 	ServerBin string
 	// Dir is the data directory shared across server restarts. Required.
 	Dir string
-	// Addr is the listen address; empty picks a free localhost port.
-	Addr string
-
-	Pages       int64 // default 1024
-	PageSize    int   // default 64
-	Concurrency int   // default 4
-	MaxInflight int   // server -max-inflight; default 64
 
 	Cycles   int           // kill-9/restart cycles; default 3
 	CycleLen time.Duration // load duration per cycle; default 1s
-
-	Writers        int // single-page writers; default 4
-	PagesPerWriter int // tracked pages each; default 16
-	PairWriters    int // cross-partition pair writers; default 2
-	PairsPerWriter int // tracked pairs each; default 4
 
 	Seed int64     // workload determinism; default 1
 	Log  io.Writer // progress lines; nil discards
@@ -182,6 +81,7 @@ func (r *ChaosReport) Failed() bool {
 	return r.LostAcked+r.StaleReads+r.Corrupt+r.TornPairs+r.PhantomSeqs+r.VerifyFails > 0
 }
 
+// String is the one-line verdict bpeload -chaos prints.
 func (r *ChaosReport) String() string {
 	return fmt.Sprintf("chaos: %d cycles, %d kills, %d acked commits | lost=%d stale=%d corrupt=%d torn-pairs=%d phantom=%d verify-fails=%d | retries=%d sheds=%d deadline=%d busy=%d reconnects=%d",
 		r.Cycles, r.Kills, r.AckedCommits,
@@ -189,29 +89,14 @@ func (r *ChaosReport) String() string {
 		r.Retries, r.Sheds, r.Deadlines, r.Busy, r.Reconnects)
 }
 
-// pageTrack is the harness's ground truth for one tracked page.
-type pageTrack struct {
-	pid      int64
-	acked    uint64 // durability floor: last acknowledged seq
-	maxSent  uint64 // ceiling: last seq ever sent
-	lastSeen uint64 // last seq observed by a verify pass
-}
-
-// pairTrack is one cross-partition page pair written atomically.
-type pairTrack struct {
-	p1, p2   int64
-	acked    uint64
-	maxSent  uint64
-	lastSeen uint64
-}
-
-// syncWriter serializes writes to the shared chaos log: the harness and
-// the child process's stdout copier write concurrently.
+// syncWriter serializes writes to the shared chaos log: the harness, the
+// writers and the child process's stdout copier write concurrently.
 type syncWriter struct {
 	mu sync.Mutex
 	w  io.Writer
 }
 
+// Write writes p under the lock.
 func (s *syncWriter) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -219,17 +104,14 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 }
 
 type chaos struct {
-	cfg ChaosConfig
-	log io.Writer // nil, or a syncWriter around cfg.Log
-	cmd *exec.Cmd
+	cfg     ChaosConfig
+	addr    string
+	log     io.Writer // nil, or a syncWriter around cfg.Log
+	cmd     *exec.Cmd
+	writers []*Writer
 
-	tracks [][]*pageTrack // per writer
-	pairs  [][]*pairTrack // per pair writer
-
-	stop atomic.Bool
-
-	acked, lost, stale, corrupt, torn, phantom, verifyFails int64
-	retries, sheds, deadlines, busy, reconnects             int64
+	mu     sync.Mutex
+	faults netproto.ClientStats // summed over retired clients
 }
 
 func (h *chaos) logf(format string, args ...any) {
@@ -246,77 +128,31 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 	if cfg.ServerBin == "" || cfg.Dir == "" {
 		return nil, errors.New("chaos: ServerBin and Dir are required")
 	}
-	if cfg.Pages == 0 {
-		cfg.Pages = 1024
-	}
-	if cfg.PageSize == 0 {
-		cfg.PageSize = 64
-	}
-	if cfg.Concurrency == 0 {
-		cfg.Concurrency = 4
-	}
-	if cfg.MaxInflight == 0 {
-		cfg.MaxInflight = 64
-	}
 	if cfg.Cycles == 0 {
 		cfg.Cycles = 3
 	}
 	if cfg.CycleLen == 0 {
 		cfg.CycleLen = time.Second
 	}
-	if cfg.Writers == 0 {
-		cfg.Writers = 4
-	}
-	if cfg.PagesPerWriter == 0 {
-		cfg.PagesPerWriter = 16
-	}
-	if cfg.PairWriters == 0 {
-		cfg.PairWriters = 2
-	}
-	if cfg.PairsPerWriter == 0 {
-		cfg.PairsPerWriter = 4
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.PageSize < StampLen {
-		return nil, fmt.Errorf("chaos: page size %d below stamp %d", cfg.PageSize, StampLen)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Addr == "" {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		cfg.Addr = ln.Addr().String()
-		ln.Close()
-	}
-
-	h := &chaos{cfg: cfg}
+	h := &chaos{cfg: cfg, addr: ln.Addr().String()}
+	ln.Close()
 	if cfg.Log != nil {
 		h.log = &syncWriter{w: cfg.Log}
 	}
-	// Normal writers own pages in the first half of the id space; pair
-	// writers own (p, p + Pages/4) pairs in the second half, which lands the
-	// two pages in different partitions for Concurrency >= 4.
-	half, quarter := cfg.Pages/2, cfg.Pages/4
-	if int64(cfg.Writers*cfg.PagesPerWriter) > half ||
-		int64(cfg.PairWriters*cfg.PairsPerWriter) > quarter {
-		return nil, errors.New("chaos: too many tracked pages for the id space")
+	for w := 0; w < chaosWriters; w++ {
+		h.writers = append(h.writers, NewWriter(uint32(w), int64(w*chaosPagesEach), chaosPagesEach,
+			0, StampLen, cfg.Seed+int64(w)*1009))
 	}
-	for w := 0; w < cfg.Writers; w++ {
-		var ts []*pageTrack
-		for k := 0; k < cfg.PagesPerWriter; k++ {
-			ts = append(ts, &pageTrack{pid: int64(w*cfg.PagesPerWriter + k)})
-		}
-		h.tracks = append(h.tracks, ts)
-	}
-	for w := 0; w < cfg.PairWriters; w++ {
-		var ps []*pairTrack
-		for k := 0; k < cfg.PairsPerWriter; k++ {
-			p1 := half + int64(w*cfg.PairsPerWriter+k)
-			ps = append(ps, &pairTrack{p1: p1, p2: p1 + quarter})
-		}
-		h.pairs = append(h.pairs, ps)
+	for w := 0; w < chaosPairWriters; w++ {
+		h.writers = append(h.writers, NewWriter(uint32(chaosWriters+w), chaosPages/2+int64(w*chaosPairsEach), chaosPairsEach,
+			chaosPages/4, StampLen, cfg.Seed+int64(w)*2003+1))
 	}
 
 	if err := h.startServer(false); err != nil {
@@ -329,28 +165,34 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		}
 	}()
 
+	rep := &ChaosReport{Cycles: cfg.Cycles, Kills: cfg.Cycles}
 	for cycle := 1; cycle <= cfg.Cycles; cycle++ {
 		h.loadPhase()
-		h.logf("cycle %d: killed server mid-load (%d acked commits so far)", cycle, atomic.LoadInt64(&h.acked))
+		h.logf("cycle %d: killed server mid-load", cycle)
 		if err := h.startServer(true); err != nil {
 			return nil, fmt.Errorf("cycle %d restart: %w", cycle, err)
 		}
-		if err := h.verify(cycle); err != nil {
+		v, err := Verify(h.addr, h.writers, func(s string) { h.logf("cycle %d: %s", cycle, s) })
+		if err != nil {
 			return nil, fmt.Errorf("cycle %d verify: %w", cycle, err)
 		}
+		rep.LostAcked += v.Lost
+		rep.StaleReads += v.Stale
+		rep.Corrupt += v.Corrupt
+		rep.TornPairs += v.Torn
+		rep.PhantomSeqs += v.Phantom
+		h.logf("cycle %d: verified %d stamped pages across %d writers", cycle, v.Pages, len(h.writers))
 	}
 	if err := h.shutdown(); err != nil {
 		return nil, err
 	}
 
-	rep := &ChaosReport{
-		Cycles: cfg.Cycles, Kills: cfg.Cycles,
-		AckedCommits: h.acked,
-		LostAcked:    h.lost, StaleReads: h.stale, Corrupt: h.corrupt,
-		TornPairs: h.torn, PhantomSeqs: h.phantom, VerifyFails: h.verifyFails,
-		Retries: h.retries, Sheds: h.sheds, Deadlines: h.deadlines,
-		Busy: h.busy, Reconnects: h.reconnects,
+	for _, w := range h.writers {
+		rep.AckedCommits += w.Acked
+		rep.VerifyFails += w.RYWFails
 	}
+	rep.Retries, rep.Sheds, rep.Deadlines = h.faults.Retries, h.faults.Sheds, h.faults.Deadlines
+	rep.Busy, rep.Reconnects = h.faults.Busy, h.faults.Reconnects
 	h.logf("%s", rep)
 	return rep, nil
 }
@@ -358,15 +200,15 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 // startServer spawns bpeserve on the shared directory and waits for health.
 func (h *chaos) startServer(existing bool) error {
 	args := []string{
-		"-addr", h.cfg.Addr,
+		"-addr", h.addr,
 		"-dir", h.cfg.Dir,
-		"-pages", fmt.Sprint(h.cfg.Pages),
-		"-page-size", fmt.Sprint(h.cfg.PageSize),
-		"-pool", fmt.Sprint(h.cfg.Pages / 4),
-		"-concurrency", fmt.Sprint(h.cfg.Concurrency),
+		"-pages", fmt.Sprint(chaosPages),
+		"-page-size", fmt.Sprint(chaosPageSize),
+		"-pool", fmt.Sprint(chaosPages / 4),
+		"-concurrency", fmt.Sprint(chaosConcurrency),
 		"-design", "nossd", "-ssd", "0",
 		"-commit-sync", "group",
-		"-max-inflight", fmt.Sprint(h.cfg.MaxInflight),
+		"-max-inflight", fmt.Sprint(chaosMaxInflight),
 		"-drain", "2s",
 	}
 	if existing {
@@ -381,11 +223,11 @@ func (h *chaos) startServer(existing bool) error {
 		return err
 	}
 	h.cmd = cmd
-	if err := waitHealthy(h.cfg.Addr, 10*time.Second); err != nil {
+	if err := WaitHealthy(h.addr, 10*time.Second); err != nil {
 		cmd.Process.Kill()
 		cmd.Wait()
 		h.cmd = nil
-		return err
+		return fmt.Errorf("chaos: %w", err)
 	}
 	return nil
 }
@@ -414,239 +256,38 @@ func (h *chaos) shutdown() error {
 	}
 }
 
-// waitHealthy polls the health op until the server answers ok.
-func waitHealthy(addr string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		cl, err := netproto.Dial(netproto.ClientConfig{
-			Addr: addr, DialTimeout: 200 * time.Millisecond,
-			MaxReconnects: 1, BaseBackoff: time.Millisecond,
-		})
-		if err == nil {
-			ok, herr := cl.Health()
-			cl.Close()
-			if ok && herr == nil {
-				return nil
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return fmt.Errorf("chaos: server at %s not healthy within %s", addr, timeout)
-}
-
-// loadPhase runs all writers for CycleLen, kills the server mid-load, then
-// stops the writers.
+// loadPhase runs every writer for CycleLen, kills the server mid-load,
+// then stops the writers. A writer whose connection fails — the kill, or a
+// server that is not back yet — retires the client and redials until
+// stopped.
 func (h *chaos) loadPhase() {
-	h.stop.Store(false)
+	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for w := range h.tracks {
+	for i, w := range h.writers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			h.normalWriter(w)
-		}(w)
-	}
-	for w := range h.pairs {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h.pairWriter(w)
-		}(w)
+			for !stop.Load() {
+				cl, err := netproto.Dial(netproto.ClientConfig{
+					Addr: h.addr, Deadline: 2 * time.Second,
+					MaxRetries: 10, MaxReconnects: 8,
+					BaseBackoff: 2 * time.Millisecond, MaxBackoff: 50 * time.Millisecond,
+					Seed: uint64(h.cfg.Seed) + uint64(i),
+				})
+				if err != nil {
+					time.Sleep(20 * time.Millisecond)
+					continue
+				}
+				w.Run(cl, stop.Load, func(s string) { h.logf("%s", s) }) // an error means redial
+				h.mu.Lock()
+				h.faults.Add(cl.Stats())
+				h.mu.Unlock()
+				cl.Close()
+			}
+		}()
 	}
 	time.Sleep(h.cfg.CycleLen)
 	h.killServer()
-	h.stop.Store(true)
+	stop.Store(true)
 	wg.Wait()
-}
-
-// dialWorker dials a client for a load worker, retrying until stop.
-func (h *chaos) dialWorker(seed uint64) *netproto.Client {
-	for !h.stop.Load() {
-		cl, err := netproto.Dial(netproto.ClientConfig{
-			Addr: h.cfg.Addr, Deadline: 2 * time.Second,
-			MaxRetries: 10, MaxReconnects: 8,
-			BaseBackoff: 2 * time.Millisecond, MaxBackoff: 50 * time.Millisecond,
-			Seed: seed,
-		})
-		if err == nil {
-			return cl
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return nil
-}
-
-// retire folds a client's retry counters into the report and closes it.
-func (h *chaos) retire(cl *netproto.Client) {
-	s := cl.Stats()
-	atomic.AddInt64(&h.retries, s.Retries)
-	atomic.AddInt64(&h.sheds, s.Sheds)
-	atomic.AddInt64(&h.deadlines, s.Deadlines)
-	atomic.AddInt64(&h.busy, s.Busy)
-	atomic.AddInt64(&h.reconnects, s.Reconnects)
-	cl.Close()
-}
-
-// normalWriter hammers its own tracked pages with stamped update+commit
-// transactions, read-verifying its own writes periodically.
-func (h *chaos) normalWriter(w int) {
-	rng := rand.New(rand.NewSource(h.cfg.Seed + int64(w)*1009))
-	cl := h.dialWorker(uint64(h.cfg.Seed) + uint64(w))
-	if cl == nil {
-		return
-	}
-	defer func() { h.retire(cl) }()
-	value := make([]byte, StampLen)
-	tracks := h.tracks[w]
-	for !h.stop.Load() {
-		tr := tracks[rng.Intn(len(tracks))]
-		seq := tr.maxSent + 1
-		tr.maxSent = seq
-		StampPage(value, tr.pid, seq, uint32(w))
-		if err := SendTx(cl, []Update{{Page: tr.pid, Data: value}}); err != nil {
-			if h.stop.Load() {
-				return
-			}
-			h.retire(cl)
-			if cl = h.dialWorker(uint64(h.cfg.Seed) + uint64(w)); cl == nil {
-				return
-			}
-			continue
-		}
-		tr.acked = seq
-		atomic.AddInt64(&h.acked, 1)
-		if seq%8 == 0 {
-			// Read-your-writes: the only writer of this page just committed
-			// seq, so a read must return exactly seq, intact.
-			data, err := cl.Get(tr.pid)
-			if err == nil {
-				got, wr, st := CheckPage(data, tr.pid)
-				if st != PageOK || wr != uint32(w) || got != seq {
-					atomic.AddInt64(&h.verifyFails, 1)
-					h.logf("writer %d page %d: read-your-writes got seq=%d st=%d want %d", w, tr.pid, got, st, seq)
-				}
-			}
-		}
-	}
-}
-
-// pairWriter commits (p1, p2) pairs in different partitions with the same
-// seq inside one transaction — the cross-partition atomicity probe.
-func (h *chaos) pairWriter(w int) {
-	rng := rand.New(rand.NewSource(h.cfg.Seed + int64(w)*2003 + 1))
-	id := uint32(1000 + w)
-	cl := h.dialWorker(uint64(h.cfg.Seed) + uint64(w) + 500)
-	if cl == nil {
-		return
-	}
-	defer func() { h.retire(cl) }()
-	v1 := make([]byte, StampLen)
-	v2 := make([]byte, StampLen)
-	pairs := h.pairs[w]
-	for !h.stop.Load() {
-		pr := pairs[rng.Intn(len(pairs))]
-		seq := pr.maxSent + 1
-		pr.maxSent = seq
-		StampPage(v1, pr.p1, seq, id)
-		StampPage(v2, pr.p2, seq, id)
-		err := SendTx(cl, []Update{{Page: pr.p1, Data: v1}, {Page: pr.p2, Data: v2}})
-		if err != nil {
-			if h.stop.Load() {
-				return
-			}
-			h.retire(cl)
-			if cl = h.dialWorker(uint64(h.cfg.Seed) + uint64(w) + 500); cl == nil {
-				return
-			}
-			continue
-		}
-		pr.acked = seq
-		atomic.AddInt64(&h.acked, 1)
-	}
-}
-
-// verify rereads every tracked page after a restart and checks the
-// durability floor, the sent ceiling, monotonicity and pair atomicity.
-func (h *chaos) verify(cycle int) error {
-	cl, err := netproto.Dial(netproto.ClientConfig{
-		Addr: h.cfg.Addr, Deadline: 5 * time.Second, Seed: 99,
-	})
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-
-	pagesOK := 0
-	checkOne := func(pid int64, owner uint32, tr *pageTrack) error {
-		data, err := cl.Get(pid)
-		if err != nil {
-			return err
-		}
-		seq, wr, st := CheckPage(data, pid)
-		switch st {
-		case PageCorrupt:
-			h.corrupt++
-			h.logf("cycle %d: page %d corrupt (seq=%d writer=%d)", cycle, pid, seq, wr)
-		case PageUnwritten:
-			if tr.acked > 0 {
-				h.lost++
-				h.logf("cycle %d: page %d lost acked seq %d (unwritten)", cycle, pid, tr.acked)
-			}
-		case PageOK:
-			if wr != owner {
-				h.corrupt++
-				h.logf("cycle %d: page %d owned by %d but stamped by %d", cycle, pid, owner, wr)
-			}
-			if seq < tr.acked {
-				h.lost++
-				h.logf("cycle %d: page %d regressed to seq %d below acked %d", cycle, pid, seq, tr.acked)
-			}
-			if seq > tr.maxSent {
-				h.phantom++
-				h.logf("cycle %d: page %d at seq %d beyond anything sent (%d)", cycle, pid, seq, tr.maxSent)
-			}
-			if seq < tr.lastSeen {
-				h.stale++
-				h.logf("cycle %d: page %d went backwards %d -> %d", cycle, pid, tr.lastSeen, seq)
-			}
-			pagesOK++
-		}
-		if seq > tr.lastSeen {
-			tr.lastSeen = seq
-		}
-		return nil
-	}
-
-	for w, ts := range h.tracks {
-		for _, tr := range ts {
-			if err := checkOne(tr.pid, uint32(w), tr); err != nil {
-				return err
-			}
-		}
-	}
-	for w, ps := range h.pairs {
-		id := uint32(1000 + w)
-		for _, pr := range ps {
-			// Check both halves with a synthetic pageTrack sharing the
-			// pair's floor/ceiling, then pin atomicity: equal seqs.
-			t1 := pageTrack{pid: pr.p1, acked: pr.acked, maxSent: pr.maxSent, lastSeen: pr.lastSeen}
-			t2 := pageTrack{pid: pr.p2, acked: pr.acked, maxSent: pr.maxSent, lastSeen: pr.lastSeen}
-			if err := checkOne(pr.p1, id, &t1); err != nil {
-				return err
-			}
-			if err := checkOne(pr.p2, id, &t2); err != nil {
-				return err
-			}
-			if t1.lastSeen != t2.lastSeen {
-				h.torn++
-				h.logf("cycle %d: pair (%d,%d) torn: seq %d vs %d", cycle, pr.p1, pr.p2, t1.lastSeen, t2.lastSeen)
-			}
-			if t1.lastSeen > pr.lastSeen {
-				pr.lastSeen = t1.lastSeen
-			}
-		}
-	}
-	h.logf("cycle %d: verified %d stamped pages across %d writers + %d pair writers",
-		cycle, pagesOK, len(h.tracks), len(h.pairs))
-	return nil
 }

@@ -32,6 +32,50 @@ func TestStampRoundTrip(t *testing.T) {
 	}
 }
 
+// TestClassifyViolations feeds the verifier's classifier one ledger and the
+// bytes a read brought back, one row per outcome. Each bad row must raise
+// exactly its own counter, so removing any branch of the classifier fails
+// that row, and the clean row fails a branch that fires too eagerly.
+func TestClassifyViolations(t *testing.T) {
+	const owner = 3
+	stamp := func(pid int64, seq uint64, writer uint32) []byte {
+		buf := make([]byte, 64)
+		StampPage(buf, pid, seq, writer)
+		return buf
+	}
+	single := track{pages: []int64{7}, owner: owner, acked: 5, sent: 8}
+	seenBefore := single
+	seenBefore.lastSeen = 7
+	pair := track{pages: []int64{7, 263}, owner: owner, acked: 5, sent: 8}
+	flipped := stamp(7, 6, owner)
+	flipped[2] ^= 0x10
+
+	for _, tc := range []struct {
+		name string
+		t    track
+		data [][]byte
+		want Report
+	}{
+		{"clean", single, [][]byte{stamp(7, 6, owner)}, Report{}},
+		{"clean pair", pair, [][]byte{stamp(7, 6, owner), stamp(263, 6, owner)}, Report{}},
+		{"unwritten after an ack", single, [][]byte{make([]byte, 64)}, Report{Lost: 1}},
+		{"below the acked floor", single, [][]byte{stamp(7, 4, owner)}, Report{Lost: 1}},
+		{"above the sent ceiling", single, [][]byte{stamp(7, 9, owner)}, Report{Phantom: 1}},
+		{"below the last seen", seenBefore, [][]byte{stamp(7, 6, owner)}, Report{Stale: 1}},
+		{"foreign writer", single, [][]byte{stamp(7, 6, owner+1)}, Report{Corrupt: 1}},
+		{"corrupt stamp", single, [][]byte{flipped}, Report{Corrupt: 1}},
+		{"torn pair", pair, [][]byte{stamp(7, 6, owner), stamp(263, 7, owner)}, Report{Torn: 1}},
+	} {
+		got, _, why := tc.t.classify(tc.data)
+		if got != tc.want {
+			t.Errorf("%s: classify = %+v, want %+v (%q)", tc.name, got, tc.want, why)
+		}
+		if int64(len(why)) != got.Violations() {
+			t.Errorf("%s: %d reasons for %d violations", tc.name, len(why), got.Violations())
+		}
+	}
+}
+
 // buildServer compiles cmd/bpeserve into dir and returns the binary path.
 func buildServer(t *testing.T, dir string) string {
 	t.Helper()

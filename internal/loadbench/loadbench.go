@@ -1,11 +1,21 @@
-// Package loadbench holds the wall-clock concurrency benchmarks of the
-// partitioned file backend: point reads and update+commit transactions at
-// 1/4/8 worker goroutines, and the group-commit fsync-amortization
-// measurement. Unlike internal/microbench (virtual-time, single-threaded)
-// these run real goroutines against a real-file turbobp.DB, so ns/op moves
-// with the machine's core count; every report should sit next to the
-// effective-parallelism numbers (harness.EffectiveWorkers). The
-// root-package Benchmark wrappers (bench_concurrent_test.go) run them.
+// Package loadbench is the one implementation of verified load over the
+// wire protocol, and holds the file backend's wall-clock benchmarks.
+//
+// Verified load (load.go): self-describing page stamps, SendTx, the one
+// Writer with its per-page ledger, and Verify, which holds every written
+// page to its acked floor, sent ceiling, previous reading and pair
+// partner. bpeload's plain mode runs them once after its readers and
+// writers stop; RunChaos (chaos.go) runs them around kill -9 restarts of
+// a real bpeserve.
+//
+// Benchmarks (this file): point reads and update+commit transactions of
+// the partitioned file backend at 1/4/8 worker goroutines, and the
+// group-commit fsync-amortization measurement. Unlike internal/microbench
+// (virtual-time, single-threaded) these run real goroutines against a
+// real-file turbobp.DB, so ns/op moves with the machine's core count;
+// every report should sit next to the effective-parallelism numbers
+// (harness.EffectiveWorkers). The root-package Benchmark wrappers
+// (bench_concurrent_test.go) run them.
 package loadbench
 
 import (

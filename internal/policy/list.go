@@ -1,10 +1,6 @@
 package policy
 
-import (
-	"time"
-
-	"turbobp/internal/lru2"
-)
+import "time"
 
 // entry is one tracked key on an intrusive doubly-linked list. The
 // adaptive policies share it: where disambiguates which of a policy's
@@ -56,7 +52,3 @@ func (l *elist) unlink(e *entry) {
 	e.prev, e.next = nil, nil
 	l.n--
 }
-
-// never is the "no previous access" sentinel, matching lru2's encoding
-// so History round-trips between the default and adaptive policies.
-var never = lru2.Never()

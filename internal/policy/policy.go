@@ -1,7 +1,7 @@
 // Package policy abstracts the buffer-replacement decision behind one
 // interface so the DRAM pool and the SSD tier can swap caching policies
-// without touching their frame plumbing. The surface mirrors the
-// arena-backed LRU-2 cache (internal/lru2) exactly — Touch, TouchHistory,
+// without touching their frame plumbing. The surface is the arena-backed
+// LRU-2 cache's (LRU2Cache, the default policy) — Touch, TouchHistory,
 // Remove, Victim, Pop, History — plus an Admit hook that admission-gating
 // policies (TinyLFU) use to refuse entries, and optional extension
 // interfaces for dirty-awareness (CFLRU) and access recording (feeding a
@@ -156,6 +156,6 @@ func New(kind Kind, capacity int) Policy {
 	case TinyLFU:
 		return newTinyLFU(capacity)
 	default:
-		return newLRU2()
+		return NewLRU2()
 	}
 }

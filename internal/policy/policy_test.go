@@ -4,74 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"turbobp/internal/lru2"
 )
-
-// TestDefaultMatchesLRU2 pins the refactored default policy to the
-// pre-refactor arena cache: a randomized stream of Touch / TouchHistory
-// / Remove / Victim / Pop operations must produce identical victim
-// orders and identical membership on both.
-func TestDefaultMatchesLRU2(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		p := New(LRU2, 64)
-		ref := lru2.New()
-		now := time.Duration(0)
-		for op := 0; op < 20000; op++ {
-			key := int64(rng.Intn(200))
-			now += time.Duration(rng.Intn(1000)) * time.Microsecond
-			switch rng.Intn(10) {
-			case 0, 1, 2, 3:
-				p.Touch(key, now)
-				ref.Touch(key, now)
-			case 4:
-				last := now
-				prev := now - time.Duration(rng.Intn(1000))*time.Microsecond
-				p.TouchHistory(key, last, prev)
-				ref.TouchHistory(key, last, prev)
-			case 5:
-				p.Remove(key)
-				ref.Remove(key)
-			case 6, 7:
-				gk, gok := p.Victim()
-				wk, wok := ref.Victim()
-				if gk != wk || gok != wok {
-					t.Fatalf("seed %d op %d: Victim = (%d,%v), lru2 = (%d,%v)", seed, op, gk, gok, wk, wok)
-				}
-			case 8:
-				gk, gok := p.Pop()
-				wk, wok := ref.Pop()
-				if gk != wk || gok != wok {
-					t.Fatalf("seed %d op %d: Pop = (%d,%v), lru2 = (%d,%v)", seed, op, gk, gok, wk, wok)
-				}
-			case 9:
-				if g, w := p.Contains(key), ref.Contains(key); g != w {
-					t.Fatalf("seed %d op %d: Contains(%d) = %v, lru2 = %v", seed, op, key, g, w)
-				}
-				gl, gp, gs := p.History(key)
-				wl, wp, ws := ref.History(key)
-				if gl != wl || gp != wp || gs != ws {
-					t.Fatalf("seed %d op %d: History(%d) mismatch", seed, op, key)
-				}
-			}
-			if p.Len() != ref.Len() {
-				t.Fatalf("seed %d op %d: Len = %d, lru2 = %d", seed, op, p.Len(), ref.Len())
-			}
-		}
-		// Drain both and compare the full remaining victim order.
-		for {
-			gk, gok := p.Pop()
-			wk, wok := ref.Pop()
-			if gk != wk || gok != wok {
-				t.Fatalf("seed %d drain: Pop = (%d,%v), lru2 = (%d,%v)", seed, gk, gok, wk, wok)
-			}
-			if !gok {
-				break
-			}
-		}
-	}
-}
 
 // TestKinds exercises the Kind round-trip and the factory.
 func TestKinds(t *testing.T) {

@@ -4,8 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"turbobp/internal/lru2"
 	"turbobp/internal/page"
+	"turbobp/internal/policy"
 )
 
 // This file implements the paper's §6 future-work direction: "No design
@@ -94,7 +94,7 @@ func (m *Manager) RestoreTable(blob []byte) error {
 		rec.dirty = false
 		rec.restored = true // hint only: content is validated at first read
 		rec.last = now
-		rec.prev = lru2.Never()
+		rec.prev = policy.Never()
 		s.table.Put(uint64(pid), int32(idx))
 		m.occupied++
 		if m.cfg.Design == TAC {

@@ -22,7 +22,6 @@ import (
 
 	"turbobp/internal/device"
 	"turbobp/internal/fault"
-	"turbobp/internal/lru2"
 	"turbobp/internal/page"
 	"turbobp/internal/pagetab"
 	"turbobp/internal/policy"
@@ -197,7 +196,7 @@ type shard struct {
 	table pagetab.Table[int32] // SSD hash table entries owned by this shard
 	free  []int                // SSD free list
 	clean policy.Policy        // clean heap: replacement policy over clean valid frames
-	dirty *lru2.Cache          // dirty heap: LRU-2 over dirty frames (LC only)
+	dirty *policy.LRU2Cache    // dirty heap: LRU-2 over dirty frames (LC only)
 	tac   tacHeap              // TAC replacement heap (temperature order)
 }
 
@@ -393,7 +392,7 @@ func NewManager(env *sim.Env, dev device.Device, disk Disk, cfg Config) *Manager
 	for i := range m.shards {
 		m.shards[i] = shard{
 			clean: policy.New(cfg.Policy, perShard),
-			dirty: lru2.New(),
+			dirty: policy.NewLRU2(),
 		}
 	}
 	// Deal frames to shards round-robin so shard capacities differ by at
@@ -951,7 +950,7 @@ func (m *Manager) allocFrame(pid page.ID, dirty bool) int {
 	rec.valid = true
 	rec.dirty = dirty
 	rec.last = m.env.Now()
-	rec.prev = lru2.Never()
+	rec.prev = policy.Never()
 	s.table.Put(uint64(pid), int32(idx))
 	m.occupied++
 	if dirty {

@@ -3,8 +3,8 @@ package ssd
 import (
 	"container/heap"
 
-	"turbobp/internal/lru2"
 	"turbobp/internal/page"
+	"turbobp/internal/policy"
 )
 
 // This file implements Temperature-Aware Caching (TAC, Canim et al., VLDB
@@ -95,7 +95,7 @@ func (m *Manager) tacAllocFrame(pid page.ID) int {
 	rec.valid = true
 	rec.dirty = false
 	rec.last = m.env.Now()
-	rec.prev = lru2.Never()
+	rec.prev = policy.Never()
 	s.table.Put(uint64(pid), int32(idx))
 	m.occupied++
 	m.pushTac(idx)

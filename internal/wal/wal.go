@@ -526,7 +526,3 @@ func (l *Log) Stats() (appends, flushes, flushedPages int64) {
 
 // PendingBytes reports the bytes buffered for the next flush.
 func (l *Log) PendingBytes() int { return l.pendingB }
-
-// ForceInterval is a convenience for periodic log forcing, unused by the
-// core engine (commits force the log) but handy for background flushers.
-const ForceInterval = 10 * time.Millisecond

@@ -34,11 +34,13 @@ func TestBenchModule(t *testing.T) {
 // TestDocComments is the repository's documentation audit. Every package of
 // this module (library, internal, command and example alike) carries a doc
 // comment on its package clause in at least one non-test file. The public
-// access methods (btree, heapfile) and the policy layer hold a stricter bar:
+// access methods (btree, heapfile), the policy layer and the one verified
+// load generator (internal/loadbench) hold a stricter bar:
 // every exported top-level declaration outside a grouped block, and every
 // method with an exported name, carries a doc comment of its own.
 func TestDocComments(t *testing.T) {
-	strict := map[string]bool{"btree": true, "heapfile": true, filepath.Join("internal", "policy"): true}
+	strict := map[string]bool{"btree": true, "heapfile": true,
+		filepath.Join("internal", "policy"): true, filepath.Join("internal", "loadbench"): true}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
