@@ -70,6 +70,44 @@ func TestUnwrittenPageReadsZero(t *testing.T) {
 	env.Run(-1)
 }
 
+// TestStoreGrowsNotPastCapacity writes a 16 384-frame SSD top-down in
+// 16-page groups, the order the SSD manager hands frames out. The slot array
+// must stay within the device's capacity (doubling from 16 369 slots would
+// reach 32 738), and every page must read back as written.
+func TestStoreGrowsNotPastCapacity(t *testing.T) {
+	const frames, group = 16384, 16
+	env := sim.NewEnv()
+	defer env.Shutdown()
+	d := NewSSD(env, PaperSSDProfile(), frames)
+	content := func(pg PageNum) []byte {
+		return []byte{byte(pg), byte(pg >> 8), 0x5A, byte(pg >> 4)}
+	}
+	env.Go("t", func(p *sim.Proc) {
+		for start := PageNum(frames - group); start >= 0; start -= group {
+			bufs := make([][]byte, group)
+			for i := range bufs {
+				bufs[i] = content(start + PageNum(i))
+			}
+			if err := d.Write(p, start, bufs); err != nil {
+				t.Fatalf("write %d: %v", start, err)
+			}
+		}
+		got := [][]byte{make([]byte, 4)}
+		for pg := PageNum(0); pg < frames; pg++ {
+			if err := d.Read(p, pg, got); err != nil {
+				t.Fatalf("read %d: %v", pg, err)
+			}
+			if !bytes.Equal(got[0], content(pg)) {
+				t.Fatalf("page %d read back %x, want %x", pg, got[0], content(pg))
+			}
+		}
+	})
+	env.Run(-1)
+	if n := len(d.store.pages); n > frames {
+		t.Errorf("slot array holds %d slots for a %d-page device", n, frames)
+	}
+}
+
 func TestOutOfRangeRejected(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewHDD(env, PaperHDDProfile(), 10)

@@ -2,12 +2,14 @@ package device
 
 // memstore is the persistent content of a simulated device: one payload-copy
 // slot per page, directly indexed (an index, not a hash probe). The slot
-// array grows geometrically to the highest page ever written, so a device
-// costs memory only for what was written. A page never written reads back as
-// fill's bytes when fill is set, as zeros otherwise.
+// array grows geometrically to the highest page ever written, never past the
+// device's capacity, so a device costs memory only for what was written. A
+// page never written reads back as fill's bytes when fill is set, as zeros
+// otherwise.
 type memstore struct {
-	pages [][]byte
-	fill  func(page PageNum, buf []byte)
+	pages    [][]byte
+	capacity PageNum // the device's page count: the slot array's ceiling
+	fill     func(page PageNum, buf []byte)
 }
 
 // read copies the stored payload for page into buf. Short or long buffers
@@ -34,6 +36,7 @@ func (m *memstore) write(page PageNum, buf []byte) {
 		if n <= int64(page) {
 			n = int64(page) + 1
 		}
+		n = min(n, int64(m.capacity))
 		grown := make([][]byte, n)
 		copy(grown, m.pages)
 		m.pages = grown

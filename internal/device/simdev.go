@@ -104,7 +104,7 @@ func newSimDevice(env *sim.Env, profile Profile, capacity PageNum) *simDevice {
 		profile:  profile,
 		capacity: capacity,
 		head:     -1,
-		store:    &memstore{},
+		store:    &memstore{capacity: capacity},
 	}
 }
 
@@ -181,18 +181,26 @@ func (d *simDevice) ioTask(t *sim.Task, page PageNum, bufs [][]byte, write bool,
 	d.res.AcquireFunc(r.onAcquire)
 }
 
+// Read copies len(bufs) consecutive pages starting at page into bufs,
+// blocking p for the request's queueing and service time.
 func (d *simDevice) Read(p *sim.Proc, page PageNum, bufs [][]byte) error {
 	return p.Await(func(t *sim.Task, done func(error)) { d.ioTask(t, page, bufs, false, done) })
 }
 
+// Write stores bufs as len(bufs) consecutive pages starting at page,
+// blocking p for the request's queueing and service time.
 func (d *simDevice) Write(p *sim.Proc, page PageNum, bufs [][]byte) error {
 	return p.Await(func(t *sim.Task, done func(error)) { d.ioTask(t, page, bufs, true, done) })
 }
 
+// ReadTask is Read in continuation form: it continues t with k once the
+// pages are in bufs, or with the range error of an out-of-bounds request.
 func (d *simDevice) ReadTask(t *sim.Task, page PageNum, bufs [][]byte, k func(error)) {
 	d.ioTask(t, page, bufs, false, k)
 }
 
+// WriteTask is Write in continuation form: it continues t with k once the
+// pages are stored, or with the range error of an out-of-bounds request.
 func (d *simDevice) WriteTask(t *sim.Task, page PageNum, bufs [][]byte, k func(error)) {
 	d.ioTask(t, page, bufs, true, k)
 }
@@ -207,13 +215,19 @@ func (d *simDevice) Format(fill func(page PageNum, buf []byte)) error {
 
 // DiscardContent switches the device to a timing-only model: writes drop
 // their payloads and reads return zero-filled pages. Timing, queueing and
-// stats are unchanged. The engine uses it for the log device, whose content
-// is never read back (recovery replays the in-memory durable records) but
-// whose ever-advancing write position would otherwise make the store retain
-// a copy of every log page ever flushed.
+// stats are unchanged. The engine uses it for the simulated log device,
+// whose content is never read back — recovery replays the wal.Log's
+// in-memory durable records instead — but whose ever-advancing write
+// position would otherwise make the store retain a copy of every log page
+// ever flushed. Those in-memory records are the log's to keep or drop: an
+// owner that never crashes or recovers the engine, as the harness's
+// fault-free runs, drops them too (wal.Log.DiscardDurable).
 func (d *simDevice) DiscardContent() { d.store = nil }
 
-func (d *simDevice) Pending() int  { return d.res.Pending() }
+// Pending reports the requests queued on or in service at the device.
+func (d *simDevice) Pending() int { return d.res.Pending() }
+
+// Stats returns the device's live operation counters.
 func (d *simDevice) Stats() *Stats { return &d.stats }
 
 // HDD is a simulated single hard disk drive.

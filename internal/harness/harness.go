@@ -125,7 +125,7 @@ type OLTPResult struct {
 // run the workload for Duration, and collect series and counters.
 func RunOLTP(run OLTPRun) (*OLTPResult, error) {
 	env := sim.NewEnv()
-	e := engine.New(env, run.Config)
+	e := newRunEngine(env, run.Config)
 	if err := e.FormatDB(); err != nil {
 		return nil, err
 	}
@@ -156,6 +156,20 @@ func RunOLTP(run OLTPRun) (*OLTPResult, error) {
 	res.FinalTPS = finalRate(res.Commits, run.Scale.Hours(1))
 	env.Shutdown()
 	return res, nil
+}
+
+// newRunEngine builds the engine of one RunOLTP pass. The pass runs, stops
+// and reads statistics; it never crashes, recovers or repairs, and only an
+// injected fault could make it repair. So a fault-free pass's log keeps no
+// durable records (wal.Log.DiscardDurable): with checkpointing effectively
+// off, as for TPC-C, that history would otherwise hold a payload copy of
+// every update of the run.
+func newRunEngine(env *sim.Env, cfg engine.Config) *engine.Engine {
+	e := engine.New(env, cfg)
+	if cfg.Faults == nil {
+		e.Log().DiscardDurable()
+	}
+	return e
 }
 
 // finalRate averages a series' per-second rate over its last window (the

@@ -5,12 +5,14 @@ import (
 	"encoding/csv"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"turbobp/internal/engine"
+	"turbobp/internal/fault"
 	"turbobp/internal/policy"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
@@ -527,4 +529,65 @@ func TestResultForms(t *testing.T) {
 			t.Errorf("%s with one failed cell: RunAll error = %v, want one naming %s/%s", id, err, id, failed)
 		}
 	}
+}
+
+// TestRunOLTPKeepsNoLogHistory pins what a fault-free RunOLTP pass
+// allocates. Its log keeps no durable records (newRunEngine), so a TPC-C
+// 1K-warehouse LC cell at divisor 8192 — checkpointing off, every update
+// retained until the run ends — allocates ~2.3 MB instead of the ~4.4 MB it
+// takes with a retained log. The simulation is deterministic, so the
+// figure does not depend on the GC.
+func TestRunOLTPKeepsNoLogHistory(t *testing.T) {
+	run := buildOLTP(Scale{Divisor: 8192}, ssd.LC, "tpcc", TPCCSizesGB[1], nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := RunOLTP(run)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Engine.Commits == 0 {
+		t.Fatal("no commits")
+	}
+	const limit = 33 << 20 / 10 // 3.3 MB
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("RunOLTP allocated %.2f MB", float64(got)/(1<<20))
+	if got > limit {
+		t.Errorf("RunOLTP allocated %.2f MB, want <= %.1f MB: is the log keeping its history again?",
+			float64(got)/(1<<20), float64(limit)/(1<<20))
+	}
+}
+
+// TestRunOLTPEngineRefusesRecovery checks that a RunOLTP engine, whose log
+// kept no records, cannot be crashed or recovered from that empty log: both
+// panic, naming DiscardDurable. An engine built with a fault injector keeps
+// its log, because injected faults are repaired from it.
+func TestRunOLTPEngineRefusesRecovery(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, "DiscardDurable") {
+				t.Errorf("%s: panic %q, want one naming DiscardDurable", what, msg)
+			}
+		}()
+		f()
+	}
+	cfg := buildOLTP(tiny, ssd.LC, "tpcc", 100, nil).Config
+	env := sim.NewEnv()
+	e := newRunEngine(env, cfg)
+	if err := e.FormatDB(); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic("Crash", e.Crash)
+	mustPanic("Recover", func() {
+		env.Go("recover", func(p *sim.Proc) { _ = e.Recover(p) })
+		env.Run(-1)
+	})
+	env.Shutdown()
+
+	cfg.Faults = fault.New(1)
+	env = sim.NewEnv()
+	defer env.Shutdown()
+	newRunEngine(env, cfg).Crash() // a faulted run's log is retained
 }

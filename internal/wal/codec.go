@@ -144,6 +144,7 @@ func DecodeStream(buf []byte) ([]Record, error) {
 // WriteTo serializes the log's durable records to w (an export of exactly
 // the state recovery may rely on).
 func (l *Log) WriteTo(w io.Writer) (int64, error) {
+	l.mustRetain("WriteTo")
 	var buf []byte
 	for _, b := range l.durable.blocks {
 		for _, r := range b {
@@ -158,6 +159,7 @@ func (l *Log) WriteTo(w io.Writer) (int64, error) {
 // r, as an import after process restart would. The next LSN advances past
 // the highest imported record.
 func (l *Log) ReadDurable(r io.Reader) error {
+	l.mustRetain("ReadDurable")
 	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(r); err != nil {
 		return err

@@ -43,6 +43,7 @@ const maxRecordBody = 1 << 26
 // before the first Append, on a log whose device holds a previous
 // incarnation's stream; a fresh (all-zero) device yields an empty log.
 func (l *Log) LoadDurable() error {
+	l.mustRetain("LoadDurable")
 	if !l.persist {
 		return errors.New("wal: LoadDurable requires persist mode (SetPersist)")
 	}

@@ -10,6 +10,15 @@
 // a flush (durable). A crash discards pending records; recovery sees only
 // durable ones. Flushes charge virtual time on the dedicated log device as
 // sequential page writes, batching all pending records (group commit).
+//
+// By default the log holds every durable record in memory, payload
+// included, until a checkpoint truncates it: recovery (Crash + Recover),
+// SSD-loss redo, page repair and the file backend's reopen all read those
+// records. Only an owner that guarantees none of those will ever run may
+// drop them, with DiscardDurable. The harness's fault-free simulation runs
+// (harness.RunOLTP) are such owners: they run, stop and read statistics,
+// and with checkpointing effectively off (TPC-C) the retained history would
+// otherwise grow with every update of a ten-hour run.
 package wal
 
 import (
@@ -190,6 +199,7 @@ type Log struct {
 	durable    recDeque
 	slab       byteSlab
 	persist    bool // encode flush batches onto the device (file backend)
+	discard    bool // DiscardDurable: keep no payloads and no durable records
 
 	writePos device.PageNum
 	flushing bool
@@ -232,12 +242,16 @@ func (l *Log) Append(r Record) uint64 {
 	r.LSN = l.nextLSN
 	l.nextLSN++
 	r.At = l.env.Now()
-	r.Payload = l.slab.stash(r.Payload)
+	l.pendingB += overhead + len(r.Payload)
+	if l.discard {
+		r.Payload = nil
+	} else {
+		r.Payload = l.slab.stash(r.Payload)
+	}
 	if l.pending == nil && l.spare != nil {
 		l.pending, l.spare = l.spare, nil
 	}
 	l.pending = append(l.pending, r)
-	l.pendingB += overhead + len(r.Payload)
 	l.appends++
 	return r.LSN
 }
@@ -253,8 +267,39 @@ func (l *Log) FlushedLSN() uint64 { return l.flushedLSN }
 // kill) or write placeholder pages that only charge device time (false,
 // the default: the simulated backend, whose determinism contract and
 // goldens depend on the log staying a pure timing model). A persisted log
-// is read back with LoadDurable after reopening the device.
-func (l *Log) SetPersist(on bool) { l.persist = on }
+// is read back with LoadDurable after reopening the device. A discarding
+// log (DiscardDurable) cannot persist: it panics.
+func (l *Log) SetPersist(on bool) {
+	if on && l.discard {
+		panic("wal: SetPersist(true) on a log that called DiscardDurable")
+	}
+	l.persist = on
+}
+
+// DiscardDurable declares that nothing will ever read this log's records
+// back — no Crash, Recover, repair, export or reopen — so it need not keep
+// them; call it before the first Append. From then on, Append copies no
+// payload and a landed flush keeps none of its records. LSNs, FlushedLSN,
+// group-commit coalescing, the pages each flush writes and Stats are
+// unchanged, since the batch footprint still counts every payload's
+// length. Every reader of record bodies (Durable, PendingRecords,
+// LatestUpdate, LastCheckpoint, WriteTo, ReadDurable, LoadDurable) and
+// Crash panics on such a log, so a caller that broke the promise fails
+// loudly instead of recovering from an empty log. It is the log-level
+// counterpart of the log device's DiscardContent; a persisted log panics.
+func (l *Log) DiscardDurable() {
+	if l.persist {
+		panic("wal: DiscardDurable on a persisted log (SetPersist)")
+	}
+	l.discard = true
+}
+
+// mustRetain panics when op reads record bodies of a discarding log.
+func (l *Log) mustRetain(op string) {
+	if l.discard {
+		panic("wal: " + op + " on a log that called DiscardDurable: its records were never kept")
+	}
+}
 
 // buildFlushBufs prepares the page buffers for one flush batch. In persist
 // mode the batch is encoded (and the tail page zero-padded, so replay
@@ -359,8 +404,10 @@ func (f *flight) written(err error) {
 		panic("wal: log device write failed: " + err.Error())
 	}
 	l := f.l
-	for _, r := range f.batch {
-		l.durable.push(r)
+	if !l.discard {
+		for _, r := range f.batch {
+			l.durable.push(r)
+		}
 	}
 	for i := range f.batch {
 		f.batch[i] = Record{} // drop payload refs before recycling
@@ -463,7 +510,9 @@ func (l *Log) FlushTask(t *sim.Task, upTo uint64, k func()) {
 }
 
 // Crash discards pending (non-durable) records, as a power failure would.
+// A discarding log (DiscardDurable) panics: nothing could recover it.
 func (l *Log) Crash() {
+	l.mustRetain("Crash")
 	l.pending = nil
 	l.pendingB = 0
 	l.flushing = false
@@ -472,17 +521,22 @@ func (l *Log) Crash() {
 // Durable returns the records that survived flushes, oldest first, as a
 // fresh slice (the log stores them in blocks internally). Payloads are
 // shared; callers must not modify them.
-func (l *Log) Durable() []Record { return l.durable.all() }
+func (l *Log) Durable() []Record {
+	l.mustRetain("Durable")
+	return l.durable.all()
+}
 
 // PendingRecords returns a copy of the records appended but not yet durable
 // — what a crash right now would lose. Fault tests use it to build the
 // torn-tail log images they then recover from.
 func (l *Log) PendingRecords() []Record {
+	l.mustRetain("PendingRecords")
 	return append([]Record(nil), l.pending...)
 }
 
 // LastCheckpoint returns the most recent durable checkpoint record, if any.
 func (l *Log) LastCheckpoint() (Record, bool) {
+	l.mustRetain("LastCheckpoint")
 	for bi := len(l.durable.blocks) - 1; bi >= 0; bi-- {
 		b := l.durable.blocks[bi]
 		for i := len(b) - 1; i >= 0; i-- {
@@ -508,6 +562,7 @@ func (l *Log) TruncateThrough(lsn uint64) {
 // records still needed by dirty SSD pages) guarantees the record is present
 // while any SSD frame for pid is uniquely dirty.
 func (l *Log) LatestUpdate(pid page.ID) (Record, bool) {
+	l.mustRetain("LatestUpdate")
 	for bi := len(l.durable.blocks) - 1; bi >= 0; bi-- {
 		b := l.durable.blocks[bi]
 		for i := len(b) - 1; i >= 0; i-- {
