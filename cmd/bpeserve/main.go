@@ -64,8 +64,6 @@ func run() error {
 		cachePol     = flag.String("policy", "lru2", "cache policy: lru2, arc, cflru, tinylfu")
 		concurrency  = flag.Int("concurrency", runtime.GOMAXPROCS(0), "page-range partitions (0 or 1: one partition, same durability and transactions)")
 		commitSync   = flag.String("commit-sync", "group", "commit durability: none, each, group")
-		gcDelay      = flag.Duration("gc-delay", 500*time.Microsecond, "group-commit max delay")
-		gcBatch      = flag.Int("gc-batch", 64, "group-commit max batch")
 		duration     = flag.Duration("duration", 0, "exit after this long (0 = until signal)")
 		maxInflight  = flag.Int64("max-inflight", 256, "shed when this many requests are in flight (0 = unlimited)")
 		maxConnBytes = flag.Int("max-request-bytes", 4<<20, "shed when a connection's buffered tx or scan exceeds this (0 = unlimited)")
@@ -97,18 +95,16 @@ func run() error {
 		defer os.RemoveAll(dataDir)
 	}
 	db, err := turbobp.Open(turbobp.Options{
-		Design:              d,
-		Policy:              pol,
-		DBPages:             *pages,
-		PoolPages:           *pool,
-		SSDFrames:           *ssdFrames,
-		PageSize:            *pageSize,
-		Dir:                 dataDir,
-		OpenExisting:        *openExisting,
-		Concurrency:         *concurrency,
-		CommitSync:          mode,
-		GroupCommitMaxDelay: *gcDelay,
-		GroupCommitMaxBatch: *gcBatch,
+		Design:       d,
+		Policy:       pol,
+		DBPages:      *pages,
+		PoolPages:    *pool,
+		SSDFrames:    *ssdFrames,
+		PageSize:     *pageSize,
+		Dir:          dataDir,
+		OpenExisting: *openExisting,
+		Concurrency:  *concurrency,
+		CommitSync:   mode,
 	})
 	if err != nil {
 		return err

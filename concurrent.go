@@ -37,7 +37,7 @@ import (
 //     and advancing the virtual clock.
 //   - Group commit: commit durability requests from all partitions feed one
 //     wal.GroupCommitter that coalesces them into single fsyncs of the
-//     shared log file (Options.CommitSync / GroupCommitMaxDelay / MaxBatch).
+//     shared log file (Options.CommitSync, groupCommitMaxDelay / MaxBatch).
 //
 // Lock hierarchy (see DESIGN.md "Concurrency & group commit"): DB meta
 // mutex and partition mutexes are independent roots; partition mutexes are
@@ -80,6 +80,13 @@ const (
 // poolStripesPerPartition is the page-latch stripe count of each
 // partition's buffer pool (rounded up to a power of two by the pool).
 const poolStripesPerPartition = 16
+
+// groupCommitMaxDelay bounds how long a CommitSyncGroup leader waits for
+// followers before fsyncing; groupCommitMaxBatch caps a flight's size.
+const (
+	groupCommitMaxDelay = 500 * time.Microsecond
+	groupCommitMaxBatch = 64
+)
 
 // walPagesTotal is the log-file capacity in 8 KB pages, split evenly
 // across partitions. A variable only so a test can shrink it.
@@ -273,8 +280,7 @@ func (db *DB) openPartitions(cfg engine.Config, dbFile, ssdFile, logFile *device
 	case CommitSyncEach:
 		db.gc = wal.NewGroupCommitter(logFile.Sync, 1, 0, true)
 	case CommitSyncGroup:
-		db.gc = wal.NewGroupCommitter(logFile.Sync,
-			opts.GroupCommitMaxBatch, opts.GroupCommitMaxDelay, false)
+		db.gc = wal.NewGroupCommitter(logFile.Sync, groupCommitMaxBatch, groupCommitMaxDelay, false)
 	}
 	return nil
 }

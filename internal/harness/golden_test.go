@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestGoldenHashes pins every experiment's output byte for byte: it runs
@@ -20,7 +21,9 @@ import (
 // committed hashes come from serial runs and this test runs the suite on at
 // least two workers, so a match also pins that the output does not depend
 // on the worker count. A change that moves a number regenerates the lines it
-// moved with the commands in the file's header and says why.
+// moved with the commands in the file's header and says why. Each job's
+// wall time is logged (`go test -v`) so a slower experiment names itself;
+// no bound is set, since wall time on a shared host is noise.
 func TestGoldenHashes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment at divisor 8192 (~5 s)")
@@ -47,7 +50,10 @@ func TestGoldenHashes(t *testing.T) {
 		e, _ := FindExperiment(id)
 		jobs = append(jobs, job{id + "@1024", e, Default})
 	}
-	type output struct{ text, csv []byte }
+	type output struct {
+		text, csv []byte
+		dur       time.Duration
+	}
 	outs, err := RunGrid(len(jobs), func(i int) (output, error) {
 		// runExperiments is what RunAll (and so bpesim) runs per id; the
 		// wrapped Run keeps the Result for the CSV form.
@@ -59,6 +65,7 @@ func TestGoldenHashes(t *testing.T) {
 			return r, err
 		}
 		var text, csv bytes.Buffer
+		start := time.Now()
 		if err := runExperiments([]Experiment{e}, j.scale, &text, nil); err != nil {
 			return output{}, err
 		}
@@ -67,7 +74,7 @@ func TestGoldenHashes(t *testing.T) {
 				return output{}, err
 			}
 		}
-		return output{text.Bytes(), csv.Bytes()}, nil
+		return output{text.Bytes(), csv.Bytes(), time.Since(start)}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,6 +83,7 @@ func TestGoldenHashes(t *testing.T) {
 	got := map[string][]byte{}
 	var order []string
 	for i, j := range jobs {
+		t.Logf("%s %v", j.name, outs[i].dur.Round(time.Millisecond))
 		got[j.name] = outs[i].text
 		order = append(order, j.name)
 		if j.exp.CSV {

@@ -232,15 +232,15 @@ func (m *shadowModel) fold(d *batchDelta) {
 	}
 }
 
-// runShadow drives the property test. With crash set, a
-// SitePostWALFlush crash point is armed mid-run: the commit that trips it
+// runShadow drives the property test under one SSD design. With crash set,
+// a SitePostWALFlush crash point is armed mid-run: the commit that trips it
 // has already forced the log, so after Crash+Recover the batch must be
 // durably present in full.
-func runShadow(t *testing.T, crash bool) {
+func runShadow(t *testing.T, design ssd.Design, crash bool) {
 	inj := fault.New(7)
 	env := sim.NewEnv()
 	e := engine.New(env, engine.Config{
-		Design: ssd.DW, DBPages: 8192, PoolPages: 48, SSDFrames: 512,
+		Design: design, DBPages: 8192, PoolPages: 48, SSDFrames: 512,
 		PayloadSize: 256, Faults: inj,
 	})
 	if err := e.FormatDB(); err != nil {
@@ -330,5 +330,13 @@ func runShadow(t *testing.T, crash bool) {
 	env.Shutdown()
 }
 
-func TestShadowProc(t *testing.T)      { runShadow(t, false) }
-func TestShadowProcCrash(t *testing.T) { runShadow(t, true) }
+// runShadowDesigns runs the property test under every design: the same
+// script must leave the same contents whichever SSD design caches them.
+func runShadowDesigns(t *testing.T, crash bool) {
+	for _, design := range []ssd.Design{ssd.NoSSD, ssd.CW, ssd.DW, ssd.LC, ssd.TAC} {
+		t.Run(design.String(), func(t *testing.T) { runShadow(t, design, crash) })
+	}
+}
+
+func TestShadowProc(t *testing.T)      { runShadowDesigns(t, false) }
+func TestShadowProcCrash(t *testing.T) { runShadowDesigns(t, true) }

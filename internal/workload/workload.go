@@ -22,7 +22,6 @@ import (
 	"turbobp/internal/engine"
 	"turbobp/internal/page"
 	"turbobp/internal/sim"
-	"turbobp/internal/trace"
 )
 
 // Tier is one level of a graded access-skew distribution: AccessFrac of
@@ -220,22 +219,4 @@ func (w *taskWorker) afterCommit(err error) {
 		w.onCommit(w.t.Now())
 	}
 	w.loop()
-}
-
-// GenerateTrace materializes txs transactions of this profile as a
-// replayable page-access trace (see internal/trace).
-func (o *OLTP) GenerateTrace(txs int) *trace.Trace {
-	rng := rand.New(rand.NewSource(o.Seed))
-	t := &trace.Trace{}
-	for i := 0; i < txs; i++ {
-		for a := 0; a < o.AccessesPerTx; a++ {
-			if rng.Float64() < o.UpdateFrac {
-				t.Update(o.pick(rng, o.UpdateTier))
-			} else {
-				t.Read(o.pick(rng, -1))
-			}
-		}
-		t.Commit()
-	}
-	return t
 }

@@ -128,11 +128,9 @@ type Options struct {
 	// PageSize is the usable payload bytes per page. Default 256.
 	PageSize int
 
-	// Paper knobs (Table 2): τ, μ, N, α, λ.
+	// Paper knobs (Table 2): τ (FillThreshold) and λ (DirtyFraction). The
+	// other three, μ, N and α, keep their Table 2 defaults.
 	FillThreshold float64
-	Throttle      int
-	Partitions    int
-	GroupClean    int
 	DirtyFraction float64
 
 	// CheckpointInterval enables periodic sharp checkpoints, measured on
@@ -151,6 +149,7 @@ type Options struct {
 	FuzzyCheckpoints bool
 	// WarmRestart persists the SSD buffer table in checkpoint records so
 	// Recover can reuse the (surviving) SSD cache instead of starting cold.
+	// In-process Recover only; a reopen (OpenExisting) starts the SSD cold.
 	WarmRestart bool
 
 	// Dir selects the file backend: page files and the log live under it.
@@ -183,11 +182,6 @@ type Options struct {
 	// Concurrency: none (default), one fsync per commit, or group commit.
 	// The simulated backend ignores it.
 	CommitSync CommitSyncMode
-	// GroupCommitMaxDelay bounds how long a group-commit leader waits for
-	// followers before fsyncing (default 500µs); GroupCommitMaxBatch caps a
-	// flight's size (default 64). Both matter only under CommitSyncGroup.
-	GroupCommitMaxDelay time.Duration
-	GroupCommitMaxBatch int
 
 	// ScrubInterval enables the background SSD scrubber: every interval it
 	// re-reads a batch of resident frames and verifies checksum, page id
@@ -259,22 +253,11 @@ func Open(opts Options) (*DB, error) {
 	if opts.OpenExisting && opts.Dir == "" {
 		return nil, errors.New("turbobp: Options.OpenExisting requires the file backend (set Options.Dir)")
 	}
-	if opts.CommitSync == CommitSyncGroup {
-		if opts.GroupCommitMaxBatch <= 0 {
-			opts.GroupCommitMaxBatch = 64
-		}
-		if opts.GroupCommitMaxDelay <= 0 {
-			opts.GroupCommitMaxDelay = 500 * time.Microsecond
-		}
-	}
 	cfg := engine.Config{
 		Design:             opts.Design,
 		Policy:             opts.Policy,
 		PayloadSize:        opts.PageSize,
 		FillThreshold:      opts.FillThreshold,
-		Throttle:           opts.Throttle,
-		Partitions:         opts.Partitions,
-		GroupClean:         opts.GroupClean,
 		DirtyFraction:      opts.DirtyFraction,
 		CheckpointInterval: opts.CheckpointInterval,
 		FuzzyCheckpoints:   opts.FuzzyCheckpoints,

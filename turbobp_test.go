@@ -406,3 +406,40 @@ func TestWarmRestartOption(t *testing.T) {
 		t.Error("warm restart restored nothing")
 	}
 }
+
+// TestWarmRestartReopenStartsCold pins what WarmRestart does across a
+// process boundary today: nothing. A reopened directory formats a fresh SSD
+// file, so the SSD tier starts empty even after a checkpoint that recorded
+// its buffer table.
+func TestWarmRestartReopenStartsCold(t *testing.T) {
+	opts := Options{Design: DW, WarmRestart: true, DBPages: 256, PoolPages: 8, SSDFrames: 64,
+		PageSize: 64, Dir: t.TempDir()}
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 4)
+	for i := int64(0); i < 40; i++ {
+		if _, err := db.Read(i, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if db.Stats().SSDOccupied == 0 {
+		t.Fatal("the SSD holds no frames before Close")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opts.OpenExisting = true
+	db, err = Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if n := db.Stats().SSDOccupied; n != 0 {
+		t.Errorf("SSDOccupied = %d after a reopen, want 0 (cold SSD)", n)
+	}
+}
