@@ -32,11 +32,8 @@ func BenchmarkPolicyEvictTinyLFU(b *testing.B) { microbench.PolicyEvictTinyLFU(b
 func BenchmarkSketchIncrement(b *testing.B)    { microbench.SketchIncrement(b) }
 func BenchmarkSketchEstimate(b *testing.B)     { microbench.SketchEstimate(b) }
 
-// Flat-structure pairs (see internal/microbench/flat.go): the pagetab
-// open-addressing table vs the Go map it replaced, and the calendar-queue
+// The scheduler pair (see internal/microbench/flat.go): the calendar-queue
 // scheduler vs the reference binary heap.
 
-func BenchmarkTableChurn(b *testing.B)        { microbench.TableChurn(b) }
-func BenchmarkMapChurn(b *testing.B)          { microbench.MapChurn(b) }
 func BenchmarkSchedulerCalendar(b *testing.B) { microbench.SchedulerCalendar(b) }
 func BenchmarkSchedulerHeap(b *testing.B)     { microbench.SchedulerHeap(b) }

@@ -1,5 +1,6 @@
 // Package bufpool implements the in-memory buffer pool: a fixed set of page
-// frames with a hash table for lookup and LRU-2 victim selection.
+// frames with a page-indexed directory for lookup and LRU-2 victim
+// selection.
 //
 // The pool is a passive structure — it performs no I/O and charges no time.
 // The storage engine (internal/engine) drives the §2.2 data flow: on a miss
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"turbobp/internal/page"
-	"turbobp/internal/pagetab"
 	"turbobp/internal/policy"
 )
 
@@ -29,6 +29,8 @@ type Frame struct {
 	// was last clean (used by checkpointing bookkeeping; the page header LSN
 	// is the last update).
 	RecLSN uint64
+
+	slot int32 // this frame's directory value: its index in Pool.frames + 1
 }
 
 // Pool is the memory buffer pool. In its default single-latch mode it is
@@ -40,7 +42,7 @@ type Frame struct {
 type Pool struct {
 	payload int
 	frames  []Frame
-	table   *pagetab.Table[*Frame] // resident pages, a flat open-addressing directory (single-latch mode)
+	dir     []int32 // page id -> frame index + 1; 0 = not resident
 	kind    policy.Kind
 	repl    policy.Policy
 	free    []*Frame
@@ -51,28 +53,30 @@ type Pool struct {
 	clock   func() time.Duration
 }
 
-// New returns a pool of capacity frames holding payloadSize-byte payloads,
-// using the default LRU-2 replacement policy.
-func New(capacity, payloadSize int) *Pool {
-	return NewWithPolicy(capacity, payloadSize, policy.LRU2)
+// New returns a pool of capacity frames holding payloadSize-byte payloads
+// of pages with ids in [0, pages), using the default LRU-2 replacement
+// policy.
+func New(capacity, payloadSize, pages int) *Pool {
+	return NewWithPolicy(capacity, payloadSize, pages, policy.LRU2)
 }
 
 // NewWithPolicy returns a pool whose victim selection is driven by the
 // given replacement policy. Keys handed to the policy are page ids.
-func NewWithPolicy(capacity, payloadSize int, kind policy.Kind) *Pool {
+func NewWithPolicy(capacity, payloadSize, pages int, kind policy.Kind) *Pool {
 	if capacity < 1 {
 		panic(fmt.Sprintf("bufpool: capacity %d", capacity))
 	}
 	p := &Pool{
 		payload: payloadSize,
 		frames:  make([]Frame, capacity),
-		table:   pagetab.New[*Frame](capacity),
+		dir:     make([]int32, pages),
 		kind:    kind,
 	}
 	p.repl = p.newRepl()
 	p.free = make([]*Frame, 0, capacity)
 	for i := capacity - 1; i >= 0; i-- {
 		p.frames[i].Pg.Payload = make([]byte, payloadSize)
+		p.frames[i].slot = int32(i + 1)
 		p.free = append(p.free, &p.frames[i])
 	}
 	return p
@@ -82,11 +86,11 @@ func NewWithPolicy(capacity, payloadSize int, kind policy.Kind) *Pool {
 // dirty-awareness hook for policies that want it (CFLRU defers dirty
 // pages, so its victim scan asks the resident table for dirty state).
 func (p *Pool) newRepl() policy.Policy {
-	r := policy.New(p.kind, len(p.frames))
+	r := policy.New(p.kind, len(p.frames), len(p.dir))
 	if da, ok := r.(policy.DirtyAware); ok {
 		da.SetDirtyFn(func(key int64) bool {
-			f, ok := p.get(page.ID(key))
-			return ok && f.Dirty
+			f := p.get(page.ID(key))
+			return f != nil && f.Dirty
 		})
 	}
 	return r
@@ -101,16 +105,22 @@ func (p *Pool) PolicyStats() policy.Stats { return p.repl.Stats() }
 // Capacity returns the total number of frames.
 func (p *Pool) Capacity() int { return len(p.frames) }
 
-// Resident returns the number of pages currently in the table.
+// Resident returns the number of pages currently in the directory.
 func (p *Pool) Resident() int {
-	if p.stripes != nil {
-		n := 0
-		for i := range p.stripes {
-			n += p.stripes[i].table.Len()
+	n := 0
+	p.each(func(*Frame) { n++ })
+	return n
+}
+
+// each calls fn on every resident frame, in frame order. Like the other
+// residency readers it runs under the owner's serialization, which also
+// orders every directory write.
+func (p *Pool) each(fn func(f *Frame)) {
+	for i := range p.frames {
+		if f := &p.frames[i]; p.dir[f.Pg.ID] == f.slot {
+			fn(f)
 		}
-		return n
 	}
-	return p.table.Len()
 }
 
 // FreeFrames returns the number of unused frames.
@@ -122,8 +132,8 @@ func (p *Pool) PayloadSize() int { return p.payload }
 // Lookup returns the resident frame for id and records an access at now, or
 // nil on a miss.
 func (p *Pool) Lookup(id page.ID, now time.Duration) *Frame {
-	f, ok := p.get(id)
-	if !ok {
+	f := p.get(id)
+	if f == nil {
 		return nil
 	}
 	p.repl.Touch(int64(id), p.now(now))
@@ -131,10 +141,7 @@ func (p *Pool) Lookup(id page.ID, now time.Duration) *Frame {
 }
 
 // Peek returns the resident frame without touching replacement state.
-func (p *Pool) Peek(id page.ID) *Frame {
-	f, _ := p.get(id)
-	return f
-}
+func (p *Pool) Peek(id page.ID) *Frame { return p.get(id) }
 
 // TakeFree removes and returns a free frame, or nil if none remain.
 func (p *Pool) TakeFree() *Frame {
@@ -158,11 +165,11 @@ func (p *Pool) PopVictim() *Frame {
 	if !ok {
 		return nil
 	}
-	f, _ := p.get(page.ID(key))
+	f := p.get(page.ID(key))
 	if f == nil {
 		panic(fmt.Sprintf("bufpool: victim %d not in table", key))
 	}
-	p.del(page.ID(key))
+	p.set(page.ID(key), 0)
 	return f
 }
 
@@ -172,12 +179,12 @@ func (p *Pool) PopVictim() *Frame {
 // free list.
 func (p *Pool) Insert(f *Frame, now time.Duration) (*Frame, bool) {
 	id := f.Pg.ID
-	if existing, ok := p.get(id); ok {
+	if existing := p.get(id); existing != nil {
 		p.Release(f)
 		p.repl.Touch(int64(id), p.now(now))
 		return existing, false
 	}
-	p.put(id, f)
+	p.set(id, f.slot)
 	p.repl.Touch(int64(id), p.now(now))
 	return f, true
 }
@@ -196,68 +203,42 @@ func (p *Pool) Release(f *Frame) {
 // (used by the multi-page read path when a stale disk version must be
 // replaced by the SSD version, and by crash simulation).
 func (p *Pool) Drop(id page.ID) {
-	f, ok := p.get(id)
-	if !ok {
+	f := p.get(id)
+	if f == nil {
 		return
 	}
-	p.del(id)
+	p.set(id, 0)
 	p.repl.Remove(int64(id))
 	p.Release(f)
 }
 
-// DirtyPages returns the ids of all dirty resident pages, in the table's
-// deterministic iteration order.
+// DirtyPages returns the ids of all dirty resident pages, in frame order.
 func (p *Pool) DirtyPages() []page.ID {
 	var ids []page.ID
-	collect := func(id uint64, f *Frame) bool {
+	p.each(func(f *Frame) {
 		if f.Dirty {
-			ids = append(ids, page.ID(id))
+			ids = append(ids, f.Pg.ID)
 		}
-		return true
-	}
-	if p.stripes != nil {
-		for i := range p.stripes {
-			p.stripes[i].table.Range(collect)
-		}
-		return ids
-	}
-	p.table.Range(collect)
+	})
 	return ids
 }
 
-// Pages returns the ids of all resident pages, in the table's
-// deterministic iteration order.
+// Pages returns the ids of all resident pages, in frame order.
 func (p *Pool) Pages() []page.ID {
-	ids := make([]page.ID, 0, p.Resident())
-	collect := func(id uint64, _ *Frame) bool {
-		ids = append(ids, page.ID(id))
-		return true
-	}
-	if p.stripes != nil {
-		for i := range p.stripes {
-			p.stripes[i].table.Range(collect)
-		}
-		return ids
-	}
-	p.table.Range(collect)
+	var ids []page.ID
+	p.each(func(f *Frame) { ids = append(ids, f.Pg.ID) })
 	return ids
 }
 
 // Reset empties the pool (crash simulation): every frame is freed and all
 // contents are discarded.
 func (p *Pool) Reset() {
-	if p.stripes != nil {
-		for i := range p.stripes {
-			s := &p.stripes[i]
-			s.mu.Lock()
-			s.table.Reset()
-			s.mu.Unlock()
-			s.tmu.Lock()
-			s.touches = nil
-			s.tmu.Unlock()
-		}
-	} else {
-		p.table.Reset()
+	p.each(func(f *Frame) { p.set(f.Pg.ID, 0) })
+	for i := range p.stripes {
+		s := &p.stripes[i]
+		s.tmu.Lock()
+		s.touches = nil
+		s.tmu.Unlock()
 	}
 	p.repl = p.newRepl()
 	p.free = p.free[:0]

@@ -10,8 +10,11 @@ import (
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
+// testPages bounds the page ids the tests use.
+const testPages = 128
+
 func TestNewPoolGeometry(t *testing.T) {
-	p := New(8, 32)
+	p := New(8, 32, testPages)
 	if p.Capacity() != 8 || p.FreeFrames() != 8 || p.Resident() != 0 {
 		t.Errorf("cap=%d free=%d resident=%d", p.Capacity(), p.FreeFrames(), p.Resident())
 	}
@@ -30,11 +33,11 @@ func TestNewPanicsOnZeroCapacity(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	New(0, 16)
+	New(0, 16, testPages)
 }
 
 func TestInsertLookup(t *testing.T) {
-	p := New(4, 16)
+	p := New(4, 16, testPages)
 	f := p.TakeFree()
 	f.Pg.ID = 42
 	got, inserted := p.Insert(f, ms(1))
@@ -53,7 +56,7 @@ func TestInsertLookup(t *testing.T) {
 }
 
 func TestInsertDuplicateReturnsExisting(t *testing.T) {
-	p := New(4, 16)
+	p := New(4, 16, testPages)
 	a := p.TakeFree()
 	a.Pg.ID = 7
 	p.Insert(a, ms(1))
@@ -70,7 +73,7 @@ func TestInsertDuplicateReturnsExisting(t *testing.T) {
 }
 
 func TestTakeFreeExhaustion(t *testing.T) {
-	p := New(2, 16)
+	p := New(2, 16, testPages)
 	if p.TakeFree() == nil || p.TakeFree() == nil {
 		t.Fatal("free frames missing")
 	}
@@ -80,7 +83,7 @@ func TestTakeFreeExhaustion(t *testing.T) {
 }
 
 func TestPopVictimLRU2Order(t *testing.T) {
-	p := New(4, 16)
+	p := New(4, 16, testPages)
 	for i := page.ID(1); i <= 3; i++ {
 		f := p.TakeFree()
 		f.Pg.ID = i
@@ -97,14 +100,14 @@ func TestPopVictimLRU2Order(t *testing.T) {
 }
 
 func TestPopVictimEmpty(t *testing.T) {
-	p := New(2, 16)
+	p := New(2, 16, testPages)
 	if p.PopVictim() != nil {
 		t.Error("victim from empty pool")
 	}
 }
 
 func TestDropReleasesFrame(t *testing.T) {
-	p := New(2, 16)
+	p := New(2, 16, testPages)
 	f := p.TakeFree()
 	f.Pg.ID = 5
 	f.Dirty = true
@@ -123,7 +126,7 @@ func TestDropReleasesFrame(t *testing.T) {
 }
 
 func TestDirtyPages(t *testing.T) {
-	p := New(4, 16)
+	p := New(4, 16, testPages)
 	for i := page.ID(1); i <= 3; i++ {
 		f := p.TakeFree()
 		f.Pg.ID = i
@@ -137,7 +140,7 @@ func TestDirtyPages(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	p := New(4, 16)
+	p := New(4, 16, testPages)
 	for i := page.ID(1); i <= 4; i++ {
 		f := p.TakeFree()
 		f.Pg.ID = i
@@ -162,7 +165,7 @@ func TestFrameConservationProperty(t *testing.T) {
 	}
 	prop := func(ops []op) bool {
 		const capacity = 6
-		p := New(capacity, 8)
+		p := New(capacity, 8, testPages)
 		var held []*Frame
 		now := time.Duration(0)
 		for _, o := range ops {

@@ -6,13 +6,13 @@ import (
 	"time"
 
 	"turbobp/internal/page"
-	"turbobp/internal/pagetab"
 	"turbobp/internal/policy"
 )
 
 // This file adds the pool's striped-latch mode, used by the partitioned
-// concurrent file backend. The single resident table becomes S sub-tables,
-// each guarded by its own sync.RWMutex (the page-latch stripes). Ops that
+// concurrent file backend. The page directory stays one slice; each slot
+// belongs to one of S stripes (id mod S), and a stripe's sync.RWMutex (the
+// page-latch stripe) guards its slots and the payloads of their frames. Ops that
 // mutate residency (Insert, PopVictim, Drop, Reset) or a resident page's
 // payload (MutateFrame) take the page's stripe latch exclusively; readers
 // take it shared. On top of the owner's external serialization (the
@@ -34,10 +34,9 @@ import (
 // dropped touch can only make victim choice slightly staler, never
 // incorrect).
 
-// stripe is one latch-granule of the striped resident table.
+// stripe is one latch-granule of the page directory.
 type stripe struct {
-	mu    sync.RWMutex
-	table *pagetab.Table[*Frame]
+	mu sync.RWMutex
 
 	tmu     sync.Mutex
 	touches []pendingTouch
@@ -57,13 +56,13 @@ const touchCap = 4096
 // every caller-supplied access time — the concurrent backend passes a
 // shared atomic tick so latched reads and engine ops draw recency from one
 // scale.
-func NewStriped(capacity, payloadSize, stripes int, clock func() time.Duration) *Pool {
-	return NewStripedWithPolicy(capacity, payloadSize, stripes, clock, policy.LRU2)
+func NewStriped(capacity, payloadSize, pages, stripes int, clock func() time.Duration) *Pool {
+	return NewStripedWithPolicy(capacity, payloadSize, pages, stripes, clock, policy.LRU2)
 }
 
 // NewStripedWithPolicy is NewStriped with an explicit replacement policy.
-func NewStripedWithPolicy(capacity, payloadSize, stripes int, clock func() time.Duration, kind policy.Kind) *Pool {
-	p := NewWithPolicy(capacity, payloadSize, kind)
+func NewStripedWithPolicy(capacity, payloadSize, pages, stripes int, clock func() time.Duration, kind policy.Kind) *Pool {
+	p := NewWithPolicy(capacity, payloadSize, pages, kind)
 	if stripes < 1 {
 		stripes = 1
 	}
@@ -71,12 +70,7 @@ func NewStripedWithPolicy(capacity, payloadSize, stripes int, clock func() time.
 	for n < stripes {
 		n <<= 1
 	}
-	per := capacity/n + 1
-	p.table = nil
 	p.stripes = make([]stripe, n)
-	for i := range p.stripes {
-		p.stripes[i].table = pagetab.New[*Frame](per)
-	}
 	p.mask = uint64(n - 1)
 	p.clock = clock
 	return p
@@ -99,41 +93,38 @@ func (p *Pool) now(t time.Duration) time.Duration {
 	return t
 }
 
-// get looks id up in the resident directory, taking the stripe latch in
+// get returns id's resident frame, or nil, taking the stripe latch in
 // striped mode. Callers in striped mode must not hold the same stripe latch.
-func (p *Pool) get(id page.ID) (*Frame, bool) {
+func (p *Pool) get(id page.ID) *Frame {
 	if p.stripes == nil {
-		return p.table.Get(uint64(id))
+		return p.frame(p.dir[id])
 	}
 	s := p.stripeOf(id)
 	s.mu.RLock()
-	f, ok := s.table.Get(uint64(id))
+	f := p.frame(p.dir[id])
 	s.mu.RUnlock()
-	return f, ok
+	return f
 }
 
-// put publishes id -> f, exclusively latching the stripe in striped mode.
-func (p *Pool) put(id page.ID, f *Frame) {
+// frame resolves a directory value to its frame (nil for 0).
+func (p *Pool) frame(slot int32) *Frame {
+	if slot == 0 {
+		return nil
+	}
+	return &p.frames[slot-1]
+}
+
+// set stores a directory value for id (a frame's slot, or 0 to remove it),
+// exclusively latching the stripe in striped mode. After a removal returns,
+// no latched reader holds the frame.
+func (p *Pool) set(id page.ID, slot int32) {
 	if p.stripes == nil {
-		p.table.Put(uint64(id), f)
+		p.dir[id] = slot
 		return
 	}
 	s := p.stripeOf(id)
 	s.mu.Lock()
-	s.table.Put(uint64(id), f)
-	s.mu.Unlock()
-}
-
-// del removes id from the directory, exclusively latching the stripe in
-// striped mode. After del returns, no latched reader holds the frame.
-func (p *Pool) del(id page.ID) {
-	if p.stripes == nil {
-		p.table.Delete(uint64(id))
-		return
-	}
-	s := p.stripeOf(id)
-	s.mu.Lock()
-	s.table.Delete(uint64(id))
+	p.dir[id] = slot
 	s.mu.Unlock()
 }
 
@@ -152,13 +143,13 @@ func (p *Pool) ReadLatched(id page.ID, dst []byte) (int, bool) {
 	}
 	s := p.stripeOf(id)
 	s.mu.RLock()
-	f, ok := s.table.Get(uint64(id))
+	f := p.frame(p.dir[id])
 	var n int
-	if ok {
+	if f != nil {
 		n = copy(dst, f.Pg.Payload)
 	}
 	s.mu.RUnlock()
-	if !ok {
+	if f == nil {
 		return 0, false
 	}
 	at := p.now(0)
@@ -208,7 +199,7 @@ func (p *Pool) drainTouches() {
 			return pend[a].id < pend[b].id
 		})
 		for _, t := range pend {
-			if _, ok := s.table.Get(uint64(t.id)); ok {
+			if p.dir[t.id] != 0 {
 				p.repl.Touch(t.id, t.at)
 			}
 		}

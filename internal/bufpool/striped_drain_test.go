@@ -35,7 +35,7 @@ func TestStripedDrainDeterministicOrder(t *testing.T) {
 			clock := func() time.Duration { return cur }
 			// One stripe, so every touch lands in the same buffer and the
 			// append order is exactly the call order.
-			p := NewStripedWithPolicy(8, 8, 1, clock, kind)
+			p := NewStripedWithPolicy(8, 8, testPages, 1, clock, kind)
 			for i := 0; i < 8; i++ {
 				f := p.TakeFree()
 				f.Pg.ID = page.ID(i)

@@ -14,7 +14,7 @@ import (
 func TestStripedBasicOps(t *testing.T) {
 	var tick atomic.Int64
 	clock := func() time.Duration { return time.Duration(tick.Add(1)) }
-	p := NewStriped(8, 16, 4, clock)
+	p := NewStriped(8, 16, testPages, 4, clock)
 	if !p.Striped() {
 		t.Fatal("not in striped mode")
 	}
@@ -62,7 +62,7 @@ func TestStripedBasicOps(t *testing.T) {
 func TestStripedReadLatched(t *testing.T) {
 	var tick atomic.Int64
 	clock := func() time.Duration { return time.Duration(tick.Add(1)) }
-	p := NewStriped(4, 8, 2, clock)
+	p := NewStriped(4, 8, testPages, 2, clock)
 	for i := 0; i < 4; i++ {
 		f := p.TakeFree()
 		f.Pg.ID = page.ID(i)
@@ -76,7 +76,7 @@ func TestStripedReadLatched(t *testing.T) {
 	if _, ok := p.ReadLatched(page.ID(99), buf); ok {
 		t.Fatal("ReadLatched(99) hit")
 	}
-	if _, ok := New(4, 8).ReadLatched(page.ID(2), buf); ok {
+	if _, ok := New(4, 8, testPages).ReadLatched(page.ID(2), buf); ok {
 		t.Fatal("ReadLatched hit on an unstriped pool")
 	}
 	// Touch pages 1..3 again via the latched path; page 0's single history
@@ -101,7 +101,7 @@ func TestStripedConcurrentReadersWriter(t *testing.T) {
 	var tick atomic.Int64
 	clock := func() time.Duration { return time.Duration(tick.Add(1)) }
 	const frames = 16
-	p := NewStriped(frames, 32, 8, clock)
+	p := NewStriped(frames, 32, testPages, 8, clock)
 	for i := 0; i < frames; i++ {
 		f := p.TakeFree()
 		f.Pg.ID = page.ID(i)

@@ -17,7 +17,8 @@ type RetryPolicy struct {
 	Backoff  time.Duration // simulated wait before the k-th retry is k*Backoff
 }
 
-// DefaultRetryPolicy is the policy engines install when none is given.
+// DefaultRetryPolicy is the policy of the engine's disk paths and the SSD
+// manager's.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{Attempts: 2, Backoff: 100 * time.Microsecond}
 }

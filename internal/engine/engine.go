@@ -37,9 +37,6 @@ type Config struct {
 	SSDFrames   int   // S: SSD buffer pool frames (0 disables)
 	PayloadSize int   // page payload bytes
 
-	Disks      int   // HDDs in the database stripe set (8 in the paper)
-	StripeUnit int64 // stripe unit in pages
-
 	// Paper knobs (Table 2).
 	Partitions    int     // N
 	FillThreshold float64 // τ
@@ -69,19 +66,13 @@ type Config struct {
 	FuzzyCheckpoints bool
 	Classifier       ClassifierKind
 
-	HDDProfile      device.Profile // zero value = paper calibration
-	SSDProfile      device.Profile
-	AsyncAdmitDelay time.Duration // TAC async admission gap
+	SSDProfile device.Profile // zero value = paper calibration
 
 	// Faults, when set, wraps every device in the injector's fault plans
 	// (names "db", "ssd", "wal") and arms the engine's crash points. Nil
 	// costs the hot path only nil checks.
 	Faults *fault.Injector
 
-	// Retry bounds transient-I/O retries on the database-disk read/write
-	// paths (the SSD manager shares the same policy). The zero value is
-	// replaced by device.DefaultRetryPolicy.
-	Retry device.RetryPolicy
 	// ScrubPeriod enables the background SSD scrubber (0, the default,
 	// disables it); ScrubBatch caps the frames verified per wake-up.
 	ScrubPeriod time.Duration
@@ -116,12 +107,9 @@ type Config struct {
 	PoolStripes int
 	PoolClock   func() time.Duration
 
-	// CPU model: page accesses consume CPUPerAccess of one of CPUCores
-	// hardware contexts (the paper's box is a dual quad-core Nehalem with
-	// 16 contexts, saturating around 110k tpmC). Scan pages charge a
-	// eighth of the point-access cost. CPUPerAccess < 0 disables the
-	// model.
-	CPUCores     int
+	// CPU model: page accesses consume CPUPerAccess of one of cpuCores
+	// hardware contexts. Scan pages charge a eighth of the point-access
+	// cost. CPUPerAccess < 0 disables the model.
 	CPUPerAccess time.Duration
 
 	defaulted bool // setDefaults already ran (it is not idempotent on sentinels)
@@ -134,12 +122,6 @@ func (c *Config) setDefaults() {
 	c.defaulted = true
 	if c.PayloadSize <= 0 {
 		c.PayloadSize = 64
-	}
-	if c.Disks <= 0 {
-		c.Disks = device.PaperArrayDisks
-	}
-	if c.StripeUnit <= 0 {
-		c.StripeUnit = 64
 	}
 	if c.ReadAhead <= 0 {
 		c.ReadAhead = 32
@@ -154,11 +136,7 @@ func (c *Config) setDefaults() {
 	} else if c.ReadExpansion == 0 {
 		c.ReadExpansion = 8
 	}
-	zero := device.Profile{}
-	if c.HDDProfile == zero {
-		c.HDDProfile = device.PaperHDDProfile()
-	}
-	if c.SSDProfile == zero {
+	if c.SSDProfile == (device.Profile{}) {
 		c.SSDProfile = device.PaperSSDProfile()
 	}
 	if c.PoolPages <= 0 {
@@ -167,14 +145,8 @@ func (c *Config) setDefaults() {
 	if c.DBPages <= 0 {
 		c.DBPages = 4096
 	}
-	if c.CPUCores <= 0 {
-		c.CPUCores = 16
-	}
 	if c.CPUPerAccess == 0 {
 		c.CPUPerAccess = 1200 * time.Microsecond
-	}
-	if c.Retry.Attempts <= 0 {
-		c.Retry = device.DefaultRetryPolicy()
 	}
 	// A read-ahead batch claims one frame per page; bound it so a single
 	// batch can never exhaust the pool.
@@ -185,6 +157,20 @@ func (c *Config) setDefaults() {
 		}
 	}
 }
+
+// stripeUnit is the stripe unit, in pages, of the database disks: the
+// paper's stripe set of device.PaperArrayDisks HDDs (Table 2).
+const stripeUnit = 64
+
+// hddProfile is the latency model of the database disks and the log disk.
+var hddProfile = device.PaperHDDProfile()
+
+// cpuCores is the CPU model's hardware contexts: the paper's box is a dual
+// quad-core Nehalem with 16 contexts, saturating around 110k tpmC.
+const cpuCores = 16
+
+// retry bounds transient-I/O retries on the database-disk read/write paths.
+var retry = device.DefaultRetryPolicy()
 
 // logPageSize is the accounted size of one log page (8 KB, like the data
 // pages the paper's Table 1 measures); many small records pack per page.
@@ -365,12 +351,12 @@ type Engine struct {
 // New builds an engine (and its simulated devices) inside env.
 func New(env *sim.Env, cfg Config) *Engine {
 	cfg.setDefaults()
-	arr := device.NewArray(env, cfg.HDDProfile, cfg.Disks, device.PageNum(cfg.StripeUnit), device.PageNum(cfg.DBPages))
+	arr := device.NewArray(env, hddProfile, device.PaperArrayDisks, stripeUnit, device.PageNum(cfg.DBPages))
 	var ssdDev device.Device
 	if cfg.SSDFrames > 0 && cfg.Design != ssd.NoSSD {
 		ssdDev = device.NewSSD(env, cfg.SSDProfile, device.PageNum(cfg.SSDFrames))
 	}
-	logDev := device.NewHDD(env, cfg.HDDProfile, 1<<30)
+	logDev := device.NewHDD(env, hddProfile, 1<<30)
 	logDev.DiscardContent() // log pages are write-only traffic; keep timing, drop payloads
 	e := NewWithDevices(env, cfg, arr, ssdDev, logDev)
 	e.dbArr = arr
@@ -403,13 +389,13 @@ func NewWithDevices(env *sim.Env, cfg Config, dbDev, ssdDev, logDev device.Devic
 		e.log.SetPersist(true)
 	}
 	if cfg.PoolStripes > 0 {
-		e.pool = bufpool.NewStripedWithPolicy(cfg.PoolPages, cfg.PayloadSize, cfg.PoolStripes, cfg.PoolClock, cfg.Policy)
+		e.pool = bufpool.NewStripedWithPolicy(cfg.PoolPages, cfg.PayloadSize, int(cfg.DBPages), cfg.PoolStripes, cfg.PoolClock, cfg.Policy)
 	} else {
-		e.pool = bufpool.NewWithPolicy(cfg.PoolPages, cfg.PayloadSize, cfg.Policy)
+		e.pool = bufpool.NewWithPolicy(cfg.PoolPages, cfg.PayloadSize, int(cfg.DBPages), cfg.Policy)
 	}
 	e.mgr = e.newManager()
 	e.classifier = newClassifier(cfg.Classifier)
-	e.cpu = sim.NewResource(env, e.cfg.CPUCores)
+	e.cpu = sim.NewResource(env, cpuCores)
 	e.mgr.StartCleaner()
 	e.mgr.StartScrubber()
 	if cfg.CheckpointInterval > 0 {
@@ -421,8 +407,8 @@ func NewWithDevices(env *sim.Env, cfg Config, dbDev, ssdDev, logDev device.Devic
 // newManager builds the SSD manager for the current devices. Temperature
 // savings for TAC derive from the device profiles.
 func (e *Engine) newManager() *ssd.Manager {
-	randSaved := float64(e.cfg.HDDProfile.RandRead-e.cfg.SSDProfile.RandRead) / float64(time.Millisecond)
-	seqSaved := float64(e.cfg.HDDProfile.SeqRead-e.cfg.SSDProfile.SeqRead) / float64(time.Millisecond)
+	randSaved := float64(hddProfile.RandRead-e.cfg.SSDProfile.RandRead) / float64(time.Millisecond)
+	seqSaved := float64(hddProfile.SeqRead-e.cfg.SSDProfile.SeqRead) / float64(time.Millisecond)
 	if seqSaved < 0 {
 		seqSaved = 0
 	}
@@ -432,7 +418,7 @@ func (e *Engine) newManager() *ssd.Manager {
 		dev = device.NewSSD(e.env, e.cfg.SSDProfile, 0)
 		frames = 0
 	}
-	return ssd.NewManager(e.env, dev, (*diskWriter)(e), ssd.Config{
+	return ssd.NewManager(e.env, dev, (*diskWriter)(e), int(e.cfg.DBPages), ssd.Config{
 		Design:          e.cfg.Design,
 		Policy:          e.cfg.Policy,
 		Frames:          frames,
@@ -444,9 +430,7 @@ func (e *Engine) newManager() *ssd.Manager {
 		PayloadSize:     e.cfg.PayloadSize,
 		RandSavedMs:     randSaved,
 		SeqSavedMs:      seqSaved,
-		AsyncAdmitDelay: e.cfg.AsyncAdmitDelay,
 		Faults:          e.cfg.Faults,
-		Retry:           e.cfg.Retry,
 		ScrubPeriod:     e.cfg.ScrubPeriod,
 		ScrubBatch:      e.cfg.ScrubBatch,
 		RetireAfter:     e.cfg.RetireAfter,
@@ -534,13 +518,13 @@ func (o *diskOp) reissue() {
 
 func (o *diskOp) done(err error) {
 	e := o.e
-	if err != nil && e.cfg.Retry.Retryable(err, o.attempt) {
+	if err != nil && retry.Retryable(err, o.attempt) {
 		if o.write {
 			e.stats.DiskWriteRetries++
 		} else {
 			e.stats.DiskReadRetries++
 		}
-		d := e.cfg.Retry.Delay(o.attempt)
+		d := retry.Delay(o.attempt)
 		o.attempt++
 		if d > 0 {
 			o.t.Sleep(d, o.onRetry)

@@ -89,7 +89,7 @@ func TestFileFormatIsEager(t *testing.T) {
 	}
 	defer f.Close()
 	env := sim.NewEnv()
-	logDev := device.NewHDD(env, cfg.HDDProfile, 1<<20)
+	logDev := device.NewHDD(env, device.PaperHDDProfile(), 1<<20)
 	logDev.DiscardContent()
 	e := NewWithDevices(env, cfg, f, nil, logDev)
 	if err := e.FormatDB(); err != nil {

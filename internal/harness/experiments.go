@@ -285,7 +285,7 @@ func RunClassify(scale Scale) (*ClassifyResult, error) {
 		cfg.ReadAheadRamp = 8
 		cfg.ReadExpansion = -1 // warm-up expansion would distort the sample
 		env := sim.NewEnv()
-		e := engine.New(env, cfg)
+		e := newRunEngine(env, cfg)
 		if err := e.FormatDB(); err != nil {
 			return 0, err
 		}

@@ -257,7 +257,7 @@ func RunTrimming(scale Scale) (*TrimmingResult, error) {
 			cfg.ReadAhead = 1
 		}
 		env := sim.NewEnv()
-		e := engine.New(env, cfg)
+		e := newRunEngine(env, cfg)
 		if err := e.FormatDB(); err != nil {
 			return cell{}, err
 		}

@@ -158,12 +158,15 @@ func RunOLTP(run OLTPRun) (*OLTPResult, error) {
 	return res, nil
 }
 
-// newRunEngine builds the engine of one RunOLTP pass. The pass runs, stops
-// and reads statistics; it never crashes, recovers or repairs, and only an
-// injected fault could make it repair. So a fault-free pass's log keeps no
-// durable records (wal.Log.DiscardDurable): with checkpointing effectively
-// off, as for TPC-C, that history would otherwise hold a payload copy of
-// every update of the run.
+// newRunEngine builds the engine of every harness pass that runs, stops
+// and reads statistics: RunOLTP, the index and policy cells, TPC-H, the
+// classifier and trimming measurements. Such a pass never crashes,
+// recovers or repairs, and only an injected fault could make it repair. So
+// a fault-free pass's log keeps no durable records
+// (wal.Log.DiscardDurable): with checkpointing effectively off, as for
+// TPC-C, that history would otherwise hold a payload copy of every update
+// of the run. The passes that crash or repair (warmrestart, restart,
+// faults, corrupt) build their engines with engine.New.
 func newRunEngine(env *sim.Env, cfg engine.Config) *engine.Engine {
 	e := engine.New(env, cfg)
 	if cfg.Faults == nil {

@@ -16,6 +16,7 @@ import (
 	"turbobp/internal/policy"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
+	"turbobp/internal/workload"
 )
 
 // aliases keep the Table 2 test readable.
@@ -554,6 +555,31 @@ func TestRunOLTPKeepsNoLogHistory(t *testing.T) {
 	t.Logf("RunOLTP allocated %.2f MB", float64(got)/(1<<20))
 	if got > limit {
 		t.Errorf("RunOLTP allocated %.2f MB, want <= %.1f MB: is the log keeping its history again?",
+			float64(got)/(1<<20), float64(limit)/(1<<20))
+	}
+}
+
+// TestIndexCellKeepsNoLogHistory is TestRunOLTPKeepsNoLogHistory for an
+// index cell, whose engine newRunEngine builds too: one B+-tree point
+// cell under LC at divisor 8192 allocated 16.8 MB when the cell built its
+// engine with engine.New and kept its log, and allocates 13.4 MB without
+// the log's history.
+func TestIndexCellKeepsNoLogHistory(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cell, err := runIndexCell(Scale{Divisor: 8192}, ssd.LC, workload.IndexPoint)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell.Res.Ops == 0 {
+		t.Fatal("no operations")
+	}
+	const limit = 15 << 20 // 15 MB
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("index cell allocated %.2f MB", float64(got)/(1<<20))
+	if got > limit {
+		t.Errorf("index cell allocated %.2f MB, want <= %.1f MB: is the log keeping its history again?",
 			float64(got)/(1<<20), float64(limit)/(1<<20))
 	}
 }

@@ -93,7 +93,7 @@ func runIndexCell(s Scale, design ssd.Design, kind workload.IndexKind) (IndexCel
 	mix := indexMix(s, kind)
 	cell := IndexCell{Design: design, Kind: kind, Mix: mix}
 	env := sim.NewEnv()
-	e := engine.New(env, indexConfig(design, mix, s.Policy))
+	e := newRunEngine(env, indexConfig(design, mix, s.Policy))
 	if err := e.FormatDB(); err != nil {
 		return cell, err
 	}

@@ -66,7 +66,7 @@ func policyOLTPCell(s Scale, design ssd.Design, pol policy.Kind, kind string) (P
 	cfg := run.Config
 	cfg.Policy = pol
 	env := sim.NewEnv()
-	e := engine.New(env, cfg)
+	e := newRunEngine(env, cfg)
 	if err := e.FormatDB(); err != nil {
 		return cell, err
 	}
@@ -87,7 +87,7 @@ func policyIndexCell(s Scale, design ssd.Design, pol policy.Kind, kind workload.
 	cell := PolicyCell{Workload: name, Design: design, Policy: pol}
 	mix := indexMix(s, kind)
 	env := sim.NewEnv()
-	e := engine.New(env, indexConfig(design, mix, pol))
+	e := newRunEngine(env, indexConfig(design, mix, pol))
 	if err := e.FormatDB(); err != nil {
 		return cell, err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"turbobp/internal/engine"
 	"turbobp/internal/page"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
@@ -32,7 +31,7 @@ func RunTPCH(scale Scale, design ssd.Design, sf int) (*TPCHResult, error) {
 	cfg.DirtyFraction = 0.01                   // λ = 1% (Table 2: E, H)
 	cfg.CheckpointInterval = scale.Minutes(40) // as for TPC-E (§4.4)
 	env := sim.NewEnv()
-	e := engine.New(env, cfg)
+	e := newRunEngine(env, cfg)
 	if err := e.FormatDB(); err != nil {
 		return nil, err
 	}

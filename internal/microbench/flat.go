@@ -4,54 +4,12 @@ import (
 	"testing"
 	"time"
 
-	"turbobp/internal/pagetab"
 	"turbobp/internal/sim"
 )
 
-// The flat-structure benchmarks isolate the two data structures the
-// simulator hot paths were migrated onto: the pagetab open-addressing table
-// (vs the plain Go map it replaced) and the calendar-queue event scheduler
-// (vs the reference binary heap). Each pair runs the identical workload so
-// the two ns/op readings give the ratio directly.
-
-// tableKeys is sized like a busy shard directory: large enough to defeat
-// L1 but small enough that both implementations stay cache-resident.
-const tableKeys = 4096
-
-// TableChurn measures pagetab steady-state churn: lookup, update, and a
-// delete/reinsert pair per iteration, over a resident working set.
-func TableChurn(b *testing.B) {
-	tab := pagetab.New[int64](tableKeys)
-	for i := uint64(0); i < tableKeys; i++ {
-		tab.Put(i*64, int64(i))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := uint64(i%tableKeys) * 64
-		v, _ := tab.Get(k)
-		tab.Put(k, v+1)
-		tab.Delete(k)
-		tab.Put(k, v)
-	}
-}
-
-// MapChurn is TableChurn on the plain Go map pagetab replaced.
-func MapChurn(b *testing.B) {
-	tab := make(map[uint64]int64, tableKeys)
-	for i := uint64(0); i < tableKeys; i++ {
-		tab[i*64] = int64(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		k := uint64(i%tableKeys) * 64
-		v := tab[k]
-		tab[k] = v + 1
-		delete(tab, k)
-		tab[k] = v
-	}
-}
+// The scheduler pair runs the identical workload on the production
+// calendar-queue event scheduler and the reference binary heap it
+// replaced, so the two ns/op readings give the ratio directly.
 
 // schedulerPending keeps this many events in flight, on the order of the
 // process population of a large experiment cell.

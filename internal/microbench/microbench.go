@@ -204,7 +204,7 @@ func GroupClean(b *testing.B) {
 	defer env.Shutdown()
 	dev := device.NewSSD(env, device.PaperSSDProfile(), frames)
 	arr := device.NewArray(env, device.PaperHDDProfile(), 1, 64, 4096)
-	m := ssd.NewManager(env, dev, arrayDisk{arr}, ssd.Config{
+	m := ssd.NewManager(env, dev, arrayDisk{arr}, 4096, ssd.Config{
 		Design:      ssd.LC,
 		Frames:      frames,
 		GroupClean:  alpha,

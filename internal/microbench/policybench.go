@@ -14,8 +14,13 @@ import (
 // policies run these paths allocation-free in steady state (entries come
 // from per-policy free lists; the sketch is two fixed arrays).
 
-// policyCap is the working-set size the policy benchmarks run at.
-const policyCap = 4096
+// policyCap is the working-set size the policy benchmarks run at, and
+// policyKeys the key bound: policyEvict's fresh keys cycle below it, so a
+// key comes back 3*policyCap evictions after it left, absent again.
+const (
+	policyCap  = 4096
+	policyKeys = 4 * policyCap
+)
 
 // fillPolicy populates p with policyCap keys.
 func fillPolicy(p policy.Policy) {
@@ -26,7 +31,7 @@ func fillPolicy(p policy.Policy) {
 
 // policyTouch measures Touch on resident keys of a full policy.
 func policyTouch(b *testing.B, kind policy.Kind) {
-	p := policy.New(kind, policyCap)
+	p := policy.New(kind, policyCap, policyKeys)
 	fillPolicy(p)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -38,13 +43,13 @@ func policyTouch(b *testing.B, kind policy.Kind) {
 // policyEvict measures one eviction cycle at capacity: Pop the victim and
 // insert a fresh key, the steady-state work of every cache miss.
 func policyEvict(b *testing.B, kind policy.Kind) {
-	p := policy.New(kind, policyCap)
+	p := policy.New(kind, policyCap, policyKeys)
 	fillPolicy(p)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Pop()
-		p.Touch(int64(policyCap+i), time.Duration(policyCap+i))
+		p.Touch(int64((policyCap+i)%policyKeys), time.Duration(policyCap+i))
 	}
 }
 

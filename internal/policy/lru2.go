@@ -8,7 +8,8 @@
 //
 // Everything is flat: entries live in a slot arena (recycled through a free
 // list, so the steady state allocates nothing), the priority heap is a slice
-// of snapshot nodes, and the key index is a pagetab open-addressing table.
+// of snapshot nodes, and the key index is a dense slice over the key bound
+// the owner gives NewLRU2 (keys are page ids or frame numbers).
 //
 // The heap is lazy, in the style of the SSD manager's TAC heap: a node
 // records the (prev, last) pair its entry had when pushed, and Touch only
@@ -23,11 +24,7 @@
 
 package policy
 
-import (
-	"time"
-
-	"turbobp/internal/pagetab"
-)
+import "time"
 
 // never is the penultimate-access value of entries seen only once; it sorts
 // before every real timestamp, making such entries preferred victims. The
@@ -59,12 +56,12 @@ type LRU2Cache struct {
 	free  []int32    // recycled arena slots; steady-state insert-after-evict reuses them
 	heap  []lru2Node // lazy min-heap of snapshots
 	dead  int        // orphaned nodes still in the heap; bounded by compact
-	index pagetab.Table[int32]
+	index []int32    // key -> arena slot + 1; 0 = absent
 }
 
-// NewLRU2 returns an empty cache.
-func NewLRU2() *LRU2Cache {
-	return &LRU2Cache{}
+// NewLRU2 returns an empty cache for keys in [0, keys).
+func NewLRU2(keys int) *LRU2Cache {
+	return &LRU2Cache{index: make([]int32, keys)}
 }
 
 // less orders the heap by snapshot: the smaller node surfaces first. The
@@ -95,7 +92,7 @@ func (c *LRU2Cache) alloc() int32 {
 // node still in the heap orphaned by the generation bump.
 func (c *LRU2Cache) release(slot int32) {
 	e := &c.arena[slot]
-	c.index.Delete(uint64(e.key))
+	c.index[e.key] = 0
 	*e = lru2Entry{gen: e.gen + 1}
 	c.free = append(c.free, slot)
 }
@@ -196,16 +193,14 @@ func (c *LRU2Cache) clean() bool {
 }
 
 // Len returns the number of tracked keys.
-func (c *LRU2Cache) Len() int { return c.index.Len() }
+func (c *LRU2Cache) Len() int { return len(c.arena) - len(c.free) }
 
 // Contains reports whether key is tracked.
-func (c *LRU2Cache) Contains(key int64) bool {
-	return c.index.Contains(uint64(key))
-}
+func (c *LRU2Cache) Contains(key int64) bool { return c.index[key] != 0 }
 
 // Touch records an access to key at time now, inserting it if absent.
 func (c *LRU2Cache) Touch(key int64, now time.Duration) {
-	if slot, ok := c.index.Get(uint64(key)); ok {
+	if slot := c.index[key] - 1; slot >= 0 {
 		e := &c.arena[slot]
 		e.prev = e.last
 		e.last = now
@@ -218,7 +213,7 @@ func (c *LRU2Cache) Touch(key int64, now time.Duration) {
 // to re-insert an entry that was temporarily removed without perturbing its
 // replacement priority.
 func (c *LRU2Cache) TouchHistory(key int64, last, prev time.Duration) {
-	if slot, ok := c.index.Get(uint64(key)); ok {
+	if slot := c.index[key] - 1; slot >= 0 {
 		e := &c.arena[slot]
 		if prev > e.prev || (prev == e.prev && last >= e.last) {
 			// The history moves forward (or stays put) in the heap's
@@ -245,14 +240,14 @@ func (c *LRU2Cache) insert(key int64, last, prev time.Duration) {
 	slot := c.alloc()
 	e := &c.arena[slot]
 	e.key, e.last, e.prev = key, last, prev
-	c.index.Put(uint64(key), slot)
+	c.index[key] = slot + 1
 	c.push(slot)
 }
 
 // Remove drops key from the cache; it is a no-op if absent.
 func (c *LRU2Cache) Remove(key int64) {
-	slot, ok := c.index.Get(uint64(key))
-	if !ok {
+	slot := c.index[key] - 1
+	if slot < 0 {
 		return
 	}
 	c.release(slot) // the generation bump orphans the heap node
@@ -286,8 +281,8 @@ func (c *LRU2Cache) Pop() (key int64, ok bool) {
 // History returns the last and penultimate access times of key, with seen
 // reporting presence. A penultimate of Never() means one access so far.
 func (c *LRU2Cache) History(key int64) (last, prev time.Duration, seen bool) {
-	slot, ok := c.index.Get(uint64(key))
-	if !ok {
+	slot := c.index[key] - 1
+	if slot < 0 {
 		return 0, 0, false
 	}
 	e := &c.arena[slot]

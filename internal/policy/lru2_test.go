@@ -8,8 +8,11 @@ import (
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
+// testKeys bounds the keys the tests use.
+const testKeys = 1 << 12
+
 func TestEmptyCache(t *testing.T) {
-	c := NewLRU2()
+	c := NewLRU2(testKeys)
 	if c.Len() != 0 {
 		t.Errorf("Len = %d", c.Len())
 	}
@@ -22,7 +25,7 @@ func TestEmptyCache(t *testing.T) {
 }
 
 func TestSingleAccessEvictedFirst(t *testing.T) {
-	c := NewLRU2()
+	c := NewLRU2(testKeys)
 	c.Touch(1, ms(1))
 	c.Touch(1, ms(2)) // key 1 referenced twice
 	c.Touch(2, ms(3)) // key 2 referenced once, later
@@ -33,7 +36,7 @@ func TestSingleAccessEvictedFirst(t *testing.T) {
 }
 
 func TestLRU2OrdersByPenultimate(t *testing.T) {
-	c := NewLRU2()
+	c := NewLRU2(testKeys)
 	c.Touch(1, ms(1))
 	c.Touch(2, ms(2))
 	c.Touch(1, ms(10)) // key 1: prev=1, last=10
@@ -46,7 +49,7 @@ func TestLRU2OrdersByPenultimate(t *testing.T) {
 }
 
 func TestSingleAccessTieBrokenByLast(t *testing.T) {
-	c := NewLRU2()
+	c := NewLRU2(testKeys)
 	c.Touch(5, ms(5))
 	c.Touch(4, ms(4))
 	c.Touch(6, ms(6))
@@ -60,7 +63,7 @@ func TestSingleAccessTieBrokenByLast(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	c := NewLRU2()
+	c := NewLRU2(testKeys)
 	c.Touch(1, ms(1))
 	c.Touch(2, ms(2))
 	c.Remove(1)
@@ -78,7 +81,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestHistory(t *testing.T) {
-	c := NewLRU2()
+	c := NewLRU2(testKeys)
 	if _, _, seen := c.History(1); seen {
 		t.Error("History of absent key")
 	}
@@ -95,7 +98,7 @@ func TestHistory(t *testing.T) {
 }
 
 func TestPopDrainsInOrder(t *testing.T) {
-	c := NewLRU2()
+	c := NewLRU2(testKeys)
 	// Keys 0..9 each touched twice; penultimate access times are 0..9.
 	for i := 0; i < 10; i++ {
 		c.Touch(int64(i), ms(i))
@@ -115,7 +118,7 @@ func TestPopDrainsInOrder(t *testing.T) {
 }
 
 func TestTouchExistingUpdatesOrder(t *testing.T) {
-	c := NewLRU2()
+	c := NewLRU2(testKeys)
 	c.Touch(1, ms(1))
 	c.Touch(2, ms(2))
 	c.Touch(1, ms(3))
@@ -134,7 +137,7 @@ func TestHeapOrderProperty(t *testing.T) {
 		At  uint16
 	}
 	prop := func(touches []touch) bool {
-		c := NewLRU2()
+		c := NewLRU2(testKeys)
 		want := map[int64]bool{}
 		hist := map[int64][2]time.Duration{}
 		for _, tc := range touches {
@@ -188,7 +191,7 @@ func TestTouchRemoveConsistencyProperty(t *testing.T) {
 		Remove bool
 	}
 	prop := func(ops []op) bool {
-		c := NewLRU2()
+		c := NewLRU2(testKeys)
 		want := map[int64]bool{}
 		for _, o := range ops {
 			k := int64(o.Key % 16)
@@ -219,7 +222,7 @@ func TestTouchRemoveConsistencyProperty(t *testing.T) {
 // removes far more than it pops (the SSD cleaner's pattern) must not
 // accumulate orphaned nodes without bound.
 func TestHeapStaysBounded(t *testing.T) {
-	c := NewLRU2()
+	c := NewLRU2(testKeys)
 	for cycle := 0; cycle < 10000; cycle++ {
 		for k := int64(0); k < 32; k++ {
 			c.TouchHistory(k, ms(cycle), Never())

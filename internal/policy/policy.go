@@ -75,10 +75,11 @@ func ParseKind(s string) (Kind, error) {
 	return LRU2, fmt.Errorf("unknown cache policy %q (want lru2, arc, cflru or tinylfu)", s)
 }
 
-// Policy is one replacement policy instance. Keys are opaque int64s: the
-// DRAM pool keys by page id; the SSD tier keys its per-shard clean heaps
-// by frame index under LRU2 (preserving the legacy tie-break order) and
-// by page id under the adaptive policies.
+// Policy is one replacement policy instance. Keys are non-negative int64s
+// below the bound given to New: the DRAM pool keys by page id; the SSD
+// tier keys its per-shard clean heaps by shard-local frame number under
+// LRU2 (preserving the legacy tie-break order) and by page id under the
+// adaptive policies.
 type Policy interface {
 	// Touch records an access at virtual time now, inserting the key if
 	// it is not tracked.
@@ -144,10 +145,11 @@ func (s *Stats) Add(other Stats) {
 	s.AdmitRejects += other.AdmitRejects
 }
 
-// New builds a policy of the given kind sized for capacity entries.
-// Capacity bounds ARC's ghost lists, CFLRU's clean-first window and
-// TinyLFU's sketch width; LRU2 grows with its arena and ignores it.
-func New(kind Kind, capacity int) Policy {
+// New builds a policy of the given kind sized for capacity entries over
+// keys in [0, keys). Capacity bounds ARC's ghost lists, CFLRU's clean-first
+// window and TinyLFU's sketch width; LRU2 grows with its arena and ignores
+// it. Only LRU2 indexes by key, so only LRU2 uses the key bound.
+func New(kind Kind, capacity, keys int) Policy {
 	switch kind {
 	case ARC:
 		return newARC(capacity)
@@ -156,6 +158,6 @@ func New(kind Kind, capacity int) Policy {
 	case TinyLFU:
 		return newTinyLFU(capacity)
 	default:
-		return NewLRU2()
+		return NewLRU2(keys)
 	}
 }

@@ -13,7 +13,7 @@ func TestKinds(t *testing.T) {
 		if err != nil || got != k {
 			t.Fatalf("ParseKind(%q) = %v, %v", k.String(), got, err)
 		}
-		if New(k, 16) == nil {
+		if New(k, 16, testKeys) == nil {
 			t.Fatalf("New(%v) = nil", k)
 		}
 	}
@@ -33,7 +33,7 @@ func TestKinds(t *testing.T) {
 // every victim.
 func TestDeterminism(t *testing.T) {
 	for _, k := range Kinds {
-		a, b := New(k, 32), New(k, 32)
+		a, b := New(k, 32, testKeys), New(k, 32, testKeys)
 		rng := rand.New(rand.NewSource(7))
 		now := time.Duration(0)
 		for op := 0; op < 30000; op++ {
@@ -68,7 +68,7 @@ func TestDeterminism(t *testing.T) {
 // TestARCGhostAdaptation drives a recency-ghost hit and checks that the
 // adaptive split moves and the hit is counted.
 func TestARCGhostAdaptation(t *testing.T) {
-	a := New(ARC, 4)
+	a := New(ARC, 4, testKeys)
 	now := func(i int) time.Duration { return time.Duration(i) * time.Millisecond }
 	for i := 0; i < 4; i++ {
 		a.Touch(int64(i), now(i))
@@ -100,7 +100,7 @@ func TestARCGhostAdaptation(t *testing.T) {
 // ARC keeps more of the hot set than plain recency order would.
 func TestARCScanResistance(t *testing.T) {
 	const cap = 32
-	a := New(ARC, cap)
+	a := New(ARC, cap, testKeys)
 	now := time.Duration(0)
 	tick := func() time.Duration { now += time.Millisecond; return now }
 	// Establish a hot set (keys 0..15) with repeated touches.
@@ -131,7 +131,7 @@ func TestARCScanResistance(t *testing.T) {
 // TestCFLRUCleanFirst checks that the eviction scan passes over an
 // older dirty entry for a younger clean one and counts it.
 func TestCFLRUCleanFirst(t *testing.T) {
-	c := New(CFLRU, 8)
+	c := New(CFLRU, 8, testKeys)
 	dirty := map[int64]bool{0: true, 1: true}
 	c.(DirtyAware).SetDirtyFn(func(k int64) bool { return dirty[k] })
 	for i := int64(0); i < 4; i++ {
@@ -163,7 +163,7 @@ func TestCFLRUCleanFirst(t *testing.T) {
 // key is refused, a repeatedly seen key is admitted, and refusals are
 // counted.
 func TestTinyLFUAdmission(t *testing.T) {
-	p := New(TinyLFU, 64)
+	p := New(TinyLFU, 64, testKeys)
 	r := p.(Recorder)
 	if p.Admit(42, 0) {
 		t.Fatal("never-seen key admitted")
@@ -181,7 +181,7 @@ func TestTinyLFUAdmission(t *testing.T) {
 // TestTinyLFUEviction checks frequency-informed victim choice: a hot
 // key that drifted to the cold end survives over a cold neighbor.
 func TestTinyLFUEviction(t *testing.T) {
-	p := New(TinyLFU, 64)
+	p := New(TinyLFU, 64, testKeys)
 	now := time.Duration(0)
 	tick := func() time.Duration { now += time.Millisecond; return now }
 	// Key 1 is hot (many observations), then drifts cold.
@@ -229,7 +229,7 @@ func TestSketch(t *testing.T) {
 // what TouchHistory stored.
 func TestHistoryRoundTrip(t *testing.T) {
 	for _, k := range []Kind{ARC, CFLRU, TinyLFU} {
-		p := New(k, 16)
+		p := New(k, 16, testKeys)
 		p.TouchHistory(3, 5*time.Millisecond, 2*time.Millisecond)
 		last, prev, seen := p.History(3)
 		if !seen || last != 5*time.Millisecond || prev != 2*time.Millisecond {
@@ -247,9 +247,9 @@ func TestHistoryRoundTrip(t *testing.T) {
 // capacity (once ARC's ghost lists are full), and the count-min sketch's
 // Increment and Estimate allocate nothing, under every policy kind.
 func TestHotPathsAllocationFree(t *testing.T) {
-	const capacity = 1024
+	const capacity = testKeys / 4
 	for _, kind := range []Kind{LRU2, ARC, CFLRU, TinyLFU} {
-		p := New(kind, capacity)
+		p := New(kind, capacity, testKeys)
 		for i := int64(0); i < capacity; i++ {
 			p.Touch(i, time.Duration(i))
 		}
@@ -259,7 +259,9 @@ func TestHotPathsAllocationFree(t *testing.T) {
 			p.Touch(int64(now)%capacity, now)
 		}
 		evict := func() {
-			now, key = now+1, key+1
+			// Keys cycle below the bound; one evicted 3*capacity cycles
+			// ago is absent again, ghost lists included.
+			now, key = now+1, (key+1)%testKeys
 			p.Pop()
 			p.Touch(key, now)
 		}

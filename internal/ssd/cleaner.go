@@ -66,14 +66,16 @@ func (m *Manager) oldestDirty() int {
 	best := -1
 	var bestLast, bestPrev int64
 	for i := range m.shards {
-		key, ok := m.shards[i].dirty.Victim()
+		s := &m.shards[i]
+		key, ok := s.dirty.Victim()
 		if !ok {
 			continue
 		}
-		rec := &m.frames[key]
+		idx := m.heapFrame(s, key)
+		rec := &m.frames[idx]
 		if best < 0 || int64(rec.prev) < bestPrev ||
 			(int64(rec.prev) == bestPrev && int64(rec.last) < bestLast) {
-			best = int(key)
+			best = idx
 			bestLast, bestPrev = int64(rec.last), int64(rec.prev)
 		}
 	}
@@ -119,8 +121,7 @@ func (m *Manager) gatherRun(seed int, dst []int) (start page.ID, frames []int) {
 // dirtyIdleFrame returns the frame caching pid if it is valid, dirty and
 // idle.
 func (m *Manager) dirtyIdleFrame(pid page.ID) (int, bool) {
-	s := m.shardOf(pid)
-	idx, ok := s.lookup(pid)
+	idx, ok := m.lookup(pid)
 	if !ok {
 		return 0, false
 	}
@@ -209,11 +210,11 @@ func (m *Manager) cleanOnce(p *sim.Proc) bool {
 			}
 			m.stats.ReadErrors++
 			m.noteDeviceErr(err)
-			if !m.cfg.Retry.Retryable(err, attempt) {
+			if !retry.Retryable(err, attempt) {
 				break
 			}
 			m.stats.ReadRetries++
-			p.Sleep(m.cfg.Retry.Delay(attempt))
+			p.Sleep(retry.Delay(attempt))
 		}
 		if err != nil {
 			readErr = true
@@ -264,7 +265,7 @@ func (m *Manager) cleanOnce(p *sim.Proc) bool {
 			rec.dirty = false
 			m.dirtyCount--
 			s := &m.shards[rec.shard]
-			s.dirty.Remove(int64(idx))
+			s.dirty.Remove(m.heapKey(idx))
 			if rec.valid {
 				s.clean.TouchHistory(m.cleanKey(idx), rec.last, rec.prev)
 			}

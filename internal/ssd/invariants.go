@@ -15,8 +15,8 @@ import (
 //  1. Frame accounting: free + occupied frames == total frames, and the
 //     occupied counter matches the per-frame flags.
 //  2. Hash-table bijection: every table entry points at an occupied frame
-//     with the same page id and the frame's home shard; every occupied
-//     frame is in its shard's table.
+//     with the same page id, in the page's shard; every occupied frame is
+//     in the table.
 //  3. Free-list validity: free frames are unoccupied and appear exactly
 //     once across all shards.
 //  4. Heap membership (CW/DW/LC): every idle clean valid frame is in its
@@ -49,30 +49,24 @@ func (m *Manager) CheckInvariants() error {
 			}
 			freeCount++
 		}
-		var tableErr error
-		s.table.Range(func(key uint64, fidx int32) bool {
-			pid, idx := page.ID(key), int(fidx)
-			if idx < 0 || idx >= len(m.frames) {
-				tableErr = fmt.Errorf("ssd: table entry %d -> frame %d out of range", pid, idx)
-				return false
-			}
-			rec := &m.frames[idx]
-			if !rec.occupied {
-				tableErr = fmt.Errorf("ssd: table entry %d -> unoccupied frame %d", pid, idx)
-				return false
-			}
-			if rec.pid != pid {
-				tableErr = fmt.Errorf("ssd: table entry %d -> frame %d holding page %d", pid, idx, rec.pid)
-				return false
-			}
-			if rec.shard != si {
-				tableErr = fmt.Errorf("ssd: page %d in shard %d's table, frame home is %d", pid, si, rec.shard)
-				return false
-			}
-			return true
-		})
-		if tableErr != nil {
-			return tableErr
+	}
+	for pid, v := range m.dir {
+		if v == 0 {
+			continue
+		}
+		idx := int(v) - 1
+		if idx >= len(m.frames) {
+			return fmt.Errorf("ssd: table entry %d -> frame %d out of range", pid, idx)
+		}
+		rec := &m.frames[idx]
+		if !rec.occupied {
+			return fmt.Errorf("ssd: table entry %d -> unoccupied frame %d", pid, idx)
+		}
+		if rec.pid != page.ID(pid) {
+			return fmt.Errorf("ssd: table entry %d -> frame %d holding page %d", pid, idx, rec.pid)
+		}
+		if si := m.shardOf(rec.pid).num; rec.shard != si {
+			return fmt.Errorf("ssd: page %d hashes to shard %d, its frame's home is %d", pid, si, rec.shard)
 		}
 	}
 
@@ -95,15 +89,15 @@ func (m *Manager) CheckInvariants() error {
 		if rec.dirty {
 			dirty++
 		}
-		s := &m.shards[rec.shard]
-		if got, ok := s.lookup(rec.pid); !ok || got != idx {
-			return fmt.Errorf("ssd: occupied frame %d (page %d) missing from its shard table", idx, rec.pid)
+		if got, ok := m.lookup(rec.pid); !ok || got != idx {
+			return fmt.Errorf("ssd: occupied frame %d (page %d) missing from the table", idx, rec.pid)
 		}
+		s := &m.shards[rec.shard]
 		if m.cfg.Design == TAC {
 			continue // TAC's lazy heap may legitimately hold stale entries
 		}
 		inClean := s.clean.Contains(m.cleanKey(idx))
-		inDirty := s.dirty.Contains(int64(idx))
+		inDirty := s.dirty.Contains(m.heapKey(idx))
 		switch {
 		case rec.dirty && !inDirty:
 			return fmt.Errorf("ssd: dirty frame %d not in the dirty heap", idx)

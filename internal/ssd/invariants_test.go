@@ -1,7 +1,10 @@
 package ssd
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -77,7 +80,11 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 	}
 }
 
-// TestInvariantsAfterRestore covers the warm-restart path.
+// TestInvariantsAfterRestore covers the warm-restart path, including the
+// blobs a corrupt checkpoint record could hold: RestoreTable skips a page
+// id outside the directory, a frame named twice and a frame outside its
+// page's shard, and leaves each shard's other free frames in their dealt
+// order.
 func TestInvariantsAfterRestore(t *testing.T) {
 	f := newFixture(DW, 16, func(c *Config) { c.Partitions = 4 })
 	f.run(t, func(p *sim.Proc) {
@@ -86,12 +93,64 @@ func TestInvariantsAfterRestore(t *testing.T) {
 		}
 	})
 	blob := f.m.SnapshotTable()
-	m2 := NewManager(f.env, f.dev, f.disk, f.m.cfg)
-	if err := m2.RestoreTable(blob); err != nil {
-		t.Fatal(err)
+	used := map[int]bool{}
+	for off := 0; off < len(blob); off += TableEntrySize {
+		used[int(binary.LittleEndian.Uint32(blob[off:]))] = true
 	}
-	if err := m2.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	spare := 0 // a frame the snapshot leaves free
+	for used[spare] {
+		spare++
+	}
+	pageIn := func(shard int) page.ID { // a page the snapshot does not hold
+		pid := page.ID(100)
+		for f.m.shardOf(pid).num != shard {
+			pid++
+		}
+		return pid
+	}
+	entry := func(frame int, pid page.ID) []byte {
+		var b [TableEntrySize]byte
+		binary.LittleEndian.PutUint32(b[0:4], uint32(frame))
+		binary.LittleEndian.PutUint64(b[4:12], uint64(pid))
+		return b[:]
+	}
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	firstFrame := int(binary.LittleEndian.Uint32(blob))
+	for _, tc := range []struct {
+		name     string
+		blob     []byte
+		restored map[int]bool // frames the blob must restore
+	}{
+		{"snapshot", blob, used},
+		{"page id out of range", cat(entry(spare, testPages), blob), used},
+		{"negative page id", cat(entry(spare, -1), blob), used},
+		{"duplicate frame", cat(blob, entry(firstFrame, pageIn(firstFrame%4))), used},
+		{"frame outside its page's shard", cat(entry(spare, pageIn((spare+1)%4)), blob), used},
+		{"free frames keep their order", cat(entry(0, pageIn(0)), entry(5, pageIn(1))), map[int]bool{0: true, 5: true}},
+	} {
+		m2 := NewManager(f.env, f.dev, f.disk, testPages, f.m.cfg)
+		if err := m2.RestoreTable(tc.blob); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := m2.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for idx := range m2.frames {
+			if got := m2.frames[idx].occupied; got != tc.restored[idx] {
+				t.Errorf("%s: frame %d occupied = %v, want %v", tc.name, idx, got, tc.restored[idx])
+			}
+		}
+		for si := range m2.shards {
+			var want []int // frames are dealt round-robin: si, si+4, si+8, ...
+			for idx := si; idx < len(m2.frames); idx += len(m2.shards) {
+				if !tc.restored[idx] {
+					want = append(want, idx)
+				}
+			}
+			if got := m2.shards[si].free; !slices.Equal(got, want) {
+				t.Errorf("%s: shard %d free list %v, want %v", tc.name, si, got, want)
+			}
+		}
 	}
 }
 
@@ -107,13 +166,12 @@ func TestInvariantsCatchCorruption(t *testing.T) {
 	}
 	f.m.occupied--
 	// Corrupt: orphan the hash entry.
-	s := f.m.shardOf(1)
-	idx, _ := s.table.Get(1)
-	s.table.Delete(1)
+	v := f.m.dir[1]
+	f.m.dir[1] = 0
 	if err := f.m.CheckInvariants(); err == nil {
 		t.Error("orphaned frame not detected")
 	}
-	s.table.Put(1, idx)
+	f.m.dir[1] = v
 	if err := f.m.CheckInvariants(); err != nil {
 		t.Errorf("restored state flagged: %v", err)
 	}

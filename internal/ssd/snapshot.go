@@ -54,8 +54,10 @@ func (m *Manager) SnapshotTable() []byte {
 
 // RestoreTable rebuilds the manager's metadata from a SnapshotTable blob,
 // assuming the SSD device contents survived the restart. It must be
-// called on a freshly-constructed manager. Entries that no longer fit
-// (frame out of range after a reconfiguration) are skipped.
+// called on a freshly-constructed manager. The blob is read from the log,
+// so entries that do not fit (a frame or page id out of range or a frame
+// outside its page's shard after a reconfiguration, a frame or page named
+// twice) are skipped.
 func (m *Manager) RestoreTable(blob []byte) error {
 	if !m.Enabled() || len(blob) == 0 {
 		return nil
@@ -70,23 +72,18 @@ func (m *Manager) RestoreTable(blob []byte) error {
 	for off := 0; off < len(blob); off += TableEntrySize {
 		idx := int(binary.LittleEndian.Uint32(blob[off : off+4]))
 		pid := page.ID(binary.LittleEndian.Uint64(blob[off+4 : off+12]))
-		if idx < 0 || idx >= len(m.frames) {
+		if idx < 0 || idx >= len(m.frames) || pid < 0 || pid >= page.ID(len(m.dir)) {
 			continue
 		}
 		rec := &m.frames[idx]
 		if rec.occupied {
 			continue // duplicate frame in a corrupt blob
 		}
-		s := &m.shards[rec.shard]
-		if _, dup := s.lookup(pid); dup {
+		if _, dup := m.lookup(pid); dup {
 			continue
 		}
-		// Remove idx from the shard free list.
-		for i, free := range s.free {
-			if free == idx {
-				s.free = append(s.free[:i], s.free[i+1:]...)
-				break
-			}
+		if m.shardOf(pid).num != rec.shard {
+			continue // the frame is not in the page's shard: another N wrote it
 		}
 		rec.pid = pid
 		rec.occupied = true
@@ -95,13 +92,25 @@ func (m *Manager) RestoreTable(blob []byte) error {
 		rec.restored = true // hint only: content is validated at first read
 		rec.last = now
 		rec.prev = policy.Never()
-		s.table.Put(uint64(pid), int32(idx))
+		m.dir[pid] = int32(idx + 1)
 		m.occupied++
 		if m.cfg.Design == TAC {
 			m.pushTac(idx)
 		} else {
-			s.clean.TouchHistory(m.cleanKey(idx), rec.last, rec.prev)
+			m.shards[rec.shard].clean.TouchHistory(m.cleanKey(idx), rec.last, rec.prev)
 		}
+	}
+	// Take the restored frames off their free lists, keeping the order of
+	// the rest.
+	for i := range m.shards {
+		s := &m.shards[i]
+		free := s.free[:0]
+		for _, idx := range s.free {
+			if !m.frames[idx].occupied {
+				free = append(free, idx)
+			}
+		}
+		s.free = free
 	}
 	return nil
 }

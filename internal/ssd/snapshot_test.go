@@ -21,7 +21,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// A fresh manager over the same device restores the cache.
-	m2 := NewManager(f.env, f.dev, f.disk, f.m.cfg)
+	m2 := NewManager(f.env, f.dev, f.disk, testPages, f.m.cfg)
 	if err := m2.RestoreTable(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRestoreSkipsOutOfRangeFrames(t *testing.T) {
 	dev := device.NewSSD(env, device.PaperSSDProfile(), 4)
 	cfg := f.m.cfg
 	cfg.Frames = 4
-	m2 := NewManager(env, dev, &recordingDisk{}, cfg)
+	m2 := NewManager(env, dev, &recordingDisk{}, testPages, cfg)
 	if err := m2.RestoreTable(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRestoredFramesParticipateInReplacement(t *testing.T) {
 		}
 	})
 	blob := f.m.SnapshotTable()
-	m2 := NewManager(f.env, f.dev, f.disk, f.m.cfg)
+	m2 := NewManager(f.env, f.dev, f.disk, testPages, f.m.cfg)
 	if err := m2.RestoreTable(blob); err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,10 @@
 // the SSD buffer pool (a frame array on the SSD device), the SSD buffer
 // table (per-frame records with page id, dirty bit and the last two access
 // times), the SSD hash table, the SSD free list, and the clean/dirty heap
-// pair used for LRU-2 replacement and lazy cleaning. The buffer pool is
-// partitioned into N shards (§3.3.4); all shards share the page-id hash.
+// pair used for LRU-2 replacement and lazy cleaning. Page ids are dense, so
+// the hash table is a directory indexed by page id. The buffer pool is
+// partitioned into N shards (§3.3.4), each with its own free list and
+// heaps; a page's shard is a hash of its id.
 //
 // Three dirty-page designs (CW, DW, LC — §2.3) and the re-implemented TAC
 // comparison point (§2.5) are personalities over this one frame store.
@@ -23,7 +25,6 @@ import (
 	"turbobp/internal/device"
 	"turbobp/internal/fault"
 	"turbobp/internal/page"
-	"turbobp/internal/pagetab"
 	"turbobp/internal/policy"
 	"turbobp/internal/sim"
 )
@@ -87,17 +88,10 @@ type Config struct {
 	SeqSavedMs  float64
 	// ExtentPages is the TAC temperature granularity (32 in the paper).
 	ExtentPages int
-	// AsyncAdmitDelay models the gap between a disk read completing and
-	// TAC's asynchronous SSD write starting — the window in which forward
-	// processing can dirty the page and abort the admission (§4.2).
-	AsyncAdmitDelay time.Duration
 	// Faults, when set, fires crash points inside the manager (the LC
 	// cleaner's mid-lazy-clean site). Device-level faults are injected by
 	// wrapping the SSD device itself; see internal/fault.
 	Faults *fault.Injector
-	// Retry bounds transient-I/O retries on the SSD read/write paths. The
-	// zero value is replaced by device.DefaultRetryPolicy.
-	Retry device.RetryPolicy
 	// ScrubPeriod is the background scrubber's wake-up interval; 0 (the
 	// default) disables scrubbing. Each wake-up verifies up to ScrubBatch
 	// resident frames (default 8) against their checksums and expected
@@ -149,17 +143,11 @@ func (c *Config) setDefaults() {
 	if c.ExtentPages <= 0 {
 		c.ExtentPages = 32
 	}
-	if c.AsyncAdmitDelay <= 0 {
-		c.AsyncAdmitDelay = 500 * time.Microsecond
-	}
 	if c.RandSavedMs <= 0 {
 		c.RandSavedMs = 7.8
 	}
 	if c.SeqSavedMs < 0 {
 		c.SeqSavedMs = 0
-	}
-	if c.Retry.Attempts <= 0 {
-		c.Retry = device.DefaultRetryPolicy()
 	}
 	if c.ScrubBatch <= 0 {
 		c.ScrubBatch = 8
@@ -171,6 +159,14 @@ func (c *Config) setDefaults() {
 		c.QuarantineAfter = 8
 	}
 }
+
+// asyncAdmitDelay models the gap between a disk read completing and TAC's
+// asynchronous SSD write starting — the window in which forward processing
+// can dirty the page and abort the admission (§4.2).
+const asyncAdmitDelay = 500 * time.Microsecond
+
+// retry bounds transient-I/O retries on the SSD read/write paths.
+var retry = device.DefaultRetryPolicy()
 
 // frameRec is one SSD buffer table record (the paper's 88-byte record:
 // page id, dirty bit, last two access times, latch and list pointers — the
@@ -190,21 +186,35 @@ type frameRec struct {
 	shard     int
 }
 
-// shard is one partition of the SSD buffer pool (§3.3.4): its own segment
-// of the buffer table, free list and heaps.
+// shard is one partition of the SSD buffer pool (§3.3.4): its own free
+// list and heaps over the frames dealt to it. Frames are dealt round-robin,
+// so shard num holds frames num, num+N, num+2N, ...; its LRU-2 heaps key a
+// frame by its shard-local number idx / N.
 type shard struct {
-	table pagetab.Table[int32] // SSD hash table entries owned by this shard
-	free  []int                // SSD free list
-	clean policy.Policy        // clean heap: replacement policy over clean valid frames
-	dirty *policy.LRU2Cache    // dirty heap: LRU-2 over dirty frames (LC only)
-	tac   tacHeap              // TAC replacement heap (temperature order)
+	num   int               // this shard's index in Manager.shards
+	free  []int             // SSD free list
+	clean policy.Policy     // clean heap: replacement policy over clean valid frames
+	dirty *policy.LRU2Cache // dirty heap: LRU-2 over dirty frames (LC only)
+	tac   tacHeap           // TAC replacement heap (temperature order)
 }
 
-// lookup returns the frame index caching pid, if any.
-func (s *shard) lookup(pid page.ID) (int, bool) {
-	idx, ok := s.table.Get(uint64(pid))
-	return int(idx), ok
+// lookup returns the frame index caching pid, if any. Ids outside the
+// directory are never cached: the lazy cleaner probes the neighbours of
+// the first and last page.
+func (m *Manager) lookup(pid page.ID) (int, bool) {
+	if uint64(pid) >= uint64(len(m.dir)) {
+		return 0, false
+	}
+	v := m.dir[pid]
+	return int(v) - 1, v != 0
 }
+
+// heapKey is frame idx's key in its shard's LRU-2 heaps: the shard-local
+// frame number.
+func (m *Manager) heapKey(idx int) int64 { return int64(idx / len(m.shards)) }
+
+// heapFrame inverts heapKey for shard s.
+func (m *Manager) heapFrame(s *shard, key int64) int { return int(key)*len(m.shards) + s.num }
 
 // Stats counts manager activity.
 type Stats struct {
@@ -307,7 +317,8 @@ type Manager struct {
 	slotBad []uint8
 	retired []bool
 
-	temps pagetab.Table[float64] // TAC extent temperatures (absent = 0)
+	dir   []int32   // SSD hash table: page id -> frame index + 1; 0 = not cached
+	temps []float64 // TAC extent temperatures, by extent number
 
 	// Free lists for encoded-page scratch buffers, the small [][]byte
 	// vectors that carry them through device transfers, and the group-clean
@@ -370,8 +381,9 @@ func (m *Manager) putVec(v [][]byte) {
 }
 
 // NewManager creates a manager over dev (the SSD device, one device page
-// per frame) and disk (the database disk subsystem, for write-back paths).
-func NewManager(env *sim.Env, dev device.Device, disk Disk, cfg Config) *Manager {
+// per frame) and disk (the database disk subsystem, for write-back paths)
+// that caches pages with ids in [0, pages).
+func NewManager(env *sim.Env, dev device.Device, disk Disk, pages int, cfg Config) *Manager {
 	cfg.setDefaults()
 	m := &Manager{
 		env:     env,
@@ -387,12 +399,19 @@ func NewManager(env *sim.Env, dev device.Device, disk Disk, cfg Config) *Manager
 	if cfg.Frames == 0 {
 		n = 1
 	}
+	if m.Enabled() {
+		m.dir = make([]int32, pages)
+		if cfg.Design == TAC {
+			m.temps = make([]float64, (pages+cfg.ExtentPages-1)/cfg.ExtentPages)
+		}
+	}
 	m.shards = make([]shard, n)
 	perShard := cfg.Frames/n + 1
 	for i := range m.shards {
 		m.shards[i] = shard{
-			clean: policy.New(cfg.Policy, perShard),
-			dirty: policy.NewLRU2(),
+			num:   i,
+			clean: policy.New(cfg.Policy, perShard, perShard),
+			dirty: policy.NewLRU2(perShard),
 		}
 	}
 	// Deal frames to shards round-robin so shard capacities differ by at
@@ -425,13 +444,13 @@ func (m *Manager) Stats() Stats {
 // Hits returns Stats().Hits without assembling the rest.
 func (m *Manager) Hits() int64 { return m.stats.Hits }
 
-// cleanKey is the clean-policy key for frame idx: the frame index under
-// LRU2 — preserving the legacy (prev, last, key) tie-break order exactly
-// — and the page id under the adaptive policies, so ARC's ghost lists
-// and TinyLFU's sketch track pages across frame reuse.
+// cleanKey is the clean-policy key for frame idx: its heapKey under LRU2
+// — preserving the (prev, last, frame index) tie-break order exactly —
+// and the page id under the adaptive policies, so ARC's ghost lists and
+// TinyLFU's sketch track pages across frame reuse.
 func (m *Manager) cleanKey(idx int) int64 {
 	if m.cfg.Policy == policy.LRU2 {
-		return int64(idx)
+		return m.heapKey(idx)
 	}
 	return int64(m.frames[idx].pid)
 }
@@ -439,9 +458,9 @@ func (m *Manager) cleanKey(idx int) int64 {
 // victimFrame resolves a clean-policy victim key back to a frame index.
 func (m *Manager) victimFrame(s *shard, key int64) (int, bool) {
 	if m.cfg.Policy == policy.LRU2 {
-		return int(key), true
+		return m.heapFrame(s, key), true
 	}
-	return s.lookup(page.ID(key))
+	return m.lookup(page.ID(key))
 }
 
 // recordAccess feeds one lookup (hit or miss) to the shard policy's
@@ -506,8 +525,7 @@ func (m *Manager) Contains(pid page.ID) bool {
 	if !m.Enabled() {
 		return false
 	}
-	s := m.shardOf(pid)
-	idx, ok := s.lookup(pid)
+	idx, ok := m.lookup(pid)
 	return ok && m.frames[idx].valid
 }
 
@@ -561,8 +579,7 @@ func (m *Manager) FrameIndexOf(pid page.ID) (int, bool) {
 	if !m.Enabled() {
 		return 0, false
 	}
-	s := m.shardOf(pid)
-	idx, ok := s.lookup(pid)
+	idx, ok := m.lookup(pid)
 	if !ok || !m.frames[idx].valid {
 		return 0, false
 	}
@@ -596,7 +613,7 @@ func (m *Manager) condemnFrame(idx int) {
 	if rec.dirty {
 		rec.dirty = false
 		m.dirtyCount--
-		s.dirty.Remove(int64(idx))
+		s.dirty.Remove(m.heapKey(idx))
 	}
 	s.clean.Remove(m.cleanKey(idx))
 	rec.valid = false
@@ -664,7 +681,7 @@ func (m *Manager) dropFrame(idx int) {
 	if rec.dirty {
 		rec.dirty = false
 		m.dirtyCount--
-		s.dirty.Remove(int64(idx))
+		s.dirty.Remove(m.heapKey(idx))
 	}
 	s.clean.Remove(m.cleanKey(idx))
 	rec.valid = false
@@ -677,8 +694,7 @@ func (m *Manager) IsDirty(pid page.ID) bool {
 	if !m.Enabled() {
 		return false
 	}
-	s := m.shardOf(pid)
-	idx, ok := s.lookup(pid)
+	idx, ok := m.lookup(pid)
 	return ok && m.frames[idx].valid && m.frames[idx].dirty
 }
 
@@ -849,7 +865,7 @@ func (m *Manager) touch(idx int) {
 		return // TAC replaces by temperature, not recency
 	}
 	if rec.dirty {
-		s.dirty.TouchHistory(int64(idx), rec.last, rec.prev)
+		s.dirty.TouchHistory(m.heapKey(idx), rec.last, rec.prev)
 	} else {
 		s.clean.TouchHistory(m.cleanKey(idx), rec.last, rec.prev)
 	}
@@ -874,9 +890,9 @@ func (m *Manager) freeFrame(idx int) {
 		panic("ssd: freeing unoccupied frame")
 	}
 	s := &m.shards[rec.shard]
-	s.table.Delete(uint64(rec.pid))
+	m.dir[rec.pid] = 0
 	s.clean.Remove(m.cleanKey(idx))
-	s.dirty.Remove(int64(idx))
+	s.dirty.Remove(m.heapKey(idx))
 	if rec.dirty {
 		m.dirtyCount--
 	}
@@ -901,8 +917,7 @@ func (m *Manager) Invalidate(pid page.ID) {
 	if !m.Enabled() {
 		return
 	}
-	s := m.shardOf(pid)
-	idx, ok := s.lookup(pid)
+	idx, ok := m.lookup(pid)
 	if !ok {
 		return
 	}
@@ -951,11 +966,11 @@ func (m *Manager) allocFrame(pid page.ID, dirty bool) int {
 	rec.dirty = dirty
 	rec.last = m.env.Now()
 	rec.prev = policy.Never()
-	s.table.Put(uint64(pid), int32(idx))
+	m.dir[pid] = int32(idx + 1)
 	m.occupied++
 	if dirty {
 		m.dirtyCount++
-		s.dirty.TouchHistory(int64(idx), rec.last, rec.prev)
+		s.dirty.TouchHistory(m.heapKey(idx), rec.last, rec.prev)
 	} else {
 		s.clean.TouchHistory(m.cleanKey(idx), rec.last, rec.prev)
 	}

@@ -11,6 +11,9 @@ import (
 
 const testPayload = 40
 
+// testPages bounds the page ids the tests cache.
+const testPages = 1024
+
 // recordingDisk implements Disk, recording write runs without charging time.
 type recordingDisk struct {
 	writes []diskWrite
@@ -54,7 +57,7 @@ func newFixture(design Design, frames int, mod func(*Config)) *fixture {
 	if mod != nil {
 		mod(&cfg)
 	}
-	return &fixture{env: env, dev: dev, disk: disk, m: NewManager(env, dev, disk, cfg)}
+	return &fixture{env: env, dev: dev, disk: disk, m: NewManager(env, dev, disk, testPages, cfg)}
 }
 
 func mkPage(id page.ID, lsn uint64, fill byte) *page.Page {
@@ -170,7 +173,7 @@ func TestDWWritesAreConcurrent(t *testing.T) {
 	env := sim.NewEnv()
 	dev := device.NewSSD(env, device.Profile{RandWrite: 4 * time.Millisecond, SeqWrite: 4 * time.Millisecond, RandRead: time.Millisecond, SeqRead: time.Millisecond}, 8)
 	slow := &slowDisk{d: 10 * time.Millisecond}
-	m := NewManager(env, dev, slow, Config{Design: DW, Frames: 8, Partitions: 1, PayloadSize: testPayload})
+	m := NewManager(env, dev, slow, testPages, Config{Design: DW, Frames: 8, Partitions: 1, PayloadSize: testPayload})
 	var took time.Duration
 	env.Go("t", func(p *sim.Proc) {
 		m.OnEvict(p, mkPage(1, 1, 1), true, true)

@@ -44,15 +44,9 @@ func (h *tacHeap) Pop() interface{} {
 	return e
 }
 
-// extentOf maps a page to its temperature extent.
-func (m *Manager) extentOf(pid page.ID) int64 {
-	return int64(pid) / int64(m.cfg.ExtentPages)
-}
-
 // ExtentTemperature returns the current temperature of pid's extent.
 func (m *Manager) ExtentTemperature(pid page.ID) float64 {
-	t, _ := m.temps.Get(uint64(m.extentOf(pid)))
-	return t
+	return m.temps[int(pid)/m.cfg.ExtentPages]
 }
 
 // TACNoteMiss records a memory-pool miss for temperature tracking: the
@@ -65,9 +59,7 @@ func (m *Manager) TACNoteMiss(pid page.ID, random bool) {
 	if !random {
 		saved = m.cfg.SeqSavedMs
 	}
-	ext := uint64(m.extentOf(pid))
-	t, _ := m.temps.Get(ext)
-	m.temps.Put(ext, t+saved)
+	m.temps[int(pid)/m.cfg.ExtentPages] += saved
 }
 
 // tacAllocFrame claims a frame for pid: the free list first, then — when
@@ -96,7 +88,7 @@ func (m *Manager) tacAllocFrame(pid page.ID) int {
 	rec.dirty = false
 	rec.last = m.env.Now()
 	rec.prev = policy.Never()
-	s.table.Put(uint64(pid), int32(idx))
+	m.dir[pid] = int32(idx + 1)
 	m.occupied++
 	m.pushTac(idx)
 	return idx

@@ -67,13 +67,13 @@ func (o *readOp) read(err error) {
 	if err != nil {
 		m.stats.ReadErrors++
 		m.noteDeviceErr(err)
-		if m.cfg.Retry.Retryable(err, o.attempt) {
+		if retry.Retryable(err, o.attempt) {
 			// Bounded retries, the standard storage response — and necessary
 			// for dirty LC frames, whose copy is the only up-to-date one. The
 			// frame's in-flight count stays held across the backoff so it
 			// cannot be reclaimed mid-retry.
 			m.stats.ReadRetries++
-			d := m.cfg.Retry.Delay(o.attempt)
+			d := retry.Delay(o.attempt)
 			o.attempt++
 			if d > 0 {
 				o.t.Sleep(d, o.onRetry)
@@ -105,7 +105,7 @@ func (m *Manager) ReadTask(t *sim.Task, pid page.ID, pg *page.Page, k func(bool,
 	}
 	s := m.shardOf(pid)
 	m.recordAccess(s, pid)
-	idx, ok := s.lookup(pid)
+	idx, ok := m.lookup(pid)
 	if !ok || !m.frames[idx].valid {
 		m.stats.Misses++
 		k(false, nil)
@@ -179,9 +179,9 @@ func (o *wfOp) written(err error) {
 	if err != nil {
 		m.stats.WriteErrors++
 		m.noteDeviceErr(err)
-		if m.cfg.Retry.Retryable(err, o.attempt) {
+		if retry.Retryable(err, o.attempt) {
 			m.stats.WriteRetries++
-			d := m.cfg.Retry.Delay(o.attempt)
+			d := retry.Delay(o.attempt)
 			o.attempt++
 			if d > 0 {
 				o.t.Sleep(d, o.onRetry)
@@ -289,7 +289,7 @@ func (m *Manager) admitTask(t *sim.Task, pg *page.Page, dirty bool, k func(bool,
 		return
 	}
 	s := m.shardOf(pg.ID)
-	if idx, ok := s.lookup(pg.ID); ok {
+	if idx, ok := m.lookup(pg.ID); ok {
 		rec := &m.frames[idx]
 		if rec.valid && !dirty {
 			k(true, nil) // identical clean copy already cached
@@ -518,8 +518,7 @@ func (m *Manager) tacRevalidateTask(t *sim.Task, pg *page.Page, k func(error)) {
 		k(nil)
 		return
 	}
-	s := m.shardOf(pg.ID)
-	idx, ok := s.lookup(pg.ID)
+	idx, ok := m.lookup(pg.ID)
 	if !ok {
 		k(nil)
 		return
@@ -564,7 +563,7 @@ func (m *Manager) getTacAdmitOp() *tacAdmitOp {
 	o := &tacAdmitOp{m: m}
 	o.spawnF = func(child *sim.Task) {
 		o.child = child
-		child.Sleep(o.m.cfg.AsyncAdmitDelay, o.onAwake)
+		child.Sleep(asyncAdmitDelay, o.onAwake)
 	}
 	o.onAwake = o.awake
 	o.onAdmit = o.admitted
@@ -634,7 +633,7 @@ func (m *Manager) tacAdmitTask(t *sim.Task, snap *page.Page, k func(error)) {
 		return
 	}
 	s := m.shardOf(snap.ID)
-	if idx, ok := s.lookup(snap.ID); ok {
+	if idx, ok := m.lookup(snap.ID); ok {
 		rec := &m.frames[idx]
 		if rec.valid {
 			k(nil) // already cached
