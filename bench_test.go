@@ -32,8 +32,6 @@ func BenchmarkPolicyEvictTinyLFU(b *testing.B) { microbench.PolicyEvictTinyLFU(b
 func BenchmarkSketchIncrement(b *testing.B)    { microbench.SketchIncrement(b) }
 func BenchmarkSketchEstimate(b *testing.B)     { microbench.SketchEstimate(b) }
 
-// The scheduler pair (see internal/microbench/flat.go): the calendar-queue
-// scheduler vs the reference binary heap.
-
+// The scheduler's event queue on a 2 048-pending push/pop mix (see
+// internal/microbench/flat.go).
 func BenchmarkSchedulerCalendar(b *testing.B) { microbench.SchedulerCalendar(b) }
-func BenchmarkSchedulerHeap(b *testing.B)     { microbench.SchedulerHeap(b) }

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"turbobp/internal/bufpool"
 	"turbobp/internal/device"
 	"turbobp/internal/page"
 	"turbobp/internal/sim"
@@ -196,6 +197,49 @@ func TestSSDHitAfterEviction(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestMissLatencyTierPerAccess runs two concurrent point reads: one of a
+// page the SSD holds, one of a page only the disk holds. Each files its
+// latency under its own tier, however the SSD hit interleaves with the
+// disk read's wait.
+func TestMissLatencyTierPerAccess(t *testing.T) {
+	cfg := testConfig(ssd.DW)
+	cfg.PoolPages = 4
+	env, e := start(t, cfg)
+	defer finish(env, e)
+	drive(t, env, e, func(p *sim.Proc) {
+		e.Get(p, 1)
+		for pid := page.ID(10); pid < 20; pid++ {
+			e.Get(p, pid)
+		}
+		if !e.SSD().Contains(1) || e.SSD().Contains(300) {
+			t.Fatal("want page 1 on the SSD and page 300 only on disk")
+		}
+		lat := e.Latencies()
+		ssdBefore, diskBefore := lat.SSDHit.Count(), lat.DiskRead.Count()
+		left := 2
+		both := sim.NewSignal(env)
+		for _, pid := range []page.ID{300, 1} {
+			env.Spawn("get", func(tk *sim.Task) {
+				e.GetTask(tk, pid, func(_ *bufpool.Frame, err error) {
+					if err != nil {
+						t.Errorf("get %d: %v", pid, err)
+					}
+					if left--; left == 0 {
+						both.Broadcast()
+					}
+				})
+			})
+		}
+		both.Wait(p)
+		if got := lat.SSDHit.Count() - ssdBefore; got != 1 {
+			t.Errorf("SSD-hit latencies +%d, want +1", got)
+		}
+		if got := lat.DiskRead.Count() - diskBefore; got != 1 {
+			t.Errorf("disk-read latencies +%d, want +1", got)
+		}
+	})
 }
 
 func TestUpdateInvalidatesSSDCopy(t *testing.T) {

@@ -51,10 +51,10 @@ type txOp struct {
 	pid  page.ID
 	t0   time.Duration
 
-	ssdHitsBefore int64
-	viaReadAhead  bool
-	truthScan     bool
-	seqLabel      bool
+	ssdHit       bool // this access's SSD probe served the page
+	viaReadAhead bool
+	truthScan    bool
+	seqLabel     bool
 
 	tx     uint64
 	mutate func(payload []byte)
@@ -106,6 +106,7 @@ func (o *txOp) recycle() {
 	e := o.e
 	o.t, o.mutate, o.gk, o.uk, o.ck = nil, nil, nil, nil, nil
 	o.v, o.f, o.bufs = nil, nil, nil
+	o.ssdHit = false
 	e.opFree = append(e.opFree, o)
 }
 
@@ -199,7 +200,6 @@ func (o *txOp) cpuCharged() {
 		o.finish(f, nil)
 		return
 	}
-	o.ssdHitsBefore = e.mgr.Hits()
 	o.fetch()
 }
 
@@ -397,6 +397,7 @@ func (o *txOp) ssdRead(hit bool, err error) {
 		return
 	}
 	if hit {
+		o.ssdHit = true
 		f := o.f
 		o.f = nil
 		f.Seq = false // SSD-cached pages were random by admission
@@ -464,7 +465,7 @@ func (o *txOp) installed() {
 func (o *txOp) finishFetch(f *bufpool.Frame, err error) {
 	e := o.e
 	if err == nil && o.kind != opFetch {
-		if e.mgr.Hits() > o.ssdHitsBefore {
+		if o.ssdHit {
 			e.lat.SSDHit.Observe(e.env.Now() - o.t0)
 		} else {
 			e.lat.DiskRead.Observe(e.env.Now() - o.t0)

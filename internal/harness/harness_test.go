@@ -559,6 +559,24 @@ func TestRunOLTPKeepsNoLogHistory(t *testing.T) {
 	}
 }
 
+// TestOLTPCellDispatchPin pins the scheduler on a real cell: the TPC-C
+// 1K-warehouse LC cell at divisor 8192 dispatches 114 777 events (queue
+// pops plus inline sleeps) and commits 5 347 transactions, the figures of
+// the calendar-queue scheduler the binary heap replaced. Both queues
+// dispatch in (time, sequence) order, so a change to either number means
+// the dispatch order moved.
+func TestOLTPCellDispatchPin(t *testing.T) {
+	r, err := RunOLTP(buildOLTP(Scale{Divisor: 8192}, ssd.LC, "tpcc", TPCCSizesGB[1], nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantEvents, wantCommits = 114777, 5347
+	if r.Events != wantEvents || r.Engine.Commits != wantCommits {
+		t.Errorf("cell dispatched %d events and committed %d transactions, want %d and %d",
+			r.Events, r.Engine.Commits, wantEvents, wantCommits)
+	}
+}
+
 // TestIndexCellKeepsNoLogHistory is TestRunOLTPKeepsNoLogHistory for an
 // index cell, whose engine newRunEngine builds too: one B+-tree point
 // cell under LC at divisor 8192 allocated 16.8 MB when the cell built its

@@ -7,19 +7,20 @@ import (
 	"turbobp/internal/sim"
 )
 
-// The scheduler pair runs the identical workload on the production
-// calendar-queue event scheduler and the reference binary heap it
-// replaced, so the two ns/op readings give the ratio directly.
-
-// schedulerPending keeps this many events in flight, on the order of the
-// process population of a large experiment cell.
+// schedulerPending keeps this many events in flight: sixteen times the
+// deepest queue any experiment holds at divisors 8192, 1024 and 256 (128
+// pending; a sim_oltp pass holds at most 35). It is a deep-queue case, not
+// the traffic of a run, which also peeks at the head about twice per push.
 const schedulerPending = 2048
 
-// schedulerQueue measures steady-state push/pop throughput with a standing
-// population of pending events whose delays mix the scheduler's regimes:
-// same-instant wakeups, sub-bucket jitter and device-scale sleeps.
-func schedulerQueue(b *testing.B, calendar bool) {
-	q := sim.NewEventQueue(calendar)
+// SchedulerCalendar measures the scheduler's event queue, the binary heap
+// behind sim.EventQueue: steady-state push/pop throughput with a standing
+// population of pending events whose delays mix the scheduler's regimes,
+// same-instant wakeups, sub-millisecond jitter and device-scale sleeps. It
+// keeps the name of the calendar queue the heap replaced, which the
+// benchmark's sim.sched_calendar_ns row calls it by.
+func SchedulerCalendar(b *testing.B) {
+	q := sim.NewEventQueue()
 	delay := func(i int) time.Duration {
 		switch i & 3 {
 		case 0:
@@ -42,9 +43,3 @@ func schedulerQueue(b *testing.B, calendar bool) {
 		q.Push(q.Now() + delay(i))
 	}
 }
-
-// SchedulerCalendar measures the production calendar-queue scheduler.
-func SchedulerCalendar(b *testing.B) { schedulerQueue(b, true) }
-
-// SchedulerHeap measures the reference binary-heap scheduler it replaced.
-func SchedulerHeap(b *testing.B) { schedulerQueue(b, false) }

@@ -1,20 +1,12 @@
 package sim
 
-import (
-	"math/bits"
-	"time"
-)
+import "time"
 
-// This file holds the scheduler's event queue. The production structure is
-// calQueue, a calendar queue (a timing wheel of per-bucket mini-heaps with a
-// FIFO ring for same-instant wakeups and a binary-heap overflow for events
-// beyond the wheel horizon). schedule and dispatch are O(1) amortized
-// instead of the O(log n) of a single binary heap, which matters at the
-// millions of events a full experiment cell dispatches. eventHeap, the
-// plain binary heap it replaced, remains as the overflow structure and as
-// the reference implementation the property tests and benchmarks compare
-// against. Both dispatch in exactly (at, seq) order, so swapping them can
-// never change simulation output.
+// This file holds the scheduler's event queue: eventHeap, a binary min-heap
+// ordered by (virtual time, sequence). An experiment holds few events at a
+// time — at most 128 pending in any experiment at divisors 8192, 1024 and
+// 256 — so the heap is shallow, and the scheduler reads its head (peek) far
+// more often than it pushes.
 
 // event is a scheduled wakeup: either a process to resume (proc) or a
 // run-to-completion continuation to call (fn). Exactly one is set.
@@ -55,7 +47,16 @@ func (h *eventHeap) push(ev event) {
 	}
 }
 
-// pop removes and returns the minimum event.
+// peek returns the minimum event without removing it, and false when the
+// heap is empty.
+func (h eventHeap) peek() (event, bool) {
+	if len(h) == 0 {
+		return event{}, false
+	}
+	return h[0], true
+}
+
+// pop removes and returns the minimum event. The heap must be non-empty.
 func (h *eventHeap) pop() event {
 	s := *h
 	n := len(s) - 1
@@ -83,236 +84,22 @@ func (h *eventHeap) pop() event {
 	return ev
 }
 
-// Calendar-queue geometry. A bucket spans 2^calShift nanoseconds of virtual
-// time (≈66µs, on the order of one device service time), and the wheel's
-// calBuckets buckets cover ≈67ms ahead of the cursor; anything further goes
-// to the overflow heap until the cursor gets close. The occupancy bitmap
-// lets the dispatch scan jump over empty buckets a word at a time, so a
-// sparse schedule costs a few word tests rather than a walk.
-const (
-	calShift   = 16
-	calBuckets = 1024 // power of two
-	calMask    = calBuckets - 1
-	calWords   = calBuckets / 64
-)
-
-// peek-cache source tags.
-const (
-	calPeekNone = iota
-	calPeekRing
-	calPeekWheel
-	calPeekOverflow
-)
-
-// calQueue is the calendar-queue event scheduler. The zero value is an
-// empty queue.
-//
-// Invariants, maintained by push/pop:
-//   - cursor never exceeds the bucket of any pending event, because it only
-//     advances to the bucket of an event being dispatched (the minimum).
-//   - every wheel event's bucket lies in [cursor, cursor+calBuckets).
-//   - every overflow event's bucket lies at or beyond cursor+calBuckets;
-//     advancing the cursor migrates newly-due overflow events into the
-//     wheel, keeping the wheel minimum the global minimum.
-//   - the ring holds events scheduled at the then-current instant; since
-//     virtual time and seq are both monotone, it is FIFO-sorted by
-//     (at, seq) without any comparisons.
-type calQueue struct {
-	size int
-
-	// ring is a circular FIFO of same-instant wakeups — the dominant case:
-	// process starts, signal broadcasts and resource handoffs all schedule
-	// at the current time.
-	ring     []event // power-of-two capacity
-	ringHead int
-	ringLen  int
-
-	cursor     int64 // absolute bucket number the dispatch scan starts at
-	wheelCount int
-	occ        [calWords]uint64
-	bucket     [calBuckets]eventHeap
-
-	overflow eventHeap
-
-	// One-slot peek cache so Run's peek-then-pop pair locates the minimum
-	// once. Any push or pop invalidates it.
-	peekSrc    int
-	peekEv     event
-	peekBucket int64
-}
-
-// push enqueues ev; now is the current virtual time (events at `now` take
-// the ring fast path).
-func (q *calQueue) push(ev event, now time.Duration) {
-	q.size++
-	q.peekSrc = calPeekNone
-	if ev.at == now {
-		q.ringPush(ev)
-		return
-	}
-	b := int64(ev.at) >> calShift
-	if b >= q.cursor+calBuckets {
-		q.overflow.push(ev)
-		return
-	}
-	q.bucketPush(b, ev)
-}
-
-func (q *calQueue) ringPush(ev event) {
-	if q.ringLen == len(q.ring) {
-		n := 2 * len(q.ring)
-		if n == 0 {
-			n = 64
-		}
-		grown := make([]event, n)
-		for i := 0; i < q.ringLen; i++ {
-			grown[i] = q.ring[(q.ringHead+i)&(len(q.ring)-1)]
-		}
-		q.ring = grown
-		q.ringHead = 0
-	}
-	q.ring[(q.ringHead+q.ringLen)&(len(q.ring)-1)] = ev
-	q.ringLen++
-}
-
-func (q *calQueue) bucketPush(b int64, ev event) {
-	slot := int(b & calMask)
-	h := &q.bucket[slot]
-	if len(*h) == 0 {
-		q.occ[slot>>6] |= 1 << uint(slot&63)
-	}
-	h.push(ev)
-	q.wheelCount++
-}
-
-// nextOccupied returns the absolute bucket of the first occupied wheel slot
-// at or after the cursor. The caller guarantees wheelCount > 0.
-func (q *calQueue) nextOccupied() int64 {
-	slot := int(q.cursor & calMask)
-	w := slot >> 6
-	word := q.occ[w] & (^uint64(0) << uint(slot&63))
-	for {
-		if word != 0 {
-			s := w<<6 + bits.TrailingZeros64(word)
-			return q.cursor + (int64(s-slot) & calMask)
-		}
-		w = (w + 1) & (calWords - 1)
-		word = q.occ[w]
-	}
-}
-
-// locate finds the minimum pending event and caches its source. Wheel
-// events always precede overflow events (see the invariants), so the
-// overflow heap competes only when the wheel is empty; the ring competes
-// with either by direct (at, seq) comparison.
-func (q *calQueue) locate() {
-	src := calPeekNone
-	var best event
-	if q.ringLen > 0 {
-		best = q.ring[q.ringHead]
-		src = calPeekRing
-	}
-	if q.wheelCount > 0 {
-		b := q.nextOccupied()
-		if ev := q.bucket[b&calMask][0]; src == calPeekNone || ev.before(best) {
-			best = ev
-			src = calPeekWheel
-			q.peekBucket = b
-		}
-	} else if len(q.overflow) > 0 {
-		if ev := q.overflow[0]; src == calPeekNone || ev.before(best) {
-			best = ev
-			src = calPeekOverflow
-		}
-	}
-	q.peekEv = best
-	q.peekSrc = src
-}
-
-// peek returns the next event to dispatch without removing it.
-func (q *calQueue) peek() (event, bool) {
-	if q.size == 0 {
-		return event{}, false
-	}
-	if q.peekSrc == calPeekNone {
-		q.locate()
-	}
-	return q.peekEv, true
-}
-
-// pop removes and returns the minimum event. The queue must be non-empty.
-func (q *calQueue) pop() event {
-	if q.peekSrc == calPeekNone {
-		q.locate()
-	}
-	ev := q.peekEv
-	switch q.peekSrc {
-	case calPeekRing:
-		q.ring[q.ringHead] = event{} // release the *Proc reference
-		q.ringHead = (q.ringHead + 1) & (len(q.ring) - 1)
-		q.ringLen--
-	case calPeekWheel:
-		b := q.peekBucket
-		slot := int(b & calMask)
-		q.bucket[slot].pop()
-		if len(q.bucket[slot]) == 0 {
-			q.occ[slot>>6] &^= 1 << uint(slot&63)
-		}
-		q.wheelCount--
-		if b > q.cursor {
-			q.advance(b)
-		}
-	case calPeekOverflow:
-		q.overflow.pop()
-		if b := int64(ev.at) >> calShift; b > q.cursor {
-			q.advance(b)
-		}
-	}
-	q.size--
-	q.peekSrc = calPeekNone
-	return ev
-}
-
-// advance moves the cursor to absolute bucket b (that of the event being
-// dispatched) and migrates overflow events the grown horizon now covers.
-func (q *calQueue) advance(b int64) {
-	q.cursor = b
-	horizon := (q.cursor + calBuckets) << calShift
-	for len(q.overflow) > 0 && int64(q.overflow[0].at) < horizon {
-		ev := q.overflow.pop()
-		q.bucketPush(int64(ev.at)>>calShift, ev)
-	}
-}
-
-// reset drops every pending event and all retained storage.
-func (q *calQueue) reset() { *q = calQueue{} }
-
-// EventQueue is a standalone handle over the scheduler's event-queue
-// implementations, exported for the cross-implementation property tests
-// and the microbenchmarks. Calendar selects the production calendar queue;
-// otherwise the reference binary heap. Push and Pop mirror how Env.schedule
-// and Env.Run's dispatch loop drive the queue: pushed times clamp to the
-// virtual clock, which advances to each popped event's time.
+// EventQueue is a standalone handle over the scheduler's event queue,
+// exported for the property tests and the microbenchmarks. Push and Pop
+// mirror how Env.schedule and Env.Run's dispatch loop drive the queue:
+// pushed times clamp to the virtual clock, which advances to each popped
+// event's time.
 type EventQueue struct {
-	cal      calQueue
-	heap     eventHeap
-	calendar bool
-	seq      uint64
-	now      time.Duration
+	heap eventHeap
+	seq  uint64
+	now  time.Duration
 }
 
-// NewEventQueue returns an empty queue of the chosen implementation.
-func NewEventQueue(calendar bool) *EventQueue {
-	return &EventQueue{calendar: calendar}
-}
+// NewEventQueue returns an empty queue.
+func NewEventQueue() *EventQueue { return &EventQueue{} }
 
 // Len returns the number of pending events.
-func (q *EventQueue) Len() int {
-	if q.calendar {
-		return q.cal.size
-	}
-	return len(q.heap)
-}
+func (q *EventQueue) Len() int { return len(q.heap) }
 
 // Now returns the queue's virtual clock.
 func (q *EventQueue) Now() time.Duration { return q.now }
@@ -323,29 +110,16 @@ func (q *EventQueue) Push(at time.Duration) {
 		at = q.now
 	}
 	q.seq++
-	ev := event{at: at, seq: q.seq}
-	if q.calendar {
-		q.cal.push(ev, q.now)
-	} else {
-		q.heap.push(ev)
-	}
+	q.heap.push(event{at: at, seq: q.seq})
 }
 
 // Pop dispatches the earliest (at, seq) event, advancing the virtual clock
 // to its time, and returns that time and the event's sequence number.
 func (q *EventQueue) Pop() (at time.Duration, seq uint64, ok bool) {
-	var ev event
-	if q.calendar {
-		if q.cal.size == 0 {
-			return 0, 0, false
-		}
-		ev = q.cal.pop()
-	} else {
-		if len(q.heap) == 0 {
-			return 0, 0, false
-		}
-		ev = q.heap.pop()
+	if len(q.heap) == 0 {
+		return 0, 0, false
 	}
+	ev := q.heap.pop()
 	q.now = ev.at
 	return ev.at, ev.seq, true
 }

@@ -2,42 +2,82 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
 
-// drainBoth pops every remaining event from both queues, requiring the
-// identical (at, seq) dispatch sequence.
-func drainBoth(t *testing.T, label string, cal, heap *EventQueue) {
-	t.Helper()
-	for cal.Len() > 0 || heap.Len() > 0 {
-		compareOnePop(t, label, cal, heap)
+// checkedQueue drives an EventQueue and an oracle side by side: the oracle
+// keeps the pending events sorted by (at, seq), clamping pushes to its own
+// clock as Push does, so every Pop must return the oracle's first event.
+type checkedQueue struct {
+	t     *testing.T
+	label string
+	q     *EventQueue
+	want  []event // pending events, sorted by (at, seq)
+	seq   uint64
+	now   time.Duration
+}
+
+func newCheckedQueue(t *testing.T, label string) *checkedQueue {
+	return &checkedQueue{t: t, label: label, q: NewEventQueue()}
+}
+
+// push schedules at on the queue and records it in the oracle.
+func (c *checkedQueue) push(at time.Duration) {
+	c.q.Push(at)
+	if at < c.now {
+		at = c.now
+	}
+	// Sequence numbers only grow, so the new event sorts after every
+	// pending one at or before its time.
+	c.seq++
+	i := sort.Search(len(c.want), func(i int) bool { return c.want[i].at > at })
+	c.want = slices.Insert(c.want, i, event{at: at, seq: c.seq})
+	if c.q.Len() != len(c.want) {
+		c.t.Fatalf("%s: Len %d after push, want %d", c.label, c.q.Len(), len(c.want))
 	}
 }
 
-// compareOnePop pops one event from each queue and compares.
-func compareOnePop(t *testing.T, label string, cal, heap *EventQueue) {
-	t.Helper()
-	ca, cs, cok := cal.Pop()
-	ha, hs, hok := heap.Pop()
-	if cok != hok {
-		t.Fatalf("%s: calendar pop ok=%v, heap pop ok=%v", label, cok, hok)
-	}
-	if !cok {
+// pop pops one event and requires the oracle's minimum.
+func (c *checkedQueue) pop() {
+	c.t.Helper()
+	at, seq, ok := c.q.Pop()
+	if len(c.want) == 0 {
+		if ok {
+			c.t.Fatalf("%s: empty queue popped (at=%v seq=%d)", c.label, at, seq)
+		}
 		return
 	}
-	if ca != ha || cs != hs {
-		t.Fatalf("%s: calendar dispatched (at=%v seq=%d), heap (at=%v seq=%d)",
-			label, ca, cs, ha, hs)
+	w := c.want[0]
+	if !ok || at != w.at || seq != w.seq {
+		c.t.Fatalf("%s: popped (at=%v seq=%d ok=%v), want (at=%v seq=%d)", c.label, at, seq, ok, w.at, w.seq)
 	}
+	if c.q.Now() != at {
+		c.t.Fatalf("%s: clock %v after popping an event at %v", c.label, c.q.Now(), at)
+	}
+	c.want = c.want[1:]
+	c.now = at
 }
 
-// TestCalendarMatchesHeapRandom drives the calendar queue and the reference
-// binary heap through identical random push/pop workloads and requires
-// identical (at, seq) dispatch orders. The delay mix covers same-instant
-// ties (FIFO order), sub-bucket jitter, multi-bucket sleeps and far-future
-// events that land in the overflow heap.
-func TestCalendarMatchesHeapRandom(t *testing.T) {
+// drain pops every pending event, then requires an empty queue.
+func (c *checkedQueue) drain() {
+	c.t.Helper()
+	for len(c.want) > 0 {
+		c.pop()
+	}
+	if c.q.Len() != 0 {
+		c.t.Fatalf("%s: Len %d after draining", c.label, c.q.Len())
+	}
+	c.pop()
+}
+
+// TestQueueMatchesOracleRandom drives the queue through random push/pop
+// workloads and requires the (at, seq) dispatch order. The delay mixes
+// cover same-instant ties (FIFO order), sub-device-time jitter,
+// device-scale sleeps and far-future events among short ones.
+func TestQueueMatchesOracleRandom(t *testing.T) {
 	delayMixes := []struct {
 		name string
 		gen  func(rng *rand.Rand) time.Duration
@@ -52,14 +92,12 @@ func TestCalendarMatchesHeapRandom(t *testing.T) {
 			return time.Duration(rng.Int63n(int64(20 * time.Millisecond)))
 		}},
 		{"farFuture", func(rng *rand.Rand) time.Duration {
-			// Well past the ~67ms wheel horizon: exercises overflow and
-			// its migration back into the wheel as the cursor advances.
 			return time.Duration(rng.Int63n(int64(10 * time.Second)))
 		}},
 		{"mixed", func(rng *rand.Rand) time.Duration {
 			switch rng.Intn(4) {
 			case 0:
-				return 0 // same-instant wakeup (ring fast path)
+				return 0 // same-instant wakeup
 			case 1:
 				return time.Duration(rng.Int63n(int64(time.Millisecond)))
 			case 2:
@@ -72,93 +110,73 @@ func TestCalendarMatchesHeapRandom(t *testing.T) {
 	for _, mix := range delayMixes {
 		for seed := int64(0); seed < 5; seed++ {
 			rng := rand.New(rand.NewSource(0xca1 + seed))
-			cal := NewEventQueue(true)
-			heap := NewEventQueue(false)
+			c := newCheckedQueue(t, mix.name)
 			for op := 0; op < 20000; op++ {
-				if cal.Len() == 0 || rng.Intn(5) < 3 {
-					d := mix.gen(rng)
-					cal.Push(cal.Now() + d)
-					heap.Push(heap.Now() + d)
+				if c.q.Len() == 0 || rng.Intn(5) < 3 {
+					c.push(c.q.Now() + mix.gen(rng))
 				} else {
-					compareOnePop(t, mix.name, cal, heap)
-				}
-				if cal.Len() != heap.Len() {
-					t.Fatalf("%s: Len diverged: calendar %d, heap %d", mix.name, cal.Len(), heap.Len())
+					c.pop()
 				}
 			}
-			drainBoth(t, mix.name, cal, heap)
+			c.drain()
 		}
 	}
 }
 
-// TestCalendarSameInstantFIFO pins the FIFO guarantee directly: many events
+// TestQueueSameInstantFIFO pins the FIFO guarantee directly: many events
 // at the same instant dispatch in push order.
-func TestCalendarSameInstantFIFO(t *testing.T) {
-	cal := NewEventQueue(true)
-	heap := NewEventQueue(false)
+func TestQueueSameInstantFIFO(t *testing.T) {
+	c := newCheckedQueue(t, "fifo")
 	for i := 0; i < 1000; i++ {
-		cal.Push(5 * time.Millisecond)
-		heap.Push(5 * time.Millisecond)
+		c.push(5 * time.Millisecond)
 	}
-	var prevSeq uint64
-	for i := 0; i < 1000; i++ {
-		at, seq, ok := cal.Pop()
-		if !ok || at != 5*time.Millisecond {
-			t.Fatalf("pop %d: at=%v ok=%v", i, at, ok)
+	for i := uint64(1); i <= 1000; i++ {
+		if w := c.want[0]; w.at != 5*time.Millisecond || w.seq != i {
+			t.Fatalf("pop %d: oracle holds (at=%v seq=%d), want FIFO", i, w.at, w.seq)
 		}
-		if i > 0 && seq != prevSeq+1 {
-			t.Fatalf("pop %d: seq %d after %d, want FIFO", i, seq, prevSeq)
-		}
-		prevSeq = seq
-		if ha, hs, hok := heap.Pop(); !hok || ha != at || hs != seq {
-			t.Fatalf("pop %d: heap dispatched (at=%v seq=%d ok=%v), calendar (at=%v seq=%d)",
-				i, ha, hs, hok, at, seq)
-		}
+		c.pop()
 	}
+	c.drain()
 }
 
-// TestCalendarPastClampsToNow mirrors Env.schedule's clamp: a push earlier
+// TestQueuePastClampsToNow mirrors Env.schedule's clamp: a push earlier
 // than the clock dispatches at the clock, after everything already queued
 // there.
-func TestCalendarPastClampsToNow(t *testing.T) {
-	cal := NewEventQueue(true)
-	heap := NewEventQueue(false)
-	cal.Push(time.Second)
-	heap.Push(time.Second)
-	cal.Pop() // clock now 1s
-	heap.Pop()
-	cal.Push(time.Millisecond) // in the past: clamps to 1s
-	heap.Push(time.Millisecond)
-	cal.Push(time.Second) // same instant, pushed later
-	heap.Push(time.Second)
-	drainBoth(t, "clamp", cal, heap)
+func TestQueuePastClampsToNow(t *testing.T) {
+	c := newCheckedQueue(t, "clamp")
+	c.push(time.Second)
+	c.pop()                  // clock now 1s
+	c.push(time.Millisecond) // in the past: clamps to 1s
+	c.push(time.Second)      // same instant, pushed later
+	if c.want[0].at != time.Second {
+		t.Fatalf("oracle clamped the past push to %v, want 1s", c.want[0].at)
+	}
+	c.drain()
 }
 
-// TestCalendarSparseJumps exercises long empty stretches (cursor jumps via
-// the occupancy bitmap and overflow-only states) interleaved with bursts.
-func TestCalendarSparseJumps(t *testing.T) {
+// TestQueueSparseJumps interleaves long empty stretches of virtual time
+// with bursts of close events.
+func TestQueueSparseJumps(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	cal := NewEventQueue(true)
-	heap := NewEventQueue(false)
+	c := newCheckedQueue(t, "sparse")
 	for round := 0; round < 200; round++ {
 		gap := time.Duration(rng.Int63n(int64(time.Minute)))
 		burst := 1 + rng.Intn(8)
 		for i := 0; i < burst; i++ {
 			jitter := time.Duration(rng.Int63n(int64(time.Millisecond)))
-			cal.Push(cal.Now() + gap + jitter)
-			heap.Push(heap.Now() + gap + jitter)
+			c.push(c.q.Now() + gap + jitter)
 		}
 		for i := 0; i < burst; i++ {
-			compareOnePop(t, "sparse", cal, heap)
+			c.pop()
 		}
 	}
-	drainBoth(t, "sparse", cal, heap)
+	c.drain()
 }
 
 // TestQueueSteadyStateAllocationFree pins the steady state the scheduler
-// benchmarks measure: with a standing population of pending events mixing
-// same-instant, sub-bucket and device-scale delays, a Pop plus a Push
-// allocates nothing, in the calendar queue and the reference heap alike.
+// benchmark measures: with a standing population of 2 048 pending events
+// mixing same-instant, sub-millisecond and device-scale delays, a Pop plus
+// a Push allocates nothing.
 func TestQueueSteadyStateAllocationFree(t *testing.T) {
 	delay := func(i int) time.Duration {
 		switch i & 3 {
@@ -170,19 +188,17 @@ func TestQueueSteadyStateAllocationFree(t *testing.T) {
 			return time.Duration(i%11) * time.Millisecond
 		}
 	}
-	for _, calendar := range []bool{true, false} {
-		q := NewEventQueue(calendar)
-		i := 0
-		for ; i < 2048; i++ {
-			q.Push(q.Now() + delay(i))
-		}
-		cycle := func() {
-			q.Pop()
-			q.Push(q.Now() + delay(i))
-			i++
-		}
-		if n := testing.AllocsPerRun(2000, cycle); n != 0 {
-			t.Errorf("calendar=%v: Pop + Push allocates %v per cycle", calendar, n)
-		}
+	q := NewEventQueue()
+	i := 0
+	for ; i < 2048; i++ {
+		q.Push(q.Now() + delay(i))
+	}
+	cycle := func() {
+		q.Pop()
+		q.Push(q.Now() + delay(i))
+		i++
+	}
+	if n := testing.AllocsPerRun(2000, cycle); n != 0 {
+		t.Errorf("Pop + Push allocates %v per cycle", n)
 	}
 }

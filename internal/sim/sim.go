@@ -49,7 +49,7 @@ type Env struct {
 	now     time.Duration
 	seq     uint64
 	until   time.Duration // how far a Sleep may advance the clock inline (< 0: no limit); only meaningful while running
-	events  calQueue      // see queue.go
+	events  eventHeap     // see queue.go
 	caller  Proc          // the process Call runs on its caller's goroutine (reused)
 	awaits  []*awaiter    // free list of Await call states (see task.go)
 	live    map[*Proc]struct{}
@@ -145,7 +145,7 @@ func (e *Env) schedule(at time.Duration, p *Proc) {
 		at = e.now
 	}
 	e.seq++
-	e.events.push(event{at: at, seq: e.seq, proc: p}, e.now)
+	e.events.push(event{at: at, seq: e.seq, proc: p})
 }
 
 // Go starts a new process running fn. It may be called before Run, or from
@@ -320,7 +320,7 @@ func (e *Env) Run(until time.Duration) time.Duration {
 	// Deferred, as in Call: a process's panic comes out of Run, and the
 	// environment must be runnable (or Shutdown) after it.
 	defer func() { e.running, e.inlineDepth = false, 0 }()
-	for e.events.size > 0 {
+	for len(e.events) > 0 {
 		ev, _ := e.events.peek()
 		if until >= 0 && ev.at > until {
 			e.now = until
@@ -335,7 +335,7 @@ func (e *Env) Run(until time.Duration) time.Duration {
 }
 
 // Idle reports whether no events are pending.
-func (e *Env) Idle() bool { return e.events.size == 0 }
+func (e *Env) Idle() bool { return len(e.events) == 0 }
 
 // Live returns the number of processes that have been started and have not
 // yet returned.
@@ -351,7 +351,7 @@ func (e *Env) Shutdown() {
 		return
 	}
 	e.stopped = true
-	e.events.reset()
+	e.events = nil
 	for p := range e.live {
 		p.next()
 	}
@@ -476,16 +476,6 @@ func (r *Resource) Acquire(p *Proc) {
 	// Ownership was transferred by Release; inUse already accounts for us.
 }
 
-// TryAcquire takes a unit if one is free without blocking and reports
-// whether it succeeded.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.cap && r.Queued() == 0 {
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Release returns a unit of the resource, waking the oldest waiter if any.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
@@ -505,9 +495,6 @@ func (r *Resource) Release() {
 	}
 	r.inUse--
 }
-
-// InUse returns the number of held units.
-func (r *Resource) InUse() int { return r.inUse }
 
 // Queued returns the number of processes waiting to acquire.
 func (r *Resource) Queued() int { return len(r.waiters) - r.head }

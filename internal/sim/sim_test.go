@@ -309,25 +309,6 @@ func TestResourcePendingCountsHoldersAndWaiters(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	env := NewEnv()
-	res := NewResource(env, 1)
-	env.Go("p", func(p *Proc) {
-		if !res.TryAcquire() {
-			t.Error("TryAcquire failed on free resource")
-		}
-		if res.TryAcquire() {
-			t.Error("TryAcquire succeeded on held resource")
-		}
-		res.Release()
-		if !res.TryAcquire() {
-			t.Error("TryAcquire failed after release")
-		}
-		res.Release()
-	})
-	env.Run(-1)
-}
-
 func TestShutdownUnwindsBlockedProcesses(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, 1)

@@ -53,7 +53,7 @@ func (e *Env) scheduleFn(at time.Duration, fn func()) {
 		at = e.now
 	}
 	e.seq++
-	e.events.push(event{at: at, seq: e.seq, fn: fn}, e.now)
+	e.events.push(event{at: at, seq: e.seq, fn: fn})
 }
 
 // Spawn starts a new run-to-completion task executing fn. Like Go it may be

@@ -441,9 +441,6 @@ func (m *Manager) Stats() Stats {
 	return s
 }
 
-// Hits returns Stats().Hits without assembling the rest.
-func (m *Manager) Hits() int64 { return m.stats.Hits }
-
 // cleanKey is the clean-policy key for frame idx: its heapKey under LRU2
 // — preserving the (prev, last, frame index) tie-break order exactly —
 // and the page id under the adaptive policies, so ARC's ghost lists and

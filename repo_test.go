@@ -38,14 +38,16 @@ func TestBenchModule(t *testing.T) {
 // this module (library, internal, command and example alike) carries a doc
 // comment on its package clause in at least one non-test file. The public
 // access methods (btree, heapfile), the policy layer and the one verified
-// load generator (internal/loadbench), the log (internal/wal) and the
-// devices (internal/device) hold a stricter bar:
+// load generator (internal/loadbench), the log (internal/wal), the
+// devices (internal/device) and the simulation kernel (internal/sim) hold
+// a stricter bar:
 // every exported top-level declaration outside a grouped block, and every
 // method with an exported name, carries a doc comment of its own.
 func TestDocComments(t *testing.T) {
 	strict := map[string]bool{"btree": true, "heapfile": true,
 		filepath.Join("internal", "policy"): true, filepath.Join("internal", "loadbench"): true,
-		filepath.Join("internal", "wal"): true, filepath.Join("internal", "device"): true}
+		filepath.Join("internal", "wal"): true, filepath.Join("internal", "device"): true,
+		filepath.Join("internal", "sim"): true}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
