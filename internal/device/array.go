@@ -36,9 +36,6 @@ func NewArray(env *sim.Env, profile Profile, n int, stripeUnit, capacity PageNum
 	return &Array{env: env, disks: disks, stripeUnit: stripeUnit, capacity: capacity}
 }
 
-// Disks exposes the member disks (read-only use: per-disk stats).
-func (a *Array) Disks() []*HDD { return a.disks }
-
 // locate maps a global page to (disk index, local page).
 func (a *Array) locate(page PageNum) (int, PageNum) {
 	unit := page / a.stripeUnit
@@ -84,7 +81,7 @@ func (a *Array) runTask(t *sim.Task, r run, write bool, k func(error)) {
 // doTask serves one request: range check, stats accounting, splitting into
 // per-disk runs and a parallel fan-out joined before k. Single-stripe
 // requests (every single-page I/O) forward straight to the member disk,
-// inheriting its analytic fast path.
+// with no join.
 func (a *Array) doTask(t *sim.Task, page PageNum, bufs [][]byte, write bool, k func(error)) {
 	if err := checkRange(page, len(bufs), a.capacity); err != nil {
 		k(err)

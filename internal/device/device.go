@@ -37,9 +37,10 @@ var ErrLost = errors.New("device: device lost")
 
 // Device is a page-granular block device. ReadTask and WriteTask are the
 // implementation: they perform the request on behalf of a sim.Task and
-// deliver the result to k — inline when the device queue is empty and the
-// completion time can be computed analytically, otherwise via the
-// scheduler. Callers must treat them as tail calls (no code after). Read
+// deliver the result to k — a simulated device from the scheduler, once
+// the request's queueing and service time have elapsed; a range error, or
+// the real-file backend's syscall, before the call returns. Callers must
+// treat them as tail calls (no code after). Read
 // and Write run the same request for a blocking simulation process through
 // sim.Proc.Await, parking it for the modelled duration; for the real-file
 // backend, whose I/O is a blocking syscall that completes before the call

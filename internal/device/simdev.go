@@ -162,11 +162,9 @@ func (d *simDevice) complete(page PageNum, bufs [][]byte, write bool, dur time.D
 	}
 }
 
-// ioTask serves one request. When the device is
-// idle and the completion is provably the next dispatch, the whole request
-// — queue entry, service time, completion — resolves analytically with no
-// scheduler round-trip at all: AcquireFunc grants inline and Task.Sleep
-// advances the clock inline.
+// ioTask serves one request: it takes the device (at once when it is
+// idle, else in FIFO order), sleeps the service time and continues with k
+// from that sleep's wakeup.
 func (d *simDevice) ioTask(t *sim.Task, page PageNum, bufs [][]byte, write bool, k func(error)) {
 	if err := checkRange(page, len(bufs), d.capacity); err != nil {
 		k(err)

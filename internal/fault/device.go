@@ -33,9 +33,6 @@ type Device struct {
 var _ device.Device = (*Device)(nil)
 var _ device.Formatter = (*Device)(nil)
 
-// Inner returns the wrapped device.
-func (d *Device) Inner() device.Device { return d.inner }
-
 // Lost reports whether the device has failed for good.
 func (d *Device) Lost() bool { return d.lost }
 

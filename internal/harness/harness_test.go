@@ -560,11 +560,10 @@ func TestRunOLTPKeepsNoLogHistory(t *testing.T) {
 }
 
 // TestOLTPCellDispatchPin pins the scheduler on a real cell: the TPC-C
-// 1K-warehouse LC cell at divisor 8192 dispatches 114 777 events (queue
-// pops plus inline sleeps) and commits 5 347 transactions, the figures of
-// the calendar-queue scheduler the binary heap replaced. Both queues
-// dispatch in (time, sequence) order, so a change to either number means
-// the dispatch order moved.
+// 1K-warehouse LC cell at divisor 8192 dispatches 114 777 events and
+// commits 5 347 transactions. The scheduler dispatches in (time, sequence)
+// order and every earlier form of it produced these same figures, so a
+// change to either number means the dispatch order moved.
 func TestOLTPCellDispatchPin(t *testing.T) {
 	r, err := RunOLTP(buildOLTP(Scale{Divisor: 8192}, ssd.LC, "tpcc", TPCCSizesGB[1], nil))
 	if err != nil {

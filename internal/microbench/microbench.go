@@ -1,7 +1,8 @@
 // Package microbench holds the steady-state hot-path microbenchmarks of
 // the simulator. Each function drives b.N operations inside the simulation
 // — the engine benchmarks as one task issuing them back to back, so they
-// time the access path itself and not the process bridge in front of it —
+// time the access path itself, with the scheduler round trip of each of its
+// sleeps, and not the process bridge in front of it —
 // with all setup (engine construction, pool warm-up) done before the timer
 // starts, so ns/op and allocs/op measure only the repeated operation. The
 // same functions back the root-package Benchmark wrappers (`go test
@@ -55,8 +56,9 @@ func drive(b *testing.B, env *sim.Env, fn func(p *sim.Proc) error) {
 
 // taskLoop issues n operations back to back on one task: op issues
 // operation l.i-1 and completes into l.next (or l.onFrame), which issues the
-// following one. Every operation here charges CPU time, so the kernel's
-// inline-depth cap bounds the stack.
+// following one. Every operation here charges CPU time, a queued sleep, so
+// each completion runs from the scheduler's loop and the chain never nests
+// on the stack.
 type taskLoop struct {
 	t    *sim.Task
 	i, n int

@@ -45,10 +45,10 @@ func TestCallWithoutWaitingDispatchesNothing(t *testing.T) {
 		t.Fatalf("ran=%v dispatches=%d dispatched=%d now=%v idle=%v; want true 0 0 0 true",
 			ran, len(*trace), env.Dispatched(), env.Now(), env.Idle())
 	}
-	// Alone on the queue, a sleep is the provably-next event: taken inline.
+	// A sleep is one queued event, even alone on the queue.
 	env.Call("sleeper", func(p *Proc) { p.Sleep(time.Second) })
-	if len(*trace) != 0 || env.Dispatched() != 1 || env.Now() != time.Second {
-		t.Fatalf("inline sleep: dispatches=%d dispatched=%d now=%v; want 0 1 1s", len(*trace), env.Dispatched(), env.Now())
+	if len(*trace) != 1 || env.Dispatched() != 1 || env.Now() != time.Second {
+		t.Fatalf("sleep: dispatches=%d dispatched=%d now=%v; want 1 1 1s", len(*trace), env.Dispatched(), env.Now())
 	}
 }
 
@@ -183,8 +183,8 @@ func TestCallLonePoller(t *testing.T) {
 // TestCallAwaitCompletedOnAnotherGoroutine: the completion of the calling
 // process's Await is raised by a poller, on the poller's goroutine, and the
 // poller then goes on polling with nothing else queued. The completion only
-// marks the process woken; the process must resume at that instant — the
-// poller's next sleep may not run the clock on inline, once or forever.
+// marks the process woken; the process must resume at that instant, before
+// the poller's next wakeup moves the clock.
 func TestCallAwaitCompletedOnAnotherGoroutine(t *testing.T) {
 	env := NewEnv()
 	boom := errors.New("boom")

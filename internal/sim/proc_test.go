@@ -169,7 +169,7 @@ func TestProcResumedFromManyGoroutines(t *testing.T) {
 
 // BenchmarkProcSwitch measures one resume of a Go process: the scheduler
 // switches to it and it parks again. Two processes sleep to the same
-// instants, so neither wakeup is ever provably next and every Sleep parks.
+// instants, so every dispatch switches to the other one.
 func BenchmarkProcSwitch(b *testing.B) {
 	env := NewEnv()
 	for _, name := range []string{"a", "b"} {

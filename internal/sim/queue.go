@@ -8,13 +8,12 @@ import "time"
 // 256 — so the heap is shallow, and the scheduler reads its head (peek) far
 // more often than it pushes.
 
-// event is a scheduled wakeup: either a process to resume (proc) or a
-// run-to-completion continuation to call (fn). Exactly one is set.
+// event is a scheduled wakeup: the continuation fn to call at time at — a
+// task's k, or a blocked process's wake.
 type event struct {
-	at   time.Duration
-	seq  uint64 // tiebreak: FIFO among simultaneous events
-	proc *Proc
-	fn   func()
+	at  time.Duration
+	seq uint64 // tiebreak: FIFO among simultaneous events
+	fn  func()
 }
 
 // before reports whether a dispatches ahead of b: earlier time first,
@@ -62,7 +61,7 @@ func (h *eventHeap) pop() event {
 	n := len(s) - 1
 	ev := s[0]
 	s[0] = s[n]
-	s[n] = event{} // release the *Proc reference
+	s[n] = event{} // release the continuation
 	s = s[:n]
 	*h = s
 	i := 0

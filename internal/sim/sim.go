@@ -30,6 +30,11 @@
 // task form; a blocking process runs it through Proc.Await, which adds no
 // event and no sequence number, so a simulation dispatches the same events
 // whichever kind of caller drives it.
+//
+// Every sleep, of either form, is one event on the queue, and every event is
+// one continuation: a task's k, or a process's wake, which resumes it. The
+// scheduler's loop calls each one, so a chain of sleeps never nests on the
+// stack.
 package sim
 
 import (
@@ -48,39 +53,26 @@ var ErrStopped = errors.New("sim: environment stopped")
 type Env struct {
 	now     time.Duration
 	seq     uint64
-	until   time.Duration // how far a Sleep may advance the clock inline (< 0: no limit); only meaningful while running
-	events  eventHeap     // see queue.go
-	caller  Proc          // the process Call runs on its caller's goroutine (reused)
-	awaits  []*awaiter    // free list of Await call states (see task.go)
+	events  eventHeap  // see queue.go
+	caller  Proc       // the process Call runs on its caller's goroutine (reused)
+	awaits  []*awaiter // free list of Await call states (see task.go)
 	live    map[*Proc]struct{}
 	stopped bool
 	running bool
 
-	dispatched  uint64                             // logical events processed (queue pops + inline sleeps)
-	inlineDepth int                                // current nesting of inline Task.Sleep continuations
-	inlineLimit int                                // nesting cap before falling back to the queue
-	onDispatch  func(at time.Duration, seq uint64) // test hook, nil in production
+	dispatched uint64                             // events dispatched
+	onDispatch func(at time.Duration, seq uint64) // test hook, nil in production
 }
-
-// defaultInlineLimit bounds how deeply Task.Sleep continuations nest on the
-// native stack before a wakeup is routed through the event queue instead.
-// Routing preserves dispatch order exactly (the wakeup is strictly earlier
-// than every pending event), so the cap only trades a queue round-trip for
-// bounded stack growth.
-const defaultInlineLimit = 256
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	e := &Env{
-		live:        make(map[*Proc]struct{}),
-		inlineLimit: defaultInlineLimit,
-	}
+	e := &Env{live: make(map[*Proc]struct{})}
 	e.caller.env = e
+	e.caller.wake = func() { e.caller.woken = true }
 	return e
 }
 
-// Dispatched returns the number of logical events processed so far: queue
-// dispatches plus sleeps completed inline by the fast paths. It is the
+// Dispatched returns the number of events dispatched so far. It is the
 // natural "simulator events" figure for throughput reporting.
 func (e *Env) Dispatched() uint64 { return e.dispatched }
 
@@ -88,18 +80,6 @@ func (e *Env) Dispatched() uint64 { return e.dispatched }
 // Test instrumentation: the equivalence property tests record dispatch
 // traces with it. Pass nil to remove.
 func (e *Env) SetDispatchHook(fn func(at time.Duration, seq uint64)) { e.onDispatch = fn }
-
-// SetInlineLimit overrides the inline-continuation nesting cap. Test
-// instrumentation: raising it past any workload's event count makes
-// Task.Sleep consume sequence numbers exactly as Proc.Sleep does, so
-// dispatch traces of blocking and task-form drivers compare equal. n <= 0
-// restores the default.
-func (e *Env) SetInlineLimit(n int) {
-	if n <= 0 {
-		n = defaultInlineLimit
-	}
-	e.inlineLimit = n
-}
 
 // Now returns the current virtual time.
 func (e *Env) Now() time.Duration { return e.now }
@@ -117,8 +97,11 @@ type Proc struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
 
-	// woken is how Env.caller is resumed: the dispatch of its wakeup event,
-	// or an Await completion, sets it and the wait loop in park returns.
+	// wake resumes the process, bound once: it is what a blocking process
+	// hands to the queue or to a wait list, as task code hands over its
+	// continuation. For a Go process it switches to the coroutine; for
+	// Env.caller it sets woken, and the wait loop in park returns.
+	wake  func()
 	woken bool
 }
 
@@ -139,13 +122,13 @@ func (p *Proc) isCaller() bool { return p == &p.env.caller }
 // A process run by Env.Call has none (nil): Call returning is its completion.
 func (p *Proc) Done() *Signal { return p.done }
 
-// schedule enqueues a wakeup for p at time at.
-func (e *Env) schedule(at time.Duration, p *Proc) {
+// schedule enqueues the continuation fn at time at (clamped to now).
+func (e *Env) schedule(at time.Duration, fn func()) {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	e.events.push(event{at: at, seq: e.seq, proc: p})
+	e.events.push(event{at: at, seq: e.seq, fn: fn})
 }
 
 // Go starts a new process running fn. It may be called before Run, or from
@@ -178,7 +161,8 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 		}()
 		fn(p)
 	})
-	e.schedule(e.now, p)
+	p.wake = func() { p.next() }
+	e.schedule(e.now, p.wake)
 	return p
 }
 
@@ -199,8 +183,7 @@ func (e *Env) Call(name string, fn func(p *Proc)) {
 	e.running = true
 	// Deferred so that a panic in fn (a caller's own closure, run on the
 	// caller's goroutine) leaves an environment that can be called again.
-	defer func() { e.running, e.inlineDepth = false, 0 }()
-	e.until = -1 // no limit while the calling process itself runs
+	defer func() { e.running = false }()
 	p := &e.caller
 	p.name, p.woken = name, false
 	fn(p)
@@ -211,10 +194,10 @@ func (e *Env) Call(name string, fn func(p *Proc)) {
 	}
 }
 
-// dispatch pops ev, the head of the queue, and runs it: a continuation is
-// called, a Go process is switched to until it next parks or exits, and the
-// calling process (Env.caller) is only marked woken — it is the one
-// dispatching.
+// dispatch pops ev, the head of the queue, advances the clock to it and
+// calls its continuation on this goroutine: a task's k, or a process's wake
+// (a switch to a Go process until it next parks or exits; for the calling
+// process, which is the one dispatching, only its woken flag).
 func (e *Env) dispatch(ev event) {
 	e.events.pop()
 	e.now = ev.at
@@ -222,37 +205,22 @@ func (e *Env) dispatch(ev event) {
 	if e.onDispatch != nil {
 		e.onDispatch(ev.at, ev.seq)
 	}
-	switch {
-	case ev.fn != nil:
-		// Run-to-completion continuation: a direct call on this
-		// goroutine, no switch.
-		ev.fn()
-	case ev.proc.isCaller():
-		ev.proc.woken = true
-	default:
-		ev.proc.next()
-	}
+	ev.fn()
 }
 
 // step dispatches the next event if it is due by limit and reports whether
-// it did. It is the calling process's scheduler step (its wait loop, and the
-// drain that ends Call), so until is bounded to the event's own time:
-// nothing the event runs may sleep inline past that instant. With no limit
-// and nothing else queued, a lone periodic poller would find its next wakeup
-// "provably next" every time and spin the clock forever while the calling
-// process waits.
+// it did. It is the calling process's scheduler step: its wait loop, and
+// the drain that ends Call.
 func (e *Env) step(limit time.Duration) bool {
 	ev, ok := e.events.peek()
 	if !ok || ev.at > limit {
 		return false
 	}
-	e.until = ev.at
 	e.dispatch(ev)
 	return true
 }
 
-// wait is park for the calling process: dispatch events until one wakes it,
-// then lift the limit again for as long as the process itself runs.
+// wait is park for the calling process: dispatch events until one wakes it.
 func (e *Env) wait(p *Proc) {
 	for !p.woken {
 		if !e.step(math.MaxInt64) {
@@ -260,7 +228,6 @@ func (e *Env) wait(p *Proc) {
 		}
 	}
 	p.woken = false
-	e.until = -1
 }
 
 // park blocks the calling process until it is resumed, switching back to
@@ -282,24 +249,7 @@ func (p *Proc) park() {
 // Sleep blocks the process for d of virtual time. Negative durations sleep
 // for zero time (yielding to other events scheduled at the same instant).
 func (p *Proc) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	e := p.env
-	at := e.now + d
-	// Fast path: if this wakeup would be the very next dispatch — it strictly
-	// precedes every pending event (a tie loses, FIFO) and the Run limit does
-	// not cut it off — no other process can run in between, so advance the
-	// clock and keep going, skipping the park and its two goroutine switches.
-	// Dispatch order is identical either way.
-	if e.running && (e.until < 0 || at <= e.until) {
-		if ev, ok := e.events.peek(); !ok || at < ev.at {
-			e.now = at
-			e.dispatched++
-			return
-		}
-	}
-	e.schedule(at, p)
+	p.env.schedule(p.env.now+d, p.wake) // schedule clamps a negative d to now
 	p.park()
 }
 
@@ -316,10 +266,9 @@ func (e *Env) Run(until time.Duration) time.Duration {
 		panic("sim: nested Run")
 	}
 	e.running = true
-	e.until = until
 	// Deferred, as in Call: a process's panic comes out of Run, and the
 	// environment must be runnable (or Shutdown) after it.
-	defer func() { e.running, e.inlineDepth = false, 0 }()
+	defer func() { e.running = false }()
 	for len(e.events) > 0 {
 		ev, _ := e.events.peek()
 		if until >= 0 && ev.at > until {
@@ -360,28 +309,13 @@ func (e *Env) Shutdown() {
 	}
 }
 
-// waiter is one entry of a Signal or Resource wait queue: a blocked process
-// or a task continuation. Exactly one field is set; both kinds are woken by
-// scheduling an event at the current instant, so they interleave FIFO.
-type waiter struct {
-	p  *Proc
-	fn func()
-}
-
-// wake schedules the wakeup of w at the current virtual time.
-func (e *Env) wake(w waiter) {
-	if w.fn != nil {
-		e.scheduleFn(e.now, w.fn)
-		return
-	}
-	e.schedule(e.now, w.p)
-}
-
 // A Signal is a broadcast condition: processes wait on it and a later
-// Broadcast wakes all current waiters at the current virtual time.
+// Broadcast wakes all current waiters at the current virtual time. A waiter
+// is a continuation — a task's k or a blocked process's wake — so both
+// forms interleave FIFO.
 type Signal struct {
 	env     *Env
-	waiters []waiter
+	waiters []func()
 	fired   bool
 }
 
@@ -394,7 +328,7 @@ func (s *Signal) Fired() bool { return s.fired }
 // Wait blocks p until the next Broadcast. If the signal has already fired,
 // Wait still blocks until the *next* Broadcast, except via WaitFired.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, waiter{p: p})
+	s.waiters = append(s.waiters, p.wake)
 	p.park()
 }
 
@@ -422,22 +356,23 @@ func (s *Signal) Reset() {
 // or from outside Run.
 func (s *Signal) Broadcast() {
 	s.fired = true
-	for i, w := range s.waiters {
-		s.env.wake(w)
-		s.waiters[i] = waiter{} // drop the references from the backing array
+	for i, k := range s.waiters {
+		s.env.schedule(s.env.now, k)
+		s.waiters[i] = nil // drop the references from the backing array
 	}
 	s.waiters = s.waiters[:0] // keep the storage for the next wait cycle
 }
 
 // A Resource is a counted FIFO semaphore: at most Cap processes hold it at
-// once and waiters acquire it in arrival order. The wait queue is a slice
-// plus a head index: popped slots are zeroed (no retained *Proc references)
-// and the storage is reused once the queue drains.
+// once and waiters acquire it in arrival order. A waiter is a continuation,
+// as in Signal. The wait queue is a slice plus a head index: popped slots
+// are zeroed (no retained references) and the storage is reused once the
+// queue drains.
 type Resource struct {
 	env     *Env
 	cap     int
 	inUse   int
-	waiters []waiter
+	waiters []func()
 	head    int // index of the oldest waiter in waiters
 }
 
@@ -452,17 +387,14 @@ func NewResource(env *Env, capacity int) *Resource {
 // enqueue appends a waiter, first compacting popped head slots when they
 // dominate the backing array. Without compaction a queue that never fully
 // drains (a saturated device) grows its storage without bound.
-func (r *Resource) enqueue(w waiter) {
+func (r *Resource) enqueue(k func()) {
 	if r.head > 0 && len(r.waiters) == cap(r.waiters) {
 		n := copy(r.waiters, r.waiters[r.head:])
-		tail := r.waiters[n:]
-		for i := range tail {
-			tail[i] = waiter{}
-		}
+		clear(r.waiters[n:])
 		r.waiters = r.waiters[:n]
 		r.head = 0
 	}
-	r.waiters = append(r.waiters, w)
+	r.waiters = append(r.waiters, k)
 }
 
 // Acquire blocks p until a unit of the resource is available and takes it.
@@ -471,7 +403,7 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	r.enqueue(waiter{p: p})
+	r.enqueue(p.wake)
 	p.park()
 	// Ownership was transferred by Release; inUse already accounts for us.
 }
@@ -482,15 +414,15 @@ func (r *Resource) Release() {
 		panic("sim: Release of idle resource")
 	}
 	if r.head < len(r.waiters) {
-		w := r.waiters[r.head]
-		r.waiters[r.head] = waiter{} // drop the references from the backing array
+		k := r.waiters[r.head]
+		r.waiters[r.head] = nil // drop the references from the backing array
 		r.head++
 		if r.head == len(r.waiters) {
 			r.waiters = r.waiters[:0] // drained: rewind and reuse the storage
 			r.head = 0
 		}
-		// The unit passes directly to w: inUse stays unchanged.
-		r.env.wake(w)
+		// The unit passes directly to k: inUse stays unchanged.
+		r.env.schedule(r.env.now, k)
 		return
 	}
 	r.inUse--

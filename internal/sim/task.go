@@ -13,22 +13,16 @@ import "time"
 // SSD-manager, WAL and device operation is written in, once.
 //
 // Task primitives consume scheduler sequence numbers exactly as the
-// blocking ones do (Spawn like Go, the Sleep slow path like Sleep's
-// schedule+park, resource and signal waits like their blocking
-// counterparts), and the inline fast paths of both fire under the identical
-// "provably next" condition — so the dispatch order of a simulation does
-// not depend on which form its callers use. The one asymmetry is the inline
-// nesting cap: past inlineLimit, Task.Sleep routes a wakeup through the
-// queue that Proc.Sleep would have taken inline. The wakeup is strictly
-// earlier than every pending event, so it still dispatches next and order
-// is preserved; only the sequence numbering shifts (uniformly, which FIFO
-// tie-breaking cannot observe).
+// blocking ones do: Spawn like Go, Sleep like Proc.Sleep, resource and
+// signal waits like their blocking counterparts. A blocking process queues
+// its wake where a task queues its k, so the dispatch order of a simulation
+// does not depend on which form its callers use.
 //
 // Discipline for code written in task form: calling a continuation-taking
-// primitive must be the last thing a function does (tail call). The
-// primitive either completes inline — running the continuation before
-// returning — or schedules it and returns immediately; either way, code
-// after the call would run at an undefined virtual time.
+// primitive must be the last thing a function does (tail call). Sleep
+// always schedules its continuation and returns; AcquireFunc on a free unit
+// and WaitFiredFunc on a fired signal run it before returning. Either way,
+// code after the call would run at an undefined virtual time.
 
 // Task is a run-to-completion simulated process. Like a Proc it may only be
 // used from within the simulation (its continuations run serially on the
@@ -47,15 +41,6 @@ func (t *Task) Name() string { return t.name }
 // Now returns the current virtual time.
 func (t *Task) Now() time.Duration { return t.env.now }
 
-// scheduleFn enqueues a continuation at time at.
-func (e *Env) scheduleFn(at time.Duration, fn func()) {
-	if at < e.now {
-		at = e.now
-	}
-	e.seq++
-	e.events.push(event{at: at, seq: e.seq, fn: fn})
-}
-
 // Spawn starts a new run-to-completion task executing fn. Like Go it may be
 // called before Run or from inside a running process of either form, and
 // the task starts at the current virtual time after already-queued events
@@ -65,37 +50,16 @@ func (e *Env) Spawn(name string, fn func(t *Task)) *Task {
 		panic("sim: Spawn after environment stopped")
 	}
 	t := &Task{env: e, name: name}
-	e.scheduleFn(e.now, func() { fn(t) })
+	e.schedule(e.now, func() { fn(t) })
 	return t
 }
 
-// Sleep advances the task d of virtual time, then runs k. Negative
-// durations sleep for zero time (yielding to other events scheduled at the
-// same instant). When the wakeup is provably the next dispatch it happens
-// inline — same condition as Proc.Sleep's fast path — up to the
-// environment's inline nesting cap.
+// Sleep advances the task d of virtual time, then runs k: it queues k as
+// one event, as Proc.Sleep queues the process's wake. Negative durations
+// sleep for zero time (yielding to other events scheduled at the same
+// instant).
 func (t *Task) Sleep(d time.Duration, k func()) {
-	if d < 0 {
-		d = 0
-	}
-	e := t.env
-	at := e.now + d
-	if e.running && (e.until < 0 || at <= e.until) {
-		if ev, ok := e.events.peek(); !ok || at < ev.at {
-			if e.inlineDepth < e.inlineLimit {
-				e.now = at
-				e.dispatched++
-				e.inlineDepth++
-				k()
-				e.inlineDepth--
-				return
-			}
-			// Nesting cap reached: unwind the stack through the queue. The
-			// event is strictly earlier than everything pending, so it is
-			// dispatched next regardless of its sequence number.
-		}
-	}
-	e.scheduleFn(at, k)
+	t.env.schedule(t.env.now+d, k) // schedule clamps a negative d to now
 }
 
 // Yield runs k after all other events at the current instant.
@@ -110,12 +74,12 @@ func (r *Resource) AcquireFunc(k func()) {
 		k()
 		return
 	}
-	r.enqueue(waiter{fn: k})
+	r.enqueue(k)
 }
 
 // WaitFunc runs k at the signal's next Broadcast.
 func (s *Signal) WaitFunc(k func()) {
-	s.waiters = append(s.waiters, waiter{fn: k})
+	s.waiters = append(s.waiters, k)
 }
 
 // WaitFiredFunc runs k once the signal has fired at least once: inline if
@@ -151,11 +115,12 @@ const (
 // Await is the bridge from the blocking form to the task form: it runs
 // start — task-form code — on the calling process's goroutine and returns
 // the error start's completion was called with, once it has been. When done
-// runs before start returns (a pool hit, an idle device whose service time
-// elapses inline) the process never parks. Otherwise it parks, and done —
-// called later from some continuation — switches straight to the process,
-// exactly as the scheduler does when it dispatches a process wakeup, and
-// returns when the process next parks or exits. Either way Await itself
+// runs before start returns (code that never waits: a pool hit with no CPU
+// charge, a file device's synchronous syscall) the process never parks.
+// Otherwise it parks, and done — called later from some continuation —
+// resumes it through its wake, exactly as the scheduler does when it
+// dispatches a process wakeup: a Go process is switched to, and done returns
+// when it next parks or exits. Either way Await itself
 // schedules nothing: no event, no sequence number, so the
 // dispatch trace is the one start's own waits produce. done must be called
 // exactly once; start is only called, never retained.
@@ -204,16 +169,12 @@ func (a *awaiter) done(err error) {
 	if !parked {
 		return // inside start: Await returns without parking
 	}
-	if a.p.isCaller() {
-		// The calling process is the scheduler, waiting in its dispatch loop
-		// below this continuation (or below the process this continuation
-		// runs on): it resumes when control unwinds to that loop.
-		a.p.woken = true
-		return
-	}
-	// Resume p the way dispatch resumes a process. When this completion runs
-	// on another process's goroutine (a task chain continued on a recovery
-	// process), the switch simply nests: p runs until it next parks or exits
-	// and control comes back here, on the waker's goroutine.
-	a.p.next()
+	// Resume p as dispatch would, through its wake. The calling process
+	// (Env.caller) is only marked woken: it resumes when control unwinds to
+	// its dispatch loop below this continuation. A Go process is switched
+	// to; when this completion runs on another process's goroutine (a task
+	// chain continued on a recovery process), the switch simply nests: p
+	// runs until it next parks or exits and control comes back here, on the
+	// waker's goroutine.
+	a.p.wake()
 }

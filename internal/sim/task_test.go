@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -65,39 +66,6 @@ func TestTaskProcSameInstantFIFO(t *testing.T) {
 	env.Run(-1)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v, want [1 2 3]", order)
-	}
-}
-
-// TestTaskInlineCapPreservesOrder forces the inline nesting cap to its
-// minimum and checks that routing wakeups through the queue instead of the
-// stack leaves completion times and ordering untouched.
-func TestTaskInlineCapPreservesOrder(t *testing.T) {
-	run := func(limit int) []time.Duration {
-		env := NewEnv()
-		env.SetInlineLimit(limit)
-		var wakes []time.Duration
-		env.Spawn("t", func(task *Task) {
-			var step func()
-			n := 0
-			step = func() {
-				wakes = append(wakes, task.Now())
-				if n++; n < 600 { // beyond the default cap of 256
-					task.Sleep(time.Microsecond, step)
-				}
-			}
-			task.Sleep(time.Microsecond, step)
-		})
-		env.Run(-1)
-		return wakes
-	}
-	deep, shallow := run(1<<30), run(1)
-	if len(deep) != len(shallow) {
-		t.Fatalf("wake counts differ: %d vs %d", len(deep), len(shallow))
-	}
-	for i := range deep {
-		if deep[i] != shallow[i] {
-			t.Fatalf("wake %d differs: %v vs %v", i, deep[i], shallow[i])
-		}
 	}
 }
 
@@ -198,9 +166,9 @@ func TestSignalWaitFiredFuncInline(t *testing.T) {
 	}
 }
 
-// TestDispatchedCountsInlineSleeps checks that the events/sec figure the
-// scale sweep reports counts inline fast-path sleeps as logical events.
-func TestDispatchedCountsInlineSleeps(t *testing.T) {
+// TestDispatchedCountsSleeps checks that the events/sec figure the scale
+// sweep reports counts every sleep as one event.
+func TestDispatchedCountsSleeps(t *testing.T) {
 	env := NewEnv()
 	env.Spawn("t", func(task *Task) {
 		task.Sleep(time.Millisecond, func() {
@@ -208,8 +176,32 @@ func TestDispatchedCountsInlineSleeps(t *testing.T) {
 		})
 	})
 	env.Run(-1)
-	// One queue dispatch for the spawn, two logical sleep completions.
+	// One dispatch for the spawn, one for each sleep.
 	if got := env.Dispatched(); got != 3 {
 		t.Fatalf("Dispatched() = %d, want 3", got)
+	}
+}
+
+// TestTaskChainDoesNotNest: every wakeup returns to the scheduler's loop, so
+// a task that sleeps back to back runs each continuation at the same stack
+// depth however long the chain.
+func TestTaskChainDoesNotNest(t *testing.T) {
+	env := NewEnv()
+	pcs := make([]uintptr, 4096)
+	depths := map[int]int{}
+	env.Spawn("t", func(task *Task) {
+		n := 0
+		var step func()
+		step = func() {
+			depths[runtime.Callers(0, pcs)]++
+			if n++; n < 1000 {
+				task.Sleep(time.Microsecond, step)
+			}
+		}
+		task.Sleep(time.Microsecond, step)
+	})
+	env.Run(-1)
+	if len(depths) != 1 {
+		t.Fatalf("the 1000 wakeups ran at %d different stack depths, want 1", len(depths))
 	}
 }

@@ -549,10 +549,12 @@ type DirtyCorruptError struct {
 	Err error
 }
 
+// Error names the page and the verification failure.
 func (e *DirtyCorruptError) Error() string {
 	return fmt.Sprintf("ssd: dirty frame for page %d corrupt: %v", e.PID, e.Err)
 }
 
+// Unwrap returns the verification failure, so errors.Is sees through to it.
 func (e *DirtyCorruptError) Unwrap() error { return e.Err }
 
 // Quarantined reports whether the SSD has been demoted to pass-through

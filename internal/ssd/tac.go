@@ -30,12 +30,22 @@ type tacEntry struct {
 }
 
 // tacHeap is a min-heap on temperature: the root is the coldest SSD page.
+// Its five methods are heap.Interface, for container/heap.
 type tacHeap []tacEntry
 
-func (h tacHeap) Len() int            { return len(h) }
-func (h tacHeap) Less(i, j int) bool  { return h[i].temp < h[j].temp }
-func (h tacHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+// Len returns the number of entries.
+func (h tacHeap) Len() int { return len(h) }
+
+// Less orders entries by temperature, coldest first.
+func (h tacHeap) Less(i, j int) bool { return h[i].temp < h[j].temp }
+
+// Swap exchanges entries i and j.
+func (h tacHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+
+// Push appends x, a tacEntry, at the end.
 func (h *tacHeap) Push(x interface{}) { *h = append(*h, x.(tacEntry)) }
+
+// Pop removes and returns the last entry.
 func (h *tacHeap) Pop() interface{} {
 	old := *h
 	n := len(old)

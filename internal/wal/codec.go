@@ -141,20 +141,6 @@ func DecodeStream(buf []byte) ([]Record, error) {
 	return out, nil
 }
 
-// WriteTo serializes the log's durable records to w (an export of exactly
-// the state recovery may rely on).
-func (l *Log) WriteTo(w io.Writer) (int64, error) {
-	l.mustRetain("WriteTo")
-	var buf []byte
-	for _, b := range l.durable.blocks {
-		for _, r := range b {
-			buf = EncodeRecord(buf, r)
-		}
-	}
-	n, err := w.Write(buf)
-	return int64(n), err
-}
-
 // ReadDurable replaces the log's durable records with the stream read from
 // r, as an import after process restart would. The next LSN advances past
 // the highest imported record.

@@ -116,6 +116,9 @@ func TestCodecBitFlipProperty(t *testing.T) {
 	}
 }
 
+// TestLogExportImport exports a log's durable records as the torn-log fault
+// cell does (EncodeStream over Durable) and imports them into a fresh log
+// with ReadDurable.
 func TestLogExportImport(t *testing.T) {
 	env := sim.NewEnv()
 	dev := device.NewHDD(env, device.PaperHDDProfile(), 1<<20)
@@ -129,13 +132,8 @@ func TestLogExportImport(t *testing.T) {
 	})
 	env.Run(-1)
 
-	var buf bytes.Buffer
-	if _, err := l.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-
 	l2 := New(sim.NewEnv(), dev, 8192, 1<<20)
-	if err := l2.ReadDurable(&buf); err != nil {
+	if err := l2.ReadDurable(bytes.NewReader(EncodeStream(l.Durable()))); err != nil {
 		t.Fatal(err)
 	}
 	if len(l2.Durable()) != 5 {

@@ -127,7 +127,6 @@ func TestDiscardDurableReadersPanic(t *testing.T) {
 		"LatestUpdate":   func() { l.LatestUpdate(1) },
 		"LastCheckpoint": func() { l.LastCheckpoint() },
 		"LoadDurable":    func() { _ = l.LoadDurable() },
-		"WriteTo":        func() { _, _ = l.WriteTo(&bytes.Buffer{}) },
 		"ReadDurable":    func() { _ = l.ReadDurable(&bytes.Buffer{}) },
 		"Crash":          l.Crash,
 	}

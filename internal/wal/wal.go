@@ -283,7 +283,7 @@ func (l *Log) SetPersist(on bool) {
 // group-commit coalescing, the pages each flush writes and Stats are
 // unchanged, since the batch footprint still counts every payload's
 // length. Every reader of record bodies (Durable, PendingRecords,
-// LatestUpdate, LastCheckpoint, WriteTo, ReadDurable, LoadDurable) and
+// LatestUpdate, LastCheckpoint, ReadDurable, LoadDurable) and
 // Crash panics on such a log, so a caller that broke the promise fails
 // loudly instead of recovering from an empty log. It is the log-level
 // counterpart of the log device's DiscardContent; a persisted log panics.

@@ -56,14 +56,12 @@ func (o *OLTP) runTx(p *sim.Proc, e *engine.Engine, rng *rand.Rand) error {
 }
 
 // runTraced runs one small OLTP simulation and returns its dispatch trace
-// plus final engine and device statistics. With the inline nesting cap
-// raised past the run's event count, task-form sleeps consume sequence
-// numbers exactly as a process's do, so the traces of the two drivers must
-// compare equal element by element.
+// plus final engine and device statistics. Task-form sleeps consume
+// sequence numbers exactly as a process's do, so the traces of the two
+// drivers must compare equal element by element.
 func runTraced(t *testing.T, wl OLTP, blocking bool, cfg engine.Config, dur time.Duration) ([]dispatch, engine.Stats, ssd.Stats, int64, int64) {
 	t.Helper()
 	env := sim.NewEnv()
-	env.SetInlineLimit(1 << 30)
 	var trace []dispatch
 	env.SetDispatchHook(func(at time.Duration, seq uint64) {
 		trace = append(trace, dispatch{at, seq})

@@ -145,8 +145,8 @@ func (o *OLTP) Start(env *sim.Env, e *engine.Engine, onCommit func(t time.Durati
 // taskWorker is one run-to-completion OLTP client: the state of a
 // transaction loop as a struct, with its continuations bound once at Start,
 // so the steady-state loop allocates nothing. The continuation chain is
-// stack-safe: every access charges CPU time, and the kernel's inline-depth
-// cap periodically reschedules the continuation, unwinding the stack.
+// stack-safe: every access charges CPU time, a queued sleep, so each step
+// runs from the scheduler's loop and the chain never nests on the stack.
 type taskWorker struct {
 	o        *OLTP
 	e        *engine.Engine
