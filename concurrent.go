@@ -239,7 +239,8 @@ func (db *DB) openPartitions(cfg engine.Config, dbFile, ssdFile, logFile *device
 		}
 		if opts.OpenExisting {
 			if err := pt.eng.Log().LoadDurable(); err != nil {
-				return fmt.Errorf("reload partition %d: %w", i, err)
+				return fmt.Errorf("reload partition %d from wal.log (its slice starts at byte %d): %w",
+					i, int64(i)*int64(walPer)*8192, err)
 			}
 			if gtx := pt.eng.AdoptDurableTxIDs(); gtx > maxGtx {
 				maxGtx = gtx

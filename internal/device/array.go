@@ -29,11 +29,12 @@ func NewArray(env *sim.Env, profile Profile, n int, stripeUnit, capacity PageNum
 	perDisk := (capacity + PageNum(n) - 1) / PageNum(n)
 	// Round per-disk capacity up to whole stripe units.
 	perDisk = (perDisk + stripeUnit - 1) / stripeUnit * stripeUnit
-	disks := make([]*HDD, n)
-	for i := range disks {
-		disks[i] = NewHDD(env, profile, perDisk)
+	a := &Array{env: env, disks: make([]*HDD, n), stripeUnit: stripeUnit, capacity: capacity}
+	for i := range a.disks {
+		a.disks[i] = NewHDD(env, profile, perDisk)
+		a.disks[i].rollup = &a.stats
 	}
-	return &Array{env: env, disks: disks, stripeUnit: stripeUnit, capacity: capacity}
+	return a
 }
 
 // locate maps a global page to (disk index, local page).
@@ -177,22 +178,8 @@ func (a *Array) Pending() int {
 	return total
 }
 
-// Stats returns array-level request counters. Service-time detail lives on
-// the member disks' Stats.
+// Stats returns the array's counters. Requests and pages count array-level
+// requests (a request that spans disks counts once); busy time and
+// sequential hits are those of the member disks, so BusyNanos sums over
+// spindles and can exceed the elapsed time.
 func (a *Array) Stats() *Stats { return &a.stats }
-
-// BusySnapshot aggregates member-disk snapshots (busy time, sequentiality).
-func (a *Array) BusySnapshot() Snapshot {
-	var total Snapshot
-	for _, d := range a.disks {
-		s := d.Stats().Load()
-		total.ReadOps += s.ReadOps
-		total.WriteOps += s.WriteOps
-		total.ReadPages += s.ReadPages
-		total.WritePages += s.WritePages
-		total.SeqReads += s.SeqReads
-		total.SeqWrites += s.SeqWrites
-		total.BusyNanos += s.BusyNanos
-	}
-	return total
-}

@@ -445,6 +445,42 @@ func TestArrayParallelismBeatsSingleDisk(t *testing.T) {
 	}
 }
 
+// TestArrayStatsCountMemberBusyTime: the array's Stats carry the busy time
+// and sequential hits its member disks charged, for a single-page read and
+// for a read fanned out over several stripes.
+func TestArrayStatsCountMemberBusyTime(t *testing.T) {
+	env := sim.NewEnv()
+	a := NewArray(env, PaperHDDProfile(), 4, 8, 1024)
+	env.Go("t", func(p *sim.Proc) {
+		if err := a.Read(p, 0, [][]byte{make([]byte, 4)}); err != nil {
+			t.Fatal(err)
+		}
+		bufs := make([][]byte, 20) // pages 1..20: disk 0 from its head, then disks 1 and 2
+		for i := range bufs {
+			bufs[i] = make([]byte, 4)
+		}
+		if err := a.Read(p, 1, bufs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	env.Run(-1)
+	var busy, seq int64
+	for _, d := range a.disks {
+		busy += d.Stats().BusyNanos.Load()
+		seq += d.Stats().SeqReads.Load()
+	}
+	got := a.Stats().Load()
+	if got.BusyNanos != busy || busy <= 0 {
+		t.Errorf("array BusyNanos = %d, want the members' sum %d (> 0)", got.BusyNanos, busy)
+	}
+	if got.SeqReads != seq || seq != 1 {
+		t.Errorf("array SeqReads = %d, members' sum %d, want 1", got.SeqReads, seq)
+	}
+	if got.ReadOps != 2 || got.ReadPages != 21 {
+		t.Errorf("array requests = %d ops / %d pages, want 2 / 21", got.ReadOps, got.ReadPages)
+	}
+}
+
 // TestArrayFormat: a formatted array serves every never-written page as the
 // fill's bytes for its global page — through single-page reads and a
 // multi-stripe run alike, so the per-disk local-to-global inverse of locate
@@ -479,9 +515,6 @@ func TestArrayFormat(t *testing.T) {
 	}
 	if got := a.Stats().Load(); got != (Snapshot{}) {
 		t.Errorf("Format counted I/O: %+v", got)
-	}
-	if got := a.BusySnapshot(); got != (Snapshot{}) {
-		t.Errorf("Format counted member-disk I/O: %+v", got)
 	}
 	written := want(0)
 	written[page.HeaderSize] = 0xAB

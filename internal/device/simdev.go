@@ -43,6 +43,9 @@ type simDevice struct {
 	head     PageNum // page following the last request (for sequential detection)
 	store    *memstore
 	stats    Stats
+	// rollup, when set, also takes the busy time and sequential hits of
+	// every completed request: an Array's member disks roll into its Stats.
+	rollup *Stats
 
 	// Free list of request states. Requests are taken per ioTask call and
 	// returned at completion, so steady-state I/O allocates nothing; the pre-bound method continuations are created once
@@ -152,12 +155,21 @@ func (d *simDevice) complete(page PageNum, bufs [][]byte, write bool, dur time.D
 		d.stats.ReadOps.Add(1)
 		d.stats.ReadPages.Add(int64(len(bufs)))
 	}
-	d.stats.BusyNanos.Add(int64(dur))
+	d.stats.charge(dur, seq, write)
+	if d.rollup != nil {
+		d.rollup.charge(dur, seq, write)
+	}
+}
+
+// charge adds one completed request's service time and, when it needed no
+// seek, its sequential hit.
+func (s *Stats) charge(dur time.Duration, seq, write bool) {
+	s.BusyNanos.Add(int64(dur))
 	if seq {
 		if write {
-			d.stats.SeqWrites.Add(1)
+			s.SeqWrites.Add(1)
 		} else {
-			d.stats.SeqReads.Add(1)
+			s.SeqReads.Add(1)
 		}
 	}
 }

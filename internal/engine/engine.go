@@ -13,10 +13,8 @@ import (
 
 	"turbobp/internal/bufpool"
 	"turbobp/internal/device"
-	"turbobp/internal/fault"
 	"turbobp/internal/metrics"
 	"turbobp/internal/page"
-	"turbobp/internal/policy"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
 	"turbobp/internal/wal"
@@ -25,24 +23,15 @@ import (
 // Config describes one engine instance. Zero fields take the paper's
 // defaults (Table 2) where one exists.
 type Config struct {
-	Design ssd.Design
+	// Config holds the SSD manager's parameters (design, policy, S, the
+	// Table 2 knobs, page payload size, SSD profile, fault injector and
+	// scrubbing). The engine reads them through field promotion and hands
+	// the struct to ssd.NewManager whole. Policy also selects the memory
+	// pool's replacement policy; Faults also wraps every device.
+	ssd.Config
 
-	// Policy selects the cache replacement/admission policy used by both
-	// the memory buffer pool and the SSD tier's clean-frame ordering. The
-	// zero value is the original LRU-2 behaviour.
-	Policy policy.Kind
-
-	DBPages     int64 // database size in pages
-	PoolPages   int   // memory buffer pool frames
-	SSDFrames   int   // S: SSD buffer pool frames (0 disables)
-	PayloadSize int   // page payload bytes
-
-	// Paper knobs (Table 2).
-	Partitions    int     // N
-	FillThreshold float64 // τ
-	Throttle      int     // μ
-	GroupClean    int     // α
-	DirtyFraction float64 // λ
+	DBPages   int64 // database size in pages
+	PoolPages int   // memory buffer pool frames
 
 	CheckpointInterval time.Duration // 0 = checkpointing off
 	ReadAhead          int           // read-ahead batch size in pages
@@ -65,22 +54,6 @@ type Config struct {
 	// the restart time grow with λ and the dirty set.
 	FuzzyCheckpoints bool
 	Classifier       ClassifierKind
-
-	SSDProfile device.Profile // zero value = paper calibration
-
-	// Faults, when set, wraps every device in the injector's fault plans
-	// (names "db", "ssd", "wal") and arms the engine's crash points. Nil
-	// costs the hot path only nil checks.
-	Faults *fault.Injector
-
-	// ScrubPeriod enables the background SSD scrubber (0, the default,
-	// disables it); ScrubBatch caps the frames verified per wake-up.
-	ScrubPeriod time.Duration
-	ScrubBatch  int
-	// RetireAfter / QuarantineAfter forward to the SSD manager's slot-
-	// retirement and quarantine thresholds (see ssd.Config).
-	RetireAfter     int
-	QuarantineAfter int
 
 	// WALPersist makes the log encode its flush batches onto the log device
 	// (see wal.Log.SetPersist); WALCapacity overrides the log device's page
@@ -111,29 +84,21 @@ type Config struct {
 	// hardware contexts. Scan pages charge a eighth of the point-access
 	// cost. CPUPerAccess < 0 disables the model.
 	CPUPerAccess time.Duration
-
-	defaulted bool // setDefaults already ran (it is not idempotent on sentinels)
 }
 
+// setDefaults fills zero fields; it is idempotent. A negative ReadAheadRamp
+// or ReadExpansion stays negative and reads as "off" where it is used.
 func (c *Config) setDefaults() {
-	if c.defaulted {
-		return
-	}
-	c.defaulted = true
 	if c.PayloadSize <= 0 {
 		c.PayloadSize = 64
 	}
 	if c.ReadAhead <= 0 {
 		c.ReadAhead = 32
 	}
-	if c.ReadAheadRamp < 0 {
-		c.ReadAheadRamp = 0
-	} else if c.ReadAheadRamp == 0 {
+	if c.ReadAheadRamp == 0 {
 		c.ReadAheadRamp = 8
 	}
-	if c.ReadExpansion < 0 {
-		c.ReadExpansion = 0
-	} else if c.ReadExpansion == 0 {
+	if c.ReadExpansion == 0 {
 		c.ReadExpansion = 8
 	}
 	if c.SSDProfile == (device.Profile{}) {
@@ -404,39 +369,16 @@ func NewWithDevices(env *sim.Env, cfg Config, dbDev, ssdDev, logDev device.Devic
 	return e
 }
 
-// newManager builds the SSD manager for the current devices. Temperature
-// savings for TAC derive from the device profiles.
+// newManager builds the SSD manager for the current devices from the
+// engine's SSD configuration, passed whole.
 func (e *Engine) newManager() *ssd.Manager {
-	randSaved := float64(hddProfile.RandRead-e.cfg.SSDProfile.RandRead) / float64(time.Millisecond)
-	seqSaved := float64(hddProfile.SeqRead-e.cfg.SSDProfile.SeqRead) / float64(time.Millisecond)
-	if seqSaved < 0 {
-		seqSaved = 0
-	}
+	cfg := e.cfg.Config
 	dev := e.ssdDev
-	frames := e.cfg.SSDFrames
-	if dev == nil || e.cfg.Design == ssd.NoSSD {
-		dev = device.NewSSD(e.env, e.cfg.SSDProfile, 0)
-		frames = 0
+	if dev == nil || cfg.Design == ssd.NoSSD {
+		dev = device.NewSSD(e.env, cfg.SSDProfile, 0)
+		cfg.SSDFrames = 0
 	}
-	return ssd.NewManager(e.env, dev, (*diskWriter)(e), int(e.cfg.DBPages), ssd.Config{
-		Design:          e.cfg.Design,
-		Policy:          e.cfg.Policy,
-		Frames:          frames,
-		Partitions:      e.cfg.Partitions,
-		FillThreshold:   e.cfg.FillThreshold,
-		Throttle:        e.cfg.Throttle,
-		GroupClean:      e.cfg.GroupClean,
-		DirtyFraction:   e.cfg.DirtyFraction,
-		PayloadSize:     e.cfg.PayloadSize,
-		RandSavedMs:     randSaved,
-		SeqSavedMs:      seqSaved,
-		Faults:          e.cfg.Faults,
-		ScrubPeriod:     e.cfg.ScrubPeriod,
-		ScrubBatch:      e.cfg.ScrubBatch,
-		RetireAfter:     e.cfg.RetireAfter,
-		QuarantineAfter: e.cfg.QuarantineAfter,
-		Repair:          (*walRepairer)(e),
-	})
+	return ssd.NewManager(e.env, dev, (*diskWriter)(e), (*walRepairer)(e), int(e.cfg.DBPages), cfg)
 }
 
 // walRepairer adapts the engine's page-granular WAL redo to the SSD

@@ -18,14 +18,16 @@ import (
 
 func testConfig(design ssd.Design) Config {
 	return Config{
-		Design:        design,
+		Config: ssd.Config{
+			Design:      design,
+			SSDFrames:   64,
+			PayloadSize: 32,
+			Partitions:  4,
+			Throttle:    1 << 30, // effectively off for unit tests
+		},
 		DBPages:       512,
 		PoolPages:     32,
-		SSDFrames:     64,
-		PayloadSize:   32,
-		Partitions:    4,
-		Throttle:      1 << 30, // effectively off for unit tests
-		ReadExpansion: -1,      // exact I/O counts matter in these tests
+		ReadExpansion: -1, // exact I/O counts matter in these tests
 	}
 }
 

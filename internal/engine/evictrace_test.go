@@ -23,7 +23,7 @@ import (
 
 func runEvictRace(t *testing.T, workers, pool int) {
 	env := sim.NewEnv()
-	e := New(env, Config{Design: ssd.DW, DBPages: 8192, PoolPages: pool, SSDFrames: 256, PayloadSize: 256})
+	e := New(env, Config{Config: ssd.Config{Design: ssd.DW, SSDFrames: 256, PayloadSize: 256}, DBPages: 8192, PoolPages: pool})
 	if err := e.FormatDB(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestEvictRaceDesigns(t *testing.T) {
 
 func runEvictRaceDesign(t *testing.T, design ssd.Design) {
 	env := sim.NewEnv()
-	e := New(env, Config{Design: design, DBPages: 8192, PoolPages: 32, SSDFrames: 256, PayloadSize: 256})
+	e := New(env, Config{Config: ssd.Config{Design: design, SSDFrames: 256, PayloadSize: 256}, DBPages: 8192, PoolPages: 32})
 	if err := e.FormatDB(); err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func driveEngine(t *testing.T, env *sim.Env, fn func(p *sim.Proc) error) {
 func TestPageBufFreeList(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Shutdown()
-	e := New(env, Config{Design: ssd.NoSSD, DBPages: 16, PoolPages: 4, PayloadSize: 32})
+	e := New(env, Config{Config: ssd.Config{Design: ssd.NoSSD, PayloadSize: 32}, DBPages: 16, PoolPages: 4})
 
 	b1 := e.getPageBuf()
 	if len(b1) != e.bufSize() {
@@ -82,10 +82,9 @@ func TestRecycledBuffersDoNotAlias(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Shutdown()
 	cfg := Config{
-		Design:        ssd.NoSSD,
+		Config:        ssd.Config{Design: ssd.NoSSD, PayloadSize: 32},
 		DBPages:       64,
 		PoolPages:     8,
-		PayloadSize:   32,
 		ReadExpansion: -1,
 	}
 	e := New(env, cfg)

@@ -104,12 +104,14 @@ func runMatrix(r *MatrixResult, s Scale, salt uint64, scenarios []string,
 		seed := faultMix(r.Seed, salt+uint64(i))
 		inj := fault.New(seed)
 		cfg := engine.Config{
-			Design:      row.Design,
-			DBPages:     512,
-			PoolPages:   48,
-			SSDFrames:   128,
-			PayloadSize: 64,
-			Faults:      inj,
+			Config: ssd.Config{
+				Design:      row.Design,
+				SSDFrames:   128,
+				PayloadSize: 64,
+				Faults:      inj,
+			},
+			DBPages:   512,
+			PoolPages: 48,
 		}
 		tune(row.Scenario, &cfg)
 		env := sim.NewEnv()

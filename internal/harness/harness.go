@@ -73,12 +73,14 @@ func (s Scale) Minutes(m float64) time.Duration { return s.Hours(m / 60) }
 // dbGB gigabytes, with the paper's 20 GB DRAM pool and 140 GB SSD pool.
 func (s Scale) Config(design ssd.Design, dbGB float64) engine.Config {
 	return engine.Config{
-		Design:      design,
-		Policy:      s.Policy,
-		DBPages:     s.Pages(dbGB),
-		PoolPages:   int(s.Pages(20)),
-		SSDFrames:   int(s.Pages(140)),
-		PayloadSize: 64,
+		Config: ssd.Config{
+			Design:      design,
+			Policy:      s.Policy,
+			SSDFrames:   int(s.Pages(140)),
+			PayloadSize: 64,
+		},
+		DBPages:   s.Pages(dbGB),
+		PoolPages: int(s.Pages(20)),
 	}
 }
 

@@ -346,8 +346,8 @@ func TestTable2Defaults(t *testing.T) {
 	if m.GroupClean != 32 {
 		t.Errorf("α = %d, want 32", m.GroupClean)
 	}
-	if m.Frames != int(Default.Pages(140)) {
-		t.Errorf("S = %d, want %d", m.Frames, Default.Pages(140))
+	if m.SSDFrames != int(Default.Pages(140)) {
+		t.Errorf("S = %d, want %d", m.SSDFrames, Default.Pages(140))
 	}
 	env.Shutdown()
 }

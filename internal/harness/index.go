@@ -77,13 +77,15 @@ func indexMix(s Scale, kind workload.IndexKind) workload.IndexMix {
 // indexConfig sizes the engine for a mix.
 func indexConfig(design ssd.Design, m workload.IndexMix, pol policy.Kind) engine.Config {
 	return engine.Config{
-		Design:        design,
-		Policy:        pol,
-		DBPages:       int64(m.Rows) * 2,
-		PoolPages:     m.Rows / 64,
-		SSDFrames:     m.Rows / 8,
-		PayloadSize:   256, // B+-tree fan-out 15; ~11 records per heap page
-		DirtyFraction: 0.1, // leaf churn wakes LC's cleaner early
+		Config: ssd.Config{
+			Design:        design,
+			Policy:        pol,
+			SSDFrames:     m.Rows / 8,
+			PayloadSize:   256, // B+-tree fan-out 15; ~11 records per heap page
+			DirtyFraction: 0.1, // leaf churn wakes LC's cleaner early
+		},
+		DBPages:   int64(m.Rows) * 2,
+		PoolPages: m.Rows / 64,
 	}
 }
 

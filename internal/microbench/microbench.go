@@ -98,10 +98,9 @@ func driveTask(b *testing.B, env *sim.Env, n int, op func(l *taskLoop)) {
 func GetHit(b *testing.B) {
 	const db = 512
 	env, e := newEngine(b, engine.Config{
-		Design:      ssd.NoSSD,
-		DBPages:     db,
-		PoolPages:   db + 64, // whole database stays resident
-		PayloadSize: payload,
+		Config:    ssd.Config{Design: ssd.NoSSD, PayloadSize: payload},
+		DBPages:   db,
+		PoolPages: db + 64, // whole database stays resident
 	})
 	defer env.Shutdown()
 	drive(b, env, func(p *sim.Proc) error { // warm every page
@@ -124,10 +123,9 @@ func GetHit(b *testing.B) {
 func GetMiss(b *testing.B) {
 	const db, pool = 4096, 256
 	env, e := newEngine(b, engine.Config{
-		Design:        ssd.NoSSD,
+		Config:        ssd.Config{Design: ssd.NoSSD, PayloadSize: payload},
 		DBPages:       db,
 		PoolPages:     pool,
-		PayloadSize:   payload,
 		ReadExpansion: -1, // keep every miss a single-page read
 	})
 	defer env.Shutdown()
@@ -153,10 +151,9 @@ func GetMiss(b *testing.B) {
 func UpdateCommit(b *testing.B) {
 	const db = 512
 	env, e := newEngine(b, engine.Config{
-		Design:      ssd.NoSSD,
-		DBPages:     db,
-		PoolPages:   db + 64,
-		PayloadSize: payload,
+		Config:    ssd.Config{Design: ssd.NoSSD, PayloadSize: payload},
+		DBPages:   db,
+		PoolPages: db + 64,
 	})
 	defer env.Shutdown()
 	drive(b, env, func(p *sim.Proc) error {
@@ -192,6 +189,7 @@ func UpdateCommit(b *testing.B) {
 // arrayDisk adapts a device.Array to the ssd.Disk sink interface.
 type arrayDisk struct{ arr *device.Array }
 
+// WriteEncodedTask writes the encoded page run to the array at start.
 func (d arrayDisk) WriteEncodedTask(t *sim.Task, start page.ID, bufs [][]byte, k func(error)) {
 	d.arr.WriteTask(t, device.PageNum(start), bufs, k)
 }
@@ -206,9 +204,9 @@ func GroupClean(b *testing.B) {
 	defer env.Shutdown()
 	dev := device.NewSSD(env, device.PaperSSDProfile(), frames)
 	arr := device.NewArray(env, device.PaperHDDProfile(), 1, 64, 4096)
-	m := ssd.NewManager(env, dev, arrayDisk{arr}, 4096, ssd.Config{
+	m := ssd.NewManager(env, dev, arrayDisk{arr}, nil, 4096, ssd.Config{
 		Design:      ssd.LC,
-		Frames:      frames,
+		SSDFrames:   frames,
 		GroupClean:  alpha,
 		PayloadSize: payload,
 	})

@@ -54,6 +54,8 @@ type ChecksumError struct {
 	Want   uint64 // expected value
 }
 
+// Error names the page, the failed check and the observed and expected
+// values.
 func (e *ChecksumError) Error() string {
 	loc := ""
 	if e.Device != "" {

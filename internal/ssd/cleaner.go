@@ -13,7 +13,7 @@ import (
 // the dirty count: "about 0.01% of the SSD space below the threshold"
 // (§2.3.3), at least one page.
 func (m *Manager) cleanTargetSlack() int {
-	slack := m.cfg.Frames / 10000
+	slack := m.cfg.SSDFrames / 10000
 	if slack < 1 {
 		slack = 1
 	}
@@ -22,7 +22,7 @@ func (m *Manager) cleanTargetSlack() int {
 
 // dirtyThreshold returns λ·S, the dirty-page count that wakes the cleaner.
 func (m *Manager) dirtyThreshold() int {
-	return int(m.cfg.DirtyFraction * float64(m.cfg.Frames))
+	return int(m.cfg.DirtyFraction * float64(m.cfg.SSDFrames))
 }
 
 // StartCleaner spawns the background lazy-cleaning thread (LC only). It
@@ -52,7 +52,7 @@ func (m *Manager) StartCleaner() *sim.Proc {
 					}
 				}
 			}
-			p.Sleep(m.cfg.CleanerPoll)
+			p.Sleep(cleanerPoll)
 		}
 	})
 }
@@ -275,8 +275,8 @@ func (m *Manager) cleanOnce(p *sim.Proc) bool {
 	// Reconstruct the condemned pages now that their frames are unpinned:
 	// the WAL holds their latest committed images (invariants I1/I2).
 	for _, pid := range corruptPIDs {
-		if m.cfg.Repair != nil {
-			if err := m.cfg.Repair.RepairDirtyPage(p, pid); err == nil {
+		if m.repair != nil {
+			if err := m.repair.RepairDirtyPage(p, pid); err == nil {
 				m.stats.CorruptRepaired++
 			}
 		}

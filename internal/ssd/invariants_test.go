@@ -24,7 +24,6 @@ func TestInvariantsUnderRandomOps(t *testing.T) {
 					c.Partitions = 4
 					c.DirtyFraction = 0.4
 					c.FillThreshold = 0.8
-					c.CleanerPoll = 2 * time.Millisecond
 				})
 				f.m.StartCleaner()
 				rng := rand.New(rand.NewSource(seed))
@@ -128,7 +127,7 @@ func TestInvariantsAfterRestore(t *testing.T) {
 		{"frame outside its page's shard", cat(entry(spare, pageIn((spare+1)%4)), blob), used},
 		{"free frames keep their order", cat(entry(0, pageIn(0)), entry(5, pageIn(1))), map[int]bool{0: true, 5: true}},
 	} {
-		m2 := NewManager(f.env, f.dev, f.disk, testPages, f.m.cfg)
+		m2 := NewManager(f.env, f.dev, f.disk, nil, testPages, f.m.cfg)
 		if err := m2.RestoreTable(tc.blob); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -115,9 +115,9 @@ func (m *Manager) scrubFrame(p *sim.Proc, idx int) {
 		// guarantee the redo records are still there).
 		m.stats.CorruptDirty++
 		m.noteCorrupt(idx)
-		if m.cfg.Repair != nil {
+		if m.repair != nil {
 			m.env.Go("scrub-repair", func(p *sim.Proc) {
-				if rerr := m.cfg.Repair.RepairDirtyPage(p, pid); rerr == nil {
+				if rerr := m.repair.RepairDirtyPage(p, pid); rerr == nil {
 					m.stats.CorruptRepaired++
 				}
 			})

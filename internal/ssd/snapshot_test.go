@@ -21,7 +21,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// A fresh manager over the same device restores the cache.
-	m2 := NewManager(f.env, f.dev, f.disk, testPages, f.m.cfg)
+	m2 := NewManager(f.env, f.dev, f.disk, nil, testPages, f.m.cfg)
 	if err := m2.RestoreTable(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,8 @@ func TestRestoreSkipsOutOfRangeFrames(t *testing.T) {
 	env := sim.NewEnv()
 	dev := device.NewSSD(env, device.PaperSSDProfile(), 4)
 	cfg := f.m.cfg
-	cfg.Frames = 4
-	m2 := NewManager(env, dev, &recordingDisk{}, testPages, cfg)
+	cfg.SSDFrames = 4
+	m2 := NewManager(env, dev, &recordingDisk{}, nil, testPages, cfg)
 	if err := m2.RestoreTable(blob); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRestoredFramesParticipateInReplacement(t *testing.T) {
 		}
 	})
 	blob := f.m.SnapshotTable()
-	m2 := NewManager(f.env, f.dev, f.disk, testPages, f.m.cfg)
+	m2 := NewManager(f.env, f.dev, f.disk, nil, testPages, f.m.cfg)
 	if err := m2.RestoreTable(blob); err != nil {
 		t.Fatal(err)
 	}

@@ -67,27 +67,23 @@ type Disk interface {
 }
 
 // Config parameterizes the manager. The defaults mirror the paper's
-// Table 2.
+// Table 2. The engine embeds it in its own Config and hands it over whole.
 type Config struct {
 	Design Design
 	// Policy selects the replacement policy of the per-shard clean heaps
 	// and, for admission-gating policies (TinyLFU), the admission filter.
 	// The zero value is the paper's LRU-2.
 	Policy        policy.Kind
-	Frames        int           // S: SSD buffer-pool frames
-	Partitions    int           // N: shards (§3.3.4)
-	FillThreshold float64       // τ: aggressive-filling fraction (§3.3.1)
-	Throttle      int           // μ: max pending SSD I/Os (§3.3.2)
-	GroupClean    int           // α: max pages per LC cleaning write (§3.3.5)
-	DirtyFraction float64       // λ: dirty fraction that wakes the cleaner (§2.3.3)
-	PayloadSize   int           // page payload bytes (buffers are header+payload)
-	CleanerPoll   time.Duration // cleaner wake-up period
-	// Per-access milliseconds saved by an SSD hit, used for TAC extent
-	// temperatures: disk minus SSD cost for random and sequential reads.
-	RandSavedMs float64
-	SeqSavedMs  float64
-	// ExtentPages is the TAC temperature granularity (32 in the paper).
-	ExtentPages int
+	SSDFrames     int     // S: SSD buffer-pool frames (0 disables)
+	Partitions    int     // N: shards (§3.3.4)
+	FillThreshold float64 // τ: aggressive-filling fraction (§3.3.1)
+	Throttle      int     // μ: max pending SSD I/Os (§3.3.2)
+	GroupClean    int     // α: max pages per LC cleaning write (§3.3.5)
+	DirtyFraction float64 // λ: dirty fraction that wakes the cleaner (§2.3.3)
+	PayloadSize   int     // page payload bytes (buffers are header+payload)
+	// SSDProfile is the SSD's latency model (zero value = the paper's
+	// calibration). TAC's per-miss savings derive from it.
+	SSDProfile device.Profile
 	// Faults, when set, fires crash points inside the manager (the LC
 	// cleaner's mid-lazy-clean site). Device-level faults are injected by
 	// wrapping the SSD device itself; see internal/fault.
@@ -105,10 +101,6 @@ type Config struct {
 	// drained. Degrade, don't die.
 	RetireAfter     int
 	QuarantineAfter int
-	// Repair, when set, reconstructs a dirty page whose only copy was
-	// corrupt (the engine wires its WAL-redo machinery here). Without it
-	// the manager can only drop the frame and count the loss.
-	Repair Repairer
 }
 
 // Repairer reconstructs a uniquely-dirty page after its SSD frame was
@@ -118,12 +110,18 @@ type Repairer interface {
 	RepairDirtyPage(p *sim.Proc, pid page.ID) error
 }
 
+// cleanerPoll is the lazy cleaner's wake-up period.
+const cleanerPoll = 20 * time.Millisecond
+
+// extentPages is TAC's temperature granularity (32 pages in the paper).
+const extentPages = 32
+
 func (c *Config) setDefaults() {
 	if c.Partitions <= 0 {
 		c.Partitions = 16
 	}
-	if c.Partitions > c.Frames && c.Frames > 0 {
-		c.Partitions = c.Frames
+	if c.Partitions > c.SSDFrames && c.SSDFrames > 0 {
+		c.Partitions = c.SSDFrames
 	}
 	if c.FillThreshold <= 0 || c.FillThreshold > 1 {
 		c.FillThreshold = 0.95
@@ -137,17 +135,8 @@ func (c *Config) setDefaults() {
 	if c.DirtyFraction <= 0 || c.DirtyFraction > 1 {
 		c.DirtyFraction = 0.5
 	}
-	if c.CleanerPoll <= 0 {
-		c.CleanerPoll = 20 * time.Millisecond
-	}
-	if c.ExtentPages <= 0 {
-		c.ExtentPages = 32
-	}
-	if c.RandSavedMs <= 0 {
-		c.RandSavedMs = 7.8
-	}
-	if c.SeqSavedMs < 0 {
-		c.SeqSavedMs = 0
+	if c.SSDProfile == (device.Profile{}) {
+		c.SSDProfile = device.PaperSSDProfile()
 	}
 	if c.ScrubBatch <= 0 {
 		c.ScrubBatch = 8
@@ -297,6 +286,7 @@ type Manager struct {
 	env    *sim.Env
 	dev    device.Device
 	disk   Disk
+	repair Repairer // nil: a corrupt dirty frame can only be dropped
 	cfg    Config
 	shards []shard
 	frames []frameRec
@@ -319,6 +309,11 @@ type Manager struct {
 
 	dir   []int32   // SSD hash table: page id -> frame index + 1; 0 = not cached
 	temps []float64 // TAC extent temperatures, by extent number
+
+	// Per-miss milliseconds an SSD hit would save, the TAC temperature
+	// increments: disk minus SSD cost for random and sequential reads.
+	randSavedMs float64
+	seqSavedMs  float64
 
 	// Free lists for encoded-page scratch buffers, the small [][]byte
 	// vectors that carry them through device transfers, and the group-clean
@@ -382,31 +377,38 @@ func (m *Manager) putVec(v [][]byte) {
 
 // NewManager creates a manager over dev (the SSD device, one device page
 // per frame) and disk (the database disk subsystem, for write-back paths)
-// that caches pages with ids in [0, pages).
-func NewManager(env *sim.Env, dev device.Device, disk Disk, pages int, cfg Config) *Manager {
+// that caches pages with ids in [0, pages). repair, when non-nil,
+// reconstructs a dirty page whose only copy was corrupt (the engine wires
+// its WAL redo here); without it the manager can only drop the frame and
+// count the loss.
+func NewManager(env *sim.Env, dev device.Device, disk Disk, repair Repairer, pages int, cfg Config) *Manager {
 	cfg.setDefaults()
+	hdd := device.PaperHDDProfile()
 	m := &Manager{
-		env:     env,
-		dev:     dev,
-		disk:    disk,
-		cfg:     cfg,
-		frames:  make([]frameRec, cfg.Frames),
-		slotBad: make([]uint8, cfg.Frames),
-		retired: make([]bool, cfg.Frames),
+		env:         env,
+		dev:         dev,
+		disk:        disk,
+		repair:      repair,
+		cfg:         cfg,
+		frames:      make([]frameRec, cfg.SSDFrames),
+		slotBad:     make([]uint8, cfg.SSDFrames),
+		retired:     make([]bool, cfg.SSDFrames),
+		randSavedMs: float64(hdd.RandRead-cfg.SSDProfile.RandRead) / float64(time.Millisecond),
+		seqSavedMs:  max(0, float64(hdd.SeqRead-cfg.SSDProfile.SeqRead)/float64(time.Millisecond)),
 	}
-	m.fillTarget = int(cfg.FillThreshold * float64(cfg.Frames))
+	m.fillTarget = int(cfg.FillThreshold * float64(cfg.SSDFrames))
 	n := cfg.Partitions
-	if cfg.Frames == 0 {
+	if cfg.SSDFrames == 0 {
 		n = 1
 	}
 	if m.Enabled() {
 		m.dir = make([]int32, pages)
 		if cfg.Design == TAC {
-			m.temps = make([]float64, (pages+cfg.ExtentPages-1)/cfg.ExtentPages)
+			m.temps = make([]float64, (pages+extentPages-1)/extentPages)
 		}
 	}
 	m.shards = make([]shard, n)
-	perShard := cfg.Frames/n + 1
+	perShard := cfg.SSDFrames/n + 1
 	for i := range m.shards {
 		m.shards[i] = shard{
 			num:   i,
@@ -488,7 +490,7 @@ func (m *Manager) admits(pid page.ID, random bool) bool {
 
 // Enabled reports whether the manager caches anything.
 func (m *Manager) Enabled() bool {
-	return m.cfg.Design != NoSSD && m.cfg.Frames > 0
+	return m.cfg.Design != NoSSD && m.cfg.SSDFrames > 0
 }
 
 func (m *Manager) shardOf(pid page.ID) *shard {

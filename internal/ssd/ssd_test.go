@@ -50,14 +50,14 @@ func newFixture(design Design, frames int, mod func(*Config)) *fixture {
 	disk := &recordingDisk{}
 	cfg := Config{
 		Design:      design,
-		Frames:      frames,
+		SSDFrames:   frames,
 		Partitions:  1,
 		PayloadSize: testPayload,
 	}
 	if mod != nil {
 		mod(&cfg)
 	}
-	return &fixture{env: env, dev: dev, disk: disk, m: NewManager(env, dev, disk, testPages, cfg)}
+	return &fixture{env: env, dev: dev, disk: disk, m: NewManager(env, dev, disk, nil, testPages, cfg)}
 }
 
 func mkPage(id page.ID, lsn uint64, fill byte) *page.Page {
@@ -173,7 +173,7 @@ func TestDWWritesAreConcurrent(t *testing.T) {
 	env := sim.NewEnv()
 	dev := device.NewSSD(env, device.Profile{RandWrite: 4 * time.Millisecond, SeqWrite: 4 * time.Millisecond, RandRead: time.Millisecond, SeqRead: time.Millisecond}, 8)
 	slow := &slowDisk{d: 10 * time.Millisecond}
-	m := NewManager(env, dev, slow, testPages, Config{Design: DW, Frames: 8, Partitions: 1, PayloadSize: testPayload})
+	m := NewManager(env, dev, slow, nil, testPages, Config{Design: DW, SSDFrames: 8, Partitions: 1, PayloadSize: testPayload})
 	var took time.Duration
 	env.Go("t", func(p *sim.Proc) {
 		m.OnEvict(p, mkPage(1, 1, 1), true, true)
@@ -315,7 +315,6 @@ func TestDirtyFramesNotReplacementVictims(t *testing.T) {
 func TestCleanerDrivesDirtyBelowThreshold(t *testing.T) {
 	f := newFixture(LC, 10, func(c *Config) {
 		c.DirtyFraction = 0.5
-		c.CleanerPoll = time.Millisecond
 		c.GroupClean = 4
 	})
 	f.m.StartCleaner()
@@ -346,7 +345,6 @@ func TestCleanerDrivesDirtyBelowThreshold(t *testing.T) {
 func TestGroupCleaningWritesContiguousRuns(t *testing.T) {
 	f := newFixture(LC, 32, func(c *Config) {
 		c.DirtyFraction = 0.05 // cleaner target ~1
-		c.CleanerPoll = time.Millisecond
 		c.GroupClean = 8
 	})
 	f.m.StartCleaner()
@@ -533,33 +531,34 @@ func TestTACDirtyEvictionWithoutInvalidCopyNotCached(t *testing.T) {
 func TestTACTemperatureAdmission(t *testing.T) {
 	f := newFixture(TAC, 2, func(c *Config) {
 		c.FillThreshold = 1.0
-		c.ExtentPages = 1 // one extent per page for direct control
 	})
+	// Pages one extent apart, so each has a temperature of its own.
+	const a, b, c = 1, 1 + extentPages, 1 + 2*extentPages
 	f.run(t, func(p *sim.Proc) {
 		still := func() bool { return true }
-		// Heat up pages 1 and 2, admit them (SSD now full).
-		f.m.TACNoteMiss(1, true)
-		f.m.TACNoteMiss(2, true)
-		f.m.TACOnDiskRead(mkPage(1, 1, 1), true, still)
-		f.m.TACOnDiskRead(mkPage(2, 1, 1), true, still)
+		// Heat up pages a and b, admit them (SSD now full).
+		f.m.TACNoteMiss(a, true)
+		f.m.TACNoteMiss(b, true)
+		f.m.TACOnDiskRead(mkPage(a, 1, 1), true, still)
+		f.m.TACOnDiskRead(mkPage(b, 1, 1), true, still)
 		p.Sleep(10 * time.Millisecond)
 		if f.m.Occupied() != 2 {
 			t.Fatalf("Occupied = %d", f.m.Occupied())
 		}
-		// Page 3 is colder (no misses recorded): must be rejected.
-		f.m.TACOnDiskRead(mkPage(3, 1, 1), true, still)
+		// Page c is colder (no misses recorded): must be rejected.
+		f.m.TACOnDiskRead(mkPage(c, 1, 1), true, still)
 		p.Sleep(10 * time.Millisecond)
-		if f.m.Contains(3) {
+		if f.m.Contains(c) {
 			t.Error("cold page displaced a hot one")
 		}
-		// Now make page 3's extent the hottest: admitted, evicting the
+		// Now make page c's extent the hottest: admitted, evicting the
 		// coldest cached page.
 		for i := 0; i < 5; i++ {
-			f.m.TACNoteMiss(3, true)
+			f.m.TACNoteMiss(c, true)
 		}
-		f.m.TACOnDiskRead(mkPage(3, 1, 1), true, still)
+		f.m.TACOnDiskRead(mkPage(c, 1, 1), true, still)
 		p.Sleep(10 * time.Millisecond)
-		if !f.m.Contains(3) {
+		if !f.m.Contains(c) {
 			t.Error("hot page rejected")
 		}
 		if f.m.Occupied() != 2 {
@@ -569,18 +568,18 @@ func TestTACTemperatureAdmission(t *testing.T) {
 }
 
 func TestTACNoteMissAccumulates(t *testing.T) {
-	f := newFixture(TAC, 8, func(c *Config) {
-		c.ExtentPages = 4
-		c.RandSavedMs = 7.0
-		c.SeqSavedMs = 0.5
-	})
+	f := newFixture(TAC, 8, nil)
 	f.m.TACNoteMiss(0, true)
 	f.m.TACNoteMiss(1, true) // same extent as 0
 	f.m.TACNoteMiss(2, false)
-	if got := f.m.ExtentTemperature(0); got != 14.5 {
-		t.Errorf("extent 0 temp = %v, want 14.5", got)
+	// The savings derive from the paper's HDD and SSD profiles.
+	hdd, flash := device.PaperHDDProfile(), device.PaperSSDProfile()
+	randSaved := float64(hdd.RandRead-flash.RandRead) / float64(time.Millisecond)
+	seqSaved := float64(hdd.SeqRead-flash.SeqRead) / float64(time.Millisecond)
+	if want := 2*randSaved + seqSaved; f.m.ExtentTemperature(0) != want || want <= 0 {
+		t.Errorf("extent 0 temp = %v, want %v", f.m.ExtentTemperature(0), want)
 	}
-	if got := f.m.ExtentTemperature(4); got != 0 {
+	if got := f.m.ExtentTemperature(extentPages); got != 0 {
 		t.Errorf("extent 1 temp = %v, want 0", got)
 	}
 }

@@ -56,7 +56,7 @@ func (h *tacHeap) Pop() interface{} {
 
 // ExtentTemperature returns the current temperature of pid's extent.
 func (m *Manager) ExtentTemperature(pid page.ID) float64 {
-	return m.temps[int(pid)/m.cfg.ExtentPages]
+	return m.temps[int(pid)/extentPages]
 }
 
 // TACNoteMiss records a memory-pool miss for temperature tracking: the
@@ -65,11 +65,11 @@ func (m *Manager) TACNoteMiss(pid page.ID, random bool) {
 	if m.cfg.Design != TAC || !m.Enabled() {
 		return
 	}
-	saved := m.cfg.RandSavedMs
+	saved := m.randSavedMs
 	if !random {
-		saved = m.cfg.SeqSavedMs
+		saved = m.seqSavedMs
 	}
-	m.temps[int(pid)/m.cfg.ExtentPages] += saved
+	m.temps[int(pid)/extentPages] += saved
 }
 
 // tacAllocFrame claims a frame for pid: the free list first, then — when

@@ -22,7 +22,11 @@ import (
 //
 //   - A torn tail: the process died mid-batch, leaving a prefix of the
 //     batch's pages. The partial record (or garbage) ends replay; every
-//     record before it is intact (each frame is CRC-protected).
+//     record before it is intact (each frame is CRC-protected). The log is
+//     only ever appended, so a torn write can only cut the last batch: a
+//     record that fails its check while a later batch start still decodes
+//     a record continuing the stream is mid-log damage, not a torn tail,
+//     and LoadDurable refuses it (ErrLogDamaged) without scrubbing.
 //   - Stale bytes: pages written by an earlier incarnation beyond the
 //     current end of log. A record there decodes fine but its LSN does not
 //     continue the stream, so the LSN-continuity check rejects it. As a
@@ -35,11 +39,19 @@ import (
 // header could otherwise send replay scanning gigabytes of zeros).
 const maxRecordBody = 1 << 26
 
+// ErrLogDamaged reports a record that fails its CRC or framing check in
+// the middle of a persisted log: a later batch still holds records that
+// continue the stream, so the failure is not a torn tail. Replay cannot
+// skip the hole, and truncating there would drop acknowledged commits.
+var ErrLogDamaged = errors.New("wal: log damaged mid-stream")
+
 // LoadDurable rebuilds the log's durable record set from the persisted log
 // device after a reopen (device.OpenFileExisting). It replaces the durable
 // records, clears pending state, advances NextLSN/FlushedLSN past the
 // highest recovered record, positions the next flush after the recovered
-// end of log, and scrubs any torn or stale tail bytes. Call it once,
+// end of log, and scrubs any torn or stale tail bytes. Mid-log damage
+// fails with an error wrapping ErrLogDamaged that names the byte offsets,
+// and leaves the device and the log untouched. Call it once,
 // before the first Append, on a log whose device holds a previous
 // incarnation's stream; a fresh (all-zero) device yields an empty log.
 func (l *Log) LoadDurable() error {
@@ -65,8 +77,9 @@ func (l *Log) LoadDurable() error {
 	}
 
 	var recs []Record
-	off := 0 // decode position in data
-	end := 0 // byte offset just past the last accepted record
+	off := 0  // decode position in data
+	end := 0  // byte offset just past the last accepted record
+	bad := -1 // byte offset of a record that failed its check
 	expect := uint64(0)
 scan:
 	for {
@@ -85,7 +98,8 @@ scan:
 		}
 		n := int(binary.LittleEndian.Uint32(hdr[0:4]))
 		if n < frameHeader-8 || n > maxRecordBody {
-			break // garbage header: torn tail
+			bad = off // garbage header: torn tail or damage
+			break
 		}
 		for len(data)-off < 8+n {
 			if !readPage() {
@@ -94,7 +108,8 @@ scan:
 		}
 		r, sz, err := DecodeRecord(data[off:])
 		if err != nil {
-			break // CRC or framing failure: torn tail
+			bad = off // CRC or framing failure: torn tail or damage
+			break
 		}
 		if expect != 0 && r.LSN != expect {
 			break // stale bytes from an earlier incarnation
@@ -103,6 +118,33 @@ scan:
 		expect = r.LSN + 1
 		off += sz
 		end = off
+	}
+	// Tell a torn tail from damage: probe each later batch start up to the
+	// first all-zero page. A record there that continues the stream was
+	// written after the failed one, so the failed one is not the tail.
+probe:
+	for q := (bad/l.pageSize + 1) * l.pageSize; bad >= 0; q += l.pageSize {
+		for len(data) < q+l.pageSize {
+			if !readPage() {
+				break probe
+			}
+		}
+		if allZero(data[q : q+l.pageSize]) {
+			break
+		}
+		n := int(binary.LittleEndian.Uint32(data[q : q+4]))
+		if n < frameHeader-8 || n > maxRecordBody {
+			continue
+		}
+		for len(data) < q+8+n {
+			if !readPage() {
+				break probe
+			}
+		}
+		if r, _, err := DecodeRecord(data[q:]); err == nil && r.LSN >= expect {
+			return fmt.Errorf("%w: the record at byte %d fails its check, but the record at byte %d (LSN %d) continues the log",
+				ErrLogDamaged, bad, q, r.LSN)
+		}
 	}
 	if readErr != nil {
 		return readErr
@@ -133,14 +175,7 @@ func (l *Log) scrubTail() error {
 		if err := l.dev.Read(nil, p, [][]byte{pg}); err != nil {
 			return fmt.Errorf("wal: scrub tail: read page %d: %w", p, err)
 		}
-		allZero := true
-		for _, b := range pg {
-			if b != 0 {
-				allZero = false
-				break
-			}
-		}
-		if allZero {
+		if allZero(pg) {
 			return nil
 		}
 		if zero == nil {
@@ -151,4 +186,14 @@ func (l *Log) scrubTail() error {
 		}
 	}
 	return nil
+}
+
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

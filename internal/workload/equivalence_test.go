@@ -107,13 +107,13 @@ func TestProcTaskEquivalenceProperty(t *testing.T) {
 		wl.AccessesPerTx = 1 + rng.Intn(8)
 		wl.UpdateFrac = rng.Float64() * 0.6
 		wl.Seed = rng.Int63()
+		// Draw order: design, pool pages, SSD frames.
 		cfg := engine.Config{
-			Design:      designs[rng.Intn(len(designs))],
-			DBPages:     dbPages,
-			PoolPages:   32 + rng.Intn(96),
-			SSDFrames:   64 + rng.Intn(192),
-			PayloadSize: 64,
+			Config:    ssd.Config{Design: designs[rng.Intn(len(designs))], PayloadSize: 64},
+			DBPages:   dbPages,
+			PoolPages: 32 + rng.Intn(96),
 		}
+		cfg.SSDFrames = 64 + rng.Intn(192)
 		dur := time.Duration(50+rng.Intn(200)) * time.Millisecond
 
 		procTrace, procES, procSS, procDisk, procSSD := runTraced(t, wl, true, cfg, dur)

@@ -240,8 +240,8 @@ func runShadow(t *testing.T, design ssd.Design, crash bool) {
 	inj := fault.New(7)
 	env := sim.NewEnv()
 	e := engine.New(env, engine.Config{
-		Design: design, DBPages: 8192, PoolPages: 48, SSDFrames: 512,
-		PayloadSize: 256, Faults: inj,
+		Config:  ssd.Config{Design: design, SSDFrames: 512, PayloadSize: 256, Faults: inj},
+		DBPages: 8192, PoolPages: 48,
 	})
 	if err := e.FormatDB(); err != nil {
 		t.Fatal(err)

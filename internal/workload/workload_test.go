@@ -97,8 +97,8 @@ func TestProfiles(t *testing.T) {
 func TestOLTPDriverCommits(t *testing.T) {
 	env := sim.NewEnv()
 	e := engine.New(env, engine.Config{
-		Design: ssd.LC, DBPages: 512, PoolPages: 32, SSDFrames: 64,
-		PayloadSize: 32, CPUPerAccess: -1,
+		Config:  ssd.Config{Design: ssd.LC, SSDFrames: 64, PayloadSize: 32},
+		DBPages: 512, PoolPages: 32, CPUPerAccess: -1,
 	})
 	if err := e.FormatDB(); err != nil {
 		t.Fatal(err)
@@ -172,8 +172,8 @@ func newTPCHEngine(t *testing.T) (*sim.Env, *engine.Engine) {
 	t.Helper()
 	env := sim.NewEnv()
 	e := engine.New(env, engine.Config{
-		Design: ssd.DW, DBPages: 2048, PoolPages: 128, SSDFrames: 512,
-		PayloadSize: 32, CPUPerAccess: -1,
+		Config:  ssd.Config{Design: ssd.DW, SSDFrames: 512, PayloadSize: 32},
+		DBPages: 2048, PoolPages: 128, CPUPerAccess: -1,
 	})
 	if err := e.FormatDB(); err != nil {
 		t.Fatal(err)

@@ -36,22 +36,11 @@ func TestBenchModule(t *testing.T) {
 
 // TestDocComments is the repository's documentation audit. Every package of
 // this module (library, internal, command and example alike) carries a doc
-// comment on its package clause in at least one non-test file. The public
-// access methods (btree, heapfile), the policy layer and the one verified
-// load generator (internal/loadbench), the log (internal/wal), the
-// devices (internal/device), the fault wrapper (internal/fault), the wire
-// protocol (internal/netproto), the engine (internal/engine), the SSD
-// manager (internal/ssd) and the simulation kernel (internal/sim) hold a
-// stricter bar:
-// every exported top-level declaration outside a grouped block, and every
-// method with an exported name, carries a doc comment of its own.
+// comment on its package clause in at least one non-test file, and in
+// every package every exported top-level declaration outside a grouped
+// block, and every method with an exported name, carries a doc comment of
+// its own.
 func TestDocComments(t *testing.T) {
-	strict := map[string]bool{"btree": true, "heapfile": true,
-		filepath.Join("internal", "policy"): true, filepath.Join("internal", "loadbench"): true,
-		filepath.Join("internal", "wal"): true, filepath.Join("internal", "device"): true,
-		filepath.Join("internal", "fault"): true, filepath.Join("internal", "netproto"): true,
-		filepath.Join("internal", "engine"): true, filepath.Join("internal", "ssd"): true,
-		filepath.Join("internal", "sim"): true}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -81,10 +70,8 @@ func TestDocComments(t *testing.T) {
 			}
 			sources++
 			documented = documented || f.Doc != nil
-			if strict[dir] {
-				for _, name := range undocumentedExports(f) {
-					t.Errorf("undocumented exported identifier: %s: %s", path, name)
-				}
+			for _, name := range undocumentedExports(f) {
+				t.Errorf("undocumented exported identifier: %s: %s", path, name)
 			}
 		}
 		if sources > 0 && !documented {

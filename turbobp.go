@@ -202,6 +202,14 @@ var ErrClosed = errors.New("turbobp: database closed")
 // every acknowledged update stays durable. See docs/FAILURES.md.
 var ErrLogFull = engine.ErrLogFull
 
+// ErrLogDamaged is returned by Open with Options.OpenExisting when a
+// record in the middle of a partition's slice of wal.log fails its
+// checksum while later records still continue the log. Only a torn tail —
+// the last write a killed process left half done — is dropped on reopen;
+// damage before acknowledged commits is refused, and the file is left as
+// it was. See docs/FAILURES.md.
+var ErrLogDamaged = wal.ErrLogDamaged
+
 // DB is an open database: a set of page-range partitions (one on the
 // simulated backend) plus the state that cuts across them. See concurrent.go
 // for the partitions and the lock hierarchy.
@@ -254,15 +262,17 @@ func Open(opts Options) (*DB, error) {
 		return nil, errors.New("turbobp: Options.OpenExisting requires the file backend (set Options.Dir)")
 	}
 	cfg := engine.Config{
-		Design:             opts.Design,
-		Policy:             opts.Policy,
-		PayloadSize:        opts.PageSize,
-		FillThreshold:      opts.FillThreshold,
-		DirtyFraction:      opts.DirtyFraction,
+		Config: ssd.Config{
+			Design:        opts.Design,
+			Policy:        opts.Policy,
+			PayloadSize:   opts.PageSize,
+			FillThreshold: opts.FillThreshold,
+			DirtyFraction: opts.DirtyFraction,
+			ScrubPeriod:   opts.ScrubInterval,
+		},
 		CheckpointInterval: opts.CheckpointInterval,
 		FuzzyCheckpoints:   opts.FuzzyCheckpoints,
 		WarmRestart:        opts.WarmRestart,
-		ScrubPeriod:        opts.ScrubInterval,
 	}
 	db := &DB{opts: opts}
 	// The simulated backend leaves the files nil: its one partition builds
