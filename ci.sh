@@ -15,6 +15,7 @@ fi
 
 echo "== go vet =="
 go vet ./...
+(cd bench && go vet ./...)
 
 echo "== go test -race $short =="
 go test -race $short ./...

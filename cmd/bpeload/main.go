@@ -135,7 +135,7 @@ func run(args []string, stdout io.Writer) error {
 				errs[i] = ws[i-*readers].Run(cl, done, note)
 			}
 			mu.Lock()
-			faults.Add(cl.Stats())
+			metrics.Add(&faults, cl.Stats())
 			mu.Unlock()
 			cl.Close()
 		}()

@@ -10,6 +10,7 @@ import (
 	"turbobp/internal/device"
 	"turbobp/internal/engine"
 	"turbobp/internal/fault"
+	"turbobp/internal/metrics"
 	"turbobp/internal/page"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
@@ -524,19 +525,18 @@ func (db *DB) Stats() Stats {
 	var vt time.Duration
 	for _, pt := range db.parts {
 		pt.mu.Lock()
-		es = es.Add(pt.eng.Stats())
-		ms = ms.Add(pt.eng.SSD().Stats())
+		metrics.Add(&es, pt.eng.Stats())
+		metrics.Add(&ms, pt.eng.SSD().Stats())
 		s.SSDOccupied += pt.eng.SSD().Occupied()
 		s.SSDDirty += pt.eng.SSD().DirtyCount()
 		s.RetiredSlots += pt.eng.SSD().RetiredSlots()
 		s.Quarantined = s.Quarantined || pt.eng.SSD().Quarantined()
-		d := pt.eng.DBDevice().Stats().Load()
+		d := pt.eng.DBDevice().Stats()
 		s.DiskReads += d.ReadOps
 		s.DiskWrites += d.WriteOps
 		if dev := pt.eng.SSDDevice(); dev != nil {
-			sd := dev.Stats().Load()
-			s.SSDReads += sd.ReadOps
-			s.SSDWrites += sd.WriteOps
+			s.SSDReads += dev.Stats().ReadOps
+			s.SSDWrites += dev.Stats().WriteOps
 		}
 		if now := pt.env.Now(); now > vt {
 			vt = now
@@ -584,11 +584,7 @@ func (db *DB) LatencySummary() string {
 	var l engine.Latencies
 	for _, pt := range db.parts {
 		pt.mu.Lock()
-		pl := pt.eng.Latencies()
-		l.PoolHit.Merge(&pl.PoolHit)
-		l.SSDHit.Merge(&pl.SSDHit)
-		l.DiskRead.Merge(&pl.DiskRead)
-		l.Commit.Merge(&pl.Commit)
+		metrics.Add(&l, *pt.eng.Latencies())
 		pt.mu.Unlock()
 	}
 	return fmt.Sprintf("pool-hit:  %s\nssd-hit:   %s\ndisk-read: %s\ncommit:    %s",

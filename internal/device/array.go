@@ -93,11 +93,11 @@ func (a *Array) doTask(t *sim.Task, page PageNum, bufs [][]byte, write bool, k f
 		return
 	}
 	if write {
-		a.stats.WriteOps.Add(1)
-		a.stats.WritePages.Add(int64(len(bufs)))
+		a.stats.WriteOps++
+		a.stats.WritePages += int64(len(bufs))
 	} else {
-		a.stats.ReadOps.Add(1)
-		a.stats.ReadPages.Add(int64(len(bufs)))
+		a.stats.ReadOps++
+		a.stats.ReadPages += int64(len(bufs))
 	}
 	if int(a.stripeUnit-page%a.stripeUnit) >= len(bufs) {
 		disk, local := a.locate(page)

@@ -67,63 +67,19 @@ type Formatter interface {
 	Format(fill func(page PageNum, buf []byte)) error
 }
 
-// Counter is a cumulative I/O counter. It is deliberately not atomic: every
-// writer and reader runs under the simulation kernel's serialization (procs
-// hand off execution one at a time, samplers are simulation processes
-// themselves), the same discipline the devices' buffer free lists already
-// rely on. Keeping the counters plain keeps the per-request hot path free
-// of synchronized memory operations.
-type Counter struct{ v int64 }
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) { c.v += d }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v }
-
-// Stats holds cumulative I/O counters for one device.
+// Stats holds cumulative I/O counters for one device. The fields are plain
+// int64s, not atomics (DESIGN.md, "Statistics"): every writer and reader
+// runs under the simulation kernel's serialization, so a copy of the
+// struct (*dev.Stats()) is a snapshot, and metrics.Sub of two snapshots is
+// an interval's traffic.
 type Stats struct {
-	ReadOps    Counter // I/O requests (a multi-page request counts once)
-	WriteOps   Counter
-	ReadPages  Counter // pages transferred
-	WritePages Counter
-	SeqReads   Counter // requests served without a seek penalty
-	SeqWrites  Counter
-	BusyNanos  Counter // total service time charged
-}
-
-// Snapshot is a plain-value copy of Stats at one instant.
-type Snapshot struct {
-	ReadOps, WriteOps     int64
-	ReadPages, WritePages int64
-	SeqReads, SeqWrites   int64
-	BusyNanos             int64
-}
-
-// Load returns a point-in-time copy of the counters.
-func (s *Stats) Load() Snapshot {
-	return Snapshot{
-		ReadOps:    s.ReadOps.Load(),
-		WriteOps:   s.WriteOps.Load(),
-		ReadPages:  s.ReadPages.Load(),
-		WritePages: s.WritePages.Load(),
-		SeqReads:   s.SeqReads.Load(),
-		SeqWrites:  s.SeqWrites.Load(),
-		BusyNanos:  s.BusyNanos.Load(),
-	}
-}
-
-// Sub returns the delta s minus prev, for per-interval bandwidth series.
-func (s Snapshot) Sub(prev Snapshot) Snapshot {
-	return Snapshot{
-		ReadOps:    s.ReadOps - prev.ReadOps,
-		WriteOps:   s.WriteOps - prev.WriteOps,
-		ReadPages:  s.ReadPages - prev.ReadPages,
-		WritePages: s.WritePages - prev.WritePages,
-		SeqReads:   s.SeqReads - prev.SeqReads,
-		SeqWrites:  s.SeqWrites - prev.SeqWrites,
-		BusyNanos:  s.BusyNanos - prev.BusyNanos,
-	}
+	ReadOps    int64 // I/O requests (a multi-page request counts once)
+	WriteOps   int64
+	ReadPages  int64 // pages transferred
+	WritePages int64
+	SeqReads   int64 // requests served without a seek penalty
+	SeqWrites  int64
+	BusyNanos  int64 // total service time charged
 }
 
 func checkRange(page PageNum, n int, capacity PageNum) error {

@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"turbobp/internal/metrics"
 	"turbobp/internal/page"
 	"turbobp/internal/sim"
 )
@@ -185,7 +186,7 @@ func TestStatsCounting(t *testing.T) {
 		d.Read(p, 1, onePage(0)) // sequential after reading page 0
 	})
 	env.Run(-1)
-	s := d.Stats().Load()
+	s := *d.Stats()
 	if s.WriteOps != 1 || s.WritePages != 2 {
 		t.Errorf("writes = %d ops/%d pages, want 1/2", s.WriteOps, s.WritePages)
 	}
@@ -200,12 +201,14 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
+// TestSnapshotSub differences two copies of a device's Stats taken a
+// window apart, as the harness sampler does with metrics.Sub.
 func TestSnapshotSub(t *testing.T) {
-	a := Snapshot{ReadOps: 10, WriteOps: 4, ReadPages: 20, WritePages: 8}
-	b := Snapshot{ReadOps: 25, WriteOps: 9, ReadPages: 50, WritePages: 16}
-	d := b.Sub(a)
-	if d.ReadOps != 15 || d.WriteOps != 5 || d.ReadPages != 30 || d.WritePages != 8 {
-		t.Errorf("Sub = %+v", d)
+	a := Stats{ReadOps: 10, WriteOps: 4, ReadPages: 20, WritePages: 8, SeqReads: 3, SeqWrites: 1, BusyNanos: 100}
+	b := Stats{ReadOps: 25, WriteOps: 9, ReadPages: 50, WritePages: 16, SeqReads: 7, SeqWrites: 6, BusyNanos: 350}
+	want := Stats{ReadOps: 15, WriteOps: 5, ReadPages: 30, WritePages: 8, SeqReads: 4, SeqWrites: 5, BusyNanos: 250}
+	if d := metrics.Sub(b, a); d != want {
+		t.Errorf("Sub = %+v, want %+v", d, want)
 	}
 }
 
@@ -466,10 +469,10 @@ func TestArrayStatsCountMemberBusyTime(t *testing.T) {
 	env.Run(-1)
 	var busy, seq int64
 	for _, d := range a.disks {
-		busy += d.Stats().BusyNanos.Load()
-		seq += d.Stats().SeqReads.Load()
+		busy += d.Stats().BusyNanos
+		seq += d.Stats().SeqReads
 	}
-	got := a.Stats().Load()
+	got := *a.Stats()
 	if got.BusyNanos != busy || busy <= 0 {
 		t.Errorf("array BusyNanos = %d, want the members' sum %d (> 0)", got.BusyNanos, busy)
 	}
@@ -513,7 +516,7 @@ func TestArrayFormat(t *testing.T) {
 	if err := a.Format(encode); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Stats().Load(); got != (Snapshot{}) {
+	if got := *a.Stats(); got != (Stats{}) {
 		t.Errorf("Format counted I/O: %+v", got)
 	}
 	written := want(0)
@@ -596,7 +599,7 @@ func TestFileDevice(t *testing.T) {
 	if err := d.Write(nil, 0, [][]byte{make([]byte, 31)}); err == nil {
 		t.Error("short buffer accepted")
 	}
-	s := d.Stats().Load()
+	s := *d.Stats()
 	if s.ReadOps != 1 || s.WriteOps != 1 {
 		t.Errorf("stats = %+v", s)
 	}

@@ -96,8 +96,8 @@ func (d *File) Read(_ *sim.Proc, page PageNum, bufs [][]byte) error {
 			return fmt.Errorf("device: read page %d: %w", int64(page)+int64(i), err)
 		}
 	}
-	d.stats.ReadOps.Add(1)
-	d.stats.ReadPages.Add(int64(len(bufs)))
+	d.stats.ReadOps++
+	d.stats.ReadPages += int64(len(bufs))
 	return nil
 }
 
@@ -114,8 +114,8 @@ func (d *File) Write(_ *sim.Proc, page PageNum, bufs [][]byte) error {
 			return fmt.Errorf("device: write page %d: %w", int64(page)+int64(i), err)
 		}
 	}
-	d.stats.WriteOps.Add(1)
-	d.stats.WritePages.Add(int64(len(bufs)))
+	d.stats.WriteOps++
+	d.stats.WritePages += int64(len(bufs))
 	return nil
 }
 

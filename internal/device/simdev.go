@@ -149,11 +149,11 @@ func (d *simDevice) complete(page PageNum, bufs [][]byte, write bool, dur time.D
 	}
 	d.head = page + PageNum(len(bufs))
 	if write {
-		d.stats.WriteOps.Add(1)
-		d.stats.WritePages.Add(int64(len(bufs)))
+		d.stats.WriteOps++
+		d.stats.WritePages += int64(len(bufs))
 	} else {
-		d.stats.ReadOps.Add(1)
-		d.stats.ReadPages.Add(int64(len(bufs)))
+		d.stats.ReadOps++
+		d.stats.ReadPages += int64(len(bufs))
 	}
 	d.stats.charge(dur, seq, write)
 	if d.rollup != nil {
@@ -164,12 +164,12 @@ func (d *simDevice) complete(page PageNum, bufs [][]byte, write bool, dur time.D
 // charge adds one completed request's service time and, when it needed no
 // seek, its sequential hit.
 func (s *Stats) charge(dur time.Duration, seq, write bool) {
-	s.BusyNanos.Add(int64(dur))
+	s.BusyNanos += int64(dur)
 	if seq {
 		if write {
-			s.SeqWrites.Add(1)
+			s.SeqWrites++
 		} else {
-			s.SeqReads.Add(1)
+			s.SeqReads++
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"turbobp/internal/metrics"
 	"turbobp/internal/page"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
@@ -172,7 +173,7 @@ func TestScanWholeDatabase(t *testing.T) {
 	if got := e.Stats().ScanPages; got != e.Config().DBPages {
 		t.Errorf("ScanPages = %d, want %d", got, e.Config().DBPages)
 	}
-	d := e.DiskArray().Stats().Load()
+	d := *e.DiskArray().Stats()
 	if d.ReadPages != e.Config().DBPages {
 		t.Errorf("disk pages read = %d, want %d", d.ReadPages, e.Config().DBPages)
 	}
@@ -188,7 +189,7 @@ func TestReadExpansionWarmup(t *testing.T) {
 	defer finish(env, e)
 	drive(t, env, e, func(p *sim.Proc) {
 		e.Get(p, 100)
-		d := e.DiskArray().Stats().Load()
+		d := *e.DiskArray().Stats()
 		if d.ReadOps != 1 || d.ReadPages != 8 {
 			t.Errorf("warm-up read = %d ops / %d pages, want 1/8", d.ReadOps, d.ReadPages)
 		}
@@ -201,9 +202,9 @@ func TestReadExpansionWarmup(t *testing.T) {
 		for pid := page.ID(0); pid < 70; pid++ {
 			e.Get(p, pid)
 		}
-		before := e.DiskArray().Stats().Load()
+		before := *e.DiskArray().Stats()
 		e.Get(p, 400)
-		delta := e.DiskArray().Stats().Load().Sub(before)
+		delta := metrics.Sub(*e.DiskArray().Stats(), before)
 		if delta.ReadPages != 1 {
 			t.Errorf("post-warm-up read fetched %d pages, want 1", delta.ReadPages)
 		}

@@ -15,6 +15,7 @@ import (
 	"turbobp/internal/device"
 	"turbobp/internal/metrics"
 	"turbobp/internal/page"
+	"turbobp/internal/policy"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
 	"turbobp/internal/wal"
@@ -174,46 +175,14 @@ type Stats struct {
 	TruthRandLabelSeq  int64
 	TruthRandLabelRand int64
 
-	// Pool replacement-policy decision counters (policy.Stats mirrored
-	// into the engine totals at read time; all zero under default LRU-2).
-	PoolGhostHits  int64 // ARC ghost-list hits in the memory pool
-	PoolSplitPos   int64 // ARC adaptive T1 target (gauge, not a count)
-	PoolCleanFirst int64 // CFLRU evictions that skipped an older dirty page
-	PoolAdmitRej   int64 // TinyLFU admissions rejected by the frequency gate
-}
+	// CPUBusyNanos integrates the CPU model's busy contexts over virtual
+	// time (sim.Resource.Busy): utilisation is it over elapsed time ×
+	// cpuCores contexts.
+	CPUBusyNanos int64
 
-// Add returns the fieldwise sum of s and o; DB.Stats uses it to fold its
-// partitions' engines into one total. A reflection test keeps it in sync
-// with the struct.
-func (s Stats) Add(o Stats) Stats {
-	s.Reads += o.Reads
-	s.Updates += o.Updates
-	s.PoolHits += o.PoolHits
-	s.PoolMisses += o.PoolMisses
-	s.Commits += o.Commits
-	s.Evictions += o.Evictions
-	s.DirtyEvicts += o.DirtyEvicts
-	s.Checkpoints += o.Checkpoints
-	s.ScanPages += o.ScanPages
-	s.RedoApplied += o.RedoApplied
-	s.RedoSkipped += o.RedoSkipped
-	s.SSDLosses += o.SSDLosses
-	s.SSDLossRedo += o.SSDLossRedo
-	s.DiskCorruptions += o.DiskCorruptions
-	s.DiskRepairsSSD += o.DiskRepairsSSD
-	s.DiskRepairsWAL += o.DiskRepairsWAL
-	s.CorruptRedo += o.CorruptRedo
-	s.DiskReadRetries += o.DiskReadRetries
-	s.DiskWriteRetries += o.DiskWriteRetries
-	s.TruthSeqLabelSeq += o.TruthSeqLabelSeq
-	s.TruthSeqLabelRand += o.TruthSeqLabelRand
-	s.TruthRandLabelSeq += o.TruthRandLabelSeq
-	s.TruthRandLabelRand += o.TruthRandLabelRand
-	s.PoolGhostHits += o.PoolGhostHits
-	s.PoolSplitPos += o.PoolSplitPos
-	s.PoolCleanFirst += o.PoolCleanFirst
-	s.PoolAdmitRej += o.PoolAdmitRej
-	return s
+	// Pool is the memory pool's replacement-policy decision counters, read
+	// from the policy at read time (all zero under default LRU-2).
+	Pool policy.Stats
 }
 
 // Latencies holds per-tier operation latency histograms: reads broken down
@@ -509,15 +478,12 @@ func (e *Engine) Env() *sim.Env { return e.env }
 // Config returns the effective configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// Stats returns a copy of the engine counters, with the buffer pool's
-// replacement-policy counters folded in.
+// Stats returns a copy of the engine counters, with the CPU model's busy
+// time and the buffer pool's replacement-policy counters filled in.
 func (e *Engine) Stats() Stats {
 	s := e.stats
-	ps := e.pool.PolicyStats()
-	s.PoolGhostHits = ps.GhostHits
-	s.PoolSplitPos = ps.SplitPos
-	s.PoolCleanFirst = ps.CleanFirstEvict
-	s.PoolAdmitRej = ps.AdmitRejects
+	s.CPUBusyNanos = int64(e.cpu.Busy())
+	s.Pool = e.pool.PolicyStats()
 	return s
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"turbobp/internal/bufpool"
 	"turbobp/internal/device"
+	"turbobp/internal/metrics"
 	"turbobp/internal/page"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
@@ -93,9 +94,9 @@ func TestSecondGetIsPoolHit(t *testing.T) {
 	defer finish(env, e)
 	drive(t, env, e, func(p *sim.Proc) {
 		e.Get(p, 5)
-		before := e.DiskArray().Stats().Load().ReadOps
+		before := e.DiskArray().Stats().ReadOps
 		e.Get(p, 5)
-		if got := e.DiskArray().Stats().Load().ReadOps; got != before {
+		if got := e.DiskArray().Stats().ReadOps; got != before {
 			t.Error("pool hit went to disk")
 		}
 	})
@@ -275,11 +276,11 @@ func TestLCDirtyEvictionAvoidsDisk(t *testing.T) {
 		tx := e.Begin()
 		e.Update(p, tx, 1, func(pl []byte) { pl[0] = 0x5C })
 		e.Commit(p, tx)
-		writesBefore := e.DiskArray().Stats().Load().WriteOps
+		writesBefore := e.DiskArray().Stats().WriteOps
 		for pid := page.ID(10); pid < 20; pid++ {
 			e.Get(p, pid)
 		}
-		if got := e.DiskArray().Stats().Load().WriteOps; got != writesBefore {
+		if got := e.DiskArray().Stats().WriteOps; got != writesBefore {
 			t.Errorf("LC eviction reached the disks (%d writes)", got-writesBefore)
 		}
 		if !e.SSD().IsDirty(1) {
@@ -306,7 +307,7 @@ func TestScanUsesMultiPageIO(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	s := e.DiskArray().Stats().Load()
+	s := *e.DiskArray().Stats()
 	// 4 ramp singles + 2 batches of 16.
 	if s.ReadOps != 6 {
 		t.Errorf("disk read ops = %d, want 6", s.ReadOps)
@@ -361,11 +362,11 @@ func TestMultiPageReadTrimsSSDPages(t *testing.T) {
 		for pid := page.ID(20); pid < 36; pid++ {
 			e.Get(p, pid)
 		}
-		readsBefore := e.DiskArray().Stats().Load()
+		readsBefore := *e.DiskArray().Stats()
 		if err := e.Scan(p, 100, 8); err != nil {
 			t.Fatal(err)
 		}
-		d := e.DiskArray().Stats().Load().Sub(readsBefore)
+		d := metrics.Sub(*e.DiskArray().Stats(), readsBefore)
 		// Pages 100 and 107 are the leading/trailing SSD pages: trimmed.
 		// The disk sees one 6-page read (101..106).
 		if d.ReadOps != 1 || d.ReadPages != 6 {
@@ -428,7 +429,7 @@ func TestCheckpointFlushesPoolDirtyPages(t *testing.T) {
 	})
 	// Pages 0..9 are contiguous: the checkpoint should write them in one
 	// grouped I/O.
-	if w := e.DiskArray().Stats().Load().WriteOps; w != 1 {
+	if w := e.DiskArray().Stats().WriteOps; w != 1 {
 		t.Errorf("checkpoint used %d write ops, want 1 grouped write", w)
 	}
 }

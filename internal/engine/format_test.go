@@ -95,7 +95,7 @@ func TestFileFormatIsEager(t *testing.T) {
 	if err := e.FormatDB(); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.Stats().Load(); got != (device.Snapshot{}) {
+	if got := *f.Stats(); got != (device.Stats{}) {
 		t.Errorf("FormatDB counted file I/O: %+v", got)
 	}
 	got, err := os.ReadFile(path)

@@ -22,11 +22,11 @@ func TestFuzzyCheckpointFlushesNothing(t *testing.T) {
 			e.Update(p, tx, pid, func(pl []byte) { pl[0] = 1 })
 		}
 		e.Commit(p, tx)
-		writes := e.DiskArray().Stats().Load().WriteOps
+		writes := e.DiskArray().Stats().WriteOps
 		if err := e.Checkpoint(p); err != nil {
 			t.Fatal(err)
 		}
-		if got := e.DiskArray().Stats().Load().WriteOps; got != writes {
+		if got := e.DiskArray().Stats().WriteOps; got != writes {
 			t.Errorf("fuzzy checkpoint issued %d disk writes", got-writes)
 		}
 		if n := len(e.Pool().DirtyPages()); n != 10 {

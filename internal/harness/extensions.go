@@ -286,7 +286,7 @@ func RunTrimming(scale Scale) (*TrimmingResult, error) {
 			return nil
 		})
 		e.StopBackground()
-		ops := e.DiskArray().Stats().Load().ReadOps
+		ops := e.DiskArray().Stats().ReadOps
 		env.Shutdown()
 		if err != nil {
 			return cell{}, err

@@ -190,19 +190,19 @@ func finalRate(s *metrics.Series, window time.Duration) float64 {
 // startSampler records per-bucket device page transfer deltas.
 func startSampler(env *sim.Env, e *engine.Engine, bucket time.Duration, res *OLTPResult) {
 	env.Go("sampler", func(p *sim.Proc) {
-		prevDisk := e.DiskArray().Stats().Load()
-		var prevSSD device.Snapshot
+		prevDisk := *e.DiskArray().Stats()
+		var prevSSD device.Stats
 		for {
 			p.Sleep(bucket)
 			t := p.Now() - 1 // attribute to the bucket that just ended
-			d := e.DiskArray().Stats().Load()
-			dd := d.Sub(prevDisk)
+			d := *e.DiskArray().Stats()
+			dd := metrics.Sub(d, prevDisk)
 			prevDisk = d
 			res.DiskRead.Add(t, float64(dd.ReadPages))
 			res.DiskWrite.Add(t, float64(dd.WritePages))
 			if dev := e.SSDDevice(); dev != nil {
-				sd := dev.Stats().Load()
-				ds := sd.Sub(prevSSD)
+				sd := *dev.Stats()
+				ds := metrics.Sub(sd, prevSSD)
 				prevSSD = sd
 				res.SSDRead.Add(t, float64(ds.ReadPages))
 				res.SSDWrite.Add(t, float64(ds.WritePages))

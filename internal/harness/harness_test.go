@@ -85,7 +85,7 @@ func TestScalePolicyIsPerRun(t *testing.T) {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	ghosts := func(r *OLTPResult) int64 { return r.Engine.PoolGhostHits + r.SSD.PolicyGhostHits }
+	ghosts := func(r *OLTPResult) int64 { return r.Engine.Pool.GhostHits + r.SSD.Policy.GhostHits }
 	if g := ghosts(res[0]); g == 0 {
 		t.Error("Scale{Policy: ARC}: no ARC ghost hits, the run did not get its policy")
 	}
@@ -565,7 +565,8 @@ func TestRunOLTPKeepsNoLogHistory(t *testing.T) {
 // order and every earlier form of it produced these same figures, so a
 // change to either number means the dispatch order moved.
 func TestOLTPCellDispatchPin(t *testing.T) {
-	r, err := RunOLTP(buildOLTP(Scale{Divisor: 8192}, ssd.LC, "tpcc", TPCCSizesGB[1], nil))
+	run := buildOLTP(Scale{Divisor: 8192}, ssd.LC, "tpcc", TPCCSizesGB[1], nil)
+	r, err := RunOLTP(run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,6 +574,12 @@ func TestOLTPCellDispatchPin(t *testing.T) {
 	if r.Events != wantEvents || r.Engine.Commits != wantCommits {
 		t.Errorf("cell dispatched %d events and committed %d transactions, want %d and %d",
 			r.Events, r.Engine.Commits, wantEvents, wantCommits)
+	}
+	// The CPU model's busy time is positive and no more than its 16
+	// contexts held for the whole run.
+	t.Logf("CPUBusyNanos = %d over %v", r.Engine.CPUBusyNanos, run.Duration)
+	if busy, bound := r.Engine.CPUBusyNanos, int64(run.Duration)*16; busy <= 0 || busy > bound {
+		t.Errorf("CPUBusyNanos = %d, want in (0, %d]", busy, bound)
 	}
 }
 

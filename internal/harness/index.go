@@ -6,6 +6,7 @@ import (
 
 	"turbobp/internal/device"
 	"turbobp/internal/engine"
+	"turbobp/internal/metrics"
 	"turbobp/internal/policy"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
@@ -104,12 +105,12 @@ func runIndexCell(s Scale, design ssd.Design, kind workload.IndexKind) (IndexCel
 
 	var loadEng engine.Stats
 	var loadSSD ssd.Stats
-	var loadDev device.Snapshot
+	var loadDev device.Stats
 	res := mix.Start(env, newStore,
 		func() { // end of load: snapshot so rates cover the measured phase only
 			loadEng = e.Stats()
 			loadSSD = e.SSD().Stats()
-			loadDev = e.SSDDevice().Stats().Load()
+			loadDev = *e.SSDDevice().Stats()
 		},
 		func() { e.StopBackground() })
 	env.Run(-1)
@@ -119,23 +120,19 @@ func runIndexCell(s Scale, design ssd.Design, kind workload.IndexKind) (IndexCel
 	}
 	cell.Res = res
 
-	eng := e.Stats()
-	reads := eng.Reads - loadEng.Reads
-	hits := eng.PoolHits - loadEng.PoolHits
-	misses := eng.PoolMisses - loadEng.PoolMisses
-	if reads > 0 {
-		cell.PoolHitPct = 100 * float64(hits) / float64(reads)
+	eng := metrics.Sub(e.Stats(), loadEng)
+	if eng.Reads > 0 {
+		cell.PoolHitPct = 100 * float64(eng.PoolHits) / float64(eng.Reads)
 	}
-	sd := e.SSD().Stats()
-	if mh := (sd.Hits - loadSSD.Hits) + (sd.Misses - loadSSD.Misses); mh > 0 {
-		cell.SSDHitPct = 100 * float64(sd.Hits-loadSSD.Hits) / float64(mh)
+	sd := metrics.Sub(e.SSD().Stats(), loadSSD)
+	if mh := sd.Hits + sd.Misses; mh > 0 {
+		cell.SSDHitPct = 100 * float64(sd.Hits) / float64(mh)
 	}
-	_ = misses
-	dev := e.SSDDevice().Stats().Load()
-	cell.SSDReads = dev.ReadPages - loadDev.ReadPages
-	cell.SSDWrites = dev.WritePages - loadDev.WritePages
+	dev := metrics.Sub(*e.SSDDevice().Stats(), loadDev)
+	cell.SSDReads = dev.ReadPages
+	cell.SSDWrites = dev.WritePages
 	if res.Ops > 0 {
-		cell.PagesPerOp = float64(reads) / float64(res.Ops)
+		cell.PagesPerOp = float64(eng.Reads) / float64(res.Ops)
 	}
 	return cell, nil
 }

@@ -115,16 +115,16 @@ func fillPolicyCell(cell *PolicyCell, e *engine.Engine) {
 	if mh := sd.Hits + sd.Misses; mh > 0 {
 		cell.SSDHitPct = 100 * float64(sd.Hits) / float64(mh)
 	}
-	dev := e.SSDDevice().Stats().Load()
+	dev := e.SSDDevice().Stats()
 	cell.SSDReads = dev.ReadPages
 	cell.SSDWrites = dev.WritePages
 	if arr := e.DiskArray(); arr != nil {
-		cell.DiskWrites = arr.Stats().Load().WritePages
+		cell.DiskWrites = arr.Stats().WritePages
 	}
-	cell.WALWrites = e.LogDevice().Stats().Load().WritePages
-	cell.GhostHits = eng.PoolGhostHits + sd.PolicyGhostHits
-	cell.AdmitRejects = eng.PoolAdmitRej + sd.PolicyAdmitRej
-	cell.CleanFirst = eng.PoolCleanFirst + sd.PolicyCleanFirst
+	cell.WALWrites = e.LogDevice().Stats().WritePages
+	cell.GhostHits = eng.Pool.GhostHits + sd.Policy.GhostHits
+	cell.AdmitRejects = eng.Pool.AdmitRejects + sd.Policy.AdmitRejects
+	cell.CleanFirst = eng.Pool.CleanFirstEvict + sd.Policy.CleanFirstEvict
 }
 
 // RunPolicySweep executes the full workload × design × policy grid on the

@@ -23,6 +23,7 @@ import (
 	"syscall"
 	"time"
 
+	"turbobp/internal/metrics"
 	"turbobp/internal/netproto"
 )
 
@@ -69,11 +70,7 @@ type ChaosReport struct {
 	PhantomSeqs int64 // page seq newer than anything ever sent
 	VerifyFails int64 // read-your-writes check failed during load
 
-	Retries    int64
-	Sheds      int64
-	Deadlines  int64
-	Busy       int64
-	Reconnects int64
+	netproto.ClientStats // summed over every writer's clients
 }
 
 // Failed reports whether any correctness violation was observed.
@@ -191,8 +188,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosReport, error) {
 		rep.AckedCommits += w.Acked
 		rep.VerifyFails += w.RYWFails
 	}
-	rep.Retries, rep.Sheds, rep.Deadlines = h.faults.Retries, h.faults.Sheds, h.faults.Deadlines
-	rep.Busy, rep.Reconnects = h.faults.Busy, h.faults.Reconnects
+	rep.ClientStats = h.faults
 	h.logf("%s", rep)
 	return rep, nil
 }
@@ -280,7 +276,7 @@ func (h *chaos) loadPhase() {
 				}
 				w.Run(cl, stop.Load, func(s string) { h.logf("%s", s) }) // an error means redial
 				h.mu.Lock()
-				h.faults.Add(cl.Stats())
+				metrics.Add(&h.faults, cl.Stats())
 				h.mu.Unlock()
 				cl.Close()
 			}

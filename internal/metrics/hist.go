@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"time"
 )
@@ -56,12 +57,13 @@ func (h *Histogram) Mean() time.Duration {
 func (h *Histogram) Max() time.Duration { return h.max }
 
 // Quantile estimates the q-quantile (0 < q <= 1) as the upper bound of the
-// bucket containing it.
+// bucket holding the nearest-rank sample, the ⌈q·n⌉-th smallest: the p99 of
+// 50 samples is the largest one.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	if h.count == 0 {
 		return 0
 	}
-	target := int64(q * float64(h.count))
+	target := int64(math.Ceil(q * float64(h.count)))
 	if target < 1 {
 		target = 1
 	}

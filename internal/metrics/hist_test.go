@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -54,6 +55,26 @@ func TestHistogramQuantileBounds(t *testing.T) {
 	}
 	if p99 > h.Max() {
 		t.Errorf("p99 (%v) > max (%v)", p99, h.Max())
+	}
+}
+
+// Quantile takes the nearest rank, ⌈q·n⌉: a floor would read the sample
+// below it, and a small window's p99 would hide its one outlier.
+func TestHistogramQuantileNearestRank(t *testing.T) {
+	var h Histogram
+	for _, d := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 100 * time.Millisecond} {
+		h.Observe(d)
+	}
+	if got, want := h.Quantile(0.5), 2048*time.Microsecond; got != want {
+		t.Errorf("p50 of {1ms, 2ms, 100ms} = %v, want the 2ms bucket's bound %v", got, want)
+	}
+	h.Reset()
+	for i := 0; i < 49; i++ {
+		h.Observe(time.Millisecond)
+	}
+	h.Observe(time.Second)
+	if got := h.Quantile(0.99); got != time.Second {
+		t.Errorf("p99 of 49 × 1ms and one 1s = %v, want 1s", got)
 	}
 }
 
@@ -112,7 +133,7 @@ func TestHistogramQuantileAccuracyProperty(t *testing.T) {
 			h.Observe(vals[i])
 		}
 		sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-		idx := int(q*float64(len(vals))) - 1
+		idx := int(math.Ceil(q*float64(len(vals)))) - 1
 		if idx < 0 {
 			idx = 0
 		}

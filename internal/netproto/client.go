@@ -67,16 +67,6 @@ type ClientStats struct {
 	Reconnects int64 // connections re-established after a failure
 }
 
-// Add accumulates o into s fieldwise.
-func (s *ClientStats) Add(o ClientStats) {
-	s.Ops += o.Ops
-	s.Retries += o.Retries
-	s.Sheds += o.Sheds
-	s.Deadlines += o.Deadlines
-	s.Busy += o.Busy
-	s.Reconnects += o.Reconnects
-}
-
 func (cfg *ClientConfig) defaults() {
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 2 * time.Second

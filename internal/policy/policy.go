@@ -128,21 +128,13 @@ type Recorder interface {
 }
 
 // Stats counts policy decisions. Fields are cumulative except SplitPos,
-// which is a gauge sampled at read time; summing gauges across shards is
-// crude but keeps the fieldwise Stats.Add contract uniform.
+// which is a gauge sampled at read time; metrics.Add sums it across shards
+// like the counters, which is crude but keeps the fold uniform.
 type Stats struct {
 	GhostHits       int64 // ARC: accesses that hit a ghost list
 	SplitPos        int64 // ARC: current adaptive target size of the recency list
 	CleanFirstEvict int64 // CFLRU: victims chosen over at least one older dirty entry
 	AdmitRejects    int64 // TinyLFU: admissions refused by the doorkeeper/sketch
-}
-
-// Add accumulates other into s fieldwise.
-func (s *Stats) Add(other Stats) {
-	s.GhostHits += other.GhostHits
-	s.SplitPos += other.SplitPos
-	s.CleanFirstEvict += other.CleanFirstEvict
-	s.AdmitRejects += other.AdmitRejects
 }
 
 // New builds a policy of the given kind sized for capacity entries over

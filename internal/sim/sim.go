@@ -367,13 +367,15 @@ func (s *Signal) Broadcast() {
 // once and waiters acquire it in arrival order. A waiter is a continuation,
 // as in Signal. The wait queue is a slice plus a head index: popped slots
 // are zeroed (no retained references) and the storage is reused once the
-// queue drains.
+// queue drains. It integrates its held units over virtual time (Busy).
 type Resource struct {
 	env     *Env
 	cap     int
 	inUse   int
 	waiters []func()
-	head    int // index of the oldest waiter in waiters
+	head    int           // index of the oldest waiter in waiters
+	busy    time.Duration // units held × time, up to at
+	at      time.Duration // virtual time of the last change of inUse
 }
 
 // NewResource returns a resource with the given capacity (cap >= 1).
@@ -400,6 +402,7 @@ func (r *Resource) enqueue(k func()) {
 // Acquire blocks p until a unit of the resource is available and takes it.
 func (r *Resource) Acquire(p *Proc) {
 	if r.inUse < r.cap && r.Queued() == 0 {
+		r.charge()
 		r.inUse++
 		return
 	}
@@ -425,7 +428,22 @@ func (r *Resource) Release() {
 		r.env.schedule(r.env.now, k)
 		return
 	}
+	r.charge()
 	r.inUse--
+}
+
+// charge books the units held since the last change of inUse; it runs
+// just before every change.
+func (r *Resource) charge() {
+	r.busy += time.Duration(r.inUse) * (r.env.now - r.at)
+	r.at = r.env.now
+}
+
+// Busy returns the resource's busy time: held units integrated over
+// virtual time, so a capacity-c resource held throughout an interval of
+// length d adds c × d. Utilisation is Busy over elapsed time × capacity.
+func (r *Resource) Busy() time.Duration {
+	return r.busy + time.Duration(r.inUse)*(r.env.now-r.at)
 }
 
 // Queued returns the number of processes waiting to acquire.

@@ -267,6 +267,48 @@ func TestResourceCapacityTwo(t *testing.T) {
 	}
 }
 
+// TestResourceBusyIntegratesHeldUnits holds a capacity-2 resource with
+// overlapping holders — one of them handed its unit by a Release, one in
+// task form — and checks Busy is the exact sum of the holding times.
+func TestResourceBusyIntegratesHeldUnits(t *testing.T) {
+	env := NewEnv()
+	res := NewResource(env, 2)
+	hold := func(start, d time.Duration) {
+		env.Go("holder", func(p *Proc) {
+			p.Sleep(start)
+			res.Acquire(p)
+			p.Sleep(d)
+			res.Release()
+		})
+	}
+	ms := time.Millisecond
+	hold(0, 10*ms)    // 0–10
+	hold(5*ms, 10*ms) // 5–15
+	hold(6*ms, 4*ms)  // waits; takes the first holder's unit at 10, holds 10–14
+	env.Spawn("task", func(task *Task) {
+		task.Sleep(20*ms, func() {
+			res.AcquireFunc(func() {
+				task.Sleep(3*ms, res.Release) // 20–23
+			})
+		})
+	})
+	var mid time.Duration
+	env.Go("probe", func(p *Proc) {
+		p.Sleep(12 * ms)
+		mid = res.Busy()
+	})
+	env.Run(-1)
+	if want := (10 + 7 + 2) * ms; mid != want {
+		t.Errorf("Busy at 12ms = %v, want %v", mid, want)
+	}
+	if got, want := res.Busy(), (10+10+4+3)*ms; got != want {
+		t.Errorf("Busy = %v, want %v", got, want)
+	}
+	if res.Pending() != 0 {
+		t.Errorf("Pending = %d after every holder released", res.Pending())
+	}
+}
+
 func TestResourceFIFO(t *testing.T) {
 	env := NewEnv()
 	res := NewResource(env, 1)

@@ -70,6 +70,7 @@ func (t *Task) Yield(k func()) { t.Sleep(0, k) }
 // k joins the FIFO wait queue alongside any blocked processes.
 func (r *Resource) AcquireFunc(k func()) {
 	if r.inUse < r.cap && r.Queued() == 0 {
+		r.charge()
 		r.inUse++
 		k()
 		return

@@ -24,6 +24,7 @@ import (
 
 	"turbobp/internal/device"
 	"turbobp/internal/fault"
+	"turbobp/internal/metrics"
 	"turbobp/internal/page"
 	"turbobp/internal/policy"
 	"turbobp/internal/sim"
@@ -236,49 +237,9 @@ type Stats struct {
 	Retired         int64 // slots permanently retired after repeated failures
 	Quarantines     int64 // quarantine transitions (0 or 1): SSD demoted to pass-through
 
-	// Per-policy counters, merged from the shard clean policies at read
-	// time (see docs: DESIGN.md "Policy layer").
-	PolicyGhostHits  int64 // ARC: accesses that hit a ghost list
-	PolicySplitPos   int64 // ARC: adaptive-split target, summed over shards (gauge)
-	PolicyCleanFirst int64 // CFLRU: victims chosen over an older dirty entry
-	PolicyAdmitRej   int64 // TinyLFU: admissions refused by the frequency filter
-}
-
-// Add returns the fieldwise sum of s and o; DB.Stats uses it to fold its
-// partitions' SSD managers into one total. A reflection test keeps it in
-// sync with the struct.
-func (s Stats) Add(o Stats) Stats {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.ThrottleReads += o.ThrottleReads
-	s.ThrottleWrites += o.ThrottleWrites
-	s.Admissions += o.Admissions
-	s.DirtyAdmits += o.DirtyAdmits
-	s.Evictions += o.Evictions
-	s.Invalidations += o.Invalidations
-	s.Revalidations += o.Revalidations
-	s.CleanerRuns += o.CleanerRuns
-	s.CleanerPages += o.CleanerPages
-	s.CleanerWrites += o.CleanerWrites
-	s.CheckpointPgs += o.CheckpointPgs
-	s.TACAborts += o.TACAborts
-	s.ReadErrors += o.ReadErrors
-	s.WriteErrors += o.WriteErrors
-	s.ReadRetries += o.ReadRetries
-	s.WriteRetries += o.WriteRetries
-	s.CorruptDetected += o.CorruptDetected
-	s.CorruptRepaired += o.CorruptRepaired
-	s.CorruptDirty += o.CorruptDirty
-	s.ScrubSweeps += o.ScrubSweeps
-	s.ScrubFrames += o.ScrubFrames
-	s.ScrubRepairs += o.ScrubRepairs
-	s.Retired += o.Retired
-	s.Quarantines += o.Quarantines
-	s.PolicyGhostHits += o.PolicyGhostHits
-	s.PolicySplitPos += o.PolicySplitPos
-	s.PolicyCleanFirst += o.PolicyCleanFirst
-	s.PolicyAdmitRej += o.PolicyAdmitRej
-	return s
+	// Policy is the shard clean policies' decision counters, summed at
+	// read time (see DESIGN.md, "Policy layer").
+	Policy policy.Stats
 }
 
 // Manager is the SSD manager.
@@ -434,11 +395,7 @@ func (m *Manager) Config() Config { return m.cfg }
 func (m *Manager) Stats() Stats {
 	s := m.stats
 	for i := range m.shards {
-		ps := m.shards[i].clean.Stats()
-		s.PolicyGhostHits += ps.GhostHits
-		s.PolicySplitPos += ps.SplitPos
-		s.PolicyCleanFirst += ps.CleanFirstEvict
-		s.PolicyAdmitRej += ps.AdmitRejects
+		metrics.Add(&s.Policy, m.shards[i].clean.Stats())
 	}
 	return s
 }

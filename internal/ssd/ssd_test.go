@@ -161,8 +161,8 @@ func TestDWDirtyEvictionGoesToBoth(t *testing.T) {
 	if len(f.disk.writes) != 1 {
 		t.Errorf("disk writes = %v", f.disk.writes)
 	}
-	if f.dev.Stats().Load().WriteOps != 1 {
-		t.Errorf("ssd writes = %d", f.dev.Stats().Load().WriteOps)
+	if f.dev.Stats().WriteOps != 1 {
+		t.Errorf("ssd writes = %d", f.dev.Stats().WriteOps)
 	}
 }
 

@@ -19,7 +19,7 @@ type logRun struct {
 	appends  int64
 	flushes  int64
 	pages    int64
-	devWrite device.Snapshot
+	devWrite device.Stats
 }
 
 // driveLog runs the same workload against a fresh log, discarding or not:
@@ -82,7 +82,7 @@ func driveLog(t *testing.T, discard bool) (*Log, []string, logRun) {
 	env.Run(-1)
 	run.flushed, run.next = l.FlushedLSN(), l.NextLSN()
 	run.appends, run.flushes, run.pages = l.Stats()
-	run.devWrite = dev.Stats().Load()
+	run.devWrite = *dev.Stats()
 	return l, trace, run
 }
 

@@ -44,8 +44,8 @@ func TestFlushMakesDurable(t *testing.T) {
 		}
 	})
 	env.Run(-1)
-	if dev.Stats().Load().WriteOps != 1 {
-		t.Errorf("log device writes = %d, want 1", dev.Stats().Load().WriteOps)
+	if dev.Stats().WriteOps != 1 {
+		t.Errorf("log device writes = %d, want 1", dev.Stats().WriteOps)
 	}
 }
 
@@ -60,10 +60,10 @@ func TestFlushBatchesGroupCommit(t *testing.T) {
 		l.Flush(p, last)
 	})
 	env.Run(-1)
-	if got := dev.Stats().Load().WriteOps; got != 1 {
+	if got := dev.Stats().WriteOps; got != 1 {
 		t.Errorf("one flush issued %d write ops, want 1", got)
 	}
-	if got := dev.Stats().Load().WritePages; got != 2 {
+	if got := dev.Stats().WritePages; got != 2 {
 		// 100 * (64+32) bytes = 9600 bytes = 2 pages of 8192.
 		t.Errorf("flushed %d pages, want 2", got)
 	}
@@ -75,10 +75,10 @@ func TestFlushUpToAlreadyDurableIsFree(t *testing.T) {
 	env.Go("t", func(p *sim.Proc) {
 		lsn := l.Append(Record{Type: TypeUpdate, Page: 1})
 		l.Flush(p, lsn)
-		before := dev.Stats().Load().WriteOps
+		before := dev.Stats().WriteOps
 		l.Flush(p, lsn)
 		l.Flush(p, 0)
-		if dev.Stats().Load().WriteOps != before {
+		if dev.Stats().WriteOps != before {
 			t.Error("redundant flush wrote to the device")
 		}
 	})
@@ -102,7 +102,7 @@ func TestConcurrentFlushesCoalesce(t *testing.T) {
 		})
 	}
 	env.Run(-1)
-	if got := dev.Stats().Load().WriteOps; got != 1 {
+	if got := dev.Stats().WriteOps; got != 1 {
 		t.Errorf("5 concurrent commits issued %d writes, want 1 (group commit)", got)
 	}
 }
@@ -175,7 +175,7 @@ func TestLogWrapsAtCapacity(t *testing.T) {
 		}
 	})
 	env.Run(-1)
-	if got := dev.Stats().Load().WriteOps; got != 10 {
+	if got := dev.Stats().WriteOps; got != 10 {
 		t.Errorf("writes = %d, want 10", got)
 	}
 }

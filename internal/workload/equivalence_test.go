@@ -78,10 +78,10 @@ func runTraced(t *testing.T, wl OLTP, blocking bool, cfg engine.Config, dur time
 	env.Run(dur)
 	e.StopBackground()
 	es, ss := e.Stats(), e.SSD().Stats()
-	disk := e.DiskArray().Stats().Load()
+	disk := *e.DiskArray().Stats()
 	var ssdPages int64
 	if dev := e.SSDDevice(); dev != nil {
-		s := dev.Stats().Load()
+		s := *dev.Stats()
 		ssdPages = s.ReadPages + s.WritePages
 	}
 	env.Shutdown()

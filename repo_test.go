@@ -1,7 +1,9 @@
 package turbobp
 
 import (
+	"bytes"
 	"go/ast"
+	"go/format"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -13,7 +15,8 @@ import (
 )
 
 // This file holds the checks that look at the repository rather than at the
-// DB: the documentation audit and the benchmark module's own tests.
+// DB: the documentation audit, the formatting check and the benchmark
+// module's own tests.
 
 // TestBenchModule runs the benchmark module's tests — its load generator,
 // its manifest and a -quick smoke of the real benchmark command — under the
@@ -76,6 +79,38 @@ func TestDocComments(t *testing.T) {
 		}
 		if sources > 0 && !documented {
 			t.Errorf("missing package doc comment: %s", dir)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGofmt requires every .go file of both modules (this one and bench/)
+// to be gofmt-formatted: format.Source must return its bytes unchanged.
+// Hidden directories (the benchmark's .bench_build among them) and testdata
+// are skipped.
+func TestGofmt(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if out, err := format.Source(src); err != nil || !bytes.Equal(out, src) {
+			t.Errorf("not gofmt-formatted: %s (run gofmt -w %s)", path, path)
 		}
 		return nil
 	})
