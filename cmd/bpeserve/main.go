@@ -23,6 +23,10 @@
 //   - -open-existing reattaches to a previous run's -dir, replaying the
 //     per-partition WALs and resolving in-doubt cross-partition commits.
 //
+// -pprof ADDR serves net/http/pprof's profiles (heap, CPU, goroutines, ...)
+// on a listener of its own, apart from the database protocol; it is off by
+// default. go tool pprof http://ADDR/debug/pprof/heap reads the live heap.
+//
 // The server prints a summary on exit: operations served, sheds, deadline
 // misses, latched-read and group-commit counters.
 package main
@@ -32,6 +36,8 @@ import (
 	"flag"
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -68,6 +74,7 @@ func run() error {
 		maxInflight  = flag.Int64("max-inflight", 256, "shed when this many requests are in flight (0 = unlimited)")
 		maxConnBytes = flag.Int("max-request-bytes", 4<<20, "shed when a connection's buffered tx or scan exceeds this (0 = unlimited)")
 		drainBound   = flag.Duration("drain", 5*time.Second, "graceful-drain bound after the stop signal")
+		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (empty: off)")
 	)
 	flag.Parse()
 
@@ -108,6 +115,16 @@ func run() error {
 	})
 	if err != nil {
 		return err
+	}
+
+	if *pprofAddr != "" {
+		at, stop, err := startPprof(*pprofAddr)
+		if err != nil {
+			db.Close()
+			return err
+		}
+		defer stop()
+		fmt.Printf("bpeserve: pprof on http://%s/debug/pprof/\n", at)
 	}
 
 	srv := &server{db: db, maxInflight: *maxInflight, maxConnBytes: *maxConnBytes}
@@ -171,6 +188,33 @@ func run() error {
 			s.WALSyncs, s.SyncedCommits, float64(s.WALSyncs)/float64(s.SyncedCommits), s.MaxCommitFlight)
 	}
 	return cerr
+}
+
+// startPprof serves net/http/pprof's handlers on a listener of its own at
+// addr. It returns the address it listens on and a stop function that
+// closes the listener and every connection and returns once the server has
+// exited.
+func startPprof(addr string) (net.Addr, func(), error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, fmt.Errorf("-pprof: %w", err)
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // the named profiles: heap, goroutine, allocs, ...
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	hs := &http.Server{Handler: mux}
+	done := make(chan struct{})
+	go func() {
+		_ = hs.Serve(ln) // http.ErrServerClosed once stopped: nothing to report
+		close(done)
+	}()
+	return ln.Addr(), func() {
+		hs.Close()
+		<-done
+	}, nil
 }
 
 // server is the shared accept-loop state.

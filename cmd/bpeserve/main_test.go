@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -366,5 +367,25 @@ func TestClientAgainstServer(t *testing.T) {
 	}
 	if got := cl.Stats(); got.Ops != 2 || got.Reconnects != 0 {
 		t.Fatalf("client stats = %+v", got)
+	}
+}
+
+func TestPprofServesHeapProfile(t *testing.T) {
+	at, stop, err := startPprof("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	resp, err := http.Get("http://" + at.String() + "/debug/pprof/heap?debug=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "heap profile:") {
+		t.Fatalf("GET /debug/pprof/heap: %s, body starts %.80q", resp.Status, body)
 	}
 }

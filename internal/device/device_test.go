@@ -72,9 +72,9 @@ func TestUnwrittenPageReadsZero(t *testing.T) {
 }
 
 // TestStoreGrowsNotPastCapacity writes a 16 384-frame SSD top-down in
-// 16-page groups, the order the SSD manager hands frames out. The slot array
-// must stay within the device's capacity (doubling from 16 369 slots would
-// reach 32 738), and every page must read back as written.
+// 16-page groups, the order the SSD manager hands frames out. The store's
+// index must stay within the device's capacity (doubling from 16 369
+// entries would reach 32 738), and every page must read back as written.
 func TestStoreGrowsNotPastCapacity(t *testing.T) {
 	const frames, group = 16384, 16
 	env := sim.NewEnv()
@@ -104,8 +104,8 @@ func TestStoreGrowsNotPastCapacity(t *testing.T) {
 		}
 	})
 	env.Run(-1)
-	if n := len(d.store.pages); n > frames {
-		t.Errorf("slot array holds %d slots for a %d-page device", n, frames)
+	if n := len(d.store.slot); n > frames {
+		t.Errorf("index holds %d entries for a %d-page device", n, frames)
 	}
 }
 

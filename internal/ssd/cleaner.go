@@ -126,7 +126,7 @@ func (m *Manager) dirtyIdleFrame(pid page.ID) (int, bool) {
 		return 0, false
 	}
 	rec := &m.frames[idx]
-	if !rec.valid || !rec.dirty || rec.io > 0 {
+	if !rec.has(fValid) || !rec.has(fDirty) || rec.io > 0 {
 		return 0, false
 	}
 	return idx, true
@@ -260,13 +260,13 @@ func (m *Manager) cleanOnce(p *sim.Proc) bool {
 	for i, idx := range frames {
 		rec := &m.frames[idx]
 		rec.io--
-		if !readErr && !crashed && i < good && rec.occupied && rec.dirty &&
+		if !readErr && !crashed && i < good && rec.has(fOccupied) && rec.has(fDirty) &&
 			rec.pid == pinnedPID[i] && rec.lsn == pinnedLSN[i] {
-			rec.dirty = false
+			rec.flags &^= fDirty
 			m.dirtyCount--
-			s := &m.shards[rec.shard]
+			s := m.frameShard(idx)
 			s.dirty.Remove(m.heapKey(idx))
-			if rec.valid {
+			if rec.has(fValid) {
 				s.clean.TouchHistory(m.cleanKey(idx), rec.last, rec.prev)
 			}
 		}
@@ -304,7 +304,7 @@ func (m *Manager) verifyFrameBuf(buf []byte, pid page.ID, lsn uint64, rec *frame
 	if got.ID != pid {
 		return &page.ChecksumError{ID: pid, Reason: "id", Got: uint64(got.ID), Want: uint64(pid)}
 	}
-	if !rec.restored && got.LSN < lsn {
+	if !rec.has(fRestored) && got.LSN < lsn {
 		return &page.ChecksumError{ID: pid, Reason: "lsn", Got: got.LSN, Want: lsn}
 	}
 	return nil

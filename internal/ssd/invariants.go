@@ -32,7 +32,8 @@ func (m *Manager) CheckInvariants() error {
 	freeCount := 0
 	for si := range m.shards {
 		s := &m.shards[si]
-		for _, idx := range s.free {
+		for _, f := range s.free {
+			idx := int(f)
 			if idx < 0 || idx >= len(m.frames) {
 				return fmt.Errorf("ssd: shard %d free list has frame %d out of range", si, idx)
 			}
@@ -41,11 +42,11 @@ func (m *Manager) CheckInvariants() error {
 				return fmt.Errorf("ssd: frame %d appears %d times in free lists", idx, freeSeen[idx])
 			}
 			rec := &m.frames[idx]
-			if rec.occupied {
+			if rec.has(fOccupied) {
 				return fmt.Errorf("ssd: occupied frame %d (page %d) on the free list", idx, rec.pid)
 			}
-			if rec.shard != si {
-				return fmt.Errorf("ssd: frame %d on shard %d's free list, home is %d", idx, si, rec.shard)
+			if home := idx % len(m.shards); home != si {
+				return fmt.Errorf("ssd: frame %d on shard %d's free list, home is %d", idx, si, home)
 			}
 			freeCount++
 		}
@@ -59,22 +60,22 @@ func (m *Manager) CheckInvariants() error {
 			return fmt.Errorf("ssd: table entry %d -> frame %d out of range", pid, idx)
 		}
 		rec := &m.frames[idx]
-		if !rec.occupied {
+		if !rec.has(fOccupied) {
 			return fmt.Errorf("ssd: table entry %d -> unoccupied frame %d", pid, idx)
 		}
 		if rec.pid != page.ID(pid) {
 			return fmt.Errorf("ssd: table entry %d -> frame %d holding page %d", pid, idx, rec.pid)
 		}
-		if si := m.shardOf(rec.pid).num; rec.shard != si {
-			return fmt.Errorf("ssd: page %d hashes to shard %d, its frame's home is %d", pid, si, rec.shard)
+		if si, home := m.shardOf(rec.pid).num, idx%len(m.shards); home != si {
+			return fmt.Errorf("ssd: page %d hashes to shard %d, its frame's home is %d", pid, si, home)
 		}
 	}
 
 	occupied, dirty := 0, 0
 	for idx := range m.frames {
 		rec := &m.frames[idx]
-		if !rec.occupied {
-			if m.retired[idx] {
+		if !rec.has(fOccupied) {
+			if rec.has(fRetired) {
 				if freeSeen[idx] > 0 {
 					return fmt.Errorf("ssd: retired frame %d on a free list", idx)
 				}
@@ -86,26 +87,26 @@ func (m *Manager) CheckInvariants() error {
 			continue
 		}
 		occupied++
-		if rec.dirty {
+		if rec.has(fDirty) {
 			dirty++
 		}
 		if got, ok := m.lookup(rec.pid); !ok || got != idx {
 			return fmt.Errorf("ssd: occupied frame %d (page %d) missing from the table", idx, rec.pid)
 		}
-		s := &m.shards[rec.shard]
+		s := m.frameShard(idx)
 		if m.cfg.Design == TAC {
 			continue // TAC's lazy heap may legitimately hold stale entries
 		}
 		inClean := s.clean.Contains(m.cleanKey(idx))
 		inDirty := s.dirty.Contains(m.heapKey(idx))
 		switch {
-		case rec.dirty && !inDirty:
+		case rec.has(fDirty) && !inDirty:
 			return fmt.Errorf("ssd: dirty frame %d not in the dirty heap", idx)
-		case rec.dirty && inClean:
+		case rec.has(fDirty) && inClean:
 			return fmt.Errorf("ssd: dirty frame %d also in the clean heap", idx)
-		case !rec.dirty && rec.valid && rec.io == 0 && !inClean:
+		case !rec.has(fDirty) && rec.has(fValid) && rec.io == 0 && !inClean:
 			return fmt.Errorf("ssd: idle clean frame %d not in the clean heap", idx)
-		case !rec.dirty && inDirty:
+		case !rec.has(fDirty) && inDirty:
 			return fmt.Errorf("ssd: clean frame %d in the dirty heap", idx)
 		}
 	}
@@ -123,10 +124,10 @@ func (m *Manager) CheckInvariants() error {
 		// free nor occupied yet; retired slots have left service for good.
 		pending, retired := 0, 0
 		for idx := range m.frames {
-			if m.frames[idx].occupied || freeSeen[idx] > 0 {
+			if m.frames[idx].has(fOccupied) || freeSeen[idx] > 0 {
 				continue
 			}
-			if m.retired[idx] {
+			if m.frames[idx].has(fRetired) {
 				retired++
 			} else {
 				pending++

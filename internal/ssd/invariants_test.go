@@ -135,15 +135,15 @@ func TestInvariantsAfterRestore(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for idx := range m2.frames {
-			if got := m2.frames[idx].occupied; got != tc.restored[idx] {
+			if got := m2.frames[idx].has(fOccupied); got != tc.restored[idx] {
 				t.Errorf("%s: frame %d occupied = %v, want %v", tc.name, idx, got, tc.restored[idx])
 			}
 		}
 		for si := range m2.shards {
-			var want []int // frames are dealt round-robin: si, si+4, si+8, ...
+			var want []int32 // frames are dealt round-robin: si, si+4, si+8, ...
 			for idx := si; idx < len(m2.frames); idx += len(m2.shards) {
 				if !tc.restored[idx] {
-					want = append(want, idx)
+					want = append(want, int32(idx))
 				}
 			}
 			if got := m2.shards[si].free; !slices.Equal(got, want) {

@@ -50,7 +50,7 @@ func (m *Manager) StartScrubber() {
 				idx := cursor
 				cursor = (cursor + 1) % len(m.frames)
 				rec := &m.frames[idx]
-				if !rec.occupied || !rec.valid || rec.io > 0 || rec.restored {
+				if !rec.has(fOccupied) || !rec.has(fValid) || rec.io > 0 || rec.has(fRestored) {
 					continue
 				}
 				left--
@@ -89,7 +89,7 @@ func (m *Manager) scrubFrame(p *sim.Proc, idx int) {
 	// device wait so a frame reclaimed or re-admitted meanwhile is
 	// recognized as stale rather than corrupt.
 	pid, lsn := rec.pid, rec.lsn
-	stale := func() bool { return !rec.occupied || rec.pid != pid || !rec.valid || rec.lsn != lsn }
+	stale := func() bool { return !rec.has(fOccupied) || rec.pid != pid || !rec.has(fValid) || rec.lsn != lsn }
 	rec.io++
 	buf := m.getBuf()
 	defer func() {
@@ -109,7 +109,7 @@ func (m *Manager) scrubFrame(p *sim.Proc, idx int) {
 	if stale() || verifyExact(buf, pid, lsn, "ssd", int64(idx)) == nil {
 		return
 	}
-	if rec.dirty {
+	if rec.has(fDirty) {
 		// The only up-to-date copy of the page failed verification: condemn
 		// the frame and reconstruct the page from the WAL (invariants I1/I2
 		// guarantee the redo records are still there).

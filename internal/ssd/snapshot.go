@@ -42,7 +42,7 @@ func (m *Manager) SnapshotTable() []byte {
 	var buf [TableEntrySize]byte
 	for i := range m.frames {
 		rec := &m.frames[i]
-		if !rec.occupied || !rec.valid || rec.dirty {
+		if !rec.has(fOccupied) || !rec.has(fValid) || rec.has(fDirty) {
 			continue
 		}
 		binary.LittleEndian.PutUint32(buf[0:4], uint32(i))
@@ -76,20 +76,17 @@ func (m *Manager) RestoreTable(blob []byte) error {
 			continue
 		}
 		rec := &m.frames[idx]
-		if rec.occupied {
+		if rec.has(fOccupied) {
 			continue // duplicate frame in a corrupt blob
 		}
 		if _, dup := m.lookup(pid); dup {
 			continue
 		}
-		if m.shardOf(pid).num != rec.shard {
+		if m.shardOf(pid) != m.frameShard(idx) {
 			continue // the frame is not in the page's shard: another N wrote it
 		}
 		rec.pid = pid
-		rec.occupied = true
-		rec.valid = true
-		rec.dirty = false
-		rec.restored = true // hint only: content is validated at first read
+		rec.flags |= fOccupied | fValid | fRestored // restored: a hint only, validated at first read
 		rec.last = now
 		rec.prev = policy.Never()
 		m.dir[pid] = int32(idx + 1)
@@ -97,7 +94,7 @@ func (m *Manager) RestoreTable(blob []byte) error {
 		if m.cfg.Design == TAC {
 			m.pushTac(idx)
 		} else {
-			m.shards[rec.shard].clean.TouchHistory(m.cleanKey(idx), rec.last, rec.prev)
+			m.frameShard(idx).clean.TouchHistory(m.cleanKey(idx), rec.last, rec.prev)
 		}
 	}
 	// Take the restored frames off their free lists, keeping the order of
@@ -106,7 +103,7 @@ func (m *Manager) RestoreTable(blob []byte) error {
 		s := &m.shards[i]
 		free := s.free[:0]
 		for _, idx := range s.free {
-			if !m.frames[idx].occupied {
+			if !m.frames[idx].has(fOccupied) {
 				free = append(free, idx)
 			}
 		}

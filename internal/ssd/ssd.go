@@ -160,21 +160,39 @@ var retry = device.DefaultRetryPolicy()
 
 // frameRec is one SSD buffer table record (the paper's 88-byte record:
 // page id, dirty bit, last two access times, latch and list pointers — the
-// pointers are implicit in Go's maps/heaps).
+// pointers are implicit in Go's maps/heaps). It holds no pointer, so the
+// garbage collector never scans the table, and its zero value is a free
+// frame, so NewManager writes none and an untouched frame costs no memory.
+// A frame's shard is not stored: frames are dealt round-robin, so it is
+// idx % len(m.shards).
 type frameRec struct {
-	pid       page.ID
-	occupied  bool
-	valid     bool // false while occupied = TAC's logical invalidation
-	dirty     bool
-	io        int    // in-flight device transfers referencing this frame
-	lsn       uint64 // LSN of the cached version (guards cleaner races)
-	restored  bool   // entry came from a warm-restart table; validate on read
-	condemned bool   // contents proven corrupt; free as soon as idle (any design)
-	gen       uint64
-	last      time.Duration
-	prev      time.Duration
-	shard     int
+	pid   page.ID
+	lsn   uint64 // LSN of the cached version (guards cleaner races)
+	gen   uint64
+	last  time.Duration
+	prev  time.Duration
+	io    int32 // in-flight device transfers referencing this frame
+	flags frameFlags
+	// bad counts the slot's verification failures. It and fRetired
+	// survive freeFrame: a bad cell keeps its history across reuse by
+	// different pages.
+	bad uint8
 }
+
+// frameFlags is a frame's state bits.
+type frameFlags uint8
+
+const (
+	fOccupied  frameFlags = 1 << iota
+	fValid                // clear while occupied = TAC's logical invalidation
+	fDirty                // newer than the disk copy (LC only)
+	fRestored             // entry came from a warm-restart table; validate on read
+	fCondemned            // contents proven corrupt; free as soon as idle (any design)
+	fRetired              // slot retired after repeated failures: out of service for good
+)
+
+// has reports whether every flag in f is set.
+func (r *frameRec) has(f frameFlags) bool { return r.flags&f == f }
 
 // shard is one partition of the SSD buffer pool (§3.3.4): its own free
 // list and heaps over the frames dealt to it. Frames are dealt round-robin,
@@ -182,7 +200,7 @@ type frameRec struct {
 // frame by its shard-local number idx / N.
 type shard struct {
 	num   int               // this shard's index in Manager.shards
-	free  []int             // SSD free list
+	free  []int32           // SSD free list: the top frame is handed out first
 	clean policy.Policy     // clean heap: replacement policy over clean valid frames
 	dirty *policy.LRU2Cache // dirty heap: LRU-2 over dirty frames (LC only)
 	tac   tacHeap           // TAC replacement heap (temperature order)
@@ -198,6 +216,9 @@ func (m *Manager) lookup(pid page.ID) (int, bool) {
 	v := m.dir[pid]
 	return int(v) - 1, v != 0
 }
+
+// frameShard returns frame idx's shard.
+func (m *Manager) frameShard(idx int) *shard { return &m.shards[idx%len(m.shards)] }
 
 // heapKey is frame idx's key in its shard's LRU-2 heaps: the shard-local
 // frame number.
@@ -261,12 +282,6 @@ type Manager struct {
 	lost          bool // the SSD device failed wholesale (device.ErrLost)
 	quarantined   bool // too many retired slots: pass-through mode
 	stats         Stats
-
-	// Per-slot verification-failure counters and the retired set. These
-	// live outside frameRec so they survive freeFrame: a bad cell keeps
-	// its history across reuse by different pages.
-	slotBad []uint8
-	retired []bool
 
 	dir   []int32   // SSD hash table: page id -> frame index + 1; 0 = not cached
 	temps []float64 // TAC extent temperatures, by extent number
@@ -352,8 +367,6 @@ func NewManager(env *sim.Env, dev device.Device, disk Disk, repair Repairer, pag
 		repair:      repair,
 		cfg:         cfg,
 		frames:      make([]frameRec, cfg.SSDFrames),
-		slotBad:     make([]uint8, cfg.SSDFrames),
-		retired:     make([]bool, cfg.SSDFrames),
 		randSavedMs: float64(hdd.RandRead-cfg.SSDProfile.RandRead) / float64(time.Millisecond),
 		seqSavedMs:  max(0, float64(hdd.SeqRead-cfg.SSDProfile.SeqRead)/float64(time.Millisecond)),
 	}
@@ -371,18 +384,18 @@ func NewManager(env *sim.Env, dev device.Device, disk Disk, repair Repairer, pag
 	m.shards = make([]shard, n)
 	perShard := cfg.SSDFrames/n + 1
 	for i := range m.shards {
-		m.shards[i] = shard{
+		s := &m.shards[i]
+		*s = shard{
 			num:   i,
+			free:  make([]int32, 0, (cfg.SSDFrames-i+n-1)/n),
 			clean: policy.New(cfg.Policy, perShard, perShard),
 			dirty: policy.NewLRU2(perShard),
 		}
-	}
-	// Deal frames to shards round-robin so shard capacities differ by at
-	// most one.
-	for i := range m.frames {
-		s := i % n
-		m.frames[i].shard = s
-		m.shards[s].free = append(m.shards[s].free, i)
+		// Deal frames to shards round-robin so shard capacities differ by
+		// at most one.
+		for f := i; f < cfg.SSDFrames; f += n {
+			s.free = append(s.free, int32(f))
+		}
 	}
 	return m
 }
@@ -469,7 +482,7 @@ func (m *Manager) DirtyCount() int { return m.dirtyCount }
 func (m *Manager) InvalidCount() int {
 	n := 0
 	for i := range m.frames {
-		if m.frames[i].occupied && !m.frames[i].valid {
+		if m.frames[i].has(fOccupied) && !m.frames[i].has(fValid) {
 			n++
 		}
 	}
@@ -482,7 +495,7 @@ func (m *Manager) Contains(pid page.ID) bool {
 		return false
 	}
 	idx, ok := m.lookup(pid)
-	return ok && m.frames[idx].valid
+	return ok && m.frames[idx].has(fValid)
 }
 
 // Lost reports whether the SSD device failed wholesale. A lost manager
@@ -523,8 +536,8 @@ func (m *Manager) Quarantined() bool { return m.quarantined }
 // RetiredSlots returns the number of permanently retired frame slots.
 func (m *Manager) RetiredSlots() int {
 	n := 0
-	for _, r := range m.retired {
-		if r {
+	for i := range m.frames {
+		if m.frames[i].has(fRetired) {
 			n++
 		}
 	}
@@ -538,7 +551,7 @@ func (m *Manager) FrameIndexOf(pid page.ID) (int, bool) {
 		return 0, false
 	}
 	idx, ok := m.lookup(pid)
-	if !ok || !m.frames[idx].valid {
+	if !ok || !m.frames[idx].has(fValid) {
 		return 0, false
 	}
 	return idx, true
@@ -550,7 +563,7 @@ func (m *Manager) CleanPageIDs() []page.ID {
 	var ids []page.ID
 	for i := range m.frames {
 		rec := &m.frames[i]
-		if rec.occupied && rec.valid && !rec.dirty {
+		if rec.has(fOccupied) && rec.has(fValid) && !rec.has(fDirty) {
 			ids = append(ids, rec.pid)
 		}
 	}
@@ -564,18 +577,18 @@ func (m *Manager) CleanPageIDs() []page.ID {
 // place, which a proven-bad slot must not be).
 func (m *Manager) condemnFrame(idx int) {
 	rec := &m.frames[idx]
-	if !rec.occupied {
+	if !rec.has(fOccupied) {
 		return
 	}
-	s := &m.shards[rec.shard]
-	if rec.dirty {
-		rec.dirty = false
+	s := m.frameShard(idx)
+	if rec.has(fDirty) {
+		rec.flags &^= fDirty
 		m.dirtyCount--
 		s.dirty.Remove(m.heapKey(idx))
 	}
 	s.clean.Remove(m.cleanKey(idx))
-	rec.valid = false
-	rec.condemned = true
+	rec.flags &^= fValid
+	rec.flags |= fCondemned
 	if rec.io == 0 {
 		m.freeFrame(idx)
 	}
@@ -596,18 +609,19 @@ func (m *Manager) noteCorrupt(idx int) {
 // the frame itself alone, so the scrubber can repair it in place.
 func (m *Manager) noteBadSlot(idx int) bool {
 	m.stats.CorruptDetected++
-	if m.slotBad[idx] < 0xFF {
-		m.slotBad[idx]++
+	rec := &m.frames[idx]
+	if rec.bad < 0xFF {
+		rec.bad++
 	}
-	if !m.retired[idx] && int(m.slotBad[idx]) >= m.cfg.RetireAfter {
-		m.retired[idx] = true
+	if !rec.has(fRetired) && int(rec.bad) >= m.cfg.RetireAfter {
+		rec.flags |= fRetired
 		m.stats.Retired++
 		if !m.quarantined && m.RetiredSlots() >= m.cfg.QuarantineAfter {
 			m.quarantined = true
 			m.stats.Quarantines++
 		}
 	}
-	return m.retired[idx]
+	return rec.has(fRetired)
 }
 
 // DirtyPageIDs returns, sorted, the ids of pages whose only up-to-date copy
@@ -617,7 +631,7 @@ func (m *Manager) DirtyPageIDs() []page.ID {
 	var ids []page.ID
 	for i := range m.frames {
 		rec := &m.frames[i]
-		if rec.occupied && rec.valid && rec.dirty {
+		if rec.has(fOccupied) && rec.has(fValid) && rec.has(fDirty) {
 			ids = append(ids, rec.pid)
 		}
 	}
@@ -632,17 +646,17 @@ func (m *Manager) DirtyPageIDs() []page.ID {
 // logical invalidation.
 func (m *Manager) dropFrame(idx int) {
 	rec := &m.frames[idx]
-	if !rec.occupied {
+	if !rec.has(fOccupied) {
 		return
 	}
-	s := &m.shards[rec.shard]
-	if rec.dirty {
-		rec.dirty = false
+	s := m.frameShard(idx)
+	if rec.has(fDirty) {
+		rec.flags &^= fDirty
 		m.dirtyCount--
 		s.dirty.Remove(m.heapKey(idx))
 	}
 	s.clean.Remove(m.cleanKey(idx))
-	rec.valid = false
+	rec.flags &^= fValid
 	m.frameIdle(idx)
 }
 
@@ -653,7 +667,7 @@ func (m *Manager) IsDirty(pid page.ID) bool {
 		return false
 	}
 	idx, ok := m.lookup(pid)
-	return ok && m.frames[idx].valid && m.frames[idx].dirty
+	return ok && m.frames[idx].has(fValid) && m.frames[idx].has(fDirty)
 }
 
 // throttled reports whether throttle control (§3.3.2) is suppressing
@@ -729,7 +743,7 @@ func (m *Manager) readOutcome(pid page.ID, idx int, wantLSN uint64, restored boo
 			m.frameIdle(idx)
 			return false, device.ErrLost
 		}
-		if rec.dirty {
+		if rec.has(fDirty) {
 			// The only up-to-date copy is unreadable and the device is not
 			// (yet) declared lost. Surface the error rather than silently
 			// serving the stale disk version.
@@ -742,7 +756,7 @@ func (m *Manager) readOutcome(pid page.ID, idx int, wantLSN uint64, restored boo
 		m.stats.Misses++
 		return false, nil
 	}
-	if !rec.occupied || rec.pid != pid || !rec.valid || rec.lsn != wantLSN {
+	if !rec.has(fOccupied) || rec.pid != pid || !rec.has(fValid) || rec.lsn != wantLSN {
 		// The frame was reclaimed, invalidated, or re-admitted with a newer
 		// version while we slept in the device queue; the bytes we read are
 		// stale, not wrong. Treat as a miss (the pool handles residency).
@@ -771,11 +785,11 @@ func (m *Manager) readOutcome(pid page.ID, idx int, wantLSN uint64, restored boo
 	}
 	if decodeErr != nil {
 		m.putBuf(buf)
-		if rec.restored {
+		if rec.has(fRestored) {
 			// Warm-restart entries are hints: the frame was reused for a
 			// different page between the checkpoint that recorded the
 			// table and the crash. Drop the stale entry and miss.
-			rec.valid = false
+			rec.flags &^= fValid
 			m.frameIdle(idx)
 			m.stats.Misses++
 			return false, nil
@@ -783,7 +797,7 @@ func (m *Manager) readOutcome(pid page.ID, idx int, wantLSN uint64, restored boo
 		if ce := (*page.ChecksumError)(nil); errors.As(decodeErr, &ce) {
 			ce.ID, ce.Device, ce.Slot = pid, "ssd", int64(idx)
 		}
-		wasDirty := rec.dirty
+		wasDirty := rec.has(fDirty)
 		m.noteCorrupt(idx)
 		if !wasDirty {
 			// A clean frame's truth lives on disk: dropping the entry IS
@@ -797,12 +811,12 @@ func (m *Manager) readOutcome(pid page.ID, idx int, wantLSN uint64, restored boo
 		m.stats.CorruptDirty++
 		return false, &DirtyCorruptError{PID: pid, Err: decodeErr}
 	}
-	if rec.restored {
+	if rec.has(fRestored) {
 		// A restored entry's expected LSN was unknown until now; adopt the
 		// verified stored LSN so later reads can cross-check it.
 		rec.lsn = got.LSN
 	}
-	rec.restored = false // content verified against the hash table entry
+	rec.flags &^= fRestored // content verified against the hash table entry
 	pg.ID = got.ID
 	pg.LSN = got.LSN
 	copy(pg.Payload, got.Payload)
@@ -818,11 +832,11 @@ func (m *Manager) touch(idx int) {
 	rec := &m.frames[idx]
 	rec.prev = rec.last
 	rec.last = m.env.Now()
-	s := &m.shards[rec.shard]
+	s := m.frameShard(idx)
 	if m.cfg.Design == TAC {
 		return // TAC replaces by temperature, not recency
 	}
-	if rec.dirty {
+	if rec.has(fDirty) {
 		s.dirty.TouchHistory(m.heapKey(idx), rec.last, rec.prev)
 	} else {
 		s.clean.TouchHistory(m.cleanKey(idx), rec.last, rec.prev)
@@ -834,7 +848,7 @@ func (m *Manager) touch(idx int) {
 // Condemned frames are freed under every design, including TAC.
 func (m *Manager) frameIdle(idx int) {
 	rec := &m.frames[idx]
-	if rec.io == 0 && rec.occupied && !rec.valid && (m.cfg.Design != TAC || rec.condemned) {
+	if rec.io == 0 && rec.has(fOccupied) && !rec.has(fValid) && (m.cfg.Design != TAC || rec.has(fCondemned)) {
 		m.freeFrame(idx)
 	}
 }
@@ -844,28 +858,24 @@ func (m *Manager) frameIdle(idx int) {
 // of service permanently.
 func (m *Manager) freeFrame(idx int) {
 	rec := &m.frames[idx]
-	if !rec.occupied {
+	if !rec.has(fOccupied) {
 		panic("ssd: freeing unoccupied frame")
 	}
-	s := &m.shards[rec.shard]
+	s := m.frameShard(idx)
 	m.dir[rec.pid] = 0
 	s.clean.Remove(m.cleanKey(idx))
 	s.dirty.Remove(m.heapKey(idx))
-	if rec.dirty {
+	if rec.has(fDirty) {
 		m.dirtyCount--
 	}
-	rec.occupied = false
-	rec.valid = false
-	rec.dirty = false
-	rec.restored = false
-	rec.condemned = false
+	rec.flags &= fRetired
 	rec.pid = 0
 	rec.gen++ // invalidates stale TAC heap entries for this frame
 	m.occupied--
-	if m.retired[idx] {
+	if rec.has(fRetired) {
 		return
 	}
-	s.free = append(s.free, idx)
+	s.free = append(s.free, int32(idx))
 }
 
 // Invalidate removes the cached copy of pid after the memory copy was
@@ -880,15 +890,15 @@ func (m *Manager) Invalidate(pid page.ID) {
 		return
 	}
 	rec := &m.frames[idx]
-	if !rec.valid {
+	if !rec.has(fValid) {
 		return
 	}
 	m.stats.Invalidations++
 	if m.cfg.Design == TAC {
-		rec.valid = false // logical invalidation: frame stays occupied
+		rec.flags &^= fValid // logical invalidation: frame stays occupied
 		return
 	}
-	rec.valid = false
+	rec.flags &^= fValid
 	if rec.io == 0 {
 		m.freeFrame(idx)
 	}
@@ -906,7 +916,7 @@ func (m *Manager) allocFrame(pid page.ID, dirty bool) int {
 	var idx int
 	switch {
 	case len(s.free) > 0:
-		idx = s.free[len(s.free)-1]
+		idx = int(s.free[len(s.free)-1])
 		s.free = s.free[:len(s.free)-1]
 	default:
 		idx = m.popCleanVictim(s)
@@ -919,9 +929,10 @@ func (m *Manager) allocFrame(pid page.ID, dirty bool) int {
 	}
 	rec := &m.frames[idx]
 	rec.pid = pid
-	rec.occupied = true
-	rec.valid = true
-	rec.dirty = dirty
+	rec.flags |= fOccupied | fValid
+	if dirty {
+		rec.flags |= fDirty
+	}
 	rec.last = m.env.Now()
 	rec.prev = policy.Never()
 	m.dir[pid] = int32(idx + 1)
@@ -997,7 +1008,7 @@ func (m *Manager) MinDirtyLSN() (uint64, bool) {
 	found := false
 	for i := range m.frames {
 		rec := &m.frames[i]
-		if !rec.occupied || !rec.dirty {
+		if !rec.has(fOccupied) || !rec.has(fDirty) {
 			continue
 		}
 		if !found || rec.lsn < min {

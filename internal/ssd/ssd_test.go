@@ -3,6 +3,7 @@ package ssd
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"turbobp/internal/device"
 	"turbobp/internal/page"
@@ -593,6 +594,32 @@ func TestShardingDistributesFrames(t *testing.T) {
 		if len(s.free) != 4 {
 			t.Errorf("shard %d has %d frames, want 4", i, len(s.free))
 		}
+	}
+}
+
+// TestNewManagerWritesNoFrame: a free frame is the zero record and its shard
+// is derived from its index, so NewManager leaves the frame table as make
+// returned it — memory the operating system hands out only when a frame is
+// first used. A record that stored its shard had NewManager write every
+// record: at the benchmark geometry, all 16 384 (1.1 MB) before a page was
+// cached.
+func TestNewManagerWritesNoFrame(t *testing.T) {
+	f := newFixture(LC, 64, func(c *Config) { c.Partitions = 16 })
+	for idx, rec := range f.m.frames {
+		if rec != (frameRec{}) {
+			t.Fatalf("frame %d after NewManager = %+v, want the zero record", idx, rec)
+		}
+	}
+}
+
+// TestFrameRecSize pins the SSD buffer table record at 48 bytes or less. It
+// was 72 bytes (five bools, an int transfer count and an int shard) plus
+// 2 bytes per frame in the slotBad and retired side arrays; at the paper's
+// 140 GB of 8 KB frames that is 18.4 M records, 1.36 GB at 74 bytes and
+// 0.88 GB at 48.
+func TestFrameRecSize(t *testing.T) {
+	if n := unsafe.Sizeof(frameRec{}); n > 48 {
+		t.Errorf("frameRec is %d bytes, want <= 48", n)
 	}
 }
 

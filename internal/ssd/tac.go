@@ -89,13 +89,11 @@ func (m *Manager) tacAllocFrame(pid page.ID) int {
 		m.stats.Evictions++
 		m.freeFrame(victim)
 	}
-	idx := s.free[len(s.free)-1]
+	idx := int(s.free[len(s.free)-1])
 	s.free = s.free[:len(s.free)-1]
 	rec := &m.frames[idx]
 	rec.pid = pid
-	rec.occupied = true
-	rec.valid = true
-	rec.dirty = false
+	rec.flags |= fOccupied | fValid
 	rec.last = m.env.Now()
 	rec.prev = policy.Never()
 	m.dir[pid] = int32(idx + 1)
@@ -108,7 +106,7 @@ func (m *Manager) tacAllocFrame(pid page.ID) int {
 // extent's current temperature.
 func (m *Manager) pushTac(idx int) {
 	rec := &m.frames[idx]
-	s := &m.shards[rec.shard]
+	s := m.frameShard(idx)
 	heap.Push(&s.tac, tacEntry{idx: idx, gen: rec.gen, temp: m.ExtentTemperature(rec.pid)})
 }
 
@@ -125,7 +123,7 @@ func (m *Manager) popTacVictim(s *shard) int {
 	for len(s.tac) > 0 {
 		e := heap.Pop(&s.tac).(tacEntry)
 		rec := &m.frames[e.idx]
-		if !rec.occupied || rec.gen != e.gen {
+		if !rec.has(fOccupied) || rec.gen != e.gen {
 			continue // stale: frame was freed (and possibly reused)
 		}
 		if cur := m.ExtentTemperature(rec.pid); cur != e.temp {

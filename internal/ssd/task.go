@@ -106,13 +106,13 @@ func (m *Manager) ReadTask(t *sim.Task, pid page.ID, pg *page.Page, k func(bool,
 	s := m.shardOf(pid)
 	m.recordAccess(s, pid)
 	idx, ok := m.lookup(pid)
-	if !ok || !m.frames[idx].valid {
+	if !ok || !m.frames[idx].has(fValid) {
 		m.stats.Misses++
 		k(false, nil)
 		return
 	}
 	rec := &m.frames[idx]
-	if m.quarantined && !rec.dirty {
+	if m.quarantined && !rec.has(fDirty) {
 		// Pass-through mode: the clean copy is no longer trusted capacity.
 		// Drop it and serve from disk; dirty frames must still be read
 		// (their SSD copy is the only up-to-date one) until drained.
@@ -121,7 +121,7 @@ func (m *Manager) ReadTask(t *sim.Task, pid page.ID, pg *page.Page, k func(bool,
 		k(false, nil)
 		return
 	}
-	if !rec.dirty && m.throttled() {
+	if !rec.has(fDirty) && m.throttled() {
 		m.stats.ThrottleReads++
 		m.stats.Misses++
 		k(false, nil)
@@ -130,7 +130,7 @@ func (m *Manager) ReadTask(t *sim.Task, pid page.ID, pg *page.Page, k func(bool,
 	rec.io++
 	o := m.getReadOp()
 	o.t, o.pid, o.idx, o.pg, o.k, o.attempt = t, pid, idx, pg, k, 1
-	o.wantLSN, o.restored = rec.lsn, rec.restored
+	o.wantLSN, o.restored = rec.lsn, rec.has(fRestored)
 	o.buf = m.getBuf()
 	o.vec = append(m.getVec(1), o.buf)
 	m.dev.ReadTask(t, device.PageNum(idx), o.vec, o.onRead)
@@ -291,18 +291,20 @@ func (m *Manager) admitTask(t *sim.Task, pg *page.Page, dirty bool, k func(bool,
 	s := m.shardOf(pg.ID)
 	if idx, ok := m.lookup(pg.ID); ok {
 		rec := &m.frames[idx]
-		if rec.valid && !dirty {
+		if rec.has(fValid) && !dirty {
 			k(true, nil) // identical clean copy already cached
 			return
 		}
 		// Overwrite in place (e.g. LC re-admitting a page whose frame is
 		// still around). Publish the new state before the device write.
-		if dirty && !rec.dirty {
+		if dirty && !rec.has(fDirty) {
 			m.dirtyCount++
 			s.clean.Remove(m.cleanKey(idx))
 		}
-		rec.valid = true
-		rec.dirty = rec.dirty || dirty
+		rec.flags |= fValid
+		if dirty {
+			rec.flags |= fDirty
+		}
 		rec.lsn = pg.LSN
 		m.touch(idx)
 		m.stats.Admissions++
@@ -524,7 +526,7 @@ func (m *Manager) tacRevalidateTask(t *sim.Task, pg *page.Page, k func(error)) {
 		return
 	}
 	rec := &m.frames[idx]
-	if rec.valid {
+	if rec.has(fValid) {
 		k(nil)
 		return
 	}
@@ -533,7 +535,7 @@ func (m *Manager) tacRevalidateTask(t *sim.Task, pg *page.Page, k func(error)) {
 		k(nil)
 		return
 	}
-	rec.valid = true
+	rec.flags |= fValid
 	rec.lsn = pg.LSN
 	m.stats.Revalidations++
 	m.frameWrite(t, idx, pg, nil, k)
@@ -635,11 +637,11 @@ func (m *Manager) tacAdmitTask(t *sim.Task, snap *page.Page, k func(error)) {
 	s := m.shardOf(snap.ID)
 	if idx, ok := m.lookup(snap.ID); ok {
 		rec := &m.frames[idx]
-		if rec.valid {
+		if rec.has(fValid) {
 			k(nil) // already cached
 			return
 		}
-		rec.valid = true
+		rec.flags |= fValid
 		rec.lsn = snap.LSN
 		m.stats.Admissions++
 		m.frameWrite(t, idx, snap, nil, k)
