@@ -78,10 +78,6 @@ const (
 	CommitSyncGroup
 )
 
-// poolStripesPerPartition is the page-latch stripe count of each
-// partition's buffer pool (rounded up to a power of two by the pool).
-const poolStripesPerPartition = 16
-
 // groupCommitMaxDelay bounds how long a CommitSyncGroup leader waits for
 // followers before fsyncing; groupCommitMaxBatch caps a flight's size.
 const (
@@ -235,7 +231,6 @@ func (db *DB) openPartitions(cfg engine.Config, dbFile, ssdFile, logFile *device
 			if err != nil {
 				return err
 			}
-			pcfg.WALCapacity = walPer
 			pt.eng = engine.NewWithDevices(pt.env, pcfg, dbSlice, ssdDev, walSlice)
 		}
 		if opts.OpenExisting {

@@ -11,6 +11,7 @@ package bufpool
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"turbobp/internal/page"
@@ -33,36 +34,33 @@ type Frame struct {
 	slot int32 // this frame's directory value: its index in Pool.frames + 1
 }
 
-// Pool is the memory buffer pool. In its default single-latch mode it is
-// not safe for wall-clock-concurrent use; under the simulation kernel,
+// Pool is the memory buffer pool. In its default single-latch mode (New) it
+// is not safe for wall-clock-concurrent use; under the simulation kernel,
 // accesses are naturally serialized. NewStriped builds the pool in
 // striped-latch mode instead (see striped.go): residency and payload
 // mutations take per-stripe RWMutex latches, and ReadLatched offers a
 // copy-out read path that needs no external serialization.
+//
+// Every frame's payload is a window of one slab, and the free list holds
+// frame indices, so a pool is a handful of allocations whatever its size.
 type Pool struct {
 	payload int
 	frames  []Frame
 	dir     []int32 // page id -> frame index + 1; 0 = not resident
 	kind    policy.Kind
 	repl    policy.Policy
-	free    []*Frame
+	free    []int32 // indices into frames
 
 	// Striped-latch mode (nil stripes = single-latch mode; see striped.go).
 	stripes []stripe
-	mask    uint64
-	clock   func() time.Duration
+	tick    atomic.Int64 // striped mode's access clock
 }
 
-// New returns a pool of capacity frames holding payloadSize-byte payloads
-// of pages with ids in [0, pages), using the default LRU-2 replacement
-// policy.
-func New(capacity, payloadSize, pages int) *Pool {
-	return NewWithPolicy(capacity, payloadSize, pages, policy.LRU2)
-}
-
-// NewWithPolicy returns a pool whose victim selection is driven by the
-// given replacement policy. Keys handed to the policy are page ids.
-func NewWithPolicy(capacity, payloadSize, pages int, kind policy.Kind) *Pool {
+// New returns a single-latch pool of capacity frames holding
+// payloadSize-byte payloads of pages with ids in [0, pages), whose victim
+// selection is driven by the given replacement policy. Keys handed to the
+// policy are page ids.
+func New(capacity, payloadSize, pages int, kind policy.Kind) *Pool {
 	if capacity < 1 {
 		panic(fmt.Sprintf("bufpool: capacity %d", capacity))
 	}
@@ -71,13 +69,15 @@ func NewWithPolicy(capacity, payloadSize, pages int, kind policy.Kind) *Pool {
 		frames:  make([]Frame, capacity),
 		dir:     make([]int32, pages),
 		kind:    kind,
+		free:    make([]int32, 0, capacity),
 	}
 	p.repl = p.newRepl()
-	p.free = make([]*Frame, 0, capacity)
+	slab := make([]byte, capacity*payloadSize)
 	for i := capacity - 1; i >= 0; i-- {
-		p.frames[i].Pg.Payload = make([]byte, payloadSize)
-		p.frames[i].slot = int32(i + 1)
-		p.free = append(p.free, &p.frames[i])
+		f := &p.frames[i]
+		f.Pg.Payload = slab[i*payloadSize : (i+1)*payloadSize : (i+1)*payloadSize]
+		f.slot = int32(i + 1)
+		p.free = append(p.free, int32(i))
 	}
 	return p
 }
@@ -148,9 +148,9 @@ func (p *Pool) TakeFree() *Frame {
 	if len(p.free) == 0 {
 		return nil
 	}
-	f := p.free[len(p.free)-1]
+	i := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
-	return f
+	return &p.frames[i]
 }
 
 // PopVictim selects the replacement policy's victim, removes it from the
@@ -196,20 +196,7 @@ func (p *Pool) Release(f *Frame) {
 	f.RecLSN = 0
 	f.Pg.ID = 0
 	f.Pg.LSN = 0
-	p.free = append(p.free, f)
-}
-
-// Drop removes a resident page and frees its frame without any writeback
-// (used by the multi-page read path when a stale disk version must be
-// replaced by the SSD version, and by crash simulation).
-func (p *Pool) Drop(id page.ID) {
-	f := p.get(id)
-	if f == nil {
-		return
-	}
-	p.set(id, 0)
-	p.repl.Remove(int64(id))
-	p.Release(f)
+	p.free = append(p.free, f.slot-1)
 }
 
 // DirtyPages returns the ids of all dirty resident pages, in frame order.
@@ -243,12 +230,6 @@ func (p *Pool) Reset() {
 	p.repl = p.newRepl()
 	p.free = p.free[:0]
 	for i := len(p.frames) - 1; i >= 0; i-- {
-		f := &p.frames[i]
-		f.Dirty = false
-		f.Seq = false
-		f.RecLSN = 0
-		f.Pg.ID = 0
-		f.Pg.LSN = 0
-		p.free = append(p.free, f)
+		p.Release(&p.frames[i])
 	}
 }

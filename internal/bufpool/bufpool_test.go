@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"turbobp/internal/page"
+	"turbobp/internal/policy"
 )
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
@@ -14,7 +15,7 @@ func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 const testPages = 128
 
 func TestNewPoolGeometry(t *testing.T) {
-	p := New(8, 32, testPages)
+	p := New(8, 32, testPages, policy.LRU2)
 	if p.Capacity() != 8 || p.FreeFrames() != 8 || p.Resident() != 0 {
 		t.Errorf("cap=%d free=%d resident=%d", p.Capacity(), p.FreeFrames(), p.Resident())
 	}
@@ -33,11 +34,11 @@ func TestNewPanicsOnZeroCapacity(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	New(0, 16, testPages)
+	New(0, 16, testPages, policy.LRU2)
 }
 
 func TestInsertLookup(t *testing.T) {
-	p := New(4, 16, testPages)
+	p := New(4, 16, testPages, policy.LRU2)
 	f := p.TakeFree()
 	f.Pg.ID = 42
 	got, inserted := p.Insert(f, ms(1))
@@ -56,7 +57,7 @@ func TestInsertLookup(t *testing.T) {
 }
 
 func TestInsertDuplicateReturnsExisting(t *testing.T) {
-	p := New(4, 16, testPages)
+	p := New(4, 16, testPages, policy.LRU2)
 	a := p.TakeFree()
 	a.Pg.ID = 7
 	p.Insert(a, ms(1))
@@ -73,7 +74,7 @@ func TestInsertDuplicateReturnsExisting(t *testing.T) {
 }
 
 func TestTakeFreeExhaustion(t *testing.T) {
-	p := New(2, 16, testPages)
+	p := New(2, 16, testPages, policy.LRU2)
 	if p.TakeFree() == nil || p.TakeFree() == nil {
 		t.Fatal("free frames missing")
 	}
@@ -83,7 +84,7 @@ func TestTakeFreeExhaustion(t *testing.T) {
 }
 
 func TestPopVictimLRU2Order(t *testing.T) {
-	p := New(4, 16, testPages)
+	p := New(4, 16, testPages, policy.LRU2)
 	for i := page.ID(1); i <= 3; i++ {
 		f := p.TakeFree()
 		f.Pg.ID = i
@@ -100,33 +101,36 @@ func TestPopVictimLRU2Order(t *testing.T) {
 }
 
 func TestPopVictimEmpty(t *testing.T) {
-	p := New(2, 16, testPages)
+	p := New(2, 16, testPages, policy.LRU2)
 	if p.PopVictim() != nil {
 		t.Error("victim from empty pool")
 	}
 }
 
-func TestDropReleasesFrame(t *testing.T) {
-	p := New(2, 16, testPages)
+func TestReleaseClearsFrame(t *testing.T) {
+	p := New(2, 16, testPages, policy.LRU2)
 	f := p.TakeFree()
 	f.Pg.ID = 5
-	f.Dirty = true
+	f.Pg.LSN = 9
+	f.Dirty, f.Seq, f.RecLSN = true, true, 7
 	p.Insert(f, ms(1))
-	p.Drop(5)
+	if v := p.PopVictim(); v != f {
+		t.Fatalf("victim = %v, want the one resident frame", v)
+	}
+	p.Release(f)
 	if p.Peek(5) != nil {
-		t.Error("dropped page still resident")
+		t.Error("released page still resident")
 	}
 	if p.FreeFrames() != 2 {
 		t.Errorf("FreeFrames = %d", p.FreeFrames())
 	}
-	if f.Dirty {
-		t.Error("released frame still dirty")
+	if f.Dirty || f.Seq || f.RecLSN != 0 || f.Pg.ID != 0 || f.Pg.LSN != 0 {
+		t.Errorf("released frame keeps state: %+v", *f)
 	}
-	p.Drop(99) // no-op
 }
 
 func TestDirtyPages(t *testing.T) {
-	p := New(4, 16, testPages)
+	p := New(4, 16, testPages, policy.LRU2)
 	for i := page.ID(1); i <= 3; i++ {
 		f := p.TakeFree()
 		f.Pg.ID = i
@@ -140,7 +144,7 @@ func TestDirtyPages(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	p := New(4, 16, testPages)
+	p := New(4, 16, testPages, policy.LRU2)
 	for i := page.ID(1); i <= 4; i++ {
 		f := p.TakeFree()
 		f.Pg.ID = i
@@ -156,7 +160,7 @@ func TestReset(t *testing.T) {
 	}
 }
 
-// Property: under any interleaving of take/insert/victim/drop, frames are
+// Property: under any interleaving of take/insert/victim/release, frames are
 // conserved: free + resident + held == capacity.
 func TestFrameConservationProperty(t *testing.T) {
 	type op struct {
@@ -165,7 +169,7 @@ func TestFrameConservationProperty(t *testing.T) {
 	}
 	prop := func(ops []op) bool {
 		const capacity = 6
-		p := New(capacity, 8, testPages)
+		p := New(capacity, 8, testPages, policy.LRU2)
 		var held []*Frame
 		now := time.Duration(0)
 		for _, o := range ops {
@@ -186,8 +190,11 @@ func TestFrameConservationProperty(t *testing.T) {
 				if f := p.PopVictim(); f != nil {
 					p.Release(f)
 				}
-			case 3: // drop
-				p.Drop(page.ID(o.Page % 16))
+			case 3: // release a held frame unused
+				if len(held) > 0 {
+					p.Release(held[len(held)-1])
+					held = held[:len(held)-1]
+				}
 			}
 			if p.FreeFrames()+p.Resident()+len(held) != capacity {
 				return false
@@ -205,5 +212,27 @@ func TestFrameConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPoolAllocations pins the constructors' allocation count at the
+// benchmark geometry (4 096 frames of 256 B over 65 536 pages) for every
+// replacement policy: the payloads are windows of one slab and the free
+// list holds frame indices. With one payload slice per frame the count was
+// 4 102–4 110.
+func TestPoolAllocations(t *testing.T) {
+	const frames, payload, pages, maxAllocs = 4096, 256, 65536, 16
+	for _, kind := range policy.Kinds {
+		for name, build := range map[string]func(int, int, int, policy.Kind) *Pool{"New": New, "NewStriped": NewStriped} {
+			var p *Pool
+			if n := testing.AllocsPerRun(4, func() { p = build(frames, payload, pages, kind) }); n > maxAllocs {
+				t.Errorf("%s(%v): %.0f allocations, want <= %d", name, kind, n, maxAllocs)
+			}
+			f := p.TakeFree()
+			if len(f.Pg.Payload) != payload || cap(f.Pg.Payload) != payload {
+				t.Errorf("%s(%v): payload len %d cap %d, want %d: a window may not reach its neighbour",
+					name, kind, len(f.Pg.Payload), cap(f.Pg.Payload), payload)
+			}
+		}
 	}
 }

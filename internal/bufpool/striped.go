@@ -11,11 +11,11 @@ import (
 
 // This file adds the pool's striped-latch mode, used by the partitioned
 // concurrent file backend. The page directory stays one slice; each slot
-// belongs to one of S stripes (id mod S), and a stripe's sync.RWMutex (the
-// page-latch stripe) guards its slots and the payloads of their frames. Ops that
-// mutate residency (Insert, PopVictim, Drop, Reset) or a resident page's
-// payload (MutateFrame) take the page's stripe latch exclusively; readers
-// take it shared. On top of the owner's external serialization (the
+// belongs to one of stripeCount stripes (id mod stripeCount), and a
+// stripe's sync.RWMutex (the page-latch stripe) guards its slots and the
+// payloads of their frames. Ops that mutate residency (Insert, PopVictim,
+// Reset) or a resident page's payload (MutateFrame) take the page's stripe
+// latch exclusively; readers take it shared. On top of the owner's external serialization (the
 // partition mutex) this buys one thing, and it is the profitable one:
 // ReadLatched, a copy-out read of a resident page that runs WITHOUT the
 // partition mutex — concurrent point reads of resident pages proceed in
@@ -51,44 +51,30 @@ type pendingTouch struct {
 // touchCap bounds each stripe's pending-touch buffer.
 const touchCap = 4096
 
-// NewStriped returns a pool in striped-latch mode with the given number of
-// stripes (rounded up to a power of two). clock, when non-nil, overrides
-// every caller-supplied access time — the concurrent backend passes a
-// shared atomic tick so latched reads and engine ops draw recency from one
-// scale.
-func NewStriped(capacity, payloadSize, pages, stripes int, clock func() time.Duration) *Pool {
-	return NewStripedWithPolicy(capacity, payloadSize, pages, stripes, clock, policy.LRU2)
-}
+// stripeCount is the number of page-latch stripes of a striped pool (a
+// power of two: a page's stripe is the low bits of its id).
+const stripeCount = 16
 
-// NewStripedWithPolicy is NewStriped with an explicit replacement policy.
-func NewStripedWithPolicy(capacity, payloadSize, pages, stripes int, clock func() time.Duration, kind policy.Kind) *Pool {
-	p := NewWithPolicy(capacity, payloadSize, pages, kind)
-	if stripes < 1 {
-		stripes = 1
-	}
-	n := 1
-	for n < stripes {
-		n <<= 1
-	}
-	p.stripes = make([]stripe, n)
-	p.mask = uint64(n - 1)
-	p.clock = clock
+// NewStriped returns a pool in striped-latch mode (see New for the
+// arguments). Its recency clock is its own atomic tick, which every access —
+// latched read or owner-serialized operation — advances by one, in place of
+// the caller-supplied time.
+func NewStriped(capacity, payloadSize, pages int, kind policy.Kind) *Pool {
+	p := New(capacity, payloadSize, pages, kind)
+	p.stripes = make([]stripe, stripeCount)
 	return p
 }
-
-// Striped reports whether the pool is in striped-latch mode.
-func (p *Pool) Striped() bool { return p.stripes != nil }
 
 // stripeOf maps a page id to its latch stripe. Ids within a partition are
 // dense, so the low bits spread them evenly.
 func (p *Pool) stripeOf(id page.ID) *stripe {
-	return &p.stripes[uint64(id)&p.mask]
+	return &p.stripes[uint64(id)&(stripeCount-1)]
 }
 
-// now substitutes the pool clock for a caller-supplied time when one is set.
+// now substitutes the striped pool's tick for a caller-supplied time.
 func (p *Pool) now(t time.Duration) time.Duration {
-	if p.clock != nil {
-		return p.clock()
+	if p.stripes != nil {
+		return time.Duration(p.tick.Add(1))
 	}
 	return t
 }
@@ -131,7 +117,7 @@ func (p *Pool) set(id page.ID, slot int32) {
 // ReadLatched copies the payload of a resident page into dst under the
 // page's stripe read latch and reports whether the page was resident. It is
 // the one pool operation safe to call WITHOUT the owner's serialization:
-// the latch orders the copy against Insert/PopVictim/Drop (which delete
+// the latch orders the copy against Insert/PopVictim (which delete
 // under the exclusive latch before reusing a frame) and against
 // MutateFrame's in-place payload writes. The access is recorded in the
 // stripe's touch buffer for the next victim-selection drain. A single-latch
@@ -152,13 +138,18 @@ func (p *Pool) ReadLatched(id page.ID, dst []byte) (int, bool) {
 	if f == nil {
 		return 0, false
 	}
-	at := p.now(0)
+	s.record(int64(id), p.now(0))
+	return n, true
+}
+
+// record buffers one latched-read access for the next drain; a full buffer
+// drops it.
+func (s *stripe) record(id int64, at time.Duration) {
 	s.tmu.Lock()
 	if len(s.touches) < touchCap {
-		s.touches = append(s.touches, pendingTouch{id: int64(id), at: at})
+		s.touches = append(s.touches, pendingTouch{id: id, at: at})
 	}
 	s.tmu.Unlock()
-	return n, true
 }
 
 // MutateFrame applies fn to f's payload. In striped mode the write happens

@@ -4,20 +4,15 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"turbobp/internal/page"
+	"turbobp/internal/policy"
 )
 
 // TestStripedBasicOps checks that the striped pool behaves like the plain
 // one for the owner-serialized operations.
 func TestStripedBasicOps(t *testing.T) {
-	var tick atomic.Int64
-	clock := func() time.Duration { return time.Duration(tick.Add(1)) }
-	p := NewStriped(8, 16, testPages, 4, clock)
-	if !p.Striped() {
-		t.Fatal("not in striped mode")
-	}
+	p := NewStriped(8, 16, testPages, policy.LRU2)
 	for i := 0; i < 8; i++ {
 		f := p.TakeFree()
 		if f == nil {
@@ -46,10 +41,6 @@ func TestStripedBasicOps(t *testing.T) {
 	if p.Resident() != 7 || p.FreeFrames() != 1 {
 		t.Fatalf("after pop: resident=%d free=%d", p.Resident(), p.FreeFrames())
 	}
-	p.Drop(page.ID(7))
-	if p.Peek(page.ID(7)) != nil {
-		t.Fatal("Drop left page 7 resident")
-	}
 	p.Reset()
 	if p.Resident() != 0 || p.FreeFrames() != 8 {
 		t.Fatalf("after reset: resident=%d free=%d", p.Resident(), p.FreeFrames())
@@ -60,9 +51,7 @@ func TestStripedBasicOps(t *testing.T) {
 // payload, misses report false, and buffered touches influence victim
 // selection once drained.
 func TestStripedReadLatched(t *testing.T) {
-	var tick atomic.Int64
-	clock := func() time.Duration { return time.Duration(tick.Add(1)) }
-	p := NewStriped(4, 8, testPages, 2, clock)
+	p := NewStriped(4, 8, testPages, policy.LRU2)
 	for i := 0; i < 4; i++ {
 		f := p.TakeFree()
 		f.Pg.ID = page.ID(i)
@@ -76,7 +65,7 @@ func TestStripedReadLatched(t *testing.T) {
 	if _, ok := p.ReadLatched(page.ID(99), buf); ok {
 		t.Fatal("ReadLatched(99) hit")
 	}
-	if _, ok := New(4, 8, testPages).ReadLatched(page.ID(2), buf); ok {
+	if _, ok := New(4, 8, testPages, policy.LRU2).ReadLatched(page.ID(2), buf); ok {
 		t.Fatal("ReadLatched hit on an unstriped pool")
 	}
 	// Touch pages 1..3 again via the latched path; page 0's single history
@@ -98,10 +87,8 @@ func TestStripedReadLatched(t *testing.T) {
 // protocol, and readers must never observe a torn payload (all bytes of a
 // page carry the same value by construction).
 func TestStripedConcurrentReadersWriter(t *testing.T) {
-	var tick atomic.Int64
-	clock := func() time.Duration { return time.Duration(tick.Add(1)) }
 	const frames = 16
-	p := NewStriped(frames, 32, testPages, 8, clock)
+	p := NewStriped(frames, 32, testPages, policy.LRU2)
 	for i := 0; i < frames; i++ {
 		f := p.TakeFree()
 		f.Pg.ID = page.ID(i)

@@ -183,5 +183,8 @@ func (d *File) Close() error {
 // Pending reports in-flight requests.
 func (d *File) Pending() int { return int(d.pending.Load()) }
 
+// Capacity returns the device's size in pages.
+func (d *File) Capacity() PageNum { return d.capacity }
+
 // Stats returns cumulative counters.
 func (d *File) Stats() *Stats { return &d.stats }

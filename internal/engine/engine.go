@@ -56,34 +56,10 @@ type Config struct {
 	FuzzyCheckpoints bool
 	Classifier       ClassifierKind
 
-	// WALPersist makes the log encode its flush batches onto the log device
-	// (see wal.Log.SetPersist); WALCapacity overrides the log device's page
-	// capacity (0 keeps the simulated default of 1<<30 pages). The file
-	// backend sets both so its log survives a process kill and fits its
-	// slice of the shared log file; the simulated backend leaves them zero
-	// (its goldens depend on the log staying a timing model).
-	WALPersist  bool
-	WALCapacity device.PageNum
-	// CommitRecords makes Commit append a wal.TypeCommit record before
-	// forcing the log, and recovery's replay commit-aware: it tells
-	// committed transactions from uncommitted ones and rolls the latter
-	// back. File backend only: without it replay treats every transaction
-	// as committed, the simulated backend's redo behaviour (and goldens).
-	CommitRecords bool
-
-	// PoolStripes > 0 builds the buffer pool in striped-latch mode with
-	// that many page-latch stripes, and PoolClock (required then) becomes
-	// the pool's access-time source; see bufpool.NewStriped. Used by the
-	// partitioned concurrent file backend — the engine itself stays
-	// single-threaded, but its resident frames gain a latched read path
-	// that runs outside the owner's lock. 0 keeps the classic
-	// single-latch pool (all simulation paths).
-	PoolStripes int
-	PoolClock   func() time.Duration
-
 	// CPU model: page accesses consume CPUPerAccess of one of cpuCores
 	// hardware contexts. Scan pages charge a eighth of the point-access
-	// cost. CPUPerAccess < 0 disables the model.
+	// cost. 0 takes the default; NewWithDevices charges none (real CPUs
+	// charge themselves) and reports 0.
 	CPUPerAccess time.Duration
 }
 
@@ -214,9 +190,8 @@ func (e *Engine) noteClassification(truthSeq, labelSeq bool) {
 	}
 }
 
-// Engine is one DBMS instance. It normally runs over simulated devices
-// (New); NewWithDevices accepts any Device implementations, e.g. real
-// files.
+// Engine is one DBMS instance: the model over simulated devices (New) or
+// the real-device engine over files (NewWithDevices).
 type Engine struct {
 	env *sim.Env
 	cfg Config
@@ -243,11 +218,17 @@ type Engine struct {
 	resolve        TxResolver     // in-doubt 2PC resolver (SetTxResolver); nil = presumed abort
 	logReserved    device.PageNum // log pages held for admitted transactions (ReserveLog)
 
+	// commitRecords (NewWithDevices): Commit appends a wal.TypeCommit
+	// record before forcing the log, and replay tells committed
+	// transactions from uncommitted ones and rolls the latter back. Off on
+	// the model (New), whose replay treats every transaction as committed.
+	commitRecords bool
+
 	// live maps each transaction that has begun and has not committed or
 	// been forgotten to the log's next LSN at its Begin, a bound below its
 	// first record. A checkpoint's redo point never passes it (redoPoint).
-	// Only Config.CommitRecords fills it: without commit records replay
-	// counts every transaction as committed and never rolls one back.
+	// Only commitRecords fills it: without commit records replay counts
+	// every transaction as committed and never rolls one back.
 	live map[uint64]uint64
 
 	// evicting tracks dirty pages whose eviction writeback is in flight:
@@ -282,7 +263,9 @@ type Engine struct {
 	scratchVec1 [][]byte
 }
 
-// New builds an engine (and its simulated devices) inside env.
+// New builds the model engine inside env: simulated devices (Table 1's
+// profiles), CPU charged at Config.CPUPerAccess, a log that stays a timing
+// model, redo-only replay and a single-latch pool.
 func New(env *sim.Env, cfg Config) *Engine {
 	cfg.setDefaults()
 	arr := device.NewArray(env, hddProfile, device.PaperArrayDisks, stripeUnit, device.PageNum(cfg.DBPages))
@@ -292,16 +275,32 @@ func New(env *sim.Env, cfg Config) *Engine {
 	}
 	logDev := device.NewHDD(env, hddProfile, 1<<30)
 	logDev.DiscardContent() // log pages are write-only traffic; keep timing, drop payloads
-	e := NewWithDevices(env, cfg, arr, ssdDev, logDev)
+	pool := bufpool.New(cfg.PoolPages, cfg.PayloadSize, int(cfg.DBPages), cfg.Policy)
+	e := newEngine(env, cfg, arr, ssdDev, logDev, 1<<30, pool)
 	e.dbArr = arr
 	return e
 }
 
-// NewWithDevices builds an engine over caller-provided devices (the
-// real-file backend uses device.File instances). ssdDev may be nil for
-// NoSSD configurations.
-func NewWithDevices(env *sim.Env, cfg Config, dbDev, ssdDev, logDev device.Device) *Engine {
+// NewWithDevices builds the real-device engine over caller-provided devices
+// (the file backend's device.File slices; ssdDev may be nil for NoSSD
+// configurations). Its log persists onto logDev and is as large as logDev,
+// Commit writes a commit record and replay rolls back uncommitted
+// transactions, it charges no CPU time, and its pool runs in striped-latch
+// mode (bufpool.NewStriped).
+func NewWithDevices(env *sim.Env, cfg Config, dbDev, ssdDev device.Device, logDev *device.File) *Engine {
 	cfg.setDefaults()
+	cfg.CPUPerAccess = 0
+	pool := bufpool.NewStriped(cfg.PoolPages, cfg.PayloadSize, int(cfg.DBPages), cfg.Policy)
+	e := newEngine(env, cfg, dbDev, ssdDev, logDev, logDev.Capacity(), pool)
+	e.log.SetPersist(true)
+	e.commitRecords = true
+	return e
+}
+
+// newEngine is the part of New and NewWithDevices that does not depend on
+// the backend: it builds the engine over the devices, a log of logCap pages
+// and pool, and starts the background processes.
+func newEngine(env *sim.Env, cfg Config, dbDev, ssdDev, logDev device.Device, logCap device.PageNum, pool *bufpool.Pool) *Engine {
 	if cfg.Faults != nil {
 		dbDev = cfg.Faults.Wrap("db", dbDev)
 		if ssdDev != nil {
@@ -309,24 +308,12 @@ func NewWithDevices(env *sim.Env, cfg Config, dbDev, ssdDev, logDev device.Devic
 		}
 		logDev = cfg.Faults.Wrap("wal", logDev)
 	}
-	e := &Engine{env: env, cfg: cfg, db: dbDev, ssdDev: ssdDev, logDev: logDev,
+	e := &Engine{env: env, cfg: cfg, db: dbDev, ssdDev: ssdDev, logDev: logDev, pool: pool,
 		evicting: make(map[page.ID]*sim.Signal), live: make(map[uint64]uint64)}
 	// The log packs records into full 8 KB pages; the device charges one
 	// page-write per log page, so the page size here is the accounted 8 KB
 	// regardless of the (small) simulated payloads.
-	logCap := cfg.WALCapacity
-	if logCap <= 0 {
-		logCap = 1 << 30
-	}
 	e.log = wal.New(env, logDev, logPageSize, logCap)
-	if cfg.WALPersist {
-		e.log.SetPersist(true)
-	}
-	if cfg.PoolStripes > 0 {
-		e.pool = bufpool.NewStripedWithPolicy(cfg.PoolPages, cfg.PayloadSize, int(cfg.DBPages), cfg.PoolStripes, cfg.PoolClock, cfg.Policy)
-	} else {
-		e.pool = bufpool.NewWithPolicy(cfg.PoolPages, cfg.PayloadSize, int(cfg.DBPages), cfg.Policy)
-	}
 	e.mgr = e.newManager()
 	e.classifier = newClassifier(cfg.Classifier)
 	e.cpu = sim.NewResource(env, cpuCores)
@@ -618,12 +605,13 @@ func (e *Engine) checkPage(pid page.ID) error {
 	return nil
 }
 
-// Begin starts a transaction and returns its id. With Config.CommitRecords
-// the transaction stays live — holding back every checkpoint's redo point —
-// until Commit makes it durable or Forget releases it.
+// Begin starts a transaction and returns its id. On the real-device engine
+// (commit records) the transaction stays live — holding back every
+// checkpoint's redo point — until Commit makes it durable or Forget
+// releases it.
 func (e *Engine) Begin() uint64 {
 	e.nextTx++
-	if e.cfg.CommitRecords {
+	if e.commitRecords {
 		e.live[e.nextTx] = e.log.NextLSN()
 	}
 	return e.nextTx
@@ -680,7 +668,7 @@ func (e *Engine) AdoptDurableTxIDs() uint64 {
 
 // chargeCPU occupies one hardware context for d of processing time.
 func (e *Engine) chargeCPU(p *sim.Proc, d time.Duration) {
-	if d <= 0 {
+	if d == 0 {
 		return
 	}
 	e.cpu.Acquire(p)

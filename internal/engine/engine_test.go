@@ -476,14 +476,14 @@ func TestPeriodicCheckpointer(t *testing.T) {
 }
 
 // TestCheckpointRedoPointStaysBehindLiveTx pins the live-transaction rule
-// for both checkpoint kinds: with CommitRecords, a checkpoint taken while a
-// transaction is open records a redo point below that transaction's first
+// for both checkpoint kinds: on the real-device engine, whose commits are
+// logged, a checkpoint taken while a transaction is open records a redo point below that transaction's first
 // record, and the point moves on once Commit or Forget ends it.
 func TestCheckpointRedoPointStaysBehindLiveTx(t *testing.T) {
 	for _, fuzzy := range []bool{false, true} {
 		cfg := testConfig(ssd.NoSSD)
-		cfg.CommitRecords, cfg.FuzzyCheckpoints = true, fuzzy
-		env, e := start(t, cfg)
+		cfg.FuzzyCheckpoints = fuzzy
+		env, e := startFiles(t, cfg)
 		redoPoint := func(p *sim.Proc) uint64 {
 			t.Helper()
 			if err := e.Checkpoint(p); err != nil {

@@ -82,16 +82,10 @@ func TestLazyFormatKeepsCorruptionVisible(t *testing.T) {
 func TestFileFormatIsEager(t *testing.T) {
 	cfg := testConfig(ssd.NoSSD)
 	size := page.HeaderSize + cfg.PayloadSize
-	path := filepath.Join(t.TempDir(), "db.pages")
-	f, err := device.OpenFile(path, size, device.PageNum(cfg.DBPages))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	env := sim.NewEnv()
-	logDev := device.NewHDD(env, device.PaperHDDProfile(), 1<<20)
-	logDev.DiscardContent()
-	e := NewWithDevices(env, cfg, f, nil, logDev)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "db.pages")
+	f, logDev := fileDevices(t, dir, cfg, false)
+	e := NewWithDevices(sim.NewEnv(), cfg, f, nil, logDev)
 	if err := e.FormatDB(); err != nil {
 		t.Fatal(err)
 	}

@@ -121,9 +121,9 @@ func (e *Engine) RecoverDurable(p *sim.Proc) error {
 // replay is the one redo/undo pass over the durable log records newer than
 // LSN from, behind Recover and RecoverDurable alike.
 //
-// Without Config.CommitRecords (the simulated backend) commits are implied
-// by the force discipline and every transaction counts as committed: replay
-// redoes every update record. With it (the file backend) replay must
+// On the model engine (New) commits are implied by the force discipline and
+// every transaction counts as committed: replay redoes every update record.
+// On the real-device engine (NewWithDevices, commit records) replay must
 // separate transactions a killed process had committed from ones it had
 // not, because dirty evictions force the log and write pages back
 // regardless of commit status:
@@ -145,7 +145,7 @@ func (e *Engine) RecoverDurable(p *sim.Proc) error {
 func (e *Engine) replay(p *sim.Proc, from uint64) error {
 	recs := e.log.Durable()
 	txCommitted := func(uint64) bool { return true }
-	if e.cfg.CommitRecords {
+	if e.commitRecords {
 		committed := make(map[uint64]bool)
 		prepared := make(map[uint64]uint64) // local tx id -> global tx id
 		for _, rec := range recs {

@@ -148,7 +148,7 @@ func (e *Engine) CommitTask(t *sim.Task, tx uint64, k func(error)) {
 		k(fault.ErrCrashPoint)
 		return
 	}
-	if e.cfg.CommitRecords {
+	if e.commitRecords {
 		e.log.Append(wal.Record{Type: wal.TypeCommit, TxID: tx})
 	}
 	o := e.getOp()
@@ -160,7 +160,7 @@ func (e *Engine) CommitTask(t *sim.Task, tx uint64, k func(error)) {
 func (o *txOp) commitFlushed() {
 	e := o.e
 	ck, t0 := o.ck, o.t0
-	if e.cfg.CommitRecords {
+	if e.commitRecords {
 		delete(e.live, o.tx) // the commit record is durable
 	}
 	o.recycle()
@@ -177,7 +177,7 @@ func (o *txOp) commitFlushed() {
 func (o *txOp) start() {
 	e := o.e
 	o.t0 = e.env.Now()
-	if e.cfg.CPUPerAccess <= 0 {
+	if e.cfg.CPUPerAccess == 0 {
 		o.cpuCharged()
 		return
 	}

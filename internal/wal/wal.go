@@ -578,6 +578,3 @@ func (l *Log) LatestUpdate(pid page.ID) (Record, bool) {
 func (l *Log) Stats() (appends, flushes, flushedPages int64) {
 	return l.appends, l.flushes, l.flushedPages
 }
-
-// PendingBytes reports the bytes buffered for the next flush.
-func (l *Log) PendingBytes() int { return l.pendingB }

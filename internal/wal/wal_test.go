@@ -114,15 +114,23 @@ func TestCrashDropsPending(t *testing.T) {
 		l.Append(Record{Type: TypeUpdate, Page: 1})
 		lsn := l.Append(Record{Type: TypeUpdate, Page: 2})
 		l.Flush(p, lsn)
-		l.Append(Record{Type: TypeUpdate, Page: 3}) // never flushed
+		// Never flushed; three pages long, so a flush that still counted
+		// its bytes would write four pages.
+		l.Append(Record{Type: TypeUpdate, Page: 3, Payload: make([]byte, 3*8192)})
 	})
 	env.Run(-1)
 	l.Crash()
 	if len(l.Durable()) != 2 {
 		t.Errorf("durable = %d records after crash, want 2", len(l.Durable()))
 	}
-	if l.PendingBytes() != 0 {
-		t.Error("pending survived crash")
+	if n := len(l.PendingRecords()); n != 0 {
+		t.Errorf("%d pending records survived crash", n)
+	}
+	_, _, before := l.Stats()
+	env.Go("t", func(p *sim.Proc) { l.Flush(p, l.Append(Record{Type: TypeUpdate, Page: 4})) })
+	env.Run(-1)
+	if _, _, after := l.Stats(); after-before != 1 {
+		t.Errorf("first flush after crash wrote %d pages, want 1: pending bytes survived crash", after-before)
 	}
 }
 

@@ -98,7 +98,7 @@ func TestOLTPDriverCommits(t *testing.T) {
 	env := sim.NewEnv()
 	e := engine.New(env, engine.Config{
 		Config:  ssd.Config{Design: ssd.LC, SSDFrames: 64, PayloadSize: 32},
-		DBPages: 512, PoolPages: 32, CPUPerAccess: -1,
+		DBPages: 512, PoolPages: 32,
 	})
 	if err := e.FormatDB(); err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func newTPCHEngine(t *testing.T) (*sim.Env, *engine.Engine) {
 	env := sim.NewEnv()
 	e := engine.New(env, engine.Config{
 		Config:  ssd.Config{Design: ssd.DW, SSDFrames: 512, PayloadSize: 32},
-		DBPages: 2048, PoolPages: 128, CPUPerAccess: -1,
+		DBPages: 2048, PoolPages: 128,
 	})
 	if err := e.FormatDB(); err != nil {
 		t.Fatal(err)

@@ -171,3 +171,106 @@ func TestTornLastFlightEveryOffset(t *testing.T) {
 		killForTest(db)
 	}
 }
+
+// coordDecisions is the number of commit decisions coordFixture writes.
+const coordDecisions = 5
+
+// coordFixture writes a fresh coordinator log holding commit decisions for
+// global transactions 1..coordDecisions and returns its path and bytes.
+func coordFixture(t *testing.T) (string, []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "txn.log")
+	cl, err := openCoordLog(path, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gtx := uint64(1); gtx <= coordDecisions; gtx++ {
+		if err := cl.logCommit(gtx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, b
+}
+
+// TestCoordLogDamageEveryOffset flips each byte of the first decision in
+// txn.log. Four decisions follow it, so the failed record is not a torn
+// tail: the open must fail with ErrLogDamaged, name txn.log and byte 0, and
+// leave the file exactly as it found it.
+func TestCoordLogDamageEveryOffset(t *testing.T) {
+	path, saved := coordFixture(t)
+	_, first, err := wal.DecodeRecord(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < first; off++ {
+		log := bytes.Clone(saved)
+		log[off] ^= 0x01
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cl, err := openCoordLog(path, false, false)
+		if err == nil {
+			cl.close()
+			t.Fatalf("byte %d flipped: open succeeded with %d of %d decisions, want ErrLogDamaged",
+				off, len(cl.committed), coordDecisions)
+		}
+		if !errors.Is(err, ErrLogDamaged) {
+			t.Fatalf("byte %d flipped: err = %v, want ErrLogDamaged", off, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "txn.log") || !strings.Contains(msg, "byte 0 ") {
+			t.Fatalf("byte %d flipped: error %q names no txn.log offset", off, msg)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, log) {
+			t.Fatalf("byte %d flipped: the failed open changed txn.log (%v)", off, err)
+		}
+	}
+}
+
+// TestCoordLogTornLastDecisionEveryOffset cuts the last decision at each
+// byte, once truncated and once zero-filled to the original length, as a
+// write torn by a kill leaves it. That is a real torn tail: the open must
+// succeed with every earlier decision intact, the cut one kept only if it
+// is whole, and the file truncated after the last intact record.
+func TestCoordLogTornLastDecisionEveryOffset(t *testing.T) {
+	path, saved := coordFixture(t)
+	rec := len(saved) / coordDecisions
+	start := len(saved) - rec
+	for cut := start; cut <= len(saved); cut++ {
+		for _, zeroFill := range []bool{false, true} {
+			log := bytes.Clone(saved[:cut])
+			if zeroFill {
+				log = append(log, make([]byte, len(saved)-cut)...)
+			}
+			if err := os.WriteFile(path, log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cl, err := openCoordLog(path, false, false)
+			if err != nil {
+				t.Fatalf("cut at byte %d (zero-filled %v): open: %v", cut, zeroFill, err)
+			}
+			whole := bytes.Equal(log, saved) // a cut inside trailing zero bytes changes nothing
+			for gtx := uint64(1); gtx <= coordDecisions; gtx++ {
+				if got, want := cl.isCommitted(gtx), gtx < coordDecisions || whole; got != want {
+					t.Errorf("cut at byte %d (zero-filled %v): decision %d kept = %v, want %v",
+						cut, zeroFill, gtx, got, want)
+				}
+			}
+			cl.close()
+			want := start
+			if whole {
+				want = len(saved)
+			}
+			if got, err := os.ReadFile(path); err != nil || len(got) != want {
+				t.Fatalf("cut at byte %d (zero-filled %v): txn.log is %d bytes, want %d (%v)",
+					cut, zeroFill, len(got), want, err)
+			}
+		}
+	}
+}

@@ -231,7 +231,6 @@ type DB struct {
 	// kill would, so recovery tests can pin both resolutions.
 	crash2PC func(stage string) error
 
-	tick    atomic.Int64 // DB-wide LRU clock of the striped pools (see bufpool.NewStriped)
 	latched atomic.Int64 // reads served by the latched fast path
 	closed  atomic.Bool
 
@@ -290,11 +289,6 @@ func Open(opts Options) (*DB, error) {
 		if opts.OpenExisting {
 			openFile = device.OpenFileExisting
 		}
-		cfg.CPUPerAccess = -1 // real CPUs charge themselves
-		cfg.CommitRecords = true
-		cfg.WALPersist = true
-		cfg.PoolStripes = poolStripesPerPartition
-		cfg.PoolClock = func() time.Duration { return time.Duration(db.tick.Add(1)) }
 		filePage := page.HeaderSize + opts.PageSize
 		var err error
 		dbFile, err = openFile(filepath.Join(opts.Dir, "db.pages"), filePage, device.PageNum(opts.DBPages))

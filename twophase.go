@@ -55,7 +55,8 @@ import (
 // global transaction. Presumed abort means absence is an abort decision, so
 // nothing is ever logged for aborts and a torn tail (a record half-written
 // when the process died) reads as "no decision" — the safe outcome, since
-// no participant has committed before the decision write returns.
+// no participant has committed before the decision write returns. Damage
+// anywhere else would erase acknowledged decisions, so it fails the open.
 type coordLog struct {
 	mu        sync.Mutex
 	f         *os.File
@@ -67,7 +68,11 @@ type coordLog struct {
 
 // openCoordLog opens (or, when fresh is true, truncates) the decision log
 // at path and loads the decided set, truncating any torn tail so later
-// appends land after the last intact record.
+// appends land after the last intact record. The log is only ever
+// appended, so a record that fails to decode is a torn tail only if no
+// later byte offset decodes a CRC-valid record; otherwise the failure is
+// damage before acknowledged decisions, and openCoordLog fails with
+// wal.ErrLogDamaged, naming the file and the offset, and truncates nothing.
 func openCoordLog(path string, fresh, sync bool) (*coordLog, error) {
 	flags := os.O_RDWR | os.O_CREATE
 	if fresh {
@@ -96,6 +101,13 @@ func openCoordLog(path string, fresh, sync bool) (*coordLog, error) {
 			}
 		}
 		end += sz
+	}
+	for q := end + 1; q < len(data); q++ {
+		if _, _, err := wal.DecodeRecord(data[q:]); err == nil {
+			f.Close()
+			return nil, fmt.Errorf("%w: %s: the record at byte %d fails its check, but a record at byte %d follows it",
+				wal.ErrLogDamaged, path, end, q)
+		}
 	}
 	if end < len(data) {
 		if err := f.Truncate(int64(end)); err != nil {
