@@ -57,10 +57,27 @@ func main() {
 	}
 }
 
+// openDataDir returns the data directory to open and what removes it at
+// exit. An empty dir is a fresh temporary directory, removed at exit. A new
+// database's dir is created with its parents; a directory to reattach to
+// (openExisting) must already exist.
+func openDataDir(dir string, openExisting bool) (string, func(), error) {
+	if dir == "" {
+		tmp, err := os.MkdirTemp("", "bpeserve-*")
+		return tmp, func() { os.RemoveAll(tmp) }, err
+	}
+	if !openExisting {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return "", nil, err
+		}
+	}
+	return dir, func() {}, nil
+}
+
 func run() error {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7070", "listen address")
-		dir          = flag.String("dir", "", "data directory (default: a fresh temp dir)")
+		dir          = flag.String("dir", "", "data directory, created if missing (default: a fresh temp dir)")
 		openExisting = flag.Bool("open-existing", false, "reattach to an existing -dir: recover WALs instead of formatting")
 		pages        = flag.Int64("pages", 65536, "database size in pages")
 		pool         = flag.Int("pool", 4096, "buffer pool frames")
@@ -93,14 +110,11 @@ func run() error {
 	if *openExisting && *dir == "" {
 		return fmt.Errorf("-open-existing requires -dir")
 	}
-	dataDir := *dir
-	if dataDir == "" {
-		dataDir, err = os.MkdirTemp("", "bpeserve-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dataDir)
+	dataDir, cleanup, err := openDataDir(*dir, *openExisting)
+	if err != nil {
+		return err
 	}
+	defer cleanup()
 	db, err := turbobp.Open(turbobp.Options{
 		Design:       d,
 		Policy:       pol,

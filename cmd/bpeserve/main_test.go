@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -387,5 +388,30 @@ func TestPprofServesHeapProfile(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "heap profile:") {
 		t.Fatalf("GET /debug/pprof/heap: %s, body starts %.80q", resp.Status, body)
+	}
+}
+
+// TestOpenDataDirCreatesNestedPath: -dir naming a path that does not exist
+// yet is created with its parents, and a database opens there; with
+// -open-existing a missing directory is an error, not a fresh database.
+func TestOpenDataDirCreatesNestedPath(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "new", "nested")
+	if _, _, err := openDataDir(dir, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := turbobp.Open(turbobp.Options{Dir: dir, DBPages: 64, PoolPages: 16, OpenExisting: true}); err == nil {
+		t.Fatal("OpenExisting on a missing -dir succeeded")
+	}
+	got, cleanup, err := openDataDir(dir, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cleanup()
+	db, err := turbobp.Open(turbobp.Options{Dir: got, DBPages: 64, PoolPages: 16})
+	if err != nil {
+		t.Fatalf("Open on a fresh nested -dir: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

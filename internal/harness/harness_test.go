@@ -608,6 +608,42 @@ func TestIndexCellKeepsNoLogHistory(t *testing.T) {
 	}
 }
 
+// TestOLTPCellLiveBytesPerPage pins the live heap per accounted database
+// page of the TPC-C 2K-warehouse LC cell at divisor 8192 (ROADMAP item
+// 20(b)): the heap after a GC at the end of the run, engine still alive,
+// less the heap after a GC before it, over the cell's 3 200 DB pages. It
+// read 349 B/page when the SSD tier's clean and dirty heaps were
+// policy.LRU2Cache instances, each frame's (prev, last) copied into an
+// arena entry and into lazy-heap snapshot nodes, and reads 249 B/page with
+// heaps of frame indices over the frame table.
+func TestOLTPCellLiveBytesPerPage(t *testing.T) {
+	run := buildOLTP(Scale{Divisor: 8192}, ssd.LC, "tpcc", TPCCSizesGB[2], nil)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	env := sim.NewEnv()
+	defer env.Shutdown()
+	e := newRunEngine(env, run.Config)
+	if err := e.FormatDB(); err != nil {
+		t.Fatal(err)
+	}
+	run.Workload.Start(env, e, func(time.Duration) {})
+	env.Run(run.Duration)
+	e.StopBackground()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(e)
+	if e.Stats().Commits == 0 {
+		t.Fatal("no commits")
+	}
+	const limit = 300 // bytes per DB page
+	got := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(run.Config.DBPages)
+	t.Logf("live heap %.1f B per DB page over %d pages", got, run.Config.DBPages)
+	if got > limit {
+		t.Errorf("live heap %.1f B per DB page, want <= %d: does the SSD tier copy its frame table again?", got, limit)
+	}
+}
+
 // TestRunOLTPEngineRefusesRecovery checks that a RunOLTP engine, whose log
 // kept no records, cannot be crashed or recovered from that empty log: both
 // panic, naming DiscardDurable. An engine built with a fault injector keeps

@@ -1,6 +1,8 @@
 // LRU-2 page replacement (O'Neil, O'Neil and Weikum, SIGMOD 1993), the
-// default policy and the one both the paper's SSD manager and this
-// repository's memory buffer pool use. It is also the SSD tier's dirty heap.
+// default policy and the one the memory buffer pool uses. The SSD tier
+// keeps the same order without this cache: its LRU-2 heaps are heaps of
+// frame indices over its frame table, which already holds each frame's
+// history (internal/ssd, frameHeap).
 //
 // LRU-2 evicts the entry whose second-most-recent access is oldest. Entries
 // referenced only once have an infinite backward 2-distance and are
@@ -9,7 +11,7 @@
 // Everything is flat: entries live in a slot arena (recycled through a free
 // list, so the steady state allocates nothing), the priority heap is a slice
 // of snapshot nodes, and the key index is a dense slice over the key bound
-// the owner gives NewLRU2 (keys are page ids or frame numbers).
+// the owner gives NewLRU2 (the pool's page ids).
 //
 // The heap is lazy, in the style of the SSD manager's TAC heap: a node
 // records the (prev, last) pair its entry had when pushed, and Touch only
@@ -219,8 +221,7 @@ func (c *LRU2Cache) TouchHistory(key int64, last, prev time.Duration) {
 			// The history moves forward (or stays put) in the heap's
 			// (prev, last) order — the same monotonic growth Touch relies
 			// on, so the lazy update applies: the node goes stale and
-			// clean() refreshes it by sifting down. This is the hot case
-			// (the SSD manager touches a frame on every hit).
+			// clean() refreshes it by sifting down.
 			e.last, e.prev = last, prev
 			return
 		}

@@ -76,10 +76,10 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // Policy is one replacement policy instance. Keys are non-negative int64s
-// below the bound given to New: the DRAM pool keys by page id; the SSD
-// tier keys its per-shard clean heaps by shard-local frame number under
-// LRU2 (preserving the legacy tie-break order) and by page id under the
-// adaptive policies.
+// below the bound given to New: the DRAM pool keys by page id, and so do
+// the SSD tier's per-shard clean heaps under the adaptive policies. Under
+// LRU2 the SSD tier keeps no Policy: its heaps order frame indices by its
+// own frame table.
 type Policy interface {
 	// Touch records an access at virtual time now, inserting the key if
 	// it is not tracked.

@@ -66,12 +66,10 @@ func (m *Manager) oldestDirty() int {
 	best := -1
 	var bestLast, bestPrev int64
 	for i := range m.shards {
-		s := &m.shards[i]
-		key, ok := s.dirty.Victim()
+		idx, ok := m.shards[i].dirty.victim()
 		if !ok {
 			continue
 		}
-		idx := m.heapFrame(s, key)
 		rec := &m.frames[idx]
 		if best < 0 || int64(rec.prev) < bestPrev ||
 			(int64(rec.prev) == bestPrev && int64(rec.last) < bestLast) {
@@ -265,9 +263,9 @@ func (m *Manager) cleanOnce(p *sim.Proc) bool {
 			rec.flags &^= fDirty
 			m.dirtyCount--
 			s := m.frameShard(idx)
-			s.dirty.Remove(m.heapKey(idx))
+			s.dirty.remove(idx)
 			if rec.has(fValid) {
-				s.clean.TouchHistory(m.cleanKey(idx), rec.last, rec.prev)
+				s.clean.touch(idx)
 			}
 		}
 		m.frameIdle(idx)

@@ -94,7 +94,7 @@ func (m *Manager) RestoreTable(blob []byte) error {
 		if m.cfg.Design == TAC {
 			m.pushTac(idx)
 		} else {
-			m.frameShard(idx).clean.TouchHistory(m.cleanKey(idx), rec.last, rec.prev)
+			m.frameShard(idx).clean.touch(idx)
 		}
 	}
 	// Take the restored frames off their free lists, keeping the order of

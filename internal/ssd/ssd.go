@@ -7,7 +7,8 @@
 // the SSD buffer pool (a frame array on the SSD device), the SSD buffer
 // table (per-frame records with page id, dirty bit and the last two access
 // times), the SSD hash table, the SSD free list, and the clean/dirty heap
-// pair used for LRU-2 replacement and lazy cleaning. Page ids are dense, so
+// pair used for LRU-2 replacement and lazy cleaning — heaps of frame
+// indices ordered by the table's own records. Page ids are dense, so
 // the hash table is a directory indexed by page id. The buffer pool is
 // partitioned into N shards (§3.3.4), each with its own free list and
 // heaps; a page's shard is a hash of its id.
@@ -160,18 +161,20 @@ var retry = device.DefaultRetryPolicy()
 
 // frameRec is one SSD buffer table record (the paper's 88-byte record:
 // page id, dirty bit, last two access times, latch and list pointers — the
-// pointers are implicit in Go's maps/heaps). It holds no pointer, so the
-// garbage collector never scans the table, and its zero value is a free
-// frame, so NewManager writes none and an untouched frame costs no memory.
+// list pointer is pos, the frame's place in its shard's clean or dirty
+// heap). It holds no pointer, so the garbage collector never scans the
+// table, and its zero value is a free frame, so NewManager writes none and
+// an untouched frame costs no memory.
 // A frame's shard is not stored: frames are dealt round-robin, so it is
 // idx % len(m.shards).
 type frameRec struct {
 	pid   page.ID
-	lsn   uint64 // LSN of the cached version (guards cleaner races)
-	gen   uint64
-	last  time.Duration
-	prev  time.Duration
-	io    int32 // in-flight device transfers referencing this frame
+	lsn   uint64        // LSN of the cached version (guards cleaner races)
+	last  time.Duration // most recent access
+	prev  time.Duration // access before that, or policy.Never()
+	gen   uint32        // bumped on free; orphans stale TAC heap entries
+	pos   int32         // 1 + position in the shard's clean or dirty frameHeap; 0 = in neither
+	io    int32         // in-flight device transfers referencing this frame
 	flags frameFlags
 	// bad counts the slot's verification failures. It and fRetired
 	// survive freeFrame: a bad cell keeps its history across reuse by
@@ -196,14 +199,14 @@ func (r *frameRec) has(f frameFlags) bool { return r.flags&f == f }
 
 // shard is one partition of the SSD buffer pool (§3.3.4): its own free
 // list and heaps over the frames dealt to it. Frames are dealt round-robin,
-// so shard num holds frames num, num+N, num+2N, ...; its LRU-2 heaps key a
-// frame by its shard-local number idx / N.
+// so shard num holds frames num, num+N, num+2N, .... Its heaps store frame
+// indices and order them by the frame table's records (frameHeap).
 type shard struct {
-	num   int               // this shard's index in Manager.shards
-	free  []int32           // SSD free list: the top frame is handed out first
-	clean policy.Policy     // clean heap: replacement policy over clean valid frames
-	dirty *policy.LRU2Cache // dirty heap: LRU-2 over dirty frames (LC only)
-	tac   tacHeap           // TAC replacement heap (temperature order)
+	num   int       // this shard's index in Manager.shards
+	free  []int32   // SSD free list: the top frame is handed out first
+	clean cleanSet  // clean heap: replacement order over clean valid frames
+	dirty frameHeap // dirty heap: LRU-2 over dirty frames (LC only)
+	tac   tacHeap   // TAC replacement heap (temperature order)
 }
 
 // lookup returns the frame index caching pid, if any. Ids outside the
@@ -219,13 +222,6 @@ func (m *Manager) lookup(pid page.ID) (int, bool) {
 
 // frameShard returns frame idx's shard.
 func (m *Manager) frameShard(idx int) *shard { return &m.shards[idx%len(m.shards)] }
-
-// heapKey is frame idx's key in its shard's LRU-2 heaps: the shard-local
-// frame number.
-func (m *Manager) heapKey(idx int) int64 { return int64(idx / len(m.shards)) }
-
-// heapFrame inverts heapKey for shard s.
-func (m *Manager) heapFrame(s *shard, key int64) int { return int(key)*len(m.shards) + s.num }
 
 // Stats counts manager activity.
 type Stats struct {
@@ -388,8 +384,11 @@ func NewManager(env *sim.Env, dev device.Device, disk Disk, repair Repairer, pag
 		*s = shard{
 			num:   i,
 			free:  make([]int32, 0, (cfg.SSDFrames-i+n-1)/n),
-			clean: policy.New(cfg.Policy, perShard, perShard),
-			dirty: policy.NewLRU2(perShard),
+			clean: &frameHeap{frames: m.frames},
+			dirty: frameHeap{frames: m.frames},
+		}
+		if cfg.Policy != policy.LRU2 {
+			s.clean = pidSet{policy.New(cfg.Policy, perShard, perShard), m}
 		}
 		// Deal frames to shards round-robin so shard capacities differ by
 		// at most one.
@@ -408,37 +407,9 @@ func (m *Manager) Config() Config { return m.cfg }
 func (m *Manager) Stats() Stats {
 	s := m.stats
 	for i := range m.shards {
-		metrics.Add(&s.Policy, m.shards[i].clean.Stats())
+		metrics.Add(&s.Policy, m.shards[i].clean.stats())
 	}
 	return s
-}
-
-// cleanKey is the clean-policy key for frame idx: its heapKey under LRU2
-// — preserving the (prev, last, frame index) tie-break order exactly —
-// and the page id under the adaptive policies, so ARC's ghost lists and
-// TinyLFU's sketch track pages across frame reuse.
-func (m *Manager) cleanKey(idx int) int64 {
-	if m.cfg.Policy == policy.LRU2 {
-		return m.heapKey(idx)
-	}
-	return int64(m.frames[idx].pid)
-}
-
-// victimFrame resolves a clean-policy victim key back to a frame index.
-func (m *Manager) victimFrame(s *shard, key int64) (int, bool) {
-	if m.cfg.Policy == policy.LRU2 {
-		return m.heapFrame(s, key), true
-	}
-	return m.lookup(page.ID(key))
-}
-
-// recordAccess feeds one lookup (hit or miss) to the shard policy's
-// frequency filter, when it keeps one (TinyLFU). Everything else is a
-// no-op: the type assertion fails for the list-based policies.
-func (m *Manager) recordAccess(s *shard, pid page.ID) {
-	if r, ok := s.clean.(policy.Recorder); ok {
-		r.Record(int64(pid))
-	}
 }
 
 // freqAdmit applies the replacement policy's admission gate (TinyLFU's
@@ -446,10 +417,7 @@ func (m *Manager) recordAccess(s *shard, pid page.ID) {
 // the aggressive-filling phase — below τ the SSD wants bytes, not
 // selectivity.
 func (m *Manager) freqAdmit(s *shard, pid page.ID) bool {
-	if m.cfg.Policy == policy.LRU2 || m.aggressiveFill() {
-		return true
-	}
-	return s.clean.Admit(int64(pid), m.env.Now())
+	return m.aggressiveFill() || s.clean.admit(pid, m.env.Now())
 }
 
 // admits combines the §3.3.1 admission policy (Qualifies) with the
@@ -584,9 +552,9 @@ func (m *Manager) condemnFrame(idx int) {
 	if rec.has(fDirty) {
 		rec.flags &^= fDirty
 		m.dirtyCount--
-		s.dirty.Remove(m.heapKey(idx))
+		s.dirty.remove(idx)
 	}
-	s.clean.Remove(m.cleanKey(idx))
+	s.clean.remove(idx)
 	rec.flags &^= fValid
 	rec.flags |= fCondemned
 	if rec.io == 0 {
@@ -653,9 +621,9 @@ func (m *Manager) dropFrame(idx int) {
 	if rec.has(fDirty) {
 		rec.flags &^= fDirty
 		m.dirtyCount--
-		s.dirty.Remove(m.heapKey(idx))
+		s.dirty.remove(idx)
 	}
-	s.clean.Remove(m.cleanKey(idx))
+	s.clean.remove(idx)
 	rec.flags &^= fValid
 	m.frameIdle(idx)
 }
@@ -837,9 +805,9 @@ func (m *Manager) touch(idx int) {
 		return // TAC replaces by temperature, not recency
 	}
 	if rec.has(fDirty) {
-		s.dirty.TouchHistory(m.heapKey(idx), rec.last, rec.prev)
+		s.dirty.touch(idx)
 	} else {
-		s.clean.TouchHistory(m.cleanKey(idx), rec.last, rec.prev)
+		s.clean.touch(idx)
 	}
 }
 
@@ -863,8 +831,8 @@ func (m *Manager) freeFrame(idx int) {
 	}
 	s := m.frameShard(idx)
 	m.dir[rec.pid] = 0
-	s.clean.Remove(m.cleanKey(idx))
-	s.dirty.Remove(m.heapKey(idx))
+	s.clean.remove(idx)
+	s.dirty.remove(idx)
 	if rec.has(fDirty) {
 		m.dirtyCount--
 	}
@@ -939,9 +907,9 @@ func (m *Manager) allocFrame(pid page.ID, dirty bool) int {
 	m.occupied++
 	if dirty {
 		m.dirtyCount++
-		s.dirty.TouchHistory(m.heapKey(idx), rec.last, rec.prev)
+		s.dirty.touch(idx)
 	} else {
-		s.clean.TouchHistory(m.cleanKey(idx), rec.last, rec.prev)
+		s.clean.touch(idx)
 	}
 	return idx
 }
@@ -952,13 +920,9 @@ func (m *Manager) popCleanVictim(s *shard) int {
 	var busy []int
 	victim := -1
 	for {
-		key, ok := s.clean.Pop()
+		idx, ok := s.clean.pop()
 		if !ok {
 			break
-		}
-		idx, ok := m.victimFrame(s, key)
-		if !ok {
-			continue // pid-keyed policy invariant breach; drop the stale key
 		}
 		if m.frames[idx].io > 0 {
 			busy = append(busy, idx)
@@ -968,8 +932,7 @@ func (m *Manager) popCleanVictim(s *shard) int {
 		break
 	}
 	for _, idx := range busy {
-		rec := &m.frames[idx]
-		s.clean.TouchHistory(m.cleanKey(idx), rec.last, rec.prev)
+		s.clean.touch(idx)
 	}
 	return victim
 }

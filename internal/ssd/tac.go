@@ -25,7 +25,7 @@ import (
 // or discarded lazily at pop time.
 type tacEntry struct {
 	idx  int
-	gen  uint64
+	gen  uint32
 	temp float64
 }
 

@@ -104,7 +104,7 @@ func (m *Manager) ReadTask(t *sim.Task, pid page.ID, pg *page.Page, k func(bool,
 		return
 	}
 	s := m.shardOf(pid)
-	m.recordAccess(s, pid)
+	s.clean.record(pid) // TinyLFU's sketch sees every lookup, hit or miss
 	idx, ok := m.lookup(pid)
 	if !ok || !m.frames[idx].has(fValid) {
 		m.stats.Misses++
@@ -299,7 +299,7 @@ func (m *Manager) admitTask(t *sim.Task, pg *page.Page, dirty bool, k func(bool,
 		// still around). Publish the new state before the device write.
 		if dirty && !rec.has(fDirty) {
 			m.dirtyCount++
-			s.clean.Remove(m.cleanKey(idx))
+			s.clean.remove(idx)
 		}
 		rec.flags |= fValid
 		if dirty {
