@@ -1,6 +1,9 @@
 // Package bufpool implements the in-memory buffer pool: a fixed set of page
-// frames with a page-indexed directory for lookup and LRU-2 victim
-// selection.
+// frames with a page-indexed directory for lookup and a replacement policy
+// for victim selection. Under the default LRU-2 each frame holds its page's
+// access history and the victim order is a heap of frame indices over the
+// frame table (lru2.go), as in the SSD tier; the adaptive policies (ARC,
+// CFLRU, TinyLFU) are a policy.Policy keyed by page id.
 //
 // The pool is a passive structure — it performs no I/O and charges no time.
 // The storage engine (internal/engine) drives the §2.2 data flow: on a miss
@@ -32,6 +35,11 @@ type Frame struct {
 	RecLSN uint64
 
 	slot int32 // this frame's directory value: its index in Pool.frames + 1
+
+	// Under LRU-2 (lru2Heap): the page's last two accesses, prev =
+	// policy.Never() after one, and the pair its heap slot is ordered by.
+	last, prev   time.Duration
+	hlast, hprev time.Duration
 }
 
 // Pool is the memory buffer pool. In its default single-latch mode (New) it
@@ -48,8 +56,9 @@ type Pool struct {
 	frames  []Frame
 	dir     []int32 // page id -> frame index + 1; 0 = not resident
 	kind    policy.Kind
-	repl    policy.Policy
-	free    []int32 // indices into frames
+	lru2    lru2Heap      // the victim order under LRU-2
+	repl    policy.Policy // the adaptive policies' state, keyed by page id; nil under LRU-2
+	free    []int32       // indices into frames
 
 	// Striped-latch mode (nil stripes = single-latch mode; see striped.go).
 	stripes []stripe
@@ -58,8 +67,7 @@ type Pool struct {
 
 // New returns a single-latch pool of capacity frames holding
 // payloadSize-byte payloads of pages with ids in [0, pages), whose victim
-// selection is driven by the given replacement policy. Keys handed to the
-// policy are page ids.
+// selection is driven by the given replacement policy.
 func New(capacity, payloadSize, pages int, kind policy.Kind) *Pool {
 	if capacity < 1 {
 		panic(fmt.Sprintf("bufpool: capacity %d", capacity))
@@ -71,7 +79,11 @@ func New(capacity, payloadSize, pages int, kind policy.Kind) *Pool {
 		kind:    kind,
 		free:    make([]int32, 0, capacity),
 	}
-	p.repl = p.newRepl()
+	p.lru2.frames = p.frames
+	if kind == policy.LRU2 {
+		p.lru2.at = make([]int32, 0, capacity)
+	}
+	p.resetRepl()
 	slab := make([]byte, capacity*payloadSize)
 	for i := capacity - 1; i >= 0; i-- {
 		f := &p.frames[i]
@@ -82,25 +94,35 @@ func New(capacity, payloadSize, pages int, kind policy.Kind) *Pool {
 	return p
 }
 
-// newRepl builds a fresh policy instance for this pool, wiring the
-// dirty-awareness hook for policies that want it (CFLRU defers dirty
-// pages, so its victim scan asks the resident table for dirty state).
-func (p *Pool) newRepl() policy.Policy {
-	r := policy.New(p.kind, len(p.frames), len(p.dir))
-	if da, ok := r.(policy.DirtyAware); ok {
+// resetRepl empties the replacement state: the LRU-2 heap, or a fresh
+// adaptive policy with the dirty-awareness hook wired for policies that
+// want it (CFLRU defers dirty pages, so its victim scan asks the resident
+// table for dirty state).
+func (p *Pool) resetRepl() {
+	if p.kind == policy.LRU2 {
+		p.lru2.at = p.lru2.at[:0]
+		return
+	}
+	p.repl = policy.New(p.kind, len(p.frames))
+	if da, ok := p.repl.(policy.DirtyAware); ok {
 		da.SetDirtyFn(func(key int64) bool {
 			f := p.get(page.ID(key))
 			return f != nil && f.Dirty
 		})
 	}
-	return r
 }
 
 // Policy returns the pool's replacement-policy kind.
 func (p *Pool) Policy() policy.Kind { return p.kind }
 
-// PolicyStats returns the replacement policy's decision counters.
-func (p *Pool) PolicyStats() policy.Stats { return p.repl.Stats() }
+// PolicyStats returns the replacement policy's decision counters; LRU-2
+// keeps none.
+func (p *Pool) PolicyStats() policy.Stats {
+	if p.repl == nil {
+		return policy.Stats{}
+	}
+	return p.repl.Stats()
+}
 
 // Capacity returns the total number of frames.
 func (p *Pool) Capacity() int { return len(p.frames) }
@@ -136,8 +158,17 @@ func (p *Pool) Lookup(id page.ID, now time.Duration) *Frame {
 	if f == nil {
 		return nil
 	}
-	p.repl.Touch(int64(id), p.now(now))
+	p.touch(f, p.now(now))
 	return f
+}
+
+// touch records an access to resident frame f at now.
+func (p *Pool) touch(f *Frame, now time.Duration) {
+	if p.repl == nil {
+		f.touch(now)
+		return
+	}
+	p.repl.Touch(int64(f.Pg.ID), now)
 }
 
 // Peek returns the resident frame without touching replacement state.
@@ -161,15 +192,23 @@ func (p *Pool) PopVictim() *Frame {
 	if p.stripes != nil {
 		p.drainTouches()
 	}
-	key, ok := p.repl.Pop()
-	if !ok {
-		return nil
+	var f *Frame
+	if p.repl == nil {
+		idx := p.lru2.pop()
+		if idx < 0 {
+			return nil
+		}
+		f = &p.frames[idx]
+	} else {
+		key, ok := p.repl.Pop()
+		if !ok {
+			return nil
+		}
+		if f = p.get(page.ID(key)); f == nil {
+			panic(fmt.Sprintf("bufpool: victim %d not in table", key))
+		}
 	}
-	f := p.get(page.ID(key))
-	if f == nil {
-		panic(fmt.Sprintf("bufpool: victim %d not in table", key))
-	}
-	p.set(page.ID(key), 0)
+	p.set(f.Pg.ID, 0)
 	return f
 }
 
@@ -181,11 +220,15 @@ func (p *Pool) Insert(f *Frame, now time.Duration) (*Frame, bool) {
 	id := f.Pg.ID
 	if existing := p.get(id); existing != nil {
 		p.Release(f)
-		p.repl.Touch(int64(id), p.now(now))
+		p.touch(existing, p.now(now))
 		return existing, false
 	}
 	p.set(id, f.slot)
-	p.repl.Touch(int64(id), p.now(now))
+	if p.repl == nil {
+		p.lru2.push(f.slot-1, p.now(now))
+	} else {
+		p.repl.Touch(int64(id), p.now(now))
+	}
 	return f, true
 }
 
@@ -224,10 +267,10 @@ func (p *Pool) Reset() {
 	for i := range p.stripes {
 		s := &p.stripes[i]
 		s.tmu.Lock()
-		s.touches = nil
+		s.touches = s.touches[:0]
 		s.tmu.Unlock()
 	}
-	p.repl = p.newRepl()
+	p.resetRepl()
 	p.free = p.free[:0]
 	for i := len(p.frames) - 1; i >= 0; i-- {
 		p.Release(&p.frames[i])

@@ -1,7 +1,8 @@
 package bufpool
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,12 +28,13 @@ import (
 // ReadLatched holds nothing else. Both orders embed in the same total
 // order, so the hierarchy is deadlock-free.
 //
-// LRU-2 recency for latched reads is buffered: each stripe accumulates
-// (id, at) touch records under a side lock, drained into the replacement
-// cache by the next PopVictim — the only consumer of recency. A full
-// buffer drops further touches (bounded memory beats perfect recency; a
-// dropped touch can only make victim choice slightly staler, never
-// incorrect).
+// Recency for latched reads is buffered: each stripe accumulates (id, at)
+// touch records under a side lock, drained into the replacement state by
+// the next PopVictim — the only consumer of recency. A full buffer drops
+// further touches (bounded memory beats perfect recency; a dropped touch
+// can only make victim choice slightly staler, never incorrect). A drain
+// hands the stripe its previous batch's buffer back, so latched reads
+// allocate nothing once the buffers have grown.
 
 // stripe is one latch-granule of the page directory.
 type stripe struct {
@@ -40,9 +42,10 @@ type stripe struct {
 
 	tmu     sync.Mutex
 	touches []pendingTouch
+	spare   []pendingTouch // the last drained batch, the next touches buffer; owner only
 }
 
-// pendingTouch is one buffered LRU-2 access record from a latched read.
+// pendingTouch is one buffered access record from a latched read.
 type pendingTouch struct {
 	id int64
 	at time.Duration
@@ -169,7 +172,7 @@ func (p *Pool) MutateFrame(f *Frame, fn func(payload []byte)) {
 }
 
 // drainTouches replays buffered latched-read accesses into the replacement
-// cache. Called under the owner's serialization, right before victim
+// state. Called under the owner's serialization, right before victim
 // selection — the only moment recency is consulted. Each stripe's batch is
 // sorted by (at, id) before replay: the append order of concurrent
 // ReadLatched callers is scheduling-dependent, and policies with admission
@@ -181,18 +184,16 @@ func (p *Pool) drainTouches() {
 		s := &p.stripes[i]
 		s.tmu.Lock()
 		pend := s.touches
-		s.touches = nil
+		s.touches = s.spare[:0]
 		s.tmu.Unlock()
-		sort.Slice(pend, func(a, b int) bool {
-			if pend[a].at != pend[b].at {
-				return pend[a].at < pend[b].at
-			}
-			return pend[a].id < pend[b].id
+		slices.SortFunc(pend, func(a, b pendingTouch) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.id, b.id))
 		})
 		for _, t := range pend {
-			if p.dir[t.id] != 0 {
-				p.repl.Touch(t.id, t.at)
+			if f := p.frame(p.dir[t.id]); f != nil {
+				p.touch(f, t.at)
 			}
 		}
+		s.spare = pend
 	}
 }

@@ -147,3 +147,34 @@ func TestStripedConcurrentReadersWriter(t *testing.T) {
 		t.Fatalf("%d torn reads observed", torn.Load())
 	}
 }
+
+// TestStripedLatchedReadsAllocationFree pins the latched read path's
+// steady state: 32 ReadLatched hits and the PopVictim that drains their
+// touches (the victim re-inserted, so the pool stays full) allocate
+// nothing. With a drain that dropped each stripe's buffer and sorted with
+// sort.Slice, the round allocated 80 times.
+func TestStripedLatchedReadsAllocationFree(t *testing.T) {
+	const frames = 64
+	for _, kind := range policy.Kinds {
+		p := NewStriped(frames, 8, testPages, kind)
+		for i := 0; i < frames; i++ {
+			f := p.TakeFree()
+			f.Pg.ID = page.ID(i)
+			p.Insert(f, 0)
+		}
+		buf := make([]byte, 8)
+		var i int
+		round := func() {
+			for range 32 {
+				i++
+				p.ReadLatched(page.ID(i%frames), buf)
+			}
+			v := p.PopVictim()
+			p.Insert(v, 0)
+		}
+		round() // grow the stripes' buffers
+		if n := testing.AllocsPerRun(100, round); n != 0 {
+			t.Errorf("%v: 32 latched reads and a drain allocate %v times", kind, n)
+		}
+	}
+}

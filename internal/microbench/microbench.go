@@ -10,11 +10,12 @@
 // testing.Benchmark.
 //
 // The read path (GetHit, GetMiss) is expected to run at ~0 allocs/op:
-// page buffers, LRU-2 entries, WAL records and scheduler events all come
-// from free lists. UpdateCommit and GroupClean additionally exercise the
-// WAL slab and the SSD manager's pooled cleaning scratch; UpdateCommit
-// retains a small residual (the simulated log device stores each freshly
-// written log page once).
+// page buffers, WAL records and scheduler events all come from free lists,
+// and LRU-2 history lives in the pool's and the SSD tier's frame tables.
+// UpdateCommit and GroupClean additionally exercise the WAL slab and the
+// SSD manager's pooled cleaning scratch; UpdateCommit retains a small
+// residual (the simulated log device stores each freshly written log page
+// once).
 package microbench
 
 import (

@@ -4,15 +4,20 @@ import (
 	"testing"
 	"time"
 
+	"turbobp/internal/bufpool"
+	"turbobp/internal/page"
 	"turbobp/internal/policy"
 )
 
 // The policy microbenchmarks measure the replacement-policy hot paths in
-// isolation: Touch (every buffer-pool read goes through it) and the
-// eviction cycle Pop + re-insert (every miss under memory pressure), for
-// each policy kind, plus the TinyLFU count-min sketch primitives. All
-// policies run these paths allocation-free in steady state (entries come
-// from per-policy free lists; the sketch is two fixed arrays).
+// isolation: a touch (every buffer-pool read records one) and the eviction
+// cycle pop + insert (every miss under memory pressure), for each policy
+// kind, plus the TinyLFU count-min sketch primitives. LRU-2 lives in the
+// buffer pool's frame table, so its two benchmarks drive a pool: Lookup of
+// a resident page, and PopVictim + Insert at capacity. The adaptive
+// policies run against policy.Policy directly. Every path is
+// allocation-free in steady state (entries come from per-policy free
+// lists; the sketch is two fixed arrays).
 
 // policyCap is the working-set size the policy benchmarks run at, and
 // policyKeys the key bound: policyEvict's fresh keys cycle below it, so a
@@ -31,7 +36,7 @@ func fillPolicy(p policy.Policy) {
 
 // policyTouch measures Touch on resident keys of a full policy.
 func policyTouch(b *testing.B, kind policy.Kind) {
-	p := policy.New(kind, policyCap, policyKeys)
+	p := policy.New(kind, policyCap)
 	fillPolicy(p)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -43,7 +48,7 @@ func policyTouch(b *testing.B, kind policy.Kind) {
 // policyEvict measures one eviction cycle at capacity: Pop the victim and
 // insert a fresh key, the steady-state work of every cache miss.
 func policyEvict(b *testing.B, kind policy.Kind) {
-	p := policy.New(kind, policyCap, policyKeys)
+	p := policy.New(kind, policyCap)
 	fillPolicy(p)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -53,8 +58,28 @@ func policyEvict(b *testing.B, kind policy.Kind) {
 	}
 }
 
-// PolicyTouchLRU2 measures Touch under the default LRU-2 policy.
-func PolicyTouchLRU2(b *testing.B) { policyTouch(b, policy.LRU2) }
+// fillPool returns an LRU-2 pool of policyCap frames over policyKeys pages
+// with pages 0..policyCap-1 resident, inserted at times 0..policyCap-1.
+func fillPool() *bufpool.Pool {
+	p := bufpool.New(policyCap, 8, policyKeys, policy.LRU2)
+	for i := 0; i < policyCap; i++ {
+		f := p.TakeFree()
+		f.Pg.ID = page.ID(i)
+		p.Insert(f, time.Duration(i))
+	}
+	return p
+}
+
+// PolicyTouchLRU2 measures the pool's Lookup of a resident page under the
+// default LRU-2 policy.
+func PolicyTouchLRU2(b *testing.B) {
+	p := fillPool()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Lookup(page.ID(i%policyCap), time.Duration(policyCap+i))
+	}
+}
 
 // PolicyTouchARC measures Touch under ARC.
 func PolicyTouchARC(b *testing.B) { policyTouch(b, policy.ARC) }
@@ -66,8 +91,18 @@ func PolicyTouchCFLRU(b *testing.B) { policyTouch(b, policy.CFLRU) }
 // increment each access feeds).
 func PolicyTouchTinyLFU(b *testing.B) { policyTouch(b, policy.TinyLFU) }
 
-// PolicyEvictLRU2 measures the Pop+insert cycle under LRU-2.
-func PolicyEvictLRU2(b *testing.B) { policyEvict(b, policy.LRU2) }
+// PolicyEvictLRU2 measures the pool's PopVictim + Insert of a fresh page at
+// capacity under LRU-2.
+func PolicyEvictLRU2(b *testing.B) {
+	p := fillPool()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := p.PopVictim()
+		f.Pg.ID = page.ID((policyCap + i) % policyKeys)
+		p.Insert(f, time.Duration(policyCap+i))
+	}
+}
 
 // PolicyEvictARC measures the Pop+insert cycle under ARC (ghost-list
 // maintenance included).

@@ -1,11 +1,14 @@
-// Package policy abstracts the buffer-replacement decision behind one
-// interface so the DRAM pool and the SSD tier can swap caching policies
-// without touching their frame plumbing. The surface is the arena-backed
-// LRU-2 cache's (LRU2Cache, the default policy) — Touch, TouchHistory,
-// Remove, Victim, Pop, History — plus an Admit hook that admission-gating
-// policies (TinyLFU) use to refuse entries, and optional extension
-// interfaces for dirty-awareness (CFLRU) and access recording (feeding a
-// frequency sketch from lookups that never reach the policy's own lists).
+// Package policy names the buffer-replacement policies and implements the
+// adaptive ones (ARC, CFLRU, TinyLFU) behind one interface, so the DRAM pool
+// and the SSD tier can swap them without touching their frame plumbing.
+// The default, LRU-2, has no implementation here: each owner keeps it in
+// its own frame table, a page's history in its frame and the victim order
+// a heap of frame indices (internal/bufpool and internal/ssd). The
+// interface — Touch, TouchHistory, Remove, Victim, Pop, History — keys by
+// page id and carries an Admit hook that admission-gating policies
+// (TinyLFU) use to refuse entries, plus optional extension interfaces for
+// dirty-awareness (CFLRU) and access recording (feeding a frequency sketch
+// from lookups that never reach the policy's own lists).
 //
 // Determinism contract: implementations must derive every decision from
 // the call sequence alone — no map-iteration order, no time sources, no
@@ -25,8 +28,9 @@ type Kind uint8
 
 // The built-in policies.
 const (
-	// LRU2 is the arena-backed LRU-2 default (O'Neil et al.): victims
-	// ordered by penultimate-access time, with history kept per entry.
+	// LRU2 is the LRU-2 default (O'Neil et al.): victims ordered by
+	// penultimate-access time. Its owners keep it in their frame tables;
+	// New does not build it.
 	LRU2 Kind = iota
 	// ARC is the adaptive ghost-cache policy: two real lists (recency,
 	// frequency) and two ghost lists whose hits tune the split between
@@ -75,11 +79,10 @@ func ParseKind(s string) (Kind, error) {
 	return LRU2, fmt.Errorf("unknown cache policy %q (want lru2, arc, cflru or tinylfu)", s)
 }
 
-// Policy is one replacement policy instance. Keys are non-negative int64s
-// below the bound given to New: the DRAM pool keys by page id, and so do
-// the SSD tier's per-shard clean heaps under the adaptive policies. Under
-// LRU2 the SSD tier keeps no Policy: its heaps order frame indices by its
-// own frame table.
+// Policy is one adaptive replacement policy instance. Keys are page ids:
+// the DRAM pool's, and the SSD tier's per-shard clean heaps'. Under LRU2
+// neither keeps a Policy: their heaps order frame indices by their own
+// frame tables.
 type Policy interface {
 	// Touch records an access at virtual time now, inserting the key if
 	// it is not tracked.
@@ -137,11 +140,11 @@ type Stats struct {
 	AdmitRejects    int64 // TinyLFU: admissions refused by the doorkeeper/sketch
 }
 
-// New builds a policy of the given kind sized for capacity entries over
-// keys in [0, keys). Capacity bounds ARC's ghost lists, CFLRU's clean-first
-// window and TinyLFU's sketch width; LRU2 grows with its arena and ignores
-// it. Only LRU2 indexes by key, so only LRU2 uses the key bound.
-func New(kind Kind, capacity, keys int) Policy {
+// New builds an adaptive policy of the given kind sized for capacity
+// entries: capacity bounds ARC's ghost lists, CFLRU's clean-first window
+// and TinyLFU's sketch width. It panics on LRU2, which its owners keep in
+// their frame tables, and on an unknown kind.
+func New(kind Kind, capacity int) Policy {
 	switch kind {
 	case ARC:
 		return newARC(capacity)
@@ -149,7 +152,16 @@ func New(kind Kind, capacity, keys int) Policy {
 		return newCFLRU(capacity)
 	case TinyLFU:
 		return newTinyLFU(capacity)
-	default:
-		return NewLRU2(keys)
 	}
+	panic(fmt.Sprintf("policy: New(%v): not an adaptive policy", kind))
 }
+
+// never is the penultimate-access value of entries seen only once; it sorts
+// before every real timestamp, making such entries preferred victims. The
+// LRU-2 frame tables use the same encoding, so a history carries over
+// between them and the adaptive policies.
+const never = time.Duration(-1) << 32
+
+// Never returns the sentinel penultimate-access value of once-referenced
+// entries.
+func Never() time.Duration { return never }

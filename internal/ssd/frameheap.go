@@ -32,8 +32,7 @@ func (h *frameHeap) Len() int { return len(h.at) }
 
 // Less reports whether the frame at heap position i is a better victim
 // than the one at j. The frame-index tie-break makes this a total order,
-// the same one policy.LRU2Cache keeps, so the victim sequence does not
-// depend on the heap's arrangement.
+// so the victim sequence does not depend on the heap's arrangement.
 func (h *frameHeap) Less(i, j int) bool {
 	a, b := h.at[i], h.at[j]
 	ra, rb := &h.frames[a], &h.frames[b]

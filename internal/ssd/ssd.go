@@ -388,7 +388,7 @@ func NewManager(env *sim.Env, dev device.Device, disk Disk, repair Repairer, pag
 			dirty: frameHeap{frames: m.frames},
 		}
 		if cfg.Policy != policy.LRU2 {
-			s.clean = pidSet{policy.New(cfg.Policy, perShard, perShard), m}
+			s.clean = pidSet{policy.New(cfg.Policy, perShard), m}
 		}
 		// Deal frames to shards round-robin so shard capacities differ by
 		// at most one.
