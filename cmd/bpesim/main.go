@@ -38,7 +38,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	csvOut := flag.Bool("csv", false, "emit figure data as CSV instead of rendered text (figure experiments only)")
 	parallel := flag.Int("parallel", 0, "worker count for experiment cells (0 = GOMAXPROCS, 1 = serial)")
-	cachePol := flag.String("policy", "", "cache policy for every engine the experiments build: lru2 (default), arc, cflru, tinylfu; the policy experiment sweeps all four regardless")
+	cachePol := flag.String("policy", "", "cache policy for every engine the experiments build: lru2 (default) or cflru; the policy experiment sweeps both regardless")
 	faultSeed := flag.Uint64("faultseed", 0, "seed for the injected fault schedules of the faults and corrupt experiments (0 = the default, 0x5EEDFA17)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile taken at exit to this file")

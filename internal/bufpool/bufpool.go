@@ -2,8 +2,8 @@
 // frames with a page-indexed directory for lookup and a replacement policy
 // for victim selection. Under the default LRU-2 each frame holds its page's
 // access history and the victim order is a heap of frame indices over the
-// frame table (lru2.go), as in the SSD tier; the adaptive policies (ARC,
-// CFLRU, TinyLFU) are a policy.Policy keyed by page id.
+// frame table (lru2.go), as in the SSD tier; under CFLRU the victim order
+// is a policy.CFLRUList keyed by page id.
 //
 // The pool is a passive structure — it performs no I/O and charges no time.
 // The storage engine (internal/engine) drives the §2.2 data flow: on a miss
@@ -56,9 +56,9 @@ type Pool struct {
 	frames  []Frame
 	dir     []int32 // page id -> frame index + 1; 0 = not resident
 	kind    policy.Kind
-	lru2    lru2Heap      // the victim order under LRU-2
-	repl    policy.Policy // the adaptive policies' state, keyed by page id; nil under LRU-2
-	free    []int32       // indices into frames
+	lru2    lru2Heap          // the victim order under LRU-2
+	repl    *policy.CFLRUList // the victim order under CFLRU, keyed by page id; nil under LRU-2
+	free    []int32           // indices into frames
 
 	// Striped-latch mode (nil stripes = single-latch mode; see striped.go).
 	stripes []stripe
@@ -95,21 +95,16 @@ func New(capacity, payloadSize, pages int, kind policy.Kind) *Pool {
 }
 
 // resetRepl empties the replacement state: the LRU-2 heap, or a fresh
-// adaptive policy with the dirty-awareness hook wired for policies that
-// want it (CFLRU defers dirty pages, so its victim scan asks the resident
-// table for dirty state).
+// CFLRU list whose victim scan asks the resident table for dirty state.
 func (p *Pool) resetRepl() {
 	if p.kind == policy.LRU2 {
 		p.lru2.at = p.lru2.at[:0]
 		return
 	}
-	p.repl = policy.New(p.kind, len(p.frames))
-	if da, ok := p.repl.(policy.DirtyAware); ok {
-		da.SetDirtyFn(func(key int64) bool {
-			f := p.get(page.ID(key))
-			return f != nil && f.Dirty
-		})
-	}
+	p.repl = policy.NewCFLRU(len(p.frames), func(key int64) bool {
+		f := p.get(page.ID(key))
+		return f != nil && f.Dirty
+	})
 }
 
 // Policy returns the pool's replacement-policy kind.

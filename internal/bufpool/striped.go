@@ -175,10 +175,11 @@ func (p *Pool) MutateFrame(f *Frame, fn func(payload []byte)) {
 // state. Called under the owner's serialization, right before victim
 // selection — the only moment recency is consulted. Each stripe's batch is
 // sorted by (at, id) before replay: the append order of concurrent
-// ReadLatched callers is scheduling-dependent, and policies with admission
-// state (TinyLFU's doorkeeper and sketch) observe every Touch, so an
-// unsorted replay would leak thread timing into victim choice. Sorting
-// makes the replay a pure function of the recorded (id, at) set.
+// ReadLatched callers is scheduling-dependent, and CFLRU's recency list
+// orders entries by the call order of its Touches, not by the times they
+// carry, so an unsorted replay would leak thread timing into victim
+// choice. Sorting makes the replay a pure function of the recorded
+// (id, at) set.
 func (p *Pool) drainTouches() {
 	for i := range p.stripes {
 		s := &p.stripes[i]

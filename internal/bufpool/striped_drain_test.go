@@ -13,9 +13,9 @@ import (
 // order, not in the append order of the concurrent ReadLatched callers
 // (which is scheduling-dependent). Two pools observe the same (id, at)
 // touch set appended in opposite orders; their victim sequences must
-// match. TinyLFU makes append-order leaks visible — its recency list and
-// admission sketch observe every replayed Touch in sequence — but the
-// property must hold for every policy. The pool's own tick stamps a
+// match. CFLRU makes append-order leaks visible — its recency list
+// records replayed Touches in call order, whatever times they carry —
+// but the property must hold for every policy. The pool's own tick stamps a
 // ReadLatched call in call order, so the test buffers the touches through
 // the stripe's record, the step of ReadLatched that takes the stamp.
 func TestStripedDrainDeterministicOrder(t *testing.T) {

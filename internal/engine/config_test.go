@@ -20,7 +20,7 @@ import (
 func TestEngineHandsSSDConfigWhole(t *testing.T) {
 	values := map[string]any{
 		"Design":          ssd.LC,
-		"Policy":          policy.ARC,
+		"Policy":          policy.CFLRU,
 		"SSDFrames":       48,
 		"Partitions":      3, // ≤ SSDFrames, else the manager clamps it
 		"FillThreshold":   0.7,

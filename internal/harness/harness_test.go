@@ -65,10 +65,11 @@ func TestConfigGeometryRatios(t *testing.T) {
 }
 
 // TestScalePolicyIsPerRun runs the same fig5-tpcc cell (LC, 1K warehouses)
-// under ARC and under the zero-value policy at the same time: the policy
-// travels in the Scale each run holds, so neither sees the other's.
+// under CFLRU and under the zero-value policy at the same time: the policy
+// travels in the Scale each run holds, so neither sees the other's. Only
+// CFLRU counts clean-first evictions, on either tier.
 func TestScalePolicyIsPerRun(t *testing.T) {
-	scales := []Scale{{Divisor: 8192, Policy: policy.ARC}, {Divisor: 8192}}
+	scales := []Scale{{Divisor: 8192, Policy: policy.CFLRU}, {Divisor: 8192}}
 	res := make([]*OLTPResult, len(scales))
 	errs := make([]error, len(scales))
 	var wg sync.WaitGroup
@@ -85,12 +86,12 @@ func TestScalePolicyIsPerRun(t *testing.T) {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	ghosts := func(r *OLTPResult) int64 { return r.Engine.Pool.GhostHits + r.SSD.Policy.GhostHits }
-	if g := ghosts(res[0]); g == 0 {
-		t.Error("Scale{Policy: ARC}: no ARC ghost hits, the run did not get its policy")
+	cleanFirst := func(r *OLTPResult) int64 { return r.Engine.Pool.CleanFirstEvict + r.SSD.Policy.CleanFirstEvict }
+	if n := cleanFirst(res[0]); n == 0 {
+		t.Error("Scale{Policy: CFLRU}: no clean-first evictions, the run did not get its policy")
 	}
-	if g := ghosts(res[1]); g != 0 {
-		t.Errorf("default Scale: %d ARC ghost hits, the run saw another run's policy", g)
+	if n := cleanFirst(res[1]); n != 0 {
+		t.Errorf("default Scale: %d clean-first evictions, the run saw another run's policy", n)
 	}
 }
 

@@ -13,16 +13,15 @@ import (
 	"turbobp/storage"
 )
 
-// This file is the `bpesim policy` experiment: a cross-workload sweep of
-// the pluggable cache policies (internal/policy) over every SSD design.
-// Four workloads stress the policies differently — TPC-C is dirty-heavy
-// (a third of accesses update, so CFLRU's clean-first eviction pays),
-// TPC-E is read-heavy with a skewed hot set (ARC's ghost adaptation and
-// TinyLFU's admission gate pay), and the two traversal mixes exercise
-// structured access: the B+-tree/heapfile mixed mix and the scan-dominated
-// heap-scan mix (scan resistance). Every cell builds its engine directly,
-// so results are identical at any -parallel width; wall-clock
-// timing goes to stderr via the standard experiment runner.
+// This file is the `bpesim policy` experiment: the paper's LRU-2 against
+// CFLRU (internal/policy) over every SSD design. Four workloads stress
+// the policies differently — TPC-C is dirty-heavy (a third of accesses
+// update, so CFLRU's clean-first eviction pays), TPC-E is read-heavy with
+// a skewed hot set, and the two traversal mixes exercise structured
+// access: the B+-tree/heapfile mixed mix and the scan-dominated heap-scan
+// mix. Every cell builds its engine directly, so results are identical
+// at any -parallel width; wall-clock timing goes to stderr via the
+// standard experiment runner.
 
 // policyWorkloads are the sweep's workload rows.
 var policyWorkloads = []string{"tpcc", "tpce", "mixed", "scan"}
@@ -40,10 +39,7 @@ type PolicyCell struct {
 	SSDWrites  int64   // SSD device pages written
 	DiskWrites int64   // disk array pages written
 	WALWrites  int64   // WAL device pages written
-
-	GhostHits    int64 // ARC ghost-list hits (pool + SSD tier)
-	AdmitRejects int64 // TinyLFU admissions rejected (pool + SSD tier)
-	CleanFirst   int64 // CFLRU evictions that skipped an older dirty page
+	CleanFirst int64   // CFLRU evictions that skipped an older dirty page (pool + SSD tier)
 }
 
 // PolicySweepResult is the rendered workload × design × policy grid.
@@ -122,8 +118,6 @@ func fillPolicyCell(cell *PolicyCell, e *engine.Engine) {
 		cell.DiskWrites = arr.Stats().WritePages
 	}
 	cell.WALWrites = e.LogDevice().Stats().WritePages
-	cell.GhostHits = eng.Pool.GhostHits + sd.Policy.GhostHits
-	cell.AdmitRejects = eng.Pool.AdmitRejects + sd.Policy.AdmitRejects
 	cell.CleanFirst = eng.Pool.CleanFirstEvict + sd.Policy.CleanFirstEvict
 }
 
@@ -155,17 +149,17 @@ func RunPolicySweep(s Scale) (*PolicySweepResult, error) {
 func (r *PolicySweepResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Cache-policy sweep — %d designs × %d policies × %d workloads (2h virtual OLTP; %d-row index mixes)\n",
 		len(indexDesigns), len(policy.Kinds), len(policyWorkloads), r.Rows)
-	fmt.Fprintf(w, "%-8s %-6s %-8s %9s %9s %8s %9s %9s %9s %8s %7s %8s %7s\n",
+	fmt.Fprintf(w, "%-8s %-6s %-8s %9s %9s %8s %9s %9s %9s %8s %7s\n",
 		"workload", "design", "policy", "ops", "pool-hit", "ssd-hit",
-		"ssd-rd", "ssd-wr", "disk-wr", "wal-wr", "ghost", "adm-rej", "cfirst")
+		"ssd-rd", "ssd-wr", "disk-wr", "wal-wr", "cfirst")
 	last := ""
 	for _, c := range r.Cells {
 		if c.Workload != last && last != "" {
 			fmt.Fprintln(w)
 		}
 		last = c.Workload
-		fmt.Fprintf(w, "%-8s %-6s %-8s %9d %8.1f%% %7.1f%% %9d %9d %9d %8d %7d %8d %7d\n",
+		fmt.Fprintf(w, "%-8s %-6s %-8s %9d %8.1f%% %7.1f%% %9d %9d %9d %8d %7d\n",
 			c.Workload, c.Design, c.Policy, c.Ops, c.PoolHitPct, c.SSDHitPct,
-			c.SSDReads, c.SSDWrites, c.DiskWrites, c.WALWrites, c.GhostHits, c.AdmitRejects, c.CleanFirst)
+			c.SSDReads, c.SSDWrites, c.DiskWrites, c.WALWrites, c.CleanFirst)
 	}
 }

@@ -204,7 +204,7 @@ func Experiments() []Experiment {
 		experiment("faults", "fault-injection crash/recover matrix", RunFaultMatrix),
 		experiment("corrupt", "silent-corruption detect/repair matrix", RunCorruptMatrix),
 		experiment("index", "index & heapfile traversal workloads: 4 designs × 5 mixes", RunIndex),
-		experiment("policy", "cache-policy sweep: 4 designs × 4 policies × 4 workloads", RunPolicySweep),
+		experiment("policy", "cache-policy sweep: 4 designs × 2 policies × 4 workloads", RunPolicySweep),
 	}
 }
 

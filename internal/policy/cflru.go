@@ -2,50 +2,58 @@ package policy
 
 import "time"
 
-// cflru is clean-first LRU (Park et al.): a single recency list whose
+// CFLRUList is clean-first LRU (Park et al.): a single recency list whose
 // eviction scan walks a window at the cold end and prefers the first
 // clean entry, deferring dirty pages so their write-back (WAL flush on
 // the pool tier, SSD/disk write on eviction) is delayed and batched.
-// Without a dirty callback it degenerates to plain LRU.
-type cflru struct {
-	window  int // cold-end scan depth
-	list    elist
-	table   map[int64]*entry
-	free    *entry
-	dirtyFn func(key int64) bool
-	stats   Stats
+// Without a dirty callback it is plain LRU. Keys are page ids.
+//
+// The list orders entries by call order alone: Touch moves its key to
+// the MRU end whatever the time it carries, so the victim sequence is a
+// function of the sequence of calls, never of map iteration.
+type CFLRUList struct {
+	window int // cold-end scan depth
+	root   entry
+	n      int
+	table  map[int64]*entry
+	free   *entry
+	dirty  func(key int64) bool
+	stats  Stats
 }
 
-func newCFLRU(capacity int) *cflru {
-	if capacity < 1 {
-		capacity = 1
-	}
-	w := capacity / 4
-	if w < 1 {
-		w = 1
-	}
-	c := &cflru{window: w, table: make(map[int64]*entry)}
-	c.list.init()
+// entry is one tracked key on the circular doubly-linked list through
+// root: root.next is the MRU end, root.prev the LRU end. (last, old)
+// carry the access history History reports.
+type entry struct {
+	key        int64
+	prev, next *entry
+	last, old  time.Duration
+}
+
+// NewCFLRU returns an empty list sized for capacity entries: the
+// clean-first window is a quarter of it. dirty reports whether a key's
+// page is dirty; a nil dirty makes the list plain LRU.
+func NewCFLRU(capacity int, dirty func(key int64) bool) *CFLRUList {
+	w := max(capacity/4, 1)
+	c := &CFLRUList{window: w, table: make(map[int64]*entry), dirty: dirty}
+	c.root.prev, c.root.next = &c.root, &c.root
 	return c
 }
-
-// SetDirtyFn installs the dirty-state callback (DirtyAware).
-func (c *cflru) SetDirtyFn(fn func(key int64) bool) { c.dirtyFn = fn }
 
 // scan walks up to window entries from the LRU end and returns the
 // first clean one, along with whether any older dirty entry was passed
 // over. Falls back to the LRU entry when the window is all dirty.
-func (c *cflru) scan() (e *entry, skippedDirty bool) {
-	tail := c.list.back()
-	if tail == nil {
+func (c *CFLRUList) scan() (e *entry, skippedDirty bool) {
+	if c.n == 0 {
 		return nil, false
 	}
-	if c.dirtyFn == nil {
+	tail := c.root.prev
+	if c.dirty == nil {
 		return tail, false
 	}
 	cur := tail
-	for i := 0; i < c.window && cur != &c.list.root; i++ {
-		if !c.dirtyFn(cur.key) {
+	for i := 0; i < c.window && cur != &c.root; i++ {
+		if !c.dirty(cur.key) {
 			return cur, cur != tail
 		}
 		cur = cur.prev
@@ -53,57 +61,51 @@ func (c *cflru) scan() (e *entry, skippedDirty bool) {
 	return tail, false
 }
 
-// Touch moves key to the MRU end, inserting it if absent.
-func (c *cflru) Touch(key int64, now time.Duration) {
+// Touch records an access at now and moves key to the MRU end,
+// inserting it if absent.
+func (c *CFLRUList) Touch(key int64, now time.Duration) {
 	e := c.table[key]
 	if e == nil {
 		e = c.alloc(key)
 		e.last, e.old = now, never
 		c.table[key] = e
-		c.list.pushFront(e)
+		c.pushFront(e)
 		return
 	}
-	c.list.unlink(e)
+	c.unlink(e)
 	e.old = e.last
 	e.last = now
-	c.list.pushFront(e)
+	c.pushFront(e)
 }
 
-// TouchHistory (re-)inserts key at the MRU end with explicit history.
-func (c *cflru) TouchHistory(key int64, last, prev time.Duration) {
+// TouchHistory (re-)inserts key at the MRU end with an explicit (last,
+// prev) access history, as when the SSD tier carries a frame's history
+// into its clean set.
+func (c *CFLRUList) TouchHistory(key int64, last, prev time.Duration) {
 	e := c.table[key]
 	if e == nil {
 		e = c.alloc(key)
 		c.table[key] = e
 	} else {
-		c.list.unlink(e)
+		c.unlink(e)
 	}
 	e.last, e.old = last, prev
-	c.list.pushFront(e)
+	c.pushFront(e)
 }
 
-// Remove forgets key.
-func (c *cflru) Remove(key int64) {
+// Remove forgets key; it is a no-op if key is absent.
+func (c *CFLRUList) Remove(key int64) {
 	e := c.table[key]
 	if e == nil {
 		return
 	}
-	c.list.unlink(e)
+	c.unlink(e)
 	c.release(e)
 }
 
-// Victim returns the clean-first choice without removing it.
-func (c *cflru) Victim() (int64, bool) {
-	e, _ := c.scan()
-	if e == nil {
-		return 0, false
-	}
-	return e.key, true
-}
-
-// Pop evicts the clean-first choice, counting evictions that passed
-// over an older dirty entry.
-func (c *cflru) Pop() (int64, bool) {
+// Pop removes and returns the clean-first victim, counting evictions
+// that passed over an older dirty entry.
+func (c *CFLRUList) Pop() (int64, bool) {
 	e, skipped := c.scan()
 	if e == nil {
 		return 0, false
@@ -111,20 +113,20 @@ func (c *cflru) Pop() (int64, bool) {
 	if skipped {
 		c.stats.CleanFirstEvict++
 	}
-	c.list.unlink(e)
+	c.unlink(e)
 	key := e.key
 	c.release(e)
 	return key, true
 }
 
 // Len reports the tracked entry count.
-func (c *cflru) Len() int { return c.list.n }
+func (c *CFLRUList) Len() int { return c.n }
 
 // Contains reports whether key is tracked.
-func (c *cflru) Contains(key int64) bool { return c.table[key] != nil }
+func (c *CFLRUList) Contains(key int64) bool { return c.table[key] != nil }
 
-// History returns the recorded access history for key.
-func (c *cflru) History(key int64) (last, prev time.Duration, seen bool) {
+// History returns the recorded (last, prev) access times for key.
+func (c *CFLRUList) History(key int64) (last, prev time.Duration, seen bool) {
 	e := c.table[key]
 	if e == nil {
 		return 0, 0, false
@@ -132,13 +134,28 @@ func (c *cflru) History(key int64) (last, prev time.Duration, seen bool) {
 	return e.last, e.old, true
 }
 
-// Admit always accepts: CFLRU shapes eviction, not admission.
-func (c *cflru) Admit(int64, time.Duration) bool { return true }
-
 // Stats reports clean-first eviction counts.
-func (c *cflru) Stats() Stats { return c.stats }
+func (c *CFLRUList) Stats() Stats { return c.stats }
 
-func (c *cflru) alloc(key int64) *entry {
+// pushFront inserts e at the MRU end.
+func (c *CFLRUList) pushFront(e *entry) {
+	e.prev = &c.root
+	e.next = c.root.next
+	e.prev.next = e
+	e.next.prev = e
+	c.n++
+}
+
+// unlink removes e from the list.
+func (c *CFLRUList) unlink(e *entry) {
+	e.prev.next = e.next
+	e.next.prev = e.prev
+	e.prev, e.next = nil, nil
+	c.n--
+}
+
+// alloc takes an entry from the free list, or makes one.
+func (c *CFLRUList) alloc(key int64) *entry {
 	e := c.free
 	if e != nil {
 		c.free = e.next
@@ -150,7 +167,8 @@ func (c *cflru) alloc(key int64) *entry {
 	return e
 }
 
-func (c *cflru) release(e *entry) {
+// release forgets e's key and returns e to the free list.
+func (c *CFLRUList) release(e *entry) {
 	delete(c.table, e.key)
 	e.next = c.free
 	c.free = e

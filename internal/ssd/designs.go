@@ -15,7 +15,7 @@ func (m *Manager) OnEvict(p *sim.Proc, pg *page.Page, dirty, random bool) error 
 // (§3.2), filling it with useful data faster. The engine has already
 // written the page to disk.
 func (m *Manager) OnCheckpointFlush(p *sim.Proc, pg *page.Page, random bool) error {
-	if m.cfg.Design != DW || !random || !m.admits(pg.ID, random) || m.throttled() {
+	if m.cfg.Design != DW || !random || !m.Qualifies(random) || m.throttled() {
 		return nil
 	}
 	_, err := m.admit(p, pg, false)

@@ -2,7 +2,7 @@ package ssd
 
 import (
 	"container/heap"
-	"time"
+	"fmt"
 
 	"turbobp/internal/page"
 	"turbobp/internal/policy"
@@ -108,29 +108,26 @@ func (h *frameHeap) pop() (int, bool) {
 	return idx, ok
 }
 
-// admit, record and stats: LRU-2 is eviction-only and counts nothing.
-func (h *frameHeap) admit(page.ID, time.Duration) bool { return true }
-func (h *frameHeap) record(page.ID)                    {}
-func (h *frameHeap) stats() policy.Stats               { return policy.Stats{} }
+// stats: LRU-2 counts nothing.
+func (h *frameHeap) stats() policy.Stats { return policy.Stats{} }
 
 // cleanSet is a shard's clean heap: its idle clean valid frames in
-// replacement order, plus the policy's admission gate and counters. Under
-// LRU-2 it is a frameHeap; the adaptive policies are a pidSet.
+// replacement order, plus the policy's counters. Under LRU-2 it is a
+// frameHeap; under CFLRU it is a pidSet.
 type cleanSet interface {
-	touch(idx int)                             // insert frame idx, or re-order it after its history changed
-	remove(idx int)                            // drop frame idx; a no-op if absent
-	pop() (int, bool)                          // remove and return the victim frame
-	contains(idx int) bool                     // frame idx is in the set
-	admit(pid page.ID, now time.Duration) bool // the policy's admission gate
-	record(pid page.ID)                        // a lookup of pid, hit or miss
-	stats() policy.Stats                       // the policy's decision counters
+	touch(idx int)         // insert frame idx, or re-order it after its history changed
+	remove(idx int)        // drop frame idx; a no-op if absent
+	pop() (int, bool)      // remove and return the victim frame
+	contains(idx int) bool // frame idx is in the set
+	stats() policy.Stats   // the policy's decision counters
 }
 
-// pidSet is the clean set of an adaptive policy (ARC, CFLRU, TinyLFU),
-// keyed by page id so that ARC's ghost lists and TinyLFU's sketch track
-// pages across frame reuse.
+// pidSet is the clean set under CFLRU. Every member is clean, so the list
+// gets no dirty callback and is plain LRU. It is keyed by page id, as the
+// pool's is: pop resolves a victim through the SSD table, so a key the
+// table no longer maps is caught as an invariant breach.
 type pidSet struct {
-	p policy.Policy
+	p *policy.CFLRUList
 	m *Manager
 }
 
@@ -141,28 +138,21 @@ func (s pidSet) touch(idx int) {
 
 func (s pidSet) remove(idx int) { s.p.Remove(int64(s.m.frames[idx].pid)) }
 
-// pop drops victims whose page is no longer cached (an invariant breach)
-// and returns the first that is.
+// pop removes the victim and returns its frame. A victim whose page the
+// SSD table does not map is an invariant breach: freeFrame, the one path
+// that unmaps a page, removes its frame from the clean set too.
 func (s pidSet) pop() (int, bool) {
-	for {
-		key, ok := s.p.Pop()
-		if !ok {
-			return -1, false
-		}
-		if idx, ok := s.m.lookup(page.ID(key)); ok {
-			return idx, true
-		}
+	key, ok := s.p.Pop()
+	if !ok {
+		return -1, false
 	}
+	idx, ok := s.m.lookup(page.ID(key))
+	if !ok {
+		panic(fmt.Sprintf("ssd: clean-set victim %d not in table", key))
+	}
+	return idx, true
 }
 
 func (s pidSet) contains(idx int) bool { return s.p.Contains(int64(s.m.frames[idx].pid)) }
-
-func (s pidSet) admit(pid page.ID, now time.Duration) bool { return s.p.Admit(int64(pid), now) }
-
-func (s pidSet) record(pid page.ID) {
-	if r, ok := s.p.(policy.Recorder); ok {
-		r.Record(int64(pid))
-	}
-}
 
 func (s pidSet) stats() policy.Stats { return s.p.Stats() }

@@ -72,8 +72,7 @@ type Disk interface {
 // Table 2. The engine embeds it in its own Config and hands it over whole.
 type Config struct {
 	Design Design
-	// Policy selects the replacement policy of the per-shard clean heaps
-	// and, for admission-gating policies (TinyLFU), the admission filter.
+	// Policy selects the replacement policy of the per-shard clean heaps.
 	// The zero value is the paper's LRU-2.
 	Policy        policy.Kind
 	SSDFrames     int     // S: SSD buffer-pool frames (0 disables)
@@ -254,8 +253,8 @@ type Stats struct {
 	Retired         int64 // slots permanently retired after repeated failures
 	Quarantines     int64 // quarantine transitions (0 or 1): SSD demoted to pass-through
 
-	// Policy is the shard clean policies' decision counters, summed at
-	// read time (see DESIGN.md, "Policy layer").
+	// Policy is the shard clean sets' decision counters, summed at read
+	// time (see DESIGN.md, "Policy layer"); all zero under LRU-2.
 	Policy policy.Stats
 }
 
@@ -388,7 +387,7 @@ func NewManager(env *sim.Env, dev device.Device, disk Disk, repair Repairer, pag
 			dirty: frameHeap{frames: m.frames},
 		}
 		if cfg.Policy != policy.LRU2 {
-			s.clean = pidSet{policy.New(cfg.Policy, perShard), m}
+			s.clean = pidSet{policy.NewCFLRU(perShard, nil), m}
 		}
 		// Deal frames to shards round-robin so shard capacities differ by
 		// at most one.
@@ -410,20 +409,6 @@ func (m *Manager) Stats() Stats {
 		metrics.Add(&s.Policy, m.shards[i].clean.stats())
 	}
 	return s
-}
-
-// freqAdmit applies the replacement policy's admission gate (TinyLFU's
-// doorkeeper/sketch) to pid. Non-gating policies always pass, as does
-// the aggressive-filling phase — below τ the SSD wants bytes, not
-// selectivity.
-func (m *Manager) freqAdmit(s *shard, pid page.ID) bool {
-	return m.aggressiveFill() || s.clean.admit(pid, m.env.Now())
-}
-
-// admits combines the §3.3.1 admission policy (Qualifies) with the
-// replacement policy's frequency gate for pid.
-func (m *Manager) admits(pid page.ID, random bool) bool {
-	return m.Qualifies(random) && m.freqAdmit(m.shardOf(pid), pid)
 }
 
 // Enabled reports whether the manager caches anything.

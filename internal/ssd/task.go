@@ -103,8 +103,6 @@ func (m *Manager) ReadTask(t *sim.Task, pid page.ID, pg *page.Page, k func(bool,
 		k(false, device.ErrLost)
 		return
 	}
-	s := m.shardOf(pid)
-	s.clean.record(pid) // TinyLFU's sketch sees every lookup, hit or miss
 	idx, ok := m.lookup(pid)
 	if !ok || !m.frames[idx].has(fValid) {
 		m.stats.Misses++
@@ -432,7 +430,7 @@ func (m *Manager) OnEvictTask(t *sim.Task, pg *page.Page, dirty, random bool, k 
 		// and does nothing; noSSD discards it.
 		switch m.cfg.Design {
 		case CW, DW, LC:
-			if !m.admits(pg.ID, random) {
+			if !m.Qualifies(random) {
 				o.finish(nil)
 				return
 			}
@@ -458,7 +456,7 @@ func (m *Manager) OnEvictTask(t *sim.Task, pg *page.Page, dirty, random bool, k 
 		// "simultaneously" (§2.3.2): both writes are issued concurrently
 		// and the eviction completes when both have. The SSD copy equals
 		// the disk copy, so it is cached clean.
-		if !m.admits(pg.ID, random) {
+		if !m.Qualifies(random) {
 			m.writeDiskTask(t, pg, o.finishF)
 			return
 		}
@@ -483,7 +481,7 @@ func (m *Manager) OnEvictTask(t *sim.Task, pg *page.Page, dirty, random bool, k 
 		// checkpoint LC stops caching new dirty pages (§3.2), and when the
 		// SSD cannot take the page (throttled, unqualified, or no clean
 		// frame reclaimable) the eviction falls back to a disk write.
-		if m.checkpointing || !m.admits(pg.ID, random) {
+		if m.checkpointing || !m.Qualifies(random) {
 			m.writeDiskTask(t, pg, o.finishF)
 			return
 		}
@@ -634,7 +632,6 @@ func (m *Manager) tacAdmitTask(t *sim.Task, snap *page.Page, k func(error)) {
 		k(nil) // pass-through: no new admissions
 		return
 	}
-	s := m.shardOf(snap.ID)
 	if idx, ok := m.lookup(snap.ID); ok {
 		rec := &m.frames[idx]
 		if rec.has(fValid) {
@@ -645,10 +642,6 @@ func (m *Manager) tacAdmitTask(t *sim.Task, snap *page.Page, k func(error)) {
 		rec.lsn = snap.LSN
 		m.stats.Admissions++
 		m.frameWrite(t, idx, snap, nil, k)
-		return
-	}
-	if !m.freqAdmit(s, snap.ID) {
-		k(nil) // frequency gate (TinyLFU) refused the extent-path admit
 		return
 	}
 	idx := m.tacAllocFrame(snap.ID)

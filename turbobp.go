@@ -89,24 +89,20 @@ const (
 	TAC = ssd.TAC
 )
 
-// CachePolicy selects the replacement/admission policy used by the memory
-// buffer pool and the SSD tier's clean-frame ordering.
+// CachePolicy selects the replacement policy used by the memory buffer
+// pool and the SSD tier's clean-frame ordering.
 type CachePolicy = policy.Kind
 
 // The available cache policies.
 const (
 	// PolicyLRU2 is the original LRU-2 ordering (the default).
 	PolicyLRU2 = policy.LRU2
-	// PolicyARC is the adaptive replacement cache (ghost-list tuned).
-	PolicyARC = policy.ARC
 	// PolicyCFLRU prefers evicting clean pages over dirty ones.
 	PolicyCFLRU = policy.CFLRU
-	// PolicyTinyLFU gates admission on a count-min frequency sketch.
-	PolicyTinyLFU = policy.TinyLFU
 )
 
-// ParseCachePolicy resolves a policy name ("lru2", "arc", "cflru",
-// "tinylfu"; empty = LRU-2) to its CachePolicy value.
+// ParseCachePolicy resolves a policy name ("lru2" or "cflru"; empty =
+// LRU-2) to its CachePolicy value; any other name is an error.
 func ParseCachePolicy(s string) (CachePolicy, error) { return policy.ParseKind(s) }
 
 // Options configures a DB. Zero values take the paper's defaults
@@ -114,8 +110,8 @@ func ParseCachePolicy(s string) (CachePolicy, error) { return policy.ParseKind(s
 type Options struct {
 	// Design selects the dirty-page policy. Default: LC.
 	Design Design
-	// Policy selects the cache replacement/admission policy for both the
-	// memory pool and the SSD tier. Default: PolicyLRU2.
+	// Policy selects the cache replacement policy for both the memory
+	// pool and the SSD tier. Default: PolicyLRU2.
 	Policy CachePolicy
 
 	// DBPages is the database size in pages. Required.
@@ -259,6 +255,9 @@ func Open(opts Options) (*DB, error) {
 	}
 	if opts.OpenExisting && opts.Dir == "" {
 		return nil, errors.New("turbobp: Options.OpenExisting requires the file backend (set Options.Dir)")
+	}
+	if _, err := ParseCachePolicy(opts.Policy.String()); err != nil {
+		return nil, fmt.Errorf("turbobp: Options.Policy: %w", err)
 	}
 	cfg := engine.Config{
 		Config: ssd.Config{

@@ -41,6 +41,14 @@ func TestOpenRequiresDBPages(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsUnknownPolicy: a CachePolicy value outside the named
+// constants is an error from Open, not a pool built under some policy.
+func TestOpenRejectsUnknownPolicy(t *testing.T) {
+	if _, err := Open(Options{DBPages: 64, Policy: PolicyCFLRU + 1}); err == nil {
+		t.Fatal("Open with an unknown Policy succeeded")
+	}
+}
+
 // TestSimulatedOpenIsPoolSized: at the benchmark's geometry the simulated
 // backend's memory after Open is the pool and the SSD tier's bookkeeping,
 // not the database — a formatted page costs memory only once written. An
