@@ -7,7 +7,6 @@ import (
 
 	"turbobp/internal/device"
 	"turbobp/internal/fault"
-	"turbobp/internal/policy"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
 )
@@ -20,7 +19,6 @@ import (
 func TestEngineHandsSSDConfigWhole(t *testing.T) {
 	values := map[string]any{
 		"Design":          ssd.LC,
-		"Policy":          policy.CFLRU,
 		"SSDFrames":       48,
 		"Partitions":      3, // ≤ SSDFrames, else the manager clamps it
 		"FillThreshold":   0.7,

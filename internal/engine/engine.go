@@ -24,12 +24,16 @@ import (
 // Config describes one engine instance. Zero fields take the paper's
 // defaults (Table 2) where one exists.
 type Config struct {
-	// Config holds the SSD manager's parameters (design, policy, S, the
-	// Table 2 knobs, page payload size, SSD profile, fault injector and
+	// Config holds the SSD manager's parameters (design, S, the Table 2
+	// knobs, page payload size, SSD profile, fault injector and
 	// scrubbing). The engine reads them through field promotion and hands
-	// the struct to ssd.NewManager whole. Policy also selects the memory
-	// pool's replacement policy; Faults also wraps every device.
+	// the struct to ssd.NewManager whole. Faults also wraps every device.
 	ssd.Config
+
+	// Policy selects the memory pool's replacement policy. The zero value
+	// is the paper's LRU-2; the SSD tier's heaps are LRU-2 whatever it is
+	// (§3.1).
+	Policy policy.Kind
 
 	DBPages   int64 // database size in pages
 	PoolPages int   // memory buffer pool frames

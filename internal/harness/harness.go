@@ -75,10 +75,10 @@ func (s Scale) Config(design ssd.Design, dbGB float64) engine.Config {
 	return engine.Config{
 		Config: ssd.Config{
 			Design:      design,
-			Policy:      s.Policy,
 			SSDFrames:   int(s.Pages(140)),
 			PayloadSize: 64,
 		},
+		Policy:    s.Policy,
 		DBPages:   s.Pages(dbGB),
 		PoolPages: int(s.Pages(20)),
 	}

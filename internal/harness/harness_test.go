@@ -67,7 +67,7 @@ func TestConfigGeometryRatios(t *testing.T) {
 // TestScalePolicyIsPerRun runs the same fig5-tpcc cell (LC, 1K warehouses)
 // under CFLRU and under the zero-value policy at the same time: the policy
 // travels in the Scale each run holds, so neither sees the other's. Only
-// CFLRU counts clean-first evictions, on either tier.
+// CFLRU counts clean-first evictions.
 func TestScalePolicyIsPerRun(t *testing.T) {
 	scales := []Scale{{Divisor: 8192, Policy: policy.CFLRU}, {Divisor: 8192}}
 	res := make([]*OLTPResult, len(scales))
@@ -86,11 +86,10 @@ func TestScalePolicyIsPerRun(t *testing.T) {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	cleanFirst := func(r *OLTPResult) int64 { return r.Engine.Pool.CleanFirstEvict + r.SSD.Policy.CleanFirstEvict }
-	if n := cleanFirst(res[0]); n == 0 {
+	if n := res[0].Engine.Pool.CleanFirstEvict; n == 0 {
 		t.Error("Scale{Policy: CFLRU}: no clean-first evictions, the run did not get its policy")
 	}
-	if n := cleanFirst(res[1]); n != 0 {
+	if n := res[1].Engine.Pool.CleanFirstEvict; n != 0 {
 		t.Errorf("default Scale: %d clean-first evictions, the run saw another run's policy", n)
 	}
 }

@@ -80,11 +80,11 @@ func indexConfig(design ssd.Design, m workload.IndexMix, pol policy.Kind) engine
 	return engine.Config{
 		Config: ssd.Config{
 			Design:        design,
-			Policy:        pol,
 			SSDFrames:     m.Rows / 8,
 			PayloadSize:   256, // B+-tree fan-out 15; ~11 records per heap page
 			DirtyFraction: 0.1, // leaf churn wakes LC's cleaner early
 		},
+		Policy:    pol,
 		DBPages:   int64(m.Rows) * 2,
 		PoolPages: m.Rows / 64,
 	}

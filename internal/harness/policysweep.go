@@ -39,7 +39,7 @@ type PolicyCell struct {
 	SSDWrites  int64   // SSD device pages written
 	DiskWrites int64   // disk array pages written
 	WALWrites  int64   // WAL device pages written
-	CleanFirst int64   // CFLRU evictions that skipped an older dirty page (pool + SSD tier)
+	CleanFirst int64   // CFLRU evictions that skipped an older dirty page
 }
 
 // PolicySweepResult is the rendered workload × design × policy grid.
@@ -118,7 +118,7 @@ func fillPolicyCell(cell *PolicyCell, e *engine.Engine) {
 		cell.DiskWrites = arr.Stats().WritePages
 	}
 	cell.WALWrites = e.LogDevice().Stats().WritePages
-	cell.CleanFirst = eng.Pool.CleanFirstEvict + sd.Policy.CleanFirstEvict
+	cell.CleanFirst = eng.Pool.CleanFirstEvict
 }
 
 // RunPolicySweep executes the full workload × design × policy grid on the

@@ -1,12 +1,6 @@
 package ssd
 
-import (
-	"container/heap"
-	"fmt"
-
-	"turbobp/internal/page"
-	"turbobp/internal/policy"
-)
+import "container/heap"
 
 // frameHeap is an LRU-2 min-heap over one shard's frames: the paper's
 // clean and dirty heaps over the SSD buffer table (§3.1). It holds frame
@@ -107,52 +101,3 @@ func (h *frameHeap) pop() (int, bool) {
 	}
 	return idx, ok
 }
-
-// stats: LRU-2 counts nothing.
-func (h *frameHeap) stats() policy.Stats { return policy.Stats{} }
-
-// cleanSet is a shard's clean heap: its idle clean valid frames in
-// replacement order, plus the policy's counters. Under LRU-2 it is a
-// frameHeap; under CFLRU it is a pidSet.
-type cleanSet interface {
-	touch(idx int)         // insert frame idx, or re-order it after its history changed
-	remove(idx int)        // drop frame idx; a no-op if absent
-	pop() (int, bool)      // remove and return the victim frame
-	contains(idx int) bool // frame idx is in the set
-	stats() policy.Stats   // the policy's decision counters
-}
-
-// pidSet is the clean set under CFLRU. Every member is clean, so the list
-// gets no dirty callback and is plain LRU. It is keyed by page id, as the
-// pool's is: pop resolves a victim through the SSD table, so a key the
-// table no longer maps is caught as an invariant breach.
-type pidSet struct {
-	p *policy.CFLRUList
-	m *Manager
-}
-
-func (s pidSet) touch(idx int) {
-	rec := &s.m.frames[idx]
-	s.p.TouchHistory(int64(rec.pid), rec.last, rec.prev)
-}
-
-func (s pidSet) remove(idx int) { s.p.Remove(int64(s.m.frames[idx].pid)) }
-
-// pop removes the victim and returns its frame. A victim whose page the
-// SSD table does not map is an invariant breach: freeFrame, the one path
-// that unmaps a page, removes its frame from the clean set too.
-func (s pidSet) pop() (int, bool) {
-	key, ok := s.p.Pop()
-	if !ok {
-		return -1, false
-	}
-	idx, ok := s.m.lookup(page.ID(key))
-	if !ok {
-		panic(fmt.Sprintf("ssd: clean-set victim %d not in table", key))
-	}
-	return idx, true
-}
-
-func (s pidSet) contains(idx int) bool { return s.p.Contains(int64(s.m.frames[idx].pid)) }
-
-func (s pidSet) stats() policy.Stats { return s.p.Stats() }

@@ -24,11 +24,11 @@ import (
 //     heaps contain nothing else.
 //  5. Dirty accounting: the dirty counter equals the number of dirty
 //     frames; non-LC designs have no dirty frames.
-//  6. Frame heaps: every slot of a shard's dirty heap (and of its clean
-//     heap under LRU-2) holds a frame of that shard whose record names the
-//     slot, no frame orders before its parent under its record's
-//     (prev, last), and no record names a slot that does not hold it. A
-//     record whose history changed without a re-order breaks the order.
+//  6. Frame heaps: every slot of a shard's clean and dirty heaps holds a
+//     frame of that shard whose record names the slot, no frame orders
+//     before its parent under its record's (prev, last), and no record
+//     names a slot that does not hold it. A record whose history changed
+//     without a re-order breaks the order.
 func (m *Manager) CheckInvariants() error {
 	if !m.Enabled() {
 		return nil
@@ -40,12 +40,10 @@ func (m *Manager) CheckInvariants() error {
 			return err
 		}
 		heaped += len(s.dirty.at)
-		if h, ok := s.clean.(*frameHeap); ok {
-			if err := m.checkHeap(si, "clean", h); err != nil {
-				return err
-			}
-			heaped += len(h.at)
+		if err := m.checkHeap(si, "clean", &s.clean); err != nil {
+			return err
 		}
+		heaped += len(s.clean.at)
 	}
 	freeSeen := make(map[int]int)
 	freeCount := 0

@@ -9,33 +9,26 @@ import (
 	"time"
 
 	"turbobp/internal/page"
-	"turbobp/internal/policy"
 	"turbobp/internal/sim"
 )
 
-// TestInvariantsUnderRandomOps drives every design under every clean-heap
-// policy with a randomized mix of evictions, reads, invalidations, cleaner
-// activity and checkpoints, checking structural invariants after every
-// batch.
+// TestInvariantsUnderRandomOps drives every design with a randomized mix
+// of evictions, reads, invalidations, cleaner activity and checkpoints,
+// checking structural invariants after every batch.
 func TestInvariantsUnderRandomOps(t *testing.T) {
 	for _, design := range []Design{CW, DW, LC, TAC} {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(design.String(), func(t *testing.T) {
-				for _, kind := range policy.Kinds {
-					t.Run(kind.String(), func(t *testing.T) {
-						randomOps(t, design, kind, seed)
-					})
-				}
+				randomOps(t, design, seed)
 			})
 		}
 	}
 }
 
-// randomOps is one TestInvariantsUnderRandomOps stream: design under the
-// clean-heap policy kind, driven by seed.
-func randomOps(t *testing.T, design Design, kind policy.Kind, seed int64) {
+// randomOps is one TestInvariantsUnderRandomOps stream: design driven by
+// seed.
+func randomOps(t *testing.T, design Design, seed int64) {
 	f := newFixture(design, 24, func(c *Config) {
-		c.Policy = kind
 		c.Partitions = 4
 		c.DirtyFraction = 0.4
 		c.FillThreshold = 0.8
@@ -200,7 +193,7 @@ func TestInvariantsCatchHeapCorruption(t *testing.T) {
 		}
 	})
 	s := &f.m.shards[0]
-	clean := s.clean.(*frameHeap)
+	clean := &s.clean
 	if len(clean.at) < 2 || len(s.dirty.at) < 2 {
 		t.Fatalf("clean heap %d frames, dirty heap %d, want >= 2 each", len(clean.at), len(s.dirty.at))
 	}

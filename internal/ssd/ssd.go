@@ -25,7 +25,6 @@ import (
 
 	"turbobp/internal/device"
 	"turbobp/internal/fault"
-	"turbobp/internal/metrics"
 	"turbobp/internal/page"
 	"turbobp/internal/policy"
 	"turbobp/internal/sim"
@@ -71,10 +70,7 @@ type Disk interface {
 // Config parameterizes the manager. The defaults mirror the paper's
 // Table 2. The engine embeds it in its own Config and hands it over whole.
 type Config struct {
-	Design Design
-	// Policy selects the replacement policy of the per-shard clean heaps.
-	// The zero value is the paper's LRU-2.
-	Policy        policy.Kind
+	Design        Design
 	SSDFrames     int     // S: SSD buffer-pool frames (0 disables)
 	Partitions    int     // N: shards (§3.3.4)
 	FillThreshold float64 // τ: aggressive-filling fraction (§3.3.1)
@@ -203,7 +199,7 @@ func (r *frameRec) has(f frameFlags) bool { return r.flags&f == f }
 type shard struct {
 	num   int       // this shard's index in Manager.shards
 	free  []int32   // SSD free list: the top frame is handed out first
-	clean cleanSet  // clean heap: replacement order over clean valid frames
+	clean frameHeap // clean heap: LRU-2 over idle clean valid frames
 	dirty frameHeap // dirty heap: LRU-2 over dirty frames (LC only)
 	tac   tacHeap   // TAC replacement heap (temperature order)
 }
@@ -252,10 +248,6 @@ type Stats struct {
 	ScrubRepairs    int64 // frames the scrubber rewrote in place from the disk copy
 	Retired         int64 // slots permanently retired after repeated failures
 	Quarantines     int64 // quarantine transitions (0 or 1): SSD demoted to pass-through
-
-	// Policy is the shard clean sets' decision counters, summed at read
-	// time (see DESIGN.md, "Policy layer"); all zero under LRU-2.
-	Policy policy.Stats
 }
 
 // Manager is the SSD manager.
@@ -377,17 +369,13 @@ func NewManager(env *sim.Env, dev device.Device, disk Disk, repair Repairer, pag
 		}
 	}
 	m.shards = make([]shard, n)
-	perShard := cfg.SSDFrames/n + 1
 	for i := range m.shards {
 		s := &m.shards[i]
 		*s = shard{
 			num:   i,
 			free:  make([]int32, 0, (cfg.SSDFrames-i+n-1)/n),
-			clean: &frameHeap{frames: m.frames},
+			clean: frameHeap{frames: m.frames},
 			dirty: frameHeap{frames: m.frames},
-		}
-		if cfg.Policy != policy.LRU2 {
-			s.clean = pidSet{policy.NewCFLRU(perShard, nil), m}
 		}
 		// Deal frames to shards round-robin so shard capacities differ by
 		// at most one.
@@ -401,15 +389,8 @@ func NewManager(env *sim.Env, dev device.Device, disk Disk, repair Repairer, pag
 // Config returns the effective configuration (defaults applied).
 func (m *Manager) Config() Config { return m.cfg }
 
-// Stats returns a copy of the counters, with the per-shard clean
-// policies' decision counters merged in.
-func (m *Manager) Stats() Stats {
-	s := m.stats
-	for i := range m.shards {
-		metrics.Add(&s.Policy, m.shards[i].clean.stats())
-	}
-	return s
-}
+// Stats returns a copy of the counters.
+func (m *Manager) Stats() Stats { return m.stats }
 
 // Enabled reports whether the manager caches anything.
 func (m *Manager) Enabled() bool {

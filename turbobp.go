@@ -262,12 +262,12 @@ func Open(opts Options) (*DB, error) {
 	cfg := engine.Config{
 		Config: ssd.Config{
 			Design:        opts.Design,
-			Policy:        opts.Policy,
 			PayloadSize:   opts.PageSize,
 			FillThreshold: opts.FillThreshold,
 			DirtyFraction: opts.DirtyFraction,
 			ScrubPeriod:   opts.ScrubInterval,
 		},
+		Policy:             opts.Policy,
 		CheckpointInterval: opts.CheckpointInterval,
 		FuzzyCheckpoints:   opts.FuzzyCheckpoints,
 		WarmRestart:        opts.WarmRestart,
