@@ -1,9 +1,13 @@
 // Package bufpool implements the in-memory buffer pool: a fixed set of page
 // frames with a page-indexed directory for lookup and a replacement policy
-// for victim selection. Under the default LRU-2 each frame holds its page's
-// access history and the victim order is a heap of frame indices over the
-// frame table (lru2.go), as in the SSD tier; under CFLRU the victim order
-// is a policy.CFLRUList keyed by page id.
+// for victim selection. Both policies index the frame table. Under the
+// default LRU-2 each frame holds its page's access history and the victim
+// order is a heap of frame indices (lru2.go), as in the SSD tier; under
+// CFLRU it is a clean-first recency list of frame indices (cflru.go).
+//
+// Determinism contract: every victim derives from the call sequence alone
+// (no map-iteration order, no time source, no randomness), which keeps the
+// simulation's stdout byte-identical across -parallel widths.
 //
 // The pool is a passive structure — it performs no I/O and charges no time.
 // The storage engine (internal/engine) drives the §2.2 data flow: on a miss
@@ -18,8 +22,52 @@ import (
 	"time"
 
 	"turbobp/internal/page"
-	"turbobp/internal/policy"
 )
+
+// Kind selects the pool's replacement policy. The zero value is LRU2, the
+// paper's policy, so zero-valued configs keep it.
+type Kind uint8
+
+// The replacement policies.
+const (
+	// LRU2 is LRU-2 (O'Neil et al.): victims ordered by penultimate-access
+	// time (lru2Heap).
+	LRU2 Kind = iota
+	// CFLRU is clean-first LRU: the eviction scan prefers clean frames
+	// inside a window at the cold end, deferring dirty pages to cut
+	// write-back traffic (cflruList).
+	CFLRU
+)
+
+// Kinds lists every policy in presentation order.
+var Kinds = []Kind{LRU2, CFLRU}
+
+// String returns the flag-level name of the policy.
+func (k Kind) String() string {
+	switch k {
+	case LRU2:
+		return "lru2"
+	case CFLRU:
+		return "cflru"
+	}
+	return fmt.Sprintf("policy(%d)", uint8(k))
+}
+
+// ParseKind maps a flag value to a Kind.
+func ParseKind(s string) (Kind, error) {
+	switch s {
+	case "lru2", "":
+		return LRU2, nil
+	case "cflru":
+		return CFLRU, nil
+	}
+	return LRU2, fmt.Errorf("unknown cache policy %q (want lru2 or cflru)", s)
+}
+
+// Stats counts replacement decisions.
+type Stats struct {
+	CleanFirstEvict int64 // CFLRU: victims chosen over at least one older dirty frame
+}
 
 // Frame holds one resident page and its bookkeeping bits.
 type Frame struct {
@@ -36,8 +84,8 @@ type Frame struct {
 
 	slot int32 // this frame's directory value: its index in Pool.frames + 1
 
-	// Under LRU-2 (lru2Heap): the page's last two accesses, prev =
-	// policy.Never() after one, and the pair its heap slot is ordered by.
+	// Under LRU-2 (lru2Heap): the page's last two accesses, prev = never
+	// after one, and the pair its heap slot is ordered by.
 	last, prev   time.Duration
 	hlast, hprev time.Duration
 }
@@ -55,10 +103,10 @@ type Pool struct {
 	payload int
 	frames  []Frame
 	dir     []int32 // page id -> frame index + 1; 0 = not resident
-	kind    policy.Kind
-	lru2    lru2Heap          // the victim order under LRU-2
-	repl    *policy.CFLRUList // the victim order under CFLRU, keyed by page id; nil under LRU-2
-	free    []int32           // indices into frames
+	kind    Kind
+	lru2    lru2Heap  // the victim order under LRU-2
+	cflru   cflruList // the victim order under CFLRU
+	free    []int32   // indices into frames
 
 	// Striped-latch mode (nil stripes = single-latch mode; see striped.go).
 	stripes []stripe
@@ -68,7 +116,7 @@ type Pool struct {
 // New returns a single-latch pool of capacity frames holding
 // payloadSize-byte payloads of pages with ids in [0, pages), whose victim
 // selection is driven by the given replacement policy.
-func New(capacity, payloadSize, pages int, kind policy.Kind) *Pool {
+func New(capacity, payloadSize, pages int, kind Kind) *Pool {
 	if capacity < 1 {
 		panic(fmt.Sprintf("bufpool: capacity %d", capacity))
 	}
@@ -80,8 +128,12 @@ func New(capacity, payloadSize, pages int, kind policy.Kind) *Pool {
 		free:    make([]int32, 0, capacity),
 	}
 	p.lru2.frames = p.frames
-	if kind == policy.LRU2 {
+	p.cflru.frames = p.frames
+	if kind == LRU2 {
 		p.lru2.at = make([]int32, 0, capacity)
+	} else {
+		p.cflru.links = make([]cflruLink, capacity+1)
+		p.cflru.window = max(capacity/4, 1)
 	}
 	p.resetRepl()
 	slab := make([]byte, capacity*payloadSize)
@@ -94,30 +146,22 @@ func New(capacity, payloadSize, pages int, kind policy.Kind) *Pool {
 	return p
 }
 
-// resetRepl empties the replacement state: the LRU-2 heap, or a fresh
-// CFLRU list whose victim scan asks the resident table for dirty state.
+// resetRepl empties the replacement state: the LRU-2 heap or the CFLRU
+// list.
 func (p *Pool) resetRepl() {
-	if p.kind == policy.LRU2 {
+	if p.kind == LRU2 {
 		p.lru2.at = p.lru2.at[:0]
 		return
 	}
-	p.repl = policy.NewCFLRU(len(p.frames), func(key int64) bool {
-		f := p.get(page.ID(key))
-		return f != nil && f.Dirty
-	})
+	p.cflru.reset()
 }
 
 // Policy returns the pool's replacement-policy kind.
-func (p *Pool) Policy() policy.Kind { return p.kind }
+func (p *Pool) Policy() Kind { return p.kind }
 
 // PolicyStats returns the replacement policy's decision counters; LRU-2
 // keeps none.
-func (p *Pool) PolicyStats() policy.Stats {
-	if p.repl == nil {
-		return policy.Stats{}
-	}
-	return p.repl.Stats()
-}
+func (p *Pool) PolicyStats() Stats { return Stats{CleanFirstEvict: p.cflru.cleanFirst} }
 
 // Capacity returns the total number of frames.
 func (p *Pool) Capacity() int { return len(p.frames) }
@@ -159,11 +203,11 @@ func (p *Pool) Lookup(id page.ID, now time.Duration) *Frame {
 
 // touch records an access to resident frame f at now.
 func (p *Pool) touch(f *Frame, now time.Duration) {
-	if p.repl == nil {
+	if p.kind == LRU2 {
 		f.touch(now)
 		return
 	}
-	p.repl.Touch(int64(f.Pg.ID), now)
+	p.cflru.touch(f.slot - 1)
 }
 
 // Peek returns the resident frame without touching replacement state.
@@ -187,22 +231,16 @@ func (p *Pool) PopVictim() *Frame {
 	if p.stripes != nil {
 		p.drainTouches()
 	}
-	var f *Frame
-	if p.repl == nil {
-		idx := p.lru2.pop()
-		if idx < 0 {
-			return nil
-		}
-		f = &p.frames[idx]
+	var idx int32
+	if p.kind == LRU2 {
+		idx = p.lru2.pop()
 	} else {
-		key, ok := p.repl.Pop()
-		if !ok {
-			return nil
-		}
-		if f = p.get(page.ID(key)); f == nil {
-			panic(fmt.Sprintf("bufpool: victim %d not in table", key))
-		}
+		idx = p.cflru.pop()
 	}
+	if idx < 0 {
+		return nil
+	}
+	f := &p.frames[idx]
 	p.set(f.Pg.ID, 0)
 	return f
 }
@@ -219,10 +257,11 @@ func (p *Pool) Insert(f *Frame, now time.Duration) (*Frame, bool) {
 		return existing, false
 	}
 	p.set(id, f.slot)
-	if p.repl == nil {
-		p.lru2.push(f.slot-1, p.now(now))
+	at := p.now(now)
+	if p.kind == LRU2 {
+		p.lru2.push(f.slot-1, at)
 	} else {
-		p.repl.Touch(int64(id), p.now(now))
+		p.cflru.push(f.slot - 1)
 	}
 	return f, true
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"turbobp/internal/page"
-	"turbobp/internal/policy"
 )
 
 func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
@@ -15,7 +14,7 @@ func ms(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 const testPages = 128
 
 func TestNewPoolGeometry(t *testing.T) {
-	p := New(8, 32, testPages, policy.LRU2)
+	p := New(8, 32, testPages, LRU2)
 	if p.Capacity() != 8 || p.FreeFrames() != 8 || p.Resident() != 0 {
 		t.Errorf("cap=%d free=%d resident=%d", p.Capacity(), p.FreeFrames(), p.Resident())
 	}
@@ -34,11 +33,11 @@ func TestNewPanicsOnZeroCapacity(t *testing.T) {
 			t.Error("no panic")
 		}
 	}()
-	New(0, 16, testPages, policy.LRU2)
+	New(0, 16, testPages, LRU2)
 }
 
 func TestInsertLookup(t *testing.T) {
-	p := New(4, 16, testPages, policy.LRU2)
+	p := New(4, 16, testPages, LRU2)
 	f := p.TakeFree()
 	f.Pg.ID = 42
 	got, inserted := p.Insert(f, ms(1))
@@ -57,7 +56,7 @@ func TestInsertLookup(t *testing.T) {
 }
 
 func TestInsertDuplicateReturnsExisting(t *testing.T) {
-	p := New(4, 16, testPages, policy.LRU2)
+	p := New(4, 16, testPages, LRU2)
 	a := p.TakeFree()
 	a.Pg.ID = 7
 	p.Insert(a, ms(1))
@@ -74,7 +73,7 @@ func TestInsertDuplicateReturnsExisting(t *testing.T) {
 }
 
 func TestTakeFreeExhaustion(t *testing.T) {
-	p := New(2, 16, testPages, policy.LRU2)
+	p := New(2, 16, testPages, LRU2)
 	if p.TakeFree() == nil || p.TakeFree() == nil {
 		t.Fatal("free frames missing")
 	}
@@ -84,7 +83,7 @@ func TestTakeFreeExhaustion(t *testing.T) {
 }
 
 func TestPopVictimLRU2Order(t *testing.T) {
-	p := New(4, 16, testPages, policy.LRU2)
+	p := New(4, 16, testPages, LRU2)
 	for i := page.ID(1); i <= 3; i++ {
 		f := p.TakeFree()
 		f.Pg.ID = i
@@ -101,14 +100,14 @@ func TestPopVictimLRU2Order(t *testing.T) {
 }
 
 func TestPopVictimEmpty(t *testing.T) {
-	p := New(2, 16, testPages, policy.LRU2)
+	p := New(2, 16, testPages, LRU2)
 	if p.PopVictim() != nil {
 		t.Error("victim from empty pool")
 	}
 }
 
 func TestReleaseClearsFrame(t *testing.T) {
-	p := New(2, 16, testPages, policy.LRU2)
+	p := New(2, 16, testPages, LRU2)
 	f := p.TakeFree()
 	f.Pg.ID = 5
 	f.Pg.LSN = 9
@@ -130,7 +129,7 @@ func TestReleaseClearsFrame(t *testing.T) {
 }
 
 func TestDirtyPages(t *testing.T) {
-	p := New(4, 16, testPages, policy.LRU2)
+	p := New(4, 16, testPages, LRU2)
 	for i := page.ID(1); i <= 3; i++ {
 		f := p.TakeFree()
 		f.Pg.ID = i
@@ -144,7 +143,7 @@ func TestDirtyPages(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	p := New(4, 16, testPages, policy.LRU2)
+	p := New(4, 16, testPages, LRU2)
 	for i := page.ID(1); i <= 4; i++ {
 		f := p.TakeFree()
 		f.Pg.ID = i
@@ -169,7 +168,7 @@ func TestFrameConservationProperty(t *testing.T) {
 	}
 	prop := func(ops []op) bool {
 		const capacity = 6
-		p := New(capacity, 8, testPages, policy.LRU2)
+		p := New(capacity, 8, testPages, LRU2)
 		var held []*Frame
 		now := time.Duration(0)
 		for _, o := range ops {
@@ -222,8 +221,8 @@ func TestFrameConservationProperty(t *testing.T) {
 // 4 102–4 110.
 func TestPoolAllocations(t *testing.T) {
 	const frames, payload, pages, maxAllocs = 4096, 256, 65536, 16
-	for _, kind := range policy.Kinds {
-		for name, build := range map[string]func(int, int, int, policy.Kind) *Pool{"New": New, "NewStriped": NewStriped} {
+	for _, kind := range Kinds {
+		for name, build := range map[string]func(int, int, int, Kind) *Pool{"New": New, "NewStriped": NewStriped} {
 			var p *Pool
 			if n := testing.AllocsPerRun(4, func() { p = build(frames, payload, pages, kind) }); n > maxAllocs {
 				t.Errorf("%s(%v): %.0f allocations, want <= %d", name, kind, n, maxAllocs)
@@ -234,5 +233,52 @@ func TestPoolAllocations(t *testing.T) {
 					name, kind, len(f.Pg.Payload), cap(f.Pg.Payload), payload)
 			}
 		}
+	}
+}
+
+// TestHeapStaysBounded pins the replacement state's size under a workload
+// that removes far more than it pops and, under LRU-2, leaves every heap
+// snapshot stale: a full pool whose pages are all touched again, one
+// victim popped and the rest discarded by Reset, 10 000 times, under each
+// policy. Any growth of the state, or a rebuild on Reset, would allocate,
+// so the whole run must not.
+func TestHeapStaysBounded(t *testing.T) {
+	const capacity = 32
+	for _, kind := range Kinds {
+		t.Run(kind.String(), func(t *testing.T) {
+			p := New(capacity, 8, capacity, kind)
+			now := time.Duration(0)
+			cycle := func() {
+				for id := page.ID(0); id < capacity; id++ {
+					f := p.TakeFree()
+					f.Pg.ID = id
+					f.Dirty = id%3 == 0
+					now++
+					p.Insert(f, now)
+				}
+				for id := page.ID(0); id < capacity; id++ {
+					now++
+					p.Lookup(id, now)
+				}
+				f := p.PopVictim()
+				if f == nil {
+					t.Fatal("no victim")
+				}
+				p.Release(f)
+				p.Reset()
+			}
+			cycle()
+			if p.Resident() != 0 || p.FreeFrames() != capacity {
+				t.Fatalf("after Reset: resident %d, free %d; want 0, %d", p.Resident(), p.FreeFrames(), capacity)
+			}
+			n := testing.AllocsPerRun(1, func() {
+				for i := 0; i < 10000; i++ {
+					cycle()
+				}
+			})
+			if n != 0 {
+				t.Fatalf("10000 touch/pop/reset cycles allocated %v times", n)
+			}
+		})
 	}
 }

@@ -1,13 +1,13 @@
 package bufpool
 
-import (
-	"time"
+import "time"
 
-	"turbobp/internal/policy"
-)
+// never is the penultimate-access time of a page referenced once; it sorts
+// before every real time, so such pages are the preferred victims.
+const never = time.Duration(-1) << 32
 
 // lru2Heap is the pool's LRU-2 victim order (O'Neil, O'Neil and Weikum,
-// SIGMOD 1993) under policy.LRU2: a min-heap of frame indices over the
+// SIGMOD 1993) under LRU2: a min-heap of frame indices over the
 // frame table, the order the SSD tier's frameHeap keeps over its own. A
 // page's last two accesses live once, in its Frame; the heap holds only
 // indices, ordered by the (prev, last) snapshot each member's frame
@@ -78,7 +78,7 @@ func (h *lru2Heap) down(i int) {
 // push adds frame idx, first referenced at now.
 func (h *lru2Heap) push(idx int32, now time.Duration) {
 	f := &h.frames[idx]
-	f.last, f.prev = now, policy.Never()
+	f.last, f.prev = now, never
 	f.hlast, f.hprev = f.last, f.prev
 	h.at = append(h.at, idx)
 	h.up(len(h.at) - 1)

@@ -5,16 +5,16 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"turbobp/internal/page"
-	"turbobp/internal/policy"
 )
 
 // fill returns an LRU-2 pool of capacity frames with the given pages
 // inserted in order, page ids[i] at ms(i).
 func fill(capacity int, ids ...page.ID) *Pool {
-	p := New(capacity, 8, testPages, policy.LRU2)
+	p := New(capacity, 8, testPages, LRU2)
 	for i, id := range ids {
 		f := p.TakeFree()
 		f.Pg.ID = id
@@ -58,7 +58,7 @@ func TestLRU2OrdersByPenultimate(t *testing.T) {
 // one access, and pages with equal histories in page-id order, whatever
 // their frames.
 func TestTieBrokenByLastThenPage(t *testing.T) {
-	p := New(8, 8, testPages, policy.LRU2)
+	p := New(8, 8, testPages, LRU2)
 	for _, in := range []struct {
 		id page.ID
 		at time.Duration
@@ -108,7 +108,7 @@ func TestFrameHistory(t *testing.T) {
 			t.Fatalf("history (last %v, prev %v), want (%v, %v)", f.last, f.prev, last, prev)
 		}
 	}
-	check(0, policy.Never())
+	check(0, never)
 	p.Lookup(1, ms(9))
 	check(ms(9), 0)
 	f.touch(ms(4)) // late: between prev and last
@@ -140,7 +140,7 @@ func TestLRU2VictimsMatchLinearScan(t *testing.T) {
 			if striped {
 				build = NewStriped
 			}
-			p := build(frames, 8, testPages, policy.LRU2)
+			p := build(frames, 8, testPages, LRU2)
 			hist := map[page.ID][2]time.Duration{} // resident page -> (prev, last)
 			var pending []touch
 			now := time.Duration(0)
@@ -195,7 +195,7 @@ func TestLRU2VictimsMatchLinearScan(t *testing.T) {
 					}
 					f.Pg.ID = id
 					if _, inserted := p.Insert(f, now); inserted {
-						hist[id] = [2]time.Duration{policy.Never(), at()}
+						hist[id] = [2]time.Duration{never, at()}
 					} else {
 						access(id, at())
 					}
@@ -229,7 +229,7 @@ func TestLRU2VictimsMatchLinearScan(t *testing.T) {
 // fresh page at capacity allocate nothing.
 func TestLRU2AllocationFree(t *testing.T) {
 	const capacity = 64
-	p := New(capacity, 8, testPages, policy.LRU2)
+	p := New(capacity, 8, testPages, LRU2)
 	now := time.Duration(0)
 	for i := 0; i < capacity; i++ {
 		f := p.TakeFree()
@@ -253,5 +253,60 @@ func TestLRU2AllocationFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, evict); n != 0 {
 		t.Errorf("PopVictim + Insert at capacity allocates %v per cycle", n)
+	}
+}
+
+// TestHeapOrderProperty checks that an LRU-2 pool yields its victims in
+// nondecreasing (prev, last) order, ties by page id, and returns exactly
+// the pages it holds.
+func TestHeapOrderProperty(t *testing.T) {
+	type touch struct {
+		Key  uint8
+		Step uint8
+	}
+	const pages = 32
+	prop := func(touches []touch) bool {
+		p := New(pages, 8, pages, LRU2)        // every page fits
+		hist := map[page.ID][2]time.Duration{} // resident page -> (prev, last)
+		now := time.Duration(0)
+		for _, tc := range touches {
+			now += time.Duration(tc.Step) * time.Microsecond // repeats make ties
+			id := page.ID(tc.Key % pages)
+			if p.Lookup(id, now) != nil {
+				hist[id] = [2]time.Duration{hist[id][1], now}
+				continue
+			}
+			f := p.TakeFree()
+			f.Pg.ID = id
+			p.Insert(f, now)
+			hist[id] = [2]time.Duration{never, now}
+		}
+		if p.Resident() != len(hist) {
+			return false
+		}
+		var prior [2]time.Duration
+		priorID := page.ID(0)
+		for n := 0; ; n++ {
+			f := p.PopVictim()
+			if f == nil {
+				break
+			}
+			id := f.Pg.ID
+			h, ok := hist[id]
+			if !ok {
+				return false
+			}
+			delete(hist, id)
+			if n > 0 && (h[0] < prior[0] ||
+				(h[0] == prior[0] && (h[1] < prior[1] || (h[1] == prior[1] && id < priorID)))) {
+				return false
+			}
+			prior, priorID = h, id
+			p.Release(f)
+		}
+		return len(hist) == 0
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }

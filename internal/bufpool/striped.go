@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"turbobp/internal/page"
-	"turbobp/internal/policy"
 )
 
 // This file adds the pool's striped-latch mode, used by the partitioned
@@ -62,7 +61,7 @@ const stripeCount = 16
 // arguments). Its recency clock is its own atomic tick, which every access —
 // latched read or owner-serialized operation — advances by one, in place of
 // the caller-supplied time.
-func NewStriped(capacity, payloadSize, pages int, kind policy.Kind) *Pool {
+func NewStriped(capacity, payloadSize, pages int, kind Kind) *Pool {
 	p := New(capacity, payloadSize, pages, kind)
 	p.stripes = make([]stripe, stripeCount)
 	return p
@@ -176,7 +175,7 @@ func (p *Pool) MutateFrame(f *Frame, fn func(payload []byte)) {
 // selection — the only moment recency is consulted. Each stripe's batch is
 // sorted by (at, id) before replay: the append order of concurrent
 // ReadLatched callers is scheduling-dependent, and CFLRU's recency list
-// orders entries by the call order of its Touches, not by the times they
+// orders frames by the call order of their touches, not by the times they
 // carry, so an unsorted replay would leak thread timing into victim
 // choice. Sorting makes the replay a pure function of the recorded
 // (id, at) set.

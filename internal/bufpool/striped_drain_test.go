@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"turbobp/internal/page"
-	"turbobp/internal/policy"
 )
 
 // TestStripedDrainDeterministicOrder pins the drain-order fix: buffered
@@ -38,7 +37,7 @@ func TestStripedDrainDeterministicOrder(t *testing.T) {
 		reversed[len(touches)-1-i] = tc
 	}
 
-	for _, kind := range policy.Kinds {
+	for _, kind := range Kinds {
 		victims := func(order []touch) []page.ID {
 			p := NewStriped(8, 8, testPages, kind)
 			for i := 0; i < 8; i++ {

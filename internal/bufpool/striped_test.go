@@ -6,13 +6,12 @@ import (
 	"testing"
 
 	"turbobp/internal/page"
-	"turbobp/internal/policy"
 )
 
 // TestStripedBasicOps checks that the striped pool behaves like the plain
 // one for the owner-serialized operations.
 func TestStripedBasicOps(t *testing.T) {
-	p := NewStriped(8, 16, testPages, policy.LRU2)
+	p := NewStriped(8, 16, testPages, LRU2)
 	for i := 0; i < 8; i++ {
 		f := p.TakeFree()
 		if f == nil {
@@ -51,7 +50,7 @@ func TestStripedBasicOps(t *testing.T) {
 // payload, misses report false, and buffered touches influence victim
 // selection once drained.
 func TestStripedReadLatched(t *testing.T) {
-	p := NewStriped(4, 8, testPages, policy.LRU2)
+	p := NewStriped(4, 8, testPages, LRU2)
 	for i := 0; i < 4; i++ {
 		f := p.TakeFree()
 		f.Pg.ID = page.ID(i)
@@ -65,7 +64,7 @@ func TestStripedReadLatched(t *testing.T) {
 	if _, ok := p.ReadLatched(page.ID(99), buf); ok {
 		t.Fatal("ReadLatched(99) hit")
 	}
-	if _, ok := New(4, 8, testPages, policy.LRU2).ReadLatched(page.ID(2), buf); ok {
+	if _, ok := New(4, 8, testPages, LRU2).ReadLatched(page.ID(2), buf); ok {
 		t.Fatal("ReadLatched hit on an unstriped pool")
 	}
 	// Touch pages 1..3 again via the latched path; page 0's single history
@@ -88,7 +87,7 @@ func TestStripedReadLatched(t *testing.T) {
 // page carry the same value by construction).
 func TestStripedConcurrentReadersWriter(t *testing.T) {
 	const frames = 16
-	p := NewStriped(frames, 32, testPages, policy.LRU2)
+	p := NewStriped(frames, 32, testPages, LRU2)
 	for i := 0; i < frames; i++ {
 		f := p.TakeFree()
 		f.Pg.ID = page.ID(i)
@@ -155,7 +154,7 @@ func TestStripedConcurrentReadersWriter(t *testing.T) {
 // sort.Slice, the round allocated 80 times.
 func TestStripedLatchedReadsAllocationFree(t *testing.T) {
 	const frames = 64
-	for _, kind := range policy.Kinds {
+	for _, kind := range Kinds {
 		p := NewStriped(frames, 8, testPages, kind)
 		for i := 0; i < frames; i++ {
 			f := p.TakeFree()

@@ -15,7 +15,6 @@ import (
 	"turbobp/internal/device"
 	"turbobp/internal/metrics"
 	"turbobp/internal/page"
-	"turbobp/internal/policy"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
 	"turbobp/internal/wal"
@@ -33,7 +32,7 @@ type Config struct {
 	// Policy selects the memory pool's replacement policy. The zero value
 	// is the paper's LRU-2; the SSD tier's heaps are LRU-2 whatever it is
 	// (§3.1).
-	Policy policy.Kind
+	Policy bufpool.Kind
 
 	DBPages   int64 // database size in pages
 	PoolPages int   // memory buffer pool frames
@@ -162,7 +161,7 @@ type Stats struct {
 
 	// Pool is the memory pool's replacement-policy decision counters, read
 	// from the policy at read time (all zero under default LRU-2).
-	Pool policy.Stats
+	Pool bufpool.Stats
 }
 
 // Latencies holds per-tier operation latency histograms: reads broken down

@@ -11,10 +11,10 @@ package harness
 import (
 	"time"
 
+	"turbobp/internal/bufpool"
 	"turbobp/internal/device"
 	"turbobp/internal/engine"
 	"turbobp/internal/metrics"
-	"turbobp/internal/policy"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
 	"turbobp/internal/workload"
@@ -29,9 +29,10 @@ type Scale struct {
 	// full sizes (hours of virtual time, tens of millions of pages), 1024
 	// is the default for the command-line harness, 8192 for benchmarks.
 	Divisor int64
-	// Policy is the cache policy of every engine built from this scale
-	// (both tiers). The zero value is LRU-2, the paper's policy.
-	Policy policy.Kind
+	// Policy is the memory pool's policy in every engine built from this
+	// scale. The zero value is LRU-2, the paper's policy; the SSD tier's
+	// heaps are LRU-2 whatever it is.
+	Policy bufpool.Kind
 	// FaultSeed is the seed the faults and corrupt matrices derive every
 	// cell's fault schedule from (the -faultseed flag). Zero selects
 	// 0x5EEDFA17.

@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"turbobp/internal/bufpool"
 	"turbobp/internal/engine"
 	"turbobp/internal/fault"
-	"turbobp/internal/policy"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
 	"turbobp/internal/workload"
@@ -69,7 +69,7 @@ func TestConfigGeometryRatios(t *testing.T) {
 // travels in the Scale each run holds, so neither sees the other's. Only
 // CFLRU counts clean-first evictions.
 func TestScalePolicyIsPerRun(t *testing.T) {
-	scales := []Scale{{Divisor: 8192, Policy: policy.CFLRU}, {Divisor: 8192}}
+	scales := []Scale{{Divisor: 8192, Policy: bufpool.CFLRU}, {Divisor: 8192}}
 	res := make([]*OLTPResult, len(scales))
 	errs := make([]error, len(scales))
 	var wg sync.WaitGroup
@@ -374,6 +374,20 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 				t.Errorf("%s produced no output", exp.ID)
 			}
 		})
+	}
+}
+
+// TestRegistryUnderCFLRU runs every registry experiment with a CFLRU
+// memory pool at divisor 8192: each must finish without error, and the
+// faults and corrupt verdicts must pass. The goldens run LRU-2 only; this
+// covers the clean-first list through crash, recovery, SSD loss and
+// repair.
+func TestRegistryUnderCFLRU(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment; skipped in -short mode")
+	}
+	if err := runExperiments(Experiments(), Scale{Divisor: 8192, Policy: bufpool.CFLRU}, io.Discard, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

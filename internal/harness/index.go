@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"io"
 
+	"turbobp/internal/bufpool"
 	"turbobp/internal/device"
 	"turbobp/internal/engine"
 	"turbobp/internal/metrics"
-	"turbobp/internal/policy"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
 	"turbobp/internal/workload"
@@ -76,7 +76,7 @@ func indexMix(s Scale, kind workload.IndexKind) workload.IndexMix {
 }
 
 // indexConfig sizes the engine for a mix.
-func indexConfig(design ssd.Design, m workload.IndexMix, pol policy.Kind) engine.Config {
+func indexConfig(design ssd.Design, m workload.IndexMix, pol bufpool.Kind) engine.Config {
 	return engine.Config{
 		Config: ssd.Config{
 			Design:        design,

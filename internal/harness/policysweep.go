@@ -5,8 +5,8 @@ import (
 	"io"
 	"time"
 
+	"turbobp/internal/bufpool"
 	"turbobp/internal/engine"
-	"turbobp/internal/policy"
 	"turbobp/internal/sim"
 	"turbobp/internal/ssd"
 	"turbobp/internal/workload"
@@ -14,7 +14,7 @@ import (
 )
 
 // This file is the `bpesim policy` experiment: the paper's LRU-2 against
-// CFLRU (internal/policy) over every SSD design. Four workloads stress
+// the memory pool's CFLRU over every SSD design. Four workloads stress
 // the policies differently — TPC-C is dirty-heavy (a third of accesses
 // update, so CFLRU's clean-first eviction pays), TPC-E is read-heavy with
 // a skewed hot set, and the two traversal mixes exercise structured
@@ -30,7 +30,7 @@ var policyWorkloads = []string{"tpcc", "tpce", "mixed", "scan"}
 type PolicyCell struct {
 	Workload string
 	Design   ssd.Design
-	Policy   policy.Kind
+	Policy   bufpool.Kind
 
 	Ops        int64   // committed transactions (OLTP) or completed ops (index)
 	PoolHitPct float64 // buffer-pool hit rate
@@ -50,7 +50,7 @@ type PolicySweepResult struct {
 
 // policyOLTPCell runs one OLTP cell: the standard paper configuration for
 // the workload at its mid-size database, shortened to two virtual hours.
-func policyOLTPCell(s Scale, design ssd.Design, pol policy.Kind, kind string) (PolicyCell, error) {
+func policyOLTPCell(s Scale, design ssd.Design, pol bufpool.Kind, kind string) (PolicyCell, error) {
 	cell := PolicyCell{Workload: kind, Design: design, Policy: pol}
 	var run OLTPRun
 	switch kind {
@@ -79,7 +79,7 @@ func policyOLTPCell(s Scale, design ssd.Design, pol policy.Kind, kind string) (P
 // whole run, load phase included — both phases exercise the policy, and
 // every policy sees the identical call sequence, so the comparison
 // between policies is still apples-to-apples.
-func policyIndexCell(s Scale, design ssd.Design, pol policy.Kind, kind workload.IndexKind, name string) (PolicyCell, error) {
+func policyIndexCell(s Scale, design ssd.Design, pol bufpool.Kind, kind workload.IndexKind, name string) (PolicyCell, error) {
 	cell := PolicyCell{Workload: name, Design: design, Policy: pol}
 	mix := indexMix(s, kind)
 	env := sim.NewEnv()
@@ -124,12 +124,12 @@ func fillPolicyCell(cell *PolicyCell, e *engine.Engine) {
 // RunPolicySweep executes the full workload × design × policy grid on the
 // worker pool.
 func RunPolicySweep(s Scale) (*PolicySweepResult, error) {
-	perWl := len(indexDesigns) * len(policy.Kinds)
+	perWl := len(indexDesigns) * len(bufpool.Kinds)
 	n := len(policyWorkloads) * perWl
 	cells, err := RunGrid(n, func(i int) (PolicyCell, error) {
 		wl := policyWorkloads[i/perWl]
-		design := indexDesigns[i%perWl/len(policy.Kinds)]
-		pol := policy.Kinds[i%len(policy.Kinds)]
+		design := indexDesigns[i%perWl/len(bufpool.Kinds)]
+		pol := bufpool.Kinds[i%len(bufpool.Kinds)]
 		switch wl {
 		case "tpcc", "tpce":
 			return policyOLTPCell(s, design, pol, wl)
@@ -148,7 +148,7 @@ func RunPolicySweep(s Scale) (*PolicySweepResult, error) {
 // Print renders the sweep grouped by workload and design.
 func (r *PolicySweepResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "Cache-policy sweep — %d designs × %d policies × %d workloads (2h virtual OLTP; %d-row index mixes)\n",
-		len(indexDesigns), len(policy.Kinds), len(policyWorkloads), r.Rows)
+		len(indexDesigns), len(bufpool.Kinds), len(policyWorkloads), r.Rows)
 	fmt.Fprintf(w, "%-8s %-6s %-8s %9s %9s %8s %9s %9s %9s %8s %7s\n",
 		"workload", "design", "policy", "ops", "pool-hit", "ssd-hit",
 		"ssd-rd", "ssd-wr", "disk-wr", "wal-wr", "cfirst")

@@ -6,11 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"turbobp/internal/bufpool"
 	"turbobp/internal/device"
 	"turbobp/internal/engine"
 	"turbobp/internal/metrics"
 	"turbobp/internal/netproto"
-	"turbobp/internal/policy"
 	"turbobp/internal/ssd"
 )
 
@@ -99,7 +99,7 @@ func TestFoldCoversEveryStatsStruct(t *testing.T) {
 	t.Run("engine.Stats", foldCase[engine.Stats])
 	t.Run("engine.Latencies", foldCase[engine.Latencies])
 	t.Run("ssd.Stats", foldCase[ssd.Stats])
-	t.Run("policy.Stats", foldCase[policy.Stats])
+	t.Run("bufpool.Stats", foldCase[bufpool.Stats])
 	t.Run("device.Stats", foldCase[device.Stats])
 	t.Run("netproto.ClientStats", foldCase[netproto.ClientStats])
 }

@@ -6,39 +6,29 @@ import (
 
 	"turbobp/internal/bufpool"
 	"turbobp/internal/page"
-	"turbobp/internal/policy"
 )
 
 // The policy microbenchmarks measure the replacement-policy hot paths in
 // isolation: a touch (every buffer-pool read records one) and the eviction
 // cycle pop + insert (every miss under memory pressure), for each policy
-// kind. LRU-2 lives in the buffer pool's frame table, so its two
-// benchmarks drive a pool: Lookup of a resident page, and PopVictim +
-// Insert at capacity. CFLRU's run against a policy.CFLRUList directly,
-// without a dirty callback. Every path is allocation-free in steady state
-// (CFLRU's entries come from its free list).
+// kind. Both policies live in the buffer pool's frame table, so each
+// benchmark drives a pool: Lookup of a resident page, and PopVictim +
+// Insert at capacity. Every path is allocation-free in steady state.
 
 // policyCap is the working-set size the policy benchmarks run at, and
-// policyKeys the key bound: PolicyEvictCFLRU's fresh keys cycle below it,
-// so a key comes back 3*policyCap evictions after it left, absent again.
+// policyKeys the page bound: the evict benchmarks' fresh pages cycle below
+// it, so a page comes back 3*policyCap evictions after it left, absent
+// again.
 const (
 	policyCap  = 4096
 	policyKeys = 4 * policyCap
 )
 
-// fillCFLRU returns a CFLRU list holding policyCap keys.
-func fillCFLRU() *policy.CFLRUList {
-	p := policy.NewCFLRU(policyCap, nil)
-	for i := int64(0); i < policyCap; i++ {
-		p.Touch(i, time.Duration(i))
-	}
-	return p
-}
-
-// fillPool returns an LRU-2 pool of policyCap frames over policyKeys pages
-// with pages 0..policyCap-1 resident, inserted at times 0..policyCap-1.
-func fillPool() *bufpool.Pool {
-	p := bufpool.New(policyCap, 8, policyKeys, policy.LRU2)
+// fillPool returns a pool of policyCap frames over policyKeys pages under
+// kind, with pages 0..policyCap-1 resident, inserted at times
+// 0..policyCap-1.
+func fillPool(kind bufpool.Kind) *bufpool.Pool {
+	p := bufpool.New(policyCap, 8, policyKeys, kind)
 	for i := 0; i < policyCap; i++ {
 		f := p.TakeFree()
 		f.Pg.ID = page.ID(i)
@@ -47,10 +37,9 @@ func fillPool() *bufpool.Pool {
 	return p
 }
 
-// PolicyTouchLRU2 measures the pool's Lookup of a resident page under the
-// default LRU-2 policy.
-func PolicyTouchLRU2(b *testing.B) {
-	p := fillPool()
+// policyTouch measures the pool's Lookup of a resident page under kind.
+func policyTouch(b *testing.B, kind bufpool.Kind) {
+	p := fillPool(kind)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -58,20 +47,10 @@ func PolicyTouchLRU2(b *testing.B) {
 	}
 }
 
-// PolicyTouchCFLRU measures Touch on resident keys of a full CFLRU list.
-func PolicyTouchCFLRU(b *testing.B) {
-	p := fillCFLRU()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Touch(int64(i%policyCap), time.Duration(policyCap+i))
-	}
-}
-
-// PolicyEvictLRU2 measures the pool's PopVictim + Insert of a fresh page at
-// capacity under LRU-2.
-func PolicyEvictLRU2(b *testing.B) {
-	p := fillPool()
+// policyEvict measures the pool's PopVictim + Insert of a fresh page at
+// capacity under kind.
+func policyEvict(b *testing.B, kind bufpool.Kind) {
+	p := fillPool(kind)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -81,15 +60,18 @@ func PolicyEvictLRU2(b *testing.B) {
 	}
 }
 
-// PolicyEvictCFLRU measures one eviction cycle of a full CFLRU list: Pop
-// the victim and insert a fresh key, the steady-state work of every cache
-// miss.
-func PolicyEvictCFLRU(b *testing.B) {
-	p := fillCFLRU()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.Pop()
-		p.Touch(int64((policyCap+i)%policyKeys), time.Duration(policyCap+i))
-	}
-}
+// PolicyTouchLRU2 measures the pool's Lookup of a resident page under the
+// default LRU-2 policy.
+func PolicyTouchLRU2(b *testing.B) { policyTouch(b, bufpool.LRU2) }
+
+// PolicyTouchCFLRU measures the pool's Lookup of a resident page under
+// CFLRU.
+func PolicyTouchCFLRU(b *testing.B) { policyTouch(b, bufpool.CFLRU) }
+
+// PolicyEvictLRU2 measures the pool's PopVictim + Insert of a fresh page at
+// capacity under LRU-2.
+func PolicyEvictLRU2(b *testing.B) { policyEvict(b, bufpool.LRU2) }
+
+// PolicyEvictCFLRU measures the pool's PopVictim + Insert of a fresh page
+// at capacity under CFLRU, every page clean.
+func PolicyEvictCFLRU(b *testing.B) { policyEvict(b, bufpool.CFLRU) }

@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"turbobp/internal/policy"
 )
 
 // TestFrameHeapMatchesLRU2 feeds one seeded stream to the SSD tier's frame
@@ -58,7 +56,7 @@ func TestFrameHeapMatchesLRU2(t *testing.T) {
 			switch k := rng.Intn(8); {
 			case k <= 1 && !in[idx]: // insert
 				op = "insert"
-				prev := policy.Never()
+				prev := never
 				if rng.Intn(2) == 0 {
 					prev = at()
 				}

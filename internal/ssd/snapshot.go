@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"turbobp/internal/page"
-	"turbobp/internal/policy"
 )
 
 // This file implements the paper's §6 future-work direction: "No design
@@ -88,7 +87,7 @@ func (m *Manager) RestoreTable(blob []byte) error {
 		rec.pid = pid
 		rec.flags |= fOccupied | fValid | fRestored // restored: a hint only, validated at first read
 		rec.last = now
-		rec.prev = policy.Never()
+		rec.prev = never
 		m.dir[pid] = int32(idx + 1)
 		m.occupied++
 		if m.cfg.Design == TAC {

@@ -26,7 +26,6 @@ import (
 	"turbobp/internal/device"
 	"turbobp/internal/fault"
 	"turbobp/internal/page"
-	"turbobp/internal/policy"
 	"turbobp/internal/sim"
 )
 
@@ -166,7 +165,7 @@ type frameRec struct {
 	pid   page.ID
 	lsn   uint64        // LSN of the cached version (guards cleaner races)
 	last  time.Duration // most recent access
-	prev  time.Duration // access before that, or policy.Never()
+	prev  time.Duration // access before that, or never
 	gen   uint32        // bumped on free; orphans stale TAC heap entries
 	pos   int32         // 1 + position in the shard's clean or dirty frameHeap; 0 = in neither
 	io    int32         // in-flight device transfers referencing this frame
@@ -176,6 +175,10 @@ type frameRec struct {
 	// different pages.
 	bad uint8
 }
+
+// never is the penultimate-access time of a frame referenced once; it
+// sorts before every real time, so such frames are the preferred victims.
+const never = time.Duration(-1) << 32
 
 // frameFlags is a frame's state bits.
 type frameFlags uint8
@@ -868,7 +871,7 @@ func (m *Manager) allocFrame(pid page.ID, dirty bool) int {
 		rec.flags |= fDirty
 	}
 	rec.last = m.env.Now()
-	rec.prev = policy.Never()
+	rec.prev = never
 	m.dir[pid] = int32(idx + 1)
 	m.occupied++
 	if dirty {

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 
 	"turbobp/internal/page"
-	"turbobp/internal/policy"
 )
 
 // This file implements Temperature-Aware Caching (TAC, Canim et al., VLDB
@@ -95,7 +94,7 @@ func (m *Manager) tacAllocFrame(pid page.ID) int {
 	rec.pid = pid
 	rec.flags |= fOccupied | fValid
 	rec.last = m.env.Now()
-	rec.prev = policy.Never()
+	rec.prev = never
 	m.dir[pid] = int32(idx + 1)
 	m.occupied++
 	m.pushTac(idx)

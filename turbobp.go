@@ -61,10 +61,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"turbobp/internal/bufpool"
 	"turbobp/internal/device"
 	"turbobp/internal/engine"
 	"turbobp/internal/page"
-	"turbobp/internal/policy"
 	"turbobp/internal/ssd"
 	"turbobp/internal/wal"
 )
@@ -89,29 +89,28 @@ const (
 	TAC = ssd.TAC
 )
 
-// CachePolicy selects the replacement policy used by the memory buffer
-// pool and the SSD tier's clean-frame ordering.
-type CachePolicy = policy.Kind
+// CachePolicy selects the memory buffer pool's replacement policy.
+type CachePolicy = bufpool.Kind
 
 // The available cache policies.
 const (
 	// PolicyLRU2 is the original LRU-2 ordering (the default).
-	PolicyLRU2 = policy.LRU2
+	PolicyLRU2 = bufpool.LRU2
 	// PolicyCFLRU prefers evicting clean pages over dirty ones.
-	PolicyCFLRU = policy.CFLRU
+	PolicyCFLRU = bufpool.CFLRU
 )
 
 // ParseCachePolicy resolves a policy name ("lru2" or "cflru"; empty =
 // LRU-2) to its CachePolicy value; any other name is an error.
-func ParseCachePolicy(s string) (CachePolicy, error) { return policy.ParseKind(s) }
+func ParseCachePolicy(s string) (CachePolicy, error) { return bufpool.ParseKind(s) }
 
 // Options configures a DB. Zero values take the paper's defaults
 // (Table 2) where one exists.
 type Options struct {
 	// Design selects the dirty-page policy. Default: LC.
 	Design Design
-	// Policy selects the cache replacement policy for both the memory
-	// pool and the SSD tier. Default: PolicyLRU2.
+	// Policy selects the memory pool's replacement policy. Default:
+	// PolicyLRU2. The SSD tier's heaps are LRU-2 whatever it is (§3.1).
 	Policy CachePolicy
 
 	// DBPages is the database size in pages. Required.
