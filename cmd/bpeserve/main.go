@@ -84,7 +84,7 @@ func run() error {
 		ssdFrames    = flag.Int("ssd", 16384, "SSD cache frames (0 disables)")
 		pageSize     = flag.Int("page-size", 256, "payload bytes per page")
 		design       = flag.String("design", "lc", "SSD design: nossd, cw, dw, lc, tac")
-		cachePol     = flag.String("policy", "lru2", "cache policy: lru2 or cflru")
+		cachePol     = flag.String("policy", "lru2", "the memory pool's policy: lru2 or cflru (the SSD tier is LRU-2 either way)")
 		concurrency  = flag.Int("concurrency", runtime.GOMAXPROCS(0), "page-range partitions (0 or 1: one partition, same durability and transactions)")
 		commitSync   = flag.String("commit-sync", "group", "commit durability: none, each, group")
 		duration     = flag.Duration("duration", 0, "exit after this long (0 = until signal)")

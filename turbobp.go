@@ -107,7 +107,8 @@ func ParseCachePolicy(s string) (CachePolicy, error) { return bufpool.ParseKind(
 // Options configures a DB. Zero values take the paper's defaults
 // (Table 2) where one exists.
 type Options struct {
-	// Design selects the dirty-page policy. Default: LC.
+	// Design selects the dirty-page policy. The zero value is NoSSD; any
+	// value outside the named designs is an error from Open.
 	Design Design
 	// Policy selects the memory pool's replacement policy. Default:
 	// PolicyLRU2. The SSD tier's heaps are LRU-2 whatever it is (§3.1).
@@ -239,6 +240,9 @@ type DB struct {
 func Open(opts Options) (*DB, error) {
 	if opts.DBPages <= 0 {
 		return nil, errors.New("turbobp: Options.DBPages must be positive")
+	}
+	if opts.Design < NoSSD || opts.Design > TAC {
+		return nil, fmt.Errorf("turbobp: Options.Design: unknown design %v", opts.Design)
 	}
 	if opts.PageSize <= 0 {
 		opts.PageSize = 256

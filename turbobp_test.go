@@ -41,11 +41,25 @@ func TestOpenRequiresDBPages(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsUnknownPolicy: a CachePolicy value outside the named
-// constants is an error from Open, not a pool built under some policy.
+// TestOpenRejectsUnknownPolicy: a CachePolicy or Design value outside the
+// named constants is an error from Open, naming the option, not a database
+// built under some policy or design.
 func TestOpenRejectsUnknownPolicy(t *testing.T) {
-	if _, err := Open(Options{DBPages: 64, Policy: PolicyCFLRU + 1}); err == nil {
-		t.Fatal("Open with an unknown Policy succeeded")
+	for _, tc := range []struct {
+		name, option string
+		opts         Options
+	}{
+		{"policy", "Options.Policy", Options{Policy: PolicyCFLRU + 1}},
+		{"design-above", "Options.Design", Options{Design: TAC + 1}},
+		{"design-negative", "Options.Design", Options{Design: NoSSD - 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.DBPages = 64
+			_, err := Open(tc.opts)
+			if err == nil || !strings.Contains(err.Error(), tc.option) {
+				t.Fatalf("Open = %v, want an error naming %s", err, tc.option)
+			}
+		})
 	}
 }
 
