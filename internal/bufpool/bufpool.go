@@ -156,9 +156,6 @@ func (p *Pool) resetRepl() {
 	p.cflru.reset()
 }
 
-// Policy returns the pool's replacement-policy kind.
-func (p *Pool) Policy() Kind { return p.kind }
-
 // PolicyStats returns the replacement policy's decision counters; LRU-2
 // keeps none.
 func (p *Pool) PolicyStats() Stats { return Stats{CleanFirstEvict: p.cflru.cleanFirst} }
