@@ -99,10 +99,23 @@ func TestPopVictimLRU2Order(t *testing.T) {
 	}
 }
 
+// TestPopVictimEmpty: a fresh pool, and one emptied by Reset, offers no
+// victim under either policy.
 func TestPopVictimEmpty(t *testing.T) {
-	p := New(2, 16, testPages, LRU2)
-	if p.PopVictim() != nil {
-		t.Error("victim from empty pool")
+	for _, kind := range Kinds {
+		p := New(2, 16, testPages, kind)
+		if p.PopVictim() != nil {
+			t.Errorf("%v: victim from empty pool", kind)
+		}
+		for id := page.ID(1); id <= 2; id++ {
+			f := p.TakeFree()
+			f.Pg.ID, f.Dirty = id, id == 2
+			p.Insert(f, ms(int(id)))
+		}
+		p.Reset()
+		if p.Resident() != 0 || p.PopVictim() != nil {
+			t.Errorf("%v: resident pages or a victim after Reset", kind)
+		}
 	}
 }
 
@@ -241,7 +254,10 @@ func TestPoolAllocations(t *testing.T) {
 // snapshot stale: a full pool whose pages are all touched again, one
 // victim popped and the rest discarded by Reset, 10 000 times, under each
 // policy. Any growth of the state, or a rebuild on Reset, would allocate,
-// so the whole run must not.
+// so the whole run must not. Under CFLRU it is also the allocation pin of
+// the paths the CFLRU policy benchmarks measure (Lookup, PopVictim with
+// dirty pages in the scan window, Insert); TestLRU2AllocationFree is
+// LRU-2's.
 func TestHeapStaysBounded(t *testing.T) {
 	const capacity = 32
 	for _, kind := range Kinds {

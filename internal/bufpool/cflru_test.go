@@ -65,21 +65,6 @@ func insert(t *testing.T, p *Pool, id page.ID, now time.Duration, dirty bool) {
 	p.Insert(f, now)
 }
 
-// TestEmptyCache checks that a fresh CFLRU pool, and one emptied by
-// Reset, holds nothing and offers no victim.
-func TestEmptyCache(t *testing.T) {
-	p := New(16, 8, testPages, CFLRU)
-	if p.Resident() != 0 || p.PopVictim() != nil {
-		t.Fatal("fresh pool: resident or victim")
-	}
-	insert(t, p, 1, ms(1), false)
-	insert(t, p, 2, ms(2), true)
-	p.Reset()
-	if p.Resident() != 0 || p.PopVictim() != nil {
-		t.Fatal("reset pool: resident or victim")
-	}
-}
-
 // TestRemove checks that a popped victim is forgotten without disturbing
 // the others' order.
 func TestRemove(t *testing.T) {
@@ -330,36 +315,5 @@ func TestCFLRUVictimsMatchReference(t *testing.T) {
 				t.Fatalf("striped %v seed %d: CleanFirstEvict %d, reference %d (want nonzero)", striped, seed, got, cleanFirst)
 			}
 		}
-	}
-}
-
-// TestCFLRUAllocationFree pins the steady state the CFLRU policy
-// benchmarks measure: the Lookup of a resident page and the PopVictim +
-// Insert of a fresh page at capacity allocate nothing, with a third of
-// the pages dirty so the clean-first scan runs.
-func TestCFLRUAllocationFree(t *testing.T) {
-	const capacity = 64
-	p := New(capacity, 8, testPages, CFLRU)
-	now := time.Duration(0)
-	for i := 0; i < capacity; i++ {
-		insert(t, p, page.ID(i), now, i%3 == 0)
-	}
-	next := page.ID(capacity)
-	lookup := func() {
-		now++
-		p.Lookup(page.ID(int(now)%capacity), now)
-	}
-	evict := func() {
-		now++
-		f := p.PopVictim()
-		f.Pg.ID, f.Dirty = next, next%3 == 0
-		p.Insert(f, now)
-		next = capacity + (next+1-capacity)%(testPages-capacity) // never a resident page
-	}
-	if n := testing.AllocsPerRun(1000, lookup); n != 0 {
-		t.Errorf("Lookup of a resident page allocates %v per call", n)
-	}
-	if n := testing.AllocsPerRun(1000, evict); n != 0 {
-		t.Errorf("PopVictim + Insert at capacity allocates %v per cycle", n)
 	}
 }
