@@ -380,8 +380,8 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 // TestRegistryUnderCFLRU runs every registry experiment with a CFLRU
 // memory pool at divisor 8192: each must finish without error, and the
 // faults and corrupt verdicts must pass. The goldens run LRU-2 only; this
-// covers the clean-first list through crash, recovery, SSD loss and
-// repair.
+// runs the clean-first list through every experiment, the crash,
+// recovery, SSD-loss and repair ones included.
 func TestRegistryUnderCFLRU(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment; skipped in -short mode")
