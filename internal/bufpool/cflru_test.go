@@ -65,6 +65,21 @@ func insert(t *testing.T, p *Pool, id page.ID, now time.Duration, dirty bool) {
 	p.Insert(f, now)
 }
 
+// TestEmptyCache checks that a fresh CFLRU pool, and one emptied by
+// Reset, holds nothing and offers no victim.
+func TestEmptyCache(t *testing.T) {
+	p := New(16, 8, testPages, CFLRU)
+	if p.Resident() != 0 || p.PopVictim() != nil {
+		t.Fatal("fresh pool: resident or victim")
+	}
+	insert(t, p, 1, ms(1), false)
+	insert(t, p, 2, ms(2), true)
+	p.Reset()
+	if p.Resident() != 0 || p.PopVictim() != nil {
+		t.Fatal("reset pool: resident or victim")
+	}
+}
+
 // TestRemove checks that a popped victim is forgotten without disturbing
 // the others' order.
 func TestRemove(t *testing.T) {

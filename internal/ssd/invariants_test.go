@@ -14,12 +14,15 @@ import (
 
 // TestInvariantsUnderRandomOps drives every design with a randomized mix
 // of evictions, reads, invalidations, cleaner activity and checkpoints,
-// checking structural invariants after every batch.
+// checking structural invariants after every batch. Each stream's subtest
+// is named after the order both SSD heaps keep, LRU-2 (§3.1).
 func TestInvariantsUnderRandomOps(t *testing.T) {
 	for _, design := range []Design{CW, DW, LC, TAC} {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(design.String(), func(t *testing.T) {
-				randomOps(t, design, seed)
+				t.Run("lru2", func(t *testing.T) {
+					randomOps(t, design, seed)
+				})
 			})
 		}
 	}
