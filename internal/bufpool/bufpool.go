@@ -110,7 +110,8 @@ type Pool struct {
 
 	// Striped-latch mode (nil stripes = single-latch mode; see striped.go).
 	stripes []stripe
-	tick    atomic.Int64 // striped mode's access clock
+	tick    atomic.Int64   // striped mode's access clock
+	merged  []pendingTouch // every stripe's drained touches; owner only
 }
 
 // New returns a single-latch pool of capacity frames holding

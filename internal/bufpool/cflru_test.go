@@ -219,9 +219,9 @@ func TestCFLRUCleanFirst(t *testing.T) {
 // path, where the page is already resident), lookups, latched reads,
 // dirtying, evictions and resets, and checks every victim against a
 // reference: the resident pages in a slice in call order, a striped pool's
-// latched reads held back and replayed at the next eviction stripe by
-// stripe, each stripe's in (at, id) order, and a victim found by scanning frames/4 pages from the cold end
-// for the first clean one, else taking the coldest.
+// latched reads held back and replayed at the next eviction in (at, id)
+// order across all stripes, and a victim found by scanning frames/4 pages
+// from the cold end for the first clean one, else taking the coldest.
 func TestCFLRUVictimsMatchReference(t *testing.T) {
 	const frames, ids = 8, 20
 	type touch struct {
@@ -253,8 +253,7 @@ func TestCFLRUVictimsMatchReference(t *testing.T) {
 			}
 			evict := func(op int) *Frame {
 				slices.SortFunc(pending, func(a, b touch) int {
-					return cmp.Or(cmp.Compare(a.id%stripeCount, b.id%stripeCount),
-						cmp.Compare(a.at, b.at), cmp.Compare(a.id, b.id))
+					return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.id, b.id))
 				})
 				for _, tc := range pending {
 					if slices.Contains(order, tc.id) {

@@ -32,8 +32,9 @@ import (
 // the next PopVictim — the only consumer of recency. A full buffer drops
 // further touches (bounded memory beats perfect recency; a dropped touch
 // can only make victim choice slightly staler, never incorrect). A drain
-// hands the stripe its previous batch's buffer back, so latched reads
-// allocate nothing once the buffers have grown.
+// copies every stripe's buffer into one pool-owned merge buffer and
+// truncates it, so latched reads allocate nothing once the buffers have
+// grown.
 
 // stripe is one latch-granule of the page directory.
 type stripe struct {
@@ -41,7 +42,6 @@ type stripe struct {
 
 	tmu     sync.Mutex
 	touches []pendingTouch
-	spare   []pendingTouch // the last drained batch, the next touches buffer; owner only
 }
 
 // pendingTouch is one buffered access record from a latched read.
@@ -172,28 +172,30 @@ func (p *Pool) MutateFrame(f *Frame, fn func(payload []byte)) {
 
 // drainTouches replays buffered latched-read accesses into the replacement
 // state. Called under the owner's serialization, right before victim
-// selection — the only moment recency is consulted. Each stripe's batch is
-// sorted by (at, id) before replay: the append order of concurrent
-// ReadLatched callers is scheduling-dependent, and CFLRU's recency list
-// orders frames by the call order of their touches, not by the times they
-// carry, so an unsorted replay would leak thread timing into victim
-// choice. Sorting makes the replay a pure function of the recorded
-// (id, at) set.
+// selection — the only moment recency is consulted. The stripes' batches
+// are merged and replayed in one (at, id) order: the append order of
+// concurrent ReadLatched callers is scheduling-dependent, and CFLRU's
+// recency list orders frames by the call order of their touches, not by
+// the times they carry, so an unsorted replay would leak thread timing
+// into victim choice, and a stripe-by-stripe one would rank a page's
+// recency by its stripe. Sorting makes the replay a pure function of the
+// recorded (id, at) set, in time order.
 func (p *Pool) drainTouches() {
+	all := p.merged[:0]
 	for i := range p.stripes {
 		s := &p.stripes[i]
 		s.tmu.Lock()
-		pend := s.touches
-		s.touches = s.spare[:0]
+		all = append(all, s.touches...)
+		s.touches = s.touches[:0]
 		s.tmu.Unlock()
-		slices.SortFunc(pend, func(a, b pendingTouch) int {
-			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.id, b.id))
-		})
-		for _, t := range pend {
-			if f := p.frame(p.dir[t.id]); f != nil {
-				p.touch(f, t.at)
-			}
-		}
-		s.spare = pend
 	}
+	slices.SortFunc(all, func(a, b pendingTouch) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.id, b.id))
+	})
+	for _, t := range all {
+		if f := p.frame(p.dir[t.id]); f != nil {
+			p.touch(f, t.at)
+		}
+	}
+	p.merged = all
 }

@@ -221,7 +221,7 @@ func (e *Engine) checkpointRun(p *sim.Proc, ids []page.ID) error {
 	}
 	// WAL: the log must be durable up to the newest page image written.
 	e.log.Flush(p, maxLSN)
-	if err := e.dbWrite(p, device.PageNum(start), bufs); err != nil {
+	if err := e.db.Write(p, device.PageNum(start), bufs); err != nil {
 		return err
 	}
 	for k, id := range kept {
@@ -247,7 +247,7 @@ func (e *Engine) checkpointSingles(p *sim.Proc, ids []page.ID) error {
 		lsn := f.Pg.LSN
 		random := !f.Seq
 		e.log.Flush(p, lsn)
-		if err := e.dbWrite(p, device.PageNum(id), [][]byte{buf}); err != nil {
+		if err := e.db.Write(p, device.PageNum(id), [][]byte{buf}); err != nil {
 			return err
 		}
 		if err := e.finishCheckpointPage(p, id, lsn, random); err != nil {

@@ -114,9 +114,6 @@ var hddProfile = device.PaperHDDProfile()
 // quad-core Nehalem with 16 contexts, saturating around 110k tpmC.
 const cpuCores = 16
 
-// retry bounds transient-I/O retries on the database-disk read/write paths.
-var retry = device.DefaultRetryPolicy()
-
 // logPageSize is the accounted size of one log page (8 KB, like the data
 // pages the paper's Table 1 measures); many small records pack per page.
 const logPageSize = 8192
@@ -140,12 +137,10 @@ type Stats struct {
 
 	// Silent-corruption defense (see docs/FAILURES.md). SSD-side detection
 	// counters live on ssd.Stats; these count the engine's repairs.
-	DiskCorruptions  int64 // disk pages that failed checksum/id verification
-	DiskRepairsSSD   int64 // of which healed from an intact SSD copy
-	DiskRepairsWAL   int64 // of which rebuilt from the newest WAL record
-	CorruptRedo      int64 // dirty SSD frames reconstructed through WAL redo
-	DiskReadRetries  int64 // failed disk read attempts that were re-issued
-	DiskWriteRetries int64 // failed disk write attempts that were re-issued
+	DiskCorruptions int64 // disk pages that failed checksum/id verification
+	DiskRepairsSSD  int64 // of which healed from an intact SSD copy
+	DiskRepairsWAL  int64 // of which rebuilt from the newest WAL record
+	CorruptRedo     int64 // dirty SSD frames reconstructed through WAL redo
 	// Classification accuracy counts for disk reads: Truth<X>Label<Y>
 	// counts reads truly of kind X that the classifier labelled Y (truth =
 	// whether the read-ahead mechanism issued the read).
@@ -199,8 +194,8 @@ type Engine struct {
 	env *sim.Env
 	cfg Config
 
-	db     device.Device
-	dbArr  *device.Array // non-nil when db is a simulated array
+	db     *device.Retry // the database device, transient failures re-issued once
+	dbArr  *device.Array // non-nil when db wraps a simulated array
 	ssdDev device.Device
 	logDev device.Device
 
@@ -260,9 +255,8 @@ type Engine struct {
 	opFree []*txOp
 	fwFree []*frameWait
 
-	// Free list of retrying disk-transfer states (diskOp) and a one-element
-	// scratch vector for repairDiskPage's single-buffer heal write.
-	diskOpFree  []*diskOp
+	// A one-element scratch vector for repairDiskPage's single-buffer heal
+	// write.
 	scratchVec1 [][]byte
 }
 
@@ -311,7 +305,7 @@ func newEngine(env *sim.Env, cfg Config, dbDev, ssdDev, logDev device.Device, lo
 		}
 		logDev = cfg.Faults.Wrap("wal", logDev)
 	}
-	e := &Engine{env: env, cfg: cfg, db: dbDev, ssdDev: ssdDev, logDev: logDev, pool: pool,
+	e := &Engine{env: env, cfg: cfg, db: device.NewRetry(dbDev), ssdDev: ssdDev, logDev: logDev, pool: pool,
 		evicting: make(map[page.ID]*sim.Signal), live: make(map[uint64]uint64)}
 	// The log packs records into full 8 KB pages; the device charges one
 	// page-write per log page, so the page size here is the accounted 8 KB
@@ -351,115 +345,20 @@ func (r *walRepairer) RepairDirtyPage(p *sim.Proc, pid page.ID) error {
 	return (*Engine)(r).repairDirtySSD(p, pid)
 }
 
-// diskWriter adapts the engine's database array to the SSD manager's Disk
-// interface (logical page ids map one-to-one onto array pages). It also
-// implements ssd.DiskReader so the scrubber can fetch disk copies for
-// in-place frame repair. Both route through the engine's retrying disk
-// transfers.
+// diskWriter adapts the engine's database device to the SSD manager's
+// Disk interface (logical page ids map one-to-one onto device pages). It
+// also implements ssd.DiskReader so the scrubber can fetch disk copies for
+// in-place frame repair.
 type diskWriter Engine
 
-// WriteEncodedTask writes a run of encoded pages to the database disks.
+// WriteEncodedTask writes a run of encoded pages to the database device.
 func (d *diskWriter) WriteEncodedTask(t *sim.Task, start page.ID, bufs [][]byte, k func(error)) {
-	(*Engine)(d).dbWriteTask(t, device.PageNum(start), bufs, k)
+	d.db.WriteTask(t, device.PageNum(start), bufs, k)
 }
 
-// ReadEncodedTask reads one encoded page image from the database disks.
-func (d *diskWriter) ReadEncodedTask(t *sim.Task, pid page.ID, buf []byte, k func(error)) {
-	e := (*Engine)(d)
-	e.dbTransfer(t, device.PageNum(pid), append(e.getVecShell(1), buf), false, true, k)
-}
-
-// dbRead is dbReadTask for a blocking process.
-func (e *Engine) dbRead(p *sim.Proc, start device.PageNum, bufs [][]byte) error {
-	return p.Await(func(t *sim.Task, done func(error)) { e.dbReadTask(t, start, bufs, done) })
-}
-
-// dbWrite is dbWriteTask for a blocking process.
-func (e *Engine) dbWrite(p *sim.Proc, start device.PageNum, bufs [][]byte) error {
-	return p.Await(func(t *sim.Task, done func(error)) { e.dbWriteTask(t, start, bufs, done) })
-}
-
-// diskOp carries one database-disk transfer, retrying transient failures
-// under the configured policy; pooled so steady-state traffic allocates
-// nothing.
-type diskOp struct {
-	e       *Engine
-	t       *sim.Task
-	start   device.PageNum
-	bufs    [][]byte
-	k       func(error)
-	write   bool
-	ownsVec bool // return bufs' shell (not the buffers) to the vec pool
-	attempt int
-
-	onDone  func(error)
-	onRetry func()
-}
-
-func (e *Engine) getDiskOp() *diskOp {
-	if n := len(e.diskOpFree); n > 0 {
-		o := e.diskOpFree[n-1]
-		e.diskOpFree[n-1] = nil
-		e.diskOpFree = e.diskOpFree[:n-1]
-		return o
-	}
-	o := &diskOp{e: e}
-	o.onDone = o.done
-	o.onRetry = o.reissue
-	return o
-}
-
-func (o *diskOp) reissue() {
-	if o.write {
-		o.e.db.WriteTask(o.t, o.start, o.bufs, o.onDone)
-	} else {
-		o.e.db.ReadTask(o.t, o.start, o.bufs, o.onDone)
-	}
-}
-
-func (o *diskOp) done(err error) {
-	e := o.e
-	if err != nil && retry.Retryable(err, o.attempt) {
-		if o.write {
-			e.stats.DiskWriteRetries++
-		} else {
-			e.stats.DiskReadRetries++
-		}
-		d := retry.Delay(o.attempt)
-		o.attempt++
-		if d > 0 {
-			o.t.Sleep(d, o.onRetry)
-			return
-		}
-		o.reissue()
-		return
-	}
-	k := o.k
-	if o.ownsVec {
-		o.bufs[0] = nil
-		e.putVecShell(o.bufs[:0])
-	}
-	o.t, o.bufs, o.k = nil, nil, nil
-	e.diskOpFree = append(e.diskOpFree, o)
-	k(err)
-}
-
-// dbTransfer issues one retrying transfer; ownsVec hands it bufs' shell
-// (not the buffers) to return to the vec pool at completion.
-func (e *Engine) dbTransfer(t *sim.Task, start device.PageNum, bufs [][]byte, write, ownsVec bool, k func(error)) {
-	o := e.getDiskOp()
-	o.t, o.start, o.bufs, o.k, o.write, o.ownsVec, o.attempt = t, start, bufs, k, write, ownsVec, 1
-	o.reissue()
-}
-
-// dbReadTask reads a run of encoded pages from the database disks.
-func (e *Engine) dbReadTask(t *sim.Task, start device.PageNum, bufs [][]byte, k func(error)) {
-	e.dbTransfer(t, start, bufs, false, false, k)
-}
-
-// dbWriteTask writes a run of encoded pages to the database disks.
-func (e *Engine) dbWriteTask(t *sim.Task, start device.PageNum, bufs [][]byte, k func(error)) {
-	e.dbTransfer(t, start, bufs, true, false, k)
+// ReadEncodedTask reads a run of encoded pages from the database device.
+func (d *diskWriter) ReadEncodedTask(t *sim.Task, start page.ID, bufs [][]byte, k func(error)) {
+	d.db.ReadTask(t, device.PageNum(start), bufs, k)
 }
 
 // Env returns the simulation environment.
@@ -550,28 +449,6 @@ func (e *Engine) putVec(v [][]byte) {
 	e.vecFree = append(e.vecFree, v[:0])
 }
 
-// getVecShell returns an empty pooled vector with capacity for n entries;
-// the caller provides the buffers (unlike getVec, which fills them).
-func (e *Engine) getVecShell(n int) [][]byte {
-	if m := len(e.vecFree); m > 0 {
-		v := e.vecFree[m-1]
-		e.vecFree[m-1] = nil
-		e.vecFree = e.vecFree[:m-1]
-		if cap(v) >= n {
-			return v[:0]
-		}
-	}
-	return make([][]byte, 0, n)
-}
-
-// putVecShell returns a vector shell whose buffers the caller owns.
-func (e *Engine) putVecShell(v [][]byte) {
-	for i := range v {
-		v[i] = nil
-	}
-	e.vecFree = append(e.vecFree, v[:0])
-}
-
 // FormatDB initializes every database page (id stamped, LSN 0, zero
 // payload) outside simulated time — the equivalent of loading the benchmark
 // database before the measured run. It installs a fill encoding those bytes:
@@ -579,16 +456,12 @@ func (e *Engine) putVecShell(v [][]byte) {
 // image costs no memory; the file backend writes every page now, since a hole
 // would read as zeros and fail its checksum.
 func (e *Engine) FormatDB() error {
-	f, ok := e.db.(device.Formatter)
-	if !ok {
-		return errors.New("engine: database device does not support formatting")
-	}
 	zeros := make([]byte, e.cfg.PayloadSize)
 	// Encoding page 0 now reports a bad geometry here; after it the fill cannot fail.
 	if err := page.Encode(&page.Page{Payload: zeros}, make([]byte, e.bufSize())); err != nil {
 		return err
 	}
-	return f.Format(func(pid device.PageNum, buf []byte) {
+	return e.db.Format(func(pid device.PageNum, buf []byte) {
 		_ = page.Encode(&page.Page{ID: page.ID(pid), LSN: 0, Payload: zeros}, buf)
 	})
 }
@@ -859,7 +732,7 @@ func (e *Engine) repairDiskPage(p *sim.Proc, pid page.ID, f *bufpool.Frame, caus
 		werr := page.Encode(&f.Pg, buf)
 		if werr == nil {
 			e.scratchVec1 = append(e.scratchVec1[:0], buf)
-			werr = e.dbWrite(p, device.PageNum(pid), e.scratchVec1)
+			werr = e.db.Write(p, device.PageNum(pid), e.scratchVec1)
 			e.scratchVec1[0] = nil
 		}
 		e.putPageBuf(buf)
@@ -890,6 +763,28 @@ func (e *Engine) repairDiskPage(p *sim.Proc, pid page.ID, f *bufpool.Frame, caus
 		return nil
 	}
 	return fmt.Errorf("engine: page %d unrepairable (no SSD copy, no WAL record): %w", pid, cause)
+}
+
+// ssdRepairable reports whether err, from an SSD read, names a failure
+// repairSSDRead repairs.
+func ssdRepairable(err error) bool {
+	var dce *ssd.DirtyCorruptError
+	return errors.Is(err, device.ErrLost) || errors.As(err, &dce)
+}
+
+// repairSSDRead repairs what a failed SSD read reports: a lost SSD is
+// replaced and its uniquely-dirty pages redone from the WAL
+// (RecoverSSDLoss), a condemned dirty frame's page is redone from the WAL
+// (repairDirtySSD). Any other error is returned as it is.
+func (e *Engine) repairSSDRead(p *sim.Proc, err error) error {
+	if errors.Is(err, device.ErrLost) {
+		return e.RecoverSSDLoss(p)
+	}
+	var dce *ssd.DirtyCorruptError
+	if errors.As(err, &dce) {
+		return e.repairDirtySSD(p, dce.PID)
+	}
+	return err
 }
 
 // repairDirtySSD reconstructs a uniquely-dirty page whose SSD frame was

@@ -574,68 +574,89 @@ func (s *shadowHistory) expect(durable uint64, payloadSize int) map[page.ID][]by
 }
 
 // TestCrashRecoveryShadowModel runs a random committed workload against
-// every design, crashes at a random point, recovers, and verifies every
-// page byte-for-byte against the durable shadow state.
+// every design under each pool policy, crashes at a random point,
+// recovers, and verifies every page byte-for-byte against the durable
+// shadow state. Reading back 100 pages through the 8-frame pool evicts
+// through the replacement state that Crash reset and Recover refilled, and
+// under CFLRU each victim is checked to come from the list's cold end.
 func TestCrashRecoveryShadowModel(t *testing.T) {
 	for _, design := range []ssd.Design{ssd.NoSSD, ssd.CW, ssd.DW, ssd.LC, ssd.TAC} {
-		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", design, seed), func(t *testing.T) {
-				cfg := testConfig(design)
-				cfg.PoolPages = 8
-				cfg.SSDFrames = 24
-				cfg.DirtyFraction = 0.5
-				env, e := start(t, cfg)
-				defer finish(env, e)
-				rng := rand.New(rand.NewSource(seed))
-				shadow := &shadowHistory{}
-				drive(t, env, e, func(p *sim.Proc) {
-					for i := 0; i < 300; i++ {
-						tx := e.Begin()
-						for j := 0; j < 3; j++ {
-							pid := page.ID(rng.Intn(100))
-							if rng.Intn(2) == 0 {
-								v := byte(rng.Intn(256))
-								if err := e.Update(p, tx, pid, func(pl []byte) { pl[0] = v; pl[1]++ }); err != nil {
-									t.Fatal(err)
-								}
-								f := e.Pool().Peek(pid)
-								shadow.note(f.Pg.LSN, pid, f.Pg.Payload)
-							} else if _, err := e.Get(p, pid); err != nil {
-								t.Fatal(err)
-							}
-						}
-						if rng.Intn(4) != 0 { // 75% of transactions commit
-							e.Commit(p, tx)
-						}
-						if i == 150 {
-							if err := e.Checkpoint(p); err != nil {
-								t.Fatal(err)
-							}
-						}
-					}
-					durable := e.Log().FlushedLSN()
-					e.Crash()
-					if err := e.Recover(p); err != nil {
-						t.Fatal(err)
-					}
-					want := shadow.expect(durable, cfg.PayloadSize)
-					for pid := page.ID(0); pid < 100; pid++ {
-						f, err := e.Get(p, pid)
-						if err != nil {
-							t.Fatal(err)
-						}
-						exp, ok := want[pid]
-						if !ok {
-							exp = make([]byte, cfg.PayloadSize)
-						}
-						if !bytes.Equal(f.Pg.Payload, exp) {
-							t.Errorf("page %d: got %x..., want %x...", pid, f.Pg.Payload[:4], exp[:4])
-						}
-					}
-				})
-			})
+		for _, kind := range bufpool.Kinds {
+			for seed := int64(1); seed <= 3; seed++ {
+				name := fmt.Sprintf("%s/seed%d", design, seed)
+				if kind != bufpool.LRU2 {
+					name = fmt.Sprintf("%s/%s/seed%d", design, kind, seed)
+				}
+				crashRecoverShadow(t, name, design, kind, seed)
+			}
 		}
 	}
+}
+
+// crashRecoverShadow is one TestCrashRecoveryShadowModel case.
+func crashRecoverShadow(t *testing.T, name string, design ssd.Design, kind bufpool.Kind, seed int64) {
+	t.Run(name, func(t *testing.T) {
+		cfg := testConfig(design)
+		cfg.Policy = kind
+		cfg.PoolPages = 8
+		cfg.SSDFrames = 24
+		cfg.DirtyFraction = 0.5
+		env, e := start(t, cfg)
+		defer finish(env, e)
+		rng := rand.New(rand.NewSource(seed))
+		shadow := &shadowHistory{}
+		drive(t, env, e, func(p *sim.Proc) {
+			for i := 0; i < 300; i++ {
+				tx := e.Begin()
+				for j := 0; j < 3; j++ {
+					pid := page.ID(rng.Intn(100))
+					if rng.Intn(2) == 0 {
+						v := byte(rng.Intn(256))
+						if err := e.Update(p, tx, pid, func(pl []byte) { pl[0] = v; pl[1]++ }); err != nil {
+							t.Fatal(err)
+						}
+						f := e.Pool().Peek(pid)
+						shadow.note(f.Pg.LSN, pid, f.Pg.Payload)
+					} else if _, err := e.Get(p, pid); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if rng.Intn(4) != 0 { // 75% of transactions commit
+					e.Commit(p, tx)
+				}
+				if i == 150 {
+					if err := e.Checkpoint(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			durable := e.Log().FlushedLSN()
+			e.Crash()
+			if err := e.Recover(p); err != nil {
+				t.Fatal(err)
+			}
+			want := shadow.expect(durable, cfg.PayloadSize)
+			for pid := page.ID(0); pid < 100; pid++ {
+				f, err := e.Get(p, pid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exp, ok := want[pid]
+				if !ok {
+					exp = make([]byte, cfg.PayloadSize)
+				}
+				if !bytes.Equal(f.Pg.Payload, exp) {
+					t.Errorf("page %d: got %x..., want %x...", pid, f.Pg.Payload[:4], exp[:4])
+				}
+				// A CFLRU victim comes from the cold quarter of the
+				// recency list, so the page read just before stays
+				// resident; a list the crash left stale evicts it.
+				if kind == bufpool.CFLRU && pid > 0 && e.Pool().Peek(pid-1) == nil {
+					t.Fatalf("page %d evicted by the read of page %d", pid-1, pid)
+				}
+			}
+		})
+	})
 }
 
 // TestPageCopyStateInvariants verifies the Figure 3 relationships: clean

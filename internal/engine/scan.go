@@ -168,7 +168,7 @@ func (e *Engine) readRun(p *sim.Proc, pid page.ID, count int) error {
 	// One multi-page disk request for the whole run, into pooled buffers.
 	bufs := e.getVec(runLen)
 	defer e.putVec(bufs) // decodeInto copies, so nothing aliases them after
-	if err := e.dbRead(p, device.PageNum(slots[lo].pid), bufs); err != nil {
+	if err := e.db.Read(p, device.PageNum(slots[lo].pid), bufs); err != nil {
 		for _, f := range frames {
 			if f != nil {
 				e.pool.Release(f)
@@ -221,30 +221,15 @@ func (e *Engine) readRun(p *sim.Proc, pid page.ID, count int) error {
 		if s.dirtera || e.mgr.IsDirty(s.pid) {
 			// The SSD holds a newer version (LC) — possibly admitted by an
 			// eviction that completed while the run was in flight: re-read it
-			// and replace the stale disk image.
-			hit, err := e.mgr.Read(p, s.pid, &got.Pg)
-			if err != nil {
-				if errors.Is(err, device.ErrLost) {
-					// Recovery redoes the page's WAL records into the
-					// frame just inserted, so the run can continue.
-					if rerr := e.RecoverSSDLoss(p); rerr != nil {
-						return rerr
-					}
-					continue
+			// and replace the stale disk image (if the copy vanished
+			// meanwhile, the disk version stands). A failed read's repair
+			// redoes the page's WAL records into the frame just inserted,
+			// so the run can continue.
+			if _, err := e.mgr.Read(p, s.pid, &got.Pg); err != nil {
+				if err := e.repairSSDRead(p, err); err != nil {
+					return err
 				}
-				var dce *ssd.DirtyCorruptError
-				if errors.As(err, &dce) {
-					// The dirty SSD copy is corrupt; its frame is condemned.
-					// Redo the page from the WAL over the stale disk image
-					// already resident, then continue the run.
-					if rerr := e.repairDirtySSD(p, s.pid); rerr != nil {
-						return rerr
-					}
-					continue
-				}
-				return err
 			}
-			_ = hit // if the copy vanished meanwhile, the disk version stands
 		} else if e.cfg.Design == ssd.TAC {
 			e.mgr.TACOnDiskRead(&got.Pg, !seqLabel, e.stillCleanFn(s.pid, got))
 		}

@@ -356,44 +356,25 @@ func (o *txOp) ssdRead(hit bool, err error) {
 	if err != nil {
 		e.pool.Release(o.f)
 		o.f = nil
-		if errors.Is(err, device.ErrLost) {
-			// The SSD died. Recovery replays the WAL with blocking I/O, so
-			// bridge to a process, then re-enter the task path: recovery may
-			// have brought pid in already. Fault-only path.
-			e.env.Go("ssd-recovery", func(p *sim.Proc) {
-				if rerr := e.RecoverSSDLoss(p); rerr != nil {
-					o.finishFetch(nil, rerr)
-					return
-				}
-				if g := e.pool.Lookup(o.pid, e.env.Now()); g != nil {
-					o.finishFetch(g, nil)
-					return
-				}
-				e.stats.PoolMisses-- // the retry counts the same miss again
-				o.fetch()
-			})
+		if !ssdRepairable(err) {
+			o.finishFetch(nil, err)
 			return
 		}
-		var dce *ssd.DirtyCorruptError
-		if errors.As(err, &dce) {
-			// The page's only up-to-date copy failed verification; its
-			// frame is condemned. Rebuild it from the WAL on a process
-			// (blocking I/O), then serve from the pool. Fault-only path.
-			e.env.Go("ssd-corrupt-repair", func(p *sim.Proc) {
-				if rerr := e.repairDirtySSD(p, dce.PID); rerr != nil {
-					o.finishFetch(nil, rerr)
-					return
-				}
-				if g := e.pool.Lookup(o.pid, e.env.Now()); g != nil {
-					o.finishFetch(g, nil)
-					return
-				}
-				e.stats.PoolMisses-- // the retry counts the same miss again
-				o.fetch()
-			})
-			return
-		}
-		o.finishFetch(nil, err)
+		// The repair blocks (WAL replay, disk reads), so bridge to a
+		// process, then re-enter the task path: the repair may have
+		// brought pid in already. Fault-only path.
+		e.env.Go("ssd-repair", func(p *sim.Proc) {
+			if rerr := e.repairSSDRead(p, err); rerr != nil {
+				o.finishFetch(nil, rerr)
+				return
+			}
+			if g := e.pool.Lookup(o.pid, e.env.Now()); g != nil {
+				o.finishFetch(g, nil)
+				return
+			}
+			e.stats.PoolMisses-- // the retry counts the same miss again
+			o.fetch()
+		})
 		return
 	}
 	if hit {
@@ -408,7 +389,7 @@ func (o *txOp) ssdRead(hit bool, err error) {
 	// Miss: read from the database disk.
 	n := e.readSpan(o.pid, o.viaReadAhead)
 	o.bufs = e.getVec(n)
-	e.dbReadTask(o.t, device.PageNum(o.pid), o.bufs, o.onDbRead)
+	e.db.ReadTask(o.t, device.PageNum(o.pid), o.bufs, o.onDbRead)
 }
 
 func (o *txOp) dbRead(err error) {

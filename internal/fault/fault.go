@@ -301,13 +301,6 @@ func (in *Injector) MisdirectWrite(name string, index int, delta int64) {
 	in.planFor(name).misdirect[index] = delta
 }
 
-// MisdirectNextWrite arms MisdirectWrite for the named device's very next
-// write.
-func (in *Injector) MisdirectNextWrite(name string, delta int64) {
-	pl := in.planFor(name)
-	in.MisdirectWrite(name, pl.writes, delta)
-}
-
 // Writes returns how many writes the named device has performed, so fault
 // schedules can arm count-based faults relative to "now".
 func (in *Injector) Writes(name string) int {

@@ -380,8 +380,10 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 // TestRegistryUnderCFLRU runs every registry experiment with a CFLRU
 // memory pool at divisor 8192: each must finish without error, and the
 // faults and corrupt verdicts must pass. The goldens run LRU-2 only; this
-// runs the clean-first list through every experiment, the crash,
-// recovery, SSD-loss and repair ones included.
+// runs the clean-first list through every experiment's forward
+// processing. It barely reaches the list after a crash (the whole registry
+// resets a CFLRU pool six times and evicts through none of them):
+// engine's TestCrashRecoveryShadowModel covers that.
 func TestRegistryUnderCFLRU(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment; skipped in -short mode")

@@ -200,21 +200,8 @@ func (m *Manager) cleanOnce(p *sim.Proc) bool {
 	readErr := false
 	for i, idx := range frames {
 		sc.rvec = append(sc.rvec[:0], bufs[i])
-		var err error
-		for attempt := 1; ; attempt++ {
-			err = m.dev.Read(p, device.PageNum(idx), sc.rvec)
-			if err == nil {
-				break
-			}
-			m.stats.ReadErrors++
+		if err := m.dev.Read(p, device.PageNum(idx), sc.rvec); err != nil {
 			m.noteDeviceErr(err)
-			if !retry.Retryable(err, attempt) {
-				break
-			}
-			m.stats.ReadRetries++
-			p.Sleep(retry.Delay(attempt))
-		}
-		if err != nil {
 			readErr = true
 			break
 		}

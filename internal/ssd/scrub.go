@@ -24,7 +24,7 @@ import (
 // uses it to fetch a page's disk copy when repairing a frame in place. A
 // Disk that does not implement it limits the scrubber to detect-and-drop.
 type DiskReader interface {
-	ReadEncodedTask(t *sim.Task, pid page.ID, buf []byte, k func(error))
+	ReadEncodedTask(t *sim.Task, start page.ID, bufs [][]byte, k func(error))
 }
 
 // StartScrubber spawns the background scrub process when Config.ScrubPeriod
@@ -102,7 +102,6 @@ func (m *Manager) scrubFrame(p *sim.Proc, idx int) {
 	m.putVec(vec)
 	m.stats.ScrubFrames++
 	if err != nil {
-		m.stats.ReadErrors++
 		m.noteDeviceErr(err)
 		return
 	}
@@ -135,7 +134,9 @@ func (m *Manager) scrubFrame(p *sim.Proc, idx int) {
 		m.stats.CorruptRepaired++
 		return
 	}
-	err = p.Await(func(t *sim.Task, done func(error)) { dr.ReadEncodedTask(t, pid, buf, done) })
+	vec = append(m.getVec(1), buf)
+	err = p.Await(func(t *sim.Task, done func(error)) { dr.ReadEncodedTask(t, pid, vec, done) })
+	m.putVec(vec)
 	if stale() {
 		// The frame was invalidated or re-admitted while the disk read was
 		// in flight; whatever lives there now is not ours to rewrite.
@@ -156,7 +157,6 @@ func (m *Manager) scrubFrame(p *sim.Proc, idx int) {
 	err = m.dev.Write(p, device.PageNum(idx), vec)
 	m.putVec(vec)
 	if err != nil {
-		m.stats.WriteErrors++
 		m.noteDeviceErr(err)
 		m.condemnFrame(idx) // frame contents now unknown
 		return

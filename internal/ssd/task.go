@@ -21,14 +21,13 @@ import (
 // on the Manager, with method continuations bound once per struct, so the
 // steady-state path allocates no closures.
 
-// readOp carries one ReadTask through the device read and its bounded,
-// policy-driven retries.
+// readOp carries one ReadTask through the device read. The frame's
+// in-flight count is held until it completes, a retried read's wait
+// included, so the frame cannot be reclaimed mid-read.
 type readOp struct {
 	m        *Manager
-	t        *sim.Task
 	pid      page.ID
 	idx      int
-	attempt  int
 	wantLSN  uint64
 	restored bool
 	buf      []byte
@@ -36,8 +35,7 @@ type readOp struct {
 	pg       *page.Page
 	k        func(bool, error)
 
-	onRead  func(error) // bound to (*readOp).read once
-	onRetry func()      // bound to (*readOp).retry once
+	onRead func(error) // bound to (*readOp).read once
 }
 
 func (m *Manager) getReadOp() *readOp {
@@ -49,43 +47,16 @@ func (m *Manager) getReadOp() *readOp {
 	}
 	o := &readOp{m: m}
 	o.onRead = o.read
-	o.onRetry = o.retry
 	return o
-}
-
-func (o *readOp) retry() {
-	m := o.m
-	o.vec = append(m.getVec(1), o.buf)
-	m.dev.ReadTask(o.t, device.PageNum(o.idx), o.vec, o.onRead)
 }
 
 func (o *readOp) read(err error) {
 	m := o.m
 	m.putVec(o.vec)
 	o.vec = nil
-	rec := &m.frames[o.idx]
-	if err != nil {
-		m.stats.ReadErrors++
-		m.noteDeviceErr(err)
-		if retry.Retryable(err, o.attempt) {
-			// Bounded retries, the standard storage response — and necessary
-			// for dirty LC frames, whose copy is the only up-to-date one. The
-			// frame's in-flight count stays held across the backoff so it
-			// cannot be reclaimed mid-retry.
-			m.stats.ReadRetries++
-			d := retry.Delay(o.attempt)
-			o.attempt++
-			if d > 0 {
-				o.t.Sleep(d, o.onRetry)
-				return
-			}
-			o.retry()
-			return
-		}
-	}
-	rec.io--
+	m.frames[o.idx].io--
 	pid, idx, wantLSN, restored, buf, pg, k := o.pid, o.idx, o.wantLSN, o.restored, o.buf, o.pg, o.k
-	o.t, o.buf, o.pg, o.k = nil, nil, nil, nil
+	o.buf, o.pg, o.k = nil, nil, nil
 	m.readFree = append(m.readFree, o)
 	k(m.readOutcome(pid, idx, wantLSN, restored, buf, pg, err))
 }
@@ -127,28 +98,25 @@ func (m *Manager) ReadTask(t *sim.Task, pid page.ID, pg *page.Page, k func(bool,
 	}
 	rec.io++
 	o := m.getReadOp()
-	o.t, o.pid, o.idx, o.pg, o.k, o.attempt = t, pid, idx, pg, k, 1
+	o.pid, o.idx, o.pg, o.k = pid, idx, pg, k
 	o.wantLSN, o.restored = rec.lsn, rec.has(fRestored)
 	o.buf = m.getBuf()
 	o.vec = append(m.getVec(1), o.buf)
 	m.dev.ReadTask(t, device.PageNum(idx), o.vec, o.onRead)
 }
 
-// wfOp carries one frame write through the SSD device write and its bounded
-// retries; the in-flight count is held across a backoff so the frame cannot
-// be reclaimed mid-retry.
+// wfOp carries one frame write through the SSD device write; the frame's
+// in-flight count is held until it completes, so the frame cannot be
+// reclaimed mid-write.
 type wfOp struct {
-	m       *Manager
-	t       *sim.Task
-	idx     int
-	attempt int
-	buf     []byte
-	vec     [][]byte
-	ka      func(bool, error) // admit completion: ka(finishAdmit(idx, err))
-	kae     func(error)       // admit completion dropping the bool (TAC paths)
+	m   *Manager
+	idx int
+	buf []byte
+	vec [][]byte
+	ka  func(bool, error) // admit completion: ka(finishAdmit(idx, err))
+	kae func(error)       // admit completion dropping the bool (TAC paths)
 
 	onWritten func(error) // bound to (*wfOp).written once
-	onRetry   func()      // bound to (*wfOp).retry once
 }
 
 func (m *Manager) getWfOp() *wfOp {
@@ -160,40 +128,18 @@ func (m *Manager) getWfOp() *wfOp {
 	}
 	o := &wfOp{m: m}
 	o.onWritten = o.written
-	o.onRetry = o.retry
 	return o
-}
-
-func (o *wfOp) retry() {
-	m := o.m
-	o.vec = append(m.getVec(1), o.buf)
-	m.dev.WriteTask(o.t, device.PageNum(o.idx), o.vec, o.onWritten)
 }
 
 func (o *wfOp) written(err error) {
 	m := o.m
 	m.putVec(o.vec)
 	o.vec = nil
-	if err != nil {
-		m.stats.WriteErrors++
-		m.noteDeviceErr(err)
-		if retry.Retryable(err, o.attempt) {
-			m.stats.WriteRetries++
-			d := retry.Delay(o.attempt)
-			o.attempt++
-			if d > 0 {
-				o.t.Sleep(d, o.onRetry)
-				return
-			}
-			o.retry()
-			return
-		}
-	}
 	m.putBuf(o.buf)
 	m.frames[o.idx].io--
 	m.frameIdle(o.idx)
 	idx, ka, kae := o.idx, o.ka, o.kae
-	o.t, o.buf, o.ka, o.kae = nil, nil, nil, nil
+	o.buf, o.ka, o.kae = nil, nil, nil
 	m.wfFree = append(m.wfFree, o)
 	m.admitDone(idx, err, ka, kae)
 }
@@ -224,7 +170,7 @@ func (m *Manager) frameWrite(t *sim.Task, idx int, pg *page.Page, ka func(bool, 
 		return
 	}
 	o := m.getWfOp()
-	o.t, o.idx, o.buf, o.ka, o.kae, o.attempt = t, idx, buf, ka, kae, 1
+	o.idx, o.buf, o.ka, o.kae = idx, buf, ka, kae
 	o.vec = append(m.getVec(1), buf)
 	m.dev.WriteTask(t, device.PageNum(idx), o.vec, o.onWritten)
 }
