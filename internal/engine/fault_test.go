@@ -300,3 +300,43 @@ func TestSSDIOErrorsAbsorbed(t *testing.T) {
 		})
 	}
 }
+
+// TestDiskReadErrorRetriedOnce: the engine's database device, wrapped
+// outside the fault injector, re-issues a transient read error once,
+// 100 µs later, so a page fetch survives one error and fails with the
+// second of two in a row.
+func TestDiskReadErrorRetriedOnce(t *testing.T) {
+	cfg := testConfig(ssd.NoSSD)
+	inj := fault.New(1)
+	cfg.Faults = inj
+	env, e := start(t, cfg)
+	defer finish(env, e)
+	drive(t, env, e, func(p *sim.Proc) {
+		if _, err := e.Get(p, 1); err != nil {
+			t.Fatal(err)
+		}
+		clean := -p.Now()
+		if _, err := e.Get(p, 3); err != nil {
+			t.Fatal(err)
+		}
+		clean += p.Now()
+		inj.ErrorRead("db", inj.Reads("db"))
+		retried := -p.Now()
+		if _, err := e.Get(p, 5); err != nil {
+			t.Fatalf("one transient error: %v", err)
+		}
+		retried += p.Now()
+		if retried != clean+100*time.Microsecond {
+			t.Errorf("fetch with one retry took %v, without %v: want 100µs more", retried, clean)
+		}
+		n := inj.Reads("db")
+		inj.ErrorRead("db", n)
+		inj.ErrorRead("db", n+1)
+		if _, err := e.Get(p, 7); !errors.Is(err, fault.ErrInjectedIO) {
+			t.Fatalf("two transient errors: Get = %v, want ErrInjectedIO", err)
+		}
+		if got := inj.Reads("db") - n; got != 2 {
+			t.Errorf("two transient errors: %d attempts, want 2", got)
+		}
+	})
+}
