@@ -35,7 +35,9 @@ func ProfileFromIOPS(randRead, seqRead, randWrite, seqWrite float64) Profile {
 
 // simDevice is a single-server queueing model of a storage device: requests
 // are served FIFO, one at a time, each charging virtual time according to
-// the Profile, with page payloads kept in a memstore.
+// the Profile, with page payloads kept in a memstore. The store keeps a page
+// only up to its last non-zero byte and reads it back whole, so what a page
+// holds changes the device's memory, never its contents or its timing.
 type simDevice struct {
 	res      *sim.Resource
 	profile  Profile

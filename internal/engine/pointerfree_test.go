@@ -35,7 +35,8 @@ func TestBulkTablesArePointerFree(t *testing.T) {
 		{"SSD directory", field(eng, "mgr", "dir").Elem()},
 		{"pool directory", field(eng, "pool", "dir").Elem()},
 		{"page-store index", field(ssdDev, "store", "slot").Elem()},
-		{"page-store chunk", field(ssdDev, "store", "chunks").Elem().Elem()},
+		{"page-store size-class chunk", field(field(ssdDev, "store", "classes").Elem(), "chunks").Elem().Elem()},
+		{"page-store free list", field(field(ssdDev, "store", "classes").Elem(), "free").Elem()},
 	} {
 		if where := pointerIn(c.elem); where != "" {
 			t.Errorf("%s element %v holds a pointer: %s", c.table, c.elem, where)

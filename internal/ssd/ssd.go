@@ -284,6 +284,7 @@ type Manager struct {
 	bufFree     [][]byte
 	vecFree     [][][]byte
 	scratchFree []*cleanScratch
+	tacBusy     []tacEntry // popTacVictim's skipped busy entries, reused
 
 	// Free lists of operation states (see task.go). Taken per call and
 	// returned at completion, so steady-state traffic allocates no

@@ -585,6 +585,46 @@ func TestTACNoteMissAccumulates(t *testing.T) {
 	}
 }
 
+// TestTACReplacementAllocationFree: on a full TAC tier, picking the
+// coldest idle frame (skipping busy ones, re-ordering one whose extent
+// warmed since it was pushed) and pushing it back allocates nothing once
+// the heap and the busy buffer have grown. heap.Push and heap.Pop boxed
+// every entry, and each pick grew a fresh busy slice.
+func TestTACReplacementAllocationFree(t *testing.T) {
+	const frames = 16
+	f := newFixture(TAC, frames, func(c *Config) { c.FillThreshold = 1.0 })
+	still := func() bool { return true }
+	f.run(t, func(p *sim.Proc) {
+		for i := 0; i < frames; i++ { // one page per extent, extent i the ith coldest
+			pid := page.ID(i * extentPages)
+			for range i {
+				f.m.TACNoteMiss(pid, true)
+			}
+			f.m.TACOnDiskRead(mkPage(pid, 1, 1), true, still)
+		}
+		p.Sleep(10 * time.Millisecond)
+	})
+	if f.m.Occupied() != frames {
+		t.Fatalf("Occupied = %d, want %d", f.m.Occupied(), frames)
+	}
+	for _, pid := range []page.ID{0, extentPages} { // the two coldest are busy
+		f.m.frames[f.m.dir[pid]-1].io = 1
+	}
+	s := &f.m.shards[0]
+	warm := page.ID(2 * extentPages)
+	allocs := testing.AllocsPerRun(100, func() {
+		f.m.TACNoteMiss(warm, true) // the coldest idle frame's entry goes stale
+		v := f.m.popTacVictim(s)
+		if v < 0 || f.m.frames[v].io > 0 {
+			t.Fatalf("popTacVictim = %d, want an idle frame", v)
+		}
+		f.m.pushTac(v)
+	})
+	if allocs != 0 {
+		t.Errorf("a TAC victim pick and push-back allocate %.1f times, want 0", allocs)
+	}
+}
+
 func TestShardingDistributesFrames(t *testing.T) {
 	f := newFixture(DW, 64, func(c *Config) { c.Partitions = 16 })
 	if len(f.m.shards) != 16 {

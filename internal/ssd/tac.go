@@ -29,7 +29,9 @@ type tacEntry struct {
 }
 
 // tacHeap is a min-heap on temperature: the root is the coldest SSD page.
-// Its five methods are heap.Interface, for container/heap.
+// Its five methods are heap.Interface, for container/heap; entries enter by
+// append and heap.Fix (push) and Pop returns nothing, so, like frameHeap, no
+// entry is boxed into an interface on the replacement path.
 type tacHeap []tacEntry
 
 // Len returns the number of entries.
@@ -42,14 +44,24 @@ func (h tacHeap) Less(i, j int) bool { return h[i].temp < h[j].temp }
 func (h tacHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
 // Push appends x, a tacEntry, at the end.
-func (h *tacHeap) Push(x interface{}) { *h = append(*h, x.(tacEntry)) }
+func (h *tacHeap) Push(x any) { *h = append(*h, x.(tacEntry)) }
 
-// Pop removes and returns the last entry.
-func (h *tacHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
+// Pop removes the last entry; it returns nil, as nothing uses the result.
+func (h *tacHeap) Pop() any {
+	*h = (*h)[:len(*h)-1]
+	return nil
+}
+
+// push inserts e in temperature order.
+func (h *tacHeap) push(e tacEntry) {
+	*h = append(*h, e)
+	heap.Fix(h, len(*h)-1)
+}
+
+// pop removes and returns the coldest entry.
+func (h *tacHeap) pop() tacEntry {
+	e := (*h)[0]
+	heap.Pop(h)
 	return e
 }
 
@@ -106,34 +118,34 @@ func (m *Manager) tacAllocFrame(pid page.ID) int {
 func (m *Manager) pushTac(idx int) {
 	rec := &m.frames[idx]
 	s := m.frameShard(idx)
-	heap.Push(&s.tac, tacEntry{idx: idx, gen: rec.gen, temp: m.ExtentTemperature(rec.pid)})
+	s.tac.push(tacEntry{idx: idx, gen: rec.gen, temp: m.ExtentTemperature(rec.pid)})
 }
 
 // popTacVictim removes and returns the coldest idle frame of the shard,
 // fixing stale heap entries lazily. Returns -1 if nothing is reclaimable.
 // The caller must either free the frame or pushTac it back.
 func (m *Manager) popTacVictim(s *shard) int {
-	var busy []tacEntry
-	defer func() {
-		for _, b := range busy {
-			heap.Push(&s.tac, b)
-		}
-	}()
+	busy, victim := m.tacBusy[:0], -1
 	for len(s.tac) > 0 {
-		e := heap.Pop(&s.tac).(tacEntry)
+		e := s.tac.pop()
 		rec := &m.frames[e.idx]
 		if !rec.has(fOccupied) || rec.gen != e.gen {
 			continue // stale: frame was freed (and possibly reused)
 		}
 		if cur := m.ExtentTemperature(rec.pid); cur != e.temp {
-			heap.Push(&s.tac, tacEntry{idx: e.idx, gen: e.gen, temp: cur})
+			s.tac.push(tacEntry{idx: e.idx, gen: e.gen, temp: cur})
 			continue
 		}
 		if rec.io > 0 {
 			busy = append(busy, e)
 			continue
 		}
-		return e.idx
+		victim = e.idx
+		break
 	}
-	return -1
+	for _, b := range busy {
+		s.tac.push(b)
+	}
+	m.tacBusy = busy
+	return victim
 }
