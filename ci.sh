@@ -35,4 +35,14 @@ if [[ -z "$short" ]]; then
   go run ./cmd/bpesim -parallel 1 all 2>/dev/null | cmp - results_1024.txt
 fi
 
+# Code size, printed only (no gate): non-test Go lines per package, counted
+# without blank and comment-only lines, as CHANGES.md entries count them.
+echo "== non-test Go code lines per package =="
+go list -f '{{.Dir}}' ./... | while read -r dir; do
+  files=$(find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go')
+  [[ -n "$files" ]] || continue
+  rel="${dir#"$PWD"}"
+  printf '%6d  %s\n' "$(cat $files | grep -cvE '^\s*(//|$)')" "./${rel#/}"
+done
+
 echo "CI OK"

@@ -105,6 +105,10 @@ type partition struct {
 	base int64         // first global page id
 	n    int64         // page count
 	tick time.Duration // fileOpTick on the file backend; 0 on the simulated one, whose devices and CPU model move the clock
+	// closed is set by Close, under mu, once the partition's environment is
+	// shut down: an operation that passed DB.closed before Close began and
+	// then waited on mu finds it here.
+	closed bool
 }
 
 // run is do under the partition mutex. The mutex is released by defer: the
@@ -119,8 +123,12 @@ func (pt *partition) run(name string, fn func(p *sim.Proc) error) error {
 // do runs fn as a process of the partition's environment on the calling
 // goroutine (sim.Env.Call): the caller executes the body and, where the body
 // waits, dispatches the partition's pending events — device completions,
-// the cleaner, the checkpointer — itself. Callers must hold pt.mu.
+// the cleaner, the checkpointer — itself. Callers must hold pt.mu. On a
+// partition Close has shut down it returns ErrClosed.
 func (pt *partition) do(name string, fn func(p *sim.Proc) error) error {
+	if pt.closed {
+		return ErrClosed
+	}
 	var err error
 	pt.env.Call(name, func(p *sim.Proc) {
 		err = fn(p)
@@ -605,6 +613,7 @@ func (db *DB) Close() error {
 		pt.eng.StopBackground()
 		pt.env.Run(pt.env.Now() + time.Second) // let background processes exit
 		pt.env.Shutdown()
+		pt.closed = true
 		pt.mu.Unlock()
 		if cerr != nil && err == nil {
 			err = cerr

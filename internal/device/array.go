@@ -134,16 +134,6 @@ func (a *Array) doTask(t *sim.Task, page PageNum, bufs [][]byte, write bool, k f
 	k(firstErr)
 }
 
-// Read is ReadTask for a blocking process.
-func (a *Array) Read(p *sim.Proc, page PageNum, bufs [][]byte) error {
-	return p.Await(func(t *sim.Task, done func(error)) { a.doTask(t, page, bufs, false, done) })
-}
-
-// Write is WriteTask for a blocking process.
-func (a *Array) Write(p *sim.Proc, page PageNum, bufs [][]byte) error {
-	return p.Await(func(t *sim.Task, done func(error)) { a.doTask(t, page, bufs, true, done) })
-}
-
 // ReadTask performs a (possibly multi-disk) page-run read.
 func (a *Array) ReadTask(t *sim.Task, page PageNum, bufs [][]byte, k func(error)) {
 	a.doTask(t, page, bufs, false, k)

@@ -12,7 +12,9 @@
 //
 // All devices are page-granular: a request names a starting page number and
 // a slice of page buffers for a contiguous run, matching the paper's
-// multi-page I/O optimization (§3.3.3).
+// multi-page I/O optimization (§3.3.3). The interface is task form only
+// (ReadTask, WriteTask); a blocking simulation process issues a request
+// through the package's Read and Write helpers.
 package device
 
 import (
@@ -35,23 +37,18 @@ var ErrOutOfRange = errors.New("device: page out of range")
 // a replacement device and recovering uniquely-dirty pages from the WAL.
 var ErrLost = errors.New("device: device lost")
 
-// Device is a page-granular block device. ReadTask and WriteTask are the
-// implementation: they perform the request on behalf of a sim.Task and
-// deliver the result to k — a simulated device from the scheduler, once
-// the request's queueing and service time have elapsed; a range error, or
-// the real-file backend's syscall, before the call returns. Callers must
-// treat them as tail calls (no code after). Read
-// and Write run the same request for a blocking simulation process through
-// sim.Proc.Await, parking it for the modelled duration; for the real-file
-// backend, whose I/O is a blocking syscall that completes before the call
-// returns, p may be nil.
+// Device is a page-granular block device, in task form only. ReadTask and
+// WriteTask perform a request on behalf of a sim.Task and deliver the result
+// to k — a simulated device from the scheduler, once the request's queueing
+// and service time have elapsed; a range error, or the real-file backend's
+// syscall, before the call returns. Callers must treat them as tail calls
+// (no code after). A blocking process issues a request through the Read and
+// Write helpers below, which run it under sim.Proc.Await.
 //
 // bufs holds one page-sized buffer per page of a contiguous run starting at
 // page: a read fills them, a write persists copies of them. They remain in
 // the device's hands until the request completes.
 type Device interface {
-	Read(p *sim.Proc, page PageNum, bufs [][]byte) error
-	Write(p *sim.Proc, page PageNum, bufs [][]byte) error
 	ReadTask(t *sim.Task, page PageNum, bufs [][]byte, k func(error))
 	WriteTask(t *sim.Task, page PageNum, bufs [][]byte, k func(error))
 	// Pending reports the number of in-flight plus queued requests; the SSD
@@ -59,12 +56,21 @@ type Device interface {
 	Pending() int
 	// Stats returns the device's cumulative I/O counters.
 	Stats() *Stats
+	// Format gives the device its initial content, fill(page, buf) for
+	// every page, outside of simulated time.
+	Format(fill func(page PageNum, buf []byte)) error
 }
 
-// Formatter is implemented by devices that can take their initial content,
-// fill(page, buf) for every page, outside of simulated time.
-type Formatter interface {
-	Format(fill func(page PageNum, buf []byte)) error
+// Read is dev.ReadTask for the blocking process p: it returns once the
+// pages are in bufs, p parked for the modelled duration. Over a device
+// that completes inside the call (device.File), p may be nil.
+func Read(p *sim.Proc, dev Device, page PageNum, bufs [][]byte) error {
+	return p.Await(func(t *sim.Task, done func(error)) { dev.ReadTask(t, page, bufs, done) })
+}
+
+// Write is dev.WriteTask for the blocking process p, as Read is for reads.
+func Write(p *sim.Proc, dev Device, page PageNum, bufs [][]byte) error {
+	return p.Await(func(t *sim.Task, done func(error)) { dev.WriteTask(t, page, bufs, done) })
 }
 
 // Stats holds cumulative I/O counters for one device. The fields are plain

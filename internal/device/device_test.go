@@ -42,11 +42,11 @@ func TestHDDReadWriteRoundTrip(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewHDD(env, PaperHDDProfile(), 100)
 	env.Go("t", func(p *sim.Proc) {
-		if err := d.Write(p, 7, onePage(0xAB)); err != nil {
+		if err := Write(p, d, 7, onePage(0xAB)); err != nil {
 			t.Errorf("write: %v", err)
 		}
 		got := onePage(0)
-		if err := d.Read(p, 7, got); err != nil {
+		if err := Read(p, d, 7, got); err != nil {
 			t.Errorf("read: %v", err)
 		}
 		if !bytes.Equal(got[0], onePage(0xAB)[0]) {
@@ -61,7 +61,7 @@ func TestUnwrittenPageReadsZero(t *testing.T) {
 	d := NewHDD(env, PaperHDDProfile(), 100)
 	env.Go("t", func(p *sim.Proc) {
 		got := onePage(0xFF)
-		if err := d.Read(p, 3, got); err != nil {
+		if err := Read(p, d, 3, got); err != nil {
 			t.Errorf("read: %v", err)
 		}
 		if !bytes.Equal(got[0], make([]byte, 16)) {
@@ -89,13 +89,13 @@ func TestStoreGrowsNotPastCapacity(t *testing.T) {
 			for i := range bufs {
 				bufs[i] = content(start + PageNum(i))
 			}
-			if err := d.Write(p, start, bufs); err != nil {
+			if err := Write(p, d, start, bufs); err != nil {
 				t.Fatalf("write %d: %v", start, err)
 			}
 		}
 		got := [][]byte{make([]byte, 4)}
 		for pg := PageNum(0); pg < frames; pg++ {
-			if err := d.Read(p, pg, got); err != nil {
+			if err := Read(p, d, pg, got); err != nil {
 				t.Fatalf("read %d: %v", pg, err)
 			}
 			if !bytes.Equal(got[0], content(pg)) {
@@ -113,14 +113,14 @@ func TestOutOfRangeRejected(t *testing.T) {
 	env := sim.NewEnv()
 	d := NewHDD(env, PaperHDDProfile(), 10)
 	env.Go("t", func(p *sim.Proc) {
-		if err := d.Read(p, 10, onePage(0)); !errors.Is(err, ErrOutOfRange) {
+		if err := Read(p, d, 10, onePage(0)); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("read past end: err = %v, want ErrOutOfRange", err)
 		}
-		if err := d.Write(p, -1, onePage(0)); !errors.Is(err, ErrOutOfRange) {
+		if err := Write(p, d, -1, onePage(0)); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("negative page: err = %v, want ErrOutOfRange", err)
 		}
 		bufs := [][]byte{make([]byte, 16), make([]byte, 16)}
-		if err := d.Read(p, 9, bufs); !errors.Is(err, ErrOutOfRange) {
+		if err := Read(p, d, 9, bufs); !errors.Is(err, ErrOutOfRange) {
 			t.Errorf("run past end: err = %v, want ErrOutOfRange", err)
 		}
 	})
@@ -136,11 +136,11 @@ func TestRandomVsSequentialCost(t *testing.T) {
 	d := NewHDD(env, prof, 1000)
 	var t1, t2, t3 time.Duration
 	env.Go("t", func(p *sim.Proc) {
-		d.Read(p, 0, onePage(0)) // random: head at -1
+		Read(p, d, 0, onePage(0)) // random: head at -1
 		t1 = p.Now()
-		d.Read(p, 1, onePage(0)) // sequential
+		Read(p, d, 1, onePage(0)) // sequential
 		t2 = p.Now()
-		d.Read(p, 500, onePage(0)) // random again
+		Read(p, d, 500, onePage(0)) // random again
 		t3 = p.Now()
 	})
 	env.Run(-1)
@@ -166,7 +166,7 @@ func TestMultiPageRequestCost(t *testing.T) {
 		for i := range bufs {
 			bufs[i] = make([]byte, 16)
 		}
-		d.Read(p, 100, bufs)
+		Read(p, d, 100, bufs)
 		took = p.Now()
 	})
 	env.Run(-1)
@@ -181,9 +181,9 @@ func TestStatsCounting(t *testing.T) {
 	d := NewHDD(env, PaperHDDProfile(), 1000)
 	env.Go("t", func(p *sim.Proc) {
 		bufs := [][]byte{make([]byte, 16), make([]byte, 16)}
-		d.Write(p, 0, bufs)
-		d.Read(p, 0, onePage(0))
-		d.Read(p, 1, onePage(0)) // sequential after reading page 0
+		Write(p, d, 0, bufs)
+		Read(p, d, 0, onePage(0))
+		Read(p, d, 1, onePage(0)) // sequential after reading page 0
 	})
 	env.Run(-1)
 	s := *d.Stats()
@@ -241,9 +241,9 @@ func measureIOPS(t *testing.T, dev Device, capacity PageNum, write, random bool,
 				}
 				var err error
 				if write {
-					err = dev.Write(p, page, buf)
+					err = Write(p, dev, page, buf)
 				} else {
-					err = dev.Read(p, page, buf)
+					err = Read(p, dev, page, buf)
 				}
 				if err != nil {
 					t.Errorf("io: %v", err)
@@ -315,9 +315,9 @@ func TestTable1ArrayCalibration(t *testing.T) {
 					}
 					var err error
 					if write {
-						err = arr.Write(p, page, buf)
+						err = Write(p, arr, page, buf)
 					} else {
-						err = arr.Read(p, page, buf)
+						err = Read(p, arr, page, buf)
 					}
 					if err != nil {
 						t.Errorf("io: %v", err)
@@ -400,14 +400,14 @@ func TestArrayRoundTripAcrossDisks(t *testing.T) {
 		for i := range w {
 			w[i] = []byte{byte(i + 1), byte(i + 2)}
 		}
-		if err := a.Write(p, 2, w); err != nil {
+		if err := Write(p, a, 2, w); err != nil {
 			t.Errorf("write: %v", err)
 		}
 		r := make([][]byte, n)
 		for i := range r {
 			r[i] = make([]byte, 2)
 		}
-		if err := a.Read(p, 2, r); err != nil {
+		if err := Read(p, a, 2, r); err != nil {
 			t.Errorf("read: %v", err)
 		}
 		for i := range r {
@@ -433,7 +433,7 @@ func TestArrayParallelismBeatsSingleDisk(t *testing.T) {
 			for i := range bufs {
 				bufs[i] = make([]byte, 4)
 			}
-			a.Read(p, 0, bufs)
+			Read(p, a, 0, bufs)
 			took = p.Now()
 		})
 		env.Run(-1)
@@ -455,14 +455,14 @@ func TestArrayStatsCountMemberBusyTime(t *testing.T) {
 	env := sim.NewEnv()
 	a := NewArray(env, PaperHDDProfile(), 4, 8, 1024)
 	env.Go("t", func(p *sim.Proc) {
-		if err := a.Read(p, 0, [][]byte{make([]byte, 4)}); err != nil {
+		if err := Read(p, a, 0, [][]byte{make([]byte, 4)}); err != nil {
 			t.Fatal(err)
 		}
 		bufs := make([][]byte, 20) // pages 1..20: disk 0 from its head, then disks 1 and 2
 		for i := range bufs {
 			bufs[i] = make([]byte, 4)
 		}
-		if err := a.Read(p, 1, bufs); err != nil {
+		if err := Read(p, a, 1, bufs); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -524,7 +524,7 @@ func TestArrayFormat(t *testing.T) {
 	env.Go("t", func(p *sim.Proc) {
 		for pid := PageNum(0); pid < capacity; pid++ {
 			bufs := newBufs(1)
-			if err := a.Read(p, pid, bufs); err != nil {
+			if err := Read(p, a, pid, bufs); err != nil {
 				t.Fatalf("read %d: %v", pid, err)
 			}
 			if !bytes.Equal(bufs[0], want(pid)) {
@@ -533,7 +533,7 @@ func TestArrayFormat(t *testing.T) {
 		}
 		const start, n = 40, 200 // spans units 0..3 on disks 0..3
 		bufs := newBufs(n)
-		if err := a.Read(p, start, bufs); err != nil {
+		if err := Read(p, a, start, bufs); err != nil {
 			t.Fatalf("run read: %v", err)
 		}
 		for i, b := range bufs {
@@ -541,11 +541,11 @@ func TestArrayFormat(t *testing.T) {
 				t.Fatalf("run page %d does not match its eager encoding", start+i)
 			}
 		}
-		if err := a.Write(p, 1000, [][]byte{written}); err != nil {
+		if err := Write(p, a, 1000, [][]byte{written}); err != nil {
 			t.Fatal(err)
 		}
 		bufs = newBufs(1)
-		if err := a.Read(p, 1000, bufs); err != nil {
+		if err := Read(p, a, 1000, bufs); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(bufs[0], written) {
@@ -562,7 +562,7 @@ func TestArrayFormat(t *testing.T) {
 	}
 	env.Go("t", func(p *sim.Proc) {
 		bufs := newBufs(1)
-		if err := d.Read(p, 7, bufs); err != nil {
+		if err := Read(p, d, 7, bufs); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(bufs[0], make([]byte, len(bufs[0]))) {
@@ -641,7 +641,7 @@ func TestDeviceLinearContentProperty(t *testing.T) {
 				page := PageNum(raw % 64)
 				if raw%3 == 0 { // read
 					buf := [][]byte{make([]byte, 1)}
-					d.Read(p, page, buf)
+					Read(p, d, page, buf)
 					want := shadow[page]
 					if buf[0][0] != want {
 						ok = false
@@ -649,7 +649,7 @@ func TestDeviceLinearContentProperty(t *testing.T) {
 					}
 				} else { // write
 					v := byte(i + 1)
-					d.Write(p, page, [][]byte{{v}})
+					Write(p, d, page, [][]byte{{v}})
 					shadow[page] = v
 				}
 			}

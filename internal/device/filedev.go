@@ -9,8 +9,10 @@ import (
 )
 
 // File is a Device backed by an ordinary file, for running the engine
-// against real storage. The sim.Proc argument of Read/Write is ignored (pass
-// nil); calls block the OS thread for the duration of the real I/O.
+// against real storage. Its Read and Write are the pread/pwrite bodies its
+// task form calls, and may be called directly: the sim.Proc argument is
+// ignored (pass nil), and a call blocks the OS thread for the duration of
+// the real I/O.
 //
 // A File may be carved into Slices: page-range views that share the backing
 // os.File but carry their own counters. Slices exist for the partitioned

@@ -2,7 +2,6 @@ package device
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"turbobp/internal/sim"
@@ -30,11 +29,10 @@ type Retry struct {
 	// first attempts included.
 	ReadErrors, WriteErrors int64
 
-	free []*retryReq
+	reqs sim.FreeList[retryReq]
 }
 
 var _ Device = (*Retry)(nil)
-var _ Formatter = (*Retry)(nil)
 
 // NewRetry wraps inner.
 func NewRetry(inner Device) *Retry { return &Retry{inner: inner} }
@@ -49,20 +47,14 @@ type retryReq struct {
 	write   bool
 	retried bool
 
-	onDone  func(error) // bound to (*retryReq).done once
-	onRetry func()      // bound to (*retryReq).issue once
+	onDone  func(error) // bound to (*retryReq).done on first Get
+	onRetry func()      // bound to (*retryReq).issue on first Get
 }
 
 func (r *Retry) do(t *sim.Task, page PageNum, bufs [][]byte, write bool, k func(error)) {
-	var q *retryReq
-	if n := len(r.free); n > 0 {
-		q = r.free[n-1]
-		r.free[n-1] = nil
-		r.free = r.free[:n-1]
-	} else {
-		q = &retryReq{r: r}
-		q.onDone = q.done
-		q.onRetry = q.issue
+	q := r.reqs.Get()
+	if q.r == nil {
+		q.r, q.onDone, q.onRetry = r, q.done, q.issue
 	}
 	q.t, q.page, q.bufs, q.write, q.k, q.retried = t, page, bufs, write, k, false
 	q.issue()
@@ -94,7 +86,7 @@ func (q *retryReq) done(err error) {
 	}
 	k := q.k
 	q.t, q.bufs, q.k = nil, nil, nil
-	r.free = append(r.free, q)
+	r.reqs.Put(q)
 	k(err)
 }
 
@@ -108,24 +100,8 @@ func (r *Retry) WriteTask(t *sim.Task, page PageNum, bufs [][]byte, k func(error
 	r.do(t, page, bufs, true, k)
 }
 
-// Read is ReadTask for a blocking process.
-func (r *Retry) Read(p *sim.Proc, page PageNum, bufs [][]byte) error {
-	return p.Await(func(t *sim.Task, done func(error)) { r.do(t, page, bufs, false, done) })
-}
-
-// Write is WriteTask for a blocking process.
-func (r *Retry) Write(p *sim.Proc, page PageNum, bufs [][]byte) error {
-	return p.Await(func(t *sim.Task, done func(error)) { r.do(t, page, bufs, true, done) })
-}
-
-// Format forwards to the wrapped device's Formatter.
-func (r *Retry) Format(fill func(page PageNum, buf []byte)) error {
-	f, ok := r.inner.(Formatter)
-	if !ok {
-		return fmt.Errorf("device: %T does not support formatting", r.inner)
-	}
-	return f.Format(fill)
-}
+// Format formats the wrapped device.
+func (r *Retry) Format(fill func(page PageNum, buf []byte)) error { return r.inner.Format(fill) }
 
 // Pending reports the wrapped device's in-flight requests; a request
 // waiting out retryDelay is in none.

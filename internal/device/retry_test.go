@@ -33,16 +33,11 @@ func (d *stubDev) do(t *sim.Task, k func(error)) {
 	k(nil)
 }
 
-func (d *stubDev) Read(p *sim.Proc, _ PageNum, _ [][]byte) error {
-	return p.Await(func(t *sim.Task, done func(error)) { d.do(t, done) })
-}
-func (d *stubDev) Write(p *sim.Proc, _ PageNum, _ [][]byte) error {
-	return p.Await(func(t *sim.Task, done func(error)) { d.do(t, done) })
-}
 func (d *stubDev) ReadTask(t *sim.Task, _ PageNum, _ [][]byte, k func(error))  { d.do(t, k) }
 func (d *stubDev) WriteTask(t *sim.Task, _ PageNum, _ [][]byte, k func(error)) { d.do(t, k) }
 func (d *stubDev) Pending() int                                                { return 0 }
 func (d *stubDev) Stats() *Stats                                               { return &d.stats }
+func (d *stubDev) Format(func(PageNum, []byte)) error                          { return nil }
 
 // TestRetryReissuesTransientFailureOnce drives one read or write through a
 // Retry over a stub that fails its first requests: a transient failure is

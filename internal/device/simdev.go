@@ -49,10 +49,9 @@ type simDevice struct {
 	// every completed request: an Array's member disks roll into its Stats.
 	rollup *Stats
 
-	// Free list of request states. Requests are taken per ioTask call and
-	// returned at completion, so steady-state I/O allocates nothing; the pre-bound method continuations are created once
-	// per state. The simulation kernel serializes access.
-	reqFree []*ioReq
+	// Request states, taken per ioTask call and returned at completion, so
+	// steady-state I/O allocates nothing.
+	reqs sim.FreeList[ioReq]
 }
 
 // ioReq carries one in-flight request through acquire → service → complete
@@ -67,21 +66,8 @@ type ioReq struct {
 	seq   bool
 	k     func(error)
 
-	onAcquire func() // bound to (*ioReq).acquired once
-	onDone    func() // bound to (*ioReq).done once
-}
-
-func (d *simDevice) getReq() *ioReq {
-	if n := len(d.reqFree); n > 0 {
-		r := d.reqFree[n-1]
-		d.reqFree[n-1] = nil
-		d.reqFree = d.reqFree[:n-1]
-		return r
-	}
-	r := &ioReq{d: d}
-	r.onAcquire = r.acquired
-	r.onDone = r.done
-	return r
+	onAcquire func() // bound to (*ioReq).acquired on first Get
+	onDone    func() // bound to (*ioReq).done on first Get
 }
 
 // acquired runs when the device grants the request: cost is computed at
@@ -99,7 +85,7 @@ func (r *ioReq) done() {
 	d.res.Release()
 	k := r.k
 	r.t, r.bufs, r.k = nil, nil, nil
-	d.reqFree = append(d.reqFree, r)
+	d.reqs.Put(r)
 	k(nil)
 }
 
@@ -188,31 +174,24 @@ func (d *simDevice) ioTask(t *sim.Task, page PageNum, bufs [][]byte, write bool,
 		k(nil)
 		return
 	}
-	r := d.getReq()
+	r := d.reqs.Get()
+	if r.d == nil {
+		r.d, r.onAcquire, r.onDone = d, r.acquired, r.done
+	}
 	r.t, r.page, r.bufs, r.write, r.k = t, page, bufs, write, k
 	d.res.AcquireFunc(r.onAcquire)
 }
 
-// Read copies len(bufs) consecutive pages starting at page into bufs,
-// blocking p for the request's queueing and service time.
-func (d *simDevice) Read(p *sim.Proc, page PageNum, bufs [][]byte) error {
-	return p.Await(func(t *sim.Task, done func(error)) { d.ioTask(t, page, bufs, false, done) })
-}
-
-// Write stores bufs as len(bufs) consecutive pages starting at page,
-// blocking p for the request's queueing and service time.
-func (d *simDevice) Write(p *sim.Proc, page PageNum, bufs [][]byte) error {
-	return p.Await(func(t *sim.Task, done func(error)) { d.ioTask(t, page, bufs, true, done) })
-}
-
-// ReadTask is Read in continuation form: it continues t with k once the
-// pages are in bufs, or with the range error of an out-of-bounds request.
+// ReadTask copies len(bufs) consecutive pages starting at page into bufs,
+// continuing t with k after the request's queueing and service time, or at
+// once with the range error of an out-of-bounds request.
 func (d *simDevice) ReadTask(t *sim.Task, page PageNum, bufs [][]byte, k func(error)) {
 	d.ioTask(t, page, bufs, false, k)
 }
 
-// WriteTask is Write in continuation form: it continues t with k once the
-// pages are stored, or with the range error of an out-of-bounds request.
+// WriteTask stores bufs as len(bufs) consecutive pages starting at page,
+// continuing t with k after the request's queueing and service time, or at
+// once with the range error of an out-of-bounds request.
 func (d *simDevice) WriteTask(t *sim.Task, page PageNum, bufs [][]byte, k func(error)) {
 	d.ioTask(t, page, bufs, true, k)
 }

@@ -207,7 +207,7 @@ func (e *Engine) checkpointRun(p *sim.Proc, ids []page.ID) error {
 			// contiguous write; fall back to singles from here.
 			return e.checkpointSingles(p, ids)
 		}
-		buf := make([]byte, e.bufSize())
+		buf := make([]byte, e.bufs.Size())
 		if err := page.Encode(&f.Pg, buf); err != nil {
 			return err
 		}
@@ -221,7 +221,7 @@ func (e *Engine) checkpointRun(p *sim.Proc, ids []page.ID) error {
 	}
 	// WAL: the log must be durable up to the newest page image written.
 	e.log.Flush(p, maxLSN)
-	if err := e.db.Write(p, device.PageNum(start), bufs); err != nil {
+	if err := device.Write(p, e.db, device.PageNum(start), bufs); err != nil {
 		return err
 	}
 	for k, id := range kept {
@@ -240,14 +240,14 @@ func (e *Engine) checkpointSingles(p *sim.Proc, ids []page.ID) error {
 		if f == nil || !f.Dirty {
 			continue
 		}
-		buf := make([]byte, e.bufSize())
+		buf := make([]byte, e.bufs.Size())
 		if err := page.Encode(&f.Pg, buf); err != nil {
 			return err
 		}
 		lsn := f.Pg.LSN
 		random := !f.Seq
 		e.log.Flush(p, lsn)
-		if err := e.db.Write(p, device.PageNum(id), [][]byte{buf}); err != nil {
+		if err := device.Write(p, e.db, device.PageNum(id), [][]byte{buf}); err != nil {
 			return err
 		}
 		if err := e.finishCheckpointPage(p, id, lsn, random); err != nil {

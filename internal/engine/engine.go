@@ -240,24 +240,16 @@ type Engine struct {
 	// frame's content already matches its durable copy.
 	evicting map[page.ID]*sim.Signal
 
-	// Free lists for encoded-page scratch buffers (bufSize bytes each) and
-	// the [][]byte vectors that carry them through device reads. Per-engine;
-	// the simulation kernel serializes all access, so no locking is needed.
-	// Buffers must be taken and returned (not shared in place) because their
-	// holder waits in virtual time mid-I/O.
-	bufFree [][]byte
-	vecFree [][][]byte
+	// Encoded-page scratch buffers and the vectors that carry them through
+	// device transfers; per-engine, serialized by the simulation kernel.
+	bufs *page.Buffers
 
-	// Free lists of access states (see task.go) and of the adapters that
-	// park a blocking caller on one. A txOp is taken per Get/Update/Commit
-	// and returned when its continuation fires, so steady-state transaction
-	// traffic allocates no continuation closures.
-	opFree []*txOp
-	fwFree []*frameWait
-
-	// A one-element scratch vector for repairDiskPage's single-buffer heal
-	// write.
-	scratchVec1 [][]byte
+	// Access states (see task.go), taken per Get/Update/Commit and returned
+	// when the continuation fires, so steady-state transaction traffic
+	// allocates no continuation closures; frames parks a blocking caller on
+	// an access that completes with a frame.
+	ops    sim.FreeList[txOp]
+	frames sim.Waits[*bufpool.Frame]
 }
 
 // New builds the model engine inside env: simulated devices (Table 1's
@@ -306,7 +298,8 @@ func newEngine(env *sim.Env, cfg Config, dbDev, ssdDev, logDev device.Device, lo
 		logDev = cfg.Faults.Wrap("wal", logDev)
 	}
 	e := &Engine{env: env, cfg: cfg, db: device.NewRetry(dbDev), ssdDev: ssdDev, logDev: logDev, pool: pool,
-		evicting: make(map[page.ID]*sim.Signal), live: make(map[uint64]uint64)}
+		evicting: make(map[page.ID]*sim.Signal), live: make(map[uint64]uint64),
+		bufs: page.NewBuffers(page.HeaderSize + cfg.PayloadSize)}
 	// The log packs records into full 8 KB pages; the device charges one
 	// page-write per log page, so the page size here is the accounted 8 KB
 	// regardless of the (small) simulated payloads.
@@ -398,57 +391,6 @@ func (e *Engine) SSDDevice() device.Device { return e.ssdDev }
 // LogDevice returns the log device.
 func (e *Engine) LogDevice() device.Device { return e.logDev }
 
-// bufSize is the encoded page image size.
-func (e *Engine) bufSize() int { return page.HeaderSize + e.cfg.PayloadSize }
-
-// getPageBuf takes an encoded-page scratch buffer from the free list,
-// allocating only when the list is empty.
-func (e *Engine) getPageBuf() []byte {
-	if n := len(e.bufFree); n > 0 {
-		b := e.bufFree[n-1]
-		e.bufFree[n-1] = nil
-		e.bufFree = e.bufFree[:n-1]
-		return b
-	}
-	return make([]byte, e.bufSize())
-}
-
-// putPageBuf returns a scratch buffer for reuse. Callers must be done with
-// every alias of b: its contents may be overwritten by the next taker.
-func (e *Engine) putPageBuf(b []byte) {
-	if cap(b) < e.bufSize() {
-		return
-	}
-	e.bufFree = append(e.bufFree, b[:e.bufSize()])
-}
-
-// getVec returns an n-element vector of pooled page buffers.
-func (e *Engine) getVec(n int) [][]byte {
-	var v [][]byte
-	if m := len(e.vecFree); m > 0 {
-		v = e.vecFree[m-1]
-		e.vecFree[m-1] = nil
-		e.vecFree = e.vecFree[:m-1]
-	}
-	if cap(v) < n {
-		v = make([][]byte, 0, n)
-	}
-	v = v[:0]
-	for i := 0; i < n; i++ {
-		v = append(v, e.getPageBuf())
-	}
-	return v
-}
-
-// putVec returns a vector and all its buffers to the free lists.
-func (e *Engine) putVec(v [][]byte) {
-	for i, b := range v {
-		e.putPageBuf(b)
-		v[i] = nil
-	}
-	e.vecFree = append(e.vecFree, v[:0])
-}
-
 // FormatDB initializes every database page (id stamped, LSN 0, zero
 // payload) outside simulated time — the equivalent of loading the benchmark
 // database before the measured run. It installs a fill encoding those bytes:
@@ -458,7 +400,7 @@ func (e *Engine) putVec(v [][]byte) {
 func (e *Engine) FormatDB() error {
 	zeros := make([]byte, e.cfg.PayloadSize)
 	// Encoding page 0 now reports a bad geometry here; after it the fill cannot fail.
-	if err := page.Encode(&page.Page{Payload: zeros}, make([]byte, e.bufSize())); err != nil {
+	if err := page.Encode(&page.Page{Payload: zeros}, make([]byte, e.bufs.Size())); err != nil {
 		return err
 	}
 	return e.db.Format(func(pid device.PageNum, buf []byte) {
@@ -552,42 +494,10 @@ func (e *Engine) chargeCPU(p *sim.Proc, d time.Duration) {
 	e.cpu.Release()
 }
 
-// frameWait adapts a frame-returning completion to a process parked in
-// Await; pooled, with k bound once.
-type frameWait struct {
-	f    *bufpool.Frame
-	done func(error)
-	k    func(*bufpool.Frame, error)
-}
-
-// awaitFrame runs start — a task-form access completing with a frame — for
-// the blocking process p.
-func (e *Engine) awaitFrame(p *sim.Proc, start func(t *sim.Task, k func(*bufpool.Frame, error))) (*bufpool.Frame, error) {
-	var w *frameWait
-	if n := len(e.fwFree); n > 0 {
-		w = e.fwFree[n-1]
-		e.fwFree = e.fwFree[:n-1]
-	} else {
-		w = &frameWait{}
-		w.k = func(f *bufpool.Frame, err error) {
-			w.f = f
-			w.done(err)
-		}
-	}
-	err := p.Await(func(t *sim.Task, done func(error)) {
-		w.done = done
-		start(t, w.k)
-	})
-	f := w.f
-	w.f, w.done = nil, nil
-	e.fwFree = append(e.fwFree, w)
-	return f, err
-}
-
 // Get is GetTask for a blocking process. The frame contents are only valid
 // until the caller next yields to the simulator.
 func (e *Engine) Get(p *sim.Proc, pid page.ID) (*bufpool.Frame, error) {
-	return e.awaitFrame(p, func(t *sim.Task, k func(*bufpool.Frame, error)) { e.GetTask(t, pid, k) })
+	return e.frames.Await(p, func(t *sim.Task, k func(*bufpool.Frame, error)) { e.GetTask(t, pid, k) })
 }
 
 // Update is UpdateTask for a blocking process.
@@ -599,7 +509,7 @@ func (e *Engine) Update(p *sim.Proc, tx uint64, pid page.ID, mutate func(payload
 // fetch (txOp.fetch) run for a blocking process, without the point-access
 // CPU charge or a miss-latency sample.
 func (e *Engine) fetch(p *sim.Proc, pid page.ID, viaReadAhead, truthScan bool) (*bufpool.Frame, error) {
-	return e.awaitFrame(p, func(t *sim.Task, k func(*bufpool.Frame, error)) {
+	return e.frames.Await(p, func(t *sim.Task, k func(*bufpool.Frame, error)) {
 		o := e.getOp()
 		o.t, o.pid, o.gk, o.kind = t, pid, k, opFetch
 		o.viaReadAhead, o.truthScan = viaReadAhead, truthScan
@@ -611,7 +521,7 @@ func (e *Engine) fetch(p *sim.Proc, pid page.ID, viaReadAhead, truthScan bool) (
 // victim through the active SSD design — for a blocking process: the access
 // path's claim (txOp.claim) stopped once the frame is in hand.
 func (e *Engine) claimFrame(p *sim.Proc) (*bufpool.Frame, error) {
-	return e.awaitFrame(p, func(t *sim.Task, k func(*bufpool.Frame, error)) {
+	return e.frames.Await(p, func(t *sim.Task, k func(*bufpool.Frame, error)) {
 		o := e.getOp()
 		o.t, o.gk, o.kind = t, k, opClaim
 		o.claim()
@@ -699,16 +609,8 @@ func (e *Engine) decodeInto(pid page.ID, buf []byte, f *bufpool.Frame) error {
 		return nil
 	}
 	var got page.Page
-	if err := page.Decode(buf, &got); err != nil {
-		var ce *page.ChecksumError
-		if errors.As(err, &ce) {
-			ce.ID, ce.Device, ce.Slot = pid, "db", int64(pid)
-		}
+	if err := page.DecodeAs(buf, pid, "db", int64(pid), &got); err != nil {
 		return err
-	}
-	if got.ID != pid {
-		return &page.ChecksumError{ID: pid, Device: "db", Slot: int64(pid),
-			Reason: "id", Got: uint64(got.ID), Want: uint64(pid)}
 	}
 	f.Pg.ID = got.ID
 	f.Pg.LSN = got.LSN
@@ -728,14 +630,12 @@ func (e *Engine) repairDiskPage(p *sim.Proc, pid page.ID, f *bufpool.Frame, caus
 	f.Pg.ID = pid
 	hit, err := e.mgr.Read(p, pid, &f.Pg)
 	if err == nil && hit {
-		buf := e.getPageBuf()
-		werr := page.Encode(&f.Pg, buf)
+		vec := e.bufs.Vec(1)
+		werr := page.Encode(&f.Pg, vec[0])
 		if werr == nil {
-			e.scratchVec1 = append(e.scratchVec1[:0], buf)
-			werr = e.db.Write(p, device.PageNum(pid), e.scratchVec1)
-			e.scratchVec1[0] = nil
+			werr = device.Write(p, e.db, device.PageNum(pid), vec)
 		}
-		e.putPageBuf(buf)
+		e.bufs.PutVec(vec)
 		if werr != nil {
 			// The heal write failed, but the frame itself is good; keep it
 			// dirty so the normal flush machinery retries the disk.

@@ -707,8 +707,8 @@ func checkCopyStates(t *testing.T, p *sim.Proc, e *Engine, design ssd.Design) {
 		if !hit {
 			continue
 		}
-		buf := make([]byte, e.bufSize())
-		if err := e.DiskArray().Read(p, device.PageNum(pid), [][]byte{buf}); err != nil {
+		buf := make([]byte, e.bufs.Size())
+		if err := device.Read(p, e.DiskArray(), device.PageNum(pid), [][]byte{buf}); err != nil {
 			t.Fatal(err)
 		}
 		var diskPg page.Page

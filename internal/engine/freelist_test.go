@@ -26,54 +26,6 @@ func driveEngine(t *testing.T, env *sim.Env, fn func(p *sim.Proc) error) {
 	}
 }
 
-// TestPageBufFreeList checks the page-buffer free list: returned buffers
-// are resold (identity-preserving), undersized buffers are dropped, and
-// vectors round-trip with their contents.
-func TestPageBufFreeList(t *testing.T) {
-	env := sim.NewEnv()
-	defer env.Shutdown()
-	e := New(env, Config{Config: ssd.Config{Design: ssd.NoSSD, PayloadSize: 32}, DBPages: 16, PoolPages: 4})
-
-	b1 := e.getPageBuf()
-	if len(b1) != e.bufSize() {
-		t.Fatalf("getPageBuf returned %d bytes, want %d", len(b1), e.bufSize())
-	}
-	e.putPageBuf(b1)
-	b2 := e.getPageBuf()
-	if &b1[0] != &b2[0] {
-		t.Error("free list did not reuse the returned buffer")
-	}
-
-	// Undersized buffers must never enter the free list.
-	e.putPageBuf(make([]byte, e.bufSize()-1))
-	b3 := e.getPageBuf()
-	if len(b3) != e.bufSize() {
-		t.Errorf("free list resold an undersized buffer (%d bytes)", len(b3))
-	}
-
-	v := e.getVec(3)
-	if len(v) != 3 {
-		t.Fatalf("getVec(3) returned %d buffers", len(v))
-	}
-	for _, b := range v {
-		if len(b) != e.bufSize() {
-			t.Fatalf("vec buffer is %d bytes, want %d", len(b), e.bufSize())
-		}
-	}
-	first := &v[0][0]
-	e.putVec(v)
-	v2 := e.getVec(3)
-	found := false
-	for _, b := range v2 {
-		if &b[0] == first {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("putVec did not recycle the vector's buffers")
-	}
-}
-
 // TestRecycledBuffersDoNotAlias is the aliasing guard for the zero-alloc
 // read/write path: pages stamped with distinct content survive dirty
 // eviction, disk write-back and re-fetch through recycled I/O buffers

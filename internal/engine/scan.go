@@ -166,9 +166,9 @@ func (e *Engine) readRun(p *sim.Proc, pid page.ID, count int) error {
 	}
 
 	// One multi-page disk request for the whole run, into pooled buffers.
-	bufs := e.getVec(runLen)
-	defer e.putVec(bufs) // decodeInto copies, so nothing aliases them after
-	if err := e.db.Read(p, device.PageNum(slots[lo].pid), bufs); err != nil {
+	bufs := e.bufs.Vec(runLen)
+	defer e.bufs.PutVec(bufs) // decodeInto copies, so nothing aliases them after
+	if err := device.Read(p, e.db, device.PageNum(slots[lo].pid), bufs); err != nil {
 		for _, f := range frames {
 			if f != nil {
 				e.pool.Release(f)

@@ -21,9 +21,9 @@ import (
 // repair) reach the same code through the few-line sim.Proc.Await entries in
 // engine.go.
 //
-// Continuation state lives in a per-access txOp taken from a free list, with
-// method continuations bound once per struct, so the steady-state access
-// path allocates no closures.
+// Continuation state lives in a per-access txOp taken from a sim.FreeList,
+// with method continuations bound on its first Get, so the steady-state
+// access path allocates no closures.
 //
 // SSD-loss recovery and corruption repair are the places the path re-enters
 // the blocking world: they replay the WAL and walk the repair ladder with
@@ -70,32 +70,26 @@ type txOp struct {
 	evictSig *sim.Signal // in-flight dirty eviction published in e.evicting
 	evictPid page.ID     // the victim page the signal is registered under
 
-	onCPUAcquired  func()            // bound: CPU resource granted
-	onCPUDone      func()            // bound: CPU slice elapsed
-	onEvictFlushed func()            // bound: WAL forced before eviction
-	onEvicted      func(error)       // bound: manager routed the victim
-	onSSDRead      func(bool, error) // bound: SSD probe finished
-	onDbRead       func(error)       // bound: disk read finished
-	onCommitFlush  func()            // bound: commit's WAL flush finished
-	onEvictWaited  func()            // bound: another access's eviction settled
+	// Continuations, bound on the op's first Get.
+	onCPUAcquired  func()            // CPU resource granted
+	onCPUDone      func()            // CPU slice elapsed
+	onEvictFlushed func()            // WAL forced before eviction
+	onEvicted      func(error)       // manager routed the victim
+	onSSDRead      func(bool, error) // SSD probe finished
+	onDbRead       func(error)       // disk read finished
+	onCommitFlush  func()            // commit's WAL flush finished
+	onEvictWaited  func()            // another access's eviction settled
 }
 
 func (e *Engine) getOp() *txOp {
-	if n := len(e.opFree); n > 0 {
-		o := e.opFree[n-1]
-		e.opFree[n-1] = nil
-		e.opFree = e.opFree[:n-1]
-		return o
+	o := e.ops.Get()
+	if o.e == nil {
+		o.e = e
+		o.onCPUAcquired, o.onCPUDone = o.cpuAcquired, o.cpuDone
+		o.onEvictFlushed, o.onEvicted = o.evict, o.evicted
+		o.onSSDRead, o.onDbRead = o.ssdRead, o.dbRead
+		o.onCommitFlush, o.onEvictWaited = o.commitFlushed, o.evictWaited
 	}
-	o := &txOp{e: e}
-	o.onCPUAcquired = o.cpuAcquired
-	o.onCPUDone = o.cpuDone
-	o.onEvictFlushed = o.evict
-	o.onEvicted = o.evicted
-	o.onSSDRead = o.ssdRead
-	o.onDbRead = o.dbRead
-	o.onCommitFlush = o.commitFlushed
-	o.onEvictWaited = o.evictWaited
 	return o
 }
 
@@ -107,7 +101,7 @@ func (o *txOp) recycle() {
 	o.t, o.mutate, o.gk, o.uk, o.ck = nil, nil, nil, nil, nil
 	o.v, o.f, o.bufs = nil, nil, nil
 	o.ssdHit = false
-	e.opFree = append(e.opFree, o)
+	e.ops.Put(o)
 }
 
 // GetTask reads a page with a random (point) access and continues with its
@@ -388,7 +382,7 @@ func (o *txOp) ssdRead(hit bool, err error) {
 	}
 	// Miss: read from the database disk.
 	n := e.readSpan(o.pid, o.viaReadAhead)
-	o.bufs = e.getVec(n)
+	o.bufs = e.bufs.Vec(n)
 	e.db.ReadTask(o.t, device.PageNum(o.pid), o.bufs, o.onDbRead)
 }
 
@@ -397,7 +391,7 @@ func (o *txOp) dbRead(err error) {
 	if err == nil {
 		err = e.installRead(o.pid, o.bufs, o.f)
 	}
-	e.putVec(o.bufs) // installRead copies, so nothing aliases them after
+	e.bufs.PutVec(o.bufs) // installRead copies, so nothing aliases them after
 	o.bufs = nil
 	if err != nil {
 		var ce *page.ChecksumError

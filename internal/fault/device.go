@@ -8,9 +8,9 @@ import (
 )
 
 // Device wraps a device.Device with the injector's fault plan for one
-// device name. It implements device.Device (and forwards device.Formatter
-// when the inner device supports it), consulting the plan before every
-// operation:
+// device name. It is a device.Device itself, in task form like every other
+// (a blocking caller goes through device.Read and device.Write), and
+// consults the plan before every request:
 //
 //   - whole-device loss: at the scheduled total-operation count the device
 //     dies; every operation from then on returns device.ErrLost until
@@ -31,7 +31,6 @@ type Device struct {
 }
 
 var _ device.Device = (*Device)(nil)
-var _ device.Formatter = (*Device)(nil)
 
 // Lost reports whether the device has failed for good.
 func (d *Device) Lost() bool { return d.lost }
@@ -148,16 +147,6 @@ func (d *Device) redirect(idx int, page device.PageNum) device.PageNum {
 	return target
 }
 
-// Read is ReadTask for a blocking process (nil over a file device).
-func (d *Device) Read(p *sim.Proc, page device.PageNum, bufs [][]byte) error {
-	return p.Await(func(t *sim.Task, done func(error)) { d.ReadTask(t, page, bufs, done) })
-}
-
-// Write is WriteTask for a blocking process (nil over a file device).
-func (d *Device) Write(p *sim.Proc, page device.PageNum, bufs [][]byte) error {
-	return p.Await(func(t *sim.Task, done func(error)) { d.WriteTask(t, page, bufs, done) })
-}
-
 // ReadTask serves the request from the inner device unless a fault applies:
 // the fault check happens at request time, planted rot is applied to the
 // returned buffers when the inner read completes.
@@ -222,14 +211,10 @@ func (d *Device) WriteTask(t *sim.Task, page device.PageNum, bufs [][]byte, k fu
 	d.inner.WriteTask(t, page, out, k)
 }
 
-// Format forwards to the inner device's Formatter. Formatting models loading
-// the database before the measured (and faulted) run, so no faults apply.
+// Format formats the inner device. Formatting models loading the database
+// before the measured (and faulted) run, so no faults apply.
 func (d *Device) Format(fill func(page device.PageNum, buf []byte)) error {
-	f, ok := d.inner.(device.Formatter)
-	if !ok {
-		return fmt.Errorf("fault: device %s does not support formatting", d.name)
-	}
-	return f.Format(fill)
+	return d.inner.Format(fill)
 }
 
 // Pending reports the inner device's in-flight requests.

@@ -74,19 +74,19 @@ func TestInjectedIOErrorsAreOneShot(t *testing.T) {
 	in.ErrorWrite("ssd", 0) // first write fails
 	runOps(t, func(p *sim.Proc) {
 		buf := make([]byte, 16)
-		if err := d.Write(p, 0, [][]byte{buf}); !errors.Is(err, ErrInjectedIO) {
+		if err := device.Write(p, d, 0, [][]byte{buf}); !errors.Is(err, ErrInjectedIO) {
 			t.Errorf("write 0: err = %v, want ErrInjectedIO", err)
 		}
-		if err := d.Write(p, 0, [][]byte{buf}); err != nil {
+		if err := device.Write(p, d, 0, [][]byte{buf}); err != nil {
 			t.Errorf("write 1: %v (errors must be one-shot)", err)
 		}
-		if err := d.Read(p, 0, [][]byte{buf}); err != nil {
+		if err := device.Read(p, d, 0, [][]byte{buf}); err != nil {
 			t.Errorf("read 0: %v", err)
 		}
-		if err := d.Read(p, 0, [][]byte{buf}); !errors.Is(err, ErrInjectedIO) {
+		if err := device.Read(p, d, 0, [][]byte{buf}); !errors.Is(err, ErrInjectedIO) {
 			t.Errorf("read 1: err = %v, want ErrInjectedIO", err)
 		}
-		if err := d.Read(p, 0, [][]byte{buf}); err != nil {
+		if err := device.Read(p, d, 0, [][]byte{buf}); err != nil {
 			t.Errorf("read 2: %v", err)
 		}
 	})
@@ -100,14 +100,14 @@ func TestDeviceLossAndReplace(t *testing.T) {
 	runOps(t, func(p *sim.Proc) {
 		buf := make([]byte, 16)
 		for i := 0; i < 2; i++ {
-			if err := d.Write(p, device.PageNum(i), [][]byte{buf}); err != nil {
+			if err := device.Write(p, d, device.PageNum(i), [][]byte{buf}); err != nil {
 				t.Fatalf("op %d before loss: %v", i, err)
 			}
 		}
-		if err := d.Read(p, 0, [][]byte{buf}); !errors.Is(err, device.ErrLost) {
+		if err := device.Read(p, d, 0, [][]byte{buf}); !errors.Is(err, device.ErrLost) {
 			t.Fatalf("op at loss threshold: err = %v, want ErrLost", err)
 		}
-		if err := d.Write(p, 0, [][]byte{buf}); !errors.Is(err, device.ErrLost) {
+		if err := device.Write(p, d, 0, [][]byte{buf}); !errors.Is(err, device.ErrLost) {
 			t.Errorf("op after loss: err = %v, want ErrLost", err)
 		}
 		if !d.Lost() || !in.DeviceLost("ssd") {
@@ -119,7 +119,7 @@ func TestDeviceLossAndReplace(t *testing.T) {
 			t.Error("loss survived Replace")
 		}
 		for i := 0; i < 8; i++ {
-			if err := d.Read(p, 0, [][]byte{buf}); err != nil {
+			if err := device.Read(p, d, 0, [][]byte{buf}); err != nil {
 				t.Fatalf("read after replace: %v", err)
 			}
 		}
@@ -133,18 +133,18 @@ func TestLossCountsAcrossRewrap(t *testing.T) {
 	in.FailDeviceAfter("ssd", 3)
 	runOps(t, func(p *sim.Proc) {
 		buf := make([]byte, 16)
-		if err := d1.Write(p, 0, [][]byte{buf}); err != nil {
+		if err := device.Write(p, d1, 0, [][]byte{buf}); err != nil {
 			t.Fatal(err)
 		}
 		// Re-wrapping a new device under the same name continues the count.
 		d2 := newWrapped(env, in, "ssd")
-		if err := d2.Write(p, 0, [][]byte{buf}); err != nil {
+		if err := device.Write(p, d2, 0, [][]byte{buf}); err != nil {
 			t.Fatal(err)
 		}
-		if err := d2.Write(p, 0, [][]byte{buf}); err != nil {
+		if err := device.Write(p, d2, 0, [][]byte{buf}); err != nil {
 			t.Fatal(err)
 		}
-		if err := d2.Write(p, 0, [][]byte{buf}); !errors.Is(err, device.ErrLost) {
+		if err := device.Write(p, d2, 0, [][]byte{buf}); !errors.Is(err, device.ErrLost) {
 			t.Errorf("4th op across wrappers: err = %v, want ErrLost", err)
 		}
 	})
@@ -164,14 +164,14 @@ func TestTornWriteZeroFillsTail(t *testing.T) {
 			}
 			return b
 		}
-		if err := d.Write(p, 0, [][]byte{pg(0xAA), pg(0xBB), pg(0xCC)}); err != nil {
+		if err := device.Write(p, d, 0, [][]byte{pg(0xAA), pg(0xBB), pg(0xCC)}); err != nil {
 			t.Fatalf("torn write reported failure: %v (tears must be silent)", err)
 		}
 		got := make([][]byte, 3)
 		for i := range got {
 			got[i] = make([]byte, pageSize)
 		}
-		if err := d.Read(p, 0, got); err != nil {
+		if err := device.Read(p, d, 0, got); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got[0], pg(0xAA)) {

@@ -392,9 +392,9 @@ func measureArrayIOPS(write, random bool) float64 {
 			for {
 				var err error
 				if write {
-					err = arr.Write(p, device.PageNum(pos), buf)
+					err = device.Write(p, arr, device.PageNum(pos), buf)
 				} else {
-					err = arr.Read(p, device.PageNum(pos), buf)
+					err = device.Read(p, arr, device.PageNum(pos), buf)
 				}
 				if err != nil {
 					panic(err.Error())
@@ -437,9 +437,9 @@ func measureDevIOPS(env *sim.Env, dev device.Device, capacity int64, write, rand
 				}
 				var err error
 				if write {
-					err = dev.Write(p, device.PageNum(pg), buf)
+					err = device.Write(p, dev, device.PageNum(pg), buf)
 				} else {
-					err = dev.Read(p, device.PageNum(pg), buf)
+					err = device.Read(p, dev, device.PageNum(pg), buf)
 				}
 				if err != nil {
 					panic(err.Error())

@@ -126,6 +126,22 @@ func Decode(buf []byte, p *Page) error {
 	return nil
 }
 
+// DecodeAs is Decode for bytes read back as page id from slot of device dev:
+// besides Decode's checks it requires the header to name id, and a failed
+// check comes back as a *ChecksumError stamped with id, dev and slot
+// (ErrBlank stays as it is). The LSN is the caller's to check: each read
+// path has its own rule.
+func DecodeAs(buf []byte, id ID, dev string, slot int64, p *Page) error {
+	err := Decode(buf, p)
+	if err == nil && p.ID != id {
+		err = &ChecksumError{Reason: "id", Got: uint64(p.ID), Want: uint64(id)}
+	}
+	if ce, ok := err.(*ChecksumError); ok { // Decode's errors are never wrapped
+		ce.ID, ce.Device, ce.Slot = id, dev, slot
+	}
+	return err
+}
+
 // Blank reports whether buf looks like never-written device space (all
 // zeros), which reads of unformatted pages return.
 func Blank(buf []byte) bool {

@@ -27,9 +27,11 @@
 // run-to-completion form instead (Task, see task.go): the same blocking
 // points as explicit continuations, called directly by the scheduler. Every
 // engine, SSD-manager, WAL and device operation has exactly one body, in
-// task form; a blocking process runs it through Proc.Await, which adds no
-// event and no sequence number, so a simulation dispatches the same events
-// whichever kind of caller drives it.
+// task form; a blocking process runs it through Proc.Await (or Waits.Await,
+// for a body that completes with a value), which adds no event and no
+// sequence number, so a simulation dispatches the same events whichever
+// kind of caller drives it. The per-call state of task-form code is
+// recycled through FreeList, so steady-state operations allocate nothing.
 //
 // Every sleep, of either form, is one event on the queue, and every event is
 // one continuation: a task's k, or a process's wake, which resumes it. The
@@ -53,9 +55,9 @@ var ErrStopped = errors.New("sim: environment stopped")
 type Env struct {
 	now     time.Duration
 	seq     uint64
-	events  eventHeap  // see queue.go
-	caller  Proc       // the process Call runs on its caller's goroutine (reused)
-	awaits  []*awaiter // free list of Await call states (see task.go)
+	events  eventHeap         // see queue.go
+	caller  Proc              // the process Call runs on its caller's goroutine (reused)
+	awaits  FreeList[awaiter] // Await call states (see task.go)
 	live    map[*Proc]struct{}
 	stopped bool
 	running bool

@@ -95,14 +95,14 @@ func (s *Signal) WaitFiredFunc(k func()) {
 
 // awaiter is the state of one Await call: the Task view handed to the
 // task-form code, the call's progress and result, and its completion, bound
-// once. Awaiters are pooled on the Env, so a call allocates nothing —
-// whether its process lives for one operation or for the whole run.
+// on first use. Awaiters are pooled on the Env, so a call allocates nothing
+// — whether its process lives for one operation or for the whole run.
 type awaiter struct {
 	p      *Proc
 	task   Task
 	state  awaitState
 	err    error
-	doneFn func(error) // bound to (*awaiter).done once
+	doneFn func(error) // bound to (*awaiter).done on first Get
 }
 
 type awaitState uint8
@@ -140,12 +140,8 @@ func (p *Proc) Await(start func(t *Task, done func(error))) error {
 		return result
 	}
 	e := p.env
-	var a *awaiter
-	if n := len(e.awaits); n > 0 {
-		a = e.awaits[n-1]
-		e.awaits = e.awaits[:n-1]
-	} else {
-		a = &awaiter{}
+	a := e.awaits.Get()
+	if a.doneFn == nil {
 		a.doneFn = a.done
 	}
 	a.p, a.task, a.state = p, Task{env: e, name: p.name}, awaitStarting
@@ -156,7 +152,7 @@ func (p *Proc) Await(start func(t *Task, done func(error))) error {
 	}
 	err := a.err
 	a.p, a.err = nil, nil
-	e.awaits = append(e.awaits, a)
+	e.awaits.Put(a)
 	return err
 }
 
@@ -178,4 +174,43 @@ func (a *awaiter) done(err error) {
 	// runs until it next parks or exits and control comes back here, on the
 	// waker's goroutine.
 	a.p.wake()
+}
+
+// Waits is the bridge for task-form code that completes with a value as
+// well as an error (a frame, an SSD hit): Await runs it for a blocking
+// process and returns both. Its states are pooled, so a call allocates
+// nothing; the zero value is ready to use. One Waits per value type per
+// owner, used under the simulation's serialization.
+type Waits[V any] struct{ free FreeList[valueWait[V]] }
+
+// valueWait is the state of one Waits.Await call: the value the task-form
+// completion delivered, and the process's Await completion it then calls.
+type valueWait[V any] struct {
+	v    V
+	done func(error)
+	k    func(V, error) // bound to (*valueWait).complete on first Get
+}
+
+func (w *valueWait[V]) complete(v V, err error) {
+	w.v = v
+	w.done(err)
+}
+
+// Await runs start — task-form code continuing with k(v, err) — for the
+// blocking process p through Proc.Await, and returns what k was called
+// with. It adds no event of its own, as Proc.Await does not.
+func (ws *Waits[V]) Await(p *Proc, start func(t *Task, k func(V, error))) (V, error) {
+	w := ws.free.Get()
+	if w.k == nil {
+		w.k = w.complete
+	}
+	err := p.Await(func(t *Task, done func(error)) {
+		w.done = done
+		start(t, w.k)
+	})
+	v := w.v
+	var zero V
+	w.v, w.done = zero, nil
+	ws.free.Put(w)
+	return v, err
 }

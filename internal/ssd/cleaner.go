@@ -141,19 +141,9 @@ type cleanScratch struct {
 	rvec   [][]byte // 1-element vector reused across the per-frame SSD reads
 }
 
-func (m *Manager) getScratch() *cleanScratch {
-	if n := len(m.scratchFree); n > 0 {
-		sc := m.scratchFree[n-1]
-		m.scratchFree[n-1] = nil
-		m.scratchFree = m.scratchFree[:n-1]
-		return sc
-	}
-	return &cleanScratch{}
-}
-
 func (m *Manager) putScratch(sc *cleanScratch) {
 	for i := range sc.bufs {
-		m.putBuf(sc.bufs[i])
+		m.bufs.Put(sc.bufs[i])
 		sc.bufs[i] = nil
 	}
 	sc.bufs = sc.bufs[:0]
@@ -164,7 +154,7 @@ func (m *Manager) putScratch(sc *cleanScratch) {
 	sc.frames = sc.frames[:0]
 	sc.lsn = sc.lsn[:0]
 	sc.pid = sc.pid[:0]
-	m.scratchFree = append(m.scratchFree, sc)
+	m.scratch.Put(sc)
 }
 
 // cleanOnce performs one cleaning cycle: pick the oldest dirty page, gather
@@ -176,7 +166,7 @@ func (m *Manager) cleanOnce(p *sim.Proc) bool {
 	if seed < 0 || m.frames[seed].io > 0 {
 		return false
 	}
-	sc := m.getScratch()
+	sc := m.scratch.Get()
 	defer m.putScratch(sc)
 	start, frames := m.gatherRun(seed, sc.frames)
 	sc.frames = frames
@@ -194,13 +184,13 @@ func (m *Manager) cleanOnce(p *sim.Proc) bool {
 	sc.lsn, sc.pid = pinnedLSN, pinnedPID
 	bufs := sc.bufs[:0]
 	for range frames {
-		bufs = append(bufs, m.getBuf())
+		bufs = append(bufs, m.bufs.Get())
 	}
 	sc.bufs = bufs
 	readErr := false
 	for i, idx := range frames {
 		sc.rvec = append(sc.rvec[:0], bufs[i])
-		if err := m.dev.Read(p, device.PageNum(idx), sc.rvec); err != nil {
+		if err := device.Read(p, m.dev, device.PageNum(idx), sc.rvec); err != nil {
 			m.noteDeviceErr(err)
 			readErr = true
 			break
@@ -214,7 +204,7 @@ func (m *Manager) cleanOnce(p *sim.Proc) bool {
 	var corruptPIDs []page.ID
 	if !readErr {
 		for i, idx := range frames {
-			err := m.verifyFrameBuf(bufs[i], pinnedPID[i], pinnedLSN[i], &m.frames[idx])
+			err := m.verifyFrameBuf(bufs[i], idx, pinnedPID[i], pinnedLSN[i])
 			if err == nil {
 				continue
 			}
@@ -281,16 +271,13 @@ func (m *Manager) cleanOnce(p *sim.Proc) bool {
 // Returns nil when the bytes are fit to write to disk. A stored LSN newer
 // than the pinned one is a racing re-admission, not corruption; an older
 // one means the slot holds stale bytes (a misdirected write's victim).
-func (m *Manager) verifyFrameBuf(buf []byte, pid page.ID, lsn uint64, rec *frameRec) error {
+func (m *Manager) verifyFrameBuf(buf []byte, idx int, pid page.ID, lsn uint64) error {
 	var got page.Page
-	if err := page.Decode(buf, &got); err != nil {
+	if err := page.DecodeAs(buf, pid, "ssd", int64(idx), &got); err != nil {
 		return err
 	}
-	if got.ID != pid {
-		return &page.ChecksumError{ID: pid, Reason: "id", Got: uint64(got.ID), Want: uint64(pid)}
-	}
-	if !rec.has(fRestored) && got.LSN < lsn {
-		return &page.ChecksumError{ID: pid, Reason: "lsn", Got: got.LSN, Want: lsn}
+	if !m.frames[idx].has(fRestored) && got.LSN < lsn {
+		return &page.ChecksumError{ID: pid, Device: "ssd", Slot: int64(idx), Reason: "lsn", Got: got.LSN, Want: lsn}
 	}
 	return nil
 }

@@ -67,12 +67,8 @@ func (m *Manager) StopScrubber() { m.scrubStop = true }
 // dev and slot name where the bytes were read from.
 func verifyExact(buf []byte, pid page.ID, lsn uint64, dev string, slot int64) error {
 	var got page.Page
-	if err := page.Decode(buf, &got); err != nil {
+	if err := page.DecodeAs(buf, pid, dev, slot, &got); err != nil {
 		return err
-	}
-	if got.ID != pid {
-		return &page.ChecksumError{ID: pid, Device: dev, Slot: slot,
-			Reason: "id", Got: uint64(got.ID), Want: uint64(pid)}
 	}
 	if got.LSN != lsn {
 		return &page.ChecksumError{ID: pid, Device: dev, Slot: slot,
@@ -91,15 +87,14 @@ func (m *Manager) scrubFrame(p *sim.Proc, idx int) {
 	pid, lsn := rec.pid, rec.lsn
 	stale := func() bool { return !rec.has(fOccupied) || rec.pid != pid || !rec.has(fValid) || rec.lsn != lsn }
 	rec.io++
-	buf := m.getBuf()
+	vec := m.bufs.Vec(1) // one buffer, carrying the frame through every transfer below
+	buf := vec[0]
 	defer func() {
-		m.putBuf(buf)
+		m.bufs.PutVec(vec)
 		rec.io--
 		m.frameIdle(idx)
 	}()
-	vec := append(m.getVec(1), buf)
-	err := m.dev.Read(p, device.PageNum(idx), vec)
-	m.putVec(vec)
+	err := device.Read(p, m.dev, device.PageNum(idx), vec)
 	m.stats.ScrubFrames++
 	if err != nil {
 		m.noteDeviceErr(err)
@@ -134,9 +129,7 @@ func (m *Manager) scrubFrame(p *sim.Proc, idx int) {
 		m.stats.CorruptRepaired++
 		return
 	}
-	vec = append(m.getVec(1), buf)
 	err = p.Await(func(t *sim.Task, done func(error)) { dr.ReadEncodedTask(t, pid, vec, done) })
-	m.putVec(vec)
 	if stale() {
 		// The frame was invalidated or re-admitted while the disk read was
 		// in flight; whatever lives there now is not ours to rewrite.
@@ -153,9 +146,7 @@ func (m *Manager) scrubFrame(p *sim.Proc, idx int) {
 		m.condemnFrame(idx)
 		return
 	}
-	vec = append(m.getVec(1), buf)
-	err = m.dev.Write(p, device.PageNum(idx), vec)
-	m.putVec(vec)
+	err = device.Write(p, m.dev, device.PageNum(idx), vec)
 	if err != nil {
 		m.noteDeviceErr(err)
 		m.condemnFrame(idx) // frame contents now unknown

@@ -276,65 +276,25 @@ type Manager struct {
 	randSavedMs float64
 	seqSavedMs  float64
 
-	// Free lists for encoded-page scratch buffers, the small [][]byte
-	// vectors that carry them through device transfers, and the group-clean
-	// scratch state. All access is serialized by the simulation kernel, but
-	// holders sleep in virtual time mid-transfer, so these are take/return
-	// lists rather than shared scratch space.
-	bufFree     [][]byte
-	vecFree     [][][]byte
-	scratchFree []*cleanScratch
-	tacBusy     []tacEntry // popTacVictim's skipped busy entries, reused
+	// Encoded-page scratch buffers and the vectors that carry them through
+	// device transfers, and the group-clean scratch state. All access is
+	// serialized by the simulation kernel, but holders sleep in virtual
+	// time mid-transfer, so these are take/return lists rather than shared
+	// scratch space.
+	bufs    *page.Buffers
+	scratch sim.FreeList[cleanScratch]
+	tacBusy []tacEntry // popTacVictim's skipped busy entries, reused
 
-	// Free lists of operation states (see task.go). Taken per call and
-	// returned at completion, so steady-state traffic allocates no
-	// continuation closures.
-	readFree  []*readOp
-	wfFree    []*wfOp
-	wdFree    []*wdOp
-	evictFree []*evictOp
-	taFree    []*tacAdmitOp
-	hwFree    []*hitWait
-}
-
-// getBuf takes an encoded-page buffer from the free list.
-func (m *Manager) getBuf() []byte {
-	if n := len(m.bufFree); n > 0 {
-		b := m.bufFree[n-1]
-		m.bufFree[n-1] = nil
-		m.bufFree = m.bufFree[:n-1]
-		return b
-	}
-	return make([]byte, m.bufSize())
-}
-
-// putBuf returns a buffer for reuse; callers must hold no aliases.
-func (m *Manager) putBuf(b []byte) {
-	if cap(b) < m.bufSize() {
-		return
-	}
-	m.bufFree = append(m.bufFree, b[:m.bufSize()])
-}
-
-// getVec returns an empty buffer vector with capacity for n entries.
-func (m *Manager) getVec(n int) [][]byte {
-	if l := len(m.vecFree); l > 0 {
-		v := m.vecFree[l-1]
-		m.vecFree[l-1] = nil
-		m.vecFree = m.vecFree[:l-1]
-		if cap(v) >= n {
-			return v[:0]
-		}
-	}
-	return make([][]byte, 0, n)
-}
-
-// putVec returns a vector to the free list (buffers are returned separately).
-func (m *Manager) putVec(v [][]byte) {
-	for i := range v {
-		v[i] = nil
-	}
-	m.vecFree = append(m.vecFree, v[:0])
+	// Operation states (see task.go), taken per call and returned at
+	// completion, so steady-state traffic allocates no continuation
+	// closures; hits parks a blocking caller on an operation that completes
+	// with a hit flag.
+	reads     sim.FreeList[readOp]
+	wfs       sim.FreeList[wfOp]
+	wds       sim.FreeList[wdOp]
+	evicts    sim.FreeList[evictOp]
+	tacAdmits sim.FreeList[tacAdmitOp]
+	hits      sim.Waits[bool]
 }
 
 // NewManager creates a manager over dev (the SSD device, one device page
@@ -353,6 +313,7 @@ func NewManager(env *sim.Env, dev device.Device, disk Disk, repair Repairer, pag
 		repair:      repair,
 		cfg:         cfg,
 		frames:      make([]frameRec, cfg.SSDFrames),
+		bufs:        page.NewBuffers(page.HeaderSize + cfg.PayloadSize),
 		randSavedMs: float64(hdd.RandRead-cfg.SSDProfile.RandRead) / float64(time.Millisecond),
 		seqSavedMs:  max(0, float64(hdd.SeqRead-cfg.SSDProfile.SeqRead)/float64(time.Millisecond)),
 	}
@@ -406,8 +367,6 @@ func (m *Manager) shardOf(pid page.ID) *shard {
 	h := uint64(pid) * 0x9E3779B97F4A7C15
 	return &m.shards[h%uint64(len(m.shards))]
 }
-
-func (m *Manager) bufSize() int { return page.HeaderSize + m.cfg.PayloadSize }
 
 // Occupied returns the number of occupied frames (valid or TAC-invalid).
 func (m *Manager) Occupied() int { return m.occupied }
@@ -630,53 +589,20 @@ func (m *Manager) Qualifies(random bool) bool {
 	return random
 }
 
-// hitWait adapts a (bool, error) completion to a process parked in Await;
-// pooled, with k bound once.
-type hitWait struct {
-	ok   bool
-	done func(error)
-	k    func(bool, error)
-}
-
-// awaitHit runs start — a task-form operation completing with (bool, error)
-// — for the blocking process p.
-func (m *Manager) awaitHit(p *sim.Proc, start func(t *sim.Task, k func(bool, error))) (bool, error) {
-	var w *hitWait
-	if n := len(m.hwFree); n > 0 {
-		w = m.hwFree[n-1]
-		m.hwFree = m.hwFree[:n-1]
-	} else {
-		w = &hitWait{}
-		w.k = func(ok bool, err error) {
-			w.ok = ok
-			w.done(err)
-		}
-	}
-	err := p.Await(func(t *sim.Task, done func(error)) {
-		w.done = done
-		start(t, w.k)
-	})
-	ok := w.ok
-	w.done = nil
-	m.hwFree = append(m.hwFree, w)
-	return ok, err
-}
-
 // Read is ReadTask for a blocking process.
 func (m *Manager) Read(p *sim.Proc, pid page.ID, pg *page.Page) (bool, error) {
-	return m.awaitHit(p, func(t *sim.Task, k func(bool, error)) { m.ReadTask(t, pid, pg, k) })
+	return m.hits.Await(p, func(t *sim.Task, k func(bool, error)) { m.ReadTask(t, pid, pg, k) })
 }
 
 // readOutcome resolves a frame read once the device transfer is done:
 // error triage, reclaimed-frame check, decode and verification, hit
 // accounting, and corruption routing. wantLSN and restored are the frame's
 // state when the read was issued — if the frame was re-admitted mid-flight
-// the stored bytes are stale, not corrupt. buf is consumed (returned to the
-// free list) on every path.
+// the stored bytes are stale, not corrupt. buf stays the caller's: a hit's
+// payload is copied into pg before this returns.
 func (m *Manager) readOutcome(pid page.ID, idx int, wantLSN uint64, restored bool, buf []byte, pg *page.Page, err error) (bool, error) {
 	rec := &m.frames[idx]
 	if err != nil {
-		m.putBuf(buf)
 		m.noteDeviceErr(err)
 		if m.lost {
 			m.frameIdle(idx)
@@ -699,19 +625,12 @@ func (m *Manager) readOutcome(pid page.ID, idx int, wantLSN uint64, restored boo
 		// The frame was reclaimed, invalidated, or re-admitted with a newer
 		// version while we slept in the device queue; the bytes we read are
 		// stale, not wrong. Treat as a miss (the pool handles residency).
-		m.putBuf(buf)
 		m.frameIdle(idx)
 		m.stats.Misses++
 		return false, nil
 	}
 	var got page.Page
-	decodeErr := page.Decode(buf, &got)
-	if decodeErr == nil && got.ID != pid {
-		decodeErr = &page.ChecksumError{
-			ID: pid, Device: "ssd", Slot: int64(idx),
-			Reason: "id", Got: uint64(got.ID), Want: uint64(pid),
-		}
-	}
+	decodeErr := page.DecodeAs(buf, pid, "ssd", int64(idx), &got)
 	if decodeErr == nil && !restored && got.LSN != wantLSN {
 		// The self-identifying header names the right page but the wrong
 		// version: the slot missed a write (misdirected or lost). Restored
@@ -723,7 +642,6 @@ func (m *Manager) readOutcome(pid page.ID, idx int, wantLSN uint64, restored boo
 		}
 	}
 	if decodeErr != nil {
-		m.putBuf(buf)
 		if rec.has(fRestored) {
 			// Warm-restart entries are hints: the frame was reused for a
 			// different page between the checkpoint that recorded the
@@ -732,9 +650,6 @@ func (m *Manager) readOutcome(pid page.ID, idx int, wantLSN uint64, restored boo
 			m.frameIdle(idx)
 			m.stats.Misses++
 			return false, nil
-		}
-		if ce := (*page.ChecksumError)(nil); errors.As(decodeErr, &ce) {
-			ce.ID, ce.Device, ce.Slot = pid, "ssd", int64(idx)
 		}
 		wasDirty := rec.has(fDirty)
 		m.noteCorrupt(idx)
@@ -759,7 +674,6 @@ func (m *Manager) readOutcome(pid page.ID, idx int, wantLSN uint64, restored boo
 	pg.ID = got.ID
 	pg.LSN = got.LSN
 	copy(pg.Payload, got.Payload)
-	m.putBuf(buf) // got.Payload aliased buf; the copy above ends its use
 	m.touch(idx)
 	m.frameIdle(idx)
 	m.stats.Hits++
@@ -910,7 +824,7 @@ func (m *Manager) popCleanVictim(s *shard) int {
 
 // admit is admitTask for a blocking process.
 func (m *Manager) admit(p *sim.Proc, pg *page.Page, dirty bool) (bool, error) {
-	return m.awaitHit(p, func(t *sim.Task, k func(bool, error)) { m.admitTask(t, pg, dirty, k) })
+	return m.hits.Await(p, func(t *sim.Task, k func(bool, error)) { m.admitTask(t, pg, dirty, k) })
 }
 
 // finishAdmit resolves a frame write's outcome: on failure the frame's contents

@@ -405,7 +405,7 @@ func TestThrottleSkipsCleanReadsNotDirty(t *testing.T) {
 			f.env.Go("noise", func(q *sim.Proc) {
 				buf := [][]byte{make([]byte, page.HeaderSize+testPayload)}
 				for j := 0; j < 50; j++ {
-					f.dev.Read(q, 0, buf)
+					device.Read(q, f.dev, 0, buf)
 				}
 			})
 		}
@@ -435,7 +435,7 @@ func TestThrottleSkipsAdmissions(t *testing.T) {
 			f.env.Go("noise", func(q *sim.Proc) {
 				buf := [][]byte{make([]byte, page.HeaderSize+testPayload)}
 				for j := 0; j < 50; j++ {
-					f.dev.Read(q, 0, buf)
+					device.Read(q, f.dev, 0, buf)
 				}
 			})
 		}

@@ -17,8 +17,8 @@ import (
 // (readOutcome, finishAdmit, allocFrame, the policy predicates) live in
 // ssd.go/tac.go.
 //
-// Continuation state lives in per-operation structs taken from free lists
-// on the Manager, with method continuations bound once per struct, so the
+// Continuation state lives in per-operation structs taken from sim.FreeLists
+// on the Manager, with continuations bound on a struct's first Get, so the
 // steady-state path allocates no closures.
 
 // readOp carries one ReadTask through the device read. The frame's
@@ -30,35 +30,22 @@ type readOp struct {
 	idx      int
 	wantLSN  uint64
 	restored bool
-	buf      []byte
-	vec      [][]byte
+	vec      [][]byte // one pooled buffer
 	pg       *page.Page
 	k        func(bool, error)
 
-	onRead func(error) // bound to (*readOp).read once
-}
-
-func (m *Manager) getReadOp() *readOp {
-	if n := len(m.readFree); n > 0 {
-		o := m.readFree[n-1]
-		m.readFree[n-1] = nil
-		m.readFree = m.readFree[:n-1]
-		return o
-	}
-	o := &readOp{m: m}
-	o.onRead = o.read
-	return o
+	onRead func(error) // bound to (*readOp).read on first Get
 }
 
 func (o *readOp) read(err error) {
 	m := o.m
-	m.putVec(o.vec)
-	o.vec = nil
 	m.frames[o.idx].io--
-	pid, idx, wantLSN, restored, buf, pg, k := o.pid, o.idx, o.wantLSN, o.restored, o.buf, o.pg, o.k
-	o.buf, o.pg, o.k = nil, nil, nil
-	m.readFree = append(m.readFree, o)
-	k(m.readOutcome(pid, idx, wantLSN, restored, buf, pg, err))
+	hit, err := m.readOutcome(o.pid, o.idx, o.wantLSN, o.restored, o.vec[0], o.pg, err)
+	m.bufs.PutVec(o.vec) // readOutcome copied a hit's payload out
+	k := o.k
+	o.vec, o.pg, o.k = nil, nil, nil
+	m.reads.Put(o)
+	k(hit, err)
 }
 
 // ReadTask attempts to serve pid from the SSD into pg (whose Payload must be
@@ -97,11 +84,13 @@ func (m *Manager) ReadTask(t *sim.Task, pid page.ID, pg *page.Page, k func(bool,
 		return
 	}
 	rec.io++
-	o := m.getReadOp()
+	o := m.reads.Get()
+	if o.m == nil {
+		o.m, o.onRead = m, o.read
+	}
 	o.pid, o.idx, o.pg, o.k = pid, idx, pg, k
 	o.wantLSN, o.restored = rec.lsn, rec.has(fRestored)
-	o.buf = m.getBuf()
-	o.vec = append(m.getVec(1), o.buf)
+	o.vec = m.bufs.Vec(1)
 	m.dev.ReadTask(t, device.PageNum(idx), o.vec, o.onRead)
 }
 
@@ -111,36 +100,21 @@ func (m *Manager) ReadTask(t *sim.Task, pid page.ID, pg *page.Page, k func(bool,
 type wfOp struct {
 	m   *Manager
 	idx int
-	buf []byte
-	vec [][]byte
+	vec [][]byte          // one pooled buffer, the encoded page
 	ka  func(bool, error) // admit completion: ka(finishAdmit(idx, err))
 	kae func(error)       // admit completion dropping the bool (TAC paths)
 
-	onWritten func(error) // bound to (*wfOp).written once
-}
-
-func (m *Manager) getWfOp() *wfOp {
-	if n := len(m.wfFree); n > 0 {
-		o := m.wfFree[n-1]
-		m.wfFree[n-1] = nil
-		m.wfFree = m.wfFree[:n-1]
-		return o
-	}
-	o := &wfOp{m: m}
-	o.onWritten = o.written
-	return o
+	onWritten func(error) // bound to (*wfOp).written on first Get
 }
 
 func (o *wfOp) written(err error) {
 	m := o.m
-	m.putVec(o.vec)
-	o.vec = nil
-	m.putBuf(o.buf)
+	m.bufs.PutVec(o.vec)
 	m.frames[o.idx].io--
 	m.frameIdle(o.idx)
 	idx, ka, kae := o.idx, o.ka, o.kae
-	o.buf, o.ka, o.kae = nil, nil, nil
-	m.wfFree = append(m.wfFree, o)
+	o.vec, o.ka, o.kae = nil, nil, nil
+	m.wfs.Put(o)
 	m.admitDone(idx, err, ka, kae)
 }
 
@@ -162,62 +136,52 @@ func (m *Manager) admitDone(idx int, err error, ka func(bool, error), kae func(e
 func (m *Manager) frameWrite(t *sim.Task, idx int, pg *page.Page, ka func(bool, error), kae func(error)) {
 	rec := &m.frames[idx]
 	rec.io++
-	buf := m.getBuf()
-	if err := page.Encode(pg, buf); err != nil {
-		m.putBuf(buf)
+	vec := m.bufs.Vec(1)
+	if err := page.Encode(pg, vec[0]); err != nil {
+		m.bufs.PutVec(vec)
 		rec.io--
 		m.admitDone(idx, err, ka, kae)
 		return
 	}
-	o := m.getWfOp()
-	o.idx, o.buf, o.ka, o.kae = idx, buf, ka, kae
-	o.vec = append(m.getVec(1), buf)
+	o := m.wfs.Get()
+	if o.m == nil {
+		o.m, o.onWritten = m, o.written
+	}
+	o.idx, o.vec, o.ka, o.kae = idx, vec, ka, kae
 	m.dev.WriteTask(t, device.PageNum(idx), o.vec, o.onWritten)
 }
 
 // wdOp carries one writeDiskTask through the database-disk write.
 type wdOp struct {
 	m   *Manager
-	buf []byte
-	vec [][]byte
+	vec [][]byte // one pooled buffer, the encoded page
 	k   func(error)
 
-	onWritten func(error) // bound to (*wdOp).written once
-}
-
-func (m *Manager) getWdOp() *wdOp {
-	if n := len(m.wdFree); n > 0 {
-		o := m.wdFree[n-1]
-		m.wdFree[n-1] = nil
-		m.wdFree = m.wdFree[:n-1]
-		return o
-	}
-	o := &wdOp{m: m}
-	o.onWritten = o.written
-	return o
+	onWritten func(error) // bound to (*wdOp).written on first Get
 }
 
 func (o *wdOp) written(err error) {
 	m := o.m
-	m.putVec(o.vec)
-	m.putBuf(o.buf)
+	m.bufs.PutVec(o.vec)
 	k := o.k
-	o.buf, o.vec, o.k = nil, nil, nil
-	m.wdFree = append(m.wdFree, o)
+	o.vec, o.k = nil, nil
+	m.wds.Put(o)
 	k(err)
 }
 
 // writeDiskTask pushes pg's encoded image to the database disk subsystem.
 func (m *Manager) writeDiskTask(t *sim.Task, pg *page.Page, k func(error)) {
-	buf := m.getBuf()
-	if err := page.Encode(pg, buf); err != nil {
-		m.putBuf(buf)
+	vec := m.bufs.Vec(1)
+	if err := page.Encode(pg, vec[0]); err != nil {
+		m.bufs.PutVec(vec)
 		k(err)
 		return
 	}
-	o := m.getWdOp()
-	o.buf, o.k = buf, k
-	o.vec = append(m.getVec(1), buf)
+	o := m.wds.Get()
+	if o.m == nil {
+		o.m, o.onWritten = m, o.written
+	}
+	o.vec, o.k = vec, k
 	m.disk.WriteEncodedTask(t, pg.ID, o.vec, o.onWritten)
 }
 
@@ -286,24 +250,20 @@ type evictOp struct {
 	ssdErr  error
 	diskErr error
 
-	spawnDW      func(*sim.Task)   // bound: the dw-ssd-write child body
-	onDWAdmit    func(bool, error) // bound: SSD leg completion
-	onDWDisk     func(error)       // bound: disk leg completion
-	onDWJoin     func()            // bound: both legs done
-	onCleanAdmit func(bool, error) // bound: clean-eviction admit completion
-	onLCAdmit    func(bool, error) // bound: LC dirty-admit completion
-	onTACDisk    func(error)       // bound: TAC disk write-back completion
-	finishF      func(error)       // bound to (*evictOp).finish once
+	// Continuations, bound on the op's first Get.
+	spawnDW      func(*sim.Task)   // the dw-ssd-write child body
+	onDWAdmit    func(bool, error) // SSD leg completion
+	onDWDisk     func(error)       // disk leg completion
+	onDWJoin     func()            // both legs done
+	onCleanAdmit func(bool, error) // clean-eviction admit completion
+	onLCAdmit    func(bool, error) // LC dirty-admit completion
+	onTACDisk    func(error)       // TAC disk write-back completion
+	finishF      func(error)       // (*evictOp).finish
 }
 
-func (m *Manager) getEvictOp() *evictOp {
-	if n := len(m.evictFree); n > 0 {
-		o := m.evictFree[n-1]
-		m.evictFree[n-1] = nil
-		m.evictFree = m.evictFree[:n-1]
-		return o
-	}
-	o := &evictOp{m: m, done: sim.NewSignal(m.env)}
+// bind sets the op's owner and binds its continuations.
+func (o *evictOp) bind(m *Manager) {
+	o.m, o.done = m, sim.NewSignal(m.env)
 	o.spawnDW = func(child *sim.Task) { o.m.admitTask(child, &o.snap, false, o.onDWAdmit) }
 	o.onDWAdmit = func(_ bool, err error) {
 		o.ssdErr = err
@@ -318,20 +278,19 @@ func (m *Manager) getEvictOp() *evictOp {
 	o.onLCAdmit = o.lcAdmit
 	o.onTACDisk = o.tacDisk
 	o.finishF = o.finish
-	return o
 }
 
 // finish recycles the op before continuing, so k may immediately evict again.
 func (o *evictOp) finish(err error) {
 	m, k := o.m, o.k
 	o.t, o.pg, o.k = nil, nil, nil
-	m.evictFree = append(m.evictFree, o)
+	m.evicts.Put(o)
 	k(err)
 }
 
 func (o *evictOp) dwJoin() {
 	m := o.m
-	m.putBuf(o.snapBuf)
+	m.bufs.Put(o.snapBuf)
 	o.snapBuf = nil
 	o.snap = page.Page{}
 	err := o.diskErr
@@ -366,7 +325,10 @@ func (o *evictOp) tacDisk(err error) {
 // into memory (the admission policy's random/sequential classification).
 // The caller must already have forced the log up to pg.LSN (WAL protocol).
 func (m *Manager) OnEvictTask(t *sim.Task, pg *page.Page, dirty, random bool, k func(error)) {
-	o := m.getEvictOp()
+	o := m.evicts.Get()
+	if o.m == nil {
+		o.bind(m)
+	}
 	o.t, o.pg, o.k = t, pg, k
 
 	if !dirty {
@@ -413,7 +375,7 @@ func (m *Manager) OnEvictTask(t *sim.Task, pg *page.Page, dirty, random bool, k 
 		}
 		// Snapshot the page for the concurrent SSD write, in a pooled buffer
 		// that dwJoin returns once both legs are done.
-		o.snapBuf = m.getBuf()
+		o.snapBuf = m.bufs.Get()
 		o.snap = page.Page{ID: pg.ID, LSN: pg.LSN, Payload: append(o.snapBuf[:0], pg.Payload...)}
 		o.ssdErr, o.diskErr = nil, nil
 		o.done.Reset()
@@ -494,36 +456,31 @@ type tacAdmitOp struct {
 	snap       page.Page
 	stillClean func() bool
 
-	spawnF  func(*sim.Task) // bound: child body (sleeps AsyncAdmitDelay)
-	onAwake func()          // bound: delay elapsed
-	onAdmit func(error)     // bound: admission finished
+	// Continuations, bound on the op's first Get.
+	spawnF  func(*sim.Task) // child body (sleeps AsyncAdmitDelay)
+	onAwake func()          // delay elapsed
+	onAdmit func(error)     // admission finished
 }
 
-func (m *Manager) getTacAdmitOp() *tacAdmitOp {
-	if n := len(m.taFree); n > 0 {
-		o := m.taFree[n-1]
-		m.taFree[n-1] = nil
-		m.taFree = m.taFree[:n-1]
-		return o
-	}
-	o := &tacAdmitOp{m: m}
+// bind sets the op's owner and binds its continuations.
+func (o *tacAdmitOp) bind(m *Manager) {
+	o.m = m
 	o.spawnF = func(child *sim.Task) {
 		o.child = child
 		child.Sleep(asyncAdmitDelay, o.onAwake)
 	}
 	o.onAwake = o.awake
 	o.onAdmit = o.admitted
-	return o
 }
 
 func (o *tacAdmitOp) recycle() {
 	m := o.m
 	if o.snapBuf != nil {
-		m.putBuf(o.snapBuf)
+		m.bufs.Put(o.snapBuf)
 	}
 	o.child, o.snapBuf, o.stillClean = nil, nil, nil
 	o.snap = page.Page{}
-	m.taFree = append(m.taFree, o)
+	m.tacAdmits.Put(o)
 }
 
 func (o *tacAdmitOp) awake() {
@@ -559,8 +516,11 @@ func (m *Manager) TACOnDiskRead(pg *page.Page, _ bool, stillClean func() bool) {
 	if m.cfg.Design != TAC || !m.Enabled() {
 		return
 	}
-	o := m.getTacAdmitOp()
-	o.snapBuf = m.getBuf()
+	o := m.tacAdmits.Get()
+	if o.m == nil {
+		o.bind(m)
+	}
+	o.snapBuf = m.bufs.Get()
 	o.snap = page.Page{ID: pg.ID, LSN: pg.LSN, Payload: append(o.snapBuf[:0], pg.Payload...)}
 	o.stillClean = stillClean
 	m.env.Spawn("tac-admit", o.spawnF)

@@ -67,7 +67,7 @@ func (l *Log) LoadDurable() error {
 		if pagesRead >= l.capacity {
 			return false
 		}
-		if err := l.dev.Read(nil, pagesRead, [][]byte{pg}); err != nil {
+		if err := device.Read(nil, l.dev, pagesRead, [][]byte{pg}); err != nil {
 			readErr = fmt.Errorf("wal: load durable: page %d: %w", pagesRead, err)
 			return false
 		}
@@ -172,7 +172,7 @@ func (l *Log) scrubTail() error {
 	pg := make([]byte, l.pageSize)
 	var zero []byte
 	for p := l.writePos; p < l.capacity; p++ {
-		if err := l.dev.Read(nil, p, [][]byte{pg}); err != nil {
+		if err := device.Read(nil, l.dev, p, [][]byte{pg}); err != nil {
 			return fmt.Errorf("wal: scrub tail: read page %d: %w", p, err)
 		}
 		if allZero(pg) {
@@ -181,7 +181,7 @@ func (l *Log) scrubTail() error {
 		if zero == nil {
 			zero = make([]byte, l.pageSize)
 		}
-		if err := l.dev.Write(nil, p, [][]byte{zero}); err != nil {
+		if err := device.Write(nil, l.dev, p, [][]byte{zero}); err != nil {
 			return fmt.Errorf("wal: scrub tail: zero page %d: %w", p, err)
 		}
 	}

@@ -212,10 +212,10 @@ type Log struct {
 	flushBufs [][]byte
 
 	// Flush state: fl is the single in-flight flush (the flushing flag
-	// serializes flushes, so one reusable struct suffices) and wFree pools
+	// serializes flushes, so one reusable struct suffices) and waits pools
 	// the waiters, so steady-state flushes allocate no continuation closures.
 	fl    *flight
-	wFree []*fwait
+	waits sim.FreeList[fwait]
 
 	appends      int64
 	flushes      int64
@@ -439,34 +439,29 @@ type fwait struct {
 	k    func()
 	done func(error) // Flush: the parked process's Await completion
 
-	fn     func() // bound to (*fwait).run once
-	wakeFn func() // bound to (*fwait).wake once
+	fn     func() // bound to (*fwait).run on first Get
+	wakeFn func() // bound to (*fwait).wake on first Get
 }
 
 func (l *Log) getWait() *fwait {
-	if n := len(l.wFree); n > 0 {
-		w := l.wFree[n-1]
-		l.wFree[n-1] = nil
-		l.wFree = l.wFree[:n-1]
-		return w
+	w := l.waits.Get()
+	if w.l == nil {
+		w.l, w.fn, w.wakeFn = l, w.run, w.wake
 	}
-	w := &fwait{l: l}
-	w.fn = w.run
-	w.wakeFn = w.wake
 	return w
 }
 
 func (w *fwait) run() {
 	l, t, upTo, k := w.l, w.t, w.upTo, w.k
 	w.t, w.k = nil, nil
-	l.wFree = append(l.wFree, w)
+	l.waits.Put(w)
 	l.FlushTask(t, upTo, k)
 }
 
 func (w *fwait) wake() {
 	done := w.done
 	w.done = nil
-	w.l.wFree = append(w.l.wFree, w)
+	w.l.waits.Put(w)
 	done(nil)
 }
 
